@@ -5,8 +5,8 @@
 //!
 //! The client never re-implements serving math.  It keeps the authoritative pool
 //! mirror in the same [`ShardedPool`] the single-process service uses, plans batches
-//! with the same [`plan_groups`], and folds gathered lists with the same
-//! [`fold_entry_lists`].  Workers return raw per-shard ε-filtered entry-estimate
+//! with the same [`plan_groups`] and [`plan_work_items`], and folds gathered lists with
+//! the same [`fold_entry_lists`].  Workers return raw per-shard ε-filtered entry-estimate
 //! lists; the client concatenates them **in canonical (ascending global) shard
 //! order** — exactly the order the single-process `serve_entry_lists` concatenates
 //! its work items — so every non-degraded estimate is bit-identical to single-process
@@ -39,8 +39,8 @@ use crate::wire::{
     StageModel, SwapModel, UpsertRequest, WireError,
 };
 use crn_core::{
-    fold_entry_lists, plan_groups, Cnt2CrdConfig, CrnModel, QueriesPool, ServeResponse, ServeStats,
-    ShardedPool,
+    fold_entry_lists, plan_groups, plan_work_items, Cnt2CrdConfig, CrnModel, QueriesPool,
+    ServeResponse, ServeStats, ShardedPool,
 };
 use crn_estimators::CardinalityEstimator;
 use crn_obs::{Event, Obs};
@@ -170,7 +170,9 @@ impl ClusterClient {
     /// `total_shards` canonical shards, and ships every worker its assignment (shard
     /// `s` is owned by worker `s % addrs.len()`).  Fails if any worker is unreachable
     /// at startup — a fleet that begins degraded is a deployment error, not a runtime
-    /// condition.
+    /// condition — and with [`WireError::UnsupportedConfig`] for `options.config.top_k > 0`:
+    /// top-K ranks a query's anchors across *all* shards, which no shard-local worker scan
+    /// can do (a per-shard top-K is a different, wrong estimate).
     pub fn connect(
         addrs: &[SocketAddr],
         model: CrnModel,
@@ -179,6 +181,11 @@ impl ClusterClient {
         options: ClusterOptions,
     ) -> Result<Self, WireError> {
         assert!(!addrs.is_empty(), "cluster needs at least one worker");
+        if options.config.top_k > 0 {
+            return Err(WireError::UnsupportedConfig(
+                "top_k > 0 needs a pool-wide anchor ranking; cluster workers scan shard-locally",
+            ));
+        }
         let total_shards = total_shards.max(1);
         let mirror = ShardedPool::from_pool(pool, total_shards);
         let client = Self {
@@ -394,22 +401,17 @@ impl ClusterClient {
         let group_start = Instant::now();
         let groups = plan_groups(queries);
         stats.groups = groups.len();
-        // Which query indices each worker must evaluate: a group goes to every worker
-        // owning at least one shard with anchors matching its FROM key (the same
-        // non-empty-shard test the single-process planner uses for its work items).
+        // Which query indices each worker must evaluate: the single-process planner's
+        // (group, shard) work items, each group sent once to every worker owning at least
+        // one of its shards (items are sorted by group, so "once" is a last-group check).
+        let items = plan_work_items(snapshot.shards(), &groups);
+        stats.work_items = items.len();
         let mut sent: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for (key, indices) in &groups {
-            let mut dest = vec![false; workers];
-            for shard in 0..snapshot.num_shards() {
-                if snapshot.shard(shard).matching_key(key).next().is_some() {
-                    stats.work_items += 1;
-                    dest[shard % workers] = true;
-                }
-            }
-            for (worker_id, wanted) in dest.into_iter().enumerate() {
-                if wanted {
-                    sent[worker_id].extend(indices.iter().copied());
-                }
+        let mut last_group = vec![usize::MAX; workers];
+        for (group, shard) in items {
+            let owner = shard % workers;
+            if std::mem::replace(&mut last_group[owner], group) != group {
+                sent[owner].extend(&groups[group].1);
             }
         }
         stats.group_time = group_start.elapsed();

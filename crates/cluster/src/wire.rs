@@ -37,6 +37,9 @@ pub enum WireError {
     BadPayload(String),
     /// The message-type byte is unknown to this build.
     BadType(u8),
+    /// The serving configuration cannot be served by a worker fleet (see
+    /// [`ClusterClient::connect`](crate::ClusterClient::connect)).
+    UnsupportedConfig(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -46,6 +49,7 @@ impl std::fmt::Display for WireError {
             WireError::BadLength(len) => write!(f, "bad frame length {len} (max {MAX_FRAME})"),
             WireError::BadPayload(e) => write!(f, "bad frame payload: {e}"),
             WireError::BadType(byte) => write!(f, "unknown message type {byte}"),
+            WireError::UnsupportedConfig(why) => write!(f, "unsupported cluster config: {why}"),
         }
     }
 }

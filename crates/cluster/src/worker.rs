@@ -13,31 +13,26 @@
 //! Bit-parity note: each owned shard is reconstructed as a **one-shard**
 //! [`ShardedPool`] from the shipped shard payload.  One-shard reconstruction
 //! preserves entry order, so the worker's shard scan visits entries in exactly the
-//! order the single-process service would — the lists it returns are bit-identical
-//! to the corresponding single-process work items.
+//! order the single-process service would — and Eval runs the same shared core
+//! ([`Cnt2CrdCore`]) the service runs, so the lists it returns are bit-identical to
+//! the corresponding single-process work items.  Probe runs that core too, over all
+//! owned shards, under the live model and the staged candidate by reference.
 //!
-//! Version discipline: an [`EvalRequest`] carries the fleet model version it must be
-//! served under.  A worker whose live version differs (e.g. a swap raced a scatter)
-//! answers [`ErrorReply`](crate::wire::ErrorReply) rather than serving — a mixed
-//! fleet can degrade a batch, but can never silently blend model generations inside
-//! one batch.
+//! Version discipline: an [`EvalRequest`](crate::wire::EvalRequest) carries the fleet
+//! model version it must be served under.  A worker whose live version differs (e.g. a
+//! swap raced a scatter) answers [`ErrorReply`](crate::wire::ErrorReply) rather than
+//! serving — a mixed fleet can degrade a batch, but can never silently blend model
+//! generations inside one batch.
 
 use crate::wire::{
     read_message, write_message, AssignAck, Assignment, ErrorReply, EvalResponse, Message,
     ProbeResponse, ShardLists, WireError,
 };
-use crn_core::{
-    Cnt2Crd, Cnt2CrdConfig, CrnModel, EstimatorService, FinalFunction, QueriesPool, ShardedPool,
-};
-use crn_estimators::CardinalityEstimator;
+use crn_core::{AnchorCache, Cnt2CrdConfig, Cnt2CrdCore, CrnModel, PoolShard, ShardedPool};
 use crn_nn::WorkerPool;
 use crn_query::ast::Query;
 use std::net::{TcpListener, TcpStream};
-
-/// Matches `crn_online::feedback::CARDINALITY_FLOOR` (not re-exported there): the
-/// floor under q-error ratios, so probe medians here are comparable to the refresh
-/// controller's gate inputs.
-const CARDINALITY_FLOOR: f64 = 1.0;
+use std::sync::Arc;
 
 /// Everything a worker holds between messages.  Built wholesale from an
 /// [`Assignment`]; absent until the first one arrives.
@@ -46,64 +41,56 @@ struct WorkerState {
     /// Live fleet model version this worker serves under.
     version: u64,
     config: Cnt2CrdConfig,
-    /// The live model (kept outside the services for probe mirroring).
+    workers: WorkerPool,
+    /// The live model: Eval and the live half of Probe read it by reference.
     model: CrnModel,
-    /// One single-shard service per owned global shard, ascending by shard index.
-    services: Vec<(usize, EstimatorService<CrnModel>)>,
-    /// Union of the owned shards' anchors, used for canary probe traffic.
-    owned_pool: QueriesPool,
+    /// The owned global shards, ascending by shard index: `(index, one-shard pool,
+    /// prepared-anchor cache of that shard)`.
+    shards: Vec<(usize, ShardedPool, AnchorCache)>,
     /// A staged candidate model awaiting a canary verdict: `(version, model)`.
     staged: Option<(u64, CrnModel)>,
 }
 
 impl WorkerState {
     fn from_assignment(assignment: Assignment, threads: usize) -> Self {
-        let workers = WorkerPool::shared(threads.max(1));
-        let mut owned_pool = QueriesPool::default();
-        let mut shards = assignment.shards;
-        shards.sort_by_key(|shard| shard.index);
-        let services = shards
-            .into_iter()
+        let mut shards: Vec<_> = assignment
+            .shards
+            .iter()
             .map(|payload| {
-                for entry in payload.pool.entries() {
-                    owned_pool.upsert(entry.query.clone(), entry.cardinality);
-                }
-                let sharded = ShardedPool::from_pool(&payload.pool, 1);
-                let service =
-                    EstimatorService::new(assignment.model.clone(), sharded, workers.clone())
-                        .with_config(assignment.config);
-                (payload.index, service)
+                let pool = ShardedPool::from_pool(&payload.pool, 1);
+                (payload.index, pool, AnchorCache::default())
             })
             .collect();
+        shards.sort_by_key(|(index, ..)| *index);
         WorkerState {
             worker_id: assignment.worker_id,
             version: assignment.model_version,
             config: assignment.config,
+            workers: WorkerPool::shared(threads.max(1)),
             model: assignment.model,
-            services,
-            owned_pool,
+            shards,
             staged: None,
         }
     }
 
-    /// Median q-error of `model` over the probe set, evaluated through the sequential
-    /// `Cnt2Crd` path over this worker's anchors — the same machinery for the live
-    /// model and the staged candidate, so the canary comparison is apples-to-apples.
-    fn probe_median(&self, model: &CrnModel, queries: &[Query], truths: &[u64]) -> f64 {
-        let estimator =
-            Cnt2Crd::new(model.clone(), self.owned_pool.clone()).with_config(self.config);
-        let errors: Vec<f64> = queries
+    /// Per owned shard, the per-query entry lists of `queries` under the live model.
+    fn eval(&self, queries: &[Query]) -> Vec<ShardLists> {
+        self.shards
             .iter()
-            .zip(truths)
-            .map(|(query, &truth)| {
-                crn_nn::q_error(
-                    estimator.estimate(query).max(CARDINALITY_FLOOR),
-                    (truth as f64).max(CARDINALITY_FLOOR),
-                    CARDINALITY_FLOOR,
-                )
+            .map(|(index, pool, cache)| {
+                let snapshot = pool.snapshot();
+                let core = Cnt2CrdCore {
+                    config: &self.config,
+                    model: &self.model,
+                    shards: snapshot.shards(),
+                    cache: Some((cache, self.version, snapshot.shard_versions())),
+                };
+                ShardLists {
+                    index: *index,
+                    lists: core.entry_lists(&self.workers, queries).0,
+                }
             })
-            .collect();
-        FinalFunction::Median.apply(&errors).unwrap_or(0.0)
+            .collect()
     }
 }
 
@@ -121,7 +108,7 @@ fn handle(state: &mut Option<WorkerState>, message: Message, threads: usize) -> 
             let worker_id = assignment.worker_id;
             let model_version = assignment.model_version;
             let fresh = WorkerState::from_assignment(assignment, threads);
-            let shards = fresh.services.len();
+            let shards = fresh.shards.len();
             *state = Some(fresh);
             Some(Message::AssignAck(AssignAck {
                 worker_id,
@@ -139,17 +126,9 @@ fn handle(state: &mut Option<WorkerState>, message: Message, threads: usize) -> 
                     request.model_version, state.worker_id, state.version
                 )));
             }
-            let shards = state
-                .services
-                .iter()
-                .map(|(index, service)| ShardLists {
-                    index: *index,
-                    lists: service.serve_entry_lists(&request.queries).per_query,
-                })
-                .collect();
             Some(Message::EvalResult(EvalResponse {
                 model_version: state.version,
-                shards,
+                shards: state.eval(&request.queries),
             }))
         }
         Message::Stage(stage) => {
@@ -166,11 +145,20 @@ fn handle(state: &mut Option<WorkerState>, message: Message, threads: usize) -> 
             let Some((_, candidate)) = state.staged.as_ref() else {
                 return Some(error_reply("probe without a staged candidate"));
             };
-            let live_median = state.probe_median(&state.model, &request.queries, &request.truths);
-            let candidate_median = state.probe_median(candidate, &request.queries, &request.truths);
+            // Both medians through the shared serving core over every owned shard — the
+            // same machinery for the live model and the staged candidate, so the canary
+            // comparison is apples-to-apples.
+            let owned: Vec<Arc<PoolShard>> = state
+                .shards
+                .iter()
+                .map(|(_, pool, _)| Arc::clone(&pool.snapshot().shards()[0]))
+                .collect();
+            let (config, queries, truths) = (&state.config, &request.queries, &request.truths);
+            let median =
+                |model: &CrnModel| crn_online::probe_median(config, model, &owned, queries, truths);
             Some(Message::ProbeResult(ProbeResponse {
-                live_median,
-                candidate_median,
+                live_median: median(&state.model),
+                candidate_median: median(candidate),
             }))
         }
         Message::Swap(swap) => {
@@ -179,9 +167,6 @@ fn handle(state: &mut Option<WorkerState>, message: Message, threads: usize) -> 
             };
             match state.staged.take() {
                 Some((version, model)) if version == swap.version => {
-                    for (_, service) in &state.services {
-                        service.swap_model(model.clone());
-                    }
                     state.model = model;
                     state.version = version;
                     Some(Message::SwapAck)
@@ -205,20 +190,17 @@ fn handle(state: &mut Option<WorkerState>, message: Message, threads: usize) -> 
             let Some(state) = state.as_mut() else {
                 return Some(error_reply("upsert before assignment"));
             };
-            let Some((_, service)) = state
-                .services
+            let Some((_, pool, _)) = state
+                .shards
                 .iter()
-                .find(|(index, _)| *index == request.shard)
+                .find(|(index, ..)| *index == request.shard)
             else {
                 return Some(error_reply(format!(
                     "upsert for shard {} not owned by worker {}",
                     request.shard, state.worker_id
                 )));
             };
-            service
-                .pool()
-                .upsert(request.query.clone(), request.cardinality);
-            state.owned_pool.upsert(request.query, request.cardinality);
+            pool.upsert(request.query, request.cardinality);
             Some(Message::UpsertAck)
         }
         Message::Shutdown => None,

@@ -6,11 +6,33 @@
 mod common;
 
 use common::{assert_bit_identical, fixture, spawn_fleet, workload};
-use crn_cluster::{ClusterClient, ClusterOptions};
-use crn_core::{Cnt2Crd, EstimatorService, ShardedPool};
+use crn_cluster::{ClusterClient, ClusterOptions, WireError};
+use crn_core::{Cnt2Crd, Cnt2CrdConfig, EstimatorService, ShardedPool};
 use crn_estimators::CardinalityEstimator;
 use crn_nn::parallel::WorkerPool;
 use crn_serve::ComputeBackend;
+
+/// Top-K ranks a query's anchors pool-wide; workers scan shard-locally and used to answer
+/// with full-scan lists, silently ignoring `top_k` (served 177.47 vs sequential 0 on the
+/// tiny preset).  The coordinator refuses the configuration before touching any worker.
+#[test]
+fn top_k_configuration_is_rejected_at_connect() {
+    let fx = fixture(11);
+    // No listener behind this address: the rejection must come before any dial.
+    let unreachable = "127.0.0.1:1".parse().expect("socket addr");
+    let options = ClusterOptions {
+        config: Cnt2CrdConfig {
+            top_k: 1,
+            ..Cnt2CrdConfig::default()
+        },
+        ..ClusterOptions::default()
+    };
+    let outcome = ClusterClient::connect(&[unreachable], fx.model, &fx.pool, 4, options);
+    assert!(
+        matches!(outcome, Err(WireError::UnsupportedConfig(_))),
+        "top_k > 0 must be refused with the typed error"
+    );
+}
 
 #[test]
 fn distributed_serving_is_bit_identical_across_fleet_shapes() {

@@ -15,15 +15,29 @@
 //! where `F` is a *final function* (the paper examines Median, Mean and a trimmed mean and
 //! settles on the Median, §5.3.1).  When no pool entry matches, the technique falls back to a
 //! basic cardinality estimator, exactly as §5.2 prescribes.
+//!
+//! That loop exists here twice, and nowhere else: literally, one pair of model calls per
+//! anchor ([`Cnt2Crd::per_entry_estimates_sequential`] — the oracle the parity tests compare
+//! against), and batched ([`Cnt2CrdCore`]: a FROM group of queries × one pool shard's
+//! anchors per fused model call, planned by [`plan_work_items`]).  Every serving tier — the
+//! [`Cnt2Crd`] estimator below, the concurrent [`EstimatorService`], the online refresh
+//! gate, the cluster workers — is a caller of the batched core over its own model and pool
+//! shards.
+//!
+//! [`EstimatorService`]: crate::service::EstimatorService
 
-use crate::pool::{query_hash, QueriesPool};
+use crate::pool::{PoolEntry, PoolShard, QueriesPool};
+use crate::service::{plan_groups, ServeStats};
+use crate::sharded::matching_top_k;
 use crn_estimators::{CardinalityEstimator, ContainmentEstimator};
 use crn_nn::parallel::WorkerPool;
 use crn_query::ast::Query;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// The final function `F` that folds the per-pool-entry estimates into a single cardinality.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -111,16 +125,24 @@ impl Cnt2CrdConfig {
     /// Folds one anchor/rate pairing into a per-entry estimate, applying the ε filter
     /// (Figure 8's inner loop body).
     ///
-    /// This is THE definition of a per-entry estimate: every serving path — sequential,
-    /// batched, sharded [`Cnt2Crd`] and the concurrent
-    /// [`EstimatorService`](crate::service::EstimatorService) — must fold through this one
-    /// function, or the bit-parity contract between them silently breaks.
+    /// This is THE definition of a per-entry estimate: the shared core
+    /// ([`Cnt2CrdCore::entry_lists`]) and the sequential oracle
+    /// ([`Cnt2Crd::per_entry_estimates_sequential`]) are its only callers, so the
+    /// bit-parity contract between every serving tier cannot silently break.
     pub fn entry_estimate(&self, cardinality: u64, x_rate: f64, y_rate: f64) -> Option<f64> {
         if y_rate <= self.epsilon {
             return None;
         }
         let estimate = x_rate / y_rate * cardinality as f64;
         estimate.is_finite().then_some(estimate)
+    }
+
+    /// Figure 8's last line, `F(results)` clamped at zero — `None` when no per-entry
+    /// estimate survived, which every tier answers with its §5.2 fallback.
+    pub fn fold(&self, entry_estimates: &[f64]) -> Option<f64> {
+        self.final_function
+            .apply(entry_estimates)
+            .map(|value| value.max(0.0))
     }
 }
 
@@ -135,12 +157,215 @@ impl Default for Cnt2CrdConfig {
     }
 }
 
-/// Sharded-serving configuration of a [`Cnt2Crd`] estimator: how many canonical-hash shards
-/// the matching anchors are partitioned into and the persistent worker pool evaluating them.
-#[derive(Debug, Clone)]
-struct ShardedServing {
-    shards: usize,
-    workers: WorkerPool,
+/// Per-`(shard, FROM clause)` anchor serving state built by the model
+/// ([`ContainmentEstimator::prepare_anchors`] — for the CRN model the encoded form of the
+/// anchors, so steady-state serving featurizes only the incoming queries), each slot valid
+/// for one `(model version, pool shard version)` pairing: pool maintenance invalidates
+/// exactly the shards it touched, and a model hot-swap invalidates every slot the old model
+/// encoded (a stale slot would serve old-model anchor encodings through the new model's
+/// head: the stale-cache-after-swap regression test in [`crate::service`] pins this).
+#[derive(Default)]
+pub struct AnchorCache {
+    slots: Mutex<BTreeMap<(usize, String), CachedAnchors>>,
+}
+
+struct CachedAnchors {
+    /// `(model version, pool shard version)` the state was built under.
+    versions: (u64, u64),
+    state: Option<Arc<dyn Any + Send + Sync>>,
+}
+
+impl AnchorCache {
+    /// Returns (building on first use) `model`'s serving state for the anchors of one
+    /// shard's FROM-clause bucket under the given `(model, shard)` versions.
+    fn get_or_prepare<M: ContainmentEstimator + ?Sized>(
+        &self,
+        model: &M,
+        versions: (u64, u64),
+        shard: usize,
+        key: &str,
+        anchors: &[&PoolEntry],
+    ) -> Option<Arc<dyn Any + Send + Sync>> {
+        let slot = (shard, key.to_string());
+        if let Some(cached) = self.slots.lock().expect("not poisoned").get(&slot) {
+            if cached.versions == versions {
+                return cached.state.clone();
+            }
+        }
+        // Build outside the lock: work items run on the worker pool, and holding the cache
+        // lock across the (batched-GEMM) preparation would serialize them.  Two threads
+        // racing on the same slot both build; the first insert wins and both states are
+        // equivalent (the preparation is a pure function of model and anchor list).
+        let anchor_queries: Vec<&Query> = anchors.iter().map(|entry| &entry.query).collect();
+        let state: Option<Arc<dyn Any + Send + Sync>> =
+            model.prepare_anchors(&anchor_queries).map(Arc::from);
+        let mut slots = self.slots.lock().expect("not poisoned");
+        let cached = slots.entry(slot).or_insert_with(|| CachedAnchors {
+            versions,
+            state: state.clone(),
+        });
+        // Replace only a *strictly older* slot: while an old-snapshot evaluation drains
+        // concurrently with a new-snapshot one, the old reader must not downgrade the slot
+        // the new readers key on (both versions are monotonic, so lexicographic
+        // (model, shard) order is "older").
+        if cached.versions < versions {
+            *cached = CachedAnchors {
+                versions,
+                state: state.clone(),
+            };
+        }
+        if cached.versions == versions {
+            cached.state.clone()
+        } else {
+            // Our state is valid for *our* versions even though the slot keeps a newer one.
+            state
+        }
+    }
+}
+
+/// One `(FROM group, shard)` work item per shard holding anchors of the group's FROM clause,
+/// sorted by `(group index, shard index)` — THE plan of the full-scan technique.  `groups`
+/// is [`plan_groups`]' output; the in-process core evaluates these items, a distributed
+/// coordinator scatters each to the worker owning its shard.
+pub fn plan_work_items<S: Borrow<PoolShard>>(
+    shards: &[S],
+    groups: &[(String, Vec<usize>)],
+) -> Vec<(usize, usize)> {
+    let mut items = Vec::new();
+    for (group, (key, _)) in groups.iter().enumerate() {
+        for (shard, storage) in shards.iter().enumerate() {
+            if storage.borrow().matching_key(key).next().is_some() {
+                items.push((group, shard));
+            }
+        }
+    }
+    items
+}
+
+/// The Cnt2Crd core: the frozen inputs of one evaluation — ONE model and ONE set of pool
+/// shards for every estimate it produces — and the anchors → rates → per-entry-estimates
+/// loop of Figure 8 over them.  [`Cnt2Crd`], [`EstimatorService`], the refresh gate and the
+/// cluster workers are all thin callers: they differ only in where the model and the shards
+/// come from.
+///
+/// [`EstimatorService`]: crate::service::EstimatorService
+pub struct Cnt2CrdCore<'a, M: ?Sized, S> {
+    /// The technique's configuration.
+    pub config: &'a Cnt2CrdConfig,
+    /// The containment model every rate of the evaluation comes from.
+    pub model: &'a M,
+    /// The pool's shards in canonical order (a single-owner pool is one shard).
+    pub shards: &'a [S],
+    /// Reuse of prepared anchor state across evaluations: the cache, the model's version
+    /// and the per-shard pool versions keying it.  `None` prepares nothing ahead.
+    pub cache: Option<(&'a AnchorCache, u64, &'a [u64])>,
+}
+
+impl<M: ContainmentEstimator + Sync + ?Sized, S: Borrow<PoolShard> + Sync> Cnt2CrdCore<'_, M, S> {
+    /// Figure 8's loop for one FROM group of queries over one anchor list: both containment
+    /// rates of every `(anchor, query)` pairing in one fused model call, each folded through
+    /// [`Cnt2CrdConfig::entry_estimate`] — one ε-filtered per-entry list per query, in
+    /// anchor order.
+    fn group_estimates(
+        &self,
+        anchors: &[&PoolEntry],
+        prepared: Option<&(dyn Any + Send + Sync)>,
+        queries: &[&Query],
+    ) -> Vec<Vec<f64>> {
+        let anchor_queries: Vec<&Query> = anchors.iter().map(|entry| &entry.query).collect();
+        self.model
+            .predict_group(&anchor_queries, queries, prepared)
+            .into_iter()
+            .map(|rates| {
+                anchors
+                    .iter()
+                    .zip(rates)
+                    .filter_map(|(entry, (x_rate, y_rate))| {
+                        self.config
+                            .entry_estimate(entry.cardinality, x_rate, y_rate)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Per-query per-entry estimate lists for a slice of concurrent queries, plus how the
+    /// plan was executed (`pool_hits`/`fallbacks` and the caller-side `snapshot_time`,
+    /// `total_time` and `model_version` are left for the caller).
+    ///
+    /// * **Plan** — the queries are grouped by FROM clause (only same-FROM anchors can
+    ///   participate, §5.3) and each `(group, shard with matching anchors)` becomes one work
+    ///   item ([`plan_work_items`]).  With `config.top_k > 0` the unit of work is the query
+    ///   itself instead: its anchor set — the `k` best-ranked matching anchors across all
+    ///   shards ([`matching_top_k`], a deterministic total order, so identical at any shard
+    ///   count) — is its own, so there is nothing to fuse across a group and no per-shard
+    ///   prepared state to reuse.
+    /// * **Compute** — work items are independent; `workers` hands them out dynamically and
+    ///   returns them in item order.  Each is one fused model call over its anchors, folded
+    ///   per `(anchor, query)` pairing through [`Cnt2CrdConfig::entry_estimate`].
+    /// * **Concatenate** — a query's lists concatenate in canonical shard order (within a
+    ///   shard: entry order; top-K: rank order).
+    pub fn entry_lists(
+        &self,
+        workers: &WorkerPool,
+        queries: &[Query],
+    ) -> (Vec<Vec<f64>>, ServeStats) {
+        let group_started = Instant::now();
+        let groups = plan_groups(queries);
+        // (FROM key, input indices of the item's queries, shard — `None` for a top-K item).
+        let items: Vec<(&str, &[usize], Option<usize>)> = if self.config.top_k > 0 {
+            groups
+                .iter()
+                .flat_map(|(key, indices)| {
+                    indices.chunks(1).map(move |one| (key.as_str(), one, None))
+                })
+                .collect()
+        } else {
+            plan_work_items(self.shards, &groups)
+                .into_iter()
+                .map(|(group, shard)| (groups[group].0.as_str(), &groups[group].1[..], Some(shard)))
+                .collect()
+        };
+        let mut stats = ServeStats {
+            queries: queries.len(),
+            groups: groups.len(),
+            shards: self.shards.len(),
+            pool_entries: self.shards.iter().map(|s| s.borrow().len()).sum(),
+            work_items: items.len(),
+            group_time: group_started.elapsed(),
+            ..ServeStats::default()
+        };
+
+        let compute_started = Instant::now();
+        let per_item: Vec<Vec<Vec<f64>>> = workers.run_sharded(items.len(), |item| {
+            let (key, indices, shard) = items[item];
+            let group: Vec<&Query> = indices.iter().map(|&index| &queries[index]).collect();
+            let Some(shard) = shard else {
+                let ranked = matching_top_k(self.shards, group[0], self.config.top_k);
+                let anchors: Vec<&PoolEntry> = ranked.into_iter().map(|(_, entry)| entry).collect();
+                return self.group_estimates(&anchors, None, &group);
+            };
+            let anchors: Vec<&PoolEntry> = self.shards[shard].borrow().matching_key(key).collect();
+            let prepared = self
+                .cache
+                .and_then(|(cache, model_version, shard_versions)| {
+                    let versions = (model_version, shard_versions[shard]);
+                    cache.get_or_prepare(self.model, versions, shard, key, &anchors)
+                });
+            self.group_estimates(&anchors, prepared.as_deref(), &group)
+        });
+        stats.compute_time = compute_started.elapsed();
+
+        let merge_started = Instant::now();
+        let mut per_query: Vec<Vec<f64>> = vec![Vec::new(); queries.len()];
+        for ((_, indices, _), lists) in items.iter().zip(per_item) {
+            for (&index, list) in indices.iter().zip(lists) {
+                per_query[index].extend(list);
+            }
+        }
+        stats.merge_time = merge_started.elapsed();
+        (per_query, stats)
+    }
 }
 
 /// A cardinality estimator built from a containment-rate model and a queries pool.
@@ -150,15 +375,12 @@ pub struct Cnt2Crd<M> {
     config: Cnt2CrdConfig,
     fallback: Option<Box<dyn CardinalityEstimator + Send + Sync>>,
     name: String,
-    /// Per-FROM-clause (and, in sharded mode, per-shard) serving state built by the model
-    /// for its matching anchors ([`ContainmentEstimator::prepare_anchors`]), lazily filled
-    /// on first use and dropped when the pool is replaced.  For the CRN model this holds
-    /// the packed featurization of the anchors, so steady-state serving featurizes only the
-    /// incoming query.
-    prepared_anchors: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
-    /// `Some` routes [`Cnt2Crd::per_entry_estimates`] through the persistent worker pool
-    /// over canonical-hash anchor shards (see [`Cnt2Crd::with_serving`]).
-    serving: Option<ShardedServing>,
+    /// Per-FROM-clause prepared anchor state, lazily filled on first use and dropped when
+    /// the pool is replaced.
+    prepared: AnchorCache,
+    /// A single query over a single shard is at most one work item, which any pool runs
+    /// inline on the calling thread.
+    workers: WorkerPool,
 }
 
 impl<M: ContainmentEstimator> Cnt2Crd<M> {
@@ -172,29 +394,9 @@ impl<M: ContainmentEstimator> Cnt2Crd<M> {
             config: Cnt2CrdConfig::default(),
             fallback: None,
             name,
-            prepared_anchors: Mutex::new(HashMap::new()),
-            serving: None,
+            prepared: AnchorCache::default(),
+            workers: WorkerPool::shared(1),
         }
-    }
-
-    /// Enables sharded serving: [`Cnt2Crd::per_entry_estimates`] partitions the matching
-    /// anchors into `shards` canonical-hash shards (the same routing as
-    /// [`crate::sharded::ShardedPool`]) and evaluates them in parallel on the given
-    /// persistent [`WorkerPool`], each shard against its own cached
-    /// [`prepare_anchors`](ContainmentEstimator::prepare_anchors) state, merged in
-    /// canonical shard order.
-    ///
-    /// The merged per-entry list is a permutation of the sequential scan's, so the final
-    /// functions (which sort) — and therefore [`CardinalityEstimator::estimate`] — are
-    /// bit-identical at every shard/thread count; the parity tests in [`crate::service`]
-    /// pin this.  `shards <= 1` keeps the sequential path.
-    pub fn with_serving(mut self, shards: usize, workers: WorkerPool) -> Self {
-        self.serving = if shards > 1 {
-            Some(ShardedServing { shards, workers })
-        } else {
-            None
-        };
-        self
     }
 
     /// Overrides the technique's configuration.
@@ -223,164 +425,32 @@ impl<M: ContainmentEstimator> Cnt2Crd<M> {
     /// Replaces the queries pool (used by the pool-size sweep of Table 14).
     pub fn set_pool(&mut self, pool: QueriesPool) {
         self.pool = pool;
-        self.prepared_anchors.lock().expect("not poisoned").clear();
+        self.prepared = AnchorCache::default();
     }
 
     /// The technique's configuration.
     pub fn config(&self) -> &Cnt2CrdConfig {
         &self.config
     }
-
-    /// [`Cnt2CrdConfig::entry_estimate`] with this estimator's configuration.
-    fn entry_estimate(&self, cardinality: u64, x_rate: f64, y_rate: f64) -> Option<f64> {
-        self.config.entry_estimate(cardinality, x_rate, y_rate)
-    }
 }
 
 impl<M: ContainmentEstimator + Sync> Cnt2Crd<M> {
-    /// The per-pool-entry estimates for a query (exposed for diagnostics and tests).
-    ///
-    /// All matching pool anchors are evaluated through the containment model's
-    /// [`predict_batch`](ContainmentEstimator::predict_batch) — for neural models each
-    /// anchor is featurized once and the whole pool runs through exactly two batched
-    /// forward passes, instead of the `2·N` single-pair forwards of the sequential path.
-    ///
-    /// With [`Cnt2Crd::with_serving`] enabled, the anchors are partitioned into
-    /// canonical-hash shards evaluated in parallel on the persistent worker pool and the
-    /// per-shard lists are concatenated in canonical shard order — a permutation of the
-    /// sequential list with bit-identical values, so the (sorting) final functions return
-    /// bit-identical estimates.
+    /// The per-pool-entry estimates for a query (exposed for diagnostics and tests): the
+    /// shared core ([`Cnt2CrdCore::entry_lists`]) over this estimator's model and its pool
+    /// as one shard, for a group of one.  All matching — or, with `config.top_k > 0`, the
+    /// `k` best-ranked — anchors run through the model's fused
+    /// [`predict_group`](ContainmentEstimator::predict_group): for neural models each
+    /// anchor is encoded once per pool and a query costs two batched head passes, instead
+    /// of the `2·N` single-pair forwards of the sequential path.
     pub fn per_entry_estimates(&self, query: &Query) -> Vec<f64> {
-        if self.config.top_k > 0 {
-            return self.per_entry_estimates_top_k(query);
-        }
-        if let Some(serving) = &self.serving {
-            return self.per_entry_estimates_sharded(query, serving);
-        }
-        // One traversal of the matching bucket: anchors for the batched model call,
-        // cardinalities for the estimate fold.
-        let mut anchors: Vec<&Query> = Vec::new();
-        let mut cardinalities: Vec<u64> = Vec::new();
-        for entry in self.pool.matching(query) {
-            anchors.push(&entry.query);
-            cardinalities.push(entry.cardinality);
-        }
-        if anchors.is_empty() {
-            return Vec::new();
-        }
-        let key = crate::pool::from_key(query);
-        let rates = self.rates_for_anchors(key, &anchors, query);
-        cardinalities
-            .iter()
-            .zip(rates)
-            .filter_map(|(&cardinality, (x_rate, y_rate))| {
-                self.entry_estimate(cardinality, x_rate, y_rate)
-            })
-            .collect()
-    }
-
-    /// The top-K serving path (`config.top_k > 0`): rank the matching anchors by
-    /// featurization-space similarity and run only the best `k` through the containment
-    /// heads.  Takes precedence over sharded serving — with `k` anchors the per-query model
-    /// cost is already bounded, so fanning the tiny batch across workers would only add
-    /// scheduling overhead.  The prepared-anchor cache is deliberately skipped: its slots
-    /// are keyed per FROM clause, but top-K anchor sets vary per *query*.
-    fn per_entry_estimates_top_k(&self, query: &Query) -> Vec<f64> {
-        let ranked = self
-            .pool
-            .as_shard()
-            .matching_top_k(query, self.config.top_k);
-        if ranked.is_empty() {
-            return Vec::new();
-        }
-        let anchors: Vec<&Query> = ranked.iter().map(|(_, entry)| &entry.query).collect();
-        let rates = self.model.predict_batch(&anchors, query);
-        ranked
-            .iter()
-            .zip(rates)
-            .filter_map(|(&(_, entry), (x_rate, y_rate))| {
-                self.entry_estimate(entry.cardinality, x_rate, y_rate)
-            })
-            .collect()
-    }
-
-    /// The sharded serving path: matching anchors partitioned by canonical query hash (the
-    /// [`crate::sharded::ShardedPool`] routing), one work item per non-empty shard on the
-    /// persistent pool, per-shard `prepare_anchors` caches, merged in canonical shard order.
-    fn per_entry_estimates_sharded(&self, query: &Query, serving: &ShardedServing) -> Vec<f64> {
-        let num_shards = serving.shards;
-        let mut per_shard: Vec<Vec<(&Query, u64)>> = vec![Vec::new(); num_shards];
-        for entry in self.pool.matching(query) {
-            let shard = (query_hash(&entry.query) % num_shards as u64) as usize;
-            per_shard[shard].push((&entry.query, entry.cardinality));
-        }
-        if per_shard.iter().all(|shard| shard.is_empty()) {
-            return Vec::new();
-        }
-        let key = crate::pool::from_key(query);
-        let shard_estimates: Vec<Vec<f64>> = serving.workers.run_sharded(num_shards, |shard| {
-            let entries = &per_shard[shard];
-            if entries.is_empty() {
-                return Vec::new();
-            }
-            let anchors: Vec<&Query> = entries.iter().map(|(anchor, _)| *anchor).collect();
-            // Distinct cache slot per (FROM clause, shard, shard count): the anchor list a
-            // slot caches must match this exact partition.
-            let rates =
-                self.rates_for_anchors(format!("{key}#{shard}/{num_shards}"), &anchors, query);
-            entries
-                .iter()
-                .zip(rates)
-                .filter_map(|(&(_, cardinality), (x_rate, y_rate))| {
-                    self.entry_estimate(cardinality, x_rate, y_rate)
-                })
-                .collect()
-        });
-        shard_estimates.concat()
-    }
-
-    /// Both containment directions of an anchor list against one query, through the cached
-    /// [`prepare_anchors`](ContainmentEstimator::prepare_anchors) state for `cache_key`
-    /// (built on first use, dropped when the pool is replaced).
-    fn rates_for_anchors(
-        &self,
-        cache_key: String,
-        anchors: &[&Query],
-        query: &Query,
-    ) -> Vec<(f64, f64)> {
-        match self.prepared_for(cache_key, anchors) {
-            Some(state) => self
-                .model
-                .predict_batch_prepared(state.as_ref(), anchors, query),
-            None => self.model.predict_batch(anchors, query),
-        }
-    }
-
-    /// Returns (building on first use) the model's serving state for an anchor list under
-    /// the given cache key (the canonical FROM-clause key, suffixed with the shard
-    /// coordinates in sharded mode — each key corresponds one-to-one to an anchor list).
-    fn prepared_for(&self, key: String, anchors: &[&Query]) -> Option<Arc<dyn Any + Send + Sync>> {
-        if let Some(state) = self
-            .prepared_anchors
-            .lock()
-            .expect("not poisoned")
-            .get(&key)
-        {
-            return Some(state.clone());
-        }
-        // Build outside the lock: per-shard warmup runs on the worker pool, and holding the
-        // cache lock across the (batched-GEMM) preparation would serialize it.  Two threads
-        // racing on the same key both build; the first insert wins and both states are
-        // equivalent (the preparation is a pure function of the anchor list).
-        let state: Arc<dyn Any + Send + Sync> = Arc::from(self.model.prepare_anchors(anchors)?);
-        Some(
-            self.prepared_anchors
-                .lock()
-                .expect("not poisoned")
-                .entry(key)
-                .or_insert(state)
-                .clone(),
-        )
+        let core = Cnt2CrdCore {
+            config: &self.config,
+            model: &self.model,
+            shards: &[self.pool.as_shard()],
+            cache: Some((&self.prepared, 0, &[0])),
+        };
+        let (mut per_query, _) = core.entry_lists(&self.workers, std::slice::from_ref(query));
+        per_query.pop().expect("one list per query")
     }
 
     /// The sequential reference implementation of [`Cnt2Crd::per_entry_estimates`]: one
@@ -392,7 +462,8 @@ impl<M: ContainmentEstimator + Sync> Cnt2Crd<M> {
             .filter_map(|entry| {
                 let x_rate = self.model.estimate_containment(&entry.query, query);
                 let y_rate = self.model.estimate_containment(query, &entry.query);
-                self.entry_estimate(entry.cardinality, x_rate, y_rate)
+                self.config
+                    .entry_estimate(entry.cardinality, x_rate, y_rate)
             })
             .collect()
     }
@@ -404,14 +475,12 @@ impl<M: ContainmentEstimator + Sync> CardinalityEstimator for Cnt2Crd<M> {
     }
 
     fn estimate(&self, query: &Query) -> f64 {
-        let estimates = self.per_entry_estimates(query);
-        match self.config.final_function.apply(&estimates) {
-            Some(value) => value.max(0.0),
-            None => match &self.fallback {
+        self.config
+            .fold(&self.per_entry_estimates(query))
+            .unwrap_or_else(|| match &self.fallback {
                 Some(fallback) => fallback.estimate(query),
                 None => self.config.default_estimate,
-            },
-        }
+            })
     }
 }
 
@@ -520,9 +589,9 @@ mod tests {
         let pool = QueriesPool::generate(&db, 60, 2, 56);
         let mut gen = QueryGenerator::new(&db, GeneratorConfig::paper(57));
 
-        // Oracle containment model (exercises the default trait predict_batch).
+        // Oracle containment model (exercises the default trait predict_group).
         let oracle = Cnt2Crd::new(Crd2Cnt::new(TrueCardinality::new(&db)), pool.clone());
-        // Trained CRN containment model (exercises the batched override).
+        // Trained CRN containment model (exercises the fused override).
         let pairs = gen.generate_pairs(30, 120);
         let samples = label_containment_pairs(&db, &pairs, 4);
         let mut crn = CrnModel::new(&db, TrainConfig::fast_test());
@@ -567,7 +636,7 @@ mod tests {
     /// Regression: an empty anchor set must short-circuit to an empty result on every CRN
     /// serving entry point instead of reaching the GEMM path with a zero-row (0×0) packed
     /// batch, which the matmul shape asserts reject.  Covers the bare batched calls, the
-    /// prepared-state call (with a stale non-empty state), and the full `Cnt2Crd` estimate
+    /// group call with a stale non-empty prepared state, and the full `Cnt2Crd` estimate
     /// over a pool whose matching anchor list is emptied by `remove`.
     #[test]
     fn empty_anchor_pool_returns_empty_instead_of_hitting_gemm() {
@@ -583,14 +652,15 @@ mod tests {
         assert!(model.predict_batch(&[], &query).is_empty());
         assert!(ContainmentEstimator::predict_batch_forward(&model, &[], &query).is_empty());
         assert!(model.prepare_anchors(&[]).is_none());
-        // Prepared-state entry point with an empty anchor list and a (stale) non-empty
-        // serving state — must not be fed to the head GEMMs.
+        // The group entry point with an empty anchor list and a (stale) non-empty serving
+        // state — must not be fed to the head GEMMs.
         let stale = model
             .prepare_anchors(&[&query])
             .expect("non-empty anchor set prepares");
-        assert!(model
-            .predict_batch_prepared(stale.as_ref(), &[], &query)
-            .is_empty());
+        assert_eq!(
+            model.predict_group(&[], &[&query], Some(stale.as_ref())),
+            vec![Vec::new()]
+        );
 
         // Full estimator over a pool whose only anchor for this FROM clause is removed:
         // the matching list is empty and the estimate falls back to the default.

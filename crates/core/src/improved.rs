@@ -57,11 +57,10 @@ impl<M: CardinalityEstimator + Sync> CardinalityEstimator for ImprovedEstimator<
     fn estimate(&self, query: &Query) -> f64 {
         // When the pool cannot help, fall back to the original estimator: the improvement
         // technique never does worse than "no matching old query" (§5.2).
-        let estimates = self.inner.per_entry_estimates(query);
-        match self.inner.config().final_function.apply(&estimates) {
-            Some(value) => value.max(0.0),
-            None => self.original().estimate(query),
-        }
+        self.inner
+            .config()
+            .fold(&self.inner.per_entry_estimates(query))
+            .unwrap_or_else(|| self.original().estimate(query))
     }
 }
 

@@ -11,10 +11,14 @@
 //! * [`sharded`] — the sharded pool: N canonical-hash shards behind an immutable-snapshot
 //!   API, the storage layer of the concurrent serving subsystem;
 //! * [`cnt2crd`] — `Cnt2Crd(M)`: the queries-pool cardinality estimation technique with its
-//!   Median/Mean/TrimmedMean final functions (§5.1, §5.3, Figure 8), optionally sharded
-//!   over a persistent worker pool;
-//! * [`service`] — the concurrent serving front-end: FROM-clause-grouped fused batches of
-//!   concurrent queries against a shared pool snapshot, with per-layer stats;
+//!   Median/Mean/TrimmedMean final functions (§5.1, §5.3, Figure 8).  Its anchors → rates →
+//!   per-entry-estimates loop exists once, as [`Cnt2CrdCore`] (one FROM group of queries ×
+//!   one shard's matching — or top-K-ranked — anchors, planned by [`plan_work_items`]);
+//!   `Cnt2Crd`, the service, the online refresh gate and the cluster tier all call it, and
+//!   only the literal sequential loop (`per_entry_estimates_sequential`) stands beside it as
+//!   the oracle the parity tests compare against;
+//! * [`service`] — the concurrent serving front-end: the core over one frozen (pool
+//!   snapshot, model snapshot) pairing per batch, with per-layer stats;
 //! * [`improved`] — `Improved(M) = Cnt2Crd(Crd2Cnt(M))`, the drop-in improvement of existing
 //!   estimators (§7).
 //!
@@ -55,7 +59,9 @@ pub mod pool;
 pub mod service;
 pub mod sharded;
 
-pub use cnt2crd::{Cnt2Crd, Cnt2CrdConfig, FinalFunction};
+pub use cnt2crd::{
+    plan_work_items, AnchorCache, Cnt2Crd, Cnt2CrdConfig, Cnt2CrdCore, FinalFunction,
+};
 pub use compound::CompoundQuery;
 pub use crd2cnt::Crd2Cnt;
 pub use featurize::CrnFeaturizer;
@@ -70,4 +76,4 @@ pub use service::{
     fold_entry_lists, plan_groups, EntryLists, EstimatorService, ModelSnapshot, ServeResponse,
     ServeStats,
 };
-pub use sharded::{PoolSnapshot, ShardedPool};
+pub use sharded::{matching_top_k, PoolSnapshot, ShardedPool};

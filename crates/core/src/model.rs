@@ -831,18 +831,17 @@ impl CrnModel {
     }
 
     /// Batched containment prediction against one shared query: for every anchor `aᵢ`
-    /// returns `(aᵢ ⊂% query, query ⊂% aᵢ)`.
+    /// returns `(aᵢ ⊂% query, query ⊂% aᵢ)` — [`ContainmentEstimator::predict_group`] for a
+    /// group of one, without prepared anchor state.
     ///
     /// Every anchor and the query are featurized exactly once, then the whole batch runs
     /// through **two** batched forward passes (one per containment direction) — this is the
     /// serving path of the Cnt2Crd technique (§5.3, Figure 8), which previously issued `2·N`
     /// single-pair forwards per incoming query.
     pub fn predict_batch(&self, anchors: &[&Query], query: &Query) -> Vec<(f64, f64)> {
-        if anchors.is_empty() {
-            return Vec::new();
-        }
-        let encodings = self.encode_anchor_queries(anchors);
-        self.serve_against_encodings(&encodings, query)
+        self.predict_group(anchors, &[query], None)
+            .pop()
+            .expect("one rate vector per query")
     }
 
     /// Runs an anchor set through both set encoders once: the per-anchor `(B×H)` query
@@ -865,57 +864,17 @@ impl CrnModel {
         }
     }
 
-    /// The serving core: both containment directions of pre-encoded anchors against one
-    /// query.  The query is featurized and encoded once (under each set encoder), broadcast
-    /// against the anchor encodings, and the containment head runs twice — once per
-    /// direction — over the whole batch.
-    fn serve_against_encodings(
-        &self,
-        encodings: &AnchorEncodings,
-        query: &Query,
-    ) -> Vec<(f64, f64)> {
-        let num_anchors = encodings.under_mlp1.rows();
-        if num_anchors == 0 {
-            // An empty anchor set must short-circuit: the head GEMMs reject zero-row
-            // operands (see the regression tests in `cnt2crd`).
-            return Vec::new();
-        }
-        let query_set = self.featurizer.featurize(query);
-        let query_batch = RaggedBatch::from_sets_csr([&query_set]);
-        let query_under_mlp1 = self.encode_sets(&self.mlp1, &query_batch);
-        let query_under_mlp2 = self.encode_sets(&self.mlp2, &query_batch);
-
-        // Direction 1: anchor ⊂% query (anchor feeds MLP1, query feeds MLP2).
-        let query_rows = broadcast_rows(&query_under_mlp2, num_anchors);
-        let forward_rates =
-            self.head_inference(&self.expand_pairs(&encodings.under_mlp1, &query_rows));
-        // Direction 2: query ⊂% anchor.
-        let query_rows = broadcast_rows(&query_under_mlp1, num_anchors);
-        let backward_rates =
-            self.head_inference(&self.expand_pairs(&query_rows, &encodings.under_mlp2));
-
-        (0..num_anchors)
-            .map(|i| {
-                (
-                    forward_rates.get(i, 0) as f64,
-                    backward_rates.get(i, 0) as f64,
-                )
-            })
-            .collect()
-    }
-
-    /// Group serving: both containment directions of pre-encoded anchors against a whole
-    /// *group* of queries (the concurrent front-end's unit of work), with the two
-    /// containment-head passes fused over the group — one `(M·B)×4H` head batch per
-    /// direction instead of `M` separate `B×4H` ones.
+    /// The serving core: both containment directions of pre-encoded anchors against a
+    /// *group* of queries (the concurrent front-end's unit of work; a single query is a
+    /// group of one), with the two containment-head passes fused over the group — one
+    /// `(M·B)×4H` head batch per direction instead of `M` separate `B×4H` ones.
     ///
-    /// Each query's featurization and set encoding deliberately runs through the exact
-    /// single-query path ([`CrnModel::serve_against_encodings`]'s head inputs are built the
-    /// same way): the ragged-batch CSR-vs-dense routing decision depends on batch density,
-    /// so packing the (tiny) per-query encodings differently could re-associate their f32
-    /// sums.  The head GEMMs compute every output row independently of the row count, which
-    /// is what makes the fused group pass bit-identical to `M` single-query passes — the
-    /// `EstimatorService` parity tests pin this.
+    /// Each query is featurized and encoded on its own, once under each set encoder, and
+    /// broadcast against the anchor encodings: the ragged-batch CSR-vs-dense routing
+    /// decision depends on batch density, so packing the (tiny) per-query encodings
+    /// together could re-associate their f32 sums.  The head GEMMs compute every output row
+    /// independently of the row count, which is what makes a fused group of `M`
+    /// bit-identical to `M` groups of one — the `EstimatorService` parity tests pin this.
     fn serve_group_against_encodings(
         &self,
         encodings: &AnchorEncodings,
@@ -923,6 +882,8 @@ impl CrnModel {
     ) -> Vec<Vec<(f64, f64)>> {
         let num_anchors = encodings.under_mlp1.rows();
         if num_anchors == 0 || queries.is_empty() {
+            // Must short-circuit: the head GEMMs reject zero-row operands (see the
+            // regression tests in `cnt2crd`).
             return queries.iter().map(|_| Vec::new()).collect();
         }
         let mut forward_blocks = Vec::with_capacity(queries.len());
@@ -977,13 +938,30 @@ impl ContainmentEstimator for CrnModel {
         self.predict(q1, q2)
     }
 
-    fn predict_batch(&self, anchors: &[&Query], query: &Query) -> Vec<(f64, f64)> {
-        CrnModel::predict_batch(self, anchors, query)
+    /// Fused group serving (see [`CrnModel::serve_group_against_encodings`]) against the
+    /// prepared anchor encodings — or, without usable prepared state, against encodings
+    /// built here by the same function, so both ways are bit-identical.
+    fn predict_group(
+        &self,
+        anchors: &[&Query],
+        queries: &[&Query],
+        prepared: Option<&(dyn std::any::Any + Send + Sync)>,
+    ) -> Vec<Vec<(f64, f64)>> {
+        if anchors.is_empty() {
+            // Never reaches the GEMM path, whatever serving state the caller cached.
+            return queries.iter().map(|_| Vec::new()).collect();
+        }
+        match prepared.and_then(|state| state.downcast_ref::<AnchorEncodings>()) {
+            Some(encodings) if encodings.under_mlp1.rows() == anchors.len() => {
+                self.serve_group_against_encodings(encodings, queries)
+            }
+            _ => self.serve_group_against_encodings(&self.encode_anchor_queries(anchors), queries),
+        }
     }
 
     /// Forward direction only: encodes the anchors under `MLP1` and the query under `MLP2`
     /// once, then runs the containment head a single time over the whole batch — half the
-    /// work of the bidirectional [`predict_batch`](ContainmentEstimator::predict_batch).
+    /// work of the bidirectional [`predict_group`](ContainmentEstimator::predict_group).
     fn predict_batch_forward(&self, anchors: &[&Query], query: &Query) -> Vec<f64> {
         if anchors.is_empty() {
             return Vec::new();
@@ -1012,49 +990,6 @@ impl ContainmentEstimator for CrnModel {
             return None;
         }
         Some(Box::new(self.encode_anchor_queries(anchors)))
-    }
-
-    fn predict_batch_prepared(
-        &self,
-        prepared: &(dyn std::any::Any + Send + Sync),
-        anchors: &[&Query],
-        query: &Query,
-    ) -> Vec<(f64, f64)> {
-        if anchors.is_empty() {
-            // Never reaches the GEMM path: an empty anchor pool has an empty result,
-            // whatever serving state the caller cached.
-            return Vec::new();
-        }
-        match prepared.downcast_ref::<AnchorEncodings>() {
-            Some(encodings) if encodings.under_mlp1.rows() == anchors.len() => {
-                self.serve_against_encodings(encodings, query)
-            }
-            _ => CrnModel::predict_batch(self, anchors, query),
-        }
-    }
-
-    /// Fused group serving (see [`CrnModel::serve_group_against_encodings`]): one pair of
-    /// containment-head batches for the whole query group, bit-identical per query to the
-    /// single-query [`predict_batch_prepared`](ContainmentEstimator::predict_batch_prepared).
-    fn predict_batch_prepared_multi(
-        &self,
-        prepared: &(dyn std::any::Any + Send + Sync),
-        anchors: &[&Query],
-        queries: &[&Query],
-    ) -> Vec<Vec<(f64, f64)>> {
-        if anchors.is_empty() {
-            // Never reaches the GEMM path, whatever serving state the caller cached.
-            return queries.iter().map(|_| Vec::new()).collect();
-        }
-        match prepared.downcast_ref::<AnchorEncodings>() {
-            Some(encodings) if encodings.under_mlp1.rows() == anchors.len() => {
-                self.serve_group_against_encodings(encodings, queries)
-            }
-            _ => queries
-                .iter()
-                .map(|query| CrnModel::predict_batch(self, anchors, query))
-                .collect(),
-        }
     }
 }
 

@@ -2,42 +2,47 @@
 //!
 //! [`EstimatorService`] accepts a *slice of concurrent queries* (the unit a database
 //! front-end would hand over per scheduling tick), and produces one cardinality estimate per
-//! query plus a [`ServeStats`] describing how the batch was served.  The three layers:
+//! query plus a [`ServeStats`] describing how the batch was served.  It owns *where the
+//! inputs come from*; the anchors → rates → per-entry-estimates work itself is the one shared
+//! core ([`Cnt2CrdCore`]) every tier calls.  The execution plan of one `serve` call:
 //!
-//! 1. **Storage** — an immutable [`PoolSnapshot`](crate::sharded::PoolSnapshot) of the
-//!    [`ShardedPool`]: taken once per `serve` call, shared by every worker, never blocking
-//!    concurrent pool maintenance.
-//! 2. **Compute** — the queries are grouped by FROM clause (only same-FROM anchors can
-//!    participate, §5.3), each `(group × non-empty shard)` becomes one work item on the
-//!    persistent [`WorkerPool`], and each work item runs the whole group against the
-//!    shard's anchors in one fused batch
-//!    ([`ContainmentEstimator::predict_batch_prepared_multi`]) with a per-shard cached
-//!    [`prepare_anchors`](ContainmentEstimator::prepare_anchors) state keyed by the shard's
-//!    snapshot version.
-//! 3. **Merge** — per-shard estimate lists concatenate in canonical shard order, the final
-//!    function (median by default) folds them, and queries without any matching anchor fall
-//!    back exactly like [`Cnt2Crd`](crate::cnt2crd::Cnt2Crd).
+//! 1. **Freeze** — one immutable [`PoolSnapshot`](crate::sharded::PoolSnapshot) of the
+//!    [`ShardedPool`] and one [`ModelSnapshot`]: taken once per call, shared by every
+//!    worker, never blocking concurrent pool maintenance or a model hot-swap.
+//! 2. **Evaluate** — [`Cnt2CrdCore::entry_lists`] over that pairing: the queries are grouped
+//!    by FROM clause, each `(group × non-empty shard)` — or, with `top_k > 0`, each query —
+//!    becomes one work item on the persistent [`WorkerPool`], and each work item runs its
+//!    group against its anchors in one fused batch
+//!    ([`ContainmentEstimator::predict_group`]) with the per-shard
+//!    [`prepare_anchors`](ContainmentEstimator::prepare_anchors) state cached in the
+//!    service's [`AnchorCache`], keyed by the shard's snapshot version and the model
+//!    version; per-shard lists concatenate in canonical shard order.
+//! 3. **Fold** — the final function (median by default) folds each query's list
+//!    ([`fold_entry_lists`]), and queries without any surviving anchor fall back exactly
+//!    like [`Cnt2Crd`](crate::cnt2crd::Cnt2Crd).
 //!
 //! # Bit-identical to sequential serving
 //!
-//! For every query, the service's estimate is **bit-identical** to what the sequential
-//! single-query `Cnt2Crd` path returns over the flattened pool, at *any* shard and thread
-//! count: per-anchor rates are computed by row-count-independent kernels over forced-CSR
-//! featurizations (so shard partitioning cannot re-associate any f32 sum), the merged
-//! per-entry list is a permutation of the sequential one, and the final functions sort
-//! before folding.  The parity tests below pin shards = 1/2/8.
+//! For every query, the service's full-scan estimate is **bit-identical** to what the
+//! sequential single-query `Cnt2Crd` path returns over the flattened pool, at *any* shard and
+//! thread count: per-anchor rates are computed by row-count-independent kernels over
+//! forced-CSR featurizations (so neither shard partitioning nor group fusion can
+//! re-associate any f32 sum), the merged per-entry list is a permutation of the sequential
+//! one, and the final functions sort before folding.  The parity tests below pin
+//! shards = 1/2/8.  Top-K estimates are not bit-identical to the full scan (they are gated
+//! by the q-error budget of the pool-scale sweep) but are identical across every tier,
+//! shard count and thread count.
 
-use crate::cnt2crd::Cnt2CrdConfig;
+use crate::cnt2crd::{AnchorCache, Cnt2CrdConfig, Cnt2CrdCore};
 use crate::pool::from_key;
-use crate::sharded::{PoolSnapshot, ShardedPool};
+use crate::sharded::ShardedPool;
 use crn_estimators::{CardinalityEstimator, ContainmentEstimator};
 use crn_nn::parallel::WorkerPool;
 use crn_query::ast::Query;
 use parking_lot::RwLock;
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Pre-registered per-phase latency histograms ([`EstimatorService::with_obs`]): one
@@ -81,7 +86,7 @@ impl PhaseHists {
 }
 
 /// A versioned, immutable view of the served containment model — the model-side analogue
-/// of [`PoolSnapshot`].
+/// of [`PoolSnapshot`](crate::sharded::PoolSnapshot).
 ///
 /// The service's live model sits behind an `Arc`-swapped snapshot: readers
 /// ([`EstimatorService::serve`]) clone the current `Arc` once per call and compute the
@@ -213,11 +218,11 @@ pub struct ServeResponse {
     pub estimates: Vec<f64>,
     /// How the batch was served.
     pub stats: ServeStats,
-    /// The [`PoolSnapshot::version`] of the pool snapshot the whole batch was computed
-    /// under (the model version is in [`ServeStats::model_version`]).  Together they name
-    /// the exact `(pool, model)` pairing of every estimate in this response — the key a
-    /// cross-window estimate cache files results under, so maintenance upserts and model
-    /// hot-swaps invalidate by construction.
+    /// The [`PoolSnapshot::version`](crate::sharded::PoolSnapshot::version) of the pool
+    /// snapshot the whole batch was computed under (the model version is in
+    /// [`ServeStats::model_version`]).  Together they name the exact `(pool, model)` pairing
+    /// of every estimate in this response — the key a cross-window estimate cache files
+    /// results under, so maintenance upserts and model hot-swaps invalidate by construction.
     pub pool_version: u64,
     /// Indices (into `estimates`) that were answered by a *degraded* path — e.g. a
     /// distributed backend's coordinator-side fallback after losing the worker that
@@ -228,7 +233,7 @@ pub struct ServeResponse {
     pub degraded: Vec<usize>,
 }
 
-/// The un-folded result of the service's layered plan ([`EstimatorService::
+/// The un-folded result of the service's execution plan ([`EstimatorService::
 /// serve_entry_lists`]): per-query per-entry estimate lists in canonical shard order,
 /// before the final function folds them.  A distributed coordinator gathers these
 /// lists from shard-owning workers and folds them with [`fold_entry_lists`] — the fold
@@ -278,10 +283,10 @@ pub fn fold_entry_lists(
         .iter()
         .zip(queries)
         .map(
-            |(entry_estimates, query)| match config.final_function.apply(entry_estimates) {
+            |(entry_estimates, query)| match config.fold(entry_estimates) {
                 Some(value) => {
                     stats.pool_hits += 1;
-                    value.max(0.0)
+                    value
                 }
                 None => {
                     stats.fallbacks += 1;
@@ -293,15 +298,6 @@ pub fn fold_entry_lists(
             },
         )
         .collect()
-}
-
-/// A per-shard cached anchor serving state, valid for one `(pool shard version, model
-/// version)` pairing: pool maintenance invalidates exactly the shards it touched, and a
-/// model hot-swap invalidates every entry the old model encoded.
-struct CachedShardAnchors {
-    pool_version: u64,
-    model_version: u64,
-    state: Option<Arc<dyn Any + Send + Sync>>,
 }
 
 /// The concurrent serving front-end over a containment model and a sharded queries pool.
@@ -324,8 +320,8 @@ pub struct EstimatorService<M> {
     fallback: Option<Box<dyn CardinalityEstimator + Send + Sync>>,
     name: String,
     /// Per-`(shard, FROM-clause)` anchor serving state, keyed by the shard's snapshot
-    /// version *and* the model version (see [`CachedShardAnchors`]).
-    prepared: Mutex<BTreeMap<(usize, String), CachedShardAnchors>>,
+    /// version *and* the model version.
+    prepared: AnchorCache,
     /// Per-phase latency histograms (inert unless wired via
     /// [`with_obs`](EstimatorService::with_obs)).
     phase_hists: PhaseHists,
@@ -346,7 +342,7 @@ impl<M: ContainmentEstimator + Send + Sync> EstimatorService<M> {
             config: Cnt2CrdConfig::default(),
             fallback: None,
             name,
-            prepared: Mutex::new(BTreeMap::new()),
+            prepared: AnchorCache::default(),
             phase_hists: PhaseHists::from_obs(&crn_obs::Obs::disabled()),
         }
     }
@@ -425,9 +421,6 @@ impl<M: ContainmentEstimator + Send + Sync> EstimatorService<M> {
     /// Serves a slice of concurrent queries: one estimate per query, in input order, plus
     /// the per-layer stats.  See the module docs for the execution plan.
     pub fn serve(&self, queries: &[Query]) -> ServeResponse {
-        if self.config.top_k > 0 {
-            return self.serve_top_k(queries);
-        }
         let started = Instant::now();
         let EntryLists {
             per_query,
@@ -456,156 +449,35 @@ impl<M: ContainmentEstimator + Send + Sync> EstimatorService<M> {
         }
     }
 
-    /// Layers 1–3 of the full-scan plan, stopping just short of the final-function fold:
+    /// Steps 1–2 of the execution plan, stopping just short of the final-function fold:
     /// one ε-filtered per-entry estimate list per query, concatenated in canonical shard
-    /// order.  This is the distributed-serving seam — a shard-owning worker runs exactly
-    /// this over its own (sub)pool, the coordinator concatenates workers' lists in
-    /// canonical shard order and folds with [`fold_entry_lists`], and the result is
-    /// bit-identical to a single-process [`serve`](EstimatorService::serve).
+    /// order (with `top_k > 0`: the query's ranked anchors, in rank order).  This is the
+    /// distributed-serving seam — a shard-owning worker runs the same core over its own
+    /// shards, the coordinator concatenates workers' lists in canonical shard order and
+    /// folds with [`fold_entry_lists`], and the result is bit-identical to a
+    /// single-process [`serve`](EstimatorService::serve).
     pub fn serve_entry_lists(&self, queries: &[Query]) -> EntryLists {
         let started = Instant::now();
-        let mut stats = ServeStats {
-            queries: queries.len(),
-            ..ServeStats::default()
-        };
-
-        // Layer 1 — storage and model: one immutable snapshot of each for the whole
-        // batch.  Taking both up front is the swap-atomicity contract: however the pool
-        // or model is refreshed concurrently, every estimate below comes from exactly
-        // this (pool, model) pairing.
+        // One immutable snapshot of pool and model for the whole batch.  Taking both up
+        // front is the swap-atomicity contract: however the pool or model is refreshed
+        // concurrently, every estimate below comes from exactly this (pool, model) pairing.
         let snapshot = self.pool.snapshot();
         let model = self.model_snapshot();
-        stats.shards = snapshot.num_shards();
-        stats.pool_entries = snapshot.len();
+        let snapshot_time = started.elapsed();
+        let core = Cnt2CrdCore {
+            config: &self.config,
+            model: &*model.model,
+            shards: snapshot.shards(),
+            cache: Some((&self.prepared, model.version, snapshot.shard_versions())),
+        };
+        let (per_query, mut stats) = core.entry_lists(&self.workers, queries);
         stats.model_version = model.version;
-        stats.snapshot_time = started.elapsed();
-
-        // Layer 2a — plan: group queries by FROM clause (deterministic group order),
-        // then one work item per (group, shard with matching anchors).
-        let group_started = Instant::now();
-        let groups = plan_groups(queries);
-        stats.groups = groups.len();
-        let mut work_items: Vec<(usize, usize)> = Vec::new(); // (group index, shard index)
-        for (group_index, (key, _)) in groups.iter().enumerate() {
-            for shard in 0..snapshot.num_shards() {
-                if snapshot.shard(shard).matching_key(key).next().is_some() {
-                    work_items.push((group_index, shard));
-                }
-            }
-        }
-        stats.work_items = work_items.len();
-        stats.group_time = group_started.elapsed();
-
-        // Layer 2b — compute: every work item runs its whole group against one shard's
-        // anchors in a single fused multi-query batch.  Work items are independent; the
-        // worker pool hands them out dynamically and returns them in item order.
-        let compute_started = Instant::now();
-        let per_item: Vec<Vec<Vec<f64>>> = self.workers.run_sharded(work_items.len(), |item| {
-            let (group_index, shard) = work_items[item];
-            let (key, query_indices) = &groups[group_index];
-            self.evaluate_group_on_shard(&snapshot, &model, key, query_indices, queries, shard)
-        });
-        stats.compute_time = compute_started.elapsed();
-
-        // Layer 3 (concatenation half) — per-query estimate lists concatenate in
-        // canonical shard order (work items are sorted by (group, shard) and returned in
-        // item order).
-        let merge_started = Instant::now();
-        let mut per_query: Vec<Vec<f64>> = vec![Vec::new(); queries.len()];
-        for ((group_index, _), item_estimates) in work_items.iter().zip(per_item) {
-            let (_, query_indices) = &groups[*group_index];
-            for (&query_index, estimates) in query_indices.iter().zip(item_estimates) {
-                per_query[query_index].extend(estimates);
-            }
-        }
-        stats.merge_time = merge_started.elapsed();
+        stats.snapshot_time = snapshot_time;
         stats.total_time = started.elapsed();
         EntryLists {
             per_query,
             stats,
             pool_version: snapshot.version(),
-        }
-    }
-
-    /// The top-K serving plan (`config.top_k > 0`): one work item per **query** instead of
-    /// per (FROM-clause group, shard).  Each item ranks the query's matching anchors across
-    /// all shards by featurization-space similarity ([`PoolSnapshot::matching_top_k`] — a
-    /// deterministic total order, so the result is identical at any shard/thread count) and
-    /// runs only the best `k` through the containment heads, bounding per-query model cost
-    /// by `k` regardless of pool size.
-    ///
-    /// The per-shard prepared-anchor cache is deliberately bypassed: its slots are keyed
-    /// per (shard, FROM clause), but top-K anchor sets vary per query.  Estimates are *not*
-    /// bit-identical to the full scan — they are gated by the q-error parity budget the
-    /// pool-scale sweep enforces.  `top_k == 0` never reaches this path, which is what
-    /// keeps the default configuration bit-identical to the pre-tier service.
-    fn serve_top_k(&self, queries: &[Query]) -> ServeResponse {
-        let started = Instant::now();
-        let mut stats = ServeStats {
-            queries: queries.len(),
-            ..ServeStats::default()
-        };
-
-        // Layer 1 — one immutable (pool, model) pairing for the whole batch, exactly as in
-        // the full-scan plan (swap atomicity is mode-independent).
-        let snapshot = self.pool.snapshot();
-        let model = self.model_snapshot();
-        stats.shards = snapshot.num_shards();
-        stats.pool_entries = snapshot.len();
-        stats.model_version = model.version;
-        stats.snapshot_time = started.elapsed();
-
-        // Layer 2a — plan: the unit of work is the query itself (anchor sets are
-        // query-dependent, so there is nothing to fuse across a FROM group); groups are
-        // still reported for stats continuity.
-        let group_started = Instant::now();
-        stats.groups = queries
-            .iter()
-            .map(from_key)
-            .collect::<std::collections::BTreeSet<String>>()
-            .len();
-        stats.work_items = queries.len();
-        stats.group_time = group_started.elapsed();
-
-        // Layer 2b — compute: rank, then evaluate the ≤ k survivors.
-        let compute_started = Instant::now();
-        let k = self.config.top_k;
-        let per_query: Vec<Vec<f64>> = self.workers.run_sharded(queries.len(), |index| {
-            let query = &queries[index];
-            let ranked = snapshot.matching_top_k(query, k);
-            if ranked.is_empty() {
-                return Vec::new();
-            }
-            let anchors: Vec<&Query> = ranked.iter().map(|(_, entry)| &entry.query).collect();
-            let rates = model.model.predict_batch(&anchors, query);
-            ranked
-                .iter()
-                .zip(rates)
-                .filter_map(|(&(_, entry), (x_rate, y_rate))| {
-                    self.config
-                        .entry_estimate(entry.cardinality, x_rate, y_rate)
-                })
-                .collect()
-        });
-        stats.compute_time = compute_started.elapsed();
-
-        // Layer 3 — fold each query's ranked-entry estimates through the final function.
-        let merge_started = Instant::now();
-        let estimates = fold_entry_lists(
-            &self.config,
-            self.fallback.as_deref(),
-            &per_query,
-            queries,
-            &mut stats,
-        );
-        stats.merge_time = merge_started.elapsed();
-        stats.total_time = started.elapsed();
-        self.phase_hists.observe(&stats);
-        ServeResponse {
-            estimates,
-            stats,
-            pool_version: snapshot.version(),
-            degraded: Vec::new(),
         }
     }
 
@@ -638,108 +510,6 @@ impl<M: ContainmentEstimator + Send + Sync> EstimatorService<M> {
             Some(fallback) => fallback.estimate(query),
             None => self.config.default_estimate,
         }
-    }
-
-    /// One work item: a FROM-clause group of queries against one shard's matching anchors,
-    /// computed under one model snapshot (the one `serve` took for the whole batch).
-    /// Returns per-query (in group order) per-entry estimate lists, ε-filtered.
-    fn evaluate_group_on_shard(
-        &self,
-        snapshot: &PoolSnapshot,
-        model: &ModelSnapshot<M>,
-        key: &str,
-        query_indices: &[usize],
-        queries: &[Query],
-        shard: usize,
-    ) -> Vec<Vec<f64>> {
-        let shard_storage = snapshot.shard(shard);
-        let mut anchors: Vec<&Query> = Vec::new();
-        let mut cardinalities: Vec<u64> = Vec::new();
-        for entry in shard_storage.matching_key(key) {
-            anchors.push(&entry.query);
-            cardinalities.push(entry.cardinality);
-        }
-        let group_queries: Vec<&Query> = query_indices.iter().map(|&i| &queries[i]).collect();
-        let prepared = self.prepared_for_shard(snapshot, model, shard, key, &anchors);
-        // A model with nothing to precompute still goes through the multi-query entry
-        // point: the default implementation ignores the (dummy) state and loops the
-        // unprepared batch path.
-        static NO_STATE: () = ();
-        let state: &(dyn Any + Send + Sync) = match &prepared {
-            Some(state) => state.as_ref(),
-            None => &NO_STATE,
-        };
-        let per_query_rates =
-            model
-                .model
-                .predict_batch_prepared_multi(state, &anchors, &group_queries);
-        per_query_rates
-            .into_iter()
-            .map(|rates| {
-                cardinalities
-                    .iter()
-                    .zip(rates)
-                    .filter_map(|(&cardinality, (x_rate, y_rate))| {
-                        // The one shared definition of a per-entry estimate — the
-                        // bit-parity contract with sequential serving depends on it.
-                        self.config.entry_estimate(cardinality, x_rate, y_rate)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Returns (building on first use) the model's serving state for one shard's anchors of
-    /// one FROM clause, keyed by the shard's snapshot version *and* the model snapshot's
-    /// version — maintenance that replaced the shard invalidates exactly these entries,
-    /// and a model hot-swap invalidates every entry the old model encoded (a stale cache
-    /// here would serve old-model anchor encodings through the new model's head: the
-    /// stale-cache-after-swap regression test below pins this).
-    fn prepared_for_shard(
-        &self,
-        snapshot: &PoolSnapshot,
-        model: &ModelSnapshot<M>,
-        shard: usize,
-        key: &str,
-        anchors: &[&Query],
-    ) -> Option<Arc<dyn Any + Send + Sync>> {
-        let pool_version = snapshot.shard_version(shard);
-        let model_version = model.version;
-        let cache_key = (shard, key.to_string());
-        if let Some(cached) = self.prepared.lock().expect("not poisoned").get(&cache_key) {
-            if cached.pool_version == pool_version && cached.model_version == model_version {
-                return cached.state.clone();
-            }
-        }
-        // Build outside the lock (see `Cnt2Crd::prepared_for`): racing builders produce
-        // equivalent states and the first insert wins.
-        let state: Option<Arc<dyn Any + Send + Sync>> =
-            model.model.prepare_anchors(anchors).map(Arc::from);
-        let mut cache = self.prepared.lock().expect("not poisoned");
-        let entry = cache.entry(cache_key).or_insert(CachedShardAnchors {
-            pool_version,
-            model_version,
-            state: state.clone(),
-        });
-        let stale = entry.pool_version != pool_version || entry.model_version != model_version;
-        // Replace only a *strictly older* entry: while an old-snapshot serve drains
-        // concurrently with a new-snapshot one, the old reader must not downgrade the
-        // cache the new readers key on (both versions are monotonic, so lexicographic
-        // (model, pool) order is "older").
-        if stale && (entry.model_version, entry.pool_version) < (model_version, pool_version) {
-            *entry = CachedShardAnchors {
-                pool_version,
-                model_version,
-                state: state.clone(),
-            };
-            return state;
-        }
-        if stale {
-            // Our state is valid for *our* snapshot even though the cache keeps a newer
-            // entry; serve with it rather than the mismatched cached one.
-            return state;
-        }
-        entry.state.clone()
     }
 }
 
@@ -841,37 +611,9 @@ mod tests {
         assert!(covered > 5, "the pool should cover several test queries");
     }
 
-    /// `Cnt2Crd::with_serving` (canonical-hash anchor shards on the persistent pool) must
-    /// produce a bit-exact permutation of the unsharded per-entry list — and therefore a
-    /// bit-identical final estimate.
-    #[test]
-    fn sharded_cnt2crd_is_a_bit_exact_permutation_of_unsharded() {
-        let db = generate_imdb(&ImdbConfig::tiny(82));
-        let pool = QueriesPool::generate(&db, 60, 2, 82);
-        let queries = workload(&db, 83, 20);
-        let crn = trained_crn(&db, 83);
-        let unsharded = Cnt2Crd::new(crn.clone(), pool.clone());
-        for shards in [2usize, 8] {
-            let sharded =
-                Cnt2Crd::new(crn.clone(), pool.clone()).with_serving(shards, WorkerPool::shared(4));
-            for query in &queries {
-                let mut expected = unsharded.per_entry_estimates(query);
-                let mut actual = sharded.per_entry_estimates(query);
-                assert_eq!(expected.len(), actual.len(), "same anchors survive ε");
-                expected.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                actual.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                assert_eq!(expected, actual, "shards = {shards}, query {query}");
-                assert!(
-                    crn_estimators::CardinalityEstimator::estimate(&unsharded, query)
-                        == crn_estimators::CardinalityEstimator::estimate(&sharded, query),
-                    "estimates must be bit-identical"
-                );
-            }
-        }
-    }
-
-    /// The fused multi-query serving of the CRN model must be bit-identical, per query, to
-    /// the single-query prepared path.
+    /// A fused group of M queries on the single batched entry point must be bit-identical,
+    /// per query, to M groups of one — with the prepared anchor state, without it, and with
+    /// a stale state the model must ignore.
     #[test]
     fn fused_group_serving_matches_single_query_serving() {
         use crn_estimators::ContainmentEstimator;
@@ -887,24 +629,82 @@ mod tests {
             .filter(|q| q.tables() == scan.tables())
             .chain(std::iter::once(&scan))
             .collect();
+        assert!(group.len() >= 2, "fixture needs a real group");
         let prepared = crn.prepare_anchors(&anchors).expect("anchors prepare");
-        let multi = crn.predict_batch_prepared_multi(prepared.as_ref(), &anchors, &group);
-        assert_eq!(multi.len(), group.len());
-        for (query, rates) in group.iter().zip(&multi) {
-            let single = crn.predict_batch_prepared(prepared.as_ref(), &anchors, query);
-            assert_eq!(
-                rates, &single,
-                "fused group rates must match single-query rates"
-            );
+        // Prepared for a different anchor list: wrong row count, must not be used.
+        let stale = crn.prepare_anchors(&anchors[..1]).expect("anchors prepare");
+        let fused = crn.predict_group(&anchors, &group, Some(prepared.as_ref()));
+        assert_eq!(fused.len(), group.len());
+        for state in [Some(prepared.as_ref()), None, Some(stale.as_ref())] {
+            assert_eq!(crn.predict_group(&anchors, &group, state), fused);
+            for (query, rates) in group.iter().zip(&fused) {
+                assert_eq!(
+                    crn.predict_group(&anchors, &[query], state),
+                    vec![rates.clone()],
+                    "fused group rates must match a group of one"
+                );
+            }
         }
-        // Empty cases short-circuit.
+        // Empty cases short-circuit, whatever state is passed.
         assert!(crn
-            .predict_batch_prepared_multi(prepared.as_ref(), &[], &group)
+            .predict_group(&[], &group, Some(prepared.as_ref()))
             .iter()
             .all(|rates| rates.is_empty()));
         assert!(crn
-            .predict_batch_prepared_multi(prepared.as_ref(), &anchors, &[])
+            .predict_group(&anchors, &[], Some(prepared.as_ref()))
             .is_empty());
+    }
+
+    /// `serve` is `fold_entry_lists` over `serve_entry_lists`, bit-for-bit, in the full-scan
+    /// and the top-K plan alike (the public entry-list seam used to ignore `top_k`).
+    #[test]
+    fn serve_is_the_fold_of_serve_entry_lists_at_any_top_k() {
+        let db = generate_imdb(&ImdbConfig::tiny(92));
+        let pool = QueriesPool::generate(&db, 120, 1, 92);
+        let queries = workload(&db, 93, 30);
+        let crn = trained_crn(&db, 92);
+        let mut top_k_changes_an_estimate = false;
+        for shards in [1usize, 4] {
+            let mut full_scan = Vec::new();
+            for top_k in [0usize, 4] {
+                let config = Cnt2CrdConfig {
+                    top_k,
+                    ..Cnt2CrdConfig::default()
+                };
+                let service = EstimatorService::new(
+                    crn.clone(),
+                    ShardedPool::from_pool(&pool, shards),
+                    WorkerPool::shared(2),
+                )
+                .with_config(config)
+                .with_fallback(Box::new(PostgresEstimator::analyze(&db)));
+                let served = service.serve(&queries);
+                let lists = service.serve_entry_lists(&queries);
+                if top_k > 0 {
+                    assert!(lists.per_query.iter().all(|list| list.len() <= top_k));
+                    assert_eq!(lists.stats.work_items, queries.len());
+                }
+                let mut stats = ServeStats::default();
+                let folded = fold_entry_lists(
+                    &config,
+                    Some(&PostgresEstimator::analyze(&db)),
+                    &lists.per_query,
+                    &queries,
+                    &mut stats,
+                );
+                assert_eq!(served.estimates, folded, "shards={shards} top_k={top_k}");
+                assert_eq!(stats.pool_hits, served.stats.pool_hits);
+                if top_k == 0 {
+                    full_scan = served.estimates;
+                } else {
+                    top_k_changes_an_estimate |= served.estimates != full_scan;
+                }
+            }
+        }
+        assert!(
+            top_k_changes_an_estimate,
+            "fixture must have buckets larger than k"
+        );
     }
 
     /// Pool maintenance between `serve` calls: new snapshots (and shard versions) are

@@ -25,6 +25,7 @@
 use crate::pool::{feature_signature, query_hash, rank_order, PoolEntry, PoolShard, QueriesPool};
 use crn_query::ast::Query;
 use parking_lot::RwLock;
+use std::borrow::Borrow;
 use std::collections::btree_map;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,6 +64,11 @@ impl PoolSnapshot {
         self.versions[index]
     }
 
+    /// Every shard's version, in canonical shard order.
+    pub fn shard_versions(&self) -> &[u64] {
+        &self.versions
+    }
+
     /// The snapshot-wide pool version: the sum of the per-shard versions.
     ///
     /// Every copy-on-write maintenance swap bumps exactly one shard's version to a fresh
@@ -95,29 +101,9 @@ impl PoolSnapshot {
             .flat_map(move |shard| shard.matching_key(&key).collect::<Vec<_>>())
     }
 
-    /// The `k` same-FROM anchors most similar to the query across all shards, ranked by
-    /// score descending with ties broken by the anchor query's `Ord` — the sublinear
-    /// retrieval stage ahead of the exact containment heads.
-    ///
-    /// The ranking comparator is a *total* order (pool queries are distinct), so merging
-    /// the per-shard top-`k` selections and re-selecting globally yields **exactly** the
-    /// top-`k` of the flat pool-wide ranking at any shard count — the determinism the
-    /// top-K proptests pin.  The query is featurized once; per-shard work is
-    /// O(bucket + k log k).
+    /// [`matching_top_k`] over this snapshot's shards.
     pub fn matching_top_k<'a>(&'a self, query: &Query, k: usize) -> Vec<(u64, &'a PoolEntry)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let key = crate::pool::from_key(query);
-        let signature = feature_signature(query);
-        let mut merged: Vec<(u64, &PoolEntry)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.matching_top_k_scored(&key, &signature, k))
-            .collect();
-        merged.sort_unstable_by(rank_order);
-        merged.truncate(k);
-        merged
+        matching_top_k(&self.shards, query, k)
     }
 
     /// Number of distinct FROM clauses covered by the pool (union over shards).
@@ -155,6 +141,33 @@ impl PoolSnapshot {
         }
         pool
     }
+}
+
+/// The `k` same-FROM anchors most similar to the query across `shards`, ranked by score
+/// descending with ties broken by the anchor query's `Ord` — the sublinear retrieval stage
+/// ahead of the exact containment heads.
+///
+/// The ranking comparator is a *total* order (pool queries are distinct), so merging the
+/// per-shard top-`k` selections and re-selecting globally yields **exactly** the top-`k` of
+/// the flat pool-wide ranking at any shard count — the determinism the top-K proptests pin.
+/// The query is featurized once; per-shard work is O(bucket + k log k).
+pub fn matching_top_k<'a, S: Borrow<PoolShard>>(
+    shards: &'a [S],
+    query: &Query,
+    k: usize,
+) -> Vec<(u64, &'a PoolEntry)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let key = crate::pool::from_key(query);
+    let signature = feature_signature(query);
+    let mut merged: Vec<(u64, &PoolEntry)> = shards
+        .iter()
+        .flat_map(|shard| shard.borrow().matching_top_k_scored(&key, &signature, k))
+        .collect();
+    merged.sort_unstable_by(rank_order);
+    merged.truncate(k);
+    merged
 }
 
 /// `N` pool shards keyed by canonical query hash behind an immutable-snapshot API.

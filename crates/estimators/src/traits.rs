@@ -32,32 +32,48 @@ pub trait ContainmentEstimator {
     /// legitimate estimates (the Crd2Cnt transformation can produce them).
     fn estimate_containment(&self, q1: &Query, q2: &Query) -> f64;
 
-    /// Batched containment estimation against one shared query: for every anchor `aᵢ`
-    /// returns the pair `(aᵢ ⊂% query, query ⊂% aᵢ)`.
+    /// THE batched two-direction entry point: for every query of a *group* sharing one anchor
+    /// list, and every anchor `aᵢ` of that list, the pair `(aᵢ ⊂% query, query ⊂% aᵢ)` — one
+    /// rate vector per query, in query order.
     ///
-    /// This is the shape the Cnt2Crd cardinality technique consumes — both containment
-    /// directions for every matching pool anchor of an incoming query (paper §5.3,
-    /// Figure 8).  The default implementation loops over [`estimate_containment`]; neural
-    /// models override it to featurize each query once and run two batched forward passes
-    /// instead of `2·N` single-pair ones.
+    /// This is the shape the Cnt2Crd cardinality technique consumes (paper §5.3, Figure 8):
+    /// both containment directions for every matching pool anchor of an incoming query.  A
+    /// single query is a group of one; the concurrent serving front-end groups incoming
+    /// queries by FROM clause and evaluates each group against a pool shard in one call.
+    ///
+    /// `prepared` is the state [`prepare_anchors`](ContainmentEstimator::prepare_anchors)
+    /// built for the *same* anchor list, or `None`.  Implementations must ignore state that
+    /// is not theirs (wrong type, wrong anchor count) and compute from the anchors instead;
+    /// an empty anchor list yields one empty vector per query whatever state is passed.
+    ///
+    /// The default implementation loops over [`estimate_containment`]; neural models
+    /// override it to featurize each query once and pack the whole group into fused head
+    /// batches, with per-row results bit-identical to a group of one.
     ///
     /// [`estimate_containment`]: ContainmentEstimator::estimate_containment
-    fn predict_batch(&self, anchors: &[&Query], query: &Query) -> Vec<(f64, f64)> {
-        anchors
+    fn predict_group(
+        &self,
+        anchors: &[&Query],
+        queries: &[&Query],
+        prepared: Option<&(dyn Any + Send + Sync)>,
+    ) -> Vec<Vec<(f64, f64)>> {
+        let _ = prepared;
+        let both_directions = |anchor: &Query, query: &Query| {
+            (
+                self.estimate_containment(anchor, query),
+                self.estimate_containment(query, anchor),
+            )
+        };
+        queries
             .iter()
-            .map(|anchor| {
-                (
-                    self.estimate_containment(anchor, query),
-                    self.estimate_containment(query, anchor),
-                )
-            })
+            .map(|query| anchors.iter().map(|a| both_directions(a, query)).collect())
             .collect()
     }
 
     /// Forward-direction-only batched containment: `anchors[i] ⊂% query` for every anchor.
     ///
     /// Used where only one direction is needed (the compound-query identities of §9) —
-    /// half the work of [`predict_batch`](ContainmentEstimator::predict_batch) for neural
+    /// half the work of [`predict_group`](ContainmentEstimator::predict_group) for neural
     /// models, which override this with a single batched head pass.
     fn predict_batch_forward(&self, anchors: &[&Query], query: &Query) -> Vec<f64> {
         anchors
@@ -67,51 +83,14 @@ pub trait ContainmentEstimator {
     }
 
     /// Precomputes model-specific serving state for a *fixed* anchor set, reusable across
-    /// queries (e.g. the CRN model returns the packed featurization of all anchors, so a
-    /// queries-pool serving path featurizes each pool entry once per pool instead of once
-    /// per incoming query).  Returns `None` when the model has nothing to precompute; the
-    /// returned value is opaque and only meaningful to [`predict_batch_prepared`].
-    ///
-    /// [`predict_batch_prepared`]: ContainmentEstimator::predict_batch_prepared
+    /// queries (e.g. the CRN model returns the encoded form of all anchors, so a
+    /// queries-pool serving path encodes each pool entry once per pool instead of once per
+    /// incoming query).  Returns `None` when the model has nothing to precompute; the
+    /// returned value is opaque and only meaningful to
+    /// [`predict_group`](ContainmentEstimator::predict_group).
     fn prepare_anchors(&self, anchors: &[&Query]) -> Option<Box<dyn Any + Send + Sync>> {
         let _ = anchors;
         None
-    }
-
-    /// [`predict_batch`](ContainmentEstimator::predict_batch) with state previously built by
-    /// [`prepare_anchors`](ContainmentEstimator::prepare_anchors) for the *same* anchor
-    /// list.  Implementations must fall back to the unprepared path when `prepared` is not
-    /// theirs (wrong type).
-    fn predict_batch_prepared(
-        &self,
-        prepared: &(dyn Any + Send + Sync),
-        anchors: &[&Query],
-        query: &Query,
-    ) -> Vec<(f64, f64)> {
-        let _ = prepared;
-        self.predict_batch(anchors, query)
-    }
-
-    /// [`predict_batch_prepared`](ContainmentEstimator::predict_batch_prepared) for a whole
-    /// *group* of concurrent queries sharing the anchor list: returns one rate vector per
-    /// query, in query order, each element exactly what the single-query call returns.
-    ///
-    /// This is the shape the concurrent serving front-end consumes — it groups incoming
-    /// queries by FROM clause and evaluates each group against the shared pool snapshot in
-    /// one call.  The default loops over the single-query path; neural models override it to
-    /// pack the whole group into one ragged batch (one set-encoder pass for all queries,
-    /// fused containment-head GEMMs), with per-row results bit-identical to the per-query
-    /// calls.
-    fn predict_batch_prepared_multi(
-        &self,
-        prepared: &(dyn Any + Send + Sync),
-        anchors: &[&Query],
-        queries: &[&Query],
-    ) -> Vec<Vec<(f64, f64)>> {
-        queries
-            .iter()
-            .map(|query| self.predict_batch_prepared(prepared, anchors, query))
-            .collect()
     }
 }
 
@@ -144,8 +123,13 @@ impl<T: ContainmentEstimator + ?Sized> ContainmentEstimator for &T {
         (**self).estimate_containment(q1, q2)
     }
 
-    fn predict_batch(&self, anchors: &[&Query], query: &Query) -> Vec<(f64, f64)> {
-        (**self).predict_batch(anchors, query)
+    fn predict_group(
+        &self,
+        anchors: &[&Query],
+        queries: &[&Query],
+        prepared: Option<&(dyn Any + Send + Sync)>,
+    ) -> Vec<Vec<(f64, f64)>> {
+        (**self).predict_group(anchors, queries, prepared)
     }
 
     fn predict_batch_forward(&self, anchors: &[&Query], query: &Query) -> Vec<f64> {
@@ -154,24 +138,6 @@ impl<T: ContainmentEstimator + ?Sized> ContainmentEstimator for &T {
 
     fn prepare_anchors(&self, anchors: &[&Query]) -> Option<Box<dyn Any + Send + Sync>> {
         (**self).prepare_anchors(anchors)
-    }
-
-    fn predict_batch_prepared(
-        &self,
-        prepared: &(dyn Any + Send + Sync),
-        anchors: &[&Query],
-        query: &Query,
-    ) -> Vec<(f64, f64)> {
-        (**self).predict_batch_prepared(prepared, anchors, query)
-    }
-
-    fn predict_batch_prepared_multi(
-        &self,
-        prepared: &(dyn Any + Send + Sync),
-        anchors: &[&Query],
-        queries: &[&Query],
-    ) -> Vec<Vec<(f64, f64)>> {
-        (**self).predict_batch_prepared_multi(prepared, anchors, queries)
     }
 }
 
@@ -184,8 +150,13 @@ impl<T: ContainmentEstimator + ?Sized> ContainmentEstimator for Box<T> {
         (**self).estimate_containment(q1, q2)
     }
 
-    fn predict_batch(&self, anchors: &[&Query], query: &Query) -> Vec<(f64, f64)> {
-        (**self).predict_batch(anchors, query)
+    fn predict_group(
+        &self,
+        anchors: &[&Query],
+        queries: &[&Query],
+        prepared: Option<&(dyn Any + Send + Sync)>,
+    ) -> Vec<Vec<(f64, f64)>> {
+        (**self).predict_group(anchors, queries, prepared)
     }
 
     fn predict_batch_forward(&self, anchors: &[&Query], query: &Query) -> Vec<f64> {
@@ -194,24 +165,6 @@ impl<T: ContainmentEstimator + ?Sized> ContainmentEstimator for Box<T> {
 
     fn prepare_anchors(&self, anchors: &[&Query]) -> Option<Box<dyn Any + Send + Sync>> {
         (**self).prepare_anchors(anchors)
-    }
-
-    fn predict_batch_prepared(
-        &self,
-        prepared: &(dyn Any + Send + Sync),
-        anchors: &[&Query],
-        query: &Query,
-    ) -> Vec<(f64, f64)> {
-        (**self).predict_batch_prepared(prepared, anchors, query)
-    }
-
-    fn predict_batch_prepared_multi(
-        &self,
-        prepared: &(dyn Any + Send + Sync),
-        anchors: &[&Query],
-        queries: &[&Query],
-    ) -> Vec<Vec<(f64, f64)>> {
-        (**self).predict_batch_prepared_multi(prepared, anchors, queries)
     }
 }
 

@@ -406,6 +406,12 @@ fn run_serve(args: &[String]) {
             }
         }
     }
+    if config.cluster > 0 && config.top_k > 0 {
+        // Top-K ranks a query's anchors across all shards; cluster workers scan
+        // shard-locally, so the coordinator refuses the combination at connect time.
+        eprintln!("--cluster cannot be combined with --top-k (use --top-k 0)");
+        std::process::exit(2);
+    }
     config.experiment = match preset.as_str() {
         "tiny" => ExperimentConfig::tiny(),
         "small" => ExperimentConfig::small(),
@@ -720,6 +726,8 @@ fn print_serve_usage() {
          degrades only its own\n\
          shards (loudly: counted, journaled, Degraded-tagged) and is re-dialed with \
          bounded backoff.\n\
+         Not combinable with --top-k: the ranking is pool-wide, workers scan \
+         shard-locally.\n\
          \n\
          Choosing --worker-timeout-us (cluster): the per-worker gather budget.  A \
          worker that misses it\n\

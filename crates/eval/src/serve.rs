@@ -398,19 +398,15 @@ pub fn run_serve_demo(config: &ServeDemoConfig) -> Result<String, String> {
     let mut workload: Vec<Query> = generator.generate_queries(config.queries.max(1));
     workload.truncate(config.queries.max(1));
 
+    let sequential = Cnt2Crd::new(model, base_pool)
+        .with_config(estimator_config)
+        .with_fallback(Box::new(PostgresEstimator::analyze(&ctx.db)));
+
     // Cluster mode replaces the in-process service with the scatter/gather coordinator
-    // over forked worker processes; it builds its own sequential oracle from the same
-    // model and pool, so the startup parity tripwire spans process boundaries.
+    // over forked worker processes, built from the sequential oracle's own model, pool and
+    // configuration, so the startup parity tripwire spans process boundaries.
     if config.cluster > 0 {
-        let record = match run_cluster_demo(
-            config,
-            &ctx,
-            estimator_config,
-            &model,
-            &base_pool,
-            &workload,
-            &mut lines,
-        ) {
+        let record = match run_cluster_demo(config, &ctx, &sequential, &workload, &mut lines) {
             Ok(record) => record,
             Err(violation) => {
                 eprintln!("{}", lines.join("\n"));
@@ -429,10 +425,6 @@ pub fn run_serve_demo(config: &ServeDemoConfig) -> Result<String, String> {
         }
         return Ok(lines.join("\n"));
     }
-
-    let sequential = Cnt2Crd::new(model, base_pool)
-        .with_config(estimator_config)
-        .with_fallback(Box::new(PostgresEstimator::analyze(&ctx.db)));
 
     if let Some(plan) = &config.chaos {
         let summary = if plan.trim() == "crash-restore" {
@@ -625,13 +617,10 @@ fn run_sync_demo(
 /// single-query path (the cross-process parity tripwire — a violation exits non-zero),
 /// then drives the workload through a closed-loop [`ServeRuntime`] over the coordinator
 /// and reports latency plus the degraded-query accounting.
-#[allow(clippy::too_many_arguments)]
 fn run_cluster_demo(
     config: &ServeDemoConfig,
     ctx: &ExperimentContext,
-    estimator_config: Cnt2CrdConfig,
-    model: &CrnModel,
-    base_pool: &QueriesPool,
+    sequential: &Cnt2Crd<CrnModel>,
     workload: &[Query],
     lines: &mut Vec<String>,
 ) -> Result<BenchRecord, String> {
@@ -700,24 +689,21 @@ fn run_cluster_demo(
     ));
 
     let options = ClusterOptions {
-        config: estimator_config,
+        config: *sequential.config(),
         worker_timeout: std::time::Duration::from_micros(config.worker_timeout_us.max(1)),
         ..ClusterOptions::default()
     };
-    let client =
-        match ClusterClient::connect(&addrs, model.clone(), base_pool, config.shards, options) {
-            Ok(client) => client.with_fallback(Box::new(PostgresEstimator::analyze(&ctx.db))),
-            Err(e) => {
-                kill_fleet(&mut children);
-                return Err(format!("cluster: connect failed: {e}"));
-            }
-        };
+    let (model, base_pool) = (sequential.model().clone(), sequential.pool());
+    let client = match ClusterClient::connect(&addrs, model, base_pool, config.shards, options) {
+        Ok(client) => client.with_fallback(Box::new(PostgresEstimator::analyze(&ctx.db))),
+        Err(e) => {
+            kill_fleet(&mut children);
+            return Err(format!("cluster: connect failed: {e}"));
+        }
+    };
 
     // The startup parity tripwire, now spanning process boundaries: the first
     // scatter/gather batch must match the sequential single-query oracle bit-for-bit.
-    let sequential = Cnt2Crd::new(model.clone(), base_pool.clone())
-        .with_config(estimator_config)
-        .with_fallback(Box::new(PostgresEstimator::analyze(&ctx.db)));
     let first_batch = &workload[..workload.len().min(config.batch.max(1))];
     let response = client.serve(first_batch);
     if !response.degraded.is_empty() {
@@ -727,8 +713,7 @@ fn run_cluster_demo(
             response.degraded
         ));
     }
-    if let Err(violation) = verify_parity(&response.estimates, first_batch, &sequential, "cluster")
-    {
+    if let Err(violation) = verify_parity(&response.estimates, first_batch, sequential, "cluster") {
         kill_fleet(&mut children);
         return Err(violation);
     }

@@ -7,12 +7,14 @@
 //! whichever thread calls [`RefreshController::refresh_if_needed`]: a driver at its own
 //! cadence, or the background [`RefreshWorker`].
 
-use crate::feedback::{DriftDetector, FeedbackRecord, CARDINALITY_FLOOR};
-use crn_core::{Cnt2Crd, CrnModel, EstimatorService, FinalFunction, QueriesPool};
+use crate::feedback::{floored_q_error, DriftDetector, FeedbackRecord};
+use crn_core::{
+    fold_entry_lists, Cnt2CrdConfig, Cnt2CrdCore, CrnModel, EstimatorService, FinalFunction,
+    PoolShard, QueriesPool,
+};
 use crn_db::Database;
-use crn_estimators::CardinalityEstimator;
 use crn_exec::{label_containment_pairs, ContainmentSample};
-use crn_nn::{Adam, ReplayBuffer};
+use crn_nn::{Adam, ReplayBuffer, WorkerPool};
 use crn_query::ast::Query;
 use crn_serve::{FaultInjector, FaultSite, Supervisor, SupervisorPolicy, SupervisorVerdict};
 use serde::{Deserialize, Serialize};
@@ -98,6 +100,36 @@ impl Default for OnlineConfig {
 /// strictly-better rule).
 pub fn gate_accepts(live_median: f64, candidate_median: f64, gate_margin: f64) -> bool {
     candidate_median < live_median * (1.0 - gate_margin.clamp(0.0, 1.0))
+}
+
+/// Median q-error of `model` over a probe set — the number both validation gates (the
+/// refresh controller's and the cluster canary's) compare.  The estimates come from the
+/// shared serving core over `shards` without a fallback estimator, so they are
+/// bit-identical to what [`EstimatorService::serve`] answers for these queries under that
+/// model over that pool: the gate measures exactly the serving behaviour, for the live
+/// model and a candidate alike.
+pub fn probe_median<S: std::borrow::Borrow<PoolShard> + Sync>(
+    config: &Cnt2CrdConfig,
+    model: &CrnModel,
+    shards: &[S],
+    queries: &[Query],
+    truths: &[u64],
+) -> f64 {
+    let core = Cnt2CrdCore {
+        config,
+        model,
+        shards,
+        cache: None,
+    };
+    // Inline on the calling thread: a gate runs off the serving path and must not queue
+    // behind it on a serving worker pool.
+    let (per_query, mut stats) = core.entry_lists(&WorkerPool::shared(1), queries);
+    let errors: Vec<f64> = fold_entry_lists(config, None, &per_query, queries, &mut stats)
+        .iter()
+        .zip(truths)
+        .map(|(&estimate, &truth)| floored_q_error(estimate, truth))
+        .collect();
+    FinalFunction::Median.apply(&errors).unwrap_or(0.0)
 }
 
 /// Produces labelled containment training pairs for fresh feedback queries — the bridge
@@ -576,10 +608,17 @@ impl RefreshController {
         }
 
         // The validation gate: both models on the same probe set over the same pool and
-        // serving configuration.  Better by at least the relative margin, or discarded
-        // (margin 0 = the original strictly-better gate).
-        let live_probe_median = self.probe_median(&live, &pool, probe);
-        let candidate_probe_median = self.probe_median(&candidate, &pool, probe);
+        // serving configuration, through the serving core.  Better by at least the relative
+        // margin, or discarded (margin 0 = the original strictly-better gate).
+        let (queries, truths): (Vec<Query>, Vec<u64>) = probe
+            .iter()
+            .map(|record| (record.query.clone(), record.true_cardinality))
+            .unzip();
+        let (config, shards) = (self.service.config(), [pool.as_shard()]);
+        let median_under =
+            |model: &CrnModel| probe_median(config, model, &shards, &queries, &truths);
+        let live_probe_median = median_under(&live);
+        let candidate_probe_median = median_under(&candidate);
         if gate_accepts(live_probe_median, candidate_probe_median, gate_margin) {
             let model_version = self.service.swap_model(candidate);
             // The candidate's Adam moments are now live; resume its step count too.
@@ -620,26 +659,6 @@ impl RefreshController {
                 pool_compacted: 0,
             }
         }
-    }
-
-    /// Median q-error of one model over the probe set, evaluated through the sequential
-    /// `Cnt2Crd` path over the cycle's pool with the service's serving configuration —
-    /// bit-identical to what the service itself would serve for these queries under that
-    /// model (the parity contract), so the gate measures exactly the serving behaviour.
-    fn probe_median(&self, model: &CrnModel, pool: &QueriesPool, probe: &[FeedbackRecord]) -> f64 {
-        let estimator =
-            Cnt2Crd::new(model.clone(), pool.clone()).with_config(*self.service.config());
-        let errors: Vec<f64> = probe
-            .iter()
-            .map(|record| {
-                crn_nn::q_error(
-                    estimator.estimate(&record.query).max(CARDINALITY_FLOOR),
-                    (record.true_cardinality as f64).max(CARDINALITY_FLOOR),
-                    CARDINALITY_FLOOR,
-                )
-            })
-            .collect();
-        FinalFunction::Median.apply(&errors).unwrap_or(0.0)
     }
 
     /// Captures the controller state a [`Checkpoint`](crate::Checkpoint) carries: the

@@ -23,12 +23,17 @@ pub struct FeedbackRecord {
 impl FeedbackRecord {
     /// The record's q-error — the live model's error on this execution.
     pub fn q_error(&self) -> f64 {
-        crn_nn::q_error(
-            self.estimate.max(CARDINALITY_FLOOR),
-            (self.true_cardinality as f64).max(CARDINALITY_FLOOR),
-            CARDINALITY_FLOOR,
-        )
+        floored_q_error(self.estimate, self.true_cardinality)
     }
+}
+
+/// The q-error of an estimate against a measured cardinality, both floored at one row.
+pub(crate) fn floored_q_error(estimate: f64, true_cardinality: u64) -> f64 {
+    crn_nn::q_error(
+        estimate.max(CARDINALITY_FLOOR),
+        (true_cardinality as f64).max(CARDINALITY_FLOOR),
+        CARDINALITY_FLOOR,
+    )
 }
 
 /// A sliding-window drift detector over the live model's q-errors.

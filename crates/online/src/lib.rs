@@ -50,7 +50,7 @@ pub use checkpoint::{
     Checkpoint, CheckpointError, CheckpointSink, Manifest, CHECKPOINT_FORMAT_VERSION,
 };
 pub use controller::{
-    gate_accepts, ControllerCheckpoint, ExecLabeler, FeedbackLabeler, OnlineConfig, OnlineStats,
-    RefreshController, RefreshDecision, RefreshOutcome, RefreshWorker,
+    gate_accepts, probe_median, ControllerCheckpoint, ExecLabeler, FeedbackLabeler, OnlineConfig,
+    OnlineStats, RefreshController, RefreshDecision, RefreshOutcome, RefreshWorker,
 };
 pub use feedback::{DriftDetector, FeedbackRecord};

@@ -10,8 +10,8 @@ use crn_exec::{label_containment_pairs, ContainmentSample, Executor};
 use crn_nn::parallel::{ThreadPoolConfig, WorkerPool};
 use crn_nn::TrainConfig;
 use crn_online::{
-    ExecLabeler, FeedbackLabeler, FeedbackRecord, OnlineConfig, RefreshController, RefreshDecision,
-    RefreshWorker,
+    probe_median, ExecLabeler, FeedbackLabeler, FeedbackRecord, OnlineConfig, RefreshController,
+    RefreshDecision, RefreshWorker,
 };
 use crn_query::generator::{GeneratorConfig, QueryGenerator, ScaleGenerator, ScaleGeneratorConfig};
 use crn_query::Query;
@@ -83,6 +83,63 @@ fn shifted_workload(db: &Database, pool: &QueriesPool, seed: u64, count: usize) 
         .filter(|q| pool.matching(q).next().is_some())
         .take(count)
         .collect()
+}
+
+/// The gates use the serving path: the shared probe median over a pool under model X is,
+/// bit-for-bit, the median q-error of what `EstimatorService::serve` answers under X over
+/// that pool — for the live model and for a fine-tuned candidate, at any shard layout and
+/// in the top-K plan.
+#[test]
+fn gates_measure_the_serving_path_bit_for_bit() {
+    let fx = fixture(160);
+    let truth = Executor::new(&fx.db);
+    let queries = workload(&fx.db, 161, 24);
+    let truths: Vec<u64> = queries.iter().map(|q| truth.cardinality(q)).collect();
+
+    let live = fx.service.model();
+    let mut candidate = (*live).clone();
+    let mut gen = QueryGenerator::new(&fx.db, GeneratorConfig::paper(162));
+    let corpus = label_containment_pairs(&fx.db, &gen.generate_pairs(20, 60), 4);
+    candidate.reset_optimizer_state();
+    candidate.fit_incremental(&corpus, &mut crn_nn::Adam::new(0.01), 2);
+    assert_ne!(*live, candidate, "fine-tuning moved the weights");
+
+    for (shards, top_k) in [(1usize, 0usize), (4, 0), (4, 3)] {
+        let config = crn_core::Cnt2CrdConfig {
+            top_k,
+            ..crn_core::Cnt2CrdConfig::default()
+        };
+        let sharded = ShardedPool::from_pool(&fx.pool, shards);
+        let snapshot = sharded.snapshot();
+        for model in [&*live, &candidate] {
+            let service =
+                EstimatorService::new(model.clone(), sharded.clone(), WorkerPool::shared(2))
+                    .with_config(config);
+            let errors: Vec<f64> = service
+                .serve(&queries)
+                .estimates
+                .iter()
+                .zip(&truths)
+                .map(|(&estimate, &truth)| {
+                    FeedbackRecord {
+                        query: queries[0].clone(),
+                        true_cardinality: truth,
+                        estimate,
+                    }
+                    .q_error()
+                })
+                .collect();
+            let served_median = crn_core::FinalFunction::Median
+                .apply(&errors)
+                .expect("non-empty probe set");
+            let gate = probe_median(&config, model, snapshot.shards(), &queries, &truths);
+            assert_eq!(
+                gate.to_bits(),
+                served_median.to_bits(),
+                "shards={shards} top_k={top_k}: gate {gate} vs served {served_median}"
+            );
+        }
+    }
 }
 
 /// Healthy traffic (the live estimates themselves fed back as "truth") keeps the drift
