@@ -11,9 +11,10 @@ use std::time::Duration;
 use crn_bench::shared_context;
 use crn_core::{Cnt2Crd, CrnModel, QueriesPool};
 use crn_db::imdb::{generate_imdb, ImdbConfig};
-use crn_estimators::{DatabaseStats, MscnModel, StatsConfig};
+use crn_estimators::{ContainmentEstimator, DatabaseStats, MscnModel, StatsConfig};
 use crn_exec::{Executor, TableSamples};
-use crn_nn::{Dense, Matrix, TrainConfig};
+use crn_nn::{gemm_packed, Dense, Epilogue, Matrix, PackedWeights, TrainConfig};
+use crn_query::ast::Query;
 use crn_query::generator::{GeneratorConfig, QueryGenerator};
 
 /// Exact cardinality computation per join count (the ground-truth oracle cost).
@@ -125,6 +126,30 @@ fn bench_nn_kernels(c: &mut Criterion) {
             b.iter(|| black_box(left.matmul_sparse(&right)))
         });
     }
+
+    // The containment head's first layer (`4H×2H` at `H = 128`) at the row counts serving
+    // feeds it — 1 query × 1 anchor up to a fused group — through the strided entry point
+    // (training's) and the prepacked one (inference's).
+    let head = Matrix::xavier_seeded(512, 256, 11);
+    let packed = PackedWeights::pack(&head);
+    for m in [1usize, 4, 8, 9, 66, 124] {
+        let rows = Matrix::xavier_seeded(m, 512, 12 + m as u64);
+        group.bench_function(format!("head_gemm_{m}x512x256_strided"), |b| {
+            b.iter(|| black_box(rows.matmul(&head)))
+        });
+        group.bench_function(format!("head_gemm_{m}x512x256_packed"), |b| {
+            b.iter(|| {
+                black_box(gemm_packed(
+                    rows.data(),
+                    m,
+                    &packed,
+                    0..512,
+                    None,
+                    Epilogue::None,
+                ))
+            })
+        });
+    }
     group.finish();
 }
 
@@ -214,6 +239,22 @@ fn bench_cnt2crd_serving(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("sequential", anchor_count), |b| {
         b.iter(|| black_box(estimator.per_entry_estimates_sequential(&probe)))
+    });
+    // The model call under `batched`, alone: one query against the prepared anchors — its
+    // own encoding plus two head passes resumed from the stored prefixes.
+    let anchors: Vec<&Query> = estimator
+        .pool()
+        .matching(&probe)
+        .map(|entry| &entry.query)
+        .collect();
+    let prepared = ctx.crn.prepare_anchors(&anchors).expect("anchors prepare");
+    group.bench_function(BenchmarkId::new("prepared_group", anchor_count), |b| {
+        b.iter(|| {
+            black_box(
+                ctx.crn
+                    .predict_group(&anchors, &[&probe], Some(prepared.as_ref())),
+            )
+        })
     });
     group.finish();
 }

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// The final function `F` that folds the per-pool-entry estimates into a single cardinality.
@@ -166,7 +166,9 @@ impl Default for Cnt2CrdConfig {
 /// head: the stale-cache-after-swap regression test in [`crate::service`] pins this).
 #[derive(Default)]
 pub struct AnchorCache {
-    slots: Mutex<BTreeMap<(usize, String), CachedAnchors>>,
+    /// One map per shard, keyed by FROM clause and looked up by `&str`: the steady-state
+    /// hit — every work item of every batch — takes the read lock and allocates nothing.
+    slots: RwLock<Vec<BTreeMap<String, CachedAnchors>>>,
 }
 
 struct CachedAnchors {
@@ -186,11 +188,16 @@ impl AnchorCache {
         key: &str,
         anchors: &[&PoolEntry],
     ) -> Option<Arc<dyn Any + Send + Sync>> {
-        let slot = (shard, key.to_string());
-        if let Some(cached) = self.slots.lock().expect("not poisoned").get(&slot) {
-            if cached.versions == versions {
-                return cached.state.clone();
-            }
+        let hit = self
+            .slots
+            .read()
+            .expect("not poisoned")
+            .get(shard)
+            .and_then(|slots| slots.get(key))
+            .filter(|cached| cached.versions == versions)
+            .map(|cached| cached.state.clone());
+        if let Some(state) = hit {
+            return state;
         }
         // Build outside the lock: work items run on the worker pool, and holding the cache
         // lock across the (batched-GEMM) preparation would serialize them.  Two threads
@@ -199,11 +206,16 @@ impl AnchorCache {
         let anchor_queries: Vec<&Query> = anchors.iter().map(|entry| &entry.query).collect();
         let state: Option<Arc<dyn Any + Send + Sync>> =
             model.prepare_anchors(&anchor_queries).map(Arc::from);
-        let mut slots = self.slots.lock().expect("not poisoned");
-        let cached = slots.entry(slot).or_insert_with(|| CachedAnchors {
-            versions,
-            state: state.clone(),
-        });
+        let mut slots = self.slots.write().expect("not poisoned");
+        if slots.len() <= shard {
+            slots.resize_with(shard + 1, BTreeMap::new);
+        }
+        let cached = slots[shard]
+            .entry(key.to_string())
+            .or_insert_with(|| CachedAnchors {
+                versions,
+                state: state.clone(),
+            });
         // Replace only a *strictly older* slot: while an old-snapshot evaluation drains
         // concurrently with a new-snapshot one, the old reader must not downgrade the slot
         // the new readers key on (both versions are monotonic, so lexicographic

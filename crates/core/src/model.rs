@@ -20,10 +20,10 @@ use crn_db::database::Database;
 use crn_exec::ContainmentSample;
 use crn_nn::batch::shard_ranges;
 use crn_nn::batch::{
-    broadcast_rows, concat_rows, expand_concat, expand_concat_backward, expand_full,
-    expand_full_backward, segment_pool, segment_pool_backward, RaggedBatch, SegmentPool,
-    SparseRows,
+    broadcast_rows, expand_concat, expand_concat_backward, expand_full, expand_full_backward,
+    expand_full_tail, segment_pool, segment_pool_backward, RaggedBatch, SegmentPool, SparseRows,
 };
+use crn_nn::gemm::{gemm_packed, Epilogue, PackedWeights};
 use crn_nn::layers::{
     relu, relu_backward, relu_backward_in_place, relu_in_place, sigmoid, sigmoid_backward,
     sigmoid_in_place, Dense,
@@ -40,6 +40,7 @@ use crn_query::ast::Query;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 use crn_estimators::ContainmentEstimator;
 
@@ -112,6 +113,25 @@ pub struct CrnModel {
     out2: Dense,
     config: TrainConfig,
     options: CrnOptions,
+    /// `out1.w` repacked for the inference GEMM.  Derived state: never serialized, equal to
+    /// every other cell, shared by clones (see [`PackedHead`]).
+    #[serde(skip)]
+    packed_out1: PackedHead,
+}
+
+/// The inference-side copy of `out1`'s weights ([`PackedWeights`]), built by the first
+/// inference call that needs it ([`CrnModel::packed_out1`], the only writer) and dropped by
+/// [`CrnModel::params_vec_mut`] — the only path that hands out `&mut` weight values — so a
+/// cell never holds panels of weights its model no longer has.  A clone shares the panels
+/// (its weights are the same values); training the clone empties only the clone's cell.
+#[derive(Debug, Clone, Default)]
+struct PackedHead(OnceLock<Arc<PackedWeights>>);
+
+impl PartialEq for PackedHead {
+    /// Always equal: the cell is a function of `out1`, which the model compares itself.
+    fn eq(&self, _: &PackedHead) -> bool {
+        true
+    }
 }
 
 /// Forward-pass cache of one ragged mini-batch of pairs (a single pair is the `B = 1` case).
@@ -182,6 +202,7 @@ impl CrnModel {
             featurizer,
             config,
             options,
+            packed_out1: PackedHead::default(),
         }
     }
 
@@ -243,14 +264,54 @@ impl CrnModel {
         segment_pool(&activated, batch.offsets(), self.segment_pool_kind())
     }
 
+    /// `out1`'s weights in the packed layout of the inference GEMM, built on first use.
+    fn packed_out1(&self) -> &PackedWeights {
+        self.packed_out1
+            .0
+            .get_or_init(|| Arc::new(PackedWeights::pack(&self.out1.w.value)))
+    }
+
     /// The containment head over expanded pair representations, forward only:
-    /// `(B×4H) -> (B×1)` sigmoid rates.
+    /// `(B×4H) -> (B×1)` sigmoid rates — [`CrnModel::head_rates`] over the whole reduction.
     fn head_inference(&self, expanded: &Matrix) -> Matrix {
-        let mut a_out1 = self.out1.forward(expanded);
-        relu_in_place(&mut a_out1);
+        self.head_rates(expanded, 0, None)
+    }
+
+    /// The containment head from any point of `out1`'s reduction: `operand` holds the
+    /// expanded rows from column `first_column` on and `chain` the state of every row's
+    /// accumulator chains after the columns before it (`None`: they start here, from zero).
+    ///
+    /// The inference GEMM sums one output element as a single chain over the expanded
+    /// columns in order (`crn_nn::gemm`), so stopping after some columns, storing the `f32`
+    /// state and continuing from it performs exactly the operations of the uncut chain:
+    /// a head pass resumed from a stored prefix is **bit-identical** to the full pass
+    /// [`CrnModel::predict`] runs through the same kernel.  Bias and ReLU are applied once,
+    /// when the chain ends.
+    fn head_rates(&self, operand: &Matrix, first_column: usize, chain: Option<Matrix>) -> Matrix {
+        let a_out1 = gemm_packed(
+            operand.data(),
+            operand.rows(),
+            self.packed_out1(),
+            first_column..first_column + operand.cols(),
+            chain,
+            Epilogue::BiasRelu(self.out1.b.value.row(0)),
+        );
         let mut sigmoid_out = self.out2.forward(&a_out1);
         sigmoid_in_place(&mut sigmoid_out);
         sigmoid_out
+    }
+
+    /// The chain state of `out1` after the first `H` expanded columns — the `v1` block of
+    /// `Expand(v1, v2)`, which is all those columns depend on: `(B×H) -> (B×2H)`.
+    fn head_prefix(&self, v1: &Matrix) -> Matrix {
+        gemm_packed(
+            v1.data(),
+            v1.rows(),
+            self.packed_out1(),
+            0..v1.cols(),
+            None,
+            Epilogue::None,
+        )
     }
 
     fn forward_batch(&self, v1: RaggedBatch, v2: RaggedBatch) -> BatchCache {
@@ -439,8 +500,10 @@ impl CrnModel {
         self.out2.zero_grad();
     }
 
-    /// All trainable parameters in [`grad_index`] order.
+    /// All trainable parameters in [`grad_index`] order.  Whoever holds them may change
+    /// `out1`'s weights, so the packed copy goes first.
     fn params_vec_mut(&mut self) -> Vec<&mut crn_nn::layers::Param> {
+        self.packed_out1 = PackedHead::default();
         let CrnModel {
             mlp1,
             mlp2,
@@ -844,10 +907,11 @@ impl CrnModel {
             .expect("one rate vector per query")
     }
 
-    /// Runs an anchor set through both set encoders once: the per-anchor `(B×H)` query
-    /// vectors under `MLP1` and `MLP2`.  This is the whole anchor-side cost of serving, and
-    /// it only depends on the (fixed) anchors — [`ContainmentEstimator::prepare_anchors`]
-    /// caches it across queries.
+    /// Runs an anchor set through both set encoders once — the per-anchor `(B×H)` query
+    /// vectors under `MLP1` and `MLP2` — and through the part of the head that only sees the
+    /// anchor ([`CrnModel::head_prefix`]).  This is the whole anchor-side cost of serving,
+    /// and it only depends on the (fixed) anchors —
+    /// [`ContainmentEstimator::prepare_anchors`] caches it across queries.
     fn encode_anchor_queries(&self, anchors: &[&Query]) -> AnchorEncodings {
         let anchor_sets: Vec<Matrix> = anchors
             .iter()
@@ -858,8 +922,10 @@ impl CrnModel {
         // depend on which anchors share the batch — sharded serving needs every anchor
         // subset to encode bit-identically to the full set.
         let anchor_batch = RaggedBatch::from_sets_csr(anchor_sets.iter());
+        let under_mlp1 = self.encode_sets(&self.mlp1, &anchor_batch);
         AnchorEncodings {
-            under_mlp1: self.encode_sets(&self.mlp1, &anchor_batch),
+            head_prefix: self.head_prefix(&under_mlp1),
+            under_mlp1,
             under_mlp2: self.encode_sets(&self.mlp2, &anchor_batch),
         }
     }
@@ -867,14 +933,21 @@ impl CrnModel {
     /// The serving core: both containment directions of pre-encoded anchors against a
     /// *group* of queries (the concurrent front-end's unit of work; a single query is a
     /// group of one), with the two containment-head passes fused over the group — one
-    /// `(M·B)×4H` head batch per direction instead of `M` separate `B×4H` ones.
+    /// `(M·B)`-row head batch per direction instead of `M` separate `B`-row ones.
     ///
-    /// Each query is featurized and encoded on its own, once under each set encoder, and
-    /// broadcast against the anchor encodings: the ragged-batch CSR-vs-dense routing
-    /// decision depends on batch density, so packing the (tiny) per-query encodings
-    /// together could re-associate their f32 sums.  The head GEMMs compute every output row
-    /// independently of the row count, which is what makes a fused group of `M`
-    /// bit-identical to `M` groups of one — the `EstimatorService` parity tests pin this.
+    /// Each query is featurized and encoded on its own, once under each set encoder: the
+    /// ragged-batch CSR-vs-dense routing decision depends on batch density, so packing the
+    /// (tiny) per-query encodings together could re-associate their f32 sums.  The head GEMM
+    /// computes every output row independently of the row count, which is what makes a fused
+    /// group of `M` bit-identical to `M` groups of one — the `EstimatorService` parity tests
+    /// pin this.
+    ///
+    /// No pair ever runs the first `H` columns of `Expand(v1, v2) = [v1, …]` through the
+    /// head: they only depend on `v1`, so their chain state ([`CrnModel::head_prefix`]) is
+    /// stored per anchor for `anchor ⊂% query` and computed once per query (one `M`-row
+    /// product) for `query ⊂% anchor`, and each pair's row resumes from it over the columns
+    /// `[v2, |v1 − v2|, v1 ⊙ v2]` — bit-identical to the full pass by the chain-order
+    /// argument on [`CrnModel::head_rates`].
     fn serve_group_against_encodings(
         &self,
         encodings: &AnchorEncodings,
@@ -882,30 +955,56 @@ impl CrnModel {
     ) -> Vec<Vec<(f64, f64)>> {
         let num_anchors = encodings.under_mlp1.rows();
         if num_anchors == 0 || queries.is_empty() {
-            // Must short-circuit: the head GEMMs reject zero-row operands (see the
-            // regression tests in `cnt2crd`).
+            // Must short-circuit: there is no head batch to form (see the regression tests
+            // in `cnt2crd`).
             return queries.iter().map(|_| Vec::new()).collect();
         }
-        let mut forward_blocks = Vec::with_capacity(queries.len());
-        let mut backward_blocks = Vec::with_capacity(queries.len());
-        for query in queries {
-            let query_set = self.featurizer.featurize(query);
-            let query_batch = RaggedBatch::from_sets_csr([&query_set]);
-            let query_under_mlp1 = self.encode_sets(&self.mlp1, &query_batch);
-            let query_under_mlp2 = self.encode_sets(&self.mlp2, &query_batch);
-            // Direction 1: anchor ⊂% query (anchor feeds MLP1, query feeds MLP2).
-            forward_blocks.push(self.expand_pairs(
-                &encodings.under_mlp1,
-                &broadcast_rows(&query_under_mlp2, num_anchors),
-            ));
-            // Direction 2: query ⊂% anchor.
-            backward_blocks.push(self.expand_pairs(
-                &broadcast_rows(&query_under_mlp1, num_anchors),
-                &encodings.under_mlp2,
-            ));
+        let hidden = self.hidden_size();
+        let (expand_dim, head_dim) = (self.out1.input_dim(), self.out1.output_dim());
+        let rows = queries.len() * num_anchors;
+        // Per direction: the pairs' remaining expanded columns and the chain states they
+        // resume from, one row per (query, anchor) pair in query-major order.
+        let mut forward_tails = Matrix::zeros(rows, expand_dim - hidden);
+        let mut backward_tails = Matrix::zeros(rows, expand_dim - hidden);
+        let mut forward_chains = Vec::with_capacity(rows * head_dim);
+        let mut backward_chains = Vec::with_capacity(rows * head_dim);
+        // Each query's encodings under one set encoder, stacked `M×H`.
+        let query_batches: Vec<RaggedBatch> = queries
+            .iter()
+            .map(|query| RaggedBatch::from_sets_csr([&self.featurizer.featurize(query)]))
+            .collect();
+        let encode_queries = |encoder: &Dense| {
+            let mut data = Vec::with_capacity(queries.len() * hidden);
+            for batch in &query_batches {
+                data.extend_from_slice(self.encode_sets(encoder, batch).data());
+            }
+            Matrix::from_vec(queries.len(), hidden, data)
+        };
+        let queries_under_mlp1 = encode_queries(&self.mlp1);
+        let queries_under_mlp2 = encode_queries(&self.mlp2);
+        let query_prefixes = self.head_prefix(&queries_under_mlp1);
+        for q in 0..queries.len() {
+            for i in 0..num_anchors {
+                let row = q * num_anchors + i;
+                // Direction 1: anchor ⊂% query (anchor feeds MLP1, query feeds MLP2).
+                self.expand_tail(
+                    encodings.under_mlp1.row(i),
+                    queries_under_mlp2.row(q),
+                    forward_tails.row_mut(row),
+                );
+                // Direction 2: query ⊂% anchor.
+                self.expand_tail(
+                    queries_under_mlp1.row(q),
+                    encodings.under_mlp2.row(i),
+                    backward_tails.row_mut(row),
+                );
+                backward_chains.extend_from_slice(query_prefixes.row(q));
+            }
+            forward_chains.extend_from_slice(encodings.head_prefix.data());
         }
-        let forward_rates = self.head_inference(&concat_rows(&forward_blocks));
-        let backward_rates = self.head_inference(&concat_rows(&backward_blocks));
+        let chains = |data: Vec<f32>| Some(Matrix::from_vec(rows, head_dim, data));
+        let forward_rates = self.head_rates(&forward_tails, hidden, chains(forward_chains));
+        let backward_rates = self.head_rates(&backward_tails, hidden, chains(backward_chains));
         (0..queries.len())
             .map(|q| {
                 (0..num_anchors)
@@ -920,13 +1019,27 @@ impl CrnModel {
             })
             .collect()
     }
+
+    /// Writes the columns of `Expand(v1, v2)` after the leading `v1` block into `out`:
+    /// `[v2, |v1 − v2|, v1 ⊙ v2]` (`[v2]` for plain concatenation), exactly the values
+    /// [`CrnModel::expand_pairs`] puts there.
+    fn expand_tail(&self, v1: &[f32], v2: &[f32], out: &mut [f32]) {
+        match self.options.expand {
+            ExpandMode::Full => expand_full_tail(v1, v2, out),
+            ExpandMode::Concat => out.copy_from_slice(v2),
+        }
+    }
 }
 
 /// Pre-encoded anchor set: the per-anchor pooled representations under both set encoders
-/// (the cacheable anchor-side state of the Cnt2Crd serving path).
+/// (the cacheable anchor-side state of the Cnt2Crd serving path), plus — for the
+/// `anchor ⊂% query` direction, where the anchor is `v1` — the head's chain state after the
+/// `v1` block of `Expand` (`under_mlp1 · out1.w[0..H]`, `B×2H`), which every query resumes
+/// from instead of recomputing ([`CrnModel::serve_group_against_encodings`]).
 struct AnchorEncodings {
     under_mlp1: Matrix,
     under_mlp2: Matrix,
+    head_prefix: Matrix,
 }
 
 impl ContainmentEstimator for CrnModel {
@@ -1613,6 +1726,113 @@ mod tests {
                             "threads = {threads}: deterministic predictions must match"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Both containment rates of every (query, anchor) pair, as `predict_group` returns them.
+    type GroupRates = Vec<Vec<(f64, f64)>>;
+
+    /// Every serving answer of `model` over the fixture: `predict` per (anchor, query) pair
+    /// in both directions, and the fused `predict_group` with freshly prepared anchors.
+    fn serving_answers(
+        model: &CrnModel,
+        anchors: &[&Query],
+        queries: &[&Query],
+    ) -> (GroupRates, GroupRates) {
+        let per_pair = queries
+            .iter()
+            .map(|query| {
+                anchors
+                    .iter()
+                    .map(|anchor| (model.predict(anchor, query), model.predict(query, anchor)))
+                    .collect()
+            })
+            .collect();
+        let prepared = model.prepare_anchors(anchors).expect("anchors prepare");
+        let grouped = model.predict_group(anchors, queries, Some(prepared.as_ref()));
+        (per_pair, grouped)
+    }
+
+    /// The packed head can never go stale: whatever a model answered before, after its
+    /// weights moved it answers exactly what a copy rebuilt from its serialized weights (no
+    /// packed state at all) answers — and training a clone, which shares the original's
+    /// panels, leaves the original's answers untouched.
+    #[test]
+    fn packed_head_follows_the_weights_through_training_and_clones() {
+        let db = generate_imdb(&ImdbConfig::tiny(31));
+        let samples = training_pairs(&db, 60, 31);
+        let fresh = training_pairs(&db, 40, 32);
+        let anchors: Vec<&Query> = samples.iter().take(9).map(|s| &s.q2).collect();
+        let queries: Vec<&Query> = fresh.iter().take(3).map(|s| &s.q1).collect();
+        let round_trip = |model: &CrnModel| -> CrnModel {
+            serde_json::from_str(&serde_json::to_string(model).unwrap()).unwrap()
+        };
+
+        let mut model = CrnModel::new(&db, TrainConfig::fast_test());
+        model.fit(&samples);
+        let before = serving_answers(&model, &anchors, &queries);
+        assert!(
+            model.packed_out1.0.get().is_some(),
+            "serving packs the head"
+        );
+        assert_eq!(
+            round_trip(&model),
+            model,
+            "the packed cell never breaks equality"
+        );
+        assert_eq!(
+            serving_answers(&round_trip(&model), &anchors, &queries),
+            before
+        );
+
+        let original = model.clone();
+        let mut adam = Adam::new(model.config().learning_rate);
+        model.fit_incremental(&fresh, &mut adam, 2);
+        assert_ne!(
+            model.out1.w.value, original.out1.w.value,
+            "the weights moved"
+        );
+        let after = serving_answers(&model, &anchors, &queries);
+        assert_ne!(after, before, "the answers follow them");
+        assert_eq!(
+            serving_answers(&round_trip(&model), &anchors, &queries),
+            after
+        );
+        assert_eq!(serving_answers(&original, &anchors, &queries), before);
+    }
+
+    /// Resuming the head from stored prefixes never changes a bit: `predict_group` — with
+    /// prepared anchor encodings, with none, and with stale ones it must rebuild — equals the
+    /// full-reduction `predict` of every pair, in both directions, for every architecture.
+    #[test]
+    fn predict_group_is_predict_per_pair_bit_for_bit() {
+        let db = generate_imdb(&ImdbConfig::tiny(33));
+        let samples = training_pairs(&db, 40, 33);
+        let anchors: Vec<&Query> = samples.iter().take(11).map(|s| &s.q2).collect();
+        let queries: Vec<&Query> = samples.iter().skip(20).take(3).map(|s| &s.q1).collect();
+        for expand in [ExpandMode::Full, ExpandMode::Concat] {
+            for pooling in [Pooling::Mean, Pooling::Sum] {
+                let options = CrnOptions { pooling, expand };
+                let mut model = CrnModel::with_options(&db, TrainConfig::fast_test(), options);
+                model.fit(&samples);
+                let (per_pair, grouped) = serving_answers(&model, &anchors, &queries);
+                assert_eq!(grouped, per_pair, "{options:?}: prepared");
+                let stale = model
+                    .prepare_anchors(&anchors[..4])
+                    .expect("anchors prepare");
+                for state in [None, Some(stale.as_ref())] {
+                    assert_eq!(
+                        model.predict_group(&anchors, &queries, state),
+                        per_pair,
+                        "{options:?}: {}",
+                        if state.is_some() {
+                            "stale"
+                        } else {
+                            "unprepared"
+                        }
+                    );
                 }
             }
         }

@@ -445,17 +445,31 @@ pub fn expand_full(q1: &Matrix, q2: &Matrix) -> Matrix {
     let (batch, hidden) = (q1.rows(), q1.cols());
     let mut out = Matrix::zeros(batch, 4 * hidden);
     for row in 0..batch {
-        let left = q1.row(row);
-        let right = q2.row(row);
-        let out_row = out.row_mut(row);
-        out_row[..hidden].copy_from_slice(left);
-        out_row[hidden..2 * hidden].copy_from_slice(right);
-        for i in 0..hidden {
-            out_row[2 * hidden + i] = (left[i] - right[i]).abs();
-            out_row[3 * hidden + i] = left[i] * right[i];
-        }
+        let (head, tail) = out.row_mut(row).split_at_mut(hidden);
+        head.copy_from_slice(q1.row(row));
+        expand_full_tail(q1.row(row), q2.row(row), tail);
     }
     out
+}
+
+/// The columns of one [`expand_full`] row after its leading `v1` block:
+/// `out (3H) = [v2, |v1 − v2|, v1 ⊙ v2]`.  Serving writes only these — the head's sum over
+/// the `v1` block is computed once per anchor or query, not once per pair.
+///
+/// # Panics
+/// Panics if `v1` and `v2` differ in length or `out` is not three times as long.
+pub fn expand_full_tail(v1: &[f32], v2: &[f32], out: &mut [f32]) {
+    let hidden = v1.len();
+    assert_eq!(v2.len(), hidden, "expand inputs must share the width");
+    assert_eq!(out.len(), 3 * hidden, "expand tail is three blocks wide");
+    let (copy, rest) = out.split_at_mut(hidden);
+    let (abs_diff, product) = rest.split_at_mut(hidden);
+    copy.copy_from_slice(v2);
+    let pairs = v1.iter().zip(v2);
+    for ((abs_diff, product), (&a, &b)) in abs_diff.iter_mut().zip(product).zip(pairs) {
+        *abs_diff = (a - b).abs();
+        *product = a * b;
+    }
 }
 
 /// Backward pass of [`expand_full`]: maps `dL/d expanded (B×4H)` to
@@ -528,20 +542,6 @@ pub fn broadcast_rows(row: &Matrix, copies: usize) -> Matrix {
         data.extend_from_slice(row.data());
     }
     Matrix::from_vec(copies, row.cols(), data)
-}
-
-/// Vertical concatenation of equal-width blocks: `[(B₁×d), (B₂×d), ...] -> (ΣBᵢ×d)` (used
-/// by the group serving path to fuse per-query containment-head inputs into one batch —
-/// the head kernels compute every output row independently, so stacking is bit-neutral).
-pub fn concat_rows(blocks: &[Matrix]) -> Matrix {
-    let dim = blocks.first().map_or(0, |m| m.cols());
-    let total: usize = blocks.iter().map(|m| m.rows()).sum();
-    let mut data = Vec::with_capacity(total * dim);
-    for block in blocks {
-        assert_eq!(block.cols(), dim, "all blocks must share the width");
-        data.extend_from_slice(block.data());
-    }
-    Matrix::from_vec(total, dim, data)
 }
 
 /// Horizontal concatenation of equal-height blocks: `[(B×d₁), (B×d₂), ...] -> (B×Σdⱼ)`

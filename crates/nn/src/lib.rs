@@ -4,6 +4,14 @@
 //! objective (§3.2–3.3).  This crate provides exactly those ingredients:
 //!
 //! * [`matrix`] — dense row-major `f32` matrices with the handful of products backprop needs;
+//! * [`gemm`] — the dense kernels behind them: one row-block micro-kernel per SIMD tier
+//!   (AVX-512, AVX2, portable), reading the right operand either row-major
+//!   ([`Matrix::matmul`], training) or from prepacked 64-byte-aligned panels
+//!   ([`gemm_packed`], inference).  Every tier sums an output element as **one accumulator
+//!   chain over the reduction index, in order**, whatever the batch size or layout — which
+//!   makes stacking rows, switching layouts and *cutting* the reduction (store the chain
+//!   state after `s` steps, resume from it later) all bit-neutral; the serving path of
+//!   `crn-core` leans on exactly that;
 //! * [`layers`] — trainable parameters, fully-connected layers, ReLU / sigmoid activations and
 //!   set average-pooling, each with an explicit hand-written backward pass (verified against
 //!   finite differences in tests);
@@ -34,6 +42,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
+pub mod gemm;
 pub mod layers;
 pub mod loss;
 pub mod matrix;
@@ -42,10 +51,11 @@ pub mod parallel;
 pub mod train;
 
 pub use batch::{
-    broadcast_rows, concat_columns, concat_rows, expand_concat, expand_concat_backward,
-    expand_full, expand_full_backward, segment_pool, segment_pool_backward, shard_ranges,
+    broadcast_rows, concat_columns, expand_concat, expand_concat_backward, expand_full,
+    expand_full_backward, expand_full_tail, segment_pool, segment_pool_backward, shard_ranges,
     split_columns, RaggedBatch, SegmentPool, SparseRows,
 };
+pub use gemm::{gemm_packed, Epilogue, PackedWeights};
 pub use layers::{
     mean_pool, mean_pool_backward, relu, relu_backward, relu_backward_in_place, relu_in_place,
     sigmoid, sigmoid_backward, sigmoid_in_place, Dense, Param,

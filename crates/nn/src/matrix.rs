@@ -1,8 +1,8 @@
 //! A minimal dense row-major matrix type.
 //!
-//! The CRN and MSCN models are small multi-layer perceptrons (a few hundred units), so an
-//! unblocked `f32` matrix with straightforward `ikj` matrix multiplication is entirely
-//! sufficient — the training bottleneck is the number of samples, not BLAS throughput.
+//! The CRN and MSCN models are small multi-layer perceptrons (a few hundred units), so one
+//! unblocked row-major `f32` matrix type is entirely sufficient; its dense product runs
+//! through the register-blocked kernels of [`crate::gemm`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,14 +109,19 @@ impl Matrix {
         &mut self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Matrix multiplication `self (m×k) * other (k×n) -> (m×n)` — the dense kernel.
+    /// Matrix multiplication `self (m×k) * other (k×n) -> (m×n)` — the dense kernel, and the
+    /// strided entry point of [`crate::gemm`] (training's: its weights move every step, so
+    /// there is nothing to prepack; inference multiplies by
+    /// [`PackedWeights`](crate::gemm::PackedWeights) through
+    /// [`gemm_packed`](crate::gemm::gemm_packed) instead, with bit-identical results).
     ///
-    /// Dispatches to a register-blocked AVX2+FMA microkernel when the CPU supports it (the
+    /// Runs the row-block micro-kernel of the best SIMD tier the CPU has (AVX-512, else
+    /// AVX2+FMA, else portable loops): blocks of up to 8 (4) rows keep their slice of the
+    /// output in registers over the whole reduction and share every load of `other` — the
     /// mechanism that makes one `(B×d)·(d×H)` GEMM over a ragged batch several times faster
-    /// than `B` per-sample products — per-sample execution is a register-starved GEMV that
-    /// re-streams the weight matrix from cache for every sample, while the blocked kernel
-    /// reuses each weight load across a block of batch rows).  Falls back to the portable
-    /// `ikj` loop elsewhere.
+    /// than `B` per-sample products, each of which would re-stream the weight matrix from
+    /// cache.  The block height is generic, so the last `m % 8` rows run the same body as a
+    /// full block.
     ///
     /// The kernel is branch-free: an earlier version skipped zero left entries inside the
     /// inner loop, but benchmarking showed the check costs ~7% on dense activations (the
@@ -132,7 +137,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        gemm::gemm(
+        crate::gemm::gemm_strided(
             &self.data,
             &other.data,
             &mut out.data,
@@ -326,291 +331,6 @@ impl Matrix {
     /// Frobenius norm (used in tests and for diagnostics).
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-}
-
-/// The dense GEMM kernel behind [`Matrix::matmul`]: a register-blocked AVX2+FMA microkernel
-/// with runtime feature detection, falling back to the portable `ikj` loop.
-mod gemm {
-    /// `c (m×n) = a (m×k) · b (k×n)`, all row-major; `c` must arrive zeroed.
-    pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(c.len(), m * n);
-        if n == 1 {
-            // Thin output (the models' scalar heads): per-row dot products with unrolled
-            // accumulators beat both the strided scalar loop and 1-lane SIMD.
-            gemv_single_column(a, b, c, m, k);
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::sync::OnceLock;
-            /// 0 = scalar, 1 = AVX2+FMA, 2 = AVX-512F.
-            static SIMD_TIER: OnceLock<u8> = OnceLock::new();
-            let tier = *SIMD_TIER.get_or_init(|| {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    2
-                } else if std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-                {
-                    1
-                } else {
-                    0
-                }
-            });
-            // SAFETY: the required CPU features were just detected, and the slice dimensions
-            // are checked by the debug asserts above / enforced by Matrix.
-            if tier == 2 && n >= 4 {
-                unsafe { avx512::gemm(a, b, c, m, k, n) };
-                return;
-            }
-            if tier >= 1 && n >= 8 {
-                unsafe { avx2::gemm(a, b, c, m, k, n) };
-                return;
-            }
-        }
-        gemm_scalar(a, b, c, 0..m, k, n, 0, n);
-    }
-
-    /// `c (m×1) = a (m×k) · b (k×1)`: four independent accumulator chains per row.
-    fn gemv_single_column(a: &[f32], b: &[f32], c: &mut [f32], _m: usize, k: usize) {
-        let unrolled = k / 4 * 4;
-        for (i, out) in c.iter_mut().enumerate() {
-            let row = &a[i * k..(i + 1) * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            let mut p = 0;
-            while p < unrolled {
-                s0 += row[p] * b[p];
-                s1 += row[p + 1] * b[p + 1];
-                s2 += row[p + 2] * b[p + 2];
-                s3 += row[p + 3] * b[p + 3];
-                p += 4;
-            }
-            let mut sum = (s0 + s1) + (s2 + s3);
-            for q in unrolled..k {
-                sum += row[q] * b[q];
-            }
-            *out = sum;
-        }
-    }
-
-    /// Portable `ikj` kernel over a row range and column stripe (also the remainder path of
-    /// the SIMD kernel).
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_scalar(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        rows: std::ops::Range<usize>,
-        k: usize,
-        n: usize,
-        col_start: usize,
-        col_end: usize,
-    ) {
-        for i in rows {
-            for p in 0..k {
-                let scale = a[i * k + p];
-                let b_row = &b[p * n + col_start..p * n + col_end];
-                let c_row = &mut c[i * n + col_start..i * n + col_end];
-                for (o, &v) in c_row.iter_mut().zip(b_row) {
-                    *o += scale * v;
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    mod avx512 {
-        use std::arch::x86_64::*;
-
-        /// Rows per register block.
-        const MR: usize = 8;
-        /// Columns per wide strip (two 16-lane ZMM vectors).
-        const NR: usize = 32;
-
-        /// Register-blocked AVX-512 GEMM: 8×32 blocks (sixteen ZMM accumulators) over the
-        /// bulk, then an 8×16 masked strip for the column tail — every matrix width
-        /// vectorizes, including the models' narrow `H`/`2H` layers, with no scalar
-        /// remainder at all.
-        ///
-        /// # Safety
-        /// Requires AVX-512F; slices must have the advertised `m·k` / `k·n` / `m·n` lengths.
-        #[target_feature(enable = "avx512f")]
-        pub unsafe fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-            let a_ptr = a.as_ptr();
-            let b_ptr = b.as_ptr();
-            let c_ptr = c.as_mut_ptr();
-            let m_blocked = m - m % MR;
-
-            // Wide 32-column strips: two b loads amortized over sixteen FMAs per block row.
-            let mut j = 0;
-            while j + NR <= n {
-                let mut i = 0;
-                while i < m_blocked {
-                    let mut acc = [[_mm512_setzero_ps(); 2]; MR];
-                    for p in 0..k {
-                        let b0 = _mm512_loadu_ps(b_ptr.add(p * n + j));
-                        let b1 = _mm512_loadu_ps(b_ptr.add(p * n + j + 16));
-                        for (r, acc_row) in acc.iter_mut().enumerate() {
-                            let scale = _mm512_set1_ps(*a_ptr.add((i + r) * k + p));
-                            acc_row[0] = _mm512_fmadd_ps(scale, b0, acc_row[0]);
-                            acc_row[1] = _mm512_fmadd_ps(scale, b1, acc_row[1]);
-                        }
-                    }
-                    for (r, acc_row) in acc.iter().enumerate() {
-                        _mm512_storeu_ps(c_ptr.add((i + r) * n + j), acc_row[0]);
-                        _mm512_storeu_ps(c_ptr.add((i + r) * n + j + 16), acc_row[1]);
-                    }
-                    i += MR;
-                }
-                while i < m {
-                    let mut acc0 = _mm512_setzero_ps();
-                    let mut acc1 = _mm512_setzero_ps();
-                    for p in 0..k {
-                        let b0 = _mm512_loadu_ps(b_ptr.add(p * n + j));
-                        let b1 = _mm512_loadu_ps(b_ptr.add(p * n + j + 16));
-                        let scale = _mm512_set1_ps(*a_ptr.add(i * k + p));
-                        acc0 = _mm512_fmadd_ps(scale, b0, acc0);
-                        acc1 = _mm512_fmadd_ps(scale, b1, acc1);
-                    }
-                    _mm512_storeu_ps(c_ptr.add(i * n + j), acc0);
-                    _mm512_storeu_ps(c_ptr.add(i * n + j + 16), acc1);
-                    i += 1;
-                }
-                j += NR;
-            }
-
-            // Column tail: masked 16-lane strips.
-            while j < n {
-                let width = (n - j).min(16);
-                let mask: __mmask16 = if width == 16 {
-                    0xFFFF
-                } else {
-                    (1u16 << width) - 1
-                };
-
-                let mut i = 0;
-                while i < m_blocked {
-                    let mut acc = [_mm512_setzero_ps(); MR];
-                    for p in 0..k {
-                        let b_vec = _mm512_maskz_loadu_ps(mask, b_ptr.add(p * n + j));
-                        for (r, acc_row) in acc.iter_mut().enumerate() {
-                            let scale = _mm512_set1_ps(*a_ptr.add((i + r) * k + p));
-                            *acc_row = _mm512_fmadd_ps(scale, b_vec, *acc_row);
-                        }
-                    }
-                    for (r, acc_row) in acc.iter().enumerate() {
-                        _mm512_mask_storeu_ps(c_ptr.add((i + r) * n + j), mask, *acc_row);
-                    }
-                    i += MR;
-                }
-                while i < m {
-                    let mut acc = _mm512_setzero_ps();
-                    for p in 0..k {
-                        let b_vec = _mm512_maskz_loadu_ps(mask, b_ptr.add(p * n + j));
-                        let scale = _mm512_set1_ps(*a_ptr.add(i * k + p));
-                        acc = _mm512_fmadd_ps(scale, b_vec, acc);
-                    }
-                    _mm512_mask_storeu_ps(c_ptr.add(i * n + j), mask, acc);
-                    i += 1;
-                }
-                j += width;
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    mod avx2 {
-        use std::arch::x86_64::*;
-
-        /// Rows per register block.
-        const MR: usize = 4;
-        /// Columns per register block (two 8-lane vectors).
-        const NR: usize = 16;
-
-        /// Register-blocked GEMM: 4×16 blocks of `c` are held in eight YMM accumulators
-        /// across the whole `k` reduction, so every `b` load is reused four times and every
-        /// FMA issues back-to-back — the reuse a 1-row GEMV cannot express, which is what
-        /// separates the batched from the per-sample execution cost.
-        ///
-        /// # Safety
-        /// Requires AVX2+FMA; slices must have the advertised `m·k` / `k·n` / `m·n` lengths.
-        #[target_feature(enable = "avx2", enable = "fma")]
-        pub unsafe fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-            let a_ptr = a.as_ptr();
-            let b_ptr = b.as_ptr();
-            let c_ptr = c.as_mut_ptr();
-            let n_blocked = n - n % NR;
-            let m_blocked = m - m % MR;
-
-            let mut i = 0;
-            while i < m_blocked {
-                let mut j = 0;
-                while j < n_blocked {
-                    let mut acc00 = _mm256_setzero_ps();
-                    let mut acc01 = _mm256_setzero_ps();
-                    let mut acc10 = _mm256_setzero_ps();
-                    let mut acc11 = _mm256_setzero_ps();
-                    let mut acc20 = _mm256_setzero_ps();
-                    let mut acc21 = _mm256_setzero_ps();
-                    let mut acc30 = _mm256_setzero_ps();
-                    let mut acc31 = _mm256_setzero_ps();
-                    for p in 0..k {
-                        let b0 = _mm256_loadu_ps(b_ptr.add(p * n + j));
-                        let b1 = _mm256_loadu_ps(b_ptr.add(p * n + j + 8));
-                        let a0 = _mm256_set1_ps(*a_ptr.add(i * k + p));
-                        acc00 = _mm256_fmadd_ps(a0, b0, acc00);
-                        acc01 = _mm256_fmadd_ps(a0, b1, acc01);
-                        let a1 = _mm256_set1_ps(*a_ptr.add((i + 1) * k + p));
-                        acc10 = _mm256_fmadd_ps(a1, b0, acc10);
-                        acc11 = _mm256_fmadd_ps(a1, b1, acc11);
-                        let a2 = _mm256_set1_ps(*a_ptr.add((i + 2) * k + p));
-                        acc20 = _mm256_fmadd_ps(a2, b0, acc20);
-                        acc21 = _mm256_fmadd_ps(a2, b1, acc21);
-                        let a3 = _mm256_set1_ps(*a_ptr.add((i + 3) * k + p));
-                        acc30 = _mm256_fmadd_ps(a3, b0, acc30);
-                        acc31 = _mm256_fmadd_ps(a3, b1, acc31);
-                    }
-                    _mm256_storeu_ps(c_ptr.add(i * n + j), acc00);
-                    _mm256_storeu_ps(c_ptr.add(i * n + j + 8), acc01);
-                    _mm256_storeu_ps(c_ptr.add((i + 1) * n + j), acc10);
-                    _mm256_storeu_ps(c_ptr.add((i + 1) * n + j + 8), acc11);
-                    _mm256_storeu_ps(c_ptr.add((i + 2) * n + j), acc20);
-                    _mm256_storeu_ps(c_ptr.add((i + 2) * n + j + 8), acc21);
-                    _mm256_storeu_ps(c_ptr.add((i + 3) * n + j), acc30);
-                    _mm256_storeu_ps(c_ptr.add((i + 3) * n + j + 8), acc31);
-                    j += NR;
-                }
-                if j < n {
-                    super::gemm_scalar(a, b, c, i..i + MR, k, n, j, n);
-                }
-                i += MR;
-            }
-
-            // Row remainder: 1×16 blocks (a SIMD GEMV), then the scalar corner.
-            while i < m {
-                let mut j = 0;
-                while j < n_blocked {
-                    let mut acc0 = _mm256_setzero_ps();
-                    let mut acc1 = _mm256_setzero_ps();
-                    for p in 0..k {
-                        let b0 = _mm256_loadu_ps(b_ptr.add(p * n + j));
-                        let b1 = _mm256_loadu_ps(b_ptr.add(p * n + j + 8));
-                        let a0 = _mm256_set1_ps(*a_ptr.add(i * k + p));
-                        acc0 = _mm256_fmadd_ps(a0, b0, acc0);
-                        acc1 = _mm256_fmadd_ps(a0, b1, acc1);
-                    }
-                    _mm256_storeu_ps(c_ptr.add(i * n + j), acc0);
-                    _mm256_storeu_ps(c_ptr.add(i * n + j + 8), acc1);
-                    j += NR;
-                }
-                if j < n {
-                    super::gemm_scalar(a, b, c, i..i + 1, k, n, j, n);
-                }
-                i += 1;
-            }
-        }
     }
 }
 
