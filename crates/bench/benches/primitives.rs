@@ -13,7 +13,9 @@ use crn_core::{Cnt2Crd, CrnModel, QueriesPool};
 use crn_db::imdb::{generate_imdb, ImdbConfig};
 use crn_estimators::{ContainmentEstimator, DatabaseStats, MscnModel, StatsConfig};
 use crn_exec::{Executor, TableSamples};
-use crn_nn::{gemm_packed, Dense, Epilogue, Matrix, PackedWeights, TrainConfig};
+use crn_nn::{
+    gemm_packed, Adam, Dense, Epilogue, Matrix, PackedWeights, Param, ThreadPoolConfig, TrainConfig,
+};
 use crn_query::ast::Query;
 use crn_query::generator::{GeneratorConfig, QueryGenerator};
 
@@ -153,6 +155,73 @@ fn bench_nn_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The sub-steps of one CRN training step at the benchmark fixture's operating point
+/// (`H = 128`, 8 deterministic shards of 16 pairs on 2 threads), and the step itself.
+fn bench_training_step(c: &mut Criterion) {
+    let ctx = shared_context();
+    let mut group = c.benchmark_group("training_step");
+    group
+        .sample_size(30)
+        .warm_up_time(Duration::from_secs(1))
+        .measurement_time(Duration::from_secs(3));
+
+    // The optimizer pass over `out1.w` (512×256 = 131,072 elements): with live moments, and
+    // with every first moment parked on the smallest subnormal under zero gradients — where
+    // an optimizer that stores what it computes stays forever.
+    let gradient = Matrix::xavier_seeded(512, 256, 21);
+    let mut live = Param::new(Matrix::xavier_seeded(512, 256, 22));
+    let mut adam = Adam::default();
+    group.bench_function("adam_step_131k_normal", |b| {
+        b.iter(|| adam.step_with(vec![&mut live], std::slice::from_ref(&gradient)))
+    });
+    let zero_gradient = Matrix::zeros(512, 256);
+    let mut stuck = Param::new(Matrix::xavier_seeded(512, 256, 23));
+    stuck.m = Matrix::from_vec(512, 256, vec![f32::from_bits(1); 512 * 256]);
+    group.bench_function("adam_step_131k_stuck_subnormal_moments", |b| {
+        b.iter(|| adam.step_with(vec![&mut stuck], std::slice::from_ref(&zero_gradient)))
+    });
+
+    // One shard's backward through `out1`: dL/dW and dL/db into the shard's accumulators,
+    // dL/dx returned — against transposed panels repacked once per step
+    // (`dense_panels_512x256`, shared by the step's 8 shards).
+    let layer = Dense::new(512, 256, 24);
+    let x = Matrix::xavier_seeded(16, 512, 25);
+    let grad_y = Matrix::xavier_seeded(16, 256, 26);
+    let mut transposed = PackedWeights::pack_transposed(&layer.w.value);
+    let (mut grad_w, mut grad_b) = (Matrix::zeros(512, 256), Matrix::zeros(1, 256));
+    group.bench_function("dense_backward_16x512x256", |b| {
+        b.iter(|| {
+            grad_w.fill_zero();
+            grad_b.fill_zero();
+            black_box(Dense::backward_into(
+                &transposed,
+                &x,
+                &grad_y,
+                &mut grad_w,
+                &mut grad_b,
+            ))
+        })
+    });
+    group.bench_function("dense_panels_512x256", |b| {
+        b.iter(|| transposed.repack_transposed(black_box(&layer.w.value)))
+    });
+
+    let mut model = CrnModel::new(
+        &ctx.db,
+        TrainConfig {
+            hidden_size: 128,
+            parallel: ThreadPoolConfig::deterministic(2),
+            ..TrainConfig::default()
+        },
+    );
+    let pairs = &ctx.containment_training[..128];
+    let mut adam = Adam::default();
+    group.bench_function("crn_train_step_128_h128", |b| {
+        b.iter(|| black_box(model.fit_incremental(pairs, &mut adam, 1)))
+    });
+    group.finish();
+}
+
 /// Batched vs per-sample training epochs for both models (the tentpole comparison): one
 /// ragged-batch forward/backward per mini-batch against one forward/backward per sample,
 /// at the paper's H = 64 / batch = 128 operating point.
@@ -281,6 +350,7 @@ criterion_group!(
     bench_database_generation_and_stats,
     bench_nn_kernels,
     bench_crn_prediction,
+    bench_training_step,
     bench_training_epoch_batched_vs_reference,
     bench_cnt2crd_serving
 );

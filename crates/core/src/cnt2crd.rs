@@ -349,13 +349,14 @@ impl<M: ContainmentEstimator + Sync + ?Sized, S: Borrow<PoolShard> + Sync> Cnt2C
         };
 
         let compute_started = Instant::now();
-        let per_item: Vec<Vec<Vec<f64>>> = workers.run_sharded(items.len(), |item| {
+        // Per item: the `(anchor, query)` pairings it ran through the model, and its queries' lists.
+        let per_item: Vec<(usize, Vec<Vec<f64>>)> = workers.run_sharded(items.len(), |item| {
             let (key, indices, shard) = items[item];
             let group: Vec<&Query> = indices.iter().map(|&index| &queries[index]).collect();
             let Some(shard) = shard else {
                 let ranked = matching_top_k(self.shards, group[0], self.config.top_k);
                 let anchors: Vec<&PoolEntry> = ranked.into_iter().map(|(_, entry)| entry).collect();
-                return self.group_estimates(&anchors, None, &group);
+                return (anchors.len(), self.group_estimates(&anchors, None, &group));
             };
             let anchors: Vec<&PoolEntry> = self.shards[shard].borrow().matching_key(key).collect();
             let prepared = self
@@ -364,13 +365,15 @@ impl<M: ContainmentEstimator + Sync + ?Sized, S: Borrow<PoolShard> + Sync> Cnt2C
                     let versions = (model_version, shard_versions[shard]);
                     cache.get_or_prepare(self.model, versions, shard, key, &anchors)
                 });
-            self.group_estimates(&anchors, prepared.as_deref(), &group)
+            let lists = self.group_estimates(&anchors, prepared.as_deref(), &group);
+            (anchors.len() * group.len(), lists)
         });
         stats.compute_time = compute_started.elapsed();
 
         let merge_started = Instant::now();
         let mut per_query: Vec<Vec<f64>> = vec![Vec::new(); queries.len()];
-        for ((_, indices, _), lists) in items.iter().zip(per_item) {
+        for ((_, indices, _), (scored, lists)) in items.iter().zip(per_item) {
+            stats.anchors_scored += scored;
             for (&index, list) in indices.iter().zip(lists) {
                 per_query[index].extend(list);
             }

@@ -20,7 +20,7 @@
 use crn_db::database::Database;
 use crn_db::schema::ColumnRef;
 use crn_db::value::CompareOp;
-use crn_nn::Matrix;
+use crn_nn::{Matrix, SparseRows};
 use crn_query::ast::Query;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -119,42 +119,24 @@ impl CrnFeaturizer {
     /// A query always has at least one table, so the resulting matrix has at least one row.
     pub fn featurize(&self, query: &Query) -> Matrix {
         let dim = self.vector_dim();
-        let mut rows: Vec<Vec<f32>> = Vec::with_capacity(
-            query.tables().len() + query.joins().len() + query.predicates().len(),
-        );
+        let mut data = Vec::with_capacity(Self::num_rows(query) * dim);
+        self.for_each_row(query, |entries| {
+            let start = data.len();
+            data.resize(start + dim, 0.0f32);
+            for &(column, value) in entries {
+                data[start + column] = value;
+            }
+        });
+        Matrix::from_vec(data.len() / dim, dim, data)
+    }
 
-        for table in query.tables() {
-            let mut row = vec![0.0f32; dim];
-            if let Some(&idx) = self.table_index.get(table) {
-                row[idx] = 1.0;
-            }
-            rows.push(row);
-        }
-        for join in query.joins() {
-            let mut row = vec![0.0f32; dim];
-            if let Some(idx) = self.global_column(&join.left) {
-                row[self.j1_offset() + idx] = 1.0;
-            }
-            if let Some(idx) = self.global_column(&join.right) {
-                row[self.j2_offset() + idx] = 1.0;
-            }
-            rows.push(row);
-        }
-        for predicate in query.predicates() {
-            let mut row = vec![0.0f32; dim];
-            if let Some(idx) = self.global_column(&predicate.column) {
-                row[self.c_offset() + idx] = 1.0;
-            }
-            row[self.o_offset() + predicate.op.index()] = 1.0;
-            row[self.v_offset()] = self.normalize_literal(&predicate.column, predicate.value);
-            rows.push(row);
-        }
-
-        let mut data = Vec::with_capacity(rows.len() * dim);
-        for row in &rows {
-            data.extend_from_slice(row);
-        }
-        Matrix::from_vec(rows.len(), dim, data)
+    /// [`CrnFeaturizer::featurize`] as CSR rows — the same non-zeros in the same order, with
+    /// no dense row in between.  Training featurizes every pair of a corpus with this.
+    pub fn featurize_sparse(&self, query: &Query) -> SparseRows {
+        let rows = Self::num_rows(query);
+        let mut sparse = SparseRows::with_capacity(rows, 3 * rows);
+        self.for_each_row(query, |entries| sparse.push_row(entries));
+        sparse
     }
 
     /// Featurizes both queries of a pair.
@@ -162,13 +144,55 @@ impl CrnFeaturizer {
         (self.featurize(q1), self.featurize(q2))
     }
 
-    fn global_column(&self, column: &ColumnRef) -> Option<usize> {
-        self.column_index.get(&column_key(column)).copied()
+    fn num_rows(query: &Query) -> usize {
+        query.tables().len() + query.joins().len() + query.predicates().len()
+    }
+
+    /// The row format of the module docs, once: calls `emit` with the `(column, value)`
+    /// entries of each row — tables, then joins, then predicates — in ascending column
+    /// order.  Every other column of the row is zero.
+    fn for_each_row(&self, query: &Query, mut emit: impl FnMut(&[(usize, f32)])) {
+        // One key buffer and one entry buffer for all rows of the query.
+        let mut key = String::new();
+        let mut entries: Vec<(usize, f32)> = Vec::with_capacity(3);
+        for table in query.tables() {
+            entries.clear();
+            entries.extend(self.table_index.get(table).map(|&idx| (idx, 1.0)));
+            emit(&entries);
+        }
+        for join in query.joins() {
+            entries.clear();
+            for (column, offset) in [
+                (&join.left, self.j1_offset()),
+                (&join.right, self.j2_offset()),
+            ] {
+                write_column_key(&mut key, column);
+                entries.extend(self.column_index.get(&key).map(|idx| (offset + idx, 1.0)));
+            }
+            emit(&entries);
+        }
+        for predicate in query.predicates() {
+            entries.clear();
+            write_column_key(&mut key, &predicate.column);
+            entries.extend(
+                self.column_index
+                    .get(&key)
+                    .map(|idx| (self.c_offset() + idx, 1.0)),
+            );
+            entries.push((self.o_offset() + predicate.op.index(), 1.0));
+            entries.push((self.v_offset(), self.normalize_keyed(&key, predicate.value)));
+            emit(&entries);
+        }
     }
 
     /// Normalizes a literal into `[0, 1]` using the column's min/max values in the database.
     pub fn normalize_literal(&self, column: &ColumnRef, value: i64) -> f32 {
-        match self.column_ranges.get(&column_key(column)) {
+        self.normalize_keyed(&column_key(column), value)
+    }
+
+    /// [`CrnFeaturizer::normalize_literal`] for the column with the given [`column_key`].
+    fn normalize_keyed(&self, key: &str, value: i64) -> f32 {
+        match self.column_ranges.get(key) {
             Some(&(lo, hi)) if hi > lo => {
                 (((value - lo) as f64 / (hi - lo) as f64).clamp(0.0, 1.0)) as f32
             }
@@ -179,7 +203,17 @@ impl CrnFeaturizer {
 
 /// The string key `"table.column"` used for the featurizer's internal maps.
 fn column_key(column: &ColumnRef) -> String {
-    format!("{}.{}", column.table, column.column)
+    let mut key = String::new();
+    write_column_key(&mut key, column);
+    key
+}
+
+/// Overwrites `key` with [`column_key`]`(column)`, reusing its allocation.
+fn write_column_key(key: &mut String, column: &ColumnRef) {
+    key.clear();
+    key.push_str(&column.table);
+    key.push('.');
+    key.push_str(&column.column);
 }
 
 #[cfg(test)]
@@ -292,6 +326,40 @@ mod tests {
         assert!((0.0..=1.0).contains(&pred_row[v_offset]));
         // Nothing outside those segments is set for predicate rows.
         assert!(pred_row[..c_offset].iter().all(|&x| x == 0.0));
+    }
+
+    /// The CSR rows are the dense rows' non-zeros in column order — including a literal that
+    /// normalizes to 0.0 (dropped from both) and names the schema does not know.
+    #[test]
+    fn sparse_featurization_is_the_dense_one_scanned() {
+        let db = db();
+        let feat = CrnFeaturizer::new(&db);
+        let year = ColumnRef::new(tables::TITLE, "production_year");
+        let (lowest, _) = db.column_min_max(&year).unwrap();
+        let mut queries = vec![example_query(), Query::scan(tables::TITLE)];
+        queries.push(Query::new(
+            [tables::TITLE.to_string(), "no_such_table".to_string()],
+            [JoinClause::new(
+                ColumnRef::new(tables::TITLE, "id"),
+                ColumnRef::new("no_such_table", "id"),
+            )],
+            [
+                Predicate::new(year, CompareOp::Gt, lowest),
+                Predicate::new(ColumnRef::new("no_such_table", "x"), CompareOp::Eq, 1),
+            ],
+        ));
+        for query in &queries {
+            let dense = feat.featurize(query);
+            let sparse = feat.featurize_sparse(query);
+            assert_eq!(sparse, SparseRows::from_matrix(&dense));
+            assert_eq!(sparse.num_rows(), dense.rows());
+        }
+        let zero_literal = feat.featurize_sparse(&queries[2]);
+        assert_eq!(
+            zero_literal.row(3).count(),
+            2,
+            "column and operator, no literal"
+        );
     }
 
     #[test]

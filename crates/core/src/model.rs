@@ -31,7 +31,7 @@ use crn_nn::layers::{
 use crn_nn::loss::{loss_and_grad, mean_q_error};
 use crn_nn::matrix::Matrix;
 use crn_nn::optim::Adam;
-use crn_nn::parallel::{reduce_gradients, GradientSet, ThreadPoolConfig, WorkerPool};
+use crn_nn::parallel::{GradientSet, ShardGradients, ThreadPoolConfig, WorkerPool};
 use crn_nn::train::{
     shuffled_batches, train_validation_split, EarlyStopping, EpochStats, TrainConfig,
     TrainingHistory,
@@ -131,6 +131,38 @@ impl PartialEq for PackedHead {
     /// Always equal: the cell is a function of `out1`, which the model compares itself.
     fn eq(&self, _: &PackedHead) -> bool {
         true
+    }
+}
+
+/// What a training run keeps from one mini-batch to the next, allocated once per `fit` /
+/// `fit_incremental` call.
+#[derive(Debug)]
+struct StepScratch {
+    panels: StepPanels,
+    shards: ShardGradients,
+}
+
+/// `MLPout`'s weights as a training step's backward pass multiplies by them, packed once
+/// before the step's shards are dispatched: every shard's `dL/dx = g·Wᵀ` is a product over
+/// panels packed from the transposed source instead of a transpose of its own.
+#[derive(Debug)]
+struct StepPanels {
+    out1_transposed: PackedWeights,
+    out2_transposed: PackedWeights,
+}
+
+impl StepPanels {
+    fn of(model: &CrnModel) -> Self {
+        StepPanels {
+            out1_transposed: PackedWeights::pack_transposed(&model.out1.w.value),
+            out2_transposed: PackedWeights::pack_transposed(&model.out2.w.value),
+        }
+    }
+
+    /// Repacks the panels from the model's current weights, in place.
+    fn refresh(&mut self, model: &CrnModel) {
+        self.out1_transposed.repack_transposed(&model.out1.w.value);
+        self.out2_transposed.repack_transposed(&model.out2.w.value);
     }
 }
 
@@ -314,6 +346,14 @@ impl CrnModel {
         )
     }
 
+    /// Panels and per-shard gradient sets for training this model under `parallel`.
+    fn step_scratch(&self, parallel: &ThreadPoolConfig) -> StepScratch {
+        StepScratch {
+            panels: StepPanels::of(self),
+            shards: ShardGradients::new(&self.gradient_shapes(), parallel),
+        }
+    }
+
     fn forward_batch(&self, v1: RaggedBatch, v2: RaggedBatch) -> BatchCache {
         debug_assert_eq!(v1.num_segments(), v2.num_segments(), "pairs must line up");
         let pool = self.segment_pool_kind();
@@ -360,8 +400,8 @@ impl CrnModel {
     /// accumulate privately.
     #[cfg(test)]
     fn backward_batch(&mut self, cache: &BatchCache, grad_output: &Matrix) {
-        let mut grads = self.gradient_set();
-        self.backward_batch_into(cache, grad_output, &mut grads);
+        let mut grads = GradientSet::zeros(&self.gradient_shapes());
+        self.backward_batch_into(&StepPanels::of(self), cache, grad_output, &mut grads);
         for (param, grad) in self.params_vec_mut().into_iter().zip(grads.parts()) {
             param.grad.add_assign(grad);
         }
@@ -372,21 +412,30 @@ impl CrnModel {
     /// mini-batch runs this against the same read-only model.
     fn backward_batch_into(
         &self,
+        panels: &StepPanels,
         cache: &BatchCache,
         grad_output: &Matrix,
         grads: &mut GradientSet,
     ) {
         use grad_index::*;
         let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, grad_output);
-        let (grad_w, grad_b, mut grad_z_out1) =
-            self.out2.backward_dense_calc(&cache.a_out1, &grad_z_out2);
-        grads.part_mut(OUT2_W).add_assign(&grad_w);
-        grads.part_mut(OUT2_B).add_assign(&grad_b);
+        let (grad_w, grad_b) = grads.pair_mut(OUT2_W, OUT2_B);
+        let mut grad_z_out1 = Dense::backward_into(
+            &panels.out2_transposed,
+            &cache.a_out1,
+            &grad_z_out2,
+            grad_w,
+            grad_b,
+        );
         relu_backward_in_place(&cache.a_out1, &mut grad_z_out1);
-        let (grad_w, grad_b, grad_expanded) =
-            self.out1.backward_dense_calc(&cache.expanded, &grad_z_out1);
-        grads.part_mut(OUT1_W).add_assign(&grad_w);
-        grads.part_mut(OUT1_B).add_assign(&grad_b);
+        let (grad_w, grad_b) = grads.pair_mut(OUT1_W, OUT1_B);
+        let grad_expanded = Dense::backward_into(
+            &panels.out1_transposed,
+            &cache.expanded,
+            &grad_z_out1,
+            grad_w,
+            grad_b,
+        );
         let (grad_qvec1, grad_qvec2) = match self.options.expand {
             ExpandMode::Full => expand_full_backward(&cache.qvec1, &cache.qvec2, &grad_expanded),
             ExpandMode::Concat => expand_concat_backward(&grad_expanded),
@@ -406,14 +455,14 @@ impl CrnModel {
         Dense::accumulate_ragged_weights_only(&cache.v2, &grad_z2, grad_w, grad_b);
     }
 
-    /// A zeroed gradient set shaped like this model's parameters (order: [`grad_index`]).
-    fn gradient_set(&self) -> GradientSet {
+    /// The shapes of this model's parameters (order: [`grad_index`]).
+    fn gradient_shapes(&self) -> Vec<(usize, usize)> {
         let mut shapes = Vec::with_capacity(8);
         shapes.extend(self.mlp1.grad_shapes());
         shapes.extend(self.mlp2.grad_shapes());
         shapes.extend(self.out1.grad_shapes());
         shapes.extend(self.out2.grad_shapes());
-        GradientSet::zeros(&shapes)
+        shapes
     }
 
     /// Seed-faithful single-pair forward pass: 1-row matrices end to end, scalar pooling and
@@ -524,21 +573,14 @@ impl CrnModel {
         adam.step(params);
     }
 
-    /// One (single-threaded) Adam step over an externally merged gradient set — the tail of
-    /// every data-parallel mini-batch.
-    fn adam_step_with(&mut self, adam: &mut Adam, grads: &GradientSet) {
-        let params = self.params_vec_mut();
-        adam.step_with(params, grads.parts());
-    }
-
     /// Trains the model on labelled containment pairs; returns the per-epoch history
     /// (used to reproduce Figures 3 and 4).
     ///
     /// Each mini-batch runs through the ragged-batch engine (`crn_nn::batch`), split into
     /// shards executed by the data-parallel pool of [`TrainConfig::parallel`]
     /// (`crn_nn::parallel`): every shard runs the batched forward/backward against the same
-    /// read-only model into its own gradient set, the shards are merged in fixed order, and
-    /// a single-threaded Adam step applies the merged gradient.  At `threads = 1` (the
+    /// read-only model into its own gradient set, and one optimizer pass sums the sets in
+    /// fixed order and applies the sum ([`Adam::step_sharded`]).  At `threads = 1` (the
     /// default) this is exactly the one-GEMM-per-batch path; the accumulated gradients are
     /// in every mode mathematically identical to the per-sample loop of
     /// [`CrnModel::fit_reference`] (the parity tests below pin this to 1e-5), and in
@@ -563,6 +605,7 @@ impl CrnModel {
             self.config.seed,
         );
         let mut adam = Adam::new(self.config.learning_rate);
+        let mut scratch = self.step_scratch(&parallel);
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(7));
         let mut early_stopping = EarlyStopping::new(self.config.patience);
         let mut history = TrainingHistory::default();
@@ -572,21 +615,18 @@ impl CrnModel {
             let mut epoch_loss = 0.0f64;
             let mut epoch_samples = 0usize;
             for batch in shuffled_batches(&train_idx, self.config.batch_size, &mut rng) {
-                let batch1 = RaggedBatch::from_sparse_sets(
-                    dim,
-                    batch.iter().map(|&index| &features[index].0),
+                let losses = self.train_batch(
+                    &mut adam,
+                    &workers,
+                    &mut scratch,
+                    &features,
+                    &targets,
+                    &batch,
                 );
-                let batch2 = RaggedBatch::from_sparse_sets(
-                    dim,
-                    batch.iter().map(|&index| &features[index].1),
-                );
-                let (losses, grads) =
-                    self.sharded_batch_step(&parallel, &workers, &batch, batch1, batch2, &targets);
                 for loss in losses {
                     epoch_loss += loss as f64;
                     epoch_samples += 1;
                 }
-                self.adam_step_with(&mut adam, &grads);
             }
 
             let validation_q_error = if valid_idx.is_empty() {
@@ -654,8 +694,10 @@ impl CrnModel {
                 samples[range]
                     .iter()
                     .map(|s| {
-                        let (v1, v2) = self.featurizer.featurize_pair(&s.q1, &s.q2);
-                        (SparseRows::from_matrix(&v1), SparseRows::from_matrix(&v2))
+                        (
+                            self.featurizer.featurize_sparse(&s.q1),
+                            self.featurizer.featurize_sparse(&s.q2),
+                        )
                     })
                     .collect::<Vec<_>>()
             })
@@ -675,9 +717,8 @@ impl CrnModel {
     /// refreshes produce.
     pub fn reset_optimizer_state(&mut self) {
         for param in self.params_vec_mut() {
-            let shape = (param.m.rows(), param.m.cols());
-            param.m = crn_nn::Matrix::zeros(shape.0, shape.1);
-            param.v = crn_nn::Matrix::zeros(shape.0, shape.1);
+            param.m.fill_zero();
+            param.v.fill_zero();
         }
     }
 
@@ -718,10 +759,10 @@ impl CrnModel {
         }
         let parallel = self.config.parallel;
         let workers = parallel.worker_pool();
-        let dim = self.featurizer.vector_dim();
         let features = self.featurize_sparse(samples, &workers, parallel.threads);
         let targets: Vec<f32> = samples.iter().map(|s| s.rate as f32).collect();
         let indices: Vec<usize> = (0..samples.len()).collect();
+        let mut scratch = self.step_scratch(&parallel);
         let mut rng = StdRng::seed_from_u64(
             self.config
                 .seed
@@ -731,21 +772,12 @@ impl CrnModel {
             let mut epoch_loss = 0.0f64;
             let mut epoch_samples = 0usize;
             for batch in shuffled_batches(&indices, self.config.batch_size, &mut rng) {
-                let batch1 = RaggedBatch::from_sparse_sets(
-                    dim,
-                    batch.iter().map(|&index| &features[index].0),
-                );
-                let batch2 = RaggedBatch::from_sparse_sets(
-                    dim,
-                    batch.iter().map(|&index| &features[index].1),
-                );
-                let (losses, grads) =
-                    self.sharded_batch_step(&parallel, &workers, &batch, batch1, batch2, &targets);
+                let losses =
+                    self.train_batch(adam, &workers, &mut scratch, &features, &targets, &batch);
                 for loss in losses {
                     epoch_loss += loss as f64;
                     epoch_samples += 1;
                 }
-                self.adam_step_with(adam, &grads);
             }
             let train_loss = epoch_loss / epoch_samples.max(1) as f64;
             history.record(EpochStats {
@@ -757,11 +789,42 @@ impl CrnModel {
         history
     }
 
-    /// One data-parallel mini-batch: shards the pair of ragged batches at segment
-    /// boundaries, runs the batched forward/backward per shard on the persistent worker
-    /// pool, and merges the per-shard gradients in fixed shard order.  Returns the
-    /// per-sample losses in batch order and the merged gradient set; the caller applies the
-    /// (single-threaded) optimizer step.
+    /// One training step on the samples `batch` of a featurized corpus: assembles their ragged
+    /// batches from the per-sample CSR rows, runs [`CrnModel::sharded_batch_step`] and applies
+    /// the shards' gradients ([`Adam::step_sharded`]: summed in fixed shard order and applied
+    /// in one pass, on the worker pool).  Returns the per-sample losses in batch order.
+    fn train_batch(
+        &mut self,
+        adam: &mut Adam,
+        workers: &WorkerPool,
+        scratch: &mut StepScratch,
+        features: &[(SparseRows, SparseRows)],
+        targets: &[f32],
+        batch: &[usize],
+    ) -> Vec<f32> {
+        let parallel = self.config.parallel;
+        let dim = self.featurizer.vector_dim();
+        let batch1 =
+            RaggedBatch::from_sparse_sets(dim, batch.iter().map(|&index| &features[index].0));
+        let batch2 =
+            RaggedBatch::from_sparse_sets(dim, batch.iter().map(|&index| &features[index].1));
+        let (losses, shard_count) =
+            self.sharded_batch_step(&parallel, workers, batch, batch1, batch2, targets, scratch);
+        adam.step_sharded(
+            self.params_vec_mut(),
+            &scratch.shards.sets(shard_count),
+            parallel.deterministic,
+            workers,
+        );
+        losses
+    }
+
+    /// The data-parallel part of one mini-batch: packs the head's weight panels once, shards
+    /// the pair of ragged batches at segment boundaries, and runs the batched
+    /// forward/backward per shard on the persistent worker pool, each shard into its own
+    /// set of `scratch.shards`.  Returns the per-sample losses in batch order and how many
+    /// shards ran (their sets are `scratch.shards.sets(count)`, in shard order).
+    #[allow(clippy::too_many_arguments)]
     fn sharded_batch_step(
         &self,
         parallel: &ThreadPoolConfig,
@@ -770,12 +833,15 @@ impl CrnModel {
         batch1: RaggedBatch,
         batch2: RaggedBatch,
         targets: &[f32],
-    ) -> (Vec<f32>, GradientSet) {
+        scratch: &mut StepScratch,
+    ) -> (Vec<f32>, usize) {
         let batch_scale = 1.0 / batch_indices.len() as f32;
         let num_shards = parallel.shard_count(batch_indices.len());
+        scratch.panels.refresh(self);
+        let StepScratch { panels, shards } = &*scratch;
 
-        // The per-shard work: forward, per-sample losses, backward into a private set.
-        let step = |v1: RaggedBatch, v2: RaggedBatch, indices: &[usize]| {
+        // The per-shard work: forward, per-sample losses, backward into the shard's set.
+        let step = |shard: usize, v1: RaggedBatch, v2: RaggedBatch, indices: &[usize]| {
             let cache = self.forward_batch(v1, v2);
             let mut losses = Vec::with_capacity(indices.len());
             let mut grad_output = Matrix::zeros(indices.len(), 1);
@@ -785,29 +851,21 @@ impl CrnModel {
                 losses.push(loss.loss);
                 grad_output.set(position, 0, loss.grad * batch_scale);
             }
-            let mut grads = self.gradient_set();
-            self.backward_batch_into(&cache, &grad_output, &mut grads);
-            (losses, grads)
+            self.backward_batch_into(panels, &cache, &grad_output, &mut shards.start(shard));
+            losses
         };
 
         if num_shards <= 1 {
-            return step(batch1, batch2, batch_indices);
+            return (step(0, batch1, batch2, batch_indices), 1);
         }
         let ranges = shard_ranges(batch_indices.len(), num_shards);
-        let results: Vec<(Vec<f32>, GradientSet)> = workers.run_over_ranges(&ranges, |range| {
+        let losses = workers.run_sharded(ranges.len(), |shard| {
+            let range = ranges[shard].clone();
             let v1 = batch1.slice_segments(range.clone());
             let v2 = batch2.slice_segments(range.clone());
-            step(v1, v2, &batch_indices[range])
+            step(shard, v1, v2, &batch_indices[range])
         });
-        let mut losses = Vec::with_capacity(batch_indices.len());
-        let mut shards = Vec::with_capacity(results.len());
-        for (shard_losses, shard_grads) in results {
-            losses.extend(shard_losses);
-            shards.push(shard_grads);
-        }
-        let merged = reduce_gradients(shards, parallel.deterministic)
-            .expect("a non-empty batch produces at least one shard");
-        (losses, merged)
+        (losses.into_iter().flatten().collect(), ranges.len())
     }
 
     /// Reference per-sample training loop: the pre-batching implementation, issuing one
@@ -1111,6 +1169,7 @@ mod tests {
     use super::*;
     use crn_db::imdb::{generate_imdb, ImdbConfig};
     use crn_exec::label_containment_pairs;
+    use crn_nn::parallel::reduce_gradients;
     use crn_query::generator::{GeneratorConfig, QueryGenerator};
 
     fn training_pairs(db: &Database, pairs: usize, seed: u64) -> Vec<ContainmentSample> {
@@ -1548,15 +1607,24 @@ mod tests {
             } else {
                 ThreadPoolConfig::with_threads(threads)
             };
-            let (losses, grads) = model.sharded_batch_step(
+            let mut scratch = model.step_scratch(&pool);
+            let (losses, shard_count) = model.sharded_batch_step(
                 &pool,
                 &pool.worker_pool(),
                 &indices,
                 batch1.clone(),
                 batch2.clone(),
                 &targets,
+                &mut scratch,
             );
             assert_eq!(losses.len(), samples.len());
+            let sets = scratch
+                .shards
+                .sets(shard_count)
+                .into_iter()
+                .cloned()
+                .collect();
+            let grads = reduce_gradients(sets, deterministic).expect("at least one shard");
             for ((name, index), reference) in [
                 ("mlp1.w", grad_index::MLP1_W),
                 ("mlp1.b", grad_index::MLP1_B),
@@ -1729,6 +1797,302 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The training step of the parent commit, written out from primitives — what the
+    /// packed, strided and fused kernels of `train_batch` must reproduce bit for bit:
+    /// features scanned back out of dense one-hot rows, every dense backward product as an
+    /// explicit `transpose()` + `matmul` + `add_assign` into a freshly zeroed set per shard,
+    /// `reduce_gradients` in canonical order, and an Adam loop that stores what it computes,
+    /// subnormal or not.
+    struct ParentTrainer {
+        model: CrnModel,
+        adam: Adam,
+    }
+
+    impl ParentTrainer {
+        fn featurize(&self, samples: &[ContainmentSample]) -> Vec<(SparseRows, SparseRows)> {
+            samples
+                .iter()
+                .map(|s| {
+                    let (v1, v2) = self.model.featurizer.featurize_pair(&s.q1, &s.q2);
+                    (SparseRows::from_matrix(&v1), SparseRows::from_matrix(&v2))
+                })
+                .collect()
+        }
+
+        /// `(dL/dW, dL/db, dL/dx)` of one dense layer.
+        fn dense_backward(layer: &Dense, x: &Matrix, grad_y: &Matrix) -> (Matrix, Matrix, Matrix) {
+            (
+                x.transpose().matmul(grad_y),
+                Matrix::row_vector(&grad_y.column_sums()),
+                grad_y.matmul(&layer.w.value.transpose()),
+            )
+        }
+
+        fn shard_gradients(
+            &self,
+            v1: RaggedBatch,
+            v2: RaggedBatch,
+            indices: &[usize],
+            targets: &[f32],
+            batch_scale: f32,
+        ) -> (Vec<f32>, GradientSet) {
+            use grad_index::*;
+            let model = &self.model;
+            let pool = model.segment_pool_kind();
+            let mut a1 = model.mlp1.forward_ragged(&v1);
+            relu_in_place(&mut a1);
+            let qvec1 = segment_pool(&a1, v1.offsets(), pool);
+            let mut a2 = model.mlp2.forward_ragged(&v2);
+            relu_in_place(&mut a2);
+            let qvec2 = segment_pool(&a2, v2.offsets(), pool);
+            let expanded = model.expand_pairs(&qvec1, &qvec2);
+            let mut a_out1 = model.out1.forward(&expanded);
+            relu_in_place(&mut a_out1);
+            let mut sigmoid_out = model.out2.forward(&a_out1);
+            sigmoid_in_place(&mut sigmoid_out);
+
+            let mut losses = Vec::new();
+            let mut grad_output = Matrix::zeros(indices.len(), 1);
+            for (position, &index) in indices.iter().enumerate() {
+                let loss = loss_and_grad(
+                    model.config.loss,
+                    sigmoid_out.get(position, 0),
+                    targets[index],
+                    RATE_FLOOR,
+                );
+                losses.push(loss.loss);
+                grad_output.set(position, 0, loss.grad * batch_scale);
+            }
+
+            let mut grads = GradientSet::zeros(&model.gradient_shapes());
+            let grad_z_out2 = sigmoid_backward(&sigmoid_out, &grad_output);
+            let (grad_w, grad_b, mut grad_z_out1) =
+                Self::dense_backward(&model.out2, &a_out1, &grad_z_out2);
+            grads.part_mut(OUT2_W).add_assign(&grad_w);
+            grads.part_mut(OUT2_B).add_assign(&grad_b);
+            relu_backward_in_place(&a_out1, &mut grad_z_out1);
+            let (grad_w, grad_b, grad_expanded) =
+                Self::dense_backward(&model.out1, &expanded, &grad_z_out1);
+            grads.part_mut(OUT1_W).add_assign(&grad_w);
+            grads.part_mut(OUT1_B).add_assign(&grad_b);
+            let (grad_qvec1, grad_qvec2) = expand_full_backward(&qvec1, &qvec2, &grad_expanded);
+            let mut grad_z1 = segment_pool_backward(v1.offsets(), &grad_qvec1, pool);
+            relu_backward_in_place(&a1, &mut grad_z1);
+            let (grad_w, grad_b) = grads.pair_mut(MLP1_W, MLP1_B);
+            Dense::accumulate_ragged_weights_only(&v1, &grad_z1, grad_w, grad_b);
+            let mut grad_z2 = segment_pool_backward(v2.offsets(), &grad_qvec2, pool);
+            relu_backward_in_place(&a2, &mut grad_z2);
+            let (grad_w, grad_b) = grads.pair_mut(MLP2_W, MLP2_B);
+            Dense::accumulate_ragged_weights_only(&v2, &grad_z2, grad_w, grad_b);
+            (losses, grads)
+        }
+
+        /// One mini-batch; returns the per-sample losses in batch order.
+        fn step(
+            &mut self,
+            features: &[(SparseRows, SparseRows)],
+            targets: &[f32],
+            batch: &[usize],
+        ) -> Vec<f32> {
+            let dim = self.model.featurizer.vector_dim();
+            let parallel = self.model.config.parallel;
+            assert!(
+                parallel.deterministic,
+                "the canonical order is what is pinned"
+            );
+            let batch1 =
+                RaggedBatch::from_sparse_sets(dim, batch.iter().map(|&index| &features[index].0));
+            let batch2 =
+                RaggedBatch::from_sparse_sets(dim, batch.iter().map(|&index| &features[index].1));
+            let batch_scale = 1.0 / batch.len() as f32;
+            let (mut losses, mut shards) = (Vec::new(), Vec::new());
+            for range in shard_ranges(batch.len(), parallel.shard_count(batch.len())) {
+                let (shard_losses, grads) = self.shard_gradients(
+                    batch1.slice_segments(range.clone()),
+                    batch2.slice_segments(range.clone()),
+                    &batch[range],
+                    targets,
+                    batch_scale,
+                );
+                losses.extend(shard_losses);
+                shards.push(grads);
+            }
+            let merged = reduce_gradients(shards, true).expect("at least one shard");
+
+            let adam = &mut self.adam;
+            adam.step_count += 1;
+            let t = adam.step_count as f32;
+            let (bias1, bias2) = (1.0 - adam.beta1.powf(t), 1.0 - adam.beta2.powf(t));
+            for (param, grad) in self.model.params_vec_mut().into_iter().zip(merged.parts()) {
+                let (value, m, v) = (
+                    param.value.data_mut(),
+                    param.m.data_mut(),
+                    param.v.data_mut(),
+                );
+                for (i, &g) in grad.data().iter().enumerate() {
+                    m[i] = adam.beta1 * m[i] + (1.0 - adam.beta1) * g;
+                    v[i] = adam.beta2 * v[i] + (1.0 - adam.beta2) * g * g;
+                    let (m_hat, v_hat) = (m[i] / bias1, v[i] / bias2);
+                    value[i] -= adam.learning_rate * m_hat / (v_hat.sqrt() + adam.epsilon);
+                }
+            }
+            losses
+        }
+
+        /// `CrnModel::fit`'s loop (no early stopping; best-validation epoch restored).
+        fn fit(&mut self, samples: &[ContainmentSample]) {
+            let config = self.model.config.clone();
+            assert!(config.patience.is_none());
+            let dim = self.model.featurizer.vector_dim();
+            let features = self.featurize(samples);
+            let targets: Vec<f32> = samples.iter().map(|s| s.rate as f32).collect();
+            let (train_idx, valid_idx) =
+                train_validation_split(samples.len(), config.validation_fraction, config.seed);
+            self.adam = Adam::new(config.learning_rate);
+            let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(7));
+            let mut history = TrainingHistory::default();
+            let mut best = None;
+            for epoch in 0..config.epochs {
+                let mut losses = Vec::new();
+                for batch in shuffled_batches(&train_idx, config.batch_size, &mut rng) {
+                    losses.extend(self.step(&features, &targets, &batch));
+                }
+                let train_loss =
+                    losses.iter().map(|&loss| loss as f64).sum::<f64>() / losses.len() as f64;
+                let mut pairs = Vec::new();
+                for chunk in valid_idx.chunks(config.batch_size) {
+                    let side = |second: bool| {
+                        RaggedBatch::from_sparse_sets(
+                            dim,
+                            chunk.iter().map(|&index| match second {
+                                false => &features[index].0,
+                                true => &features[index].1,
+                            }),
+                        )
+                    };
+                    let out = self
+                        .model
+                        .forward_batch_inference(&side(false), &side(true));
+                    for (position, &index) in chunk.iter().enumerate() {
+                        pairs.push((out.get(position, 0) as f64, targets[index] as f64));
+                    }
+                }
+                let stats = EpochStats {
+                    epoch,
+                    train_loss,
+                    validation_q_error: mean_q_error(&pairs, RATE_FLOOR as f64),
+                };
+                if history.record(stats) {
+                    best = Some(self.model.clone());
+                }
+            }
+            self.model = best.expect("the first epoch always improves");
+        }
+
+        /// `CrnModel::fit_incremental(samples, adam, 1)`.
+        fn fit_incremental(&mut self, samples: &[ContainmentSample]) {
+            let features = self.featurize(samples);
+            let targets: Vec<f32> = samples.iter().map(|s| s.rate as f32).collect();
+            let indices: Vec<usize> = (0..samples.len()).collect();
+            let seed = self.model.config.seed;
+            let mut rng = StdRng::seed_from_u64(
+                seed.wrapping_add(self.adam.step_count.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            );
+            for batch in shuffled_batches(&indices, self.model.config.batch_size, &mut rng) {
+                self.step(&features, &targets, &batch);
+            }
+        }
+    }
+
+    fn subnormal_moments(model: &mut CrnModel) -> usize {
+        model
+            .params_vec_mut()
+            .into_iter()
+            .flat_map(|param| param.m.data().iter().chain(param.v.data()))
+            .filter(|moment| moment.is_subnormal())
+            .count()
+    }
+
+    /// THE training bit-identity tripwire: `fit` and then `steps` single-batch
+    /// `fit_incremental` steps end, at every thread count, on exactly the weights and biases
+    /// [`ParentTrainer`] ends on, with no subnormal moment left.  With `expect_plateau` their
+    /// moments must have parted ways: the parent sits on its plateau of subnormal first
+    /// moments (the dead cost this step no longer pays).
+    fn assert_training_matches_the_parent_formulation(steps: usize, expect_plateau: bool) {
+        const PAIRS_PER_STEP: usize = 128;
+        let db = generate_imdb(&ImdbConfig::tiny(41));
+        let samples = training_pairs(&db, 640, 41);
+        let config = |threads: usize| TrainConfig {
+            hidden_size: 64,
+            epochs: 12,
+            patience: None,
+            seed: 41,
+            parallel: ThreadPoolConfig::deterministic(threads),
+            ..TrainConfig::default()
+        };
+        let draw = |step: usize| {
+            let from = (step * 37) % (samples.len() - PAIRS_PER_STEP);
+            &samples[from..from + PAIRS_PER_STEP]
+        };
+
+        let mut parent = ParentTrainer {
+            model: CrnModel::new(&db, config(1)),
+            adam: Adam::default(),
+        };
+        parent.fit(&samples);
+        (0..steps).for_each(|step| parent.fit_incremental(draw(step)));
+        if expect_plateau {
+            let stuck = subnormal_moments(&mut parent.model);
+            assert!(
+                stuck > 10_000,
+                "the parent formulation should be on its subnormal plateau, has {stuck}"
+            );
+        }
+
+        for threads in [1usize, 2, 4] {
+            let mut model = CrnModel::new(&db, config(threads));
+            model.fit(&samples);
+            let mut adam = Adam::new(model.config.learning_rate);
+            adam.step_count = parent.adam.step_count - steps as u64;
+            for step in 0..steps {
+                model.fit_incremental(draw(step), &mut adam, 1);
+            }
+            assert_eq!(adam.step_count, parent.adam.step_count);
+            let layers = [
+                ("mlp1", &model.mlp1, &parent.model.mlp1),
+                ("mlp2", &model.mlp2, &parent.model.mlp2),
+                ("out1", &model.out1, &parent.model.out1),
+                ("out2", &model.out2, &parent.model.out2),
+            ];
+            for (name, actual, expected) in layers {
+                for (what, a, e) in [
+                    ("w", &actual.w.value, &expected.w.value),
+                    ("b", &actual.b.value, &expected.b.value),
+                ] {
+                    let bits =
+                        |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(e), "threads = {threads}: {name}.{what}");
+                }
+            }
+            assert_eq!(subnormal_moments(&mut model), 0, "threads = {threads}");
+        }
+    }
+
+    /// The tripwire over `fit` + 24 steps (72 in all): what an unoptimized `cargo test`
+    /// affords at 70 ms per step.
+    #[test]
+    fn training_is_bit_identical_to_the_parent_formulation() {
+        assert_training_matches_the_parent_formulation(24, false);
+    }
+
+    /// The whole tripwire: 1,000 steps after `fit`, past the point where the parent's first
+    /// moments go subnormal and stay.  Four minutes unoptimized, 5 s with `--release`.
+    #[test]
+    #[ignore = "1,000 steps; CI runs it with --release -- --include-ignored"]
+    fn training_is_bit_identical_to_the_parent_formulation_down_to_the_subnormal_plateau() {
+        assert_training_matches_the_parent_formulation(1_000, true);
     }
 
     /// Both containment rates of every (query, anchor) pair, as `predict_group` returns them.

@@ -141,6 +141,10 @@ pub struct ServeStats {
     pub pool_entries: usize,
     /// `(group × non-empty shard)` work items evaluated on the worker pool.
     pub work_items: usize,
+    /// `(anchor, query)` pairings the work items ran through the model, counted where each
+    /// item calls it: a query's whole FROM bucket, or with `top_k > 0` its ranked anchors.
+    /// (0 from a distributed coordinator: its workers score.)
+    pub anchors_scored: usize,
     /// Queries answered from the pool (at least one per-entry estimate survived ε).
     pub pool_hits: usize,
     /// Queries answered by the fallback estimator (or the configured default).
@@ -176,6 +180,7 @@ impl ServeStats {
         self.queries += other.queries;
         self.groups += other.groups;
         self.work_items += other.work_items;
+        self.anchors_scored += other.anchors_scored;
         self.pool_hits += other.pool_hits;
         self.fallbacks += other.fallbacks;
         self.snapshot_time += other.snapshot_time;
@@ -694,9 +699,14 @@ mod tests {
                 );
                 assert_eq!(served.estimates, folded, "shards={shards} top_k={top_k}");
                 assert_eq!(stats.pool_hits, served.stats.pool_hits);
+                // The core counts what it ran through the model: whole buckets, or ≤ k each.
+                let buckets: usize = queries.iter().map(|q| pool.matching(q).count()).sum();
                 if top_k == 0 {
+                    assert_eq!(served.stats.anchors_scored, buckets);
                     full_scan = served.estimates;
                 } else {
+                    assert!(served.stats.anchors_scored <= top_k * queries.len());
+                    assert!(served.stats.anchors_scored < buckets);
                     top_k_changes_an_estimate |= served.estimates != full_scan;
                 }
             }
@@ -778,6 +788,10 @@ mod tests {
         assert_eq!(stats.shards, 4);
         assert_eq!(stats.pool_entries, 1);
         assert_eq!(stats.work_items, 1, "only the covered group hits a shard");
+        assert_eq!(
+            stats.anchors_scored, 2,
+            "one anchor × the two `title` scans"
+        );
         assert_eq!(stats.pool_hits + stats.fallbacks, 3);
         assert!(stats.fallbacks >= 1, "the uncovered FROM clause falls back");
         let expected_fallback = PostgresEstimator::analyze(&db).estimate(&queries[2]);

@@ -16,6 +16,7 @@ use crn_nn::batch::{
     concat_columns, segment_pool, segment_pool_backward, shard_ranges, split_columns, RaggedBatch,
     SegmentPool, SparseRows,
 };
+use crn_nn::gemm::PackedWeights;
 use crn_nn::layers::{
     relu, relu_backward, relu_backward_in_place, relu_in_place, sigmoid, sigmoid_backward,
     sigmoid_in_place, Dense,
@@ -23,7 +24,7 @@ use crn_nn::layers::{
 use crn_nn::loss::{loss_and_grad, mean_q_error};
 use crn_nn::matrix::Matrix;
 use crn_nn::optim::Adam;
-use crn_nn::parallel::{reduce_gradients, GradientSet, ThreadPoolConfig, WorkerPool};
+use crn_nn::parallel::{GradientSet, ShardGradients, ThreadPoolConfig, WorkerPool};
 use crn_nn::train::{
     shuffled_batches, train_validation_split, EarlyStopping, EpochStats, TrainConfig,
     TrainingHistory,
@@ -165,14 +166,20 @@ impl SetModule {
 
     /// Batched backward pass of the set module, into the module's four gradient buffers
     /// (`[l1.w, l1.b, l2.w, l2.b]`), leaving the module untouched — the per-shard form of
-    /// the data-parallel engine.
+    /// the data-parallel engine.  `l2_transposed`: `l2`'s weights from
+    /// [`PackedWeights::pack_transposed`], packed once per training step.
     fn backward_batch_into(
-        &self,
+        l2_transposed: &PackedWeights,
         cache: &BatchSetCache,
         grad_pooled: &Matrix,
         grads: &mut [Matrix],
     ) {
-        assert_eq!(grads.len(), grad_index::PER_MODULE);
+        let [grad_w1, grad_b1, grad_w2, grad_b2] = grads else {
+            panic!(
+                "a set module has {} gradient tensors",
+                grad_index::PER_MODULE
+            );
+        };
         if cache.input.num_rows() == 0 {
             // Every segment in the batch is empty — nothing flowed forward.
             return;
@@ -180,18 +187,11 @@ impl SetModule {
         let mut grad_z2 =
             segment_pool_backward(cache.input.offsets(), grad_pooled, SegmentPool::Mean);
         relu_backward_in_place(&cache.a2, &mut grad_z2);
-        let (grad_w2, grad_b2, mut grad_z1) = self.l2.backward_dense_calc(&cache.a1, &grad_z2);
-        grads[2].add_assign(&grad_w2);
-        grads[3].add_assign(&grad_b2);
+        let mut grad_z1 =
+            Dense::backward_into(l2_transposed, &cache.a1, &grad_z2, grad_w2, grad_b2);
         relu_backward_in_place(&cache.a1, &mut grad_z1);
         // `l1` is an input layer over one-hot rows: CSR weight gradients, no dL/dx.
-        let (grad_w1, rest) = grads.split_at_mut(1);
-        Dense::accumulate_ragged_weights_only(
-            &cache.input,
-            &grad_z1,
-            &mut grad_w1[0],
-            &mut rest[0],
-        );
+        Dense::accumulate_ragged_weights_only(&cache.input, &grad_z1, grad_w1, grad_b1);
     }
 
     /// The `(rows, cols)` shapes of the module's parameters in gradient order.
@@ -226,6 +226,49 @@ pub struct MscnModel {
     log_max_cardinality: f32,
     /// Training configuration used to fit the model.
     config: TrainConfig,
+}
+
+/// What a training run keeps from one mini-batch to the next, allocated once per `fit`.
+struct StepScratch {
+    panels: StepPanels,
+    shards: ShardGradients,
+}
+
+/// The dense layers' weights as a training step's backward pass multiplies by them
+/// (`dL/dx = g·Wᵀ`), packed from the transposed source once before the step's shards are
+/// dispatched (see `CrnModel`'s `StepPanels`).  The set modules' `l1` are input layers and
+/// propagate nothing.
+struct StepPanels {
+    tables_l2: PackedWeights,
+    joins_l2: PackedWeights,
+    predicates_l2: PackedWeights,
+    out1: PackedWeights,
+    out2: PackedWeights,
+}
+
+impl StepPanels {
+    fn of(model: &MscnModel) -> Self {
+        let transposed = |layer: &Dense| PackedWeights::pack_transposed(&layer.w.value);
+        StepPanels {
+            tables_l2: transposed(&model.table_module.l2),
+            joins_l2: transposed(&model.join_module.l2),
+            predicates_l2: transposed(&model.predicate_module.l2),
+            out1: transposed(&model.out1),
+            out2: transposed(&model.out2),
+        }
+    }
+
+    /// Repacks the panels from the model's current weights, in place.
+    fn refresh(&mut self, model: &MscnModel) {
+        let repack = |panels: &mut PackedWeights, layer: &Dense| {
+            panels.repack_transposed(&layer.w.value);
+        };
+        repack(&mut self.tables_l2, &model.table_module.l2);
+        repack(&mut self.joins_l2, &model.join_module.l2);
+        repack(&mut self.predicates_l2, &model.predicate_module.l2);
+        repack(&mut self.out1, &model.out1);
+        repack(&mut self.out2, &model.out2);
+    }
 }
 
 /// Forward-pass cache for a ragged mini-batch of queries.
@@ -330,6 +373,14 @@ impl MscnModel {
         }
     }
 
+    /// Panels and per-shard gradient sets for training this model under `parallel`.
+    fn step_scratch(&self, parallel: &ThreadPoolConfig) -> StepScratch {
+        StepScratch {
+            panels: StepPanels::of(self),
+            shards: ShardGradients::new(&self.gradient_shapes(), parallel),
+        }
+    }
+
     /// Inference-only batched forward: the `B×1` sigmoid outputs, no cache retained.
     fn forward_batch_inference(
         &self,
@@ -400,8 +451,8 @@ impl MscnModel {
     /// through [`MscnModel::backward_batch_into`] so shards can accumulate privately.
     #[cfg(test)]
     fn backward_batch(&mut self, cache: &BatchForwardCache, grad_sigmoid_out: &Matrix) {
-        let mut grads = self.gradient_set();
-        self.backward_batch_into(cache, grad_sigmoid_out, &mut grads);
+        let mut grads = GradientSet::zeros(&self.gradient_shapes());
+        self.backward_batch_into(&StepPanels::of(self), cache, grad_sigmoid_out, &mut grads);
         for (param, grad) in self.params_vec_mut().into_iter().zip(grads.parts()) {
             param.grad.add_assign(grad);
         }
@@ -412,21 +463,20 @@ impl MscnModel {
     /// mini-batch runs this against the same read-only model.
     fn backward_batch_into(
         &self,
+        panels: &StepPanels,
         cache: &BatchForwardCache,
         grad_sigmoid_out: &Matrix,
         grads: &mut GradientSet,
     ) {
         use grad_index::*;
         let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, grad_sigmoid_out);
-        let (grad_w, grad_b, mut grad_z_out1) =
-            self.out2.backward_dense_calc(&cache.a_out1, &grad_z_out2);
-        grads.part_mut(OUT2_W).add_assign(&grad_w);
-        grads.part_mut(OUT2_B).add_assign(&grad_b);
+        let (grad_w, grad_b) = grads.pair_mut(OUT2_W, OUT2_B);
+        let mut grad_z_out1 =
+            Dense::backward_into(&panels.out2, &cache.a_out1, &grad_z_out2, grad_w, grad_b);
         relu_backward_in_place(&cache.a_out1, &mut grad_z_out1);
-        let (grad_w, grad_b, grad_concat) =
-            self.out1.backward_dense_calc(&cache.concat, &grad_z_out1);
-        grads.part_mut(OUT1_W).add_assign(&grad_w);
-        grads.part_mut(OUT1_B).add_assign(&grad_b);
+        let (grad_w, grad_b) = grads.pair_mut(OUT1_W, OUT1_B);
+        let grad_concat =
+            Dense::backward_into(&panels.out1, &cache.concat, &grad_z_out1, grad_w, grad_b);
 
         let hidden = self.table_module.hidden();
         let mut split = split_columns(&grad_concat, &[hidden, hidden, hidden]).into_iter();
@@ -437,26 +487,25 @@ impl MscnModel {
         let (table_grads, rest) = parts.split_at_mut(JOINS);
         let (join_grads, rest) = rest.split_at_mut(PER_MODULE);
         let (predicate_grads, _) = rest.split_at_mut(PER_MODULE);
-        self.table_module
-            .backward_batch_into(&cache.tables, &grad_tables, table_grads);
-        self.join_module
-            .backward_batch_into(&cache.joins, &grad_joins, join_grads);
-        self.predicate_module.backward_batch_into(
+        SetModule::backward_batch_into(&panels.tables_l2, &cache.tables, &grad_tables, table_grads);
+        SetModule::backward_batch_into(&panels.joins_l2, &cache.joins, &grad_joins, join_grads);
+        SetModule::backward_batch_into(
+            &panels.predicates_l2,
             &cache.predicates,
             &grad_predicates,
             predicate_grads,
         );
     }
 
-    /// A zeroed gradient set shaped like this model's parameters (layout: [`grad_index`]).
-    fn gradient_set(&self) -> GradientSet {
+    /// The shapes of this model's parameters (layout: [`grad_index`]).
+    fn gradient_shapes(&self) -> Vec<(usize, usize)> {
         let mut shapes = Vec::with_capacity(grad_index::TOTAL);
         shapes.extend(self.table_module.grad_shapes());
         shapes.extend(self.join_module.grad_shapes());
         shapes.extend(self.predicate_module.grad_shapes());
         shapes.extend(self.out1.grad_shapes());
         shapes.extend(self.out2.grad_shapes());
-        GradientSet::zeros(&shapes)
+        shapes
     }
 
     fn zero_grad(&mut self) {
@@ -493,13 +542,6 @@ impl MscnModel {
     fn adam_step(&mut self, adam: &mut Adam) {
         let all = self.params_vec_mut();
         adam.step(all);
-    }
-
-    /// One (single-threaded) Adam step over an externally merged gradient set — the tail of
-    /// every data-parallel mini-batch.
-    fn adam_step_with(&mut self, adam: &mut Adam, grads: &GradientSet) {
-        let all = self.params_vec_mut();
-        adam.step_with(all, grads.parts());
     }
 
     /// Converts the sigmoid output into a cardinality.
@@ -552,8 +594,9 @@ impl MscnModel {
     ///
     /// Each mini-batch runs through the ragged-batch engine (`crn_nn::batch`), sharded
     /// across the data-parallel pool of [`TrainConfig::parallel`] (`crn_nn::parallel`):
-    /// every shard runs the batched forward/backward into its own gradient set, the shards
-    /// merge in fixed order, and a single-threaded Adam step applies the result.  At
+    /// every shard runs the batched forward/backward into its own gradient set, and one
+    /// optimizer pass sums the sets in fixed order and applies the sum
+    /// ([`Adam::step_sharded`]).  At
     /// `threads = 1` (the default) this is exactly the one-GEMM-per-batch path; gradients
     /// are in every mode mathematically identical to the per-sample loop of
     /// [`MscnModel::fit_reference`] (pinned to 1e-5 by the parity tests below), and in
@@ -598,6 +641,7 @@ impl MscnModel {
             self.config.seed,
         );
         let mut adam = Adam::new(self.config.learning_rate);
+        let mut scratch = self.step_scratch(&parallel);
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1));
         let mut early_stopping = EarlyStopping::new(self.config.patience);
         let mut history = TrainingHistory::default();
@@ -607,19 +651,25 @@ impl MscnModel {
             let mut epoch_loss = 0.0f64;
             let mut epoch_samples = 0usize;
             for batch in shuffled_batches(&train_idx, self.config.batch_size, &mut rng) {
-                let (tables, joins, predicates) = self.pack_sparse_batch(&features, &batch);
-                let (losses, grads) = self.sharded_batch_step(
+                let batches = self.pack_sparse_batch(&features, &batch);
+                let (losses, shard_count) = self.sharded_batch_step(
                     &parallel,
                     &workers,
                     &batch,
-                    (tables, joins, predicates),
+                    batches,
                     &targets,
+                    &mut scratch,
                 );
                 for loss in losses {
                     epoch_loss += loss as f64;
                     epoch_samples += 1;
                 }
-                self.adam_step_with(&mut adam, &grads);
+                adam.step_sharded(
+                    self.params_vec_mut(),
+                    &scratch.shards.sets(shard_count),
+                    parallel.deterministic,
+                    &workers,
+                );
             }
 
             let validation_q_error = if valid_idx.is_empty() {
@@ -665,11 +715,12 @@ impl MscnModel {
         history
     }
 
-    /// One data-parallel mini-batch: shards the three per-set ragged batches at the same
-    /// segment boundaries, runs the batched forward/backward per shard on the pool, and
-    /// merges the per-shard gradients in fixed shard order.  Returns the per-sample losses
-    /// in batch order and the merged gradient set; the caller applies the
-    /// (single-threaded) optimizer step.
+    /// The data-parallel part of one mini-batch: packs the dense layers' weight panels once,
+    /// shards the three per-set ragged batches at the same segment boundaries, and runs the
+    /// batched forward/backward per shard on the pool, each shard into its own set of
+    /// `scratch.shards`.  Returns the per-sample losses in batch order and how many shards
+    /// ran (their sets are `scratch.shards.sets(count)`, in shard order); the caller applies
+    /// them with [`Adam::step_sharded`].
     fn sharded_batch_step(
         &self,
         parallel: &ThreadPoolConfig,
@@ -677,14 +728,18 @@ impl MscnModel {
         batch_indices: &[usize],
         batches: (RaggedBatch, RaggedBatch, RaggedBatch),
         targets: &[f32],
-    ) -> (Vec<f32>, GradientSet) {
+        scratch: &mut StepScratch,
+    ) -> (Vec<f32>, usize) {
         let (tables, joins, predicates) = batches;
         let batch_scale = 1.0 / batch_indices.len() as f32;
         let num_shards = parallel.shard_count(batch_indices.len());
+        scratch.panels.refresh(self);
+        let StepScratch { panels, shards } = &*scratch;
 
         // The per-shard work: forward, per-sample losses (through the un-normalization
-        // chain rule), backward into a private gradient set.
-        let step = |tables: RaggedBatch,
+        // chain rule), backward into the shard's gradient set.
+        let step = |shard: usize,
+                    tables: RaggedBatch,
                     joins: RaggedBatch,
                     predicates: RaggedBatch,
                     indices: &[usize]| {
@@ -708,32 +763,25 @@ impl MscnModel {
                     loss.grad * self.unnormalize_grad(sigmoid_out) * batch_scale,
                 );
             }
-            let mut grads = self.gradient_set();
-            self.backward_batch_into(&cache, &grad_output, &mut grads);
-            (losses, grads)
+            self.backward_batch_into(panels, &cache, &grad_output, &mut shards.start(shard));
+            losses
         };
 
         if num_shards <= 1 {
-            return step(tables, joins, predicates, batch_indices);
+            return (step(0, tables, joins, predicates, batch_indices), 1);
         }
         let ranges = shard_ranges(batch_indices.len(), num_shards);
-        let results: Vec<(Vec<f32>, GradientSet)> = workers.run_over_ranges(&ranges, |range| {
+        let losses = workers.run_sharded(ranges.len(), |shard| {
+            let range = ranges[shard].clone();
             step(
+                shard,
                 tables.slice_segments(range.clone()),
                 joins.slice_segments(range.clone()),
                 predicates.slice_segments(range.clone()),
                 &batch_indices[range],
             )
         });
-        let mut losses = Vec::with_capacity(batch_indices.len());
-        let mut shards = Vec::with_capacity(results.len());
-        for (shard_losses, shard_grads) in results {
-            losses.extend(shard_losses);
-            shards.push(shard_grads);
-        }
-        let merged = reduce_gradients(shards, parallel.deterministic)
-            .expect("a non-empty batch produces at least one shard");
-        (losses, merged)
+        (losses.into_iter().flatten().collect(), ranges.len())
     }
 
     /// Reference per-sample training loop: the pre-batching implementation, issuing one
@@ -848,6 +896,7 @@ mod tests {
     use super::*;
     use crn_db::imdb::{generate_imdb, ImdbConfig};
     use crn_exec::label_cardinalities;
+    use crn_nn::parallel::reduce_gradients;
     use crn_nn::q_error;
     use crn_query::generator::{GeneratorConfig, QueryGenerator};
 
@@ -1198,15 +1247,23 @@ mod tests {
             } else {
                 ThreadPoolConfig::with_threads(threads)
             };
-            let (tables, joins, predicates) = MscnModel::pack_batch(&features, &indices);
-            let (losses, grads) = model.sharded_batch_step(
+            let mut scratch = model.step_scratch(&pool);
+            let (losses, shard_count) = model.sharded_batch_step(
                 &pool,
                 &pool.worker_pool(),
                 &indices,
-                (tables, joins, predicates),
+                MscnModel::pack_batch(&features, &indices),
                 &targets,
+                &mut scratch,
             );
             assert_eq!(losses.len(), samples.len());
+            let sets = scratch
+                .shards
+                .sets(shard_count)
+                .into_iter()
+                .cloned()
+                .collect();
+            let grads = reduce_gradients(sets, deterministic).expect("at least one shard");
             for ((name, index), reference) in [
                 ("tables.l1.w", 0usize),
                 ("tables.l2.w", 2),
@@ -1235,6 +1292,287 @@ mod tests {
                         "threads {threads} det {deterministic}, {name}[{position}]: sharded {a} vs per-sample {b}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The training step of the parent commit, written out from primitives (the same
+    /// reference `crn-core` pins `CrnModel` to): every dense backward product as an explicit
+    /// `transpose()` + `matmul` + `add_assign` into a freshly zeroed set per shard, strided
+    /// forward products, `reduce_gradients` in canonical order, and an Adam loop that stores
+    /// what it computes.
+    struct ParentTrainer {
+        model: MscnModel,
+        adam: Adam,
+    }
+
+    /// One set module's activations over a ragged batch.
+    struct ParentSetCache {
+        input: RaggedBatch,
+        a1: Matrix,
+        a2: Matrix,
+        pooled: Matrix,
+    }
+
+    impl ParentTrainer {
+        /// `(dL/dW, dL/db, dL/dx)` of one dense layer.
+        fn dense_backward(layer: &Dense, x: &Matrix, grad_y: &Matrix) -> (Matrix, Matrix, Matrix) {
+            (
+                x.transpose().matmul(grad_y),
+                Matrix::row_vector(&grad_y.column_sums()),
+                grad_y.matmul(&layer.w.value.transpose()),
+            )
+        }
+
+        fn module_forward(module: &SetModule, input: RaggedBatch) -> ParentSetCache {
+            let mut a1 = module.l1.forward_ragged(&input);
+            relu_in_place(&mut a1);
+            let mut a2 = module.l2.forward(&a1);
+            relu_in_place(&mut a2);
+            let pooled = segment_pool(&a2, input.offsets(), SegmentPool::Mean);
+            ParentSetCache {
+                input,
+                a1,
+                a2,
+                pooled,
+            }
+        }
+
+        fn module_backward(
+            module: &SetModule,
+            cache: &ParentSetCache,
+            grad_pooled: &Matrix,
+            grads: &mut [Matrix],
+        ) {
+            if cache.input.num_rows() == 0 {
+                return;
+            }
+            let mut grad_z2 =
+                segment_pool_backward(cache.input.offsets(), grad_pooled, SegmentPool::Mean);
+            relu_backward_in_place(&cache.a2, &mut grad_z2);
+            let (grad_w2, grad_b2, mut grad_z1) =
+                Self::dense_backward(&module.l2, &cache.a1, &grad_z2);
+            grads[2].add_assign(&grad_w2);
+            grads[3].add_assign(&grad_b2);
+            relu_backward_in_place(&cache.a1, &mut grad_z1);
+            let (grad_w1, rest) = grads.split_at_mut(1);
+            Dense::accumulate_ragged_weights_only(
+                &cache.input,
+                &grad_z1,
+                &mut grad_w1[0],
+                &mut rest[0],
+            );
+        }
+
+        fn shard_gradients(
+            &self,
+            batches: (RaggedBatch, RaggedBatch, RaggedBatch),
+            indices: &[usize],
+            targets: &[f32],
+            batch_scale: f32,
+        ) -> (Vec<f32>, GradientSet) {
+            use grad_index::*;
+            let model = &self.model;
+            let tables = Self::module_forward(&model.table_module, batches.0);
+            let joins = Self::module_forward(&model.join_module, batches.1);
+            let predicates = Self::module_forward(&model.predicate_module, batches.2);
+            let concat = concat_columns(&[&tables.pooled, &joins.pooled, &predicates.pooled]);
+            let mut a_out1 = model.out1.forward(&concat);
+            relu_in_place(&mut a_out1);
+            let mut sigmoid_out = model.out2.forward(&a_out1);
+            sigmoid_in_place(&mut sigmoid_out);
+
+            let mut losses = Vec::new();
+            let mut grad_output = Matrix::zeros(indices.len(), 1);
+            for (position, &index) in indices.iter().enumerate() {
+                let out = sigmoid_out.get(position, 0);
+                let loss = loss_and_grad(
+                    model.config.loss,
+                    model.unnormalize(out).max(CARD_FLOOR),
+                    targets[index].max(CARD_FLOOR),
+                    CARD_FLOOR,
+                );
+                losses.push(loss.loss);
+                let grad = loss.grad * model.unnormalize_grad(out) * batch_scale;
+                grad_output.set(position, 0, grad);
+            }
+
+            let mut grads = GradientSet::zeros(&model.gradient_shapes());
+            let grad_z_out2 = sigmoid_backward(&sigmoid_out, &grad_output);
+            let (grad_w, grad_b, mut grad_z_out1) =
+                Self::dense_backward(&model.out2, &a_out1, &grad_z_out2);
+            grads.part_mut(OUT2_W).add_assign(&grad_w);
+            grads.part_mut(OUT2_B).add_assign(&grad_b);
+            relu_backward_in_place(&a_out1, &mut grad_z_out1);
+            let (grad_w, grad_b, grad_concat) =
+                Self::dense_backward(&model.out1, &concat, &grad_z_out1);
+            grads.part_mut(OUT1_W).add_assign(&grad_w);
+            grads.part_mut(OUT1_B).add_assign(&grad_b);
+            let hidden = model.table_module.hidden();
+            let split = split_columns(&grad_concat, &[hidden, hidden, hidden]);
+            let parts = grads.parts_mut();
+            for (offset, module, cache, grad_pooled) in [
+                (0, &model.table_module, &tables, &split[0]),
+                (JOINS, &model.join_module, &joins, &split[1]),
+                (
+                    2 * PER_MODULE,
+                    &model.predicate_module,
+                    &predicates,
+                    &split[2],
+                ),
+            ] {
+                let module_grads = &mut parts[offset..offset + PER_MODULE];
+                Self::module_backward(module, cache, grad_pooled, module_grads);
+            }
+            (losses, grads)
+        }
+
+        /// One mini-batch; returns the per-sample losses in batch order.
+        fn step(
+            &mut self,
+            features: &[SparseMscnFeatures],
+            targets: &[f32],
+            batch: &[usize],
+        ) -> Vec<f32> {
+            let parallel = self.model.config.parallel;
+            assert!(
+                parallel.deterministic,
+                "the canonical order is what is pinned"
+            );
+            let (tables, joins, predicates) = self.model.pack_sparse_batch(features, batch);
+            let batch_scale = 1.0 / batch.len() as f32;
+            let (mut losses, mut shards) = (Vec::new(), Vec::new());
+            for range in shard_ranges(batch.len(), parallel.shard_count(batch.len())) {
+                let (shard_losses, grads) = self.shard_gradients(
+                    (
+                        tables.slice_segments(range.clone()),
+                        joins.slice_segments(range.clone()),
+                        predicates.slice_segments(range.clone()),
+                    ),
+                    &batch[range],
+                    targets,
+                    batch_scale,
+                );
+                losses.extend(shard_losses);
+                shards.push(grads);
+            }
+            let merged = reduce_gradients(shards, true).expect("at least one shard");
+
+            let adam = &mut self.adam;
+            adam.step_count += 1;
+            let t = adam.step_count as f32;
+            let (bias1, bias2) = (1.0 - adam.beta1.powf(t), 1.0 - adam.beta2.powf(t));
+            for (param, grad) in self.model.params_vec_mut().into_iter().zip(merged.parts()) {
+                let (value, m, v) = (
+                    param.value.data_mut(),
+                    param.m.data_mut(),
+                    param.v.data_mut(),
+                );
+                for (i, &g) in grad.data().iter().enumerate() {
+                    m[i] = adam.beta1 * m[i] + (1.0 - adam.beta1) * g;
+                    v[i] = adam.beta2 * v[i] + (1.0 - adam.beta2) * g * g;
+                    let (m_hat, v_hat) = (m[i] / bias1, v[i] / bias2);
+                    value[i] -= adam.learning_rate * m_hat / (v_hat.sqrt() + adam.epsilon);
+                }
+            }
+            losses
+        }
+
+        /// `MscnModel::fit`'s loop (no early stopping; best-validation epoch restored).
+        fn fit(&mut self, samples: &[CardinalitySample]) {
+            let config = self.model.config.clone();
+            assert!(config.patience.is_none());
+            let features: Vec<SparseMscnFeatures> = samples
+                .iter()
+                .map(|s| {
+                    let dense = self.model.featurizer.featurize(&s.query);
+                    SparseMscnFeatures {
+                        tables: SparseRows::from_matrix(&dense.tables),
+                        joins: SparseRows::from_matrix(&dense.joins),
+                        predicates: SparseRows::from_matrix(&dense.predicates),
+                    }
+                })
+                .collect();
+            let targets: Vec<f32> = samples.iter().map(|s| s.cardinality as f32).collect();
+            let max_card = targets.iter().cloned().fold(1.0f32, f32::max);
+            self.model.log_max_cardinality = (max_card + 1.0).ln();
+            let (train_idx, valid_idx) =
+                train_validation_split(samples.len(), config.validation_fraction, config.seed);
+            self.adam = Adam::new(config.learning_rate);
+            let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
+            let mut history = TrainingHistory::default();
+            let mut best = None;
+            for epoch in 0..config.epochs {
+                let mut losses = Vec::new();
+                for batch in shuffled_batches(&train_idx, config.batch_size, &mut rng) {
+                    losses.extend(self.step(&features, &targets, &batch));
+                }
+                let train_loss =
+                    losses.iter().map(|&loss| loss as f64).sum::<f64>() / losses.len() as f64;
+                let mut pairs = Vec::new();
+                for chunk in valid_idx.chunks(config.batch_size) {
+                    let (tables, joins, predicates) =
+                        self.model.pack_sparse_batch(&features, chunk);
+                    let out = self
+                        .model
+                        .forward_batch_inference(&tables, &joins, &predicates);
+                    for (position, &index) in chunk.iter().enumerate() {
+                        let prediction = self.model.unnormalize(out.get(position, 0)).max(0.0);
+                        pairs.push((prediction as f64, targets[index] as f64));
+                    }
+                }
+                let stats = EpochStats {
+                    epoch,
+                    train_loss,
+                    validation_q_error: mean_q_error(&pairs, CARD_FLOOR as f64),
+                };
+                if history.record(stats) {
+                    best = Some(self.model.clone());
+                }
+            }
+            self.model = best.expect("the first epoch always improves");
+        }
+    }
+
+    /// The training bit-identity tripwire (see `crn-core`'s, which also follows the moments
+    /// onto the parent's subnormal plateau): a 100-step `fit` ends, at every thread count,
+    /// on exactly the weights and biases [`ParentTrainer`] ends on.
+    #[test]
+    fn training_is_bit_identical_to_the_parent_formulation() {
+        let db = generate_imdb(&ImdbConfig::tiny(12));
+        let mut samples = training_data(&db, 320, 12);
+        samples.truncate(320);
+        let config = |threads: usize| TrainConfig {
+            hidden_size: 32,
+            epochs: 50,
+            patience: None,
+            parallel: ThreadPoolConfig::deterministic(threads),
+            ..TrainConfig::default()
+        };
+        let mut parent = ParentTrainer {
+            model: MscnModel::new(&db, config(1)),
+            adam: Adam::default(),
+        };
+        parent.fit(&samples);
+        assert_eq!(
+            parent.adam.step_count, 100,
+            "two 128-query batches per epoch"
+        );
+        for threads in [1usize, 2, 4] {
+            let mut model = MscnModel::new(&db, config(threads));
+            model.fit(&samples);
+            assert_eq!(model.log_max_cardinality, parent.model.log_max_cardinality);
+            let expected = parent.model.params_vec_mut();
+            for (index, (actual, expected)) in
+                model.params_vec_mut().into_iter().zip(expected).enumerate()
+            {
+                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&actual.value),
+                    bits(&expected.value),
+                    "threads = {threads}: parameter {index}"
+                );
+                assert!(actual.m.data().iter().all(|moment| !moment.is_subnormal()));
             }
         }
     }

@@ -53,6 +53,33 @@ pub struct SparseRows {
 }
 
 impl SparseRows {
+    /// A view of no rows, with room for `rows` rows and `non_zeros` entries — the start of a
+    /// featurizer that emits CSR rows directly ([`SparseRows::push_row`]).
+    pub fn with_capacity(rows: usize, non_zeros: usize) -> SparseRows {
+        let mut row_offsets = Vec::with_capacity(rows + 1);
+        row_offsets.push(0);
+        SparseRows {
+            row_offsets,
+            columns: Vec::with_capacity(non_zeros),
+            values: Vec::with_capacity(non_zeros),
+        }
+    }
+
+    /// Appends the row whose non-zeros are `entries` — `(column, value)` in ascending column
+    /// order, the order [`SparseRows::from_matrix`] finds them in (it decides the `f32`
+    /// summation order of every consumer).  Zero values are dropped, as `from_matrix` drops
+    /// them.
+    pub fn push_row(&mut self, entries: &[(usize, f32)]) {
+        debug_assert!(entries.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        for &(column, value) in entries {
+            if value != 0.0 {
+                self.columns.push(column as u32);
+                self.values.push(value);
+            }
+        }
+        self.row_offsets.push(self.columns.len() as u32);
+    }
+
     /// Builds the CSR view of a dense row-major matrix (used per sample, once, before the
     /// epoch loop — mini-batches then concatenate these via
     /// [`RaggedBatch::from_sparse_sets`]).

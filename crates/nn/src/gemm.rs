@@ -1,7 +1,12 @@
-//! The dense GEMM kernels: one row-block micro-kernel per SIMD tier, read either from a
-//! row-major `B` ([`Matrix::matmul`](crate::matrix::Matrix::matmul), the training entry
-//! point — its weights move every step) or from [`PackedWeights`] ([`gemm_packed`], the
-//! inference entry point — its weights never change between model swaps).
+//! The dense GEMM kernels: one row-block micro-kernel per SIMD tier behind four entry points.
+//!
+//! * [`Matrix::matmul`](crate::matrix::Matrix::matmul) — `A·B`, both row-major.
+//! * [`gemm_packed`] — `A·W` with `W` prepacked ([`PackedWeights::pack`]): inference, whose
+//!   weights never change between model swaps.
+//! * [`gemm_packed`] over [`PackedWeights::pack_transposed`] — `A·Wᵀ` (backprop's
+//!   `dL/dx = g·Wᵀ`): the transpose happens while packing, once per training step.
+//! * [`gemm_transpose_a_into`] — `C += Aᵀ·B` (backprop's `dL/dW = xᵀ·g`): `A` is read in
+//!   place through an element stride and the product lands in the caller's accumulator.
 //!
 //! # The chain-order contract
 //!
@@ -18,7 +23,10 @@
 //!
 //! * stacking more rows into one call is bit-neutral (what lets serving fuse a group of
 //!   queries into one head batch),
-//! * the packed and the strided layout give bit-identical results, and
+//! * the packed and the strided layout give bit-identical results — as do an `A` read through
+//!   strides and a materialized `Aᵀ`, and panels packed from `W` transposed and panels packed
+//!   from a materialized `Wᵀ`: the kernels see the same `a[i][p]` and `b[p][j]` either way —
+//! * accumulating into a `C` that holds zeros is the chain from zero, and
 //! * the chain can be **cut**: running `k_range = 0..s` from zeros, keeping the `f32` chain
 //!   state, and continuing over `s..k` from that state performs exactly the operations of
 //!   the uncut chain.  `crn-core` uses this to compute the first `H` steps of the
@@ -33,7 +41,12 @@
 //! call — share their `B` loads exactly like a full block; there is no one-row remainder
 //! loop.  Loads and stores are lane-masked, so the last strip of any width runs the same
 //! body.  `B` is addressed through a row stride and a panel stride, which is all that
-//! differs between the two layouts.
+//! differs between the two layouts; `A` through a row stride and an element stride, which is
+//! all that differs between `A` and `Aᵀ`.
+//!
+//! One-column outputs (the models' scalar heads) are the exception to the chain contract on
+//! the row-major entry points: `matmul` and `gemm_transpose_a_into` compute them as per-row
+//! dot products with four partial sums (`gemv_single_column`).
 //!
 //! # The packed layout
 //!
@@ -85,23 +98,79 @@ impl std::fmt::Debug for PackedWeights {
 }
 
 impl PackedWeights {
-    /// Repacks a row-major weight matrix (one pass over it; the copy is what inference reads
-    /// from then on, so it must be rebuilt whenever the weights change).
+    /// Zeroed panels for a `rows×cols` matrix.
+    fn zeroed(rows: usize, cols: usize) -> Self {
+        let lines = cols.div_ceil(PANEL) * rows * (PANEL / LINE);
+        PackedWeights {
+            rows,
+            cols,
+            lines: vec![CacheLine([0.0; LINE]); lines],
+        }
+    }
+
+    /// Packs a row-major weight matrix (one pass over it).  The panels are a copy: whoever
+    /// changes the weights packs again.
     pub fn pack(weights: &Matrix) -> Self {
         let (rows, cols) = (weights.rows(), weights.cols());
-        let panels = cols.div_ceil(PANEL);
-        let mut lines = vec![CacheLine([0.0; LINE]); panels * rows * (PANEL / LINE)];
-        for panel in 0..panels {
+        let mut packed = PackedWeights::zeroed(rows, cols);
+        // (`max(1)`: a matrix without rows has no lines, and `chunks_mut(0)` panics.)
+        let lines_per_panel = (rows * (PANEL / LINE)).max(1);
+        for (panel, panel_lines) in packed.lines.chunks_mut(lines_per_panel).enumerate() {
             let columns = panel * PANEL..cols.min((panel + 1) * PANEL);
-            for p in 0..rows {
+            for (p, row_lines) in panel_lines.chunks_mut(PANEL / LINE).enumerate() {
                 let source = &weights.row(p)[columns.clone()];
-                let first_line = (panel * rows + p) * (PANEL / LINE);
-                for (line, chunk) in lines[first_line..].iter_mut().zip(source.chunks(LINE)) {
+                for (line, chunk) in row_lines.iter_mut().zip(source.chunks(LINE)) {
                     line.0[..chunk.len()].copy_from_slice(chunk);
                 }
             }
         }
-        PackedWeights { rows, cols, lines }
+        packed
+    }
+
+    /// Packs `weightsᵀ`: the panels [`PackedWeights::pack`] would build from
+    /// `weights.transpose()`, without materializing it.
+    pub fn pack_transposed(weights: &Matrix) -> Self {
+        let mut packed = PackedWeights::zeroed(weights.cols(), weights.rows());
+        packed.repack_transposed(weights);
+        packed
+    }
+
+    /// [`PackedWeights::pack_transposed`] into the existing panels — what a training step does
+    /// with the weights its optimizer just moved.  A panel is 32 rows of
+    /// `weights` turned on their side; it is built from 32×16 tiles, read row by row into a
+    /// stack buffer and written out column by column, so both sides move whole cache lines.
+    ///
+    /// # Panics
+    /// Panics if `weightsᵀ` does not have the packed shape.
+    pub fn repack_transposed(&mut self, weights: &Matrix) {
+        let (rows, cols) = (self.rows, self.cols);
+        assert_eq!(
+            (weights.cols(), weights.rows()),
+            (rows, cols),
+            "shape changed"
+        );
+        let lines_per_panel = (rows * (PANEL / LINE)).max(1);
+        for (panel, panel_lines) in self.lines.chunks_mut(lines_per_panel).enumerate() {
+            let first_column = panel * PANEL;
+            let width = (cols - first_column).min(PANEL);
+            // Rows of the tile past `width` stay zero: the last panel's padding.
+            let mut tile = [[0.0f32; LINE]; PANEL];
+            for (step, tile_lines) in panel_lines.chunks_mut(LINE * (PANEL / LINE)).enumerate() {
+                let first_row = step * LINE;
+                let depth = tile_lines.len() / (PANEL / LINE);
+                for (tile_row, column) in tile.iter_mut().zip(first_column..first_column + width) {
+                    let source = &weights.row(column)[first_row..first_row + depth];
+                    tile_row[..depth].copy_from_slice(source);
+                }
+                for (p, row_lines) in tile_lines.chunks_mut(PANEL / LINE).enumerate() {
+                    for (line, tile_rows) in row_lines.iter_mut().zip(tile.chunks(LINE)) {
+                        for (slot, tile_row) in line.0.iter_mut().zip(tile_rows) {
+                            *slot = tile_row[p];
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Reduction dimension `k` of the packed matrix.
@@ -158,7 +227,7 @@ pub fn gemm_packed(
     execute(
         Tier::for_width(packed.cols),
         Task {
-            a,
+            a: AView::row_major(a, k_range.len()),
             b: BView {
                 data: &packed.floats()[k_range.start * PANEL..],
                 row_stride: PANEL,
@@ -175,19 +244,63 @@ pub fn gemm_packed(
     c
 }
 
+/// `c (k×n) += aᵀ · b` for row-major `a (m×k)` and `b (m×n)` — a dense layer's weight
+/// gradient `xᵀ·g`, accumulated where the caller sums it.  Every element continues one chain
+/// from what `c` holds over the `m` rows in order (module docs), so into a zeroed `c` this is
+/// bit-identical to `a.transpose().matmul(b)`.
+///
+/// # Panics
+/// Panics if the shapes disagree.
+pub fn gemm_transpose_a_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    assert_eq!(
+        b.rows(),
+        m,
+        "aᵀ·b: a is {m}x{k} but b has {} rows",
+        b.rows()
+    );
+    assert_eq!((c.rows(), c.cols()), (k, n), "aᵀ·b: c must be {k}x{n}");
+    let a_transposed = AView {
+        data: a.data(),
+        row_stride: 1,
+        step: k,
+    };
+    if n == 1 {
+        gemv_single_column(a_transposed, b.data(), c.data_mut(), m, true);
+        return;
+    }
+    execute(
+        Tier::for_width(n),
+        Task {
+            a: a_transposed,
+            b: BView {
+                data: b.data(),
+                row_stride: n,
+                panel_stride: PANEL,
+            },
+            c: c.data_mut(),
+            m: k,
+            depth: m,
+            n,
+            accumulate: true,
+            epilogue: Epilogue::None,
+        },
+    );
+}
+
 /// `c (m×n) = a (m×k) · b (k×n)`, all row-major; whatever `c` held is overwritten.
 pub(crate) fn gemm_strided(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     if n == 1 {
         // Thin output (the models' scalar heads): per-row dot products with unrolled
         // accumulators beat both the strided scalar loop and 1-lane SIMD.
         assert_eq!((a.len(), b.len(), c.len()), (m * k, k, m));
-        gemv_single_column(a, b, c, k);
+        gemv_single_column(AView::row_major(a, k), b, c, k, false);
         return;
     }
     execute(
         Tier::for_width(n),
         Task {
-            a,
+            a: AView::row_major(a, k),
             b: BView {
                 data: b,
                 row_stride: n,
@@ -203,25 +316,56 @@ pub(crate) fn gemm_strided(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usi
     );
 }
 
-/// `c (m×1) = a (m×k) · b (k×1)`: four independent accumulator chains per row.
-fn gemv_single_column(a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
+/// `c (m×1) = a (m×k) · b (k×1)`, or `c += …` with `accumulate`: four independent
+/// accumulator chains per row, summed, then the `k % 4` tail — and only then `c`.
+fn gemv_single_column(a: AView<'_>, b: &[f32], c: &mut [f32], k: usize, accumulate: bool) {
+    assert!(b.len() >= k && a.data.len() >= a.extent(c.len(), k));
     let unrolled = k / 4 * 4;
     for (i, out) in c.iter_mut().enumerate() {
-        let row = &a[i * k..(i + 1) * k];
+        let at = |p: usize| a.data[i * a.row_stride + p * a.step];
         let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
         let mut p = 0;
         while p < unrolled {
-            s0 += row[p] * b[p];
-            s1 += row[p + 1] * b[p + 1];
-            s2 += row[p + 2] * b[p + 2];
-            s3 += row[p + 3] * b[p + 3];
+            s0 += at(p) * b[p];
+            s1 += at(p + 1) * b[p + 1];
+            s2 += at(p + 2) * b[p + 2];
+            s3 += at(p + 3) * b[p + 3];
             p += 4;
         }
         let mut sum = (s0 + s1) + (s2 + s3);
-        for q in unrolled..k {
-            sum += row[q] * b[q];
+        for (q, &b_q) in b.iter().enumerate().take(k).skip(unrolled) {
+            sum += at(q) * b_q;
         }
-        *out = sum;
+        *out = if accumulate { *out + sum } else { sum };
+    }
+}
+
+/// Where a kernel finds `A[i][p]`: `data[i * row_stride + p * step]`.
+///
+/// A row-major `m×depth` matrix is `row_stride = depth, step = 1`; the transpose of a
+/// row-major `depth×m` matrix, read in place, is `row_stride = 1, step = m`.
+#[derive(Clone, Copy)]
+struct AView<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    step: usize,
+}
+
+impl<'a> AView<'a> {
+    fn row_major(data: &'a [f32], depth: usize) -> Self {
+        AView {
+            data,
+            row_stride: depth,
+            step: 1,
+        }
+    }
+
+    /// One past the last float of an `m × depth` view (0 for an empty one).
+    fn extent(&self, m: usize, depth: usize) -> usize {
+        match (m, depth) {
+            (0, _) | (_, 0) => 0,
+            _ => (m - 1) * self.row_stride + (depth - 1) * self.step + 1,
+        }
     }
 }
 
@@ -245,9 +389,10 @@ impl BView<'_> {
 }
 
 /// One GEMM call, the same for every tier and both `B` layouts:
-/// `c = epilogue((accumulate ? c : 0) + a · b)` with `a` `m×depth` and `c` `m×n` row-major.
+/// `c = epilogue((accumulate ? c : 0) + a · b)` with `a` an `m×depth` view and `c` `m×n`
+/// row-major.
 struct Task<'a> {
-    a: &'a [f32],
+    a: AView<'a>,
     b: BView<'a>,
     c: &'a mut [f32],
     m: usize,
@@ -315,7 +460,10 @@ impl Tier {
 /// lacks the tier's instructions — the checks the kernels' unsafe code relies on.
 fn execute(tier: Tier, task: Task<'_>) {
     let (m, depth, n) = (task.m, task.depth, task.n);
-    assert_eq!(task.a.len(), m * depth, "a must be m x depth");
+    assert!(
+        task.a.data.len() >= task.a.extent(m, depth),
+        "a is shorter than m x depth"
+    );
     assert_eq!(task.c.len(), m * n, "c must be m x n");
     if let Epilogue::BiasRelu(bias) = task.epilogue {
         assert_eq!(bias.len(), n, "bias must have one entry per column");
@@ -378,7 +526,7 @@ fn scalar_gemm(task: Task<'_>) {
             c_row.fill(0.0);
         }
         for p in 0..depth {
-            let scale = a[i * depth + p];
+            let scale = a.data[i * a.row_stride + p * a.step];
             for (strip, c_strip) in c_row.chunks_mut(PANEL).enumerate() {
                 let start = strip * b.panel_stride + p * b.row_stride;
                 let b_strip = &b.data[start..start + c_strip.len()];
@@ -400,8 +548,10 @@ fn scalar_gemm(task: Task<'_>) {
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct Block {
-    /// Rows of `a` are `depth` floats apart.
     a: *const f32,
+    /// Rows of `a` are `lda` floats apart, the steps of a row `a_step`.
+    lda: usize,
+    a_step: usize,
     b: *const f32,
     ldb: usize,
     depth: usize,
@@ -419,13 +569,15 @@ impl Block {
     /// # Safety
     /// `i < m`, `j < n`, and the task passed [`execute`]'s length checks.
     unsafe fn at(task: &mut Task<'_>, i: usize, j: usize) -> Block {
-        // SAFETY: with `i < m` and `j < n` every `add` below stays inside its slice — `a`
-        // is `m × depth`, `c` is `m × n`, the bias has `n` entries.  `b` is only known to
-        // reach column `j` when `depth > 0` (an empty reduction reads no `b` at all), so
-        // its offset is a `wrapping_add` the kernel never dereferences in that case.
+        // SAFETY: with `i < m` and `j < n` every `add` below stays inside its slice — `c`
+        // is `m × n`, the bias has `n` entries.  `a` and `b` are only known to reach row `i`
+        // / column `j` when `depth > 0` (an empty reduction reads neither), so their offsets
+        // are `wrapping_add`s the kernel never dereferences in that case.
         unsafe {
             Block {
-                a: task.a.as_ptr().add(i * task.depth),
+                a: task.a.data.as_ptr().wrapping_add(i * task.a.row_stride),
+                lda: task.a.row_stride,
+                a_step: task.a.step,
                 b: task.b.data.as_ptr().wrapping_add(task.b.column_offset(j)),
                 ldb: task.b.row_stride,
                 depth: task.depth,
@@ -512,7 +664,7 @@ mod avx512 {
     ///
     /// # Safety
     /// Requires AVX-512F.  For every `r < R`, `p < depth` and unmasked lane `l` of vector
-    /// `v`: `a + r·depth + p`, `b + p·ldb + 16v + l`, `c + r·ldc + 16v + l` and (unless null)
+    /// `v`: `a + r·lda + p·a_step`, `b + p·ldb + 16v + l`, `c + r·ldc + 16v + l` and (unless null)
     /// `bias + 16v + l` must be valid.
     #[target_feature(enable = "avx512f")]
     #[inline]
@@ -523,6 +675,8 @@ mod avx512 {
     ) {
         let Block {
             a,
+            lda,
+            a_step,
             b,
             ldb,
             depth,
@@ -554,7 +708,7 @@ mod avx512 {
                     };
                 }
                 for (r, row) in acc.iter_mut().enumerate() {
-                    let scale = _mm512_set1_ps(*a.add(r * depth + p));
+                    let scale = _mm512_set1_ps(*a.add(r * lda + p * a_step));
                     for (lane, &b_lane) in row.iter_mut().zip(&b_row) {
                         *lane = _mm512_fmadd_ps(scale, b_lane, *lane);
                     }
@@ -632,7 +786,7 @@ mod avx2 {
     ///
     /// # Safety
     /// Requires AVX2 + FMA.  For every `r < R`, `p < depth` and unmasked lane `l` of vector
-    /// `v`: `a + r·depth + p`, `b + p·ldb + 8v + l`, `c + r·ldc + 8v + l` and (unless null)
+    /// `v`: `a + r·lda + p·a_step`, `b + p·ldb + 8v + l`, `c + r·ldc + 8v + l` and (unless null)
     /// `bias + 8v + l` must be valid.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[inline]
@@ -643,6 +797,8 @@ mod avx2 {
     ) {
         let Block {
             a,
+            lda,
+            a_step,
             b,
             ldb,
             depth,
@@ -674,7 +830,7 @@ mod avx2 {
                     };
                 }
                 for (r, row) in acc.iter_mut().enumerate() {
-                    let scale = _mm256_set1_ps(*a.add(r * depth + p));
+                    let scale = _mm256_set1_ps(*a.add(r * lda + p * a_step));
                     for (lane, &b_lane) in row.iter_mut().zip(&b_row) {
                         *lane = _mm256_fmadd_ps(scale, b_lane, *lane);
                     }
@@ -775,7 +931,7 @@ mod tests {
         execute(
             tier,
             Task {
-                a: a.data(),
+                a: AView::row_major(a.data(), k_range.len()),
                 b: view,
                 c: c.data_mut(),
                 m: a.rows(),
@@ -848,6 +1004,68 @@ mod tests {
         }
     }
 
+    /// The training variants on one tier, bit for bit against the reference chain over
+    /// materialized transposes: `c += aᵀ·b` with `a` read in place through an element stride
+    /// (into a pre-filled `c`), and `a·bᵀ` over panels packed from the transposed source.
+    fn check_transposed_variants(tier: Tier, m: usize, k: usize, n: usize, seed: u64) {
+        let what = format!("{tier:?} {m}x{k}x{n}");
+        // aᵀ·b: `a` is k×m (the reduction runs over its rows), `b` is k×n.
+        let a = Matrix::xavier_seeded(k, m, seed);
+        let b = Matrix::xavier_seeded(k, n, seed ^ 0x9e37);
+        let prefilled = Matrix::xavier_seeded(m, n, seed ^ 0x5bd1);
+        let expected = reference(tier, &a.transpose(), &b, 0..k, &prefilled, Epilogue::None);
+        let mut c = prefilled.clone();
+        execute(
+            tier,
+            Task {
+                a: AView {
+                    data: a.data(),
+                    row_stride: 1,
+                    step: m,
+                },
+                b: BView {
+                    data: b.data(),
+                    row_stride: n,
+                    panel_stride: PANEL,
+                },
+                c: c.data_mut(),
+                m,
+                depth: k,
+                n,
+                accumulate: true,
+                epilogue: Epilogue::None,
+            },
+        );
+        assert_bits_eq(
+            &c,
+            &expected,
+            &format!("{what} strided aT.b into a pre-filled c"),
+        );
+
+        // a·bᵀ: `a` is m×k, `b` is n×k.
+        let a = Matrix::xavier_seeded(m, k, seed ^ 0x27d4);
+        let b = Matrix::xavier_seeded(n, k, seed ^ 0x1656);
+        let b_transposed = b.transpose();
+        let zeros = Matrix::zeros(m, n);
+        let expected = reference(tier, &a, &b_transposed, 0..k, &zeros, Epilogue::None);
+        let packed = PackedWeights::pack_transposed(&b);
+        assert_eq!((packed.rows(), packed.cols()), (k, n));
+        let actual = run(
+            tier,
+            &a,
+            &b_transposed,
+            Some(&packed),
+            0..k,
+            None,
+            Epilogue::None,
+        );
+        assert_bits_eq(
+            &actual,
+            &expected,
+            &format!("{what} a.bT from transposed panels"),
+        );
+    }
+
     proptest! {
         /// ROADMAP 4(e): the differential kernel oracle.  `n % 32 != 0`, `m % 8 != 0` and a
         /// cut at every `p` (including the empty prefix and the empty continuation) all occur.
@@ -862,6 +1080,46 @@ mod tests {
             for tier in tiers() {
                 check_shape(tier, m, k, n, split_seed % (k + 1), seed);
             }
+        }
+
+        /// The same oracle for a training step's products: tall outputs over short
+        /// reductions (`m` output rows, a shard's `k` samples deep).
+        #[test]
+        fn prop_transposed_variants_are_the_reference_chain(
+            m in 1usize..70,
+            k in 1usize..20,
+            n in 2usize..70,
+            seed in 0u64..1_000_000,
+        ) {
+            for tier in tiers() {
+                check_transposed_variants(tier, m, k, n, seed);
+            }
+        }
+    }
+
+    /// The dispatched training entry points against the parent formulation they replaced:
+    /// an explicit `transpose()` and `matmul`, then `add_assign` into a zeroed accumulator —
+    /// at a shard's shapes for both `out1` (`4H×2H`) and the one-column `out2`.
+    #[test]
+    fn training_entry_points_match_transpose_then_matmul() {
+        for (rows, input, output) in [(16, 512, 256), (16, 256, 1), (7, 40, 50), (5, 9, 3)] {
+            let x = Matrix::xavier_seeded(rows, input, 21);
+            let g = Matrix::xavier_seeded(rows, output, 22);
+            let w = Matrix::xavier_seeded(input, output, 23);
+            let mut grad_w = Matrix::zeros(input, output);
+            gemm_transpose_a_into(&x, &g, &mut grad_w);
+            let mut expected = Matrix::zeros(input, output);
+            expected.add_assign(&x.transpose().matmul(&g));
+            assert_bits_eq(&grad_w, &expected, "xT.g");
+            let grad_x = gemm_packed(
+                g.data(),
+                rows,
+                &PackedWeights::pack_transposed(&w),
+                0..output,
+                None,
+                Epilogue::None,
+            );
+            assert_bits_eq(&grad_x, &g.matmul(&w.transpose()), "g.wT");
         }
     }
 

@@ -7,6 +7,7 @@
 //! finite-difference gradient check in this crate's tests guards the hand-written derivatives.
 
 use crate::batch::RaggedBatch;
+use crate::gemm::{gemm_packed, gemm_transpose_a_into, Epilogue, PackedWeights};
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -110,25 +111,30 @@ impl Dense {
         grad_y.matmul_transpose(&self.w.value)
     }
 
-    /// Backward pass for dense operands of batched shapes: same gradients as
-    /// [`Dense::backward`], but both contractions run through the blocked dense kernel
-    /// ([`Matrix::transpose_matmul_dense`] / [`Matrix::matmul_transpose_dense`]).
-    pub fn backward_dense(&mut self, x: &Matrix, grad_y: &Matrix) -> Matrix {
-        let (grad_w, grad_b, grad_x) = self.backward_dense_calc(x, grad_y);
-        self.w.grad.add_assign(&grad_w);
-        self.b.grad.add_assign(&grad_b);
-        grad_x
-    }
-
-    /// Non-mutating form of [`Dense::backward_dense`]: returns `(dL/dW, dL/db, dL/dx)`
-    /// without touching the parameter gradient accumulators.  The data-parallel training
-    /// engine uses this so every shard of a mini-batch can accumulate into its own private
-    /// [`crate::parallel::GradientSet`] while sharing one read-only model.
-    pub fn backward_dense_calc(&self, x: &Matrix, grad_y: &Matrix) -> (Matrix, Matrix, Matrix) {
-        let grad_w = x.transpose_matmul_dense(grad_y);
-        let grad_b = Matrix::row_vector(&grad_y.column_sums());
-        let grad_x = grad_y.matmul_transpose_dense(&self.w.value);
-        (grad_w, grad_b, grad_x)
+    /// Backward pass for dense operands of batched shapes, into caller-provided gradient
+    /// buffers: accumulates `dL/dW = xᵀ·grad_y` into `grad_w` ([`gemm_transpose_a_into`]: `x`
+    /// is read in place) and `dL/db` into `grad_b`, and returns `dL/dx = grad_y·Wᵀ` as one
+    /// product over `transposed`, the layer's weights from
+    /// [`PackedWeights::pack_transposed`].  The layer itself is not needed: every shard of a
+    /// mini-batch runs this against the same panels into its own
+    /// [`crate::parallel::GradientSet`].
+    pub fn backward_into(
+        transposed: &PackedWeights,
+        x: &Matrix,
+        grad_y: &Matrix,
+        grad_w: &mut Matrix,
+        grad_b: &mut Matrix,
+    ) -> Matrix {
+        gemm_transpose_a_into(x, grad_y, grad_w);
+        grad_b.add_assign(&Matrix::row_vector(&grad_y.column_sums()));
+        gemm_packed(
+            grad_y.data(),
+            grad_y.rows(),
+            transposed,
+            0..transposed.rows(),
+            None,
+            Epilogue::None,
+        )
     }
 
     /// Backward pass for an *input* layer fed with sparse rows (one-hot featurized query
@@ -202,8 +208,7 @@ impl Dense {
             }
             // No CSR view ⇒ dense rows ⇒ dense transpose kernel for the weight gradient.
             None => {
-                let delta = batch.rows().transpose_matmul_dense(grad_y);
-                grad_w.add_assign(&delta);
+                gemm_transpose_a_into(batch.rows(), grad_y, grad_w);
                 let bias_grad = Matrix::row_vector(&grad_y.column_sums());
                 grad_b.add_assign(&bias_grad);
             }

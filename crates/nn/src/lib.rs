@@ -6,12 +6,15 @@
 //! * [`matrix`] — dense row-major `f32` matrices with the handful of products backprop needs;
 //! * [`gemm`] — the dense kernels behind them: one row-block micro-kernel per SIMD tier
 //!   (AVX-512, AVX2, portable), reading the right operand either row-major
-//!   ([`Matrix::matmul`], training) or from prepacked 64-byte-aligned panels
-//!   ([`gemm_packed`], inference).  Every tier sums an output element as **one accumulator
-//!   chain over the reduction index, in order**, whatever the batch size or layout — which
-//!   makes stacking rows, switching layouts and *cutting* the reduction (store the chain
-//!   state after `s` steps, resume from it later) all bit-neutral; the serving path of
-//!   `crn-core` leans on exactly that;
+//!   ([`Matrix::matmul`]) or from prepacked 64-byte-aligned panels ([`gemm_packed`]:
+//!   inference, and a training step's `g·Wᵀ` over panels packed once per step),
+//!   and the left operand in place or transposed in place ([`gemm_transpose_a_into`],
+//!   backprop's `xᵀ·g`).  Every tier sums an output element as **one accumulator chain over
+//!   the reduction index, in order**, whatever the batch size or layout — which makes
+//!   stacking rows, switching layouts and *cutting* the reduction (store the chain state
+//!   after `s` steps, resume from it later) all bit-neutral; the serving path of `crn-core`
+//!   leans on exactly that, and it is why training through the packed and strided-`A` entry
+//!   points ends on the same weights as explicit transposes did;
 //! * [`layers`] — trainable parameters, fully-connected layers, ReLU / sigmoid activations and
 //!   set average-pooling, each with an explicit hand-written backward pass (verified against
 //!   finite differences in tests);
@@ -22,7 +25,9 @@
 //! * [`parallel`] — data-parallel execution: a persistent spawn-once worker pool (plus the
 //!   original scoped shard pool), detached per-shard gradient sets and fixed-order
 //!   (optionally fully deterministic) gradient reduction;
-//! * [`optim`] — the Adam optimizer;
+//! * [`optim`] — the Adam optimizer: one update kernel behind three gradient sources (a
+//!   parameter's accumulator, a merged set, per-shard sets summed on the fly on the worker
+//!   pool), storing subnormal moments as zero;
 //! * [`loss`] — the q-error objective (plus MSE / MAE, which §3.2.4 considers and rejects);
 //! * [`train`] — train/validation splitting, mini-batching, early stopping and training
 //!   history (used to reproduce Figures 3 and 4).
@@ -55,7 +60,7 @@ pub use batch::{
     expand_full_backward, expand_full_tail, segment_pool, segment_pool_backward, shard_ranges,
     split_columns, RaggedBatch, SegmentPool, SparseRows,
 };
-pub use gemm::{gemm_packed, Epilogue, PackedWeights};
+pub use gemm::{gemm_packed, gemm_transpose_a_into, Epilogue, PackedWeights};
 pub use layers::{
     mean_pool, mean_pool_backward, relu, relu_backward, relu_backward_in_place, relu_in_place,
     sigmoid, sigmoid_backward, sigmoid_in_place, Dense, Param,
@@ -64,8 +69,8 @@ pub use loss::{loss_and_grad, mean_q_error, q_error, LossKind, LossValue};
 pub use matrix::Matrix;
 pub use optim::Adam;
 pub use parallel::{
-    reduce_gradients, run_over_ranges, run_sharded, GradientSet, ThreadPoolConfig, WorkerPool,
-    DETERMINISTIC_SHARDS,
+    reduce_gradients, run_over_ranges, run_sharded, GradientSet, ShardGradients, ThreadPoolConfig,
+    WorkerPool, DETERMINISTIC_SHARDS,
 };
 pub use train::{
     shuffled_batches, train_validation_split, EarlyStopping, EpochStats, ReplayBuffer, TrainConfig,

@@ -110,10 +110,10 @@ impl Matrix {
     }
 
     /// Matrix multiplication `self (m×k) * other (k×n) -> (m×n)` — the dense kernel, and the
-    /// strided entry point of [`crate::gemm`] (training's: its weights move every step, so
-    /// there is nothing to prepack; inference multiplies by
-    /// [`PackedWeights`](crate::gemm::PackedWeights) through
-    /// [`gemm_packed`](crate::gemm::gemm_packed) instead, with bit-identical results).
+    /// strided entry point of [`crate::gemm`]: for a right operand that is multiplied once.
+    /// Weights that many products share — inference's, and a training step's across its
+    /// shards — are multiplied as [`PackedWeights`](crate::gemm::PackedWeights) through
+    /// [`gemm_packed`](crate::gemm::gemm_packed) instead, with bit-identical results.
     ///
     /// Runs the row-block micro-kernel of the best SIMD tier the CPU has (AVX-512, else
     /// AVX2+FMA, else portable loops): blocks of up to 8 (4) rows keep their slice of the
@@ -184,36 +184,12 @@ impl Matrix {
         out
     }
 
-    /// `self^T (k×m) * other (k×n) -> (m×n)` through the blocked dense kernel, for dense
-    /// operands: materializes the transpose once (O(k·m), negligible next to the O(k·m·n)
-    /// product) so the whole contraction runs through [`Matrix::matmul`]'s SIMD path.
-    pub fn transpose_matmul_dense(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, other.rows,
-            "transpose_matmul dimension mismatch: {}x{} vs {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        self.transpose().matmul(other)
-    }
-
-    /// `self (m×k) * other^T (n×k) -> (m×n)` through the blocked dense kernel, for dense
-    /// operands: materializes the transpose of `other` once so the contraction runs through
-    /// [`Matrix::matmul`]'s SIMD path instead of row-by-row dot products.
-    pub fn matmul_transpose_dense(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose dimension mismatch: {}x{} vs {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        self.matmul(&other.transpose())
-    }
-
     /// `self^T (k×m) * other (k×n) -> (m×n)`, without materializing the transpose.
     ///
     /// Keeps the zero-skip: every call site feeds `self` with layer *inputs* during backprop
     /// (`dW = x^T·g`), which are one-hot feature rows or post-ReLU activations — the sparse
     /// regimes where the skip measures faster (see [`Matrix::matmul_sparse`]).  For dense
-    /// operands of batched shapes use [`Matrix::transpose_matmul_dense`].
+    /// operands of batched shapes use [`crate::gemm::gemm_transpose_a_into`].
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
@@ -259,12 +235,21 @@ impl Matrix {
         out
     }
 
-    /// Explicit transpose.
+    /// Explicit transpose, in 32×32 tiles: both the rows read and the rows written of a tile
+    /// stay in L1, where an untiled row-by-row loop misses on every strided write.
     pub fn transpose(&self) -> Matrix {
+        const TILE: usize = 32;
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
+        for tile_row in (0..self.rows).step_by(TILE) {
+            let row_end = self.rows.min(tile_row + TILE);
+            for tile_col in (0..self.cols).step_by(TILE) {
+                let col_end = self.cols.min(tile_col + TILE);
+                for i in tile_row..row_end {
+                    let source = &self.data[i * self.cols + tile_col..i * self.cols + col_end];
+                    for (j, &value) in (tile_col..col_end).zip(source) {
+                        out.data[j * self.rows + i] = value;
+                    }
+                }
             }
         }
         out
@@ -407,16 +392,27 @@ mod tests {
         let c = Matrix::xavier_seeded(5, 3, 3);
         // a^T * b == transpose(a).matmul(b)
         let expected = a.transpose().matmul(&b);
-        for actual in [a.transpose_matmul(&b), a.transpose_matmul_dense(&b)] {
-            for (x, y) in expected.data().iter().zip(actual.data()) {
-                assert!((x - y).abs() < 1e-5);
-            }
+        for (x, y) in expected.data().iter().zip(a.transpose_matmul(&b).data()) {
+            assert!((x - y).abs() < 1e-5);
         }
         // a * c^T == a.matmul(transpose(c))
         let expected = a.matmul(&c.transpose());
-        for actual in [a.matmul_transpose(&c), a.matmul_transpose_dense(&c)] {
-            for (x, y) in expected.data().iter().zip(actual.data()) {
-                assert!((x - y).abs() < 1e-5);
+        for (x, y) in expected.data().iter().zip(a.matmul_transpose(&c).data()) {
+            assert!((x - y).abs() < 1e-5);
+        }
+    }
+
+    /// Shapes on both sides of the tile size, against the definition.
+    #[test]
+    fn tiled_transpose_moves_every_element() {
+        for (rows, cols) in [(1, 1), (3, 70), (32, 32), (33, 31), (70, 65)] {
+            let m = Matrix::xavier_seeded(rows, cols, (rows * 100 + cols) as u64);
+            let t = m.transpose();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(t.get(j, i).to_bits(), m.get(i, j).to_bits());
+                }
             }
         }
     }

@@ -16,9 +16,13 @@
 //!   every mini-batch / per-query job to the same long-lived workers instead of re-spawning
 //!   scoped threads per call;
 //! * [`GradientSet`] — a model's gradient tensors as plain matrices, detached from the
-//!   parameters so every shard can accumulate privately;
+//!   parameters so every shard can accumulate privately ([`ShardGradients`]: one set per
+//!   shard, kept for the whole training run);
 //! * [`reduce_gradients`] — merges per-shard gradient sets in a **fixed shard order**
-//!   (tree reduction by default, strictly sequential in deterministic mode).
+//!   (tree reduction by default, strictly sequential in deterministic mode).  Training
+//!   applies the same sums element by element inside the optimizer pass
+//!   ([`Adam::step_sharded`](crate::optim::Adam::step_sharded)); this function is the
+//!   definition that pass is tested against.
 //!
 //! # Determinism contract
 //!
@@ -36,8 +40,8 @@
 //!   cross-thread parity tests in `crn-core` and `crn-estimators` pin this.
 //!
 //! In both modes the work queue hands shards to workers dynamically (an atomic cursor), but
-//! every shard's result lands in its own slot and merging happens on the calling thread in
-//! shard order, so scheduling jitter never reaches the arithmetic.
+//! every shard's result lands in its own slot and every element's merge runs in shard order
+//! — whichever thread computes it — so scheduling jitter never reaches the arithmetic.
 
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
@@ -621,6 +625,11 @@ impl GradientSet {
         (&mut left[first], &mut right[0])
     }
 
+    /// Sets every tensor to zero, keeping the allocations.
+    pub fn fill_zero(&mut self) {
+        self.parts.iter_mut().for_each(Matrix::fill_zero);
+    }
+
     /// Element-wise `self += other` over every tensor.
     ///
     /// # Panics
@@ -634,6 +643,47 @@ impl GradientSet {
         for (mine, theirs) in self.parts.iter_mut().zip(&other.parts) {
             mine.add_assign(theirs);
         }
+    }
+}
+
+/// The gradient sets the shards of a mini-batch accumulate into, one per shard, allocated
+/// once per training run and zeroed by the shard that starts on them — not allocated (and
+/// page-faulted in) once per shard per step.  [`Adam::step_sharded`](crate::optim::Adam::step_sharded)
+/// sums them in shard order.
+#[derive(Debug)]
+pub struct ShardGradients {
+    /// A mutex per set: the pool hands every shard index to exactly one worker, and this is
+    /// what lets the shared shard closure take its set mutably.
+    sets: Vec<Mutex<GradientSet>>,
+}
+
+impl ShardGradients {
+    /// One zeroed set of the given shapes for each of `config`'s shards of a mini-batch.
+    pub fn new(shapes: &[(usize, usize)], config: &ThreadPoolConfig) -> Self {
+        ShardGradients {
+            sets: (0..config.shard_count(usize::MAX))
+                .map(|_| Mutex::new(GradientSet::zeros(shapes)))
+                .collect(),
+        }
+    }
+
+    /// Shard `shard`'s set, zeroed, for the worker that runs the shard.
+    pub fn start(&self, shard: usize) -> MutexGuard<'_, GradientSet> {
+        let mut set = lock_ignoring_poison(&self.sets[shard]);
+        set.fill_zero();
+        set
+    }
+
+    /// The sets of shards `0..count`, in shard order.
+    pub fn sets(&mut self, count: usize) -> Vec<&GradientSet> {
+        self.sets[..count]
+            .iter_mut()
+            .map(|set| {
+                &*set
+                    .get_mut()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner())
+            })
+            .collect()
     }
 }
 
