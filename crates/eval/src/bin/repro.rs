@@ -8,11 +8,11 @@
 //! repro serve [--preset ...] [--shards N] [--threads N] [--queries N] [--batch N]
 //!             [--async] [--batch-window-us N] [--queue-depth N] [--callers N]
 //!             [--class-window-us N] [--class-weights A:B] [--cache-entries N]
-//!             [--online] [--refresh-interval N] [--probe-frac F] [--gate-margin F]
-//!             [--deadline-us N] [--batch-deadline-us N] [--restart-budget N]
-//!             [--checkpoint-dir D] [--checkpoint-every N] [--chaos <plan>]
+//!             [--deadline-us N] [--batch-deadline-us N]
+//!             [--checkpoint-dir D] [--checkpoint-every N]
 //!             [--top-k K] [--pool-cap N] [--pool-scale a,b,...]
 //!             [--q-error-budget F] [--bench-json <path>]
+//!             [--metrics-jsonl <path>] [--metrics-interval-ms N]
 //!             [--cluster N] [--worker-timeout-us N] [--compact-every N]
 //! repro cluster-worker [--threads N]
 //! repro list
@@ -28,9 +28,10 @@
 //! `--threads`-worker pool — synchronously in `--batch`-sized `serve` calls, or through
 //! the async request-queue runtime (`--async`) with a closed-loop `--callers`-thread load
 //! generator, a `--batch-window-us` cross-call batching window and a `--queue-depth`
-//! admission bound.  In both modes the first batch is verified bit-for-bit against
-//! sequential serving and any violation exits non-zero (`repro serve --help` has the
-//! parameter-selection guidance).
+//! admission bound; `--cluster N` puts N forked worker processes behind that runtime, and
+//! `--pool-scale` runs the full-scan vs top-K sweep over synthesized pools.  The first batch
+//! is verified bit-for-bit against sequential serving and any violated gate exits non-zero
+//! (`repro serve --help` has the parameter-selection guidance).
 //!
 //! Experiment ids are the ones listed in DESIGN.md (`table2`–`table15`, `fig3`–`fig13`,
 //! `ablation_crn`, `ablation_final_fn`).  The output is the same set of rows/series the paper
@@ -206,26 +207,6 @@ fn run_serve(args: &[String]) {
             }
             "--batch" => config.batch = parse_count(&flag_value(&mut iter, "--batch"), "--batch"),
             "--async" => config.async_mode = true,
-            "--online" => config.online = true,
-            "--refresh-interval" => {
-                // Zero is legitimate: it disables model refresh (pool maintenance still
-                // runs), the bit-parity mode of the acceptance criterion.
-                let value = flag_value(&mut iter, "--refresh-interval");
-                config.refresh_interval = value.parse().unwrap_or_else(|_| {
-                    eprintln!("--refresh-interval requires a non-negative integer, got {value}");
-                    std::process::exit(2);
-                });
-            }
-            "--probe-frac" => {
-                let value = flag_value(&mut iter, "--probe-frac");
-                config.probe_fraction = match value.parse::<f64>() {
-                    Ok(parsed) if (0.0..=0.9).contains(&parsed) => parsed,
-                    _ => {
-                        eprintln!("--probe-frac requires a fraction in [0, 0.9], got {value}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--batch-window-us" => {
                 // Zero is legitimate: it means "serve whatever has accumulated".
                 let value = flag_value(&mut iter, "--batch-window-us");
@@ -244,16 +225,6 @@ fn run_serve(args: &[String]) {
             "--bench-json" => {
                 config.bench_json = Some(flag_value(&mut iter, "--bench-json"));
             }
-            "--gate-margin" => {
-                let value = flag_value(&mut iter, "--gate-margin");
-                config.gate_margin = match value.parse::<f64>() {
-                    Ok(parsed) if (0.0..=0.9).contains(&parsed) => parsed,
-                    _ => {
-                        eprintln!("--gate-margin requires a fraction in [0, 0.9], got {value}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--deadline-us" => {
                 config.deadline_us = Some(parse_count(
                     &flag_value(&mut iter, "--deadline-us"),
@@ -264,24 +235,13 @@ fn run_serve(args: &[String]) {
                 config.checkpoint_dir = Some(flag_value(&mut iter, "--checkpoint-dir"));
             }
             "--checkpoint-every" => {
-                // Zero is legitimate: the directory is still restored from (and the
-                // crash-restore demo writes explicitly), cadence writes are just off.
+                // Zero is legitimate: the directory is still restored from, cadence
+                // writes are just off.
                 let value = flag_value(&mut iter, "--checkpoint-every");
                 config.checkpoint_every = value.parse().unwrap_or_else(|_| {
                     eprintln!("--checkpoint-every requires a non-negative integer, got {value}");
                     std::process::exit(2);
                 });
-            }
-            "--restart-budget" => {
-                // Zero is legitimate: the first panic of a lane degrades it.
-                let value = flag_value(&mut iter, "--restart-budget");
-                config.restart_budget = Some(value.parse().unwrap_or_else(|_| {
-                    eprintln!("--restart-budget requires a non-negative integer, got {value}");
-                    std::process::exit(2);
-                }));
-            }
-            "--chaos" => {
-                config.chaos = Some(flag_value(&mut iter, "--chaos"));
             }
             "--class-window-us" => {
                 // Zero is legitimate: the batch class then inherits the base
@@ -425,8 +385,8 @@ fn run_serve(args: &[String]) {
     match run_serve_demo(&config) {
         Ok(report) => println!("{report}"),
         Err(violation) => {
-            // The bit-parity tripwire: a drifted serving path must fail the CI smoke
-            // loudly, not scroll past in a log.
+            // A violated gate (bit-parity first of all) must fail the CI smoke loudly,
+            // not scroll past in a log.
             eprintln!("[serve] FATAL: {violation}");
             std::process::exit(1);
         }
@@ -482,12 +442,10 @@ fn print_serve_usage() {
          [--callers N] [--bench-json <path>]\n\
          \x20                  [--class-window-us N] [--class-weights A:B] \
          [--cache-entries N]\n\
-         \x20                  [--online] [--refresh-interval N] [--probe-frac F] \
-         [--gate-margin F]\n\
          \x20                  [--deadline-us N] [--batch-deadline-us N] \
-         [--restart-budget N] [--checkpoint-dir D] [--checkpoint-every N]\n\
-         \x20                  [--chaos <plan>|crash-restore] [--top-k K] \
-         [--pool-cap N] [--pool-scale a,b,...] [--q-error-budget F]\n\
+         [--checkpoint-dir D] [--checkpoint-every N]\n\
+         \x20                  [--top-k K] [--pool-cap N] [--pool-scale a,b,...] \
+         [--q-error-budget F]\n\
          \x20                  [--metrics-jsonl <path>] [--metrics-interval-ms N]\n\
          \x20                  [--cluster N] [--worker-timeout-us N] \
          [--compact-every N]\n\
@@ -500,33 +458,9 @@ fn print_serve_usage() {
          maintenance).  The first batch\n\
          is always verified bit-for-bit against sequential serving; a violation exits \
          non-zero.\n\
-         \n\
-         --online runs the continual-learning demo on top: after a baseline segment \
-         the workload shifts\n\
-         to an equality-biased scale distribution the model never trained on; served \
-         truths flow back\n\
-         through the maintenance lane, a sliding-window drift detector triggers \
-         warm-start fine-tunes,\n\
-         and candidates hot-swap into serving only after beating the live model's \
-         median q-error on a\n\
-         held-out probe set (the validation gate; violations, or an applied refresh \
-         that fails to beat\n\
-         the frozen model on the shifted segment, exit non-zero).  Emits \
-         BENCH_online.json via --bench-json.\n\
-         \n\
-         Choosing --refresh-interval: feedback records between refresh opportunities. \
-         Small intervals\n\
-         react fast but fine-tune on thin evidence (more gate rejections); one to two \
-         drift windows'\n\
-         worth (~16-64 records) is the sweet spot.  0 disables model refresh — \
-         serving is then\n\
-         bit-identical to --async (pool maintenance still runs).\n\
-         \n\
-         Choosing --probe-frac: the held-out share of feedback funding the validation \
-         gate.  0.2-0.3\n\
-         buys a trustworthy gate at modest training-data cost; below ~0.1 the gate \
-         gets noisy and a\n\
-         bad candidate can slip through on luck.\n\
+         Model refresh, fault injection and crash-restore are not driven from here: \
+         `cargo test -p crn-online\n\
+         -p crn-serve` pins them.\n\
          \n\
          Choosing --shards: shards bound the per-work-item anchor batch.  Use 1 on a \
          single core (anything\n\
@@ -594,7 +528,7 @@ fn print_serve_usage() {
          exactly.  With the\n\
          cache on, the demo drives the workload twice so the hit path is measured \
          (per-class p50/p99\n\
-         and hit rates land in BENCH_serving.json).\n\
+         and the cache counters land in --bench-json).\n\
          \n\
          Choosing --deadline-us (async): the per-request staleness bound.  A queued \
          request past its\n\
@@ -659,14 +593,6 @@ fn print_serve_usage() {
          near-exactness (larger K needed); loosen above ~1.5 only for latency-first \
          deployments.\n\
          \n\
-         Choosing --restart-budget: panics per lane per minute the supervisor absorbs \
-         by restarting\n\
-         before declaring the lane sick and degrading (scheduler -> synchronous \
-         serving on the caller\n\
-         thread, maintenance -> loud shedding).  The default 3 rides out isolated \
-         poison queries; 0 turns\n\
-         every panic into an immediate degrade (strictest CI setting).\n\
-         \n\
          Choosing --checkpoint-every: applied maintenance records between checkpoint \
          writes to\n\
          --checkpoint-dir (atomic temp-file + rename, checksum-verified manifest; \
@@ -676,20 +602,6 @@ fn print_serve_usage() {
          Writes serialize the full pool + model, so cadences below ~64 records tax the \
          maintenance lane\n\
          on busy feeds; 0 disables cadence writes.\n\
-         \n\
-         Choosing --chaos: a deterministic fault plan, either 'crash-restore' (kill \
-         the process state at\n\
-         the workload midpoint, restore from the checkpoint, require bit-identical \
-         estimates) or\n\
-         comma-separated site:trigger specs over sites batch-panic, scheduler-kill, \
-         maint-panic,\n\
-         maint-kill, checkpoint-fail, refresh-panic — e.g. \
-         'batch-panic:2,maint-kill,checkpoint-fail:every2'\n\
-         (bare site = first occurrence, :N = Nth, :everyN = every Nth).  Occurrence \
-         counts, not timers:\n\
-         the same plan always kills the same batch.  The run fails unless every \
-         admitted ticket resolves;\n\
-         BENCH_chaos.json (via --bench-json) carries the full resolution accounting.\n\
          \n\
          Choosing --metrics-jsonl: live observability export.  The serve demos always \
          run with the\n\
@@ -772,10 +684,8 @@ fn print_usage() {
         "       repro serve [--preset tiny|small|paper] [--shards N] [--threads N] \
          [--queries N] [--batch N] [--async] [--batch-window-us N] [--queue-depth N] \
          [--callers N] [--class-window-us N] [--class-weights A:B] [--cache-entries N] \
-         [--online] [--refresh-interval N] [--probe-frac F] \
-         [--gate-margin F] [--deadline-us N] [--batch-deadline-us N] \
-         [--restart-budget N] [--checkpoint-dir D] \
-         [--checkpoint-every N] [--chaos <plan>] [--top-k K] [--pool-cap N] \
+         [--deadline-us N] [--batch-deadline-us N] [--checkpoint-dir D] \
+         [--checkpoint-every N] [--top-k K] [--pool-cap N] \
          [--pool-scale a,b,...] [--q-error-budget F] [--bench-json <path>] \
          [--metrics-jsonl <path>] [--metrics-interval-ms N] [--cluster N] \
          [--worker-timeout-us N] [--compact-every N]  \

@@ -7,10 +7,10 @@
 //! * [`harness`] — the shared [`harness::ExperimentContext`]: database, training corpora,
 //!   trained CRN/MSCN models, the PostgreSQL baseline and the queries pool;
 //! * [`experiments`] — one runner per paper table/figure plus ablations;
-//! * [`serve`] — the `repro serve` driver: the concurrent estimator service over a sharded
-//!   pool snapshot (sync mode) or the async request-queue runtime with its closed-loop
-//!   multi-caller load generator (`--async`), both with a bit-parity tripwire against
-//!   sequential serving and an optional machine-readable `BENCH_serving.json` summary.
+//! * [`serve`] — the `repro serve` scenario driver: a backend (in-process service or cluster
+//!   coordinator) under a load shape (direct `serve` calls, closed-loop callers through the
+//!   async runtime, or the pool-scale arms), with a bit-parity tripwire against sequential
+//!   serving and one machine-readable record per measured configuration.
 //!
 //! The `repro` binary drives everything:
 //!
@@ -35,5 +35,5 @@ pub use harness::{ExperimentConfig, ExperimentContext};
 pub use metrics::{ModelErrors, QErrorSummary};
 pub use plot::{render_box_plots, BoxStats};
 pub use report::ExperimentReport;
-pub use serve::{run_serve_demo, BenchRecord, BenchSummary, OnlineBenchSummary, ServeDemoConfig};
+pub use serve::{run_serve_demo, BenchRecord, BenchSummary, ServeDemoConfig};
 pub use workloads::{PairWorkload, Workload, WorkloadSizes};

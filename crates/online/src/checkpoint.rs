@@ -7,7 +7,7 @@
 //! persists the full online serving state — pool + model + controller — such that a
 //! restore is **bit-identical**: a process restored from a checkpoint serves exactly the
 //! estimates (and fine-tunes exactly the parameters) the uninterrupted process would
-//! have (pinned by the crash-restore chaos demo in `crn-eval`).
+//! have (pinned by `tests/fault_tolerance.rs::checkpoint_round_trip_is_bit_identical`).
 //!
 //! Crash-safety is the classic two-phase rename protocol, built on nothing but
 //! `std::fs` (the rename is the commit point on every POSIX filesystem):

@@ -264,8 +264,8 @@ pub struct RefreshOutcome {
 
 impl RefreshOutcome {
     /// The gate invariant: an applied refresh must have beaten the live model on the
-    /// probe set by at least the configured relative margin.  `repro serve --online`
-    /// re-checks this per cycle and exits non-zero on violation (the CI tripwire).
+    /// probe set by at least the configured relative margin.  `tests/online_refresh.rs`
+    /// re-checks this on every cycle it drives.
     pub fn gate_respected(&self) -> bool {
         match self.decision {
             RefreshDecision::Applied => gate_accepts(

@@ -32,12 +32,11 @@
 //!    `crn_core::service`).
 //!
 //! Refresh cycles run either driver-paced (call
-//! [`RefreshController::refresh_if_needed`] at your own cadence — what `repro serve
-//! --online --refresh-interval N` does, keeping demos and CI deterministic) or fully in
-//! the background on a [`RefreshWorker`] thread.
+//! [`RefreshController::refresh_if_needed`] at your own cadence — what the integration
+//! tests do, keeping them deterministic) or fully in the background on a
+//! [`RefreshWorker`] thread.
 //!
-//! Knob guidance lives in the ROADMAP's "Online refresh" section and in
-//! `repro serve --help`.
+//! Knob guidance lives on the fields of [`OnlineConfig`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

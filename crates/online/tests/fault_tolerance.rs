@@ -93,21 +93,26 @@ fn margin_config(gate_margin: f64) -> OnlineConfig {
     }
 }
 
-/// Feeds the deterministic drift stream into a controller (what the maintenance lane's
-/// observer channel would deliver), upserting the observed truths into the pool, until
-/// the drift window trips the threshold.  Fully deterministic: the same starting seed
-/// always produces the same feed sequence.
-fn feed_drift(fx: &Fixture, controller: &RefreshController, start_seed: u64) {
+/// Serves `queries` and feeds each observed truth back: upserted into the pool and handed
+/// to the controller (what the maintenance lane's observer channel would deliver).
+fn feed(fx: &Fixture, controller: &RefreshController, queries: &[Query]) {
     let truth = Executor::new(&fx.db);
+    for query in queries {
+        let estimate = fx.service.estimate_one(query);
+        let cardinality = truth.cardinality(query);
+        fx.service.pool().upsert(query.clone(), cardinality);
+        controller.observe(query, cardinality, estimate);
+    }
+}
+
+/// Feeds the deterministic drift stream into a controller until the drift window trips
+/// the threshold.  Fully deterministic: the same starting seed always produces the same
+/// feed sequence.
+fn feed_drift(fx: &Fixture, controller: &RefreshController, start_seed: u64) {
     for seed in start_seed..start_seed + 5 {
         let queries = shifted_workload(&fx.db, &fx.pool, seed, 40);
         assert!(queries.len() >= 20, "fixture needs pool-covered queries");
-        for query in &queries {
-            let estimate = fx.service.estimate_one(query);
-            let cardinality = truth.cardinality(query);
-            fx.service.pool().upsert(query.clone(), cardinality);
-            controller.observe(query, cardinality, estimate);
-        }
+        feed(fx, controller, &queries);
         if controller.stats().window_median > 1.5 {
             return;
         }
@@ -208,19 +213,54 @@ fn checkpoint_round_trip_is_bit_identical() {
         assert!(a == b, "restored {a} vs live {b} must be bit-identical");
     }
 
-    // The controller's durable state round-trips exactly.
+    // The controller's durable state round-trips exactly — into a service rebuilt from the
+    // checkpoint alone, the way a restarted process comes back.
     let online_state = restored.online.expect("controller state captured");
-    let fresh_controller = RefreshController::new(
-        Arc::clone(&fx.service),
+    let restored_fx = Fixture {
+        db: fx.db.clone(),
+        pool: fx.pool.clone(),
+        service: Arc::new(EstimatorService::new(
+            restored_estimator.model().clone(),
+            ShardedPool::from_pool(restored_estimator.pool(), 4),
+            WorkerPool::shared(2),
+        )),
+    };
+    let restored_controller = RefreshController::new(
+        Arc::clone(&restored_fx.service),
         Box::new(ExecLabeler::new(Arc::new(fx.db.clone()), 2)),
         margin_config(0.0),
     );
-    fresh_controller.restore_state(online_state.clone());
-    assert_eq!(fresh_controller.checkpoint_state(), online_state);
+    restored_controller.restore_state(online_state.clone());
+    assert_eq!(restored_controller.checkpoint_state(), online_state);
     assert_eq!(
-        fresh_controller.stats().feedback_seen,
+        restored_controller.stats().feedback_seen,
         controller.stats().feedback_seen
     );
+
+    // Both lineages — the process that never stopped and the one restored from disk — now
+    // live through the same further feedback.  The restore is exact only if they stay
+    // bit-identical: the same final estimates over the grown pools, and the same durable
+    // controller position (the transient drift window is deliberately not checkpointed).
+    let further = shifted_workload(&fx.db, &fx.pool, 176, 24);
+    feed(&fx, &controller, &further);
+    feed(&restored_fx, &restored_controller, &further);
+    assert!(fx.service.pool().len() > restored_estimator.pool().len());
+    for query in gen.generate_queries(20).iter().chain(&further) {
+        let a = restored_fx.service.estimate_one(query);
+        let b = fx.service.estimate_one(query);
+        assert!(
+            a == b,
+            "restored lineage {a} vs uninterrupted {b} must stay bit-identical"
+        );
+    }
+    let (live, resumed) = (
+        controller.checkpoint_state(),
+        restored_controller.checkpoint_state(),
+    );
+    assert_eq!(resumed.stats.feedback_seen, live.stats.feedback_seen);
+    assert_eq!(resumed.stats.probe_routed, live.stats.probe_routed);
+    assert_eq!(resumed.route_count, live.route_count);
+    assert_eq!(resumed.probe_routed_acc, live.probe_routed_acc);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

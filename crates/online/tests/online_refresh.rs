@@ -214,9 +214,12 @@ fn workload_shift_triggers_a_gated_refresh_through_the_runtime() {
 
     // The traffic shifts to a distribution the model never trained on.
     let truth = Executor::new(&fx.db);
-    let queries = shifted_workload(&fx.db, &fx.pool, 131, 40);
-    assert!(queries.len() >= 20, "fixture needs pool-covered queries");
-    for query in &queries {
+    // Only the head of the stream is served and fed back; the tail is held out of all
+    // feedback for the verdict on the swap.
+    let stream = shifted_workload(&fx.db, &fx.pool, 131, 440);
+    let (queries, tail) = stream.split_at(40);
+    let frozen = fx.service.model();
+    for query in queries {
         let estimate = runtime
             .submit_retrying(0, query)
             .expect("runtime alive")
@@ -256,6 +259,39 @@ fn workload_shift_triggers_a_gated_refresh_through_the_runtime() {
     let stats = controller.stats();
     assert_eq!(stats.refreshes_applied, 1);
     assert_eq!(stats.refreshes_rejected, 0);
+
+    // Held out: never fed back (or the pool would answer it from memory under either
+    // model), and with a non-trivial result — equality-biased predicates often select ~0
+    // rows, where the q-error floor makes every estimator look perfect.
+    let (held_out, held_out_truths): (Vec<Query>, Vec<u64>) = tail
+        .iter()
+        .filter(|query| !queries.contains(query))
+        .map(|query| (query.clone(), truth.cardinality(query)))
+        .filter(|(_, cardinality)| *cardinality >= 4)
+        .unzip();
+    assert!(held_out.len() >= 50, "fixture needs a held-out slice");
+    // The swap pays off beyond the probe set it was gated on: over the same final
+    // (feedback-refreshed) pool, the swapped model's median q-error on the held-out slice is
+    // strictly below the frozen model's — the model refresh's own contribution, with what
+    // pool maintenance alone bought taken out.
+    let final_pool = fx.service.pool().snapshot();
+    let held_out_median = |model: &CrnModel| {
+        probe_median(
+            fx.service.config(),
+            model,
+            final_pool.shards(),
+            &held_out,
+            &held_out_truths,
+        )
+    };
+    let (frozen_median, swapped_median) = (
+        held_out_median(&frozen),
+        held_out_median(&fx.service.model()),
+    );
+    assert!(
+        swapped_median < frozen_median,
+        "swapped model {swapped_median} vs frozen {frozen_median} on the held-out slice"
+    );
 
     // Serving continues seamlessly on the new snapshot (and the next cycle needs fresh
     // drift evidence — the window was reset).

@@ -134,7 +134,7 @@ impl std::error::Error for FaultPlanError {}
 
 /// A deterministic, seedless fault script: a list of [`FaultSpec`]s.
 ///
-/// The text syntax (the `repro serve --chaos` argument) is comma-separated
+/// The text syntax ([`FaultPlan::parse`]) is comma-separated
 /// `site:occurrence` specs — `batch-panic:2` (panic the 2nd batch execution),
 /// `maint-kill:1,maint-kill:2` (kill the maintenance thread on its 1st and 2nd
 /// record), `batch-panic:every3` (every 3rd batch).  A bare site name means `:1`.

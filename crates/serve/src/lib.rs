@@ -77,7 +77,7 @@
 //!   lane invokes on a configurable cadence (`crn-online` implements it with atomic
 //!   temp-file + rename checkpoints).
 //! * [`fault`] — the deterministic, occurrence-counted [`FaultInjector`] that scripts
-//!   exactly these failures for the chaos suite and `repro serve --chaos`.
+//!   exactly these failures for the chaos suite.
 //!
 //! The headline invariant, pinned by `tests/chaos.rs`: **every admitted ticket
 //! resolves** — completed, degraded, expired or failed — under every fault plan.

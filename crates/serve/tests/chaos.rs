@@ -123,9 +123,13 @@ fn model_panicking_every_kth_batch_still_resolves_every_ticket() {
 #[test]
 fn scheduler_kill_restarts_the_lane_with_the_queue_intact() {
     let plan = FaultPlan::none().with(FaultSite::SchedulerLoop, FaultTrigger::Once(1));
+    let obs = crn_obs::Obs::new(crn_obs::ObsConfig::enabled());
     let runtime = chaos_runtime(
         plan,
-        RuntimeConfig::default().with_batch_max(1).with_window_us(0),
+        RuntimeConfig::default()
+            .with_batch_max(1)
+            .with_window_us(0)
+            .with_obs(obs.clone()),
     );
     let query = Query::scan("title");
     // Queue several requests up front: the kill orphans the first popped batch
@@ -161,6 +165,23 @@ fn scheduler_kill_restarts_the_lane_with_the_queue_intact() {
     assert_eq!(stats.scheduler_restarts, 1);
     assert!(!stats.degraded_sync_mode);
     assert_eq!(runtime_supervisor_panics(&stats), 1);
+    // The restart is on the operator's record, not only in a counter.
+    assert_eq!(journaled_restarts(&obs, LANE_SCHEDULER), [1]);
+    assert!(journaled_restarts(&obs, LANE_MAINTENANCE).is_empty());
+}
+
+/// The restart count each `supervisor_restart` journal event of `lane` carried, in order.
+fn journaled_restarts(obs: &crn_obs::Obs, lane: &str) -> Vec<u64> {
+    obs.events_since(0)
+        .iter()
+        .filter_map(|entry| match entry.event {
+            crn_obs::Event::SupervisorRestart {
+                lane: event_lane,
+                restarts,
+            } if event_lane == lane => Some(restarts),
+            _ => None,
+        })
+        .collect()
 }
 
 fn runtime_supervisor_panics(stats: &crn_serve::RuntimeStats) -> u64 {
@@ -219,7 +240,8 @@ fn scheduler_budget_breach_degrades_to_sync_serving_and_nothing_hangs() {
 #[test]
 fn maintenance_kill_restarts_the_lane_and_the_backlog_applies() {
     let plan = FaultPlan::none().with(FaultSite::MaintenanceLoop, FaultTrigger::Once(1));
-    let runtime = chaos_runtime(plan, RuntimeConfig::default());
+    let obs = crn_obs::Obs::new(crn_obs::ObsConfig::enabled());
+    let runtime = chaos_runtime(plan, RuntimeConfig::default().with_obs(obs.clone()));
     // Three distinct records: the first is lost mid-record to the kill, the other two
     // must survive the restart (the queue lives in shared state, not the dead thread).
     for table in ["cast_info", "movie_companies", "movie_keyword"] {
@@ -239,6 +261,8 @@ fn maintenance_kill_restarts_the_lane_and_the_backlog_applies() {
     // 1 seeded `title` entry + the records that applied.  Which record the kill eats
     // depends on pop order (deterministic: arrival order), but the count is pinned.
     assert_eq!(runtime.service().pool().len(), 3);
+    assert_eq!(journaled_restarts(&obs, LANE_MAINTENANCE), [1]);
+    assert!(journaled_restarts(&obs, LANE_SCHEDULER).is_empty());
     runtime.shutdown();
 }
 
