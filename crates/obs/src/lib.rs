@@ -17,9 +17,13 @@
 //!   dump and an end-of-run plain-text table.
 //!
 //! The load-bearing contract is [`Obs::disabled`]: a disabled handle is a `None` inside
-//! a `Clone`-able wrapper, every operation short-circuits on that single branch, and
-//! the instrumented crates take **no clock reads and no allocations** on the disabled
-//! path — serving behaviour is bit-identical to the pre-observability code.
+//! a `Clone`-able wrapper. **Counters are always live** — [`Obs::counter`] hands out a
+//! private cell instead of a registry cell, so a component's counters can *be* its
+//! obs counters, one relaxed add per event either way — but nothing is registered or
+//! exported. Everything else (gauges, histograms, traces, the journal, the clock)
+//! short-circuits on that single branch, and the instrumented crates take **no clock
+//! reads and no allocations** per request on the disabled path — serving behaviour is
+//! bit-identical to the pre-observability code.
 
 #![warn(missing_docs)]
 
@@ -96,15 +100,16 @@ struct ObsInner {
 }
 
 /// The observability handle threaded through the serving stack. Cloning is an `Arc`
-/// clone (or a `None` copy when disabled); every method is a no-op on the disabled
-/// handle.
+/// clone (or a `None` copy when disabled); on the disabled handle every method is a
+/// no-op except [`counter`](Obs::counter), whose private cell still counts.
 #[derive(Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<ObsInner>>,
 }
 
 impl Obs {
-    /// The no-op handle (the default): every operation short-circuits.
+    /// The disabled handle (the default): every operation short-circuits, and counters
+    /// are private cells.
     pub fn disabled() -> Self {
         Self { inner: None }
     }
@@ -153,13 +158,13 @@ impl Obs {
         })
     }
 
-    /// Registers (or looks up) a counter by name.
+    /// Registers (or looks up) a counter by name. Disabled, the counter is a private cell
+    /// that still counts but is never registered or exported.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(
-            self.inner
-                .as_ref()
-                .map(|inner| inner.registry.counter(name)),
-        )
+        Counter(match &self.inner {
+            Some(inner) => inner.registry.counter(name),
+            None => Arc::default(),
+        })
     }
 
     /// Registers (or looks up) a gauge by name.
@@ -224,7 +229,10 @@ mod tests {
         assert!(!obs.enabled());
         assert_eq!(obs.now_us(), 0);
         assert!(obs.mint_trace().is_none());
-        obs.counter("c").inc();
+        let counter = obs.counter("c");
+        counter.inc();
+        assert_eq!(counter.get(), 1, "counters stay live when disabled");
+        assert_eq!(obs.counter("c").get(), 0, "never shared");
         obs.gauge("g").set(1.0);
         obs.hist("h").record(10);
         obs.record_event(Event::LaneDegraded { lane: "scheduler" });

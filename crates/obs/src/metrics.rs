@@ -1,7 +1,9 @@
 //! The metrics registry: named counters, gauges and histograms behind cheap cloneable
 //! handles. Registration takes a mutex once per name at setup time; the handles
-//! themselves are lock-free (`Arc` + relaxed atomics) and no-ops when observability is
-//! disabled, so a disabled handle costs one `Option` branch.
+//! themselves are lock-free (`Arc` + relaxed atomics). Counters are always live — a
+//! disabled [`Obs`](crate::Obs) hands out a private, unregistered cell, so a component
+//! can keep its only copy of a count in one — while gauges and histograms are no-ops
+//! when disabled, costing one `Option` branch.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,16 +11,15 @@ use std::sync::{Arc, Mutex};
 
 use crate::hist::{Hist, HistSnapshot};
 
-/// A monotonically increasing counter handle. No-op when disabled.
+/// A monotonically increasing counter handle: a registry cell when observability is
+/// enabled (exported under its name), a private cell when disabled — counting either way.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(pub(crate) Option<Arc<AtomicU64>>);
+pub struct Counter(pub(crate) Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds `n` (relaxed).
-    pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
+    /// Adds `n` (relaxed) and returns the previous value.
+    pub fn add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, Ordering::Relaxed)
     }
 
     /// Adds 1 (relaxed).
@@ -26,12 +27,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (0 when disabled).
+    /// Raises the value to `n` if it is lower (relaxed) — a high-water mark.
+    pub fn raise_to(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
+    }
+
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|cell| cell.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        self.0.load(Ordering::Relaxed)
     }
 }
 

@@ -34,8 +34,9 @@ const SITE_COUNT: usize = 7;
 /// Where in the serving stack a scripted fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Inside the scheduler's batch-execution containment (the "model panics on batch
-    /// N" fault): tickets resolve through the degraded fallback path.
+    /// Inside the batch-execution containment (the "model panics on batch N" fault) —
+    /// on the scheduler, or on the submitting thread in degraded-sync mode: tickets
+    /// resolve through the degraded fallback path.
     BatchExecute,
     /// In the scheduler loop, outside every containment, right after a batch was popped:
     /// the scheduler thread dies mid-batch and the supervisor must restart it with the

@@ -1,54 +1,68 @@
 //! The serving runtime: batch-forming scheduler, admission front door, maintenance lane —
-//! now supervised, deadline-aware and checkpoint-capable.
+//! supervised, deadline-aware and checkpoint-capable.
 //!
-//! One [`ServeRuntime`] owns two background threads:
+//! One [`ServeRuntime`] owns three background threads:
 //!
-//! * the **scheduler** parks on the submission queue, opens a batch when the first
-//!   request arrives, and closes it when either the size threshold
-//!   ([`RuntimeConfig::batch_max`]) is reached or the batching window
-//!   ([`RuntimeConfig::batch_window`]) measured from that first request expires — then
-//!   sheds queued requests whose deadline passed (their tickets resolve
-//!   [`Expired`](crate::TicketError::Expired)) and executes the batch as **one**
-//!   [`EstimatorService::serve`] call (so cross-call traffic fuses into the same
-//!   multi-query head batches a single synchronous caller would get) and resolves the
-//!   tickets.  A panicked batch resolves its tickets through the service's degraded
-//!   fallback path, tagged [`Degraded`](crate::EstimateSource::Degraded) — never a hang,
-//!   never a silent wrong answer;
+//! * the **scheduler** runs each batch through a fixed sequence of stage functions that
+//!   hand one owned batch record along:
+//!   1. **close** — `close_decision`, a pure function of the queue state, the config
+//!      and the clock: a class lane at the size threshold
+//!      ([`RuntimeConfig::batch_max`]) closes first, then (at shutdown) the drain, then
+//!      the most urgent lane whose window ([`RuntimeConfig::class_window`], measured from
+//!      its oldest request) expired; otherwise the scheduler sleeps until that deadline;
+//!   2. **pop** — sheds queued requests whose deadline passed (tickets resolve
+//!      [`Expired`](crate::TicketError::Expired)), then pops the batch;
+//!   3. **coalesce** — folds duplicate queries into one row each;
+//!   4. **probe** — the estimate cache answers what it can; only the misses go on;
+//!   5. **execute** — **one** [`ComputeBackend::serve`] call under containment (so
+//!      cross-call traffic fuses into the same multi-query head batches a single
+//!      synchronous caller would get); a panic, or a response without exactly one row
+//!      per query, sends the batch to the fallback path, tagged
+//!      [`Degraded`](crate::EstimateSource::Degraded) — never a hang, never a silent
+//!      wrong answer;
+//!   6. **resolve** — the one function that completes tickets, whatever answered them;
+//!   7. **retire** — gives the batch back to the in-flight accounting;
 //! * the **maintenance lane** drains the feedback queue of `(query, true cardinality)`
 //!   records and applies each one to the pool as a single-swap copy-on-write
 //!   [`upsert`](crn_core::ShardedPool::upsert) — the paper's §5.2 pool-refresh loop,
-//!   running concurrently with serving and never blocking snapshot readers.  On a
-//!   configurable cadence ([`RuntimeConfig::checkpoint_every`]) it invokes the installed
-//!   [`CheckpointWriter`] — the crash-safe persistence hook `crn-online` implements.
+//!   running concurrently with serving and never blocking snapshot readers;
+//! * the **checkpoint helper** runs the installed [`CheckpointWriter`] (the crash-safe
+//!   persistence hook `crn-online` implements) whenever the maintenance lane's cadence
+//!   ([`RuntimeConfig::checkpoint_every`]) requests one, off the lane's critical path.
 //!
-//! Both threads run under the [`Supervisor`]: a panic that escapes the per-batch /
-//! per-upsert containment restarts the thread **with its queues intact** (all lane state
-//! lives in the shared block), up to the restart budget; past the budget the scheduler
-//! degrades to synchronous serving on the submitting thread (visible in
-//! [`RuntimeStats::degraded_sync_mode`]) and the maintenance lane starts shedding —
-//! reduced service, loudly reported, instead of a dead runtime.  The deterministic
-//! [`FaultInjector`] drives exactly these paths in the chaos suite.
+//! The scheduler and maintenance lane run under the [`Supervisor`]: a panic that escapes
+//! the per-batch / per-upsert containment restarts the thread **with its queues intact**
+//! (all lane state lives in the shared block; a batch killed mid-flight resolves through
+//! the fallback path), up to the restart budget; past the budget the scheduler degrades
+//! to synchronous serving — coalesce → execute → resolve as a one-request batch on the
+//! submitting thread (visible in [`RuntimeStats::degraded_sync_mode`]) — and the
+//! maintenance lane starts shedding: reduced service, loudly reported, instead of a dead
+//! runtime.  The deterministic [`FaultInjector`] drives exactly these paths in the chaos
+//! suite.
+//!
+//! Every counter lives once, as a `serve.<field>` [`Counter`] of the configured [`Obs`]
+//! (a private cell when obs is disabled); [`ServeRuntime::stats`] reads them back.
 //!
 //! Shutdown is graceful: [`ServeRuntime::shutdown`] (or drop) stops admission, drains
 //! both queues — every admitted ticket resolves, every accepted feedback record applies —
-//! and joins both threads.
+//! and joins all three threads.
 
 use crate::backend::ComputeBackend;
 use crate::cache::EstimateCache;
 use crate::fault::{FaultInjector, FaultSite};
-use crate::queue::{QueueState, SloClass, SubmitError};
+use crate::queue::{QueueState, RejectReason, Request, SloClass, SubmitError};
 use crate::supervisor::{
     Supervisor, SupervisorPolicy, SupervisorVerdict, LANE_MAINTENANCE, LANE_SCHEDULER,
 };
 use crate::ticket::{EstimateSource, Ticket, TicketCell, TicketOutcome};
-use crn_core::{query_hash, ServeResponse, ServeStats};
+use crn_core::{query_hash, ServeStats};
 use crn_nn::parallel::{lock_ignoring_poison, wait_ignoring_poison, wait_timeout_ignoring_poison};
 use crn_obs::{Counter, Event, Gauge, HistHandle, Obs, RequestTrace, TraceStart};
 use crn_query::ast::Query;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Downstream consumer of the maintenance lane's observed feedback — the channel the
@@ -147,11 +161,13 @@ pub struct RuntimeConfig {
     /// seconds of queueing that would make an optimizer's estimate worthless.  Both
     /// `None` by default, so plain configurations keep the single-deadline behaviour.
     pub class_deadlines: [Option<Duration>; SloClass::COUNT],
-    /// The observability handle ([`crn_obs::Obs`]) the runtime records into: per-class
-    /// latency histograms, per-request spans carried on [`TicketOutcome`], and the
-    /// structured event journal.  The default is [`Obs::disabled`] — the scheduler then
-    /// takes the exact pre-observability code path (no clock reads, no allocations, no
-    /// atomics beyond the existing counters).
+    /// The observability handle ([`crn_obs::Obs`]) the runtime records into: its
+    /// counters (registered as `serve.<RuntimeStats field>`), per-class latency
+    /// histograms, per-request spans carried on [`TicketOutcome`], and the structured
+    /// event journal.  The default is [`Obs::disabled`] — the counters are then private
+    /// cells, and the scheduler takes the exact pre-observability code path (no clock
+    /// reads, no allocations, no atomics beyond the counters).  An enabled handle shared
+    /// by two runtimes sums their counters.
     pub obs: Obs,
 }
 
@@ -531,45 +547,44 @@ impl RuntimeStats {
     }
 }
 
-/// Lock-free counter block (the scheduler and submitters bump these without the queue
-/// mutex; `stats` snapshots them).
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    degraded: AtomicU64,
-    expired: AtomicU64,
-    failed: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_caller_quota: AtomicU64,
-    rejected_class_share: AtomicU64,
-    batches: AtomicU64,
-    size_closes: AtomicU64,
-    window_closes: AtomicU64,
-    drain_closes: AtomicU64,
-    max_batch: AtomicUsize,
-    coalesced: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_insertions: AtomicU64,
-    cache_evictions: AtomicU64,
-    cache_purged: AtomicU64,
-    retention_updates: AtomicU64,
-    sync_served: AtomicU64,
-    maintenance_applied: AtomicU64,
-    maintenance_rejected: AtomicU64,
-    maintenance_failed: AtomicU64,
-    observer_failed: AtomicU64,
-    checkpoints_written: AtomicU64,
-    checkpoints_failed: AtomicU64,
-    compactions: AtomicU64,
+macro_rules! counters {
+    ($($field:ident),* $(,)?) => {
+        /// The runtime's counters, each registered in the configured [`Obs`] as
+        /// `serve.<field>` (a private cell when obs is disabled): the exporter and
+        /// [`ServeRuntime::stats`] read the same atomics, one relaxed add per event.
+        struct Counters {
+            $($field: Counter,)*
+        }
+
+        impl Counters {
+            fn new(obs: &Obs) -> Self {
+                Counters {
+                    $($field: obs.counter(concat!("serve.", stringify!($field))),)*
+                }
+            }
+
+            /// Copies every counter into its same-named [`RuntimeStats`] field.
+            fn read_into(&self, stats: &mut RuntimeStats) {
+                $(stats.$field = self.$field.get();)*
+            }
+        }
+    };
 }
 
-/// The runtime's pre-registered observability handles: one registry lookup each at
+counters! {
+    submitted, completed, degraded, expired, failed, rejected_queue_full,
+    rejected_caller_quota, rejected_class_share, batches, size_closes, window_closes,
+    drain_closes, max_batch, coalesced, cache_hits, cache_misses, cache_insertions,
+    cache_evictions, cache_purged, retention_updates, sync_served, maintenance_applied,
+    maintenance_rejected, maintenance_failed, observer_failed, checkpoints_written,
+    checkpoints_failed, compactions,
+}
+
+/// The runtime's pre-registered histograms and gauges: one registry lookup each at
 /// construction, so the scheduler's hot path never touches the registry mutex.  Every
 /// handle is a no-op when the configured [`Obs`] is disabled; `enabled` is hoisted so
-/// the scheduler can skip whole instrumentation blocks (clock reads, trace vectors)
-/// with a single branch — the disabled path is the exact pre-observability path.
+/// the scheduler can skip whole instrumentation blocks (clock reads, spans) with a
+/// single branch — the disabled path is the exact pre-observability path.
 struct ObsHooks {
     obs: Obs,
     enabled: bool,
@@ -579,15 +594,6 @@ struct ObsHooks {
     queue_wait_us: HistHandle,
     /// Closed-batch sizes.
     batch_size: HistHandle,
-    /// Counter mirrors for the live JSONL export (the authoritative numbers stay in
-    /// [`Counters`]; these exist so an exporter holding only the [`Obs`] sees them).
-    completed: Counter,
-    batches: Counter,
-    coalesced: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    expired: Counter,
-    degraded: Counter,
     /// Live queue-depth gauge per class, sampled at batch close.
     queued_gauge: [Gauge; SloClass::COUNT],
     /// Pool evictions already journaled (delta detection; only touched when enabled).
@@ -596,22 +602,14 @@ struct ObsHooks {
 
 impl ObsHooks {
     fn new(obs: Obs) -> Self {
-        let enabled = obs.enabled();
         ObsHooks {
-            enabled,
+            enabled: obs.enabled(),
             latency_us: [
                 obs.hist("serve.latency_us.interactive"),
                 obs.hist("serve.latency_us.batch"),
             ],
             queue_wait_us: obs.hist("serve.queue_wait_us"),
             batch_size: obs.hist("serve.batch_size"),
-            completed: obs.counter("serve.completed"),
-            batches: obs.counter("serve.batches"),
-            coalesced: obs.counter("serve.coalesced"),
-            cache_hits: obs.counter("serve.cache_hits"),
-            cache_misses: obs.counter("serve.cache_misses"),
-            expired: obs.counter("serve.expired"),
-            degraded: obs.counter("serve.degraded"),
             queued_gauge: [
                 obs.gauge("serve.queued.interactive"),
                 obs.gauge("serve.queued.batch"),
@@ -620,37 +618,6 @@ impl ObsHooks {
             obs,
         }
     }
-
-    /// Records one request's end-to-end latency (submit → resolution, on the obs clock)
-    /// into its class histogram.  No-op for requests admitted before obs was minted a
-    /// trace (never happens in practice — the runtime owns both).
-    fn record_latency(&self, class: SloClass, start: Option<TraceStart>, resolved_us: u64) {
-        if let Some(start) = start {
-            self.latency_us[class.index()].record(resolved_us.saturating_sub(start.submitted_us));
-        }
-    }
-}
-
-/// Builds a resolved request's span from its submission trace and the batch-level
-/// segment timings.  Queue wait is exact per request; the remaining segments are
-/// batch-level attributions (every request in a batch shares its close, probe, compute
-/// and merge phases — that sharing is the point of batching).
-fn finish_trace(
-    start: Option<TraceStart>,
-    queue_wait: Duration,
-    batch_wait_us: u64,
-    cache_probe_us: u64,
-    shard_compute_us: u64,
-    merge_us: u64,
-) -> Option<RequestTrace> {
-    start.map(|start| RequestTrace {
-        trace_id: start.id,
-        queue_wait_us: queue_wait.as_micros() as u64,
-        batch_wait_us,
-        cache_probe_us,
-        shard_compute_us,
-        merge_us,
-    })
 }
 
 /// One queued maintenance record: the query, its observed true cardinality, and — when
@@ -673,14 +640,43 @@ struct MaintState {
     dead: bool,
 }
 
-/// The batch the scheduler is currently executing, parked in a shared slot so the
-/// supervisor's recovery hook can resolve its tickets if the scheduler thread dies
-/// mid-batch (nothing admitted may ever hang).
-struct InflightBatch {
-    tickets: Vec<Arc<TicketCell>>,
-    slots: Vec<usize>,
-    unique: Vec<Query>,
+/// One closed batch: the record the scheduler's stages hand along, owned by one stage at
+/// a time (and parked by `Arc` in the recovery slot while it executes).
+struct Batch {
+    class: SloClass,
+    /// Runtime-wide sequence number, taken at coalesce time.
+    seq: u64,
+    /// Requests popped — what retire gives back to the in-flight count, and every
+    /// outcome's `batch_size`, even after the probe resolved some members.
     size: usize,
+    /// The distinct queries still to answer, with their canonical hashes.
+    unique: Vec<Query>,
+    hashes: Vec<u64>,
+    /// The requests still to resolve.
+    members: Vec<Member>,
+    /// Obs-clock close time and cache-probe duration (0 with obs disabled).
+    close_us: u64,
+    probe_us: u64,
+}
+
+/// One request in a [`Batch`].
+struct Member {
+    ticket: Arc<TicketCell>,
+    /// Index into [`Batch::unique`]: duplicates share a slot, and so an answer.
+    slot: usize,
+    queue_wait: Duration,
+    trace: Option<TraceStart>,
+}
+
+/// The span segments every member of one resolution shares (queue wait is per member):
+/// a batch's requests share its close, probe, compute and merge phases — that sharing
+/// is the point of batching.
+#[derive(Clone, Copy)]
+struct Segments {
+    batch_wait_us: u64,
+    cache_probe_us: u64,
+    shard_compute_us: u64,
+    merge_us: u64,
 }
 
 /// Handoff cell between the maintenance lane and the checkpoint helper thread.  The
@@ -729,8 +725,9 @@ struct Shared<B> {
     ckpt_ready: Condvar,
     /// Checkpoint helper → [`flush`](ServeRuntime::flush) waiters: the writer went idle.
     ckpt_idle: Condvar,
-    /// The scheduler's in-flight batch (see [`InflightBatch`]).
-    inflight: Mutex<Option<InflightBatch>>,
+    /// The batch the scheduler is executing, parked so the supervisor's recovery hook can
+    /// resolve it if the scheduler thread dies mid-batch (nothing admitted may hang).
+    inflight: Mutex<Option<Arc<Batch>>>,
     /// Caller → registered [`SloClass`] (unregistered callers are `Interactive`).
     /// Looked up outside the queue lock on every submission.
     caller_classes: Mutex<HashMap<u64, SloClass>>,
@@ -750,7 +747,7 @@ struct Shared<B> {
     degraded_sync: AtomicBool,
     counters: Counters,
     serve_stats: Mutex<ServeStats>,
-    /// Pre-registered observability handles (no-ops when [`RuntimeConfig::obs`] is
+    /// Pre-registered histograms and gauges (no-ops when [`RuntimeConfig::obs`] is
     /// disabled).
     hooks: ObsHooks,
 }
@@ -777,8 +774,8 @@ pub struct ServeRuntime<B: ComputeBackend> {
 }
 
 impl<B: ComputeBackend> ServeRuntime<B> {
-    /// Spawns the runtime (scheduler + maintenance threads) over a shared service, with
-    /// no faults scripted.
+    /// Spawns the runtime (scheduler, maintenance and checkpoint threads) over a shared
+    /// service, with no faults scripted.
     pub fn new(service: Arc<B>, config: RuntimeConfig) -> Self {
         Self::with_faults(service, config, FaultInjector::none())
     }
@@ -797,20 +794,12 @@ impl<B: ComputeBackend> ServeRuntime<B> {
             // A threshold above the queue depth could never be reached (admission caps
             // pending there), so the scheduler would always wait out the full window.
             batch_max: config.batch_max.clamp(1, queue_depth),
-            batch_window: config.batch_window,
             maintenance_depth: config.maintenance_depth.max(1),
-            default_deadline: config.default_deadline,
-            restart_policy: config.restart_policy,
-            checkpoint_every: config.checkpoint_every,
-            compact_every: config.compact_every,
-            class_windows: config.class_windows,
-            class_weights: config.class_weights,
-            cache_entries: config.cache_entries,
-            class_deadlines: config.class_deadlines,
-            obs: config.obs,
+            ..config
         };
         let supervisor = Arc::new(Supervisor::new(config.restart_policy));
         let cache = (config.cache_entries > 0).then(|| EstimateCache::new(config.cache_entries));
+        let counters = Counters::new(&config.obs);
         let hooks = ObsHooks::new(config.obs.clone());
         let shared = Arc::new(Shared {
             service,
@@ -846,7 +835,7 @@ impl<B: ComputeBackend> ServeRuntime<B> {
             supervisor,
             injector,
             degraded_sync: AtomicBool::new(false),
-            counters: Counters::default(),
+            counters,
             serve_stats: Mutex::new(ServeStats::default()),
             hooks,
         });
@@ -964,7 +953,7 @@ impl<B: ComputeBackend> ServeRuntime<B> {
                     return Err(SubmitError::ShuttingDown);
                 }
                 drop(state);
-                return Ok(self.serve_degraded_sync(query));
+                return Ok(self.serve_degraded_sync(caller, class, query));
             }
             self.try_admit(&mut state, caller, class, query, due)
         };
@@ -1016,7 +1005,7 @@ impl<B: ComputeBackend> ServeRuntime<B> {
                     return Err(SubmitError::ShuttingDown);
                 }
                 drop(state);
-                return Ok(self.serve_degraded_sync(query.clone()));
+                return Ok(self.serve_degraded_sync(caller, class, query.clone()));
             }
             match self.try_admit(&mut state, caller, class, query.clone(), due) {
                 Ok(cell) => {
@@ -1046,53 +1035,25 @@ impl<B: ComputeBackend> ServeRuntime<B> {
     }
 
     /// The degraded-sync serving path: once the scheduler lane has breached its restart
-    /// budget, every submission executes as a one-query batch on the *submitting*
-    /// thread — same service, same estimates (the bit-parity contract is per-query), no
-    /// cross-call batching, no background thread to die.  Its ticket is resolved before
-    /// this returns.
-    fn serve_degraded_sync(&self, query: Query) -> Ticket {
+    /// budget, every submission runs coalesce → execute → resolve as a one-request batch
+    /// on the *submitting* thread — same service, same estimates (the bit-parity contract
+    /// is per-query), no cross-call batching, no background thread to die.  Its ticket is
+    /// resolved before this returns.
+    fn serve_degraded_sync(&self, caller: u64, class: SloClass, query: Query) -> Ticket {
         let shared = &self.shared;
-        let counters = &shared.counters;
-        counters.submitted.fetch_add(1, Ordering::Relaxed);
-        counters.sync_served.fetch_add(1, Ordering::Relaxed);
-        let cell = TicketCell::new();
-        let ticket = Ticket::new(Arc::clone(&cell));
-        let response = catch_unwind(AssertUnwindSafe(|| {
-            shared.service.serve(std::slice::from_ref(&query))
-        }));
-        let batch_seq = counters.batches.fetch_add(1, Ordering::Relaxed);
-        let resolution =
-            settle_sync_response(response, || shared.service.fallback_estimate(&query));
-        match resolution {
-            SyncResolution::Computed { estimate, stats } => {
-                counters.completed.fetch_add(1, Ordering::Relaxed);
-                lock_ignoring_poison(&shared.serve_stats).accumulate(&stats);
-                cell.complete(TicketOutcome {
-                    estimate,
-                    source: EstimateSource::Computed,
-                    batch_size: 1,
-                    batch_seq,
-                    queue_wait: Duration::ZERO,
-                    trace: None,
-                });
-            }
-            SyncResolution::Degraded { estimate } => {
-                counters.degraded.fetch_add(1, Ordering::Relaxed);
-                cell.complete(TicketOutcome {
-                    estimate,
-                    source: EstimateSource::Degraded,
-                    batch_size: 1,
-                    batch_seq,
-                    queue_wait: Duration::ZERO,
-                    trace: None,
-                });
-            }
-            SyncResolution::Failed => {
-                counters.failed.fetch_add(1, Ordering::Relaxed);
-                cell.fail();
-            }
-        }
-        ticket
+        shared.counters.submitted.inc();
+        shared.counters.sync_served.inc();
+        let ticket = TicketCell::new();
+        let request = Request {
+            caller,
+            query,
+            ticket: Arc::clone(&ticket),
+            enqueued: Instant::now(),
+            deadline: None,
+            trace: None,
+        };
+        execute(shared, &coalesce(shared, class, vec![request]));
+        Ticket::new(ticket)
     }
 
     /// The shared admission step of [`submit`](ServeRuntime::submit) and
@@ -1119,27 +1080,14 @@ impl<B: ComputeBackend> ServeRuntime<B> {
             self.shared.config.per_caller_depth,
             self.shared.config.class_share(class),
         );
+        let counters = &self.shared.counters;
         match &admitted {
-            Ok(_) => {
-                self.shared
-                    .counters
-                    .submitted
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Err(SubmitError::Overloaded { reason, .. }) => {
-                let counter = match reason {
-                    crate::queue::RejectReason::QueueFull => {
-                        &self.shared.counters.rejected_queue_full
-                    }
-                    crate::queue::RejectReason::CallerQuota => {
-                        &self.shared.counters.rejected_caller_quota
-                    }
-                    crate::queue::RejectReason::ClassShare => {
-                        &self.shared.counters.rejected_class_share
-                    }
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
+            Ok(_) => counters.submitted.inc(),
+            Err(SubmitError::Overloaded { reason, .. }) => match reason {
+                RejectReason::QueueFull => counters.rejected_queue_full.inc(),
+                RejectReason::CallerQuota => counters.rejected_caller_quota.inc(),
+                RejectReason::ClassShare => counters.rejected_class_share.inc(),
+            },
             Err(_) => {}
         }
         admitted
@@ -1196,12 +1144,9 @@ impl<B: ComputeBackend> ServeRuntime<B> {
             return Err(SubmitError::ShuttingDown);
         }
         if state.dead || state.pending.len() >= self.shared.config.maintenance_depth {
-            self.shared
-                .counters
-                .maintenance_rejected
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.maintenance_rejected.inc();
             return Err(SubmitError::Overloaded {
-                reason: crate::queue::RejectReason::QueueFull,
+                reason: RejectReason::QueueFull,
                 pending: state.pending.len(),
             });
         }
@@ -1243,54 +1188,24 @@ impl<B: ComputeBackend> ServeRuntime<B> {
 
     /// A point-in-time snapshot of the runtime's counters and accumulated serving stats.
     pub fn stats(&self) -> RuntimeStats {
-        let counters = &self.shared.counters;
         let supervisor = &self.shared.supervisor;
         let queued_by_class = {
             let state = lock_ignoring_poison(&self.shared.queue);
-            let mut queued = [0u64; SloClass::COUNT];
-            for class in SloClass::ALL {
-                queued[class.index()] = state.pending_in(class) as u64;
-            }
-            queued
+            SloClass::ALL.map(|class| state.pending_in(class) as u64)
         };
-        RuntimeStats {
-            submitted: counters.submitted.load(Ordering::Relaxed),
-            completed: counters.completed.load(Ordering::Relaxed),
-            degraded: counters.degraded.load(Ordering::Relaxed),
-            expired: counters.expired.load(Ordering::Relaxed),
-            failed: counters.failed.load(Ordering::Relaxed),
-            rejected_queue_full: counters.rejected_queue_full.load(Ordering::Relaxed),
-            rejected_caller_quota: counters.rejected_caller_quota.load(Ordering::Relaxed),
-            rejected_class_share: counters.rejected_class_share.load(Ordering::Relaxed),
-            batches: counters.batches.load(Ordering::Relaxed),
-            size_closes: counters.size_closes.load(Ordering::Relaxed),
-            window_closes: counters.window_closes.load(Ordering::Relaxed),
-            drain_closes: counters.drain_closes.load(Ordering::Relaxed),
-            max_batch: counters.max_batch.load(Ordering::Relaxed) as u64,
-            coalesced: counters.coalesced.load(Ordering::Relaxed),
-            cache_hits: counters.cache_hits.load(Ordering::Relaxed),
-            cache_misses: counters.cache_misses.load(Ordering::Relaxed),
-            cache_insertions: counters.cache_insertions.load(Ordering::Relaxed),
-            cache_evictions: counters.cache_evictions.load(Ordering::Relaxed),
-            cache_purged: counters.cache_purged.load(Ordering::Relaxed),
-            retention_updates: counters.retention_updates.load(Ordering::Relaxed),
+        let mut stats = RuntimeStats {
             pool_evictions: self.shared.service.pool_evictions(),
-            compactions: counters.compactions.load(Ordering::Relaxed),
             queued_by_class,
-            sync_served: counters.sync_served.load(Ordering::Relaxed),
-            maintenance_applied: counters.maintenance_applied.load(Ordering::Relaxed),
-            maintenance_rejected: counters.maintenance_rejected.load(Ordering::Relaxed),
-            maintenance_failed: counters.maintenance_failed.load(Ordering::Relaxed),
-            observer_failed: counters.observer_failed.load(Ordering::Relaxed),
             scheduler_restarts: supervisor.restarts(LANE_SCHEDULER),
             maintenance_restarts: supervisor.restarts(LANE_MAINTENANCE),
             degraded_sync_mode: self.shared.degraded_sync.load(Ordering::Relaxed),
             maintenance_down: supervisor.degraded(LANE_MAINTENANCE),
-            checkpoints_written: counters.checkpoints_written.load(Ordering::Relaxed),
-            checkpoints_failed: counters.checkpoints_failed.load(Ordering::Relaxed),
             faults_injected: self.shared.injector.faults_injected(),
             serve: lock_ignoring_poison(&self.shared.serve_stats).clone(),
-        }
+            ..RuntimeStats::default()
+        };
+        self.shared.counters.read_into(&mut stats);
+        stats
     }
 
     /// Initiates the graceful drain without blocking: admission stops on both lanes
@@ -1389,687 +1304,447 @@ fn scheduler_thread<B: ComputeBackend>(shared: &Arc<Shared<B>>) {
     }
 }
 
-/// Resolves the batch a killed scheduler left behind (tickets via the degraded path)
-/// and retires it from the in-flight accounting, so `flush` and waiters see a
-/// consistent queue again before the loop restarts.
+/// Resolves the batch a killed scheduler left parked in the recovery slot through the
+/// fallback path, under the batch's own sequence number, and retires it, so `flush` and
+/// waiters see a consistent queue again before the loop restarts.
 fn recover_orphaned_batch<B: ComputeBackend>(shared: &Shared<B>) {
-    let orphan = lock_ignoring_poison(&shared.inflight).take();
-    let Some(batch) = orphan else { return };
-    let batch_seq = shared.counters.batches.load(Ordering::Relaxed);
-    resolve_degraded(
-        shared,
-        &batch.tickets,
-        &batch.slots,
-        &batch.unique,
-        batch.size,
-        batch_seq,
-        None,
-    );
-    let mut state = lock_ignoring_poison(&shared.queue);
-    state.in_flight -= batch.size;
-    let idle = state.total_pending() == 0 && state.in_flight == 0;
-    drop(state);
-    shared.queue_space.notify_all();
-    if idle {
-        shared.queue_idle.notify_all();
-    }
+    let Some(batch) = lock_ignoring_poison(&shared.inflight).take() else {
+        return;
+    };
+    resolve_fallback(shared, &batch);
+    retire(shared, batch.size);
 }
 
 /// The budget-breach transition: flips the runtime to degraded-sync serving (under the
 /// queue lock, so no submission races past the flag into a queue nobody drains) and
-/// settles everything still pending — expired deadlines expire, the rest resolve through
-/// the degraded path.
+/// settles everything still pending — expired deadlines expire, each class lane's
+/// remainder resolves through the fallback path as one batch.
 fn degrade_to_sync<B: ComputeBackend>(shared: &Shared<B>) {
     let (expired, stranded) = {
         let mut state = lock_ignoring_poison(&shared.queue);
         shared.degraded_sync.store(true, Ordering::Relaxed);
         let expired = state.shed_expired(Instant::now());
         // Drain EVERY class lane: the degrade transition must strand no class.
-        let mut stranded = Vec::new();
-        for class in SloClass::ALL {
+        let stranded = SloClass::ALL.map(|class| {
             let remaining = state.pending_in(class);
-            stranded.extend(state.pop_batch(class, remaining));
-        }
-        state.in_flight -= stranded.len(); // pop counted them in flight; nothing executes
+            (class, state.pop_batch(class, remaining))
+        });
         (expired, stranded)
     };
     shared.queue_ready.notify_all();
     shared.queue_space.notify_all();
-    shared.queue_idle.notify_all();
-    if !expired.is_empty() {
-        shared
-            .counters
-            .expired
-            .fetch_add(expired.len() as u64, Ordering::Relaxed);
-        for request in &expired {
-            request.ticket.expire();
+    expire(shared, expired);
+    for (class, requests) in stranded {
+        let size = requests.len();
+        if size > 0 {
+            resolve_fallback(shared, &coalesce(shared, class, requests));
         }
-    }
-    if !stranded.is_empty() {
-        let batch_seq = shared.counters.batches.load(Ordering::Relaxed);
-        let tickets: Vec<Arc<TicketCell>> = stranded
-            .iter()
-            .map(|request| Arc::clone(&request.ticket))
-            .collect();
-        let slots: Vec<usize> = (0..stranded.len()).collect();
-        let unique: Vec<Query> = stranded.into_iter().map(|request| request.query).collect();
-        resolve_degraded(
-            shared,
-            &tickets,
-            &slots,
-            &unique,
-            tickets.len(),
-            batch_seq,
-            None,
-        );
+        retire(shared, size);
     }
 }
 
-/// Resolves a set of tickets through the degraded fallback path (after a panicked batch
-/// or a scheduler kill): per-unique-query [`fallback_estimate`]s, tagged
-/// [`Degraded`](EstimateSource::Degraded).  If even the fallback panics, the tickets
-/// fail — resolved either way, never stranded.
-///
-/// [`fallback_estimate`]: crn_core::EstimatorService::fallback_estimate
-fn resolve_degraded<B: ComputeBackend>(
-    shared: &Shared<B>,
-    tickets: &[Arc<TicketCell>],
-    slots: &[usize],
-    unique: &[Query],
-    batch_size: usize,
-    batch_seq: u64,
-    waits: Option<&[Duration]>,
-) {
-    let fallback = catch_unwind(AssertUnwindSafe(|| {
-        unique
-            .iter()
-            .map(|query| shared.service.fallback_estimate(query))
-            .collect::<Vec<f64>>()
-    }));
-    match fallback {
-        Ok(estimates) => {
-            shared
-                .counters
-                .degraded
-                .fetch_add(tickets.len() as u64, Ordering::Relaxed);
-            shared.hooks.degraded.add(tickets.len() as u64);
-            for (index, (ticket, &slot)) in tickets.iter().zip(slots).enumerate() {
-                ticket.complete(TicketOutcome {
-                    estimate: estimates[slot],
-                    source: EstimateSource::Degraded,
-                    batch_size,
-                    batch_seq,
-                    queue_wait: waits.map_or(Duration::ZERO, |waits| waits[index]),
-                    trace: None,
-                });
-            }
-        }
-        Err(_panic) => {
-            shared
-                .counters
-                .failed
-                .fetch_add(tickets.len() as u64, Ordering::Relaxed);
-            for ticket in tickets {
-                ticket.fail();
-            }
-        }
+/// Resolves shed requests [`Expired`](crate::TicketError::Expired): their deadline passed
+/// while they were queued, so they never execute.
+fn expire<B: ComputeBackend>(shared: &Shared<B>, expired: Vec<Request>) {
+    if expired.is_empty() {
+        return;
+    }
+    shared.counters.expired.add(expired.len() as u64);
+    for request in expired {
+        request.ticket.expire();
     }
 }
 
-/// How one degraded-sync single-query serve attempt settles (see
-/// [`settle_sync_response`]).
-enum SyncResolution {
-    /// The serve call returned an estimate row: full-fidelity answer plus the response's
-    /// serving stats.
-    Computed { estimate: f64, stats: ServeStats },
-    /// The serve call panicked — or returned no row for the query — and the fallback
-    /// path produced the answer.
-    Degraded { estimate: f64 },
-    /// Even the fallback panicked: the ticket fails (resolved, never stranded).
-    Failed,
+/// What the close rule decided (see [`close_decision`]).
+#[derive(Debug, PartialEq, Eq)]
+enum CloseDecision {
+    /// Close a batch of this class now.
+    Close(SloClass, CloseReason),
+    /// Nothing is due before this instant — the most urgent lane's window deadline.
+    WaitUntil(Instant),
+    /// Every lane is empty.
+    Idle,
 }
 
-/// Settles a caught single-query serve result into what its ticket resolves to.
-///
-/// The estimate row is read with `.first()`, never indexed: a response carrying no row
-/// for the query routes through the fallback path like a panic does — indexing
-/// `estimates[0]` here used to run on the submitting thread *outside* any containment,
-/// so a malformed response panicked the caller instead of degrading the answer.  The
-/// fallback closure runs under its own `catch_unwind`.
-fn settle_sync_response<F: FnOnce() -> f64>(
-    response: std::thread::Result<ServeResponse>,
-    fallback: F,
-) -> SyncResolution {
-    if let Ok(response) = response {
-        if let Some(&estimate) = response.estimates.first() {
-            // A backend that answered this very slot through its own reduced-fidelity
-            // path (e.g. a cluster coordinator covering a lost worker) already holds the
-            // degraded estimate — honor the tag rather than relabeling it `Computed`.
-            if response.degraded.contains(&0) {
-                return SyncResolution::Degraded { estimate };
-            }
-            return SyncResolution::Computed {
-                estimate,
-                stats: response.stats,
-            };
-        }
+/// The close rule, a pure function of the queue state, the config and `now`.  In
+/// priority order: a lane holding `batch_max` requests closes by size (lanes in
+/// [`SloClass::ALL`] order); otherwise the most urgent lane — earliest `oldest request +
+/// class window`, ties in `SloClass::ALL` order — closes by drain at shutdown, or by
+/// window once that deadline has passed, or the scheduler waits until it.  Batches are
+/// single-class, so each class keeps its own latency promise.
+fn close_decision(state: &QueueState, config: &RuntimeConfig, now: Instant) -> CloseDecision {
+    if let Some(class) = SloClass::ALL
+        .into_iter()
+        .find(|&class| state.pending_in(class) >= config.batch_max)
+    {
+        return CloseDecision::Close(class, CloseReason::Size);
     }
-    match catch_unwind(AssertUnwindSafe(fallback)) {
-        Ok(estimate) => SyncResolution::Degraded { estimate },
-        Err(_panic) => SyncResolution::Failed,
-    }
-}
-
-/// The most urgent non-empty class lane and its window deadline: the earliest
-/// `oldest enqueue + class window` across lanes, ties broken by [`SloClass::ALL`]
-/// priority order (iteration order plus a strict comparison).  `None` when every lane is
-/// empty.
-fn most_urgent_class(state: &QueueState, config: &RuntimeConfig) -> Option<(SloClass, Instant)> {
-    let mut best: Option<(SloClass, Instant)> = None;
+    let mut urgent: Option<(SloClass, Instant)> = None;
     for class in SloClass::ALL {
         let Some(oldest) = state.oldest(class) else {
             continue;
         };
-        let deadline = oldest + config.class_window(class);
-        if best.is_none_or(|(_, best_deadline)| deadline < best_deadline) {
-            best = Some((class, deadline));
+        let due = oldest + config.class_window(class);
+        if urgent.is_none_or(|(_, best)| due < best) {
+            urgent = Some((class, due));
         }
     }
-    best
+    match urgent {
+        None => CloseDecision::Idle,
+        Some((class, _)) if state.closed => CloseDecision::Close(class, CloseReason::Drain),
+        Some((class, due)) if now >= due => CloseDecision::Close(class, CloseReason::Window),
+        Some((_, due)) => CloseDecision::WaitUntil(due),
+    }
 }
 
-/// What the estimate cache decided for one coalesced unique slot of a closing batch.
-enum SlotFate {
-    /// Cache hit: resolve the slot's tickets with this estimate (bit-identical to what
-    /// the compute path would return under the probed versions) without serving.
-    Hit(f64),
-    /// Cache miss: the slot renumbers to this dense index in the miss sub-batch that
-    /// enters the compute path.
-    Miss(usize),
-}
-
-/// The scheduler: forms batches off the submission queue and executes them.  Runs until
-/// the shutdown drain completes; panics escape to [`scheduler_thread`]'s supervision.
+/// The scheduler: close → pop → coalesce → probe → execute → resolve → retire, one batch
+/// per pass, until the shutdown drain completes.  Panics escape to
+/// [`scheduler_thread`]'s supervision.
 fn scheduler_loop<B: ComputeBackend>(shared: &Shared<B>) {
     loop {
-        // Phase 1 — wait for the batch-opening request (or shutdown with an empty queue).
         let mut state = lock_ignoring_poison(&shared.queue);
-        loop {
-            if state.total_pending() > 0 {
-                break;
-            }
-            if state.closed {
-                shared.queue_idle.notify_all();
-                return;
-            }
-            state = wait_ignoring_poison(&shared.queue_ready, state);
-        }
-
-        // Phase 2 — hold the open batches until something closes one: a class reaching
-        // the size threshold, the most urgent class's window deadline (its oldest
-        // pending request + its class window) expiring, or shutdown.  Batches are
-        // single-class — each class keeps its own latency promise — and the close
-        // decision always picks the most urgent eligible class.  Only the scheduler
-        // pops, so lanes observed non-empty here stay non-empty until we pop below.
-        let (batch_class, reason) = loop {
-            if let Some(class) = SloClass::ALL
-                .into_iter()
-                .find(|&class| state.pending_in(class) >= shared.config.batch_max)
-            {
-                break (class, CloseReason::Size);
-            }
-            let (class, deadline) =
-                most_urgent_class(&state, &shared.config).expect("a lane is non-empty");
-            if state.closed {
-                break (class, CloseReason::Drain);
-            }
+        let (class, reason) = loop {
             let now = Instant::now();
-            if now >= deadline {
-                break (class, CloseReason::Window);
-            }
-            let (next, _timed_out) =
-                wait_timeout_ignoring_poison(&shared.queue_ready, state, deadline - now);
-            state = next;
-        };
-        // Deadline shedding happens exactly here — after the close decision, before the
-        // pop — so an expired request never reaches execution and never displaces queue
-        // capacity a live request could use.
-        let expired = state.shed_expired(Instant::now());
-        let batch = state.pop_batch(batch_class, shared.config.batch_max);
-        let hooks = &shared.hooks;
-        if hooks.enabled {
-            // Post-pop queue depth per class: the live gauge the JSONL export samples.
-            for class in SloClass::ALL {
-                hooks.queued_gauge[class.index()].set(state.pending_in(class) as f64);
-            }
-        }
-        drop(state);
-        // The pop freed queue depth and caller quotas: wake parked blocking submitters.
-        shared.queue_space.notify_all();
-        if !expired.is_empty() {
-            shared
-                .counters
-                .expired
-                .fetch_add(expired.len() as u64, Ordering::Relaxed);
-            hooks.expired.add(expired.len() as u64);
-            for request in &expired {
-                request.ticket.expire();
-            }
-        }
-        if batch.is_empty() {
-            // Everything in the chosen lane expired: no batch to run this round (other
-            // lanes, if non-empty, get their own close decision on the next pass).
-            let state = lock_ignoring_poison(&shared.queue);
-            if state.total_pending() == 0 && state.in_flight == 0 {
-                shared.queue_idle.notify_all();
-            }
-            continue;
-        }
-
-        // Phase 3 — execute the whole batch as ONE service call: this is where
-        // cross-call traffic fuses into the service's multi-query head batches.
-        // Duplicate in-window queries (same canonical query hash, equality-checked
-        // against collisions) are coalesced into a single computed row whose estimate
-        // fans out to every duplicate's ticket — per-query results are independent of
-        // batch composition (the service's bit-parity contract), so a duplicate's answer
-        // is exactly what its own row would have computed.
-        let closed_at = Instant::now();
-        // The obs clock reads the close timestamp once per batch; with obs disabled this
-        // branch is the whole cost and `traces` stays an unallocated `Vec::new()`.
-        let close_us = if hooks.enabled { hooks.obs.now_us() } else { 0 };
-        let batch_size = batch.len();
-        let mut traces: Vec<Option<TraceStart>> = Vec::new();
-        if hooks.enabled {
-            traces.reserve(batch_size);
-        }
-        let mut tickets = Vec::with_capacity(batch_size);
-        let mut waits = Vec::with_capacity(batch_size);
-        let mut unique: Vec<Query> = Vec::with_capacity(batch_size);
-        let mut unique_hashes: Vec<u64> = Vec::with_capacity(batch_size);
-        let mut slots: Vec<usize> = Vec::with_capacity(batch_size);
-        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::with_capacity(batch_size);
-        for request in batch {
-            let hash = query_hash(&request.query);
-            let candidates = by_hash.entry(hash).or_default();
-            let slot = match candidates
-                .iter()
-                .copied()
-                .find(|&slot| unique[slot] == request.query)
-            {
-                Some(slot) => slot,
-                None => {
-                    let slot = unique.len();
-                    unique.push(request.query);
-                    unique_hashes.push(hash);
-                    candidates.push(slot);
-                    slot
+            match close_decision(&state, &shared.config, now) {
+                CloseDecision::Close(class, reason) => break (class, reason),
+                CloseDecision::WaitUntil(due) => {
+                    state = wait_timeout_ignoring_poison(&shared.queue_ready, state, due - now).0;
                 }
-            };
-            slots.push(slot);
-            tickets.push(request.ticket);
-            waits.push(closed_at.saturating_duration_since(request.enqueued));
-            if hooks.enabled {
-                traces.push(request.trace);
+                CloseDecision::Idle if state.closed => {
+                    shared.queue_idle.notify_all();
+                    return;
+                }
+                CloseDecision::Idle => state = wait_ignoring_poison(&shared.queue_ready, state),
             }
-        }
-        let coalesced = batch_size - unique.len();
-
-        // Batch bookkeeping happens at close time, before execution: a batch the cache
-        // resolves entirely still counts as one closed batch, and its tickets need the
-        // sequence number below.
-        let counters = &shared.counters;
-        let batch_seq = counters.batches.fetch_add(1, Ordering::Relaxed);
-        match reason {
-            CloseReason::Size => counters.size_closes.fetch_add(1, Ordering::Relaxed),
-            CloseReason::Window => counters.window_closes.fetch_add(1, Ordering::Relaxed),
-            CloseReason::Drain => counters.drain_closes.fetch_add(1, Ordering::Relaxed),
         };
-        counters.max_batch.fetch_max(batch_size, Ordering::Relaxed);
-        counters
-            .coalesced
-            .fetch_add(coalesced as u64, Ordering::Relaxed);
-        if hooks.enabled {
-            hooks.batches.inc();
-            hooks.coalesced.add(coalesced as u64);
-            hooks.batch_size.record(batch_size as u64);
-            for wait in &waits {
-                hooks.queue_wait_us.record(wait.as_micros() as u64);
+        let requests = pop(shared, state, class);
+        let size = requests.len();
+        if size > 0 {
+            let mut batch = coalesce(shared, class, requests);
+            record_close(shared, &batch, reason);
+            if let Some(cache) = &shared.cache {
+                probe(shared, cache, &mut batch);
             }
-            hooks.obs.record_event(Event::BatchClosed {
-                reason: reason.label(),
-                size: batch_size,
-                class: batch_class.name(),
-            });
+            if !batch.unique.is_empty() {
+                // Park the batch where the supervision wrapper resolves and retires it if
+                // this thread dies before it resolves.  Members the probe resolved are no
+                // longer in it — a ticket resolves exactly once.
+                let batch = Arc::new(batch);
+                *lock_ignoring_poison(&shared.inflight) = Some(Arc::clone(&batch));
+                // Scripted scheduler kill: OUTSIDE every containment, mid-batch — the
+                // genuine thread-death path the supervisor exists for.
+                shared.injector.fire(FaultSite::SchedulerLoop);
+                execute(shared, &batch);
+                lock_ignoring_poison(&shared.inflight).take();
+            }
         }
+        retire(shared, size);
+    }
+}
 
-        // Phase 3b — consult the cross-window estimate cache (when enabled): one probe
-        // per coalesced unique query, under the versions a serve issued right now would
-        // take, so a hit is bit-identical to recomputation.  Hit tickets resolve HERE,
-        // before the in-flight batch parks in the recovery slot — a scheduler death
-        // below can then never double-resolve them — and only the misses enter the
-        // compute path.
-        let probe_start_us = if hooks.enabled && shared.cache.is_some() {
-            hooks.obs.now_us()
+/// Pop stage: sheds every queued request whose deadline has passed — after the close
+/// decision and before the pop, so an expired request never executes and never holds
+/// capacity a live one could use — then pops up to `batch_max` of `class` (none when the
+/// whole lane had expired).
+fn pop<B: ComputeBackend>(
+    shared: &Shared<B>,
+    mut state: MutexGuard<'_, QueueState>,
+    class: SloClass,
+) -> Vec<Request> {
+    let expired = state.shed_expired(Instant::now());
+    let requests = state.pop_batch(class, shared.config.batch_max);
+    if shared.hooks.enabled {
+        // Post-pop queue depth per class: the live gauge the JSONL export samples.
+        for class in SloClass::ALL {
+            shared.hooks.queued_gauge[class.index()].set(state.pending_in(class) as f64);
+        }
+    }
+    drop(state);
+    // The pop freed queue depth and caller quotas: wake parked blocking submitters.
+    shared.queue_space.notify_all();
+    expire(shared, expired);
+    requests
+}
+
+/// Coalesce stage: stamps the next batch sequence number and folds duplicate queries
+/// (same canonical hash, equality-checked against collisions) into one unique slot whose
+/// estimate fans out to every duplicate — per-query results are independent of batch
+/// composition (the service's bit-parity contract), so a duplicate's answer is exactly
+/// what its own row would have computed.
+fn coalesce<B: ComputeBackend>(
+    shared: &Shared<B>,
+    class: SloClass,
+    requests: Vec<Request>,
+) -> Batch {
+    let closed_at = Instant::now();
+    let size = requests.len();
+    let mut batch = Batch {
+        class,
+        seq: shared.counters.batches.add(1),
+        size,
+        unique: Vec::with_capacity(size),
+        hashes: Vec::with_capacity(size),
+        members: Vec::with_capacity(size),
+        close_us: shared.hooks.obs.now_us(),
+        probe_us: 0,
+    };
+    let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::with_capacity(size);
+    for request in requests {
+        let hash = query_hash(&request.query);
+        let candidates = by_hash.entry(hash).or_default();
+        let existing = candidates
+            .iter()
+            .copied()
+            .find(|&slot| batch.unique[slot] == request.query);
+        let slot = existing.unwrap_or_else(|| {
+            candidates.push(batch.unique.len());
+            batch.unique.push(request.query);
+            batch.hashes.push(hash);
+            batch.unique.len() - 1
+        });
+        batch.members.push(Member {
+            ticket: request.ticket,
+            slot,
+            queue_wait: closed_at.saturating_duration_since(request.enqueued),
+            trace: request.trace,
+        });
+    }
+    batch
+}
+
+/// Close-time bookkeeping of a batch the close rule closed — a batch the probe resolves
+/// entirely still counts as closed.
+fn record_close<B: ComputeBackend>(shared: &Shared<B>, batch: &Batch, reason: CloseReason) {
+    let counters = &shared.counters;
+    match reason {
+        CloseReason::Size => counters.size_closes.inc(),
+        CloseReason::Window => counters.window_closes.inc(),
+        CloseReason::Drain => counters.drain_closes.inc(),
+    }
+    counters.max_batch.raise_to(batch.size as u64);
+    counters
+        .coalesced
+        .add((batch.size - batch.unique.len()) as u64);
+    let hooks = &shared.hooks;
+    if hooks.enabled {
+        hooks.batch_size.record(batch.size as u64);
+        for member in &batch.members {
+            hooks
+                .queue_wait_us
+                .record(member.queue_wait.as_micros() as u64);
+        }
+        hooks.obs.record_event(Event::BatchClosed {
+            reason: reason.label(),
+            size: batch.size,
+            class: batch.class.name(),
+        });
+    }
+}
+
+/// Probe stage: one estimate-cache lookup per unique query, under the versions a serve
+/// issued right now would take, so a hit is bit-identical to recomputation.  Hit members
+/// resolve here, before the batch parks in the recovery slot — a scheduler death later
+/// can then never resolve them twice — and the batch keeps only the misses, renumbered
+/// densely.
+fn probe<B: ComputeBackend>(shared: &Shared<B>, cache: &EstimateCache, batch: &mut Batch) {
+    let start_us = shared.hooks.obs.now_us();
+    let (pool_version, model_version) = shared.service.serving_versions();
+    // Proactive purge on version movement: entries filed under older pairings can never
+    // hit again (probes carry the current versions), so drop them now instead of letting
+    // them squat in the LRU.  Only this thread writes the last-seen pair.
+    let last_seen = (
+        shared
+            .last_pool_version
+            .swap(pool_version, Ordering::Relaxed),
+        shared
+            .last_model_version
+            .swap(model_version, Ordering::Relaxed),
+    );
+    if last_seen != (pool_version, model_version) {
+        let purged = cache.purge_stale(pool_version, model_version) as u64;
+        shared.counters.cache_purged.add(purged);
+        if purged > 0 {
+            shared.hooks.obs.record_event(Event::CachePurge { purged });
+        }
+    }
+    let hits: Vec<Option<f64>> = batch
+        .unique
+        .iter()
+        .zip(&batch.hashes)
+        .map(|(query, &hash)| cache.lookup(query, hash, pool_version, model_version))
+        .collect();
+    let hit_count = hits.iter().flatten().count();
+    shared.counters.cache_hits.add(hit_count as u64);
+    shared
+        .counters
+        .cache_misses
+        .add((hits.len() - hit_count) as u64);
+    // Charged to every member, hit or miss: misses paid the probe before computing.
+    batch.probe_us = shared.hooks.obs.now_us().saturating_sub(start_us);
+    if hit_count == 0 {
+        return;
+    }
+    // A hit's span ends at the probe: zero compute, zero merge.
+    let segments = shared.hooks.enabled.then_some(Segments {
+        batch_wait_us: start_us.saturating_sub(batch.close_us),
+        cache_probe_us: batch.probe_us,
+        shard_compute_us: 0,
+        merge_us: 0,
+    });
+    let hit_members = batch
+        .members
+        .iter()
+        .filter(|member| hits[member.slot].is_some());
+    let cached = |slot: usize| hits[slot].map(|estimate| (estimate, EstimateSource::Cached));
+    resolve(shared, batch, hit_members, cached, segments);
+    let unique = std::mem::take(&mut batch.unique);
+    let hashes = std::mem::take(&mut batch.hashes);
+    let mut renumbered = vec![usize::MAX; hits.len()];
+    for (slot, (query, hash)) in unique.into_iter().zip(hashes).enumerate() {
+        if hits[slot].is_none() {
+            renumbered[slot] = batch.unique.len();
+            batch.unique.push(query);
+            batch.hashes.push(hash);
+        }
+    }
+    batch.members.retain_mut(|member| {
+        member.slot = renumbered[member.slot];
+        member.slot != usize::MAX
+    });
+}
+
+/// Execute stage: the batch's unique queries as ONE backend call, under containment —
+/// the worker pool propagates shard panics to this thread, and a panicked batch must
+/// neither strand its waiters nor kill the scheduler.  A panic, or a response without
+/// exactly one row per query, sends the whole batch to the fallback path.  Rows the
+/// backend answered through its own reduced-fidelity path (`ServeResponse::degraded` —
+/// e.g. a cluster coordinator covering a lost worker) resolve `Degraded`; every other
+/// row is filed into the estimate cache under the versions the response reports, so a
+/// later hit replays it bit-identically.
+fn execute<B: ComputeBackend>(shared: &Shared<B>, batch: &Batch) {
+    let serve_start_us = shared.hooks.obs.now_us();
+    let response = catch_unwind(AssertUnwindSafe(|| {
+        shared.injector.fire(FaultSite::BatchExecute);
+        shared.service.serve(&batch.unique)
+    }));
+    let Some(response) = response
+        .ok()
+        .filter(|response| response.estimates.len() == batch.unique.len())
+    else {
+        return resolve_fallback(shared, batch);
+    };
+    let source = |slot: usize| {
+        if response.degraded.contains(&slot) {
+            EstimateSource::Degraded
         } else {
-            0
-        };
-        let fates: Option<Vec<SlotFate>> = shared.cache.as_ref().map(|cache| {
-            let (pool_version, model_version) = shared.service.serving_versions();
-            // Proactive purge on version movement: entries filed under older pairings
-            // can never hit again (probes carry the current versions), so drop them now
-            // instead of letting them squat in the LRU.  Only this thread writes the
-            // last-seen pair, so the read-compare-store needs no stronger ordering.
-            let moved = shared.last_pool_version.load(Ordering::Relaxed) != pool_version
-                || shared.last_model_version.load(Ordering::Relaxed) != model_version;
-            if moved {
-                shared
-                    .last_pool_version
-                    .store(pool_version, Ordering::Relaxed);
-                shared
-                    .last_model_version
-                    .store(model_version, Ordering::Relaxed);
-                let purged = cache.purge_stale(pool_version, model_version);
-                shared
-                    .counters
-                    .cache_purged
-                    .fetch_add(purged as u64, Ordering::Relaxed);
-                if purged > 0 {
-                    shared.hooks.obs.record_event(Event::CachePurge {
-                        purged: purged as u64,
-                    });
-                }
-            }
-            let mut misses = 0usize;
-            unique
-                .iter()
-                .zip(&unique_hashes)
-                .map(|(query, &hash)| {
-                    match cache.lookup(query, hash, pool_version, model_version) {
-                        Some(estimate) => SlotFate::Hit(estimate),
-                        None => {
-                            let fate = SlotFate::Miss(misses);
-                            misses += 1;
-                            fate
-                        }
-                    }
-                })
-                .collect()
-        });
-        let hit_uniques = fates.as_ref().map_or(0, |fates| {
-            fates
-                .iter()
-                .filter(|fate| matches!(fate, SlotFate::Hit(_)))
-                .count()
-        });
-        if fates.is_some() {
-            counters
-                .cache_hits
-                .fetch_add(hit_uniques as u64, Ordering::Relaxed);
-            counters
-                .cache_misses
-                .fetch_add((unique.len() - hit_uniques) as u64, Ordering::Relaxed);
-            if hooks.enabled {
-                hooks.cache_hits.add(hit_uniques as u64);
-                hooks.cache_misses.add((unique.len() - hit_uniques) as u64);
+            EstimateSource::Computed
+        }
+    };
+    lock_ignoring_poison(&shared.serve_stats).accumulate(&response.stats);
+    if let Some(cache) = &shared.cache {
+        let (mut filed, mut evicted) = (0, 0);
+        for (slot, (query, &hash)) in batch.unique.iter().zip(&batch.hashes).enumerate() {
+            if source(slot) == EstimateSource::Computed {
+                filed += 1;
+                evicted += u64::from(cache.insert(
+                    query,
+                    hash,
+                    response.pool_version,
+                    response.stats.model_version,
+                    response.estimates[slot],
+                ));
             }
         }
-        // A cache probe ran iff `fates` is Some; the segment is charged to every request
-        // in the batch (hit or miss — misses paid the probe before computing).
-        let cache_probe_us = if hooks.enabled && fates.is_some() {
-            hooks.obs.now_us().saturating_sub(probe_start_us)
-        } else {
-            0
-        };
-        let (miss_tickets, miss_slots, miss_unique, miss_hashes, miss_waits, miss_traces) =
-            match &fates {
-                Some(fates) if hit_uniques > 0 => {
-                    let miss_count = unique.len() - hit_uniques;
-                    let mut miss_unique = Vec::with_capacity(miss_count);
-                    let mut miss_hashes = Vec::with_capacity(miss_count);
-                    for (slot, query) in unique.iter().enumerate() {
-                        if matches!(fates[slot], SlotFate::Miss(_)) {
-                            miss_unique.push(query.clone());
-                            miss_hashes.push(unique_hashes[slot]);
-                        }
-                    }
-                    let mut miss_tickets = Vec::new();
-                    let mut miss_slots = Vec::new();
-                    let mut miss_waits = Vec::new();
-                    let mut miss_traces = Vec::new();
-                    let mut replayed = 0u64;
-                    // One clock read covers every hit resolved in this pass.
-                    let hit_resolved_us = if hooks.enabled { hooks.obs.now_us() } else { 0 };
-                    for (index, ((ticket, &slot), &queue_wait)) in
-                        tickets.iter().zip(&slots).zip(&waits).enumerate()
-                    {
-                        match fates[slot] {
-                            SlotFate::Hit(estimate) => {
-                                let trace = if hooks.enabled {
-                                    hooks.record_latency(
-                                        batch_class,
-                                        traces[index],
-                                        hit_resolved_us,
-                                    );
-                                    // A hit's span ends at the probe: zero compute, zero merge.
-                                    finish_trace(
-                                        traces[index],
-                                        queue_wait,
-                                        probe_start_us.saturating_sub(close_us),
-                                        cache_probe_us,
-                                        0,
-                                        0,
-                                    )
-                                } else {
-                                    None
-                                };
-                                ticket.complete(TicketOutcome {
-                                    estimate,
-                                    source: EstimateSource::Cached,
-                                    batch_size,
-                                    batch_seq,
-                                    queue_wait,
-                                    trace,
-                                });
-                                replayed += 1;
-                            }
-                            SlotFate::Miss(miss_slot) => {
-                                miss_tickets.push(Arc::clone(ticket));
-                                miss_slots.push(miss_slot);
-                                miss_waits.push(queue_wait);
-                                if hooks.enabled {
-                                    miss_traces.push(traces[index]);
-                                }
-                            }
-                        }
-                    }
-                    counters.completed.fetch_add(replayed, Ordering::Relaxed);
-                    hooks.completed.add(replayed);
-                    (
-                        miss_tickets,
-                        miss_slots,
-                        miss_unique,
-                        miss_hashes,
-                        miss_waits,
-                        miss_traces,
-                    )
-                }
-                // Cache disabled or every probe missed: the whole batch enters the compute
-                // path unchanged (with the cache disabled this is exactly the pre-cache
-                // path — no clones, no extra work).
-                _ => (tickets, slots, unique, unique_hashes, waits, traces),
-            };
-        if miss_unique.is_empty() {
-            // The cache resolved the entire batch: nothing to serve, nothing in flight
-            // to recover.  Retire the batch and continue.
-            let mut state = lock_ignoring_poison(&shared.queue);
-            state.in_flight -= batch_size;
-            if state.total_pending() == 0 && state.in_flight == 0 {
-                shared.queue_idle.notify_all();
-            }
+        shared.counters.cache_insertions.add(filed);
+        shared.counters.cache_evictions.add(evicted);
+    }
+    let segments = shared.hooks.enabled.then(|| Segments {
+        batch_wait_us: serve_start_us.saturating_sub(batch.close_us.saturating_add(batch.probe_us)),
+        cache_probe_us: batch.probe_us,
+        shard_compute_us: response.stats.compute_time.as_micros() as u64,
+        merge_us: response.stats.merge_time.as_micros() as u64,
+    });
+    let served = |slot: usize| Some((response.estimates[slot], source(slot)));
+    resolve(shared, batch, batch.members.iter(), served, segments);
+}
+
+/// The fallback path — for a panicked or malformed batch, a batch orphaned by a scheduler
+/// kill, and the requests a budget breach strands: one
+/// [`fallback_estimate`](ComputeBackend::fallback_estimate) per unique query, tagged
+/// [`Degraded`](EstimateSource::Degraded).  If even the fallback panics, the members
+/// fail — resolved either way, never stranded.
+fn resolve_fallback<B: ComputeBackend>(shared: &Shared<B>, batch: &Batch) {
+    let estimates = catch_unwind(AssertUnwindSafe(|| {
+        batch
+            .unique
+            .iter()
+            .map(|query| shared.service.fallback_estimate(query))
+            .collect::<Vec<f64>>()
+    }))
+    .ok();
+    let fallback = |slot: usize| Some((estimates.as_ref()?[slot], EstimateSource::Degraded));
+    resolve(shared, batch, batch.members.iter(), fallback, None);
+}
+
+/// Resolve stage — the only function that completes tickets.  Each member gets its slot's
+/// answer (estimate and source), or fails when `answer` has none.  The counters move by
+/// source *before* any ticket completes, so a woken waiter sees them.  With `segments`
+/// (obs enabled; computed and cached answers) each member's latency lands in its class
+/// histogram and its span rides on the outcome.
+fn resolve<'a, B: ComputeBackend>(
+    shared: &Shared<B>,
+    batch: &Batch,
+    members: impl Iterator<Item = &'a Member> + Clone,
+    answer: impl Fn(usize) -> Option<(f64, EstimateSource)>,
+    segments: Option<Segments>,
+) {
+    let (mut completed, mut degraded, mut failed) = (0, 0, 0);
+    for member in members.clone() {
+        match answer(member.slot) {
+            Some((_, EstimateSource::Degraded)) => degraded += 1,
+            Some(_) => completed += 1,
+            None => failed += 1,
+        }
+    }
+    shared.counters.completed.add(completed);
+    shared.counters.degraded.add(degraded);
+    shared.counters.failed.add(failed);
+    let resolved_us = shared.hooks.obs.now_us();
+    for member in members {
+        let Some((estimate, source)) = answer(member.slot) else {
+            member.ticket.fail();
             continue;
-        }
-        // Park the miss sub-batch in the recovery slot (with the FULL batch size, so
-        // recovery retires the whole pop from the in-flight accounting): if this thread
-        // dies anywhere below, the supervision wrapper resolves these tickets and
-        // retires the batch.  The already-resolved cache hits are deliberately not in
-        // the slot — a ticket resolves exactly once.
-        *lock_ignoring_poison(&shared.inflight) = Some(InflightBatch {
-            tickets: miss_tickets.clone(),
-            slots: miss_slots.clone(),
-            unique: miss_unique.clone(),
-            size: batch_size,
+        };
+        let trace = segments.zip(member.trace).map(|(segments, start)| {
+            shared.hooks.latency_us[batch.class.index()]
+                .record(resolved_us.saturating_sub(start.submitted_us));
+            RequestTrace {
+                trace_id: start.id,
+                queue_wait_us: member.queue_wait.as_micros() as u64,
+                batch_wait_us: segments.batch_wait_us,
+                cache_probe_us: segments.cache_probe_us,
+                shard_compute_us: segments.shard_compute_us,
+                merge_us: segments.merge_us,
+            }
         });
-        // Scripted scheduler kill: OUTSIDE every containment, mid-batch — the genuine
-        // thread-death path the supervisor exists for.
-        shared.injector.fire(FaultSite::SchedulerLoop);
-        // The worker pool propagates shard panics to its submitter — here, this thread.
-        // Contain them: a panicked batch must neither strand its waiters (they resolve
-        // through the degraded path below) nor kill the scheduler (later batches still
-        // serve).
-        let serve_start_us = if hooks.enabled { hooks.obs.now_us() } else { 0 };
-        let response = catch_unwind(AssertUnwindSafe(|| {
-            shared.injector.fire(FaultSite::BatchExecute);
-            shared.service.serve(&miss_unique)
-        }));
+        member.ticket.complete(TicketOutcome {
+            estimate,
+            source,
+            batch_size: batch.size,
+            batch_seq: batch.seq,
+            queue_wait: member.queue_wait,
+            trace,
+        });
+    }
+}
 
-        // Phase 4 — resolve every remaining ticket (the close-time bookkeeping already
-        // happened above, before the cache consult).
-        match response {
-            Ok(response) => {
-                debug_assert_eq!(response.estimates.len(), miss_unique.len());
-                // The backend may have answered some slots through its own
-                // reduced-fidelity path (`ServeResponse::degraded` — e.g. a cluster
-                // coordinator covering a lost worker's shards from the fallback
-                // estimator).  Those slots' tickets resolve `Degraded`, count in the
-                // degraded totals, and never enter the estimate cache.
-                let degraded_slots: Vec<bool> = {
-                    let mut flags = vec![false; miss_unique.len()];
-                    for &slot in &response.degraded {
-                        if let Some(flag) = flags.get_mut(slot) {
-                            *flag = true;
-                        }
-                    }
-                    flags
-                };
-                let degraded_tickets = miss_slots
-                    .iter()
-                    .filter(|&&slot| degraded_slots[slot])
-                    .count() as u64;
-                let computed_tickets = miss_tickets.len() as u64 - degraded_tickets;
-                counters
-                    .completed
-                    .fetch_add(computed_tickets, Ordering::Relaxed);
-                hooks.completed.add(computed_tickets);
-                if degraded_tickets > 0 {
-                    counters
-                        .degraded
-                        .fetch_add(degraded_tickets, Ordering::Relaxed);
-                    hooks.degraded.add(degraded_tickets);
-                }
-                lock_ignoring_poison(&shared.serve_stats).accumulate(&response.stats);
-                // File the computed rows into the cache under the version pairing the
-                // response itself reports — exactly what each estimate was computed
-                // under, so a later hit replays it bit-identically.  Degraded results
-                // (the Err arm, and any backend-tagged degraded slot) are never cached.
-                if let Some(cache) = &shared.cache {
-                    let mut evictions = 0u64;
-                    let mut filed = 0u64;
-                    for (slot, ((query, &hash), &estimate)) in miss_unique
-                        .iter()
-                        .zip(&miss_hashes)
-                        .zip(&response.estimates)
-                        .enumerate()
-                    {
-                        if degraded_slots[slot] {
-                            continue;
-                        }
-                        filed += 1;
-                        if cache.insert(
-                            query,
-                            hash,
-                            response.pool_version,
-                            response.stats.model_version,
-                            estimate,
-                        ) {
-                            evictions += 1;
-                        }
-                    }
-                    counters
-                        .cache_insertions
-                        .fetch_add(filed, Ordering::Relaxed);
-                    counters
-                        .cache_evictions
-                        .fetch_add(evictions, Ordering::Relaxed);
-                }
-                // Span segments for every computed request in this batch: batch-wait is
-                // the close→probe gap plus nothing (probe time is its own segment), and
-                // compute/merge come from the service's own phase stats.
-                let (resolved_us, batch_wait_us, shard_compute_us, merge_us) = if hooks.enabled {
-                    (
-                        hooks.obs.now_us(),
-                        serve_start_us.saturating_sub(close_us.saturating_add(cache_probe_us)),
-                        response.stats.compute_time.as_micros() as u64,
-                        response.stats.merge_time.as_micros() as u64,
-                    )
-                } else {
-                    (0, 0, 0, 0)
-                };
-                for (index, ((ticket, &slot), queue_wait)) in miss_tickets
-                    .iter()
-                    .zip(&miss_slots)
-                    .zip(miss_waits)
-                    .enumerate()
-                {
-                    let trace = if hooks.enabled {
-                        hooks.record_latency(batch_class, miss_traces[index], resolved_us);
-                        finish_trace(
-                            miss_traces[index],
-                            queue_wait,
-                            batch_wait_us,
-                            cache_probe_us,
-                            shard_compute_us,
-                            merge_us,
-                        )
-                    } else {
-                        None
-                    };
-                    ticket.complete(TicketOutcome {
-                        estimate: response.estimates[slot],
-                        source: if degraded_slots[slot] {
-                            EstimateSource::Degraded
-                        } else {
-                            EstimateSource::Computed
-                        },
-                        batch_size,
-                        batch_seq,
-                        queue_wait,
-                        trace,
-                    });
-                }
-            }
-            Err(_panic) => {
-                // The model panicked on this batch: answer every ticket from the
-                // stats/fallback path, tagged Degraded — within budget, never silent.
-                resolve_degraded(
-                    shared,
-                    &miss_tickets,
-                    &miss_slots,
-                    &miss_unique,
-                    batch_size,
-                    batch_seq,
-                    Some(&miss_waits),
-                );
-            }
-        }
-        // Resolution done: the recovery slot no longer owns these tickets.
-        lock_ignoring_poison(&shared.inflight).take();
-
-        // Phase 5 — retire the batch; wake `flush` when fully idle.
-        let mut state = lock_ignoring_poison(&shared.queue);
-        state.in_flight -= batch_size;
-        if state.total_pending() == 0 && state.in_flight == 0 {
-            shared.queue_idle.notify_all();
-        }
+/// Retire stage: gives `size` popped requests back from the in-flight count and wakes
+/// `flush` waiters once nothing is queued or in flight.
+fn retire<B: ComputeBackend>(shared: &Shared<B>, size: usize) {
+    let mut state = lock_ignoring_poison(&shared.queue);
+    state.in_flight -= size;
+    if state.total_pending() == 0 && state.in_flight == 0 {
+        shared.queue_idle.notify_all();
     }
 }
 
@@ -2110,10 +1785,7 @@ fn recover_maintenance<B: ComputeBackend>(shared: &Shared<B>) {
     let mut state = lock_ignoring_poison(&shared.maint);
     if state.applying {
         state.applying = false;
-        shared
-            .counters
-            .maintenance_failed
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters.maintenance_failed.inc();
     }
     let idle = state.pending.is_empty();
     drop(state);
@@ -2131,10 +1803,7 @@ fn degrade_maintenance<B: ComputeBackend>(shared: &Shared<B>) {
     state.pending.clear();
     drop(state);
     if dropped > 0 {
-        shared
-            .counters
-            .maintenance_failed
-            .fetch_add(dropped, Ordering::Relaxed);
+        shared.counters.maintenance_failed.add(dropped);
     }
     shared.maint_idle.notify_all();
 }
@@ -2146,29 +1815,19 @@ fn run_checkpoint<B: ComputeBackend>(shared: &Shared<B>) {
     let writer = lock_ignoring_poison(&shared.checkpoint_writer).clone();
     let Some(writer) = writer else { return };
     if shared.injector.should_fire(FaultSite::CheckpointWrite) {
-        shared
-            .counters
-            .checkpoints_failed
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters.checkpoints_failed.inc();
         return;
     }
     match catch_unwind(AssertUnwindSafe(|| writer.write_checkpoint())) {
         Ok(Ok(())) => {
-            let written = shared
-                .counters
-                .checkpoints_written
-                .fetch_add(1, Ordering::Relaxed)
-                + 1;
+            let written = shared.counters.checkpoints_written.add(1) + 1;
             shared
                 .hooks
                 .obs
                 .record_event(Event::CheckpointCommit { written });
         }
         Ok(Err(_)) | Err(_) => {
-            shared
-                .counters
-                .checkpoints_failed
-                .fetch_add(1, Ordering::Relaxed);
+            shared.counters.checkpoints_failed.inc();
         }
     }
 }
@@ -2237,88 +1896,9 @@ fn maintenance_loop<B: ComputeBackend>(shared: &Shared<B>) {
             Ok(_) => &shared.counters.maintenance_applied,
             Err(_panic) => &shared.counters.maintenance_failed,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
-        // Forward the applied triple to the online feedback channel, if one is
-        // listening.  After the upsert (an observer reacting to the record — e.g. by
-        // reading the pool — must see the refreshed entry), and contained separately:
-        // an observer panic must neither kill the lane nor mislabel the (successful)
-        // upsert as a maintenance failure.
+        counter.inc();
         if applied.is_ok() {
-            if let Some(estimate) = record.estimate {
-                // Fold the served estimate's q-error into the (just-refreshed) anchor's
-                // retention weight: anchors that keep producing bad estimates sink in
-                // the bounded-capacity pool's eviction order.  Same containment rules
-                // as the observer below — a panic here must not kill the lane or
-                // mislabel the applied upsert.
-                let retained = catch_unwind(AssertUnwindSafe(|| {
-                    let q_error =
-                        crn_nn::q_error(estimate.max(1.0), (record.cardinality.max(1)) as f64, 1.0);
-                    shared.service.record_retention(&record.query, q_error)
-                }));
-                if matches!(retained, Ok(true)) {
-                    shared
-                        .counters
-                        .retention_updates
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let observer = lock_ignoring_poison(&shared.feedback_observer).clone();
-                if let Some(observer) = observer {
-                    let observed = catch_unwind(AssertUnwindSafe(|| {
-                        observer.observe(&record.query, record.cardinality, estimate);
-                    }));
-                    if observed.is_err() {
-                        shared
-                            .counters
-                            .observer_failed
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            // Journal pool evictions as a delta against the pool's own counter: the
-            // maintenance lane is the only serving-side writer, so this races with at
-            // most the refresh worker's compactions — the swap keeps the delta exact.
-            if shared.hooks.enabled {
-                let evictions = shared.service.pool_evictions();
-                let seen = shared
-                    .hooks
-                    .journaled_pool_evictions
-                    .swap(evictions, Ordering::Relaxed);
-                if evictions > seen {
-                    shared.hooks.obs.record_event(Event::PoolEviction {
-                        evicted: evictions - seen,
-                    });
-                }
-            }
-            // Checkpoint cadence: every `checkpoint_every` applied records, hand the
-            // write to the checkpoint helper thread — the lane only flips a flag, so a
-            // slow writer (fsync stall, big pool) never blocks upsert application.
-            // Requests coalesce while a write is pending or in flight.
-            if shared.config.checkpoint_every > 0 {
-                let due = shared.since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
-                if due >= shared.config.checkpoint_every {
-                    shared.since_checkpoint.store(0, Ordering::Relaxed);
-                    lock_ignoring_poison(&shared.ckpt).requested = true;
-                    shared.ckpt_ready.notify_all();
-                }
-            }
-            // Background compaction cadence: every `compact_every` applied records,
-            // structurally dedup the pool on this lane — not only after model swaps.
-            if shared.config.compact_every > 0 {
-                let due = shared.since_compaction.fetch_add(1, Ordering::Relaxed) + 1;
-                if due >= shared.config.compact_every {
-                    shared.since_compaction.store(0, Ordering::Relaxed);
-                    let merged = catch_unwind(AssertUnwindSafe(|| shared.service.compact()));
-                    if let Ok(merged) = merged {
-                        shared.counters.compactions.fetch_add(1, Ordering::Relaxed);
-                        if merged > 0 {
-                            shared
-                                .hooks
-                                .obs
-                                .record_event(Event::PoolCompaction { merged });
-                        }
-                    }
-                }
-            }
+            after_upsert(shared, &record);
         }
         let mut state = lock_ignoring_poison(&shared.maint);
         state.applying = false;
@@ -2328,48 +1908,176 @@ fn maintenance_loop<B: ComputeBackend>(shared: &Shared<B>) {
     }
 }
 
+/// What follows an applied upsert on the maintenance lane: the retention fold and the
+/// forward of the applied triple to the online feedback channel — after the upsert (an
+/// observer reacting to the record, e.g. by reading the pool, must see the refreshed
+/// entry) and each contained separately, since a panic there must neither kill the lane
+/// nor mislabel the successful upsert as a maintenance failure — then the pool-eviction
+/// journal and the checkpoint and compaction cadences.
+fn after_upsert<B: ComputeBackend>(shared: &Shared<B>, record: &MaintRecord) {
+    if let Some(estimate) = record.estimate {
+        // Fold the served estimate's q-error into the (just-refreshed) anchor's
+        // retention weight: anchors that keep producing bad estimates sink in
+        // the bounded-capacity pool's eviction order.  Same containment rules
+        // as the observer below — a panic here must not kill the lane or
+        // mislabel the applied upsert.
+        let retained = catch_unwind(AssertUnwindSafe(|| {
+            let q_error =
+                crn_nn::q_error(estimate.max(1.0), (record.cardinality.max(1)) as f64, 1.0);
+            shared.service.record_retention(&record.query, q_error)
+        }));
+        if matches!(retained, Ok(true)) {
+            shared.counters.retention_updates.inc();
+        }
+        let observer = lock_ignoring_poison(&shared.feedback_observer).clone();
+        if let Some(observer) = observer {
+            let observed = catch_unwind(AssertUnwindSafe(|| {
+                observer.observe(&record.query, record.cardinality, estimate);
+            }));
+            if observed.is_err() {
+                shared.counters.observer_failed.inc();
+            }
+        }
+    }
+    // Journal pool evictions as a delta against the pool's own counter: the
+    // maintenance lane is the only serving-side writer, so this races with at
+    // most the refresh worker's compactions — the swap keeps the delta exact.
+    if shared.hooks.enabled {
+        let evictions = shared.service.pool_evictions();
+        let seen = shared
+            .hooks
+            .journaled_pool_evictions
+            .swap(evictions, Ordering::Relaxed);
+        if evictions > seen {
+            shared.hooks.obs.record_event(Event::PoolEviction {
+                evicted: evictions - seen,
+            });
+        }
+    }
+    // Checkpoint cadence: every `checkpoint_every` applied records, hand the
+    // write to the checkpoint helper thread — the lane only flips a flag, so a
+    // slow writer (fsync stall, big pool) never blocks upsert application.
+    // Requests coalesce while a write is pending or in flight.
+    if shared.config.checkpoint_every > 0 {
+        let due = shared.since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
+        if due >= shared.config.checkpoint_every {
+            shared.since_checkpoint.store(0, Ordering::Relaxed);
+            lock_ignoring_poison(&shared.ckpt).requested = true;
+            shared.ckpt_ready.notify_all();
+        }
+    }
+    // Background compaction cadence: every `compact_every` applied records,
+    // structurally dedup the pool on this lane — not only after model swaps.
+    if shared.config.compact_every > 0 {
+        let due = shared.since_compaction.fetch_add(1, Ordering::Relaxed) + 1;
+        if due >= shared.config.compact_every {
+            shared.since_compaction.store(0, Ordering::Relaxed);
+            let merged = catch_unwind(AssertUnwindSafe(|| shared.service.compact()));
+            if let Ok(merged) = merged {
+                shared.counters.compactions.inc();
+                if merged > 0 {
+                    shared
+                        .hooks
+                        .obs
+                        .record_event(Event::PoolCompaction { merged });
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn response_with(estimates: Vec<f64>) -> std::thread::Result<ServeResponse> {
-        Ok(ServeResponse {
-            estimates,
-            stats: ServeStats::default(),
-            pool_version: 0,
-            degraded: Vec::new(),
-        })
+    /// A queue holding one request per `(class, age)`, enqueued `age` before `now`
+    /// (each lane in the listed order).
+    fn queue_with(now: Instant, requests: &[(SloClass, u64)]) -> QueueState {
+        let mut state = QueueState::new();
+        for (caller, &(class, age_us)) in requests.iter().enumerate() {
+            let query = Query::scan("title");
+            state
+                .admit(caller as u64, class, query, None, None, 64, 64, 64)
+                .expect("admitted");
+            let request = state.pending[class.index()].back_mut().expect("admitted");
+            request.enqueued = now - Duration::from_micros(age_us);
+        }
+        state
+    }
+
+    /// Batch max 2, interactive window 100µs, batch window 2ms.
+    fn close_config() -> RuntimeConfig {
+        RuntimeConfig::default()
+            .with_batch_max(2)
+            .with_window_us(100)
+            .with_class_window_us(SloClass::Batch, 2_000)
     }
 
     #[test]
-    fn settle_routes_a_rowless_response_through_the_fallback() {
-        // The bug this pins: a response with no estimate row used to be indexed
-        // `estimates[0]` on the submitting thread, outside every catch_unwind — a
-        // panic at the caller instead of a degraded answer.
-        match settle_sync_response(response_with(Vec::new()), || 123.0) {
-            SyncResolution::Degraded { estimate } => assert_eq!(estimate, 123.0),
-            _ => panic!("a rowless response must degrade, not panic or compute"),
-        }
+    fn close_rule_ranks_size_over_drain_over_window() {
+        use CloseDecision::{Close, Idle};
+        use CloseReason::{Drain, Size, Window};
+        use SloClass::{Batch, Interactive};
+        let (config, now) = (close_config(), Instant::now());
+        let decide = |state: &QueueState| close_decision(state, &config, now);
+        // A full lane closes by size even when another lane's window already expired...
+        let mut state = queue_with(now, &[(Interactive, 1_000), (Batch, 0), (Batch, 0)]);
+        assert_eq!(decide(&state), Close(Batch, Size));
+        // ...and even at shutdown.
+        state.closed = true;
+        assert_eq!(decide(&state), Close(Batch, Size));
+        // At shutdown the most urgent lane drains, expired window or not.
+        let mut state = queue_with(now, &[(Interactive, 1_000)]);
+        state.closed = true;
+        assert_eq!(decide(&state), Close(Interactive, Drain));
+        let mut state = queue_with(now, &[(Batch, 0)]);
+        state.closed = true;
+        assert_eq!(decide(&state), Close(Batch, Drain));
+        // Otherwise an expired window closes, with whatever the lane holds.
+        let state = queue_with(now, &[(Interactive, 100)]);
+        assert_eq!(decide(&state), Close(Interactive, Window));
+        // Empty lanes: nothing to close, open or shutting down.
+        let mut state = QueueState::new();
+        assert_eq!(decide(&state), Idle);
+        state.closed = true;
+        assert_eq!(decide(&state), Idle);
     }
 
     #[test]
-    fn settle_prefers_the_computed_row_when_present() {
-        match settle_sync_response(response_with(vec![7.5]), || unreachable!("no fallback")) {
-            SyncResolution::Computed { estimate, .. } => assert_eq!(estimate, 7.5),
-            _ => panic!("a response with a row is a computed resolution"),
-        }
+    fn close_rule_picks_the_earliest_window_deadline_ties_in_class_order() {
+        use CloseDecision::Close;
+        use CloseReason::{Drain, Window};
+        use SloClass::{Batch, Interactive};
+        let (config, now) = (close_config(), Instant::now());
+        let decide = |state: &QueueState| close_decision(state, &config, now);
+        // Batch's oldest is due 1ms ago, interactive's in 100µs: the earliest deadline
+        // wins, whatever the class priority.
+        let state = queue_with(now, &[(Interactive, 0), (Batch, 3_000)]);
+        assert_eq!(decide(&state), Close(Batch, Window));
+        // Both due 900µs ago (1000 − 100 = 2900 − 2000): the tie goes to `SloClass::ALL`
+        // order, for the window close and the drain alike.
+        let mut state = queue_with(now, &[(Batch, 2_900), (Interactive, 1_000)]);
+        assert_eq!(decide(&state), Close(Interactive, Window));
+        state.closed = true;
+        assert_eq!(decide(&state), Close(Interactive, Drain));
     }
 
     #[test]
-    fn settle_fails_only_when_the_fallback_panics_too() {
-        let panicked: std::thread::Result<ServeResponse> = Err(Box::new("batch panicked"));
-        match settle_sync_response(panicked, || 9.0) {
-            SyncResolution::Degraded { estimate } => assert_eq!(estimate, 9.0),
-            _ => panic!("a panicked serve with a live fallback degrades"),
-        }
-        let panicked: std::thread::Result<ServeResponse> = Err(Box::new("batch panicked"));
-        let settled = settle_sync_response(panicked, || panic!("fallback panics too"));
-        assert!(matches!(settled, SyncResolution::Failed));
+    fn close_rule_waits_until_the_most_urgent_deadline() {
+        use CloseDecision::WaitUntil;
+        use SloClass::{Batch, Interactive};
+        let (config, now) = (close_config(), Instant::now());
+        let decide = |state: &QueueState| close_decision(state, &config, now);
+        let micros = Duration::from_micros;
+        // Interactive (oldest 40µs ago) is due in 60µs, batch (just now) in 2ms.
+        let state = queue_with(now, &[(Batch, 0), (Interactive, 40)]);
+        assert_eq!(decide(&state), WaitUntil(now - micros(40) + micros(100)));
+        // A lone batch request: its own class window, from its own arrival.
+        let state = queue_with(now, &[(Batch, 500)]);
+        assert_eq!(decide(&state), WaitUntil(now - micros(500) + micros(2_000)));
+        // One below the size threshold still waits.
+        let state = queue_with(now, &[(Interactive, 10)]);
+        assert_eq!(decide(&state), WaitUntil(now - micros(10) + micros(100)));
     }
 
     #[test]

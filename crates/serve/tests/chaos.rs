@@ -7,13 +7,13 @@
 //! plan-specific behaviour (restart with queues intact, budget breach degrades to
 //! sync serving, checkpoint failures counted and retried).
 
-use crn_core::{EstimatorService, ShardedPool};
+use crn_core::{EstimatorService, ServeResponse, ServeStats, ShardedPool};
 use crn_estimators::ContainmentEstimator;
 use crn_nn::parallel::WorkerPool;
 use crn_query::Query;
 use crn_serve::{
-    EstimateSource, FaultInjector, FaultPlan, FaultSite, FaultTrigger, RuntimeConfig, ServeRuntime,
-    SupervisorPolicy, LANE_MAINTENANCE, LANE_SCHEDULER,
+    ComputeBackend, EstimateSource, FaultInjector, FaultPlan, FaultSite, FaultTrigger,
+    RuntimeConfig, ServeRuntime, SupervisorPolicy, TicketError, LANE_MAINTENANCE, LANE_SCHEDULER,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,13 +139,20 @@ fn scheduler_kill_restarts_the_lane_with_the_queue_intact() {
         .collect();
     let mut degraded = 0u64;
     let mut computed = 0u64;
+    let mut batch_seqs = std::collections::BTreeSet::new();
     for ticket in &tickets {
         match ticket
             .wait_timeout(Duration::from_secs(10))
             .expect("no admitted ticket may hang across a scheduler kill")
         {
-            Ok(outcome) if outcome.source == EstimateSource::Degraded => degraded += 1,
-            Ok(_) => computed += 1,
+            Ok(outcome) => {
+                if outcome.source == EstimateSource::Degraded {
+                    degraded += 1;
+                } else {
+                    computed += 1;
+                }
+                batch_seqs.insert(outcome.batch_seq);
+            }
             Err(error) => panic!("unexpected ticket error {error:?}"),
         }
     }
@@ -153,6 +160,8 @@ fn scheduler_kill_restarts_the_lane_with_the_queue_intact() {
     // that was still queued when the thread died was served normally after the restart.
     assert_eq!(degraded, 1);
     assert_eq!(computed, 3);
+    // One request per batch, and the orphan keeps its own sequence number.
+    assert_eq!(batch_seqs.len(), 4, "batch_seq reused: {batch_seqs:?}");
     // The restarted lane is fully live: a fresh submission computes.
     let fresh = runtime
         .submit(9, query.clone())
@@ -235,6 +244,97 @@ fn scheduler_budget_breach_degrades_to_sync_serving_and_nothing_hangs() {
     assert_eq!(stats.scheduler_restarts, 2, "budget of 2 was spent");
     assert!(stats.sync_served >= 1);
     assert!(stats.degraded >= 3, "each kill degraded its orphaned batch");
+}
+
+/// A backend answering every batch one row short — a malformed response, which the
+/// runtime must treat like a panicked batch — whose fallback answers `fallback`, or
+/// panics too when that is `None`.
+struct ShortBackend {
+    fallback: Option<f64>,
+}
+
+impl ComputeBackend for ShortBackend {
+    fn serve(&self, queries: &[Query]) -> ServeResponse {
+        ServeResponse {
+            estimates: vec![1.0; queries.len().saturating_sub(1)],
+            stats: ServeStats::default(),
+            pool_version: 0,
+            degraded: Vec::new(),
+        }
+    }
+
+    fn fallback_estimate(&self, _query: &Query) -> f64 {
+        self.fallback.expect("the fallback fails too")
+    }
+
+    fn serving_versions(&self) -> (u64, u64) {
+        (0, 0)
+    }
+
+    fn apply_feedback(&self, _query: &Query, _cardinality: u64) {}
+
+    fn record_retention(&self, _query: &Query, _q_error: f64) -> bool {
+        false
+    }
+
+    fn pool_evictions(&self) -> u64 {
+        0
+    }
+
+    fn compact(&self) -> usize {
+        0
+    }
+
+    fn name(&self) -> &str {
+        "short"
+    }
+}
+
+#[test]
+fn a_short_backend_response_resolves_every_ticket_exactly_once() {
+    for fallback in [Some(7.0), None] {
+        // Batch max 3 and a window far longer than the test: the three distinct queries
+        // close as one size-closed batch, whose response has two rows for three queries.
+        let runtime = ServeRuntime::new(
+            Arc::new(ShortBackend { fallback }),
+            RuntimeConfig::default()
+                .with_batch_max(3)
+                .with_window_us(10_000_000),
+        );
+        let tickets: Vec<_> = ["title", "cast_info", "movie_companies"]
+            .into_iter()
+            .zip(0u64..)
+            .map(|(table, caller)| {
+                runtime
+                    .submit(caller, Query::scan(table))
+                    .expect("admitted")
+            })
+            .collect();
+        for ticket in &tickets {
+            match (ticket.wait(), fallback) {
+                (Ok(outcome), Some(estimate)) => {
+                    assert_eq!(outcome.source, EstimateSource::Degraded);
+                    assert_eq!((outcome.estimate, outcome.batch_size), (estimate, 3));
+                }
+                (Err(TicketError::BatchFailed), None) => {}
+                (resolution, _) => panic!("{fallback:?} fallback resolved {resolution:?}"),
+            }
+        }
+        let stats = runtime.shutdown();
+        let (degraded, failed) = if fallback.is_some() { (3, 0) } else { (0, 3) };
+        assert_eq!(
+            (
+                stats.submitted,
+                stats.completed,
+                stats.degraded,
+                stats.failed
+            ),
+            (3, 0, degraded, failed),
+            "each ticket resolves once: {stats:?}"
+        );
+        assert!(stats.fully_resolved(), "{stats:?}");
+        assert_eq!(stats.scheduler_restarts, 0, "contained, not a thread death");
+    }
 }
 
 #[test]

@@ -271,4 +271,18 @@ fn obs_disabled_is_invisible_and_enabled_is_complete_at_identical_estimates() {
         .filter(|entry| matches!(entry.event, Event::BatchClosed { .. }))
         .count() as u64;
     assert_eq!(closes, stats.batches);
+
+    // One counter store: every runtime counter is exported as `serve.<field>`, and
+    // the snapshot reads the very atomics `stats()` does.
+    let exported: std::collections::HashMap<String, u64> =
+        obs.snapshot().counters.into_iter().collect();
+    let shared: Vec<_> = stats
+        .counter_fields()
+        .into_iter()
+        .filter_map(|(name, value)| Some((name, value, *exported.get(&format!("serve.{name}"))?)))
+        .collect();
+    assert_eq!(shared.len(), 28, "{exported:?}");
+    for (name, value, exported) in shared {
+        assert_eq!(value, exported, "serve.{name}");
+    }
 }
