@@ -222,15 +222,14 @@ fn bench_training_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched vs per-sample training epochs for both models (the tentpole comparison): one
-/// ragged-batch forward/backward per mini-batch against one forward/backward per sample,
-/// at the paper's H = 64 / batch = 128 operating point.
+/// Training epochs of both models through the one training loop (`crn_nn::train`): one
+/// ragged-batch forward/backward per mini-batch shard, at the paper's H = 64 / batch = 128
+/// operating point.
 ///
 /// Each iteration runs a four-epoch `fit` so the timing reflects steady-state epoch cost
 /// (featurization is done once per training run and amortizes over its epochs, exactly as in
-/// real training); divide the printed times by four for per-epoch numbers — the ratio *is*
-/// the per-epoch ratio.
-fn bench_training_epoch_batched_vs_reference(c: &mut Criterion) {
+/// real training); divide the printed times by four for per-epoch numbers.
+fn bench_training_epochs(c: &mut Criterion) {
     let ctx = shared_context();
     let config = TrainConfig {
         hidden_size: 64,
@@ -250,22 +249,10 @@ fn bench_training_epoch_batched_vs_reference(c: &mut Criterion) {
             black_box(model.fit(&ctx.containment_training))
         })
     });
-    group.bench_function("crn_per_sample_reference", |b| {
-        b.iter(|| {
-            let mut model = CrnModel::new(&ctx.db, config.clone());
-            black_box(model.fit_reference(&ctx.containment_training))
-        })
-    });
     group.bench_function("mscn_batched", |b| {
         b.iter(|| {
             let mut model = MscnModel::new(&ctx.db, config.clone());
             black_box(model.fit(&ctx.cardinality_training))
-        })
-    });
-    group.bench_function("mscn_per_sample_reference", |b| {
-        b.iter(|| {
-            let mut model = MscnModel::new(&ctx.db, config.clone());
-            black_box(model.fit_reference(&ctx.cardinality_training))
         })
     });
     group.finish();
@@ -351,7 +338,7 @@ criterion_group!(
     bench_nn_kernels,
     bench_crn_prediction,
     bench_training_step,
-    bench_training_epoch_batched_vs_reference,
+    bench_training_epochs,
     bench_cnt2crd_serving
 );
 criterion_main!(benches);

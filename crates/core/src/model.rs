@@ -18,29 +18,31 @@
 use crate::featurize::CrnFeaturizer;
 use crn_db::database::Database;
 use crn_exec::ContainmentSample;
-use crn_nn::batch::shard_ranges;
 use crn_nn::batch::{
     broadcast_rows, expand_concat, expand_concat_backward, expand_full, expand_full_backward,
     expand_full_tail, segment_pool, segment_pool_backward, RaggedBatch, SegmentPool, SparseRows,
 };
 use crn_nn::gemm::{gemm_packed, Epilogue, PackedWeights};
 use crn_nn::layers::{
-    relu, relu_backward, relu_backward_in_place, relu_in_place, sigmoid, sigmoid_backward,
-    sigmoid_in_place, Dense,
+    relu_backward_in_place, relu_in_place, sigmoid_backward, sigmoid_in_place, Dense, Param,
 };
-use crn_nn::loss::{loss_and_grad, mean_q_error};
+use crn_nn::loss::loss_and_grad;
 use crn_nn::matrix::Matrix;
 use crn_nn::optim::Adam;
-use crn_nn::parallel::{GradientSet, ShardGradients, ThreadPoolConfig, WorkerPool};
-use crn_nn::train::{
-    shuffled_batches, train_validation_split, EarlyStopping, EpochStats, TrainConfig,
-    TrainingHistory,
-};
+use crn_nn::parallel::GradientSet;
+use crn_nn::train::{self, TrainConfig, Trainable, TrainingHistory};
 use crn_query::ast::Query;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
+// The per-sample reference path and the tests.
+#[cfg(test)]
+use crn_nn::{
+    layers::{relu, relu_backward, sigmoid},
+    loss::mean_q_error,
+    train::{shuffled_batches, train_validation_split, EarlyStopping, EpochStats},
+};
+#[cfg(test)]
+use rand::{rngs::StdRng, SeedableRng};
 
 use crn_estimators::ContainmentEstimator;
 
@@ -134,38 +136,6 @@ impl PartialEq for PackedHead {
     }
 }
 
-/// What a training run keeps from one mini-batch to the next, allocated once per `fit` /
-/// `fit_incremental` call.
-#[derive(Debug)]
-struct StepScratch {
-    panels: StepPanels,
-    shards: ShardGradients,
-}
-
-/// `MLPout`'s weights as a training step's backward pass multiplies by them, packed once
-/// before the step's shards are dispatched: every shard's `dL/dx = g·Wᵀ` is a product over
-/// panels packed from the transposed source instead of a transpose of its own.
-#[derive(Debug)]
-struct StepPanels {
-    out1_transposed: PackedWeights,
-    out2_transposed: PackedWeights,
-}
-
-impl StepPanels {
-    fn of(model: &CrnModel) -> Self {
-        StepPanels {
-            out1_transposed: PackedWeights::pack_transposed(&model.out1.w.value),
-            out2_transposed: PackedWeights::pack_transposed(&model.out2.w.value),
-        }
-    }
-
-    /// Repacks the panels from the model's current weights, in place.
-    fn refresh(&mut self, model: &CrnModel) {
-        self.out1_transposed.repack_transposed(&model.out1.w.value);
-        self.out2_transposed.repack_transposed(&model.out2.w.value);
-    }
-}
-
 /// Forward-pass cache of one ragged mini-batch of pairs (a single pair is the `B = 1` case).
 ///
 /// The set-level tensors (`a1`, `a2`) are flattened over all pairs of the batch and
@@ -180,23 +150,6 @@ struct BatchCache {
     qvec1: Matrix,
     qvec2: Matrix,
     expanded: Matrix,
-    a_out1: Matrix,
-    sigmoid_out: Matrix,
-}
-
-/// Forward-pass cache of one pair for the seed-faithful per-sample reference path (the
-/// pre-batching implementation kept as the baseline of the parity tests and benchmarks).
-struct PairCache {
-    v1: Matrix,
-    v2: Matrix,
-    z1: Matrix,
-    a1: Matrix,
-    z2: Matrix,
-    a2: Matrix,
-    qvec1: Matrix,
-    qvec2: Matrix,
-    expanded: Matrix,
-    z_out1: Matrix,
     a_out1: Matrix,
     sigmoid_out: Matrix,
 }
@@ -346,14 +299,6 @@ impl CrnModel {
         )
     }
 
-    /// Panels and per-shard gradient sets for training this model under `parallel`.
-    fn step_scratch(&self, parallel: &ThreadPoolConfig) -> StepScratch {
-        StepScratch {
-            panels: StepPanels::of(self),
-            shards: ShardGradients::new(&self.gradient_shapes(), parallel),
-        }
-    }
-
     fn forward_batch(&self, v1: RaggedBatch, v2: RaggedBatch) -> BatchCache {
         debug_assert_eq!(v1.num_segments(), v2.num_segments(), "pairs must line up");
         let pool = self.segment_pool_kind();
@@ -400,8 +345,10 @@ impl CrnModel {
     /// accumulate privately.
     #[cfg(test)]
     fn backward_batch(&mut self, cache: &BatchCache, grad_output: &Matrix) {
+        let weights = self.backward_weights().into_iter();
+        let panels: Vec<PackedWeights> = weights.map(PackedWeights::pack_transposed).collect();
         let mut grads = GradientSet::zeros(&self.gradient_shapes());
-        self.backward_batch_into(&StepPanels::of(self), cache, grad_output, &mut grads);
+        self.backward_batch_into(&panels, cache, grad_output, &mut grads);
         for (param, grad) in self.params_vec_mut().into_iter().zip(grads.parts()) {
             param.grad.add_assign(grad);
         }
@@ -409,28 +356,27 @@ impl CrnModel {
 
     /// [`CrnModel::backward_batch`] into a caller-provided [`GradientSet`] (indexed by
     /// [`grad_index`]), leaving the model untouched — every shard of a data-parallel
-    /// mini-batch runs this against the same read-only model.
+    /// mini-batch runs this against the same read-only model.  `panels`: `out1`'s and
+    /// `out2`'s weights packed transposed ([`Trainable::backward_weights`]).
     fn backward_batch_into(
         &self,
-        panels: &StepPanels,
+        panels: &[PackedWeights],
         cache: &BatchCache,
         grad_output: &Matrix,
         grads: &mut GradientSet,
     ) {
         use grad_index::*;
+        let [out1_transposed, out2_transposed] = panels else {
+            panic!("CRN's backward pass multiplies by two weight panels");
+        };
         let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, grad_output);
         let (grad_w, grad_b) = grads.pair_mut(OUT2_W, OUT2_B);
-        let mut grad_z_out1 = Dense::backward_into(
-            &panels.out2_transposed,
-            &cache.a_out1,
-            &grad_z_out2,
-            grad_w,
-            grad_b,
-        );
+        let mut grad_z_out1 =
+            Dense::backward_into(out2_transposed, &cache.a_out1, &grad_z_out2, grad_w, grad_b);
         relu_backward_in_place(&cache.a_out1, &mut grad_z_out1);
         let (grad_w, grad_b) = grads.pair_mut(OUT1_W, OUT1_B);
         let grad_expanded = Dense::backward_into(
-            &panels.out1_transposed,
+            out1_transposed,
             &cache.expanded,
             &grad_z_out1,
             grad_w,
@@ -455,255 +401,34 @@ impl CrnModel {
         Dense::accumulate_ragged_weights_only(&cache.v2, &grad_z2, grad_w, grad_b);
     }
 
-    /// The shapes of this model's parameters (order: [`grad_index`]).
-    fn gradient_shapes(&self) -> Vec<(usize, usize)> {
-        let mut shapes = Vec::with_capacity(8);
-        shapes.extend(self.mlp1.grad_shapes());
-        shapes.extend(self.mlp2.grad_shapes());
-        shapes.extend(self.out1.grad_shapes());
-        shapes.extend(self.out2.grad_shapes());
-        shapes
-    }
-
-    /// Seed-faithful single-pair forward pass: 1-row matrices end to end, scalar pooling and
-    /// `Expand`, the full backward including the input layers' discarded `dL/dx` — exactly
-    /// the implementation this repository shipped before the ragged-batch engine.  This is
-    /// the *baseline* the parity tests and criterion benchmarks compare the engine against,
-    /// so it deliberately does not share the engine's execution path.
-    fn forward_pair_reference(&self, v1: &Matrix, v2: &Matrix) -> PairCache {
-        let pool = |activated: &Matrix| -> Matrix {
-            match self.options.pooling {
-                Pooling::Mean => crn_nn::layers::mean_pool(activated),
-                Pooling::Sum => {
-                    let mut pooled = Matrix::zeros(1, activated.cols());
-                    pooled.row_mut(0).copy_from_slice(&activated.column_sums());
-                    pooled
-                }
-            }
-        };
-        let z1 = self.mlp1.forward_sparse(v1);
-        let a1 = relu(&z1);
-        let qvec1 = pool(&a1);
-        let z2 = self.mlp2.forward_sparse(v2);
-        let a2 = relu(&z2);
-        let qvec2 = pool(&a2);
-        let expanded = match self.options.expand {
-            ExpandMode::Full => expand_full(&qvec1, &qvec2),
-            ExpandMode::Concat => expand_concat(&qvec1, &qvec2),
-        };
-        let z_out1 = self.out1.forward_sparse(&expanded);
-        let a_out1 = relu(&z_out1);
-        let z_out2 = self.out2.forward_sparse(&a_out1);
-        let sigmoid_out = sigmoid(&z_out2);
-        PairCache {
-            v1: v1.clone(),
-            v2: v2.clone(),
-            z1,
-            a1,
-            z2,
-            a2,
-            qvec1,
-            qvec2,
-            expanded,
-            z_out1,
-            a_out1,
-            sigmoid_out,
-        }
-    }
-
-    /// Seed-faithful single-pair backward pass (see [`CrnModel::forward_pair_reference`]).
-    fn backward_pair_reference(&mut self, cache: &PairCache, grad_output: f32) {
-        let grad_out = Matrix::from_vec(1, 1, vec![grad_output]);
-        let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, &grad_out);
-        let grad_a_out1 = self.out2.backward(&cache.a_out1, &grad_z_out2);
-        let grad_z_out1 = relu_backward(&cache.z_out1, &grad_a_out1);
-        let grad_expanded = self.out1.backward(&cache.expanded, &grad_z_out1);
-        let (grad_qvec1, grad_qvec2) = match self.options.expand {
-            ExpandMode::Full => expand_full_backward(&cache.qvec1, &cache.qvec2, &grad_expanded),
-            ExpandMode::Concat => expand_concat_backward(&grad_expanded),
-        };
-        let pool_backward = |num_rows: usize, grad_pooled: &Matrix| -> Matrix {
-            match self.options.pooling {
-                Pooling::Mean => crn_nn::layers::mean_pool_backward(num_rows, grad_pooled),
-                Pooling::Sum => {
-                    let mut grad = Matrix::zeros(num_rows, grad_pooled.cols());
-                    for r in 0..num_rows {
-                        grad.row_mut(r).copy_from_slice(grad_pooled.row(0));
-                    }
-                    grad
-                }
-            }
-        };
-        let grad_a1 = pool_backward(cache.a1.rows(), &grad_qvec1);
-        let grad_z1 = relu_backward(&cache.z1, &grad_a1);
-        let _ = self.mlp1.backward(&cache.v1, &grad_z1);
-        let grad_a2 = pool_backward(cache.a2.rows(), &grad_qvec2);
-        let grad_z2 = relu_backward(&cache.z2, &grad_a2);
-        let _ = self.mlp2.backward(&cache.v2, &grad_z2);
-    }
-
-    fn zero_grad(&mut self) {
-        self.mlp1.zero_grad();
-        self.mlp2.zero_grad();
-        self.out1.zero_grad();
-        self.out2.zero_grad();
-    }
-
-    /// All trainable parameters in [`grad_index`] order.  Whoever holds them may change
-    /// `out1`'s weights, so the packed copy goes first.
-    fn params_vec_mut(&mut self) -> Vec<&mut crn_nn::layers::Param> {
-        self.packed_out1 = PackedHead::default();
-        let CrnModel {
-            mlp1,
-            mlp2,
-            out1,
-            out2,
-            ..
-        } = self;
-        let mut params = Vec::new();
-        params.extend(mlp1.params_mut());
-        params.extend(mlp2.params_mut());
-        params.extend(out1.params_mut());
-        params.extend(out2.params_mut());
-        params
-    }
-
-    fn adam_step(&mut self, adam: &mut Adam) {
-        let params = self.params_vec_mut();
-        adam.step(params);
+    /// The samples `batch` of a featurized corpus as the ragged batches of their pairs' first
+    /// and second queries.
+    fn pack(
+        &self,
+        features: &[(SparseRows, SparseRows)],
+        batch: &[usize],
+    ) -> (RaggedBatch, RaggedBatch) {
+        let dim = self.featurizer.vector_dim();
+        (
+            RaggedBatch::from_sparse_sets(dim, batch.iter().map(|&index| &features[index].0)),
+            RaggedBatch::from_sparse_sets(dim, batch.iter().map(|&index| &features[index].1)),
+        )
     }
 
     /// Trains the model on labelled containment pairs; returns the per-epoch history
     /// (used to reproduce Figures 3 and 4).
     ///
-    /// Each mini-batch runs through the ragged-batch engine (`crn_nn::batch`), split into
-    /// shards executed by the data-parallel pool of [`TrainConfig::parallel`]
-    /// (`crn_nn::parallel`): every shard runs the batched forward/backward against the same
-    /// read-only model into its own gradient set, and one optimizer pass sums the sets in
-    /// fixed order and applies the sum ([`Adam::step_sharded`]).  At `threads = 1` (the
-    /// default) this is exactly the one-GEMM-per-batch path; the accumulated gradients are
-    /// in every mode mathematically identical to the per-sample loop of
-    /// [`CrnModel::fit_reference`] (the parity tests below pin this to 1e-5), and in
-    /// deterministic mode bit-identical across thread counts.
+    /// This is the one training loop, [`train::fit`].  Each mini-batch runs through the
+    /// ragged-batch engine (`crn_nn::batch`), split into shards executed by the
+    /// data-parallel pool of [`TrainConfig::parallel`] (`crn_nn::parallel`): every shard runs
+    /// the batched forward/backward against the same read-only model into its own gradient
+    /// set, and one optimizer pass sums the sets in fixed order and applies the sum
+    /// ([`Adam::step_sharded`]).  At `threads = 1` (the default) this is exactly the
+    /// one-GEMM-per-batch path; the accumulated gradients are in every mode mathematically
+    /// identical to the per-sample reference loop (the parity tests below pin this to 1e-5),
+    /// and in deterministic mode bit-identical across thread counts.
     pub fn fit(&mut self, samples: &[ContainmentSample]) -> TrainingHistory {
-        let parallel = self.config.parallel;
-        // One persistent worker-pool handle for the whole fit: every featurization shard,
-        // mini-batch and validation chunk below runs on the same spawn-once threads
-        // (`crn_nn::parallel::WorkerPool::shared`) instead of re-spawning scoped workers
-        // per mini-batch — the spawn overhead PR 2 measured at +24% for small batches.
-        let workers = parallel.worker_pool();
-        // Features are featurized and converted to CSR once, before the epoch loop;
-        // mini-batches are assembled by concatenating the per-sample non-zeros — no dense
-        // row copies or scans inside the training loop.
-        let dim = self.featurizer.vector_dim();
-        let features = self.featurize_sparse(samples, &workers, parallel.threads);
-        let targets: Vec<f32> = samples.iter().map(|s| s.rate as f32).collect();
-
-        let (train_idx, valid_idx) = train_validation_split(
-            samples.len(),
-            self.config.validation_fraction,
-            self.config.seed,
-        );
-        let mut adam = Adam::new(self.config.learning_rate);
-        let mut scratch = self.step_scratch(&parallel);
-        let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(7));
-        let mut early_stopping = EarlyStopping::new(self.config.patience);
-        let mut history = TrainingHistory::default();
-        let mut best: Option<CrnModel> = None;
-
-        for epoch in 0..self.config.epochs {
-            let mut epoch_loss = 0.0f64;
-            let mut epoch_samples = 0usize;
-            for batch in shuffled_batches(&train_idx, self.config.batch_size, &mut rng) {
-                let losses = self.train_batch(
-                    &mut adam,
-                    &workers,
-                    &mut scratch,
-                    &features,
-                    &targets,
-                    &batch,
-                );
-                for loss in losses {
-                    epoch_loss += loss as f64;
-                    epoch_samples += 1;
-                }
-            }
-
-            let validation_q_error = if valid_idx.is_empty() {
-                epoch_loss / epoch_samples.max(1) as f64
-            } else {
-                // Validation chunks are fixed by the batch size (never by the thread
-                // count), so the chunk contents — and the per-chunk inference — are the
-                // same for every pool configuration; only the chunk scheduling spreads
-                // across threads.
-                let chunks: Vec<&[usize]> =
-                    valid_idx.chunks(self.config.batch_size.max(1)).collect();
-                let model = &*self;
-                let per_chunk: Vec<Vec<(f64, f64)>> = workers.run_sharded(chunks.len(), |shard| {
-                    let chunk = chunks[shard];
-                    let batch1 = RaggedBatch::from_sparse_sets(
-                        dim,
-                        chunk.iter().map(|&index| &features[index].0),
-                    );
-                    let batch2 = RaggedBatch::from_sparse_sets(
-                        dim,
-                        chunk.iter().map(|&index| &features[index].1),
-                    );
-                    let out = model.forward_batch_inference(&batch1, &batch2);
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(position, &index)| {
-                            (out.get(position, 0) as f64, targets[index] as f64)
-                        })
-                        .collect()
-                });
-                let pairs: Vec<(f64, f64)> = per_chunk.into_iter().flatten().collect();
-                mean_q_error(&pairs, RATE_FLOOR as f64)
-            };
-            let improved = history.record(EpochStats {
-                epoch,
-                train_loss: epoch_loss / epoch_samples.max(1) as f64,
-                validation_q_error,
-            });
-            if improved {
-                best = Some(self.clone());
-            }
-            if early_stopping.should_stop(!improved) {
-                break;
-            }
-        }
-        if let Some(best) = best {
-            *self = best;
-        }
-        history
-    }
-
-    /// Featurizes a sample slice into per-pair CSR rows on the worker pool (per-sample
-    /// featurization is pure, so it shards trivially; `run_over_ranges` returns the
-    /// shards in range order, so the result order never depends on the thread count).
-    fn featurize_sparse(
-        &self,
-        samples: &[ContainmentSample],
-        workers: &WorkerPool,
-        threads: usize,
-    ) -> Vec<(SparseRows, SparseRows)> {
-        let ranges = shard_ranges(samples.len(), threads);
-        workers
-            .run_over_ranges(&ranges, |range| {
-                samples[range]
-                    .iter()
-                    .map(|s| {
-                        (
-                            self.featurizer.featurize_sparse(&s.q1),
-                            self.featurizer.featurize_sparse(&s.q2),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+        train::fit(self, samples)
     }
 
     /// Zeroes the Adam moment estimates carried inside every parameter.
@@ -732,17 +457,18 @@ impl CrnModel {
     /// [`CrnModel::fit`]:
     ///
     /// * **Adam state resumes.**  The first and second moments live inside each
-    ///   [`Param`](crn_nn::layers::Param) and travel with the model clone; the caller's
+    ///   [`Param`] and travel with the model clone; the caller's
     ///   [`Adam`] carries the step count, so bias correction continues where the previous
     ///   (initial or incremental) fit left off instead of re-warming from step 0.
     /// * **No validation split, early stopping or best-epoch restore** — the online
     ///   controller owns model selection through its held-out probe gate, so the
     ///   fine-tune runs exactly `epochs` epochs over the whole corpus.  The recorded
     ///   `validation_q_error` is the epoch's mean training loss.
-    /// * **Same execution engine.**  Every mini-batch shards through the persistent
-    ///   [`WorkerPool`] exactly like `fit` (same forced-CSR featurization, same
-    ///   fixed-order gradient reduction), so deterministic mode keeps the incremental fit
-    ///   bit-identical across thread counts.
+    /// * **Same loop.**  This is [`train::fit_incremental`], the second schedule of the loop
+    ///   behind `fit`: every mini-batch shards through the persistent
+    ///   [`WorkerPool`](crn_nn::WorkerPool) exactly like `fit` (same forced-CSR
+    ///   featurization, same fixed-order gradient reduction), so deterministic mode keeps the
+    ///   incremental fit bit-identical across thread counts.
     ///
     /// Shuffling is deterministic per refresh: the RNG is seeded from the config seed and
     /// the optimizer's step count, which advances monotonically across refreshes — each
@@ -753,192 +479,7 @@ impl CrnModel {
         adam: &mut Adam,
         epochs: usize,
     ) -> TrainingHistory {
-        let mut history = TrainingHistory::default();
-        if samples.is_empty() || epochs == 0 {
-            return history;
-        }
-        let parallel = self.config.parallel;
-        let workers = parallel.worker_pool();
-        let features = self.featurize_sparse(samples, &workers, parallel.threads);
-        let targets: Vec<f32> = samples.iter().map(|s| s.rate as f32).collect();
-        let indices: Vec<usize> = (0..samples.len()).collect();
-        let mut scratch = self.step_scratch(&parallel);
-        let mut rng = StdRng::seed_from_u64(
-            self.config
-                .seed
-                .wrapping_add(adam.step_count.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        );
-        for epoch in 0..epochs {
-            let mut epoch_loss = 0.0f64;
-            let mut epoch_samples = 0usize;
-            for batch in shuffled_batches(&indices, self.config.batch_size, &mut rng) {
-                let losses =
-                    self.train_batch(adam, &workers, &mut scratch, &features, &targets, &batch);
-                for loss in losses {
-                    epoch_loss += loss as f64;
-                    epoch_samples += 1;
-                }
-            }
-            let train_loss = epoch_loss / epoch_samples.max(1) as f64;
-            history.record(EpochStats {
-                epoch,
-                train_loss,
-                validation_q_error: train_loss,
-            });
-        }
-        history
-    }
-
-    /// One training step on the samples `batch` of a featurized corpus: assembles their ragged
-    /// batches from the per-sample CSR rows, runs [`CrnModel::sharded_batch_step`] and applies
-    /// the shards' gradients ([`Adam::step_sharded`]: summed in fixed shard order and applied
-    /// in one pass, on the worker pool).  Returns the per-sample losses in batch order.
-    fn train_batch(
-        &mut self,
-        adam: &mut Adam,
-        workers: &WorkerPool,
-        scratch: &mut StepScratch,
-        features: &[(SparseRows, SparseRows)],
-        targets: &[f32],
-        batch: &[usize],
-    ) -> Vec<f32> {
-        let parallel = self.config.parallel;
-        let dim = self.featurizer.vector_dim();
-        let batch1 =
-            RaggedBatch::from_sparse_sets(dim, batch.iter().map(|&index| &features[index].0));
-        let batch2 =
-            RaggedBatch::from_sparse_sets(dim, batch.iter().map(|&index| &features[index].1));
-        let (losses, shard_count) =
-            self.sharded_batch_step(&parallel, workers, batch, batch1, batch2, targets, scratch);
-        adam.step_sharded(
-            self.params_vec_mut(),
-            &scratch.shards.sets(shard_count),
-            parallel.deterministic,
-            workers,
-        );
-        losses
-    }
-
-    /// The data-parallel part of one mini-batch: packs the head's weight panels once, shards
-    /// the pair of ragged batches at segment boundaries, and runs the batched
-    /// forward/backward per shard on the persistent worker pool, each shard into its own
-    /// set of `scratch.shards`.  Returns the per-sample losses in batch order and how many
-    /// shards ran (their sets are `scratch.shards.sets(count)`, in shard order).
-    #[allow(clippy::too_many_arguments)]
-    fn sharded_batch_step(
-        &self,
-        parallel: &ThreadPoolConfig,
-        workers: &WorkerPool,
-        batch_indices: &[usize],
-        batch1: RaggedBatch,
-        batch2: RaggedBatch,
-        targets: &[f32],
-        scratch: &mut StepScratch,
-    ) -> (Vec<f32>, usize) {
-        let batch_scale = 1.0 / batch_indices.len() as f32;
-        let num_shards = parallel.shard_count(batch_indices.len());
-        scratch.panels.refresh(self);
-        let StepScratch { panels, shards } = &*scratch;
-
-        // The per-shard work: forward, per-sample losses, backward into the shard's set.
-        let step = |shard: usize, v1: RaggedBatch, v2: RaggedBatch, indices: &[usize]| {
-            let cache = self.forward_batch(v1, v2);
-            let mut losses = Vec::with_capacity(indices.len());
-            let mut grad_output = Matrix::zeros(indices.len(), 1);
-            for (position, &index) in indices.iter().enumerate() {
-                let prediction = cache.sigmoid_out.get(position, 0);
-                let loss = loss_and_grad(self.config.loss, prediction, targets[index], RATE_FLOOR);
-                losses.push(loss.loss);
-                grad_output.set(position, 0, loss.grad * batch_scale);
-            }
-            self.backward_batch_into(panels, &cache, &grad_output, &mut shards.start(shard));
-            losses
-        };
-
-        if num_shards <= 1 {
-            return (step(0, batch1, batch2, batch_indices), 1);
-        }
-        let ranges = shard_ranges(batch_indices.len(), num_shards);
-        let losses = workers.run_sharded(ranges.len(), |shard| {
-            let range = ranges[shard].clone();
-            let v1 = batch1.slice_segments(range.clone());
-            let v2 = batch2.slice_segments(range.clone());
-            step(shard, v1, v2, &batch_indices[range])
-        });
-        (losses.into_iter().flatten().collect(), ranges.len())
-    }
-
-    /// Reference per-sample training loop: the pre-batching implementation, issuing one
-    /// forward and one backward per pair.
-    ///
-    /// Kept public so the parity tests and the criterion benchmarks can compare the batched
-    /// [`CrnModel::fit`] against it; there is no reason to use it for real training.
-    pub fn fit_reference(&mut self, samples: &[ContainmentSample]) -> TrainingHistory {
-        let features: Vec<(Matrix, Matrix)> = samples
-            .iter()
-            .map(|s| self.featurizer.featurize_pair(&s.q1, &s.q2))
-            .collect();
-        let targets: Vec<f32> = samples.iter().map(|s| s.rate as f32).collect();
-
-        let (train_idx, valid_idx) = train_validation_split(
-            samples.len(),
-            self.config.validation_fraction,
-            self.config.seed,
-        );
-        let mut adam = Adam::new(self.config.learning_rate);
-        let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(7));
-        let mut early_stopping = EarlyStopping::new(self.config.patience);
-        let mut history = TrainingHistory::default();
-        let mut best: Option<CrnModel> = None;
-
-        for epoch in 0..self.config.epochs {
-            let mut epoch_loss = 0.0f64;
-            let mut epoch_samples = 0usize;
-            for batch in shuffled_batches(&train_idx, self.config.batch_size, &mut rng) {
-                self.zero_grad();
-                for &index in &batch {
-                    let (v1, v2) = &features[index];
-                    let cache = self.forward_pair_reference(v1, v2);
-                    let prediction = cache.sigmoid_out.get(0, 0);
-                    let loss =
-                        loss_and_grad(self.config.loss, prediction, targets[index], RATE_FLOOR);
-                    epoch_loss += loss.loss as f64;
-                    epoch_samples += 1;
-                    self.backward_pair_reference(&cache, loss.grad / batch.len() as f32);
-                }
-                self.adam_step(&mut adam);
-            }
-
-            let validation_q_error = if valid_idx.is_empty() {
-                epoch_loss / epoch_samples.max(1) as f64
-            } else {
-                let pairs: Vec<(f64, f64)> = valid_idx
-                    .iter()
-                    .map(|&i| {
-                        let (v1, v2) = &features[i];
-                        let prediction =
-                            self.forward_pair_reference(v1, v2).sigmoid_out.get(0, 0) as f64;
-                        (prediction, targets[i] as f64)
-                    })
-                    .collect();
-                mean_q_error(&pairs, RATE_FLOOR as f64)
-            };
-            let improved = history.record(EpochStats {
-                epoch,
-                train_loss: epoch_loss / epoch_samples.max(1) as f64,
-                validation_q_error,
-            });
-            if improved {
-                best = Some(self.clone());
-            }
-            if early_stopping.should_stop(!improved) {
-                break;
-            }
-        }
-        if let Some(best) = best {
-            *self = best;
-        }
-        history
+        train::fit_incremental(self, samples, adam, epochs)
     }
 
     /// Predicts the containment rate `q1 ⊂% q2` in `[0, 1]`.
@@ -1164,12 +705,286 @@ impl ContainmentEstimator for CrnModel {
     }
 }
 
+/// What the one training loop ([`crn_nn::train`]) needs of CRN.
+impl Trainable for CrnModel {
+    type Sample = ContainmentSample;
+    type Features = (SparseRows, SparseRows);
+
+    const SHUFFLE_SEED_OFFSET: u64 = 7;
+    const FLOOR: f32 = RATE_FLOOR;
+
+    fn config(&self) -> &TrainConfig {
+        &self.config
+    }
+
+    /// Both queries as CSR rows, once per run: mini-batches are then assembled by
+    /// concatenating per-sample non-zeros, with no dense row copies or scans in the loop.
+    fn featurize(&self, sample: &ContainmentSample) -> Self::Features {
+        (
+            self.featurizer.featurize_sparse(&sample.q1),
+            self.featurizer.featurize_sparse(&sample.q2),
+        )
+    }
+
+    fn target(sample: &ContainmentSample) -> f32 {
+        sample.rate as f32
+    }
+
+    /// The per-shard step: forward, per-sample losses, backward into the shard's set.
+    fn train_shard(
+        &self,
+        panels: &[PackedWeights],
+        features: &[Self::Features],
+        targets: &[f32],
+        shard: &[usize],
+        batch_scale: f32,
+        grads: &mut GradientSet,
+    ) -> Vec<f32> {
+        let (v1, v2) = self.pack(features, shard);
+        let cache = self.forward_batch(v1, v2);
+        let mut losses = Vec::with_capacity(shard.len());
+        let mut grad_output = Matrix::zeros(shard.len(), 1);
+        for (position, &index) in shard.iter().enumerate() {
+            let prediction = cache.sigmoid_out.get(position, 0);
+            let loss = loss_and_grad(self.config.loss, prediction, targets[index], RATE_FLOOR);
+            losses.push(loss.loss);
+            grad_output.set(position, 0, loss.grad * batch_scale);
+        }
+        self.backward_batch_into(panels, &cache, &grad_output, grads);
+        losses
+    }
+
+    fn predict_chunk(&self, features: &[Self::Features], batch: &[usize]) -> Vec<f64> {
+        let (v1, v2) = self.pack(features, batch);
+        let rates = self.forward_batch_inference(&v1, &v2);
+        rates.data().iter().map(|&rate| rate as f64).collect()
+    }
+
+    /// `MLPout`'s: the set encoders are input layers and propagate nothing.
+    fn backward_weights(&self) -> Vec<&Matrix> {
+        vec![&self.out1.w.value, &self.out2.w.value]
+    }
+
+    fn gradient_shapes(&self) -> Vec<(usize, usize)> {
+        let mut shapes = Vec::with_capacity(8);
+        shapes.extend(self.mlp1.grad_shapes());
+        shapes.extend(self.mlp2.grad_shapes());
+        shapes.extend(self.out1.grad_shapes());
+        shapes.extend(self.out2.grad_shapes());
+        shapes
+    }
+
+    /// All trainable parameters in `grad_index` order.  Whoever holds them may change
+    /// `out1`'s weights, so the packed copy goes first.
+    fn params_vec_mut(&mut self) -> Vec<&mut Param> {
+        self.packed_out1 = PackedHead::default();
+        let CrnModel {
+            mlp1,
+            mlp2,
+            out1,
+            out2,
+            ..
+        } = self;
+        let mut params = Vec::new();
+        params.extend(mlp1.params_mut());
+        params.extend(mlp2.params_mut());
+        params.extend(out1.params_mut());
+        params.extend(out2.params_mut());
+        params
+    }
+}
+
+/// Forward-pass cache of one pair for the seed-faithful per-sample reference path (the
+/// pre-batching implementation kept as the baseline of the parity tests).
+#[cfg(test)]
+struct PairCache {
+    v1: Matrix,
+    v2: Matrix,
+    z1: Matrix,
+    a1: Matrix,
+    z2: Matrix,
+    a2: Matrix,
+    qvec1: Matrix,
+    qvec2: Matrix,
+    expanded: Matrix,
+    z_out1: Matrix,
+    a_out1: Matrix,
+    sigmoid_out: Matrix,
+}
+
+/// The per-sample reference: the implementation before the ragged-batch engine, with its
+/// own training loop — what the parity tests measure [`CrnModel::fit`] against.
+#[cfg(test)]
+impl CrnModel {
+    /// Seed-faithful single-pair forward pass: 1-row matrices end to end, scalar pooling and
+    /// `Expand`, the full backward including the input layers' discarded `dL/dx` — exactly
+    /// the implementation this repository shipped before the ragged-batch engine.  This is
+    /// the *baseline* the parity tests and criterion benchmarks compare the engine against,
+    /// so it deliberately does not share the engine's execution path.
+    fn forward_pair_reference(&self, v1: &Matrix, v2: &Matrix) -> PairCache {
+        let pool = |activated: &Matrix| -> Matrix {
+            match self.options.pooling {
+                Pooling::Mean => crn_nn::layers::mean_pool(activated),
+                Pooling::Sum => {
+                    let mut pooled = Matrix::zeros(1, activated.cols());
+                    pooled.row_mut(0).copy_from_slice(&activated.column_sums());
+                    pooled
+                }
+            }
+        };
+        let z1 = self.mlp1.forward_sparse(v1);
+        let a1 = relu(&z1);
+        let qvec1 = pool(&a1);
+        let z2 = self.mlp2.forward_sparse(v2);
+        let a2 = relu(&z2);
+        let qvec2 = pool(&a2);
+        let expanded = match self.options.expand {
+            ExpandMode::Full => expand_full(&qvec1, &qvec2),
+            ExpandMode::Concat => expand_concat(&qvec1, &qvec2),
+        };
+        let z_out1 = self.out1.forward_sparse(&expanded);
+        let a_out1 = relu(&z_out1);
+        let z_out2 = self.out2.forward_sparse(&a_out1);
+        let sigmoid_out = sigmoid(&z_out2);
+        PairCache {
+            v1: v1.clone(),
+            v2: v2.clone(),
+            z1,
+            a1,
+            z2,
+            a2,
+            qvec1,
+            qvec2,
+            expanded,
+            z_out1,
+            a_out1,
+            sigmoid_out,
+        }
+    }
+
+    /// Seed-faithful single-pair backward pass (see [`CrnModel::forward_pair_reference`]).
+    fn backward_pair_reference(&mut self, cache: &PairCache, grad_output: f32) {
+        let grad_out = Matrix::from_vec(1, 1, vec![grad_output]);
+        let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, &grad_out);
+        let grad_a_out1 = self.out2.backward(&cache.a_out1, &grad_z_out2);
+        let grad_z_out1 = relu_backward(&cache.z_out1, &grad_a_out1);
+        let grad_expanded = self.out1.backward(&cache.expanded, &grad_z_out1);
+        let (grad_qvec1, grad_qvec2) = match self.options.expand {
+            ExpandMode::Full => expand_full_backward(&cache.qvec1, &cache.qvec2, &grad_expanded),
+            ExpandMode::Concat => expand_concat_backward(&grad_expanded),
+        };
+        let pool_backward = |num_rows: usize, grad_pooled: &Matrix| -> Matrix {
+            match self.options.pooling {
+                Pooling::Mean => crn_nn::layers::mean_pool_backward(num_rows, grad_pooled),
+                Pooling::Sum => {
+                    let mut grad = Matrix::zeros(num_rows, grad_pooled.cols());
+                    for r in 0..num_rows {
+                        grad.row_mut(r).copy_from_slice(grad_pooled.row(0));
+                    }
+                    grad
+                }
+            }
+        };
+        let grad_a1 = pool_backward(cache.a1.rows(), &grad_qvec1);
+        let grad_z1 = relu_backward(&cache.z1, &grad_a1);
+        let _ = self.mlp1.backward(&cache.v1, &grad_z1);
+        let grad_a2 = pool_backward(cache.a2.rows(), &grad_qvec2);
+        let grad_z2 = relu_backward(&cache.z2, &grad_a2);
+        let _ = self.mlp2.backward(&cache.v2, &grad_z2);
+    }
+
+    fn zero_grad(&mut self) {
+        self.mlp1.zero_grad();
+        self.mlp2.zero_grad();
+        self.out1.zero_grad();
+        self.out2.zero_grad();
+    }
+
+    fn adam_step(&mut self, adam: &mut Adam) {
+        let params = self.params_vec_mut();
+        adam.step(params);
+    }
+
+    /// Reference per-sample training loop: the pre-batching implementation, issuing one
+    /// forward and one backward per pair.
+    ///
+    /// Kept so the parity tests can compare the batched [`CrnModel::fit`] against it.
+    fn fit_reference(&mut self, samples: &[ContainmentSample]) -> TrainingHistory {
+        let features: Vec<(Matrix, Matrix)> = samples
+            .iter()
+            .map(|s| self.featurizer.featurize_pair(&s.q1, &s.q2))
+            .collect();
+        let targets: Vec<f32> = samples.iter().map(|s| s.rate as f32).collect();
+
+        let (train_idx, valid_idx) = train_validation_split(
+            samples.len(),
+            self.config.validation_fraction,
+            self.config.seed,
+        );
+        let mut adam = Adam::new(self.config.learning_rate);
+        let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(7));
+        let mut early_stopping = EarlyStopping::new(self.config.patience);
+        let mut history = TrainingHistory::default();
+        let mut best: Option<CrnModel> = None;
+
+        for epoch in 0..self.config.epochs {
+            let mut epoch_loss = 0.0f64;
+            let mut epoch_samples = 0usize;
+            for batch in shuffled_batches(&train_idx, self.config.batch_size, &mut rng) {
+                self.zero_grad();
+                for &index in &batch {
+                    let (v1, v2) = &features[index];
+                    let cache = self.forward_pair_reference(v1, v2);
+                    let prediction = cache.sigmoid_out.get(0, 0);
+                    let loss =
+                        loss_and_grad(self.config.loss, prediction, targets[index], RATE_FLOOR);
+                    epoch_loss += loss.loss as f64;
+                    epoch_samples += 1;
+                    self.backward_pair_reference(&cache, loss.grad / batch.len() as f32);
+                }
+                self.adam_step(&mut adam);
+            }
+
+            let validation_q_error = if valid_idx.is_empty() {
+                epoch_loss / epoch_samples.max(1) as f64
+            } else {
+                let pairs: Vec<(f64, f64)> = valid_idx
+                    .iter()
+                    .map(|&i| {
+                        let (v1, v2) = &features[i];
+                        let prediction =
+                            self.forward_pair_reference(v1, v2).sigmoid_out.get(0, 0) as f64;
+                        (prediction, targets[i] as f64)
+                    })
+                    .collect();
+                mean_q_error(&pairs, RATE_FLOOR as f64)
+            };
+            let improved = history.record(EpochStats {
+                epoch,
+                train_loss: epoch_loss / epoch_samples.max(1) as f64,
+                validation_q_error,
+            });
+            if improved {
+                best = Some(self.clone());
+            }
+            if early_stopping.should_stop(!improved) {
+                break;
+            }
+        }
+        if let Some(best) = best {
+            *self = best;
+        }
+        history
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crn_db::imdb::{generate_imdb, ImdbConfig};
     use crn_exec::label_containment_pairs;
-    use crn_nn::parallel::reduce_gradients;
+    use crn_nn::batch::shard_ranges;
+    use crn_nn::parallel::{reduce_gradients, ThreadPoolConfig};
     use crn_query::generator::{GeneratorConfig, QueryGenerator};
 
     fn training_pairs(db: &Database, pairs: usize, seed: u64) -> Vec<ContainmentSample> {
@@ -1474,6 +1289,33 @@ mod tests {
         );
     }
 
+    /// `fit` returns the model of its best validation epoch, not of its last: the returned
+    /// model's validation q-error, recomputed over the same split by the loop's validation
+    /// pass, is exactly `history.best_validation` and differs from the last epoch's.
+    #[test]
+    fn fit_returns_the_model_of_its_best_validation_epoch() {
+        let db = generate_imdb(&ImdbConfig::tiny(26));
+        let samples = training_pairs(&db, 60, 26);
+        let config = TrainConfig {
+            epochs: 12,
+            learning_rate: 0.01,
+            patience: None,
+            parallel: ThreadPoolConfig::deterministic(2),
+            ..TrainConfig::fast_test()
+        };
+        let mut model = CrnModel::new(&db, config);
+        let history = model.fit(&samples);
+        assert!(
+            history.best_epoch < history.len() - 1,
+            "the fixture must peak before its last epoch (best {} of {})",
+            history.best_epoch,
+            history.len()
+        );
+        let restored = train::validation_q_error(&model, &samples);
+        assert_eq!(restored, history.best_validation);
+        assert_ne!(restored, history.epochs.last().unwrap().validation_q_error);
+    }
+
     /// Deterministic mode must be **bit-identical** across thread counts: the shard
     /// partition and the gradient-reduction order are canonical, so `threads = 1, 2, 4`
     /// must produce the same per-epoch losses, the same validation trace and the same
@@ -1596,35 +1438,19 @@ mod tests {
             reference_model.backward_pair_reference(&cache, loss.grad * scale);
         }
 
-        let batch1 = RaggedBatch::from_sets(features.iter().map(|(v1, _)| v1));
-        let batch2 = RaggedBatch::from_sets(features.iter().map(|(_, v2)| v2));
-        let targets: Vec<f32> = samples.iter().map(|s| s.rate as f32).collect();
-        let indices: Vec<usize> = (0..samples.len()).collect();
-        let model = CrnModel::new(&db, TrainConfig::fast_test());
         for (threads, deterministic) in [(1, false), (2, false), (4, false), (4, true), (3, true)] {
             let pool = if deterministic {
                 ThreadPoolConfig::deterministic(threads)
             } else {
                 ThreadPoolConfig::with_threads(threads)
             };
-            let mut scratch = model.step_scratch(&pool);
-            let (losses, shard_count) = model.sharded_batch_step(
-                &pool,
-                &pool.worker_pool(),
-                &indices,
-                batch1.clone(),
-                batch2.clone(),
-                &targets,
-                &mut scratch,
-            );
+            let config = TrainConfig {
+                parallel: pool,
+                ..TrainConfig::fast_test()
+            };
+            let model = CrnModel::new(&db, config);
+            let (losses, grads) = train::batch_gradients(&model, &samples);
             assert_eq!(losses.len(), samples.len());
-            let sets = scratch
-                .shards
-                .sets(shard_count)
-                .into_iter()
-                .cloned()
-                .collect();
-            let grads = reduce_gradients(sets, deterministic).expect("at least one shard");
             for ((name, index), reference) in [
                 ("mlp1.w", grad_index::MLP1_W),
                 ("mlp1.b", grad_index::MLP1_B),

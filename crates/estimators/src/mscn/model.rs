@@ -13,26 +13,29 @@ use crate::traits::CardinalityEstimator;
 use crn_db::database::Database;
 use crn_exec::CardinalitySample;
 use crn_nn::batch::{
-    concat_columns, segment_pool, segment_pool_backward, shard_ranges, split_columns, RaggedBatch,
-    SegmentPool, SparseRows,
+    concat_columns, segment_pool, segment_pool_backward, split_columns, RaggedBatch, SegmentPool,
+    SparseRows,
 };
 use crn_nn::gemm::PackedWeights;
 use crn_nn::layers::{
-    relu, relu_backward, relu_backward_in_place, relu_in_place, sigmoid, sigmoid_backward,
-    sigmoid_in_place, Dense,
+    relu_backward_in_place, relu_in_place, sigmoid_backward, sigmoid_in_place, Dense, Param,
 };
-use crn_nn::loss::{loss_and_grad, mean_q_error};
+use crn_nn::loss::loss_and_grad;
 use crn_nn::matrix::Matrix;
-use crn_nn::optim::Adam;
-use crn_nn::parallel::{GradientSet, ShardGradients, ThreadPoolConfig, WorkerPool};
-use crn_nn::train::{
-    shuffled_batches, train_validation_split, EarlyStopping, EpochStats, TrainConfig,
-    TrainingHistory,
-};
+use crn_nn::parallel::GradientSet;
+use crn_nn::train::{self, TrainConfig, Trainable, TrainingHistory};
 use crn_query::ast::Query;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+// The per-sample reference path and the tests.
+#[cfg(test)]
+use crn_nn::{
+    layers::{relu, relu_backward, sigmoid},
+    loss::mean_q_error,
+    optim::Adam,
+    train::{shuffled_batches, train_validation_split, EarlyStopping, EpochStats},
+};
+#[cfg(test)]
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Cardinalities below this floor are clamped before the q-error is formed.
 const CARD_FLOOR: f32 = 1.0;
@@ -76,63 +79,12 @@ struct BatchSetCache {
     pooled: Matrix,
 }
 
-/// Forward-pass cache of a set module for the seed-faithful per-sample reference path.
-struct SetCache {
-    input: Matrix,
-    z1: Matrix,
-    a1: Matrix,
-    z2: Matrix,
-    a2: Matrix,
-    pooled: Matrix,
-}
-
 impl SetModule {
     fn new(input_dim: usize, hidden: usize, seed: u64) -> Self {
         SetModule {
             l1: Dense::new(input_dim, hidden, seed),
             l2: Dense::new(hidden, hidden, seed.wrapping_add(1)),
         }
-    }
-
-    /// Seed-faithful per-query forward pass (the pre-batching implementation, kept as the
-    /// baseline for the parity tests and benchmarks).
-    fn forward_reference(&self, input: &Matrix) -> SetCache {
-        if input.rows() == 0 {
-            // Empty set: the pooled representation is all zeros.
-            return SetCache {
-                input: input.clone(),
-                z1: Matrix::zeros(0, self.l1.output_dim()),
-                a1: Matrix::zeros(0, self.l1.output_dim()),
-                z2: Matrix::zeros(0, self.hidden()),
-                a2: Matrix::zeros(0, self.hidden()),
-                pooled: Matrix::zeros(1, self.hidden()),
-            };
-        }
-        let z1 = self.l1.forward_sparse(input);
-        let a1 = relu(&z1);
-        let z2 = self.l2.forward_sparse(&a1);
-        let a2 = relu(&z2);
-        let pooled = crn_nn::layers::mean_pool(&a2);
-        SetCache {
-            input: input.clone(),
-            z1,
-            a1,
-            z2,
-            a2,
-            pooled,
-        }
-    }
-
-    /// Seed-faithful per-query backward pass (see [`SetModule::forward_reference`]).
-    fn backward_reference(&mut self, cache: &SetCache, grad_pooled: &Matrix) {
-        if cache.input.rows() == 0 {
-            return;
-        }
-        let grad_a2 = crn_nn::layers::mean_pool_backward(cache.a2.rows(), grad_pooled);
-        let grad_z2 = relu_backward(&cache.z2, &grad_a2);
-        let grad_a1 = self.l2.backward(&cache.a1, &grad_z2);
-        let grad_z1 = relu_backward(&cache.z1, &grad_a1);
-        let _ = self.l1.backward(&cache.input, &grad_z1);
     }
 
     fn hidden(&self) -> usize {
@@ -202,11 +154,6 @@ impl SetModule {
         shapes
     }
 
-    fn zero_grad(&mut self) {
-        self.l1.zero_grad();
-        self.l2.zero_grad();
-    }
-
     fn num_params(&self) -> usize {
         self.l1.num_params() + self.l2.num_params()
     }
@@ -228,73 +175,12 @@ pub struct MscnModel {
     config: TrainConfig,
 }
 
-/// What a training run keeps from one mini-batch to the next, allocated once per `fit`.
-struct StepScratch {
-    panels: StepPanels,
-    shards: ShardGradients,
-}
-
-/// The dense layers' weights as a training step's backward pass multiplies by them
-/// (`dL/dx = g·Wᵀ`), packed from the transposed source once before the step's shards are
-/// dispatched (see `CrnModel`'s `StepPanels`).  The set modules' `l1` are input layers and
-/// propagate nothing.
-struct StepPanels {
-    tables_l2: PackedWeights,
-    joins_l2: PackedWeights,
-    predicates_l2: PackedWeights,
-    out1: PackedWeights,
-    out2: PackedWeights,
-}
-
-impl StepPanels {
-    fn of(model: &MscnModel) -> Self {
-        let transposed = |layer: &Dense| PackedWeights::pack_transposed(&layer.w.value);
-        StepPanels {
-            tables_l2: transposed(&model.table_module.l2),
-            joins_l2: transposed(&model.join_module.l2),
-            predicates_l2: transposed(&model.predicate_module.l2),
-            out1: transposed(&model.out1),
-            out2: transposed(&model.out2),
-        }
-    }
-
-    /// Repacks the panels from the model's current weights, in place.
-    fn refresh(&mut self, model: &MscnModel) {
-        let repack = |panels: &mut PackedWeights, layer: &Dense| {
-            panels.repack_transposed(&layer.w.value);
-        };
-        repack(&mut self.tables_l2, &model.table_module.l2);
-        repack(&mut self.joins_l2, &model.join_module.l2);
-        repack(&mut self.predicates_l2, &model.predicate_module.l2);
-        repack(&mut self.out1, &model.out1);
-        repack(&mut self.out2, &model.out2);
-    }
-}
-
 /// Forward-pass cache for a ragged mini-batch of queries.
 struct BatchForwardCache {
     tables: BatchSetCache,
     joins: BatchSetCache,
     predicates: BatchSetCache,
     concat: Matrix,
-    a_out1: Matrix,
-    sigmoid_out: Matrix,
-}
-
-/// Per-sample CSR features, converted once before the epoch loop.
-struct SparseMscnFeatures {
-    tables: SparseRows,
-    joins: SparseRows,
-    predicates: SparseRows,
-}
-
-/// Forward-pass cache for one query on the seed-faithful reference path.
-struct ReferenceForwardCache {
-    tables: SetCache,
-    joins: SetCache,
-    predicates: SetCache,
-    concat: Matrix,
-    z_out1: Matrix,
     a_out1: Matrix,
     sigmoid_out: Matrix,
 }
@@ -373,14 +259,6 @@ impl MscnModel {
         }
     }
 
-    /// Panels and per-shard gradient sets for training this model under `parallel`.
-    fn step_scratch(&self, parallel: &ThreadPoolConfig) -> StepScratch {
-        StepScratch {
-            panels: StepPanels::of(self),
-            shards: ShardGradients::new(&self.gradient_shapes(), parallel),
-        }
-    }
-
     /// Inference-only batched forward: the `B×1` sigmoid outputs, no cache retained.
     fn forward_batch_inference(
         &self,
@@ -399,6 +277,343 @@ impl MscnModel {
         sigmoid_out
     }
 
+    /// Backpropagates per-query `d loss / d sigmoid_out` (`B×1`) through the whole network,
+    /// accumulating into the parameter gradients.  Kept for the parity tests; training goes
+    /// through [`MscnModel::backward_batch_into`] so shards can accumulate privately.
+    #[cfg(test)]
+    fn backward_batch(&mut self, cache: &BatchForwardCache, grad_sigmoid_out: &Matrix) {
+        let weights = self.backward_weights().into_iter();
+        let panels: Vec<PackedWeights> = weights.map(PackedWeights::pack_transposed).collect();
+        let mut grads = GradientSet::zeros(&self.gradient_shapes());
+        self.backward_batch_into(&panels, cache, grad_sigmoid_out, &mut grads);
+        for (param, grad) in self.params_vec_mut().into_iter().zip(grads.parts()) {
+            param.grad.add_assign(grad);
+        }
+    }
+
+    /// [`MscnModel::backward_batch`] into a caller-provided [`GradientSet`] (layout:
+    /// [`grad_index`]), leaving the model untouched — every shard of a data-parallel
+    /// mini-batch runs this against the same read-only model.  `panels`: the
+    /// [`Trainable::backward_weights`] packed transposed, once per training step.
+    fn backward_batch_into(
+        &self,
+        panels: &[PackedWeights],
+        cache: &BatchForwardCache,
+        grad_sigmoid_out: &Matrix,
+        grads: &mut GradientSet,
+    ) {
+        use grad_index::*;
+        let [tables_l2, joins_l2, predicates_l2, out1, out2] = panels else {
+            panic!("MSCN's backward pass multiplies by five weight panels");
+        };
+        let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, grad_sigmoid_out);
+        let (grad_w, grad_b) = grads.pair_mut(OUT2_W, OUT2_B);
+        let mut grad_z_out1 =
+            Dense::backward_into(out2, &cache.a_out1, &grad_z_out2, grad_w, grad_b);
+        relu_backward_in_place(&cache.a_out1, &mut grad_z_out1);
+        let (grad_w, grad_b) = grads.pair_mut(OUT1_W, OUT1_B);
+        let grad_concat = Dense::backward_into(out1, &cache.concat, &grad_z_out1, grad_w, grad_b);
+
+        let hidden = self.table_module.hidden();
+        let mut split = split_columns(&grad_concat, &[hidden, hidden, hidden]).into_iter();
+        let grad_tables = split.next().expect("three blocks");
+        let grad_joins = split.next().expect("three blocks");
+        let grad_predicates = split.next().expect("three blocks");
+        let parts = grads.parts_mut();
+        let (table_grads, rest) = parts.split_at_mut(JOINS);
+        let (join_grads, rest) = rest.split_at_mut(PER_MODULE);
+        let (predicate_grads, _) = rest.split_at_mut(PER_MODULE);
+        SetModule::backward_batch_into(tables_l2, &cache.tables, &grad_tables, table_grads);
+        SetModule::backward_batch_into(joins_l2, &cache.joins, &grad_joins, join_grads);
+        SetModule::backward_batch_into(
+            predicates_l2,
+            &cache.predicates,
+            &grad_predicates,
+            predicate_grads,
+        );
+    }
+
+    /// Converts the sigmoid output into a cardinality.
+    fn unnormalize(&self, sigmoid_out: f32) -> f32 {
+        (sigmoid_out * self.log_max_cardinality).exp() - 1.0
+    }
+
+    /// Derivative of [`MscnModel::unnormalize`] with respect to the sigmoid output.
+    fn unnormalize_grad(&self, sigmoid_out: f32) -> f32 {
+        self.log_max_cardinality * (sigmoid_out * self.log_max_cardinality).exp()
+    }
+
+    /// Packs the features of a subset of samples into the three per-set ragged batches.
+    #[cfg(test)]
+    fn pack_batch(
+        features: &[MscnFeatures],
+        indices: &[usize],
+    ) -> (RaggedBatch, RaggedBatch, RaggedBatch) {
+        (
+            RaggedBatch::from_sets(indices.iter().map(|&i| &features[i].tables)),
+            RaggedBatch::from_sets(indices.iter().map(|&i| &features[i].joins)),
+            RaggedBatch::from_sets(indices.iter().map(|&i| &features[i].predicates)),
+        )
+    }
+
+    /// Packs pre-converted CSR features (`[tables, joins, predicates]`) of a subset of
+    /// samples into the three per-set ragged batches by non-zero concatenation (the training
+    /// loop's zero-copy path).
+    fn pack_sparse_batch(
+        &self,
+        features: &[[SparseRows; 3]],
+        indices: &[usize],
+    ) -> (RaggedBatch, RaggedBatch, RaggedBatch) {
+        let featurizer = &self.featurizer;
+        let dims = [
+            featurizer.table_dim(),
+            featurizer.join_dim(),
+            featurizer.predicate_dim(),
+        ];
+        let [tables, joins, predicates] = [0, 1, 2].map(|set| {
+            RaggedBatch::from_sparse_sets(dims[set], indices.iter().map(|&i| &features[i][set]))
+        });
+        (tables, joins, predicates)
+    }
+
+    /// Trains the model on labelled cardinality samples; returns the per-epoch history.
+    ///
+    /// This is the loop `CrnModel::fit` runs, [`train::fit`], so both models train the same
+    /// way.  Each mini-batch runs through the ragged-batch engine (`crn_nn::batch`), sharded
+    /// across the data-parallel pool of [`TrainConfig::parallel`] (`crn_nn::parallel`):
+    /// every shard runs the batched forward/backward into its own gradient set, and one
+    /// optimizer pass sums the sets in fixed order and applies the sum
+    /// ([`Adam::step_sharded`](crn_nn::Adam::step_sharded)).  At `threads = 1` (the default)
+    /// this is exactly the one-GEMM-per-batch path; gradients are in every mode
+    /// mathematically identical to the per-sample reference loop (pinned to 1e-5 by the
+    /// parity tests below), and in deterministic mode bit-identical across thread counts.
+    /// The un-normalization scale is the training set's largest cardinality, fixed before
+    /// the first epoch.
+    pub fn fit(&mut self, samples: &[CardinalitySample]) -> TrainingHistory {
+        let max_card = samples
+            .iter()
+            .map(|s| s.cardinality as f32)
+            .fold(1.0f32, f32::max);
+        self.log_max_cardinality = (max_card + 1.0).ln();
+        train::fit(self, samples)
+    }
+
+    fn predict_features(&self, features: &MscnFeatures) -> f32 {
+        let out = self.forward_batch_inference(
+            &RaggedBatch::from_sets([&features.tables]),
+            &RaggedBatch::from_sets([&features.joins]),
+            &RaggedBatch::from_sets([&features.predicates]),
+        );
+        self.unnormalize(out.get(0, 0)).max(0.0)
+    }
+
+    /// Predicts the cardinality of a query.
+    pub fn predict(&self, query: &Query) -> f64 {
+        let features = self.featurizer.featurize(query);
+        self.predict_features(&features) as f64
+    }
+}
+
+impl CardinalityEstimator for MscnModel {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn estimate(&self, query: &Query) -> f64 {
+        self.predict(query).max(1.0)
+    }
+}
+
+/// What the one training loop ([`crn_nn::train`]) needs of MSCN.
+impl Trainable for MscnModel {
+    type Sample = CardinalitySample;
+    /// The table, join and predicate sets as CSR rows, converted once per run: mini-batches
+    /// are assembled by concatenating per-sample non-zeros.
+    type Features = [SparseRows; 3];
+
+    const SHUFFLE_SEED_OFFSET: u64 = 1;
+    const FLOOR: f32 = CARD_FLOOR;
+
+    fn config(&self) -> &TrainConfig {
+        &self.config
+    }
+
+    fn featurize(&self, sample: &CardinalitySample) -> [SparseRows; 3] {
+        let dense = self.featurizer.featurize(&sample.query);
+        [&dense.tables, &dense.joins, &dense.predicates].map(SparseRows::from_matrix)
+    }
+
+    fn target(sample: &CardinalitySample) -> f32 {
+        sample.cardinality as f32
+    }
+
+    /// The per-shard step: forward, per-sample losses (through the un-normalization chain
+    /// rule), backward into the shard's gradient set.
+    fn train_shard(
+        &self,
+        panels: &[PackedWeights],
+        features: &[Self::Features],
+        targets: &[f32],
+        shard: &[usize],
+        batch_scale: f32,
+        grads: &mut GradientSet,
+    ) -> Vec<f32> {
+        let (tables, joins, predicates) = self.pack_sparse_batch(features, shard);
+        let cache = self.forward_batch(tables, joins, predicates);
+        let mut losses = Vec::with_capacity(shard.len());
+        let mut grad_output = Matrix::zeros(shard.len(), 1);
+        for (position, &index) in shard.iter().enumerate() {
+            let sigmoid_out = cache.sigmoid_out.get(position, 0);
+            let prediction = self.unnormalize(sigmoid_out);
+            let loss = loss_and_grad(
+                self.config.loss,
+                prediction.max(CARD_FLOOR),
+                targets[index].max(CARD_FLOOR),
+                CARD_FLOOR,
+            );
+            losses.push(loss.loss);
+            // Chain rule through the un-normalization, averaged over the whole batch.
+            grad_output.set(
+                position,
+                0,
+                loss.grad * self.unnormalize_grad(sigmoid_out) * batch_scale,
+            );
+        }
+        self.backward_batch_into(panels, &cache, &grad_output, grads);
+        losses
+    }
+
+    fn predict_chunk(&self, features: &[Self::Features], chunk: &[usize]) -> Vec<f64> {
+        let (tables, joins, predicates) = self.pack_sparse_batch(features, chunk);
+        let out = self.forward_batch_inference(&tables, &joins, &predicates);
+        let predictions = out.data().iter().map(|&out| self.unnormalize(out).max(0.0));
+        predictions.map(|prediction| prediction as f64).collect()
+    }
+
+    /// The set modules' `l2` and the output MLP's: the set modules' `l1` are input layers
+    /// and propagate nothing.
+    fn backward_weights(&self) -> Vec<&Matrix> {
+        let layers = [
+            &self.table_module.l2,
+            &self.join_module.l2,
+            &self.predicate_module.l2,
+            &self.out1,
+            &self.out2,
+        ];
+        layers.map(|layer| &layer.w.value).into()
+    }
+
+    fn gradient_shapes(&self) -> Vec<(usize, usize)> {
+        let mut shapes = Vec::with_capacity(grad_index::TOTAL);
+        shapes.extend(self.table_module.grad_shapes());
+        shapes.extend(self.join_module.grad_shapes());
+        shapes.extend(self.predicate_module.grad_shapes());
+        shapes.extend(self.out1.grad_shapes());
+        shapes.extend(self.out2.grad_shapes());
+        shapes
+    }
+
+    /// All trainable parameters in `grad_index` order.
+    fn params_vec_mut(&mut self) -> Vec<&mut Param> {
+        // Destructure so the borrow checker sees disjoint mutable borrows per field.
+        let MscnModel {
+            table_module,
+            join_module,
+            predicate_module,
+            out1,
+            out2,
+            ..
+        } = self;
+        let mut all = Vec::new();
+        all.extend(table_module.l1.params_mut());
+        all.extend(table_module.l2.params_mut());
+        all.extend(join_module.l1.params_mut());
+        all.extend(join_module.l2.params_mut());
+        all.extend(predicate_module.l1.params_mut());
+        all.extend(predicate_module.l2.params_mut());
+        all.extend(out1.params_mut());
+        all.extend(out2.params_mut());
+        all
+    }
+}
+
+/// Forward-pass cache of a set module for the seed-faithful per-sample reference path.
+#[cfg(test)]
+struct SetCache {
+    input: Matrix,
+    z1: Matrix,
+    a1: Matrix,
+    z2: Matrix,
+    a2: Matrix,
+    pooled: Matrix,
+}
+
+/// The per-sample reference of a set module (see [`MscnModel::fit_reference`]).
+#[cfg(test)]
+impl SetModule {
+    /// Seed-faithful per-query forward pass (the pre-batching implementation, kept as the
+    /// baseline for the parity tests and benchmarks).
+    fn forward_reference(&self, input: &Matrix) -> SetCache {
+        if input.rows() == 0 {
+            // Empty set: the pooled representation is all zeros.
+            return SetCache {
+                input: input.clone(),
+                z1: Matrix::zeros(0, self.l1.output_dim()),
+                a1: Matrix::zeros(0, self.l1.output_dim()),
+                z2: Matrix::zeros(0, self.hidden()),
+                a2: Matrix::zeros(0, self.hidden()),
+                pooled: Matrix::zeros(1, self.hidden()),
+            };
+        }
+        let z1 = self.l1.forward_sparse(input);
+        let a1 = relu(&z1);
+        let z2 = self.l2.forward_sparse(&a1);
+        let a2 = relu(&z2);
+        let pooled = crn_nn::layers::mean_pool(&a2);
+        SetCache {
+            input: input.clone(),
+            z1,
+            a1,
+            z2,
+            a2,
+            pooled,
+        }
+    }
+
+    /// Seed-faithful per-query backward pass (see [`SetModule::forward_reference`]).
+    fn backward_reference(&mut self, cache: &SetCache, grad_pooled: &Matrix) {
+        if cache.input.rows() == 0 {
+            return;
+        }
+        let grad_a2 = crn_nn::layers::mean_pool_backward(cache.a2.rows(), grad_pooled);
+        let grad_z2 = relu_backward(&cache.z2, &grad_a2);
+        let grad_a1 = self.l2.backward(&cache.a1, &grad_z2);
+        let grad_z1 = relu_backward(&cache.z1, &grad_a1);
+        let _ = self.l1.backward(&cache.input, &grad_z1);
+    }
+
+    fn zero_grad(&mut self) {
+        self.l1.zero_grad();
+        self.l2.zero_grad();
+    }
+}
+
+/// Forward-pass cache for one query on the seed-faithful reference path.
+#[cfg(test)]
+struct ReferenceForwardCache {
+    tables: SetCache,
+    joins: SetCache,
+    predicates: SetCache,
+    concat: Matrix,
+    z_out1: Matrix,
+    a_out1: Matrix,
+    sigmoid_out: Matrix,
+}
+
+/// The per-sample reference: the implementation before the ragged-batch engine, with its
+/// own training loop — what the parity tests measure [`MscnModel::fit`] against.
+#[cfg(test)]
+impl MscnModel {
     /// Seed-faithful single-query forward pass: the pre-batching implementation, kept as the
     /// baseline for the parity tests and criterion benchmarks (see
     /// [`SetModule::forward_reference`]).
@@ -446,68 +661,6 @@ impl MscnModel {
             .backward_reference(&cache.predicates, &split(2 * hidden, 3 * hidden));
     }
 
-    /// Backpropagates per-query `d loss / d sigmoid_out` (`B×1`) through the whole network,
-    /// accumulating into the parameter gradients.  Kept for the parity tests; training goes
-    /// through [`MscnModel::backward_batch_into`] so shards can accumulate privately.
-    #[cfg(test)]
-    fn backward_batch(&mut self, cache: &BatchForwardCache, grad_sigmoid_out: &Matrix) {
-        let mut grads = GradientSet::zeros(&self.gradient_shapes());
-        self.backward_batch_into(&StepPanels::of(self), cache, grad_sigmoid_out, &mut grads);
-        for (param, grad) in self.params_vec_mut().into_iter().zip(grads.parts()) {
-            param.grad.add_assign(grad);
-        }
-    }
-
-    /// [`MscnModel::backward_batch`] into a caller-provided [`GradientSet`] (layout:
-    /// [`grad_index`]), leaving the model untouched — every shard of a data-parallel
-    /// mini-batch runs this against the same read-only model.
-    fn backward_batch_into(
-        &self,
-        panels: &StepPanels,
-        cache: &BatchForwardCache,
-        grad_sigmoid_out: &Matrix,
-        grads: &mut GradientSet,
-    ) {
-        use grad_index::*;
-        let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, grad_sigmoid_out);
-        let (grad_w, grad_b) = grads.pair_mut(OUT2_W, OUT2_B);
-        let mut grad_z_out1 =
-            Dense::backward_into(&panels.out2, &cache.a_out1, &grad_z_out2, grad_w, grad_b);
-        relu_backward_in_place(&cache.a_out1, &mut grad_z_out1);
-        let (grad_w, grad_b) = grads.pair_mut(OUT1_W, OUT1_B);
-        let grad_concat =
-            Dense::backward_into(&panels.out1, &cache.concat, &grad_z_out1, grad_w, grad_b);
-
-        let hidden = self.table_module.hidden();
-        let mut split = split_columns(&grad_concat, &[hidden, hidden, hidden]).into_iter();
-        let grad_tables = split.next().expect("three blocks");
-        let grad_joins = split.next().expect("three blocks");
-        let grad_predicates = split.next().expect("three blocks");
-        let parts = grads.parts_mut();
-        let (table_grads, rest) = parts.split_at_mut(JOINS);
-        let (join_grads, rest) = rest.split_at_mut(PER_MODULE);
-        let (predicate_grads, _) = rest.split_at_mut(PER_MODULE);
-        SetModule::backward_batch_into(&panels.tables_l2, &cache.tables, &grad_tables, table_grads);
-        SetModule::backward_batch_into(&panels.joins_l2, &cache.joins, &grad_joins, join_grads);
-        SetModule::backward_batch_into(
-            &panels.predicates_l2,
-            &cache.predicates,
-            &grad_predicates,
-            predicate_grads,
-        );
-    }
-
-    /// The shapes of this model's parameters (layout: [`grad_index`]).
-    fn gradient_shapes(&self) -> Vec<(usize, usize)> {
-        let mut shapes = Vec::with_capacity(grad_index::TOTAL);
-        shapes.extend(self.table_module.grad_shapes());
-        shapes.extend(self.join_module.grad_shapes());
-        shapes.extend(self.predicate_module.grad_shapes());
-        shapes.extend(self.out1.grad_shapes());
-        shapes.extend(self.out2.grad_shapes());
-        shapes
-    }
-
     fn zero_grad(&mut self) {
         self.table_module.zero_grad();
         self.join_module.zero_grad();
@@ -516,280 +669,16 @@ impl MscnModel {
         self.out2.zero_grad();
     }
 
-    /// All trainable parameters in [`grad_index`] order.
-    fn params_vec_mut(&mut self) -> Vec<&mut crn_nn::layers::Param> {
-        // Destructure so the borrow checker sees disjoint mutable borrows per field.
-        let MscnModel {
-            table_module,
-            join_module,
-            predicate_module,
-            out1,
-            out2,
-            ..
-        } = self;
-        let mut all = Vec::new();
-        all.extend(table_module.l1.params_mut());
-        all.extend(table_module.l2.params_mut());
-        all.extend(join_module.l1.params_mut());
-        all.extend(join_module.l2.params_mut());
-        all.extend(predicate_module.l1.params_mut());
-        all.extend(predicate_module.l2.params_mut());
-        all.extend(out1.params_mut());
-        all.extend(out2.params_mut());
-        all
-    }
-
     fn adam_step(&mut self, adam: &mut Adam) {
         let all = self.params_vec_mut();
         adam.step(all);
     }
 
-    /// Converts the sigmoid output into a cardinality.
-    fn unnormalize(&self, sigmoid_out: f32) -> f32 {
-        (sigmoid_out * self.log_max_cardinality).exp() - 1.0
-    }
-
-    /// Derivative of [`MscnModel::unnormalize`] with respect to the sigmoid output.
-    fn unnormalize_grad(&self, sigmoid_out: f32) -> f32 {
-        self.log_max_cardinality * (sigmoid_out * self.log_max_cardinality).exp()
-    }
-
-    /// Packs the features of a subset of samples into the three per-set ragged batches.
-    #[cfg(test)]
-    fn pack_batch(
-        features: &[MscnFeatures],
-        indices: &[usize],
-    ) -> (RaggedBatch, RaggedBatch, RaggedBatch) {
-        (
-            RaggedBatch::from_sets(indices.iter().map(|&i| &features[i].tables)),
-            RaggedBatch::from_sets(indices.iter().map(|&i| &features[i].joins)),
-            RaggedBatch::from_sets(indices.iter().map(|&i| &features[i].predicates)),
-        )
-    }
-
-    /// Packs pre-converted CSR features of a subset of samples into the three per-set ragged
-    /// batches by non-zero concatenation (the training loop's zero-copy path).
-    fn pack_sparse_batch(
-        &self,
-        features: &[SparseMscnFeatures],
-        indices: &[usize],
-    ) -> (RaggedBatch, RaggedBatch, RaggedBatch) {
-        (
-            RaggedBatch::from_sparse_sets(
-                self.featurizer.table_dim(),
-                indices.iter().map(|&i| &features[i].tables),
-            ),
-            RaggedBatch::from_sparse_sets(
-                self.featurizer.join_dim(),
-                indices.iter().map(|&i| &features[i].joins),
-            ),
-            RaggedBatch::from_sparse_sets(
-                self.featurizer.predicate_dim(),
-                indices.iter().map(|&i| &features[i].predicates),
-            ),
-        )
-    }
-
-    /// Trains the model on labelled cardinality samples; returns the per-epoch history.
-    ///
-    /// Each mini-batch runs through the ragged-batch engine (`crn_nn::batch`), sharded
-    /// across the data-parallel pool of [`TrainConfig::parallel`] (`crn_nn::parallel`):
-    /// every shard runs the batched forward/backward into its own gradient set, and one
-    /// optimizer pass sums the sets in fixed order and applies the sum
-    /// ([`Adam::step_sharded`]).  At
-    /// `threads = 1` (the default) this is exactly the one-GEMM-per-batch path; gradients
-    /// are in every mode mathematically identical to the per-sample loop of
-    /// [`MscnModel::fit_reference`] (pinned to 1e-5 by the parity tests below), and in
-    /// deterministic mode bit-identical across thread counts.
-    pub fn fit(&mut self, samples: &[CardinalitySample]) -> TrainingHistory {
-        let parallel = self.config.parallel;
-        // One persistent worker-pool handle for the whole fit (see `CrnModel::fit`): every
-        // featurization shard, mini-batch and validation chunk runs on the same spawn-once
-        // threads instead of re-spawning scoped workers per mini-batch.
-        let workers = parallel.worker_pool();
-        // Features are featurized and converted to CSR once, before the epoch loop;
-        // mini-batches are assembled by concatenating the per-sample non-zeros.  Per-sample
-        // featurization is pure, so it shards trivially across the worker threads.
-        let features: Vec<SparseMscnFeatures> = {
-            let model = &*self;
-            let ranges = shard_ranges(samples.len(), parallel.threads);
-            workers
-                .run_over_ranges(&ranges, |range| {
-                    samples[range]
-                        .iter()
-                        .map(|s| {
-                            let dense = model.featurizer.featurize(&s.query);
-                            SparseMscnFeatures {
-                                tables: SparseRows::from_matrix(&dense.tables),
-                                joins: SparseRows::from_matrix(&dense.joins),
-                                predicates: SparseRows::from_matrix(&dense.predicates),
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        let targets: Vec<f32> = samples.iter().map(|s| s.cardinality as f32).collect();
-        let max_card = targets.iter().cloned().fold(1.0f32, f32::max);
-        self.log_max_cardinality = (max_card + 1.0).ln();
-
-        let (train_idx, valid_idx) = train_validation_split(
-            samples.len(),
-            self.config.validation_fraction,
-            self.config.seed,
-        );
-        let mut adam = Adam::new(self.config.learning_rate);
-        let mut scratch = self.step_scratch(&parallel);
-        let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1));
-        let mut early_stopping = EarlyStopping::new(self.config.patience);
-        let mut history = TrainingHistory::default();
-        let mut best: Option<MscnModel> = None;
-
-        for epoch in 0..self.config.epochs {
-            let mut epoch_loss = 0.0f64;
-            let mut epoch_samples = 0usize;
-            for batch in shuffled_batches(&train_idx, self.config.batch_size, &mut rng) {
-                let batches = self.pack_sparse_batch(&features, &batch);
-                let (losses, shard_count) = self.sharded_batch_step(
-                    &parallel,
-                    &workers,
-                    &batch,
-                    batches,
-                    &targets,
-                    &mut scratch,
-                );
-                for loss in losses {
-                    epoch_loss += loss as f64;
-                    epoch_samples += 1;
-                }
-                adam.step_sharded(
-                    self.params_vec_mut(),
-                    &scratch.shards.sets(shard_count),
-                    parallel.deterministic,
-                    &workers,
-                );
-            }
-
-            let validation_q_error = if valid_idx.is_empty() {
-                epoch_loss / epoch_samples.max(1) as f64
-            } else {
-                // Chunk boundaries depend only on the batch size, never the thread count —
-                // the per-chunk inference is identical for every pool configuration.
-                let chunks: Vec<&[usize]> =
-                    valid_idx.chunks(self.config.batch_size.max(1)).collect();
-                let model = &*self;
-                let per_chunk: Vec<Vec<(f64, f64)>> = workers.run_sharded(chunks.len(), |shard| {
-                    let chunk = chunks[shard];
-                    let (tables, joins, predicates) = model.pack_sparse_batch(&features, chunk);
-                    let out = model.forward_batch_inference(&tables, &joins, &predicates);
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(position, &index)| {
-                            let prediction = model.unnormalize(out.get(position, 0)).max(0.0);
-                            (prediction as f64, targets[index] as f64)
-                        })
-                        .collect()
-                });
-                let pairs: Vec<(f64, f64)> = per_chunk.into_iter().flatten().collect();
-                mean_q_error(&pairs, CARD_FLOOR as f64)
-            };
-            let improved = history.record(EpochStats {
-                epoch,
-                train_loss: epoch_loss / epoch_samples.max(1) as f64,
-                validation_q_error,
-            });
-            if improved {
-                best = Some(self.clone());
-            }
-            if early_stopping.should_stop(!improved) {
-                break;
-            }
-        }
-        // Restore the parameters of the best validation epoch (early stopping, §3.3).
-        if let Some(best) = best {
-            *self = best;
-        }
-        history
-    }
-
-    /// The data-parallel part of one mini-batch: packs the dense layers' weight panels once,
-    /// shards the three per-set ragged batches at the same segment boundaries, and runs the
-    /// batched forward/backward per shard on the pool, each shard into its own set of
-    /// `scratch.shards`.  Returns the per-sample losses in batch order and how many shards
-    /// ran (their sets are `scratch.shards.sets(count)`, in shard order); the caller applies
-    /// them with [`Adam::step_sharded`].
-    fn sharded_batch_step(
-        &self,
-        parallel: &ThreadPoolConfig,
-        workers: &WorkerPool,
-        batch_indices: &[usize],
-        batches: (RaggedBatch, RaggedBatch, RaggedBatch),
-        targets: &[f32],
-        scratch: &mut StepScratch,
-    ) -> (Vec<f32>, usize) {
-        let (tables, joins, predicates) = batches;
-        let batch_scale = 1.0 / batch_indices.len() as f32;
-        let num_shards = parallel.shard_count(batch_indices.len());
-        scratch.panels.refresh(self);
-        let StepScratch { panels, shards } = &*scratch;
-
-        // The per-shard work: forward, per-sample losses (through the un-normalization
-        // chain rule), backward into the shard's gradient set.
-        let step = |shard: usize,
-                    tables: RaggedBatch,
-                    joins: RaggedBatch,
-                    predicates: RaggedBatch,
-                    indices: &[usize]| {
-            let cache = self.forward_batch(tables, joins, predicates);
-            let mut losses = Vec::with_capacity(indices.len());
-            let mut grad_output = Matrix::zeros(indices.len(), 1);
-            for (position, &index) in indices.iter().enumerate() {
-                let sigmoid_out = cache.sigmoid_out.get(position, 0);
-                let prediction = self.unnormalize(sigmoid_out);
-                let loss = loss_and_grad(
-                    self.config.loss,
-                    prediction.max(CARD_FLOOR),
-                    targets[index].max(CARD_FLOOR),
-                    CARD_FLOOR,
-                );
-                losses.push(loss.loss);
-                // Chain rule through the un-normalization, averaged over the whole batch.
-                grad_output.set(
-                    position,
-                    0,
-                    loss.grad * self.unnormalize_grad(sigmoid_out) * batch_scale,
-                );
-            }
-            self.backward_batch_into(panels, &cache, &grad_output, &mut shards.start(shard));
-            losses
-        };
-
-        if num_shards <= 1 {
-            return (step(0, tables, joins, predicates, batch_indices), 1);
-        }
-        let ranges = shard_ranges(batch_indices.len(), num_shards);
-        let losses = workers.run_sharded(ranges.len(), |shard| {
-            let range = ranges[shard].clone();
-            step(
-                shard,
-                tables.slice_segments(range.clone()),
-                joins.slice_segments(range.clone()),
-                predicates.slice_segments(range.clone()),
-                &batch_indices[range],
-            )
-        });
-        (losses.into_iter().flatten().collect(), ranges.len())
-    }
-
     /// Reference per-sample training loop: the pre-batching implementation, issuing one
     /// forward and one backward per query.
     ///
-    /// Kept public so the parity tests and the criterion benchmarks can compare the batched
-    /// [`MscnModel::fit`] against it; there is no reason to use it for real training.
-    pub fn fit_reference(&mut self, samples: &[CardinalitySample]) -> TrainingHistory {
+    /// Kept so the parity tests can compare the batched [`MscnModel::fit`] against it.
+    fn fit_reference(&mut self, samples: &[CardinalitySample]) -> TrainingHistory {
         let features: Vec<MscnFeatures> = samples
             .iter()
             .map(|s| self.featurizer.featurize(&s.query))
@@ -864,31 +753,6 @@ impl MscnModel {
         }
         history
     }
-
-    fn predict_features(&self, features: &MscnFeatures) -> f32 {
-        let out = self.forward_batch_inference(
-            &RaggedBatch::from_sets([&features.tables]),
-            &RaggedBatch::from_sets([&features.joins]),
-            &RaggedBatch::from_sets([&features.predicates]),
-        );
-        self.unnormalize(out.get(0, 0)).max(0.0)
-    }
-
-    /// Predicts the cardinality of a query.
-    pub fn predict(&self, query: &Query) -> f64 {
-        let features = self.featurizer.featurize(query);
-        self.predict_features(&features) as f64
-    }
-}
-
-impl CardinalityEstimator for MscnModel {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        self.predict(query).max(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -896,7 +760,8 @@ mod tests {
     use super::*;
     use crn_db::imdb::{generate_imdb, ImdbConfig};
     use crn_exec::label_cardinalities;
-    use crn_nn::parallel::reduce_gradients;
+    use crn_nn::batch::shard_ranges;
+    use crn_nn::parallel::{reduce_gradients, ThreadPoolConfig};
     use crn_nn::q_error;
     use crn_query::generator::{GeneratorConfig, QueryGenerator};
 
@@ -1120,6 +985,33 @@ mod tests {
         );
     }
 
+    /// `fit` returns the model of its best validation epoch, not of its last: the returned
+    /// model's validation q-error, recomputed over the same split by the loop's validation
+    /// pass, is exactly `history.best_validation` and differs from the last epoch's.
+    #[test]
+    fn fit_returns_the_model_of_its_best_validation_epoch() {
+        let db = generate_imdb(&ImdbConfig::tiny(13));
+        let samples = training_data(&db, 120, 13);
+        let config = TrainConfig {
+            epochs: 12,
+            learning_rate: 0.01,
+            patience: None,
+            parallel: ThreadPoolConfig::deterministic(2),
+            ..TrainConfig::fast_test()
+        };
+        let mut model = MscnModel::new(&db, config);
+        let history = model.fit(&samples);
+        assert!(
+            history.best_epoch < history.len() - 1,
+            "the fixture must peak before its last epoch (best {} of {})",
+            history.best_epoch,
+            history.len()
+        );
+        let restored = train::validation_q_error(&model, &samples);
+        assert_eq!(restored, history.best_validation);
+        assert_ne!(restored, history.epochs.last().unwrap().validation_q_error);
+    }
+
     /// Deterministic mode must be **bit-identical** across thread counts: same per-epoch
     /// losses, same validation trace, same trained parameters at `threads = 1, 2, 4`.
     #[test]
@@ -1238,32 +1130,19 @@ mod tests {
             reference_model.backward_reference(&cache, grad);
         }
 
-        let model = MscnModel::new(&db, TrainConfig::fast_test());
-        let targets: Vec<f32> = samples.iter().map(|s| s.cardinality as f32).collect();
-        let indices: Vec<usize> = (0..features.len()).collect();
         for (threads, deterministic) in [(1, false), (2, false), (4, false), (4, true), (3, true)] {
             let pool = if deterministic {
                 ThreadPoolConfig::deterministic(threads)
             } else {
                 ThreadPoolConfig::with_threads(threads)
             };
-            let mut scratch = model.step_scratch(&pool);
-            let (losses, shard_count) = model.sharded_batch_step(
-                &pool,
-                &pool.worker_pool(),
-                &indices,
-                MscnModel::pack_batch(&features, &indices),
-                &targets,
-                &mut scratch,
-            );
+            let config = TrainConfig {
+                parallel: pool,
+                ..TrainConfig::fast_test()
+            };
+            let model = MscnModel::new(&db, config);
+            let (losses, grads) = train::batch_gradients(&model, &samples);
             assert_eq!(losses.len(), samples.len());
-            let sets = scratch
-                .shards
-                .sets(shard_count)
-                .into_iter()
-                .cloned()
-                .collect();
-            let grads = reduce_gradients(sets, deterministic).expect("at least one shard");
             for ((name, index), reference) in [
                 ("tables.l1.w", 0usize),
                 ("tables.l2.w", 2),
@@ -1430,7 +1309,7 @@ mod tests {
         /// One mini-batch; returns the per-sample losses in batch order.
         fn step(
             &mut self,
-            features: &[SparseMscnFeatures],
+            features: &[[SparseRows; 3]],
             targets: &[f32],
             batch: &[usize],
         ) -> Vec<f32> {
@@ -1482,15 +1361,15 @@ mod tests {
         fn fit(&mut self, samples: &[CardinalitySample]) {
             let config = self.model.config.clone();
             assert!(config.patience.is_none());
-            let features: Vec<SparseMscnFeatures> = samples
+            let features: Vec<[SparseRows; 3]> = samples
                 .iter()
                 .map(|s| {
                     let dense = self.model.featurizer.featurize(&s.query);
-                    SparseMscnFeatures {
-                        tables: SparseRows::from_matrix(&dense.tables),
-                        joins: SparseRows::from_matrix(&dense.joins),
-                        predicates: SparseRows::from_matrix(&dense.predicates),
-                    }
+                    [
+                        SparseRows::from_matrix(&dense.tables),
+                        SparseRows::from_matrix(&dense.joins),
+                        SparseRows::from_matrix(&dense.predicates),
+                    ]
                 })
                 .collect();
             let targets: Vec<f32> = samples.iter().map(|s| s.cardinality as f32).collect();

@@ -29,8 +29,10 @@
 //!   parameter's accumulator, a merged set, per-shard sets summed on the fly on the worker
 //!   pool), storing subnormal moments as zero;
 //! * [`loss`] — the q-error objective (plus MSE / MAE, which §3.2.4 considers and rejects);
-//! * [`train`] — train/validation splitting, mini-batching, early stopping and training
-//!   history (used to reproduce Figures 3 and 4).
+//! * [`train`] — the one training loop of both models ([`train::fit`] and
+//!   [`train::fit_incremental`], generic over [`Trainable`]), with its train/validation
+//!   splitting, mini-batching, early stopping and training history (used to reproduce
+//!   Figures 3 and 4).
 //!
 //! # Example
 //!
@@ -74,5 +76,5 @@ pub use parallel::{
 };
 pub use train::{
     shuffled_batches, train_validation_split, EarlyStopping, EpochStats, ReplayBuffer, TrainConfig,
-    TrainingHistory,
+    Trainable, TrainingHistory,
 };

@@ -1,17 +1,42 @@
-//! Training-loop utilities shared by the CRN and MSCN models.
+//! The one training loop of the CRN and MSCN models.
 //!
-//! The models own their forward/backward passes (their architectures differ), but the
-//! surrounding machinery is identical and lives here: hyperparameters, train/validation
-//! splitting, mini-batch iteration and early stopping (§3.3: "we use the early stopping
-//! technique and stop the training before convergence to avoid over-fitting").
+//! Both models train the same way — Adam, mini-batches, early stopping on a validation split
+//! (§3.3: "we use the early stopping technique and stop the training before convergence to
+//! avoid over-fitting") — and the paper's CRN-vs-MSCN comparison is fair because they do
+//! (§4.1.2).  So the loop exists once, here, generic over [`Trainable`]: the few things in
+//! which the two models differ (featurizing a sample, a shard's forward pass, loss and
+//! backward pass, a validation chunk's predictions, the weights the backward pass multiplies
+//! by, the parameters in gradient order).
+//!
+//! The loop owns everything else: featurization on the worker pool, the train/validation
+//! split and seeded shuffling, sharding each mini-batch over [`ShardGradients`] and applying
+//! the shards with [`Adam::step_sharded`], validation chunks on the pool, early stopping and
+//! the best-epoch restore.  It runs on two schedules:
+//!
+//! * [`fit`] — a fresh [`Adam`] over [`TrainConfig::epochs`] epochs of the training split,
+//!   early stopping on the validation split and restoring the best epoch's model;
+//! * [`fit_incremental`] — the warm-start fine-tune of the online refresh: the caller's
+//!   [`Adam`] over a fixed number of epochs of the whole corpus, with neither validation nor
+//!   model selection.
+//!
+//! In deterministic mode ([`ThreadPoolConfig::deterministic`]) both are bit-identical across
+//! thread counts.  Also here: hyperparameters, training history, splitting, mini-batching
+//! and the replay buffer of the continual-learning refresh.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::loss::LossKind;
-use crate::parallel::ThreadPoolConfig;
+use crate::batch::shard_ranges;
+use crate::gemm::PackedWeights;
+use crate::layers::Param;
+use crate::loss::{mean_q_error, LossKind};
+use crate::matrix::Matrix;
+use crate::optim::Adam;
+use crate::parallel::{
+    reduce_gradients, GradientSet, ShardGradients, ThreadPoolConfig, WorkerPool,
+};
 
 /// Hyperparameters of a training run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -288,6 +313,313 @@ pub fn shuffled_batches(indices: &[usize], batch_size: usize, rng: &mut StdRng) 
         .chunks(batch_size.max(1))
         .map(|chunk| chunk.to_vec())
         .collect()
+}
+
+/// What the training loop needs from a model: everything in which CRN and MSCN training
+/// differ.  Every method but [`params_vec_mut`](Trainable::params_vec_mut) leaves the model
+/// untouched: the shards of a mini-batch run concurrently against the same model.
+pub trait Trainable: Clone + Sync {
+    /// A labelled training sample.
+    type Sample: Sync;
+    /// One sample's features, computed once per run, before the first epoch.
+    type Features: Send + Sync;
+
+    /// Added to [`TrainConfig::seed`] to seed [`fit`]'s mini-batch shuffling.
+    const SHUFFLE_SEED_OFFSET: u64;
+    /// The floor under validation predictions and targets (the q-error is undefined at 0).
+    const FLOOR: f32;
+
+    /// The training configuration.
+    fn config(&self) -> &TrainConfig;
+    /// Featurizes one sample (pure: the loop featurizes on the worker pool).
+    fn featurize(&self, sample: &Self::Sample) -> Self::Features;
+    /// The sample's label.
+    fn target(sample: &Self::Sample) -> f32;
+    /// One shard of a mini-batch, the samples `shard` of `features`: the batched forward
+    /// pass, each sample's loss against `targets[index]` with `dL/d output` scaled by
+    /// `batch_scale` (`1 /` the mini-batch size), and the batched backward pass into
+    /// `grads` (layout: [`params_vec_mut`](Trainable::params_vec_mut) order).  `panels` are
+    /// the [`backward_weights`](Trainable::backward_weights), each packed transposed.
+    /// Returns the per-sample losses in shard order.
+    fn train_shard(
+        &self,
+        panels: &[PackedWeights],
+        features: &[Self::Features],
+        targets: &[f32],
+        shard: &[usize],
+        batch_scale: f32,
+        grads: &mut GradientSet,
+    ) -> Vec<f32>;
+    /// Inference over the samples `chunk` of `features`: one prediction per sample, in the
+    /// units of [`target`](Trainable::target).
+    fn predict_chunk(&self, features: &[Self::Features], chunk: &[usize]) -> Vec<f64>;
+    /// The weights whose transposes the backward pass multiplies by (`dL/dx = g·Wᵀ`), in
+    /// the order [`train_shard`](Trainable::train_shard) receives their panels.
+    fn backward_weights(&self) -> Vec<&Matrix>;
+    /// The `(rows, cols)` of every parameter, in [`params_vec_mut`](Trainable::params_vec_mut)
+    /// order.
+    fn gradient_shapes(&self) -> Vec<(usize, usize)>;
+    /// Every trainable parameter, in the order of the gradient sets.
+    fn params_vec_mut(&mut self) -> Vec<&mut Param>;
+}
+
+/// Trains `model` on `samples`: a fresh [`Adam`] over [`TrainConfig::epochs`] epochs of the
+/// training split, early stopping on the validation split (`validation_fraction`,
+/// `patience`), and the model of the best validation epoch restored at the end.  Returns the
+/// per-epoch history (Figures 3 and 4).
+pub fn fit<M: Trainable>(model: &mut M, samples: &[M::Sample]) -> TrainingHistory {
+    let config = model.config();
+    let (train, validation) =
+        train_validation_split(samples.len(), config.validation_fraction, config.seed);
+    let mut adam = Adam::new(config.learning_rate);
+    let shuffle_seed = config.seed.wrapping_add(M::SHUFFLE_SEED_OFFSET);
+    let schedule = Schedule {
+        train,
+        validation,
+        epochs: config.epochs,
+        adam: &mut adam,
+        shuffle_seed,
+        select_best: true,
+    };
+    run(model, samples, schedule)
+}
+
+/// Fine-tunes `model` on `samples` for exactly `epochs` epochs of the whole corpus,
+/// resuming `adam` (its step count continues the bias correction of earlier fits).  No
+/// validation split, early stopping or best-epoch restore: the recorded
+/// `validation_q_error` is the epoch's mean training loss.  The shuffling is seeded from
+/// the config seed and `adam`'s step count, so every refresh reshuffles differently and the
+/// whole trajectory stays reproducible.  Empty `samples` or `epochs == 0` are a no-op.
+pub fn fit_incremental<M: Trainable>(
+    model: &mut M,
+    samples: &[M::Sample],
+    adam: &mut Adam,
+    epochs: usize,
+) -> TrainingHistory {
+    if samples.is_empty() || epochs == 0 {
+        return TrainingHistory::default();
+    }
+    let shuffle_seed = model
+        .config()
+        .seed
+        .wrapping_add(adam.step_count.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let schedule = Schedule {
+        train: (0..samples.len()).collect(),
+        validation: Vec::new(),
+        epochs,
+        adam,
+        shuffle_seed,
+        select_best: false,
+    };
+    run(model, samples, schedule)
+}
+
+/// The mean q-error of `model` over the validation split [`fit`] makes of `samples`,
+/// computed by the validation pass of the loop (`0` when the split is empty).
+pub fn validation_q_error<M: Trainable>(model: &M, samples: &[M::Sample]) -> f64 {
+    let config = model.config();
+    let (_, validation) =
+        train_validation_split(samples.len(), config.validation_fraction, config.seed);
+    Corpus::new(model, samples).mean_q_error(model, &validation)
+}
+
+/// The summed gradient of one mini-batch made of all of `samples`, exactly as the loop
+/// computes it under the model's [`ThreadPoolConfig`] and reduced in the order
+/// [`Adam::step_sharded`] sums it, with the per-sample losses in sample order: what the
+/// models' parity tests compare against their per-sample references.
+pub fn batch_gradients<M: Trainable>(model: &M, samples: &[M::Sample]) -> (Vec<f32>, GradientSet) {
+    let corpus = Corpus::new(model, samples);
+    let mut scratch = Scratch::new(model);
+    let batch: Vec<usize> = (0..samples.len()).collect();
+    let (losses, shard_count) = scratch.run_shards(model, &corpus, &batch);
+    let sets = scratch
+        .shards
+        .sets(shard_count)
+        .into_iter()
+        .cloned()
+        .collect();
+    let deterministic = model.config().parallel.deterministic;
+    let merged = reduce_gradients(sets, deterministic).expect("at least one shard");
+    (losses, merged)
+}
+
+/// One run of the loop: which samples train and validate, for how long, from which
+/// optimizer state.
+struct Schedule<'a> {
+    train: Vec<usize>,
+    /// Empty: every epoch's validation metric is its mean training loss.
+    validation: Vec<usize>,
+    epochs: usize,
+    adam: &'a mut Adam,
+    shuffle_seed: u64,
+    /// Early stopping with the config's patience and the best epoch's model restored;
+    /// otherwise neither.
+    select_best: bool,
+}
+
+/// The training loop, on either schedule.
+fn run<M: Trainable>(
+    model: &mut M,
+    samples: &[M::Sample],
+    schedule: Schedule<'_>,
+) -> TrainingHistory {
+    let Schedule {
+        train,
+        validation,
+        epochs,
+        adam,
+        shuffle_seed,
+        select_best,
+    } = schedule;
+    let config = model.config().clone();
+    let corpus = Corpus::new(&*model, samples);
+    let mut scratch = Scratch::new(&*model);
+    let mut rng = StdRng::seed_from_u64(shuffle_seed);
+    let mut early_stopping = EarlyStopping::new(config.patience.filter(|_| select_best));
+    let mut history = TrainingHistory::default();
+    let mut best: Option<M> = None;
+
+    for epoch in 0..epochs {
+        let mut epoch_loss = 0.0f64;
+        let mut epoch_samples = 0usize;
+        for batch in shuffled_batches(&train, config.batch_size, &mut rng) {
+            let (losses, shard_count) = scratch.run_shards(&*model, &corpus, &batch);
+            for loss in losses {
+                epoch_loss += loss as f64;
+                epoch_samples += 1;
+            }
+            adam.step_sharded(
+                model.params_vec_mut(),
+                &scratch.shards.sets(shard_count),
+                config.parallel.deterministic,
+                &corpus.workers,
+            );
+        }
+        let train_loss = epoch_loss / epoch_samples.max(1) as f64;
+        let validation_q_error = if validation.is_empty() {
+            train_loss
+        } else {
+            corpus.mean_q_error(&*model, &validation)
+        };
+        let improved = history.record(EpochStats {
+            epoch,
+            train_loss,
+            validation_q_error,
+        });
+        if improved && select_best {
+            best = Some(model.clone());
+        }
+        if early_stopping.should_stop(!improved) {
+            break;
+        }
+    }
+    if let Some(best) = best {
+        *model = best;
+    }
+    history
+}
+
+/// A featurized corpus and the worker pool of the run: one persistent handle for every
+/// featurization shard, mini-batch, optimizer pass and validation chunk
+/// ([`WorkerPool::shared`]).
+struct Corpus<M: Trainable> {
+    features: Vec<M::Features>,
+    targets: Vec<f32>,
+    workers: WorkerPool,
+}
+
+impl<M: Trainable> Corpus<M> {
+    /// Featurizes `samples` on the pool.  Featurization is pure and `run_over_ranges`
+    /// returns the shards in range order, so the result never depends on the thread count.
+    fn new(model: &M, samples: &[M::Sample]) -> Self {
+        let parallel = model.config().parallel;
+        let workers = parallel.worker_pool();
+        let ranges = shard_ranges(samples.len(), parallel.threads);
+        let features = workers
+            .run_over_ranges(&ranges, |range| {
+                let shard = &samples[range];
+                shard.iter().map(|s| model.featurize(s)).collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        Corpus {
+            features,
+            targets: samples.iter().map(M::target).collect(),
+            workers,
+        }
+    }
+
+    /// The validation pass: the mean q-error of `model` over the samples `validation`.
+    /// Chunks are fixed by the batch size, never by the thread count, so every chunk's
+    /// inference is the same for every pool configuration; only their scheduling spreads
+    /// across the workers.
+    fn mean_q_error(&self, model: &M, validation: &[usize]) -> f64 {
+        let chunks: Vec<&[usize]> = validation
+            .chunks(model.config().batch_size.max(1))
+            .collect();
+        let per_chunk: Vec<Vec<(f64, f64)>> = self.workers.run_sharded(chunks.len(), |shard| {
+            let chunk = chunks[shard];
+            let predictions = model.predict_chunk(&self.features, chunk);
+            let targets = chunk.iter().map(|&index| self.targets[index] as f64);
+            predictions.into_iter().zip(targets).collect()
+        });
+        let pairs: Vec<(f64, f64)> = per_chunk.into_iter().flatten().collect();
+        mean_q_error(&pairs, M::FLOOR as f64)
+    }
+}
+
+/// What the loop keeps from one mini-batch to the next: the backward pass's weight panels
+/// and one gradient set per shard, allocated once per run.
+struct Scratch {
+    panels: Vec<PackedWeights>,
+    shards: ShardGradients,
+}
+
+impl Scratch {
+    fn new<M: Trainable>(model: &M) -> Self {
+        Scratch {
+            panels: model
+                .backward_weights()
+                .into_iter()
+                .map(PackedWeights::pack_transposed)
+                .collect(),
+            shards: ShardGradients::new(&model.gradient_shapes(), &model.config().parallel),
+        }
+    }
+
+    /// The data-parallel part of the mini-batch `batch`: repacks the panels from the model's
+    /// current weights once, cuts the batch at sample boundaries into the config's shards,
+    /// and runs [`Trainable::train_shard`] per shard on the pool, each into its own gradient
+    /// set.  Returns the per-sample losses in batch order and how many shards ran (their sets
+    /// are `self.shards.sets(count)`, in shard order).
+    fn run_shards<M: Trainable>(
+        &mut self,
+        model: &M,
+        corpus: &Corpus<M>,
+        batch: &[usize],
+    ) -> (Vec<f32>, usize) {
+        for (panels, weights) in self.panels.iter_mut().zip(model.backward_weights()) {
+            panels.repack_transposed(weights);
+        }
+        let Scratch { panels, shards } = &*self;
+        let batch_scale = 1.0 / batch.len() as f32;
+        let ranges = shard_ranges(
+            batch.len(),
+            model.config().parallel.shard_count(batch.len()),
+        );
+        let losses = corpus.workers.run_sharded(ranges.len(), |shard| {
+            model.train_shard(
+                panels,
+                &corpus.features,
+                &corpus.targets,
+                &batch[ranges[shard].clone()],
+                batch_scale,
+                &mut shards.start(shard),
+            )
+        });
+        (losses.into_iter().flatten().collect(), ranges.len())
+    }
 }
 
 #[cfg(test)]
