@@ -1,7 +1,8 @@
 //! Ablation experiments.
 //!
 //! These are not tables of the paper; they isolate design choices the paper asserts without a
-//! dedicated experiment (see DESIGN.md):
+//! dedicated experiment (`ablation_crn` and `ablation_final_fn` in
+//! [`ALL_EXPERIMENTS`](crate::experiments::ALL_EXPERIMENTS)):
 //!
 //! * average vs sum pooling in the set encoder (§3.2.2),
 //! * the `Expand` combination vs plain concatenation (§3.2.3),
@@ -113,13 +114,7 @@ pub fn ablation_final_function(ctx: &ExperimentContext) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::ExperimentConfig;
-    use std::sync::OnceLock;
-
-    fn ctx() -> &'static ExperimentContext {
-        static CTX: OnceLock<ExperimentContext> = OnceLock::new();
-        CTX.get_or_init(|| ExperimentContext::build(ExperimentConfig::tiny()))
-    }
+    use crate::harness::tiny_context as ctx;
 
     #[test]
     fn final_function_ablation_has_three_rows() {

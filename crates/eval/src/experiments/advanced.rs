@@ -193,13 +193,7 @@ pub fn table13_improved_vs_crn(ctx: &ExperimentContext) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::ExperimentConfig;
-    use std::sync::OnceLock;
-
-    fn ctx() -> &'static ExperimentContext {
-        static CTX: OnceLock<ExperimentContext> = OnceLock::new();
-        CTX.get_or_init(|| ExperimentContext::build(ExperimentConfig::tiny()))
-    }
+    use crate::harness::tiny_context as ctx;
 
     #[test]
     fn table10_includes_sampled_mscn_row() {

@@ -179,13 +179,7 @@ pub fn table9_per_join(ctx: &ExperimentContext) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::ExperimentConfig;
-    use std::sync::OnceLock;
-
-    fn ctx() -> &'static ExperimentContext {
-        static CTX: OnceLock<ExperimentContext> = OnceLock::new();
-        CTX.get_or_init(|| ExperimentContext::build(ExperimentConfig::tiny()))
-    }
+    use crate::harness::tiny_context as ctx;
 
     #[test]
     fn table5_reports_three_workloads() {

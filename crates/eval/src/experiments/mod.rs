@@ -2,8 +2,10 @@
 //!
 //! Every experiment is a function `fn(&ExperimentContext) -> ExperimentReport`; the
 //! [`run_experiment`] dispatcher maps the experiment ids used by the `repro` binary and the
-//! benches (`table3`, `fig13`, ...) to those functions.  `DESIGN.md` carries the full index of
-//! ids, workloads and paper artifacts.
+//! benches (`table3`, `fig13`, ...) to those functions.  [`ALL_EXPERIMENTS`] (printed by
+//! `repro list`) is the full index of ids in paper order; each report's title names the paper
+//! artifact it mirrors, and `crates/eval/tests/tiny_reproduction.md` holds every table as the
+//! tiny preset reproduces it.
 
 pub mod ablations;
 pub mod advanced;
@@ -80,13 +82,7 @@ pub fn run_all(ctx: &ExperimentContext) -> Vec<ExperimentReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::ExperimentConfig;
-    use std::sync::OnceLock;
-
-    fn ctx() -> &'static ExperimentContext {
-        static CTX: OnceLock<ExperimentContext> = OnceLock::new();
-        CTX.get_or_init(|| ExperimentContext::build(ExperimentConfig::tiny()))
-    }
+    use crate::harness::tiny_context as ctx;
 
     #[test]
     fn unknown_ids_are_rejected() {
@@ -99,20 +95,5 @@ mod tests {
         let table = run_experiment(ctx(), "table6").unwrap();
         let figure = run_experiment(ctx(), "fig9").unwrap();
         assert_eq!(table.id, figure.id);
-    }
-
-    #[test]
-    fn every_listed_experiment_runs_and_produces_rows() {
-        // The heavy sweeps (fig3, ablations, table10/fig13 which retrain models) are exercised
-        // by their own module tests; here cover the fast majority to keep the suite quick.
-        for id in [
-            "fig4", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
-            "table11", "table12", "table13", "table14", "table15",
-        ] {
-            let report =
-                run_experiment(ctx(), id).unwrap_or_else(|| panic!("experiment {id} missing"));
-            assert!(!report.rows.is_empty(), "experiment {id} produced no rows");
-            assert!(!report.title.is_empty());
-        }
     }
 }

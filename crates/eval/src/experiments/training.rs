@@ -79,13 +79,7 @@ pub fn fig4_convergence(ctx: &ExperimentContext) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::ExperimentConfig;
-    use std::sync::OnceLock;
-
-    fn ctx() -> &'static ExperimentContext {
-        static CTX: OnceLock<ExperimentContext> = OnceLock::new();
-        CTX.get_or_init(|| ExperimentContext::build(ExperimentConfig::tiny()))
-    }
+    use crate::harness::tiny_context as ctx;
 
     #[test]
     fn sweep_sizes_are_increasing_and_nonempty() {

@@ -250,6 +250,14 @@ impl ExperimentContext {
     }
 }
 
+/// The tiny-preset context every unit test of this crate shares: one database generation and
+/// one CRN and MSCN fit per test binary.
+#[cfg(test)]
+pub(crate) fn tiny_context() -> &'static ExperimentContext {
+    static CONTEXT: std::sync::OnceLock<ExperimentContext> = std::sync::OnceLock::new();
+    CONTEXT.get_or_init(|| ExperimentContext::build(ExperimentConfig::tiny()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,7 +266,7 @@ mod tests {
 
     #[test]
     fn tiny_context_builds_and_all_models_answer() {
-        let ctx = ExperimentContext::build(ExperimentConfig::tiny());
+        let ctx = tiny_context();
         assert!(!ctx.containment_training.is_empty());
         assert!(!ctx.cardinality_training.is_empty());
         assert!(!ctx.crn_history.is_empty());
@@ -274,10 +282,8 @@ mod tests {
 
     #[test]
     fn cardinality_training_is_deduplicated_and_consistent() {
-        let config = ExperimentConfig::tiny();
-        let db = generate_imdb(&config.db);
-        let containment = ExperimentContext::build_containment_training(&db, &config);
-        let derived = ExperimentContext::derive_cardinality_training(&containment);
+        let containment = &tiny_context().containment_training;
+        let derived = ExperimentContext::derive_cardinality_training(containment);
         // No duplicate queries.
         let mut seen = std::collections::BTreeSet::new();
         for s in &derived {
@@ -300,7 +306,7 @@ mod tests {
 
     #[test]
     fn pool_of_size_truncates() {
-        let ctx = ExperimentContext::build(ExperimentConfig::tiny());
+        let ctx = tiny_context();
         let pool = ctx.pool_of_size(10);
         assert!(pool.len() <= 10);
     }
