@@ -1,5 +1,5 @@
-//! Training-cost benchmarks (Figures 3 and 4) and the ablation benches called out in
-//! DESIGN.md.
+//! Training-cost benchmarks (Figures 3 and 4) and the costs behind the `ablation_crn` /
+//! `ablation_final_fn` experiments (`repro list`).
 //!
 //! * `fig3_hidden_size` — cost of one training epoch as a function of the hidden layer size
 //!   (the paper's Figure 3 trades accuracy against exactly this cost).

@@ -754,8 +754,8 @@ impl Trainable for CrnModel {
         losses
     }
 
-    fn predict_chunk(&self, features: &[Self::Features], batch: &[usize]) -> Vec<f64> {
-        let (v1, v2) = self.pack(features, batch);
+    fn predict_chunk(&self, features: &[Self::Features], chunk: &[usize]) -> Vec<f64> {
+        let (v1, v2) = self.pack(features, chunk);
         let rates = self.forward_batch_inference(&v1, &v2);
         rates.data().iter().map(|&rate| rate as f64).collect()
     }
@@ -766,31 +766,21 @@ impl Trainable for CrnModel {
     }
 
     fn gradient_shapes(&self) -> Vec<(usize, usize)> {
-        let mut shapes = Vec::with_capacity(8);
-        shapes.extend(self.mlp1.grad_shapes());
-        shapes.extend(self.mlp2.grad_shapes());
-        shapes.extend(self.out1.grad_shapes());
-        shapes.extend(self.out2.grad_shapes());
-        shapes
+        let layers = [&self.mlp1, &self.mlp2, &self.out1, &self.out2];
+        layers.into_iter().flat_map(Dense::grad_shapes).collect()
     }
 
     /// All trainable parameters in `grad_index` order.  Whoever holds them may change
     /// `out1`'s weights, so the packed copy goes first.
     fn params_vec_mut(&mut self) -> Vec<&mut Param> {
         self.packed_out1 = PackedHead::default();
-        let CrnModel {
-            mlp1,
-            mlp2,
-            out1,
-            out2,
-            ..
-        } = self;
-        let mut params = Vec::new();
-        params.extend(mlp1.params_mut());
-        params.extend(mlp2.params_mut());
-        params.extend(out1.params_mut());
-        params.extend(out2.params_mut());
-        params
+        let layers = [
+            &mut self.mlp1,
+            &mut self.mlp2,
+            &mut self.out1,
+            &mut self.out2,
+        ];
+        layers.into_iter().flat_map(Dense::params_mut).collect()
     }
 }
 
@@ -819,7 +809,7 @@ impl CrnModel {
     /// Seed-faithful single-pair forward pass: 1-row matrices end to end, scalar pooling and
     /// `Expand`, the full backward including the input layers' discarded `dL/dx` — exactly
     /// the implementation this repository shipped before the ragged-batch engine.  This is
-    /// the *baseline* the parity tests and criterion benchmarks compare the engine against,
+    /// the *baseline* the parity tests compare the engine against,
     /// so it deliberately does not share the engine's execution path.
     fn forward_pair_reference(&self, v1: &Matrix, v2: &Matrix) -> PairCache {
         let pool = |activated: &Matrix| -> Matrix {
@@ -1626,7 +1616,7 @@ mod tests {
     }
 
     /// The training step of the parent commit, written out from primitives — what the
-    /// packed, strided and fused kernels of `train_batch` must reproduce bit for bit:
+    /// packed, strided and fused kernels of the training loop's step must reproduce bit for bit:
     /// features scanned back out of dense one-hot rows, every dense backward product as an
     /// explicit `transpose()` + `matmul` + `add_assign` into a freshly zeroed set per shard,
     /// `reduce_gradients` in canonical order, and an Adam loop that stores what it computes,

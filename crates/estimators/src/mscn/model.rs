@@ -54,8 +54,6 @@ mod grad_index {
     pub const OUT1_B: usize = OUT1_W + 1;
     pub const OUT2_W: usize = OUT1_W + 2;
     pub const OUT2_B: usize = OUT1_W + 3;
-    /// Total tensor count.
-    pub const TOTAL: usize = OUT1_W + 4;
 }
 
 /// A per-element two-layer MLP followed by average pooling — one per query set.
@@ -144,14 +142,6 @@ impl SetModule {
         relu_backward_in_place(&cache.a1, &mut grad_z1);
         // `l1` is an input layer over one-hot rows: CSR weight gradients, no dL/dx.
         Dense::accumulate_ragged_weights_only(&cache.input, &grad_z1, grad_w1, grad_b1);
-    }
-
-    /// The `(rows, cols)` shapes of the module's parameters in gradient order.
-    fn grad_shapes(&self) -> Vec<(usize, usize)> {
-        let mut shapes = Vec::with_capacity(grad_index::PER_MODULE);
-        shapes.extend(self.l1.grad_shapes());
-        shapes.extend(self.l2.grad_shapes());
-        shapes
     }
 
     fn num_params(&self) -> usize {
@@ -504,36 +494,30 @@ impl Trainable for MscnModel {
     }
 
     fn gradient_shapes(&self) -> Vec<(usize, usize)> {
-        let mut shapes = Vec::with_capacity(grad_index::TOTAL);
-        shapes.extend(self.table_module.grad_shapes());
-        shapes.extend(self.join_module.grad_shapes());
-        shapes.extend(self.predicate_module.grad_shapes());
-        shapes.extend(self.out1.grad_shapes());
-        shapes.extend(self.out2.grad_shapes());
-        shapes
+        let modules = [
+            &self.table_module,
+            &self.join_module,
+            &self.predicate_module,
+        ];
+        let layers = modules
+            .into_iter()
+            .flat_map(|module| [&module.l1, &module.l2]);
+        let layers = layers.chain([&self.out1, &self.out2]);
+        layers.flat_map(Dense::grad_shapes).collect()
     }
 
     /// All trainable parameters in `grad_index` order.
     fn params_vec_mut(&mut self) -> Vec<&mut Param> {
-        // Destructure so the borrow checker sees disjoint mutable borrows per field.
-        let MscnModel {
-            table_module,
-            join_module,
-            predicate_module,
-            out1,
-            out2,
-            ..
-        } = self;
-        let mut all = Vec::new();
-        all.extend(table_module.l1.params_mut());
-        all.extend(table_module.l2.params_mut());
-        all.extend(join_module.l1.params_mut());
-        all.extend(join_module.l2.params_mut());
-        all.extend(predicate_module.l1.params_mut());
-        all.extend(predicate_module.l2.params_mut());
-        all.extend(out1.params_mut());
-        all.extend(out2.params_mut());
-        all
+        let modules = [
+            &mut self.table_module,
+            &mut self.join_module,
+            &mut self.predicate_module,
+        ];
+        let layers = modules
+            .into_iter()
+            .flat_map(|module| [&mut module.l1, &mut module.l2]);
+        let layers = layers.chain([&mut self.out1, &mut self.out2]);
+        layers.flat_map(Dense::params_mut).collect()
     }
 }
 
@@ -552,7 +536,7 @@ struct SetCache {
 #[cfg(test)]
 impl SetModule {
     /// Seed-faithful per-query forward pass (the pre-batching implementation, kept as the
-    /// baseline for the parity tests and benchmarks).
+    /// baseline for the parity tests).
     fn forward_reference(&self, input: &Matrix) -> SetCache {
         if input.rows() == 0 {
             // Empty set: the pooled representation is all zeros.
@@ -615,8 +599,7 @@ struct ReferenceForwardCache {
 #[cfg(test)]
 impl MscnModel {
     /// Seed-faithful single-query forward pass: the pre-batching implementation, kept as the
-    /// baseline for the parity tests and criterion benchmarks (see
-    /// [`SetModule::forward_reference`]).
+    /// baseline for the parity tests (see [`SetModule::forward_reference`]).
     fn forward_reference(&self, features: &MscnFeatures) -> ReferenceForwardCache {
         let tables = self.table_module.forward_reference(&features.tables);
         let joins = self.join_module.forward_reference(&features.joins);

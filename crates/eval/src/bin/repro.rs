@@ -33,10 +33,11 @@
 //! is verified bit-for-bit against sequential serving and any violated gate exits non-zero
 //! (`repro serve --help` has the parameter-selection guidance).
 //!
-//! Experiment ids are the ones listed in DESIGN.md (`table2`–`table15`, `fig3`–`fig13`,
-//! `ablation_crn`, `ablation_final_fn`).  The output is the same set of rows/series the paper
-//! reports; absolute numbers differ (different database instance and scale), the *shape* is
-//! what should be compared.
+//! Experiment ids are the ones `repro list` prints (`ALL_EXPERIMENTS`: `table2`–`table15`,
+//! `fig3`–`fig13`, `ablation_crn`, `ablation_final_fn`).  The output is the same set of
+//! rows/series the paper reports; absolute numbers differ (different database instance and
+//! scale), the *shape* is what should be compared.  `crates/eval/tests/tiny_reproduction.md`
+//! is the tiny preset's `repro all --deterministic --markdown` report, pinned by a test.
 
 use crn_eval::{
     run_experiment, run_serve_demo, ExperimentConfig, ExperimentContext, ServeDemoConfig,

@@ -2,8 +2,9 @@
 //!
 //! Every experiment produces an [`ExperimentReport`]: a title referencing the paper artifact
 //! (e.g. "Table 7 / Figure 10"), a set of named rows and free-form notes.  The same structure
-//! renders as an aligned console table (for the `repro` binary) and as Markdown (for
-//! `EXPERIMENTS.md`).
+//! renders as an aligned console table (for the `repro` binary) and as Markdown (`repro
+//! --markdown`; the tiny preset's report is checked in as
+//! `crates/eval/tests/tiny_reproduction.md`).
 
 use crate::metrics::QErrorSummary;
 use serde::{Deserialize, Serialize};

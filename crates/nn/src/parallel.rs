@@ -231,7 +231,7 @@ where
 /// [`run_sharded`] spawns fresh `std::thread::scope` workers per call, which is fine for a
 /// handful of epoch-level calls but measurably not for per-mini-batch or per-query work: at
 /// PR 2's scale the spawn/join overhead was +24% of a small-batch training epoch.  Training
-/// (`CrnModel::fit` / `MscnModel::fit`) and the Cnt2Crd serving layer therefore take a
+/// (the one loop of [`crate::train`]) and the Cnt2Crd serving layer therefore take a
 /// `WorkerPool` handle — obtained once via [`WorkerPool::shared`] — and submit every
 /// mini-batch and every per-shard serving job to the same long-lived workers.
 ///

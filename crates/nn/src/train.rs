@@ -3,10 +3,10 @@
 //! Both models train the same way — Adam, mini-batches, early stopping on a validation split
 //! (§3.3: "we use the early stopping technique and stop the training before convergence to
 //! avoid over-fitting") — and the paper's CRN-vs-MSCN comparison is fair because they do
-//! (§4.1.2).  So the loop exists once, here, generic over [`Trainable`]: the few things in
-//! which the two models differ (featurizing a sample, a shard's forward pass, loss and
+//! (§4.1.2).  So the loop exists once, here, generic over [`Trainable`] — the few things in
+//! which the two models differ: featurizing a sample, a shard's forward pass, losses and
 //! backward pass, a validation chunk's predictions, the weights the backward pass multiplies
-//! by, the parameters in gradient order).
+//! by, and the parameters in gradient order.
 //!
 //! The loop owns everything else: featurization on the worker pool, the train/validation
 //! split and seeded shuffling, sharding each mini-batch over [`ShardGradients`] and applying
@@ -369,19 +369,11 @@ pub trait Trainable: Clone + Sync {
 /// per-epoch history (Figures 3 and 4).
 pub fn fit<M: Trainable>(model: &mut M, samples: &[M::Sample]) -> TrainingHistory {
     let config = model.config();
-    let (train, validation) =
-        train_validation_split(samples.len(), config.validation_fraction, config.seed);
+    let split = train_validation_split(samples.len(), config.validation_fraction, config.seed);
     let mut adam = Adam::new(config.learning_rate);
+    let epochs = config.epochs;
     let shuffle_seed = config.seed.wrapping_add(M::SHUFFLE_SEED_OFFSET);
-    let schedule = Schedule {
-        train,
-        validation,
-        epochs: config.epochs,
-        adam: &mut adam,
-        shuffle_seed,
-        select_best: true,
-    };
-    run(model, samples, schedule)
+    run(model, samples, &mut adam, epochs, shuffle_seed, Some(split))
 }
 
 /// Fine-tunes `model` on `samples` for exactly `epochs` epochs of the whole corpus,
@@ -399,19 +391,9 @@ pub fn fit_incremental<M: Trainable>(
     if samples.is_empty() || epochs == 0 {
         return TrainingHistory::default();
     }
-    let shuffle_seed = model
-        .config()
-        .seed
-        .wrapping_add(adam.step_count.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let schedule = Schedule {
-        train: (0..samples.len()).collect(),
-        validation: Vec::new(),
-        epochs,
-        adam,
-        shuffle_seed,
-        select_best: false,
-    };
-    run(model, samples, schedule)
+    let step_seed = adam.step_count.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let shuffle_seed = model.config().seed.wrapping_add(step_seed);
+    run(model, samples, adam, epochs, shuffle_seed, None)
 }
 
 /// The mean q-error of `model` over the validation split [`fit`] makes of `samples`,
@@ -432,45 +414,27 @@ pub fn batch_gradients<M: Trainable>(model: &M, samples: &[M::Sample]) -> (Vec<f
     let mut scratch = Scratch::new(model);
     let batch: Vec<usize> = (0..samples.len()).collect();
     let (losses, shard_count) = scratch.run_shards(model, &corpus, &batch);
-    let sets = scratch
-        .shards
-        .sets(shard_count)
-        .into_iter()
-        .cloned()
-        .collect();
+    let sets = scratch.shards.sets(shard_count).into_iter().cloned();
     let deterministic = model.config().parallel.deterministic;
-    let merged = reduce_gradients(sets, deterministic).expect("at least one shard");
+    let merged = reduce_gradients(sets.collect(), deterministic).expect("at least one shard");
     (losses, merged)
 }
 
-/// One run of the loop: which samples train and validate, for how long, from which
-/// optimizer state.
-struct Schedule<'a> {
-    train: Vec<usize>,
-    /// Empty: every epoch's validation metric is its mean training loss.
-    validation: Vec<usize>,
-    epochs: usize,
-    adam: &'a mut Adam,
-    shuffle_seed: u64,
-    /// Early stopping with the config's patience and the best epoch's model restored;
-    /// otherwise neither.
-    select_best: bool,
-}
-
-/// The training loop, on either schedule.
+/// The training loop: `epochs` epochs of `adam` steps over mini-batches shuffled from
+/// `shuffle_seed`.  `split` is [`fit`]'s `(train, validation)` split, with early stopping on
+/// the config's patience and the best epoch's model restored; without one
+/// ([`fit_incremental`]) every sample trains, each epoch's validation metric is its mean
+/// training loss, and the last epoch's model is kept.
 fn run<M: Trainable>(
     model: &mut M,
     samples: &[M::Sample],
-    schedule: Schedule<'_>,
+    adam: &mut Adam,
+    epochs: usize,
+    shuffle_seed: u64,
+    split: Option<(Vec<usize>, Vec<usize>)>,
 ) -> TrainingHistory {
-    let Schedule {
-        train,
-        validation,
-        epochs,
-        adam,
-        shuffle_seed,
-        select_best,
-    } = schedule;
+    let select_best = split.is_some();
+    let (train, validation) = split.unwrap_or_else(|| ((0..samples.len()).collect(), Vec::new()));
     let config = model.config().clone();
     let corpus = Corpus::new(&*model, samples);
     let mut scratch = Scratch::new(&*model);
@@ -604,10 +568,8 @@ impl Scratch {
         }
         let Scratch { panels, shards } = &*self;
         let batch_scale = 1.0 / batch.len() as f32;
-        let ranges = shard_ranges(
-            batch.len(),
-            model.config().parallel.shard_count(batch.len()),
-        );
+        let parallel = model.config().parallel;
+        let ranges = shard_ranges(batch.len(), parallel.shard_count(batch.len()));
         let losses = corpus.workers.run_sharded(ranges.len(), |shard| {
             model.train_shard(
                 panels,
