@@ -174,8 +174,8 @@ impl ServeStats {
 
     /// Folds another call's stats into this one: counters and timings add, while
     /// `shards`/`pool_entries` take the other call's values (they describe the latest
-    /// snapshot, not a running total).  This is how multi-batch drivers — `repro serve`
-    /// and the async runtime's scheduler — aggregate a whole run's serving profile.
+    /// snapshot, not a running total).  This is how the async runtime's scheduler
+    /// aggregates a whole run's serving profile.
     pub fn accumulate(&mut self, other: &ServeStats) {
         self.queries += other.queries;
         self.groups += other.groups;
@@ -191,28 +191,6 @@ impl ServeStats {
         self.shards = other.shards;
         self.pool_entries = other.pool_entries;
         self.model_version = other.model_version;
-    }
-
-    /// One-line human-readable rendering (used by `repro serve`).
-    pub fn render(&self) -> String {
-        format!(
-            "{} queries in {} groups over {} shards ({} entries, model v{}): {} work items, \
-             {} pool hits, {} fallbacks | snapshot {:.1?} group {:.1?} compute {:.1?} \
-             merge {:.1?} total {:.1?}",
-            self.queries,
-            self.groups,
-            self.shards,
-            self.pool_entries,
-            self.model_version,
-            self.work_items,
-            self.pool_hits,
-            self.fallbacks,
-            self.snapshot_time,
-            self.group_time,
-            self.compute_time,
-            self.merge_time,
-            self.total_time,
-        )
     }
 }
 
@@ -797,7 +775,6 @@ mod tests {
         let expected_fallback = PostgresEstimator::analyze(&db).estimate(&queries[2]);
         assert_eq!(response.estimates[2], expected_fallback);
         assert!(stats.total_time >= stats.compute_time);
-        assert!(stats.render().contains("3 queries in 2 groups"));
         // Single-query convenience agrees with the batch path.
         assert_eq!(service.estimate_one(&queries[0]), response.estimates[0]);
         // An empty slice is a no-op.

@@ -7,16 +7,16 @@
 //! * [`harness`] — the shared [`harness::ExperimentContext`]: database, training corpora,
 //!   trained CRN/MSCN models, the PostgreSQL baseline and the queries pool;
 //! * [`experiments`] — one runner per paper table/figure plus ablations;
-//! * [`serve`] — the `repro serve` scenario driver: a backend (in-process service or cluster
-//!   coordinator) under a load shape (direct `serve` calls, closed-loop callers through the
-//!   async runtime, or the pool-scale arms), with a bit-parity tripwire against sequential
-//!   serving and one machine-readable record per measured configuration.
+//! * [`serve`] — the `repro serve` startup check: every serving backend (the in-process
+//!   service, the async runtime over it, the runtime over forked cluster workers) is
+//!   bit-identical to sequential serving.  `benchmark/` drives and times serving load.
 //!
 //! The `repro` binary drives everything:
 //!
 //! ```text
 //! cargo run --release -p crn-eval --bin repro -- all --preset small
 //! cargo run --release -p crn-eval --bin repro -- table7 table13 --preset tiny
+//! cargo run --release -p crn-eval --bin repro -- serve --preset tiny --cluster 2
 //! ```
 
 #![warn(missing_docs)]
@@ -35,5 +35,5 @@ pub use harness::{ExperimentConfig, ExperimentContext};
 pub use metrics::{ModelErrors, QErrorSummary};
 pub use plot::{render_box_plots, BoxStats};
 pub use report::ExperimentReport;
-pub use serve::{run_serve_demo, BenchRecord, BenchSummary, ServeDemoConfig};
+pub use serve::{check_serving_parity, ServeCheckConfig};
 pub use workloads::{PairWorkload, Workload, WorkloadSizes};

@@ -225,8 +225,8 @@ fn parse_count(fragment: &str, text: &str) -> Result<u64, FaultPlanError> {
     Ok(count)
 }
 
-/// One fault that actually fired (the injector's audit log, reported in
-/// `BENCH_chaos.json`).
+/// One fault that actually fired (an entry of the injector's audit log,
+/// [`FaultInjector::fired`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FiredFault {
     /// Where it fired.

@@ -172,7 +172,7 @@ pub struct RuntimeConfig {
 }
 
 impl Default for RuntimeConfig {
-    /// Defaults matching the CI smoke: depth 64, no per-caller cap beyond the depth,
+    /// Defaults: depth 64, no per-caller cap beyond the depth,
     /// batches of at most 32 closing after 100µs, maintenance lane of 1024, no request
     /// deadline, 3 restarts / 60 s supervision budget, checkpointing off, class shares
     /// off (batch-class window 2ms when a batch caller registers), estimate cache off.
@@ -197,7 +197,7 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Sets the batching window from microseconds (the `--batch-window-us` CLI unit).
+    /// Sets the batching window from microseconds.
     pub fn with_window_us(mut self, micros: u64) -> Self {
         self.batch_window = Duration::from_micros(micros);
         self
@@ -229,8 +229,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the default per-request deadline from microseconds (the `--deadline-us` CLI
-    /// unit).
+    /// Sets the default per-request deadline from microseconds.
     pub fn with_deadline_us(mut self, micros: u64) -> Self {
         self.default_deadline = Some(Duration::from_micros(micros));
         self
@@ -249,14 +248,13 @@ impl RuntimeConfig {
     }
 
     /// Sets the background pool-compaction cadence in applied maintenance records
-    /// (the `--compact-every` CLI unit; 0 disables).
+    /// (0 disables).
     pub fn with_compact_every(mut self, records: u64) -> Self {
         self.compact_every = records;
         self
     }
 
-    /// Sets one class's batching window from microseconds (the `--class-window-us` CLI
-    /// unit); 0 makes the class inherit [`batch_window`](RuntimeConfig::batch_window).
+    /// Sets one class's batching window from microseconds; 0 makes the class inherit [`batch_window`](RuntimeConfig::batch_window).
     pub fn with_class_window_us(mut self, class: SloClass, micros: u64) -> Self {
         self.class_windows[class.index()] = if micros == 0 {
             None

@@ -149,7 +149,7 @@ impl Supervisor {
             .map_or(0, |state| state.panics)
     }
 
-    /// Restarts granted across all lanes (the "recoveries" figure of `BENCH_chaos.json`).
+    /// Restarts granted across all lanes.
     pub fn total_restarts(&self) -> u64 {
         lock_ignoring_poison(&self.lanes)
             .values()
