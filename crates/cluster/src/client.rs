@@ -31,7 +31,7 @@
 //! on that worker's own anchors, and applies the refresh tier's gate rule
 //! ([`crn_online::gate_accepts`]).  Only an accepted candidate is staged + swapped
 //! fleet-wide under a new version.  Rollout and serving share one lock, and every
-//! [`EvalRequest`](crate::wire::EvalRequest) carries the version it must be served
+//! [`EvalRequest`] carries the version it must be served
 //! under (workers refuse mismatches), so a batch can never blend model generations.
 
 use crate::wire::{

@@ -4,7 +4,7 @@
 //!
 //! A worker is deliberately dumb: it holds no routing knowledge, makes no gate
 //! decisions, and never folds entry lists into estimates — it applies whatever
-//! [`Assignment`](crate::wire::Assignment) the coordinator ships, answers
+//! [`Assignment`] the coordinator ships, answers
 //! [`EvalRequest`](crate::wire::EvalRequest)s with raw per-shard entry-estimate lists,
 //! and mirrors probe traffic through live + staged models when asked to play canary.
 //! All policy (canonical-order merging, degradation, canary verdicts, reconnect
@@ -20,7 +20,7 @@
 //!
 //! Version discipline: an [`EvalRequest`](crate::wire::EvalRequest) carries the fleet
 //! model version it must be served under.  A worker whose live version differs (e.g. a
-//! swap raced a scatter) answers [`ErrorReply`](crate::wire::ErrorReply) rather than
+//! swap raced a scatter) answers [`ErrorReply`] rather than
 //! serving — a mixed fleet can degrade a batch, but can never silently blend model
 //! generations inside one batch.
 

@@ -650,7 +650,7 @@ impl ContainmentEstimator for CrnModel {
         self.predict(q1, q2)
     }
 
-    /// Fused group serving (see [`CrnModel::serve_group_against_encodings`]) against the
+    /// Fused group serving (see `CrnModel::serve_group_against_encodings`) against the
     /// prepared anchor encodings — or, without usable prepared state, against encodings
     /// built here by the same function, so both ways are bit-identical.
     fn predict_group(

@@ -501,7 +501,7 @@ impl PoolShard {
         self.rebuild_hash_index();
     }
 
-    /// The `k` same-FROM anchors most similar to the query, ranked by [`rank_order`]
+    /// The `k` same-FROM anchors most similar to the query, ranked by `rank_order`
     /// (score descending, ties by anchor `Ord`).  With fewer than `k` matching anchors this
     /// is a ranked permutation of [`PoolShard::matching`]; `k == 0` selects nothing.
     pub fn matching_top_k<'a>(&'a self, query: &Query, k: usize) -> Vec<(u64, &'a PoolEntry)> {

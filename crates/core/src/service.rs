@@ -352,7 +352,7 @@ impl<M: ContainmentEstimator + Send + Sync> EstimatorService<M> {
         self
     }
 
-    /// The service's name ("EstimatorService(<model>)").
+    /// The service's name (`"EstimatorService(<model>)"`).
     pub fn name(&self) -> &str {
         &self.name
     }

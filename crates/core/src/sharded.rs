@@ -272,7 +272,7 @@ impl ShardedPool {
     /// (duplicates keep the first recorded cardinality, exactly like the single-owner pool).
     ///
     /// Copy-on-write: clones the target shard and mutates the clone **outside** the
-    /// snapshot lock (writers are serialized by [`ShardedPool::writer`], so the snapshot
+    /// snapshot lock (writers are serialized by the pool's `writer` lock, so the snapshot
     /// cannot change under us), then swaps in a new snapshot sharing the `N − 1` untouched
     /// shards — readers only ever wait for the pointer swap.
     pub fn insert(&self, query: Query, cardinality: u64) -> bool {
@@ -378,7 +378,7 @@ impl ShardedPool {
     /// unrelated, and shard-local compaction would leave every cross-shard duplicate
     /// group resident forever.  The scan reads the shared snapshot without cloning;
     /// only shards that actually lose an entry are cloned, filtered
-    /// ([`PoolShard::retain_queries`]) and re-versioned, and all of them publish as a
+    /// (`PoolShard::retain_queries`) and re-versioned, and all of them publish as a
     /// **single** successor snapshot.
     pub fn compact(&self) -> usize {
         let _writer = self.writer.lock();

@@ -5,7 +5,7 @@
 //! * [`value`] — scalar values, data types and predicate comparison operators;
 //! * [`schema`] — tables, columns, foreign keys and the join graph, including the global
 //!   table/column numbering that the paper's featurization (Table 1) relies on;
-//! * [`column`] / [`table`] / [`database`] — an in-memory columnar storage engine;
+//! * [`column`](mod@column) / [`table`] / [`database`] — an in-memory columnar storage engine;
 //! * [`dist`] — skewed random distributions (Zipf, geometric, categorical);
 //! * [`imdb`] — a synthetic IMDb-like database over the JOB-light schema, with the skew and
 //!   join-crossing correlations that make cardinality estimation hard (paper §1, §3.1.1).

@@ -96,7 +96,7 @@ fn prom_name(raw: &str) -> String {
 }
 
 /// A one-shot Prometheus-text rendering of a snapshot. Histograms expose `_count`,
-/// `_p50`, `_p99` and `_max` gauges (log₂-bucket summaries, not native histograms —
+/// `_p50`, `_p99` and `_max` gauges (log-linear-bucket summaries, not native histograms —
 /// the bucket layout is fixed and the quantiles are what the benchmarks consume).
 pub fn render_prometheus(snapshot: &Snapshot) -> String {
     let mut out = String::with_capacity(512);

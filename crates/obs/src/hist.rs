@@ -1,16 +1,21 @@
-//! Fixed-bucket log₂ latency histograms with per-thread shards.
+//! Fixed-bucket log-linear latency histograms with per-thread shards.
 //!
 //! The hot path is a single relaxed `fetch_add` on a shard picked by a thread-local
 //! slot, so concurrent recorders never contend on a cache line. Shards are merged only
-//! at snapshot time. Buckets are powers of two: bucket 0 holds the value 0 and bucket
-//! `k ≥ 1` covers `[2^(k-1), 2^k - 1]`, so a quantile read off the histogram is within
-//! one bucket (a factor of two) of the exact sorted-oracle value.
+//! at snapshot time. Buckets are log-linear: each value below 16 has a bucket of its
+//! own, and above that every power-of-two octave `[2^k, 2^(k+1))` is cut into 16 equal
+//! linear sub-buckets, so a bucket is at most 1/16 as wide as its lower bound and a
+//! quantile read off the histogram is within 6.25 % of the exact sorted-oracle value.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Number of log₂ buckets: one for 0 plus one per bit position of a `u64`.
-pub const BUCKETS: usize = 65;
+/// log₂ of the number of linear sub-buckets per octave (and of the exact-bucket count).
+const SUB_BITS: u32 = 4;
+
+/// Number of buckets: 16 exact ones for 0–15, then 16 sub-buckets for each of the 60
+/// octaves `[2^k, 2^(k+1))`, `k = 4..=63`, that make up the rest of a `u64`.
+pub const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 
 static THREAD_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -30,28 +35,23 @@ fn thread_slot() -> usize {
     })
 }
 
-/// The log₂ bucket a value lands in: 0 for 0, else `64 - leading_zeros`.
+/// The bucket a value lands in: `16 · shift + (value >> shift)`, where `shift` keeps the
+/// value's top five bits (its leading 1, then the 16-way sub-bucket) — so below 32,
+/// where `shift` is 0, the value itself.
 pub fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
+    let shift = (63 - (value | 1).leading_zeros()).saturating_sub(SUB_BITS);
+    ((shift as usize) << SUB_BITS) + (value >> shift) as usize
 }
 
 /// The inclusive `[lower, upper]` value range of a bucket.
 pub fn bucket_bounds(index: usize) -> (u64, u64) {
-    if index == 0 {
-        (0, 0)
-    } else {
-        let lower = 1u64 << (index - 1);
-        let upper = if index >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << index) - 1
-        };
-        (lower, upper)
+    let sub = 1usize << SUB_BITS;
+    if index < sub {
+        return (index as u64, index as u64);
     }
+    let shift = index / sub - 1;
+    let lower = ((index % sub + sub) as u64) << shift;
+    (lower, lower + ((1u64 << shift) - 1))
 }
 
 struct Shard {
@@ -66,8 +66,8 @@ impl Shard {
     }
 }
 
-/// A concurrent log₂ histogram. Recording is one relaxed atomic add on a per-thread
-/// shard; reads merge the shards.
+/// A concurrent log-linear histogram. Recording is one relaxed atomic add on a
+/// per-thread shard; reads merge the shards.
 pub struct Hist {
     shards: Box<[Shard]>,
 }

@@ -3,8 +3,8 @@
 //! A dependency-free metrics + tracing layer threaded through `crn-core`, `crn-serve`,
 //! `crn-online` and `crn-eval`:
 //!
-//! - **Metrics registry** — named counters, gauges and fixed-bucket log₂ latency
-//!   histograms ([`hist`]); histogram recording is one relaxed atomic add on a
+//! - **Metrics registry** — named counters, gauges and fixed-bucket log-linear
+//!   latency histograms ([`hist`]); histogram recording is one relaxed atomic add on a
 //!   per-thread shard, merged only at snapshot time.
 //! - **Per-request spans** ([`span`]) — a trace ID minted at `submit`, carried through
 //!   the ticket, with queue-wait / batch-wait / cache-probe / shard-compute / merge

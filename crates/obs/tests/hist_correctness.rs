@@ -20,18 +20,49 @@ fn sorted_oracle(samples: &mut [u64], fraction: f64) -> u64 {
 }
 
 #[test]
-fn bucket_layout_is_log2() {
-    assert_eq!(bucket_index(0), 0);
-    assert_eq!(bucket_index(1), 1);
-    assert_eq!(bucket_index(2), 2);
-    assert_eq!(bucket_index(3), 2);
-    assert_eq!(bucket_index(4), 3);
-    assert_eq!(bucket_index(u64::MAX), 64);
+fn bucket_layout_is_log_linear() {
+    // Values below 16 are exact.
+    for value in 0..16u64 {
+        assert_eq!(bucket_index(value), value as usize);
+    }
+    // The octave [16, 32) is still one value per bucket; from 32 on, a bucket spans
+    // 2^(octave − 4) values.
+    assert_eq!(bucket_index(31), 31);
+    assert_eq!(bucket_index(32), 32);
+    assert_eq!(bucket_index(33), 32);
+    assert_eq!(bucket_index(34), 33);
+    assert_eq!(bucket_index(63), 47);
+    assert_eq!(bucket_index(64), 48);
+    assert_eq!(bucket_bounds(bucket_index(100)), (100, 103));
+    assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+    // The buckets tile the whole u64 range in order, each round-tripping.
+    assert_eq!(bucket_bounds(0).0, 0);
+    assert_eq!(bucket_bounds(BUCKETS - 1).1, u64::MAX);
     for index in 0..BUCKETS {
         let (lower, upper) = bucket_bounds(index);
         assert!(lower <= upper);
         assert_eq!(bucket_index(lower), index);
         assert_eq!(bucket_index(upper), index);
+        if index + 1 < BUCKETS {
+            assert_eq!(
+                bucket_bounds(index + 1).0,
+                upper + 1,
+                "gap after bucket {index}"
+            );
+        }
+    }
+}
+
+#[test]
+fn buckets_from_16_up_are_at_most_a_sixteenth_wide() {
+    // upper ≤ lower · 17/16: a quantile's bucket upper bound overstates the exact value
+    // by at most 6.25 %.
+    for index in 16..BUCKETS {
+        let (lower, upper) = bucket_bounds(index);
+        assert!(
+            u128::from(upper) * 16 <= u128::from(lower) * 17,
+            "bucket {index} [{lower}, {upper}] is wider than 1/16 of its lower bound"
+        );
     }
 }
 
@@ -44,7 +75,7 @@ fn exact_counts_under_manual_clock() {
     let clock = Arc::new(ManualClock::new());
     let obs = Obs::with_clock(ObsConfig::enabled().with_hist_shards(1), clock.clone());
     let hist = obs.hist("test.duration_us");
-    for step in [0u64, 1, 1, 3, 100, 100, 4096] {
+    for step in [0u64, 1, 1, 3, 100, 103, 4096] {
         clock.set(0);
         let start = clock.now_us();
         clock.advance(step);

@@ -1,7 +1,7 @@
 //! The refresh controller: feedback intake, fine-tune trigger, validation gate, hot swap.
 //!
 //! One [`RefreshController`] sits between the serving runtime's maintenance lane (it is
-//! the runtime's [`FeedbackObserver`]) and the live [`EstimatorService`].  Intake is
+//! the runtime's [`FeedbackObserver`](crn_serve::FeedbackObserver)) and the live [`EstimatorService`].  Intake is
 //! cheap and lock-scoped (the maintenance thread must never stall on training); the
 //! expensive refresh cycle — labelling, warm-start fine-tune, probe-set gate — runs on
 //! whichever thread calls [`RefreshController::refresh_if_needed`]: a driver at its own

@@ -100,7 +100,7 @@ impl std::fmt::Debug for EstimateCache {
 
 impl EstimateCache {
     /// A cache bounded at `entries` total entries (≥ 1), spread over up to
-    /// [`CACHE_SHARDS`] shards; per-shard capacities sum to exactly `entries`.  Small
+    /// `CACHE_SHARDS` shards; per-shard capacities sum to exactly `entries`.  Small
     /// caches collapse to fewer shards so every shard keeps a useful LRU depth.
     pub fn new(entries: usize) -> Self {
         let entries = entries.max(1);

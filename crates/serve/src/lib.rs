@@ -40,7 +40,8 @@
 //! Callers register an [`SloClass`] ([`ServeRuntime::register_caller`]):
 //! latency-sensitive `Interactive` traffic and throughput-oriented `Batch` traffic
 //! queue in separate lanes, each with its **own batching window**
-//! ([`RuntimeConfig::class_windows`] — interactive ≈ 100µs, batch ≈ multi-ms) and a
+//! ([`RuntimeConfig::class_windows`] — interactive zero by default, served as soon as
+//! the scheduler is free; batch ≈ multi-ms) and a
 //! **weighted share of the queue depth** ([`RuntimeConfig::class_weights`]), and the
 //! scheduler always closes the most urgent eligible class's batch first.  Weighted
 //! admission caps how much of the queue batch/replay floods can occupy, so they can

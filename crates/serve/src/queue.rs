@@ -1,6 +1,6 @@
 //! The bounded MPSC submission queue and its admission control.
 //!
-//! Submitters push [`Request`]s under a mutex; the single scheduler thread pops batches.
+//! Submitters push `Request`s under a mutex; the single scheduler thread pops batches.
 //! Admission is *load-shedding*, never blocking: a submission against a full queue (or a
 //! caller already at its fairness quota, or a class at its weighted share) returns
 //! [`SubmitError::Overloaded`] immediately, so an overload surfaces as explicit
@@ -22,8 +22,8 @@ use std::time::Instant;
 /// The latency SLO class a caller registers for (see
 /// [`ServeRuntime::register_caller`](crate::ServeRuntime::register_caller)).
 ///
-/// Each class gets its **own batching window** (interactive ≈ 100µs — latency first;
-/// batch ≈ multi-ms — fusion first) and its **own weighted share of the queue depth**
+/// Each class gets its **own batching window** (interactive zero by default — served as
+/// soon as the scheduler is free, latency first; batch ≈ multi-ms — fusion first) and its **own weighted share of the queue depth**
 /// ([`RuntimeConfig::class_weights`](crate::RuntimeConfig::class_weights)), and the
 /// scheduler always closes the most urgent eligible class's batch first.  Extensible:
 /// everything downstream indexes [`SloClass::ALL`], so adding a class is adding a

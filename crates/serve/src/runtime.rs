@@ -9,7 +9,10 @@
 //!      and the clock: a class lane at the size threshold
 //!      ([`RuntimeConfig::batch_max`]) closes first, then (at shutdown) the drain, then
 //!      the most urgent lane whose window ([`RuntimeConfig::class_window`], measured from
-//!      its oldest request) expired; otherwise the scheduler sleeps until that deadline;
+//!      its oldest request) expired; otherwise the scheduler sleeps until that deadline.
+//!      A zero-window lane — the interactive default — is always expired, so it closes
+//!      the moment the scheduler is free, with whatever queued while the previous batch
+//!      ran (work-conserving: an idle scheduler never holds a request);
 //!   2. **pop** — sheds queued requests whose deadline passed (tickets resolve
 //!      [`Expired`](crate::TicketError::Expired)), then pops the batch;
 //!   3. **coalesce** — folds duplicate queries into one row each;
@@ -113,8 +116,19 @@ pub struct RuntimeConfig {
     /// window for it would be pure dead latency.
     pub batch_max: usize,
     /// Time window closing a batch: measured from the *oldest* pending request, so no
-    /// admitted request waits in the queue longer than this before its batch executes
-    /// (zero serves whatever has accumulated the moment the scheduler wakes).
+    /// admitted request waits in the queue longer than this before its batch executes.
+    /// It is the interactive lane's window unless
+    /// [`class_windows`](RuntimeConfig::class_windows) overrides it.
+    ///
+    /// Zero (the default) is work-conserving: the scheduler serves whatever has
+    /// accumulated the moment it is free, so a request arriving at an idle scheduler
+    /// executes at once, and a batch is whatever queued while the previous batch ran.
+    /// A positive window only adds waiting at an idle scheduler (plus the timer's slack
+    /// on top of the window itself), while closed-loop callers fuse anyway behind the
+    /// batch in flight.  The trade-off is open-loop fusion: a burst arriving at an idle
+    /// scheduler splits across about two batches instead of one, at a few percent more
+    /// CPU per request.  A window ([`with_window_us`](RuntimeConfig::with_window_us))
+    /// buys that fusion back with latency.
     pub batch_window: Duration,
     /// Bound on queued maintenance records; feedback against a full lane is shed (serving
     /// traffic is never displaced by maintenance).
@@ -138,9 +152,9 @@ pub struct RuntimeConfig {
     pub compact_every: u64,
     /// Per-class batching windows, indexed by [`SloClass::index`]; `None` inherits
     /// [`batch_window`](RuntimeConfig::batch_window).  Defaults: `Interactive` inherits
-    /// (≈ 100µs — latency first), `Batch` gets 2ms (fusion first).  Unregistered callers
-    /// are `Interactive`, so a runtime that never registers a `Batch` caller behaves
-    /// exactly like the single-window runtime.
+    /// (zero — served as soon as the scheduler is free), `Batch` gets 2ms (fusion
+    /// first).  Unregistered callers are `Interactive`, so a runtime that never
+    /// registers a `Batch` caller behaves exactly like the single-window runtime.
     pub class_windows: [Option<Duration>; SloClass::COUNT],
     /// Per-class admission weights, indexed by [`SloClass::index`]: class `c` may hold
     /// at most `ceil(queue_depth · wᶜ / Σw)` pending requests (at least 1), so a class
@@ -173,15 +187,16 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     /// Defaults: depth 64, no per-caller cap beyond the depth,
-    /// batches of at most 32 closing after 100µs, maintenance lane of 1024, no request
-    /// deadline, 3 restarts / 60 s supervision budget, checkpointing off, class shares
-    /// off (batch-class window 2ms when a batch caller registers), estimate cache off.
+    /// batches of at most 32 closing as soon as the scheduler is free (zero window),
+    /// maintenance lane of 1024, no request deadline, 3 restarts / 60 s supervision
+    /// budget, checkpointing off, class shares off (batch-class window 2ms when a batch
+    /// caller registers), estimate cache off.
     fn default() -> Self {
         RuntimeConfig {
             queue_depth: 64,
             per_caller_depth: 64,
             batch_max: 32,
-            batch_window: Duration::from_micros(100),
+            batch_window: Duration::ZERO,
             maintenance_depth: 1024,
             default_deadline: None,
             restart_policy: SupervisorPolicy::default(),
@@ -375,7 +390,9 @@ pub struct RuntimeStats {
     pub batches: u64,
     /// Batches closed by the size threshold.
     pub size_closes: u64,
-    /// Batches closed by the expired window.
+    /// Batches closed by the expired window — including every close of a zero-window
+    /// lane (the interactive default), whose window has expired the moment a request
+    /// is pending.
     pub window_closes: u64,
     /// Batches closed by the shutdown drain.
     pub drain_closes: u64,
@@ -491,10 +508,9 @@ impl RuntimeStats {
     /// the **complete** enumeration the end-of-run summary prints from, so no counter
     /// can silently fall out of reporting.  Booleans render as 0/1; the per-class
     /// queue gauge expands to one entry per [`SloClass`].  The nested
-    /// [`serve`](RuntimeStats::serve) stats are excluded (they have their own
-    /// [`render`](ServeStats::render)); the field-coverage test enforces that every
-    /// *other* field of this struct appears here, so adding a counter without extending
-    /// this list fails the build's tests.
+    /// [`serve`](RuntimeStats::serve) stats are excluded (a [`ServeStats`] of their own);
+    /// the field-coverage test enforces that every *other* field of this struct appears
+    /// here, so adding a counter without extending this list fails the build's tests.
     pub fn counter_fields(&self) -> Vec<(&'static str, u64)> {
         let mut fields = vec![
             ("submitted", self.submitted),
@@ -759,7 +775,8 @@ pub const RETRY_BACKOFF_FLOOR: Duration = Duration::from_micros(50);
 /// Upper bound of the [`RETRY_BACKOFF_FLOOR`] doubling schedule.
 pub const RETRY_BACKOFF_CEIL: Duration = Duration::from_millis(2);
 
-/// The async request-queue serving runtime over an [`EstimatorService`].
+/// The async request-queue serving runtime over a [`ComputeBackend`] (in process, an
+/// [`EstimatorService`](crn_core::EstimatorService)).
 ///
 /// See the [module docs](self) for the execution model and the crate docs for the
 /// bit-parity contract.  The handle is the only owner of the background threads: dropping
@@ -922,8 +939,11 @@ impl<B: ComputeBackend> ServeRuntime<B> {
     /// ([`RuntimeConfig::class_deadline`] — the class's own default, else the base
     /// [`default_deadline`](RuntimeConfig::default_deadline)), if any.
     pub fn submit(&self, caller: u64, query: Query) -> Result<Ticket, SubmitError> {
-        let deadline = self.shared.config.class_deadline(self.caller_class(caller));
-        self.submit_with_deadline(caller, query, deadline)
+        // One class lookup picks both the deadline and the lane: a `register_caller`
+        // racing this submission can then never split them across two classes.
+        let class = self.caller_class(caller);
+        let deadline = self.shared.config.class_deadline(class);
+        self.admit(caller, class, query, deadline)
     }
 
     /// [`submit`](ServeRuntime::submit) with an explicit per-request deadline
@@ -937,10 +957,21 @@ impl<B: ComputeBackend> ServeRuntime<B> {
         query: Query,
         deadline: Option<Duration>,
     ) -> Result<Ticket, SubmitError> {
+        self.admit(caller, self.caller_class(caller), query, deadline)
+    }
+
+    /// The non-blocking admission path of [`submit`](ServeRuntime::submit) and
+    /// [`submit_with_deadline`](ServeRuntime::submit_with_deadline), for a class the
+    /// caller looked up once — outside the queue lock: registration is rare, admission
+    /// is hot.
+    fn admit(
+        &self,
+        caller: u64,
+        class: SloClass,
+        query: Query,
+        deadline: Option<Duration>,
+    ) -> Result<Ticket, SubmitError> {
         let due = deadline.map(|d| Instant::now() + d);
-        // Class lookup happens outside the queue lock: registration is rare, admission
-        // is hot.
-        let class = self.caller_class(caller);
         let admitted = {
             let mut state = lock_ignoring_poison(&self.shared.queue);
             // The degrade transition happens under this lock, so the flag read is
@@ -1368,8 +1399,10 @@ enum CloseDecision {
 /// priority order: a lane holding `batch_max` requests closes by size (lanes in
 /// [`SloClass::ALL`] order); otherwise the most urgent lane — earliest `oldest request +
 /// class window`, ties in `SloClass::ALL` order — closes by drain at shutdown, or by
-/// window once that deadline has passed, or the scheduler waits until it.  Batches are
-/// single-class, so each class keeps its own latency promise.
+/// window once that deadline has passed, or the scheduler waits until it.  A zero-window
+/// lane's deadline is its oldest request's arrival, never in the future, so it closes
+/// the moment the scheduler is free.  Batches are single-class, so each class keeps its
+/// own latency promise.
 fn close_decision(state: &QueueState, config: &RuntimeConfig, now: Instant) -> CloseDecision {
     if let Some(class) = SloClass::ALL
         .into_iter()
@@ -2076,6 +2109,24 @@ mod tests {
         // One below the size threshold still waits.
         let state = queue_with(now, &[(Interactive, 10)]);
         assert_eq!(decide(&state), WaitUntil(now - micros(10) + micros(100)));
+    }
+
+    #[test]
+    fn close_rule_serves_a_default_interactive_lane_at_once() {
+        use CloseDecision::{Close, WaitUntil};
+        use CloseReason::Window;
+        use SloClass::{Batch, Interactive};
+        let (config, now) = (RuntimeConfig::default(), Instant::now());
+        let decide = |state: &QueueState| close_decision(state, &config, now);
+        // A request admitted just now closes at once: no window to wait out.
+        let state = queue_with(now, &[(Interactive, 0)]);
+        assert_eq!(decide(&state), Close(Interactive, Window));
+        // A lone batch request still waits out its class's 2ms fusion window.
+        let state = queue_with(now, &[(Batch, 0)]);
+        assert_eq!(decide(&state), WaitUntil(now + Duration::from_millis(2)));
+        // With both pending — the batch request older — the interactive lane closes first.
+        let state = queue_with(now, &[(Batch, 1_000), (Interactive, 0)]);
+        assert_eq!(decide(&state), Close(Interactive, Window));
     }
 
     #[test]

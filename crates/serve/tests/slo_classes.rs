@@ -93,8 +93,9 @@ fn class_share_math_and_window_inheritance() {
 
 #[test]
 fn interactive_requests_close_before_an_open_batch_window() {
-    // Batch-class traffic batches under a long 300ms window; interactive traffic keeps
-    // the base 100µs window.  An interactive request arriving while a batch request is
+    // Batch-class traffic batches under a long 300ms window; interactive traffic gets a
+    // 100µs base window (the default is zero, which would only make it close sooner).
+    // An interactive request arriving while a batch request is
     // still accumulating must close (and resolve) first — the most-urgent-class-first
     // close decision.
     let runtime = runtime_over(
