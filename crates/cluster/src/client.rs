@@ -536,6 +536,7 @@ impl ClusterClient {
             estimates,
             stats,
             pool_version: snapshot.version(),
+            snapshot,
             degraded: degraded_indices,
         }
     }

@@ -83,7 +83,7 @@ impl WorkerState {
                     config: &self.config,
                     model: &self.model,
                     shards: snapshot.shards(),
-                    cache: Some((cache, self.version, snapshot.shard_versions())),
+                    cache: Some((cache, self.version)),
                 };
                 ShardLists {
                     index: *index,

@@ -160,10 +160,14 @@ impl Default for Cnt2CrdConfig {
 /// Per-`(shard, FROM clause)` anchor serving state built by the model
 /// ([`ContainmentEstimator::prepare_anchors`] — for the CRN model the encoded form of the
 /// anchors, so steady-state serving featurizes only the incoming queries), each slot valid
-/// for one `(model version, pool shard version)` pairing: pool maintenance invalidates
-/// exactly the shards it touched, and a model hot-swap invalidates every slot the old model
-/// encoded (a stale slot would serve old-model anchor encodings through the new model's
-/// head: the stale-cache-after-swap regression test in [`crate::service`] pins this).
+/// for one `(model version, bucket version)` pairing, the bucket version being that
+/// shard's version of the FROM key (see [`PoolSnapshot::from_version`]): pool maintenance
+/// invalidates exactly the buckets it changed, and a model hot-swap invalidates every slot
+/// the old model encoded (a stale slot would serve old-model anchor encodings through the
+/// new model's head: the stale-cache-after-swap regression test in [`crate::service`]
+/// pins this).
+///
+/// [`PoolSnapshot::from_version`]: crate::sharded::PoolSnapshot::from_version
 #[derive(Default)]
 pub struct AnchorCache {
     /// One map per shard, keyed by FROM clause and looked up by `&str`: the steady-state
@@ -172,14 +176,14 @@ pub struct AnchorCache {
 }
 
 struct CachedAnchors {
-    /// `(model version, pool shard version)` the state was built under.
+    /// `(model version, bucket version)` the state was built under.
     versions: (u64, u64),
     state: Option<Arc<dyn Any + Send + Sync>>,
 }
 
 impl AnchorCache {
     /// Returns (building on first use) `model`'s serving state for the anchors of one
-    /// shard's FROM-clause bucket under the given `(model, shard)` versions.
+    /// shard's FROM-clause bucket under the given `(model, bucket)` versions.
     fn get_or_prepare<M: ContainmentEstimator + ?Sized>(
         &self,
         model: &M,
@@ -219,7 +223,7 @@ impl AnchorCache {
         // Replace only a *strictly older* slot: while an old-snapshot evaluation drains
         // concurrently with a new-snapshot one, the old reader must not downgrade the slot
         // the new readers key on (both versions are monotonic, so lexicographic
-        // (model, shard) order is "older").
+        // (model, bucket) order is "older").
         if cached.versions < versions {
             *cached = CachedAnchors {
                 versions,
@@ -268,9 +272,10 @@ pub struct Cnt2CrdCore<'a, M: ?Sized, S> {
     pub model: &'a M,
     /// The pool's shards in canonical order (a single-owner pool is one shard).
     pub shards: &'a [S],
-    /// Reuse of prepared anchor state across evaluations: the cache, the model's version
-    /// and the per-shard pool versions keying it.  `None` prepares nothing ahead.
-    pub cache: Option<(&'a AnchorCache, u64, &'a [u64])>,
+    /// Reuse of prepared anchor state across evaluations: the cache and the model's
+    /// version keying it (with each shard's own bucket version of the FROM key).  `None`
+    /// prepares nothing ahead.
+    pub cache: Option<(&'a AnchorCache, u64)>,
 }
 
 impl<M: ContainmentEstimator + Sync + ?Sized, S: Borrow<PoolShard> + Sync> Cnt2CrdCore<'_, M, S> {
@@ -358,13 +363,12 @@ impl<M: ContainmentEstimator + Sync + ?Sized, S: Borrow<PoolShard> + Sync> Cnt2C
                 let anchors: Vec<&PoolEntry> = ranked.into_iter().map(|(_, entry)| entry).collect();
                 return (anchors.len(), self.group_estimates(&anchors, None, &group));
             };
-            let anchors: Vec<&PoolEntry> = self.shards[shard].borrow().matching_key(key).collect();
-            let prepared = self
-                .cache
-                .and_then(|(cache, model_version, shard_versions)| {
-                    let versions = (model_version, shard_versions[shard]);
-                    cache.get_or_prepare(self.model, versions, shard, key, &anchors)
-                });
+            let storage = self.shards[shard].borrow();
+            let anchors: Vec<&PoolEntry> = storage.matching_key(key).collect();
+            let prepared = self.cache.and_then(|(cache, model_version)| {
+                let versions = (model_version, storage.bucket_version(key));
+                cache.get_or_prepare(self.model, versions, shard, key, &anchors)
+            });
             let lists = self.group_estimates(&anchors, prepared.as_deref(), &group);
             (anchors.len() * group.len(), lists)
         });
@@ -462,7 +466,7 @@ impl<M: ContainmentEstimator + Sync> Cnt2Crd<M> {
             config: &self.config,
             model: &self.model,
             shards: &[self.pool.as_shard()],
-            cache: Some((&self.prepared, 0, &[0])),
+            cache: Some((&self.prepared, 0)),
         };
         let (mut per_query, _) = core.entry_lists(&self.workers, std::slice::from_ref(query));
         per_query.pop().expect("one list per query")

@@ -24,6 +24,16 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+
+/// Process-wide source of FROM-bucket versions (see [`PoolShard::bucket_version`]): every
+/// change to any bucket of any shard draws the next value, so a fresh version is larger
+/// than every version handed out before it.
+static NEXT_BUCKET_VERSION: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_bucket_version() -> u64 {
+    NEXT_BUCKET_VERSION.fetch_add(1, AtomicOrdering::Relaxed)
+}
 
 /// The retention weight every anchor starts with (and the weight a query absent from the
 /// weight side-car reports).  Feedback moves weights *down* from here toward the q-error
@@ -52,12 +62,18 @@ pub struct PoolEntry {
 /// lists in canonical shard order reproduces a full scan.  [`QueriesPool`] is one shard
 /// behind the classic API; [`crate::sharded::ShardedPool`] distributes entries over many
 /// shards by canonical query hash.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct PoolShard {
     entries: Vec<PoolEntry>,
     /// Index from FROM-clause key (tables joined by `,`) to entry positions.  String keys keep
     /// the pool JSON-serializable (§5.2 envisions it as durable DBMS meta information).
     by_from: BTreeMap<String, Vec<usize>>,
+    /// Per-FROM-key bucket versions (see [`PoolShard::bucket_version`]), restamped from the
+    /// process-wide counter whenever a bucket's entry list changes.  A bucket that empties
+    /// keeps its last version here, so a key's version never moves backwards.  Never
+    /// persisted, like [`query_hash`]: a deserialized shard stamps every bucket afresh.
+    #[serde(skip)]
+    bucket_versions: BTreeMap<String, u64>,
     /// Index from canonical query hash to entry positions: duplicate detection on insert is
     /// O(1) expected instead of a linear scan over the whole shard, so bulk construction of a
     /// shard of `n` entries is O(n) expected rather than O(n²).  Hash collisions are resolved
@@ -85,9 +101,29 @@ pub struct PoolShard {
 
 impl PartialEq for PoolShard {
     /// Shards are equal when their entries are (both indexes are deterministic functions
-    /// of the entry sequence; the signature/weight side-cars are unserialized soft state).
+    /// of the entry sequence; the signature/weight/version side-cars are unserialized soft
+    /// state).
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries
+    }
+}
+
+impl Deserialize for PoolShard {
+    /// Reads the persisted `entries` and `by_from`; the unpersisted side-cars start empty
+    /// (and rebuild lazily), except the bucket versions, which are stamped here so a
+    /// loaded shard never serves a non-empty bucket at version 0.
+    fn from_content(content: &serde::content::Content) -> Result<Self, serde::de::Error> {
+        let mut shard = PoolShard {
+            entries: Deserialize::from_content(content.field("entries")?)?,
+            by_from: Deserialize::from_content(content.field("by_from")?)?,
+            ..PoolShard::default()
+        };
+        shard.bucket_versions = shard
+            .by_from
+            .keys()
+            .map(|key| (key.clone(), fresh_bucket_version()))
+            .collect();
+        Ok(shard)
     }
 }
 
@@ -226,10 +262,9 @@ impl PoolShard {
         }
         let index = self.entries.len();
         self.by_hash.entry(hash).or_default().push(index);
-        self.by_from
-            .entry(from_key(&query))
-            .or_default()
-            .push(index);
+        let key = from_key(&query);
+        self.stamp_bucket(&key);
+        self.by_from.entry(key).or_default().push(index);
         self.signatures.push(feature_signature(&query));
         self.weights.push(DEFAULT_RETENTION_WEIGHT);
         self.entries.push(PoolEntry { query, cardinality });
@@ -258,6 +293,7 @@ impl PoolShard {
         let removed = self.entries.remove(position);
         self.signatures.remove(position);
         self.weights.remove(position);
+        self.stamp_bucket(&from_key(&removed.query));
         let fix_indices = |indices: &mut Vec<usize>| {
             indices.retain(|&index| index != position);
             for index in indices.iter_mut() {
@@ -328,6 +364,26 @@ impl PoolShard {
             .into_iter()
             .flatten()
             .map(move |&i| &self.entries[i])
+    }
+
+    /// The version of one FROM bucket: a value from the process-wide counter, drawn afresh
+    /// by every insert, remove, upsert, eviction or compaction that changes the bucket's
+    /// entry list, and left alone by everything else (retention weights included).  Equal
+    /// versions therefore mean an equal entry list.  0 only for a key this shard has never
+    /// held.  [`crate::sharded::PoolSnapshot::from_version`] is the one public reader.
+    pub(crate) fn bucket_version(&self, key: &str) -> u64 {
+        self.bucket_versions.get(key).copied().unwrap_or(0)
+    }
+
+    /// Draws a fresh version for `key`'s bucket (see [`PoolShard::bucket_version`]).
+    fn stamp_bucket(&mut self, key: &str) {
+        let version = fresh_bucket_version();
+        match self.bucket_versions.get_mut(key) {
+            Some(slot) => *slot = version,
+            None => {
+                self.bucket_versions.insert(key.to_string(), version);
+            }
+        }
     }
 
     /// Number of distinct FROM clauses covered by the shard.
@@ -474,11 +530,13 @@ impl PoolShard {
     }
 
     /// Rebuilds entries, side-cars and both indexes keeping exactly the masked positions
-    /// (side-cars must be aligned — callers run `ensure_sidecars` first).
+    /// (side-cars must be aligned — callers run `ensure_sidecars` first), restamping the
+    /// buckets that lost an entry.
     fn apply_keep_mask(&mut self, keep_mask: &[bool]) {
         let old_entries = std::mem::take(&mut self.entries);
         let old_signatures = std::mem::take(&mut self.signatures);
         let old_weights = std::mem::take(&mut self.weights);
+        let mut shrunk = BTreeSet::new();
         for (index, ((entry, signature), weight)) in old_entries
             .into_iter()
             .zip(old_signatures)
@@ -489,7 +547,12 @@ impl PoolShard {
                 self.entries.push(entry);
                 self.signatures.push(signature);
                 self.weights.push(weight);
+            } else {
+                shrunk.insert(from_key(&entry.query));
             }
+        }
+        for key in &shrunk {
+            self.stamp_bucket(key);
         }
         self.by_from.clear();
         for (index, entry) in self.entries.iter().enumerate() {
@@ -858,6 +921,24 @@ mod tests {
         }
         assert_eq!(loaded.len(), before);
         assert_eq!(&loaded, &pool);
+    }
+
+    #[test]
+    fn a_deserialized_shard_stamps_every_bucket_before_it_serves() {
+        let db = generate_imdb(&ImdbConfig::tiny(49));
+        let pool = QueriesPool::generate(&db, 20, 1, 49);
+        let json = serde_json::to_string(&pool).expect("serializes");
+        assert!(
+            !json.contains("bucket_versions"),
+            "versions are never persisted"
+        );
+        let loaded: QueriesPool = serde_json::from_str(&json).expect("deserializes");
+        let (before, after) = (pool.as_shard(), loaded.as_shard());
+        for key in after.from_keys() {
+            assert_ne!(after.bucket_version(key), 0, "non-empty bucket {key}");
+            assert!(after.bucket_version(key) > before.bucket_version(key));
+        }
+        assert_eq!(after.bucket_version("no_such_table"), 0);
     }
 
     #[test]

@@ -6,17 +6,17 @@
 //! inputs come from*; the anchors → rates → per-entry-estimates work itself is the one shared
 //! core ([`Cnt2CrdCore`]) every tier calls.  The execution plan of one `serve` call:
 //!
-//! 1. **Freeze** — one immutable [`PoolSnapshot`](crate::sharded::PoolSnapshot) of the
-//!    [`ShardedPool`] and one [`ModelSnapshot`]: taken once per call, shared by every
-//!    worker, never blocking concurrent pool maintenance or a model hot-swap.
+//! 1. **Freeze** — one immutable [`PoolSnapshot`] of the [`ShardedPool`] and one
+//!    [`ModelSnapshot`]: taken once per call, shared by every worker, never blocking
+//!    concurrent pool maintenance or a model hot-swap.
 //! 2. **Evaluate** — [`Cnt2CrdCore::entry_lists`] over that pairing: the queries are grouped
 //!    by FROM clause, each `(group × non-empty shard)` — or, with `top_k > 0`, each query —
 //!    becomes one work item on the persistent [`WorkerPool`], and each work item runs its
 //!    group against its anchors in one fused batch
 //!    ([`ContainmentEstimator::predict_group`]) with the per-shard
 //!    [`prepare_anchors`](ContainmentEstimator::prepare_anchors) state cached in the
-//!    service's [`AnchorCache`], keyed by the shard's snapshot version and the model
-//!    version; per-shard lists concatenate in canonical shard order.
+//!    service's [`AnchorCache`], keyed by the shard's version of the group's FROM bucket
+//!    and the model version; per-shard lists concatenate in canonical shard order.
 //! 3. **Fold** — the final function (median by default) folds each query's list
 //!    ([`fold_entry_lists`]), and queries without any surviving anchor fall back exactly
 //!    like [`Cnt2Crd`](crate::cnt2crd::Cnt2Crd).
@@ -35,7 +35,7 @@
 
 use crate::cnt2crd::{AnchorCache, Cnt2CrdConfig, Cnt2CrdCore};
 use crate::pool::from_key;
-use crate::sharded::ShardedPool;
+use crate::sharded::{PoolSnapshot, ShardedPool};
 use crn_estimators::{CardinalityEstimator, ContainmentEstimator};
 use crn_nn::parallel::WorkerPool;
 use crn_query::ast::Query;
@@ -86,14 +86,14 @@ impl PhaseHists {
 }
 
 /// A versioned, immutable view of the served containment model — the model-side analogue
-/// of [`PoolSnapshot`](crate::sharded::PoolSnapshot).
+/// of [`PoolSnapshot`].
 ///
 /// The service's live model sits behind an `Arc`-swapped snapshot: readers
 /// ([`EstimatorService::serve`]) clone the current `Arc` once per call and compute the
 /// *whole* batch against that frozen model, while [`EstimatorService::swap_model`]
 /// publishes a successor snapshot with a fresh (monotonically increasing) version.  The
-/// version keys the per-shard anchor caches together with the pool shard version, so a
-/// hot-swap invalidates exactly the cached encodings the old model produced.
+/// version keys the anchor caches together with the FROM-bucket version, so a hot-swap
+/// invalidates exactly the cached encodings the old model produced.
 ///
 /// **Swap-atomicity contract**: every served batch is computed entirely under one model
 /// snapshot — never a blend of old and new.  A `serve` call that raced a swap returns
@@ -201,11 +201,15 @@ pub struct ServeResponse {
     pub estimates: Vec<f64>,
     /// How the batch was served.
     pub stats: ServeStats,
-    /// The [`PoolSnapshot::version`](crate::sharded::PoolSnapshot::version) of the pool
-    /// snapshot the whole batch was computed under (the model version is in
-    /// [`ServeStats::model_version`]).  Together they name the exact `(pool, model)` pairing
-    /// of every estimate in this response — the key a cross-window estimate cache files
-    /// results under, so maintenance upserts and model hot-swaps invalidate by construction.
+    /// The pool snapshot the whole batch was computed under (the model version is in
+    /// [`ServeStats::model_version`]).  A cross-window estimate cache files each estimate
+    /// under its query's [`PoolSnapshot::from_version`] here plus the model version — the
+    /// exact inputs it read — so a write invalidates only its own FROM clause's entries,
+    /// and a hot-swap all of them.
+    pub snapshot: Arc<PoolSnapshot>,
+    /// That snapshot's [`PoolSnapshot::version`]: equal to
+    /// [`serving_versions`](EstimatorService::serving_versions)' pool half for as long as
+    /// no write has landed since.
     pub pool_version: u64,
     /// Indices (into `estimates`) that were answered by a *degraded* path — e.g. a
     /// distributed backend's coordinator-side fallback after losing the worker that
@@ -231,8 +235,8 @@ pub struct EntryLists {
     /// How the plan was executed (fold-time counters `pool_hits`/`fallbacks` are still
     /// zero; [`fold_entry_lists`] fills them).
     pub stats: ServeStats,
-    /// The pool snapshot version the lists were computed under.
-    pub pool_version: u64,
+    /// The pool snapshot the lists were computed under.
+    pub snapshot: Arc<PoolSnapshot>,
 }
 
 /// Groups a query slice by FROM clause in deterministic order (sorted by key — the
@@ -302,7 +306,7 @@ pub struct EstimatorService<M> {
     config: Cnt2CrdConfig,
     fallback: Option<Box<dyn CardinalityEstimator + Send + Sync>>,
     name: String,
-    /// Per-`(shard, FROM-clause)` anchor serving state, keyed by the shard's snapshot
+    /// Per-`(shard, FROM-clause)` anchor serving state, keyed by the shard's bucket
     /// version *and* the model version.
     prepared: AnchorCache,
     /// Per-phase latency histograms (inert unless wired via
@@ -408,7 +412,7 @@ impl<M: ContainmentEstimator + Send + Sync> EstimatorService<M> {
         let EntryLists {
             per_query,
             mut stats,
-            pool_version,
+            snapshot,
         } = self.serve_entry_lists(queries);
 
         // Fold each query's concatenated list through the final function — the shared
@@ -427,7 +431,8 @@ impl<M: ContainmentEstimator + Send + Sync> EstimatorService<M> {
         ServeResponse {
             estimates,
             stats,
-            pool_version,
+            pool_version: snapshot.version(),
+            snapshot,
             degraded: Vec::new(),
         }
     }
@@ -451,7 +456,7 @@ impl<M: ContainmentEstimator + Send + Sync> EstimatorService<M> {
             config: &self.config,
             model: &*model.model,
             shards: snapshot.shards(),
-            cache: Some((&self.prepared, model.version, snapshot.shard_versions())),
+            cache: Some((&self.prepared, model.version)),
         };
         let (per_query, mut stats) = core.entry_lists(&self.workers, queries);
         stats.model_version = model.version;
@@ -460,18 +465,18 @@ impl<M: ContainmentEstimator + Send + Sync> EstimatorService<M> {
         EntryLists {
             per_query,
             stats,
-            pool_version: snapshot.version(),
+            snapshot,
         }
     }
 
     /// The `(pool version, model version)` pairing a `serve` issued right now would
-    /// compute under — what a cross-window estimate cache probes with at batch-build
-    /// time.  Both versions are monotonic (maintenance swaps and
+    /// compute under.  Both versions are monotonic (maintenance swaps and
     /// [`swap_model`](EstimatorService::swap_model) only ever publish larger ones), so a
-    /// cached estimate filed under the versions its own response reported
-    /// ([`ServeResponse::pool_version`], [`ServeStats::model_version`]) matches a probe
-    /// only when neither the pool nor the model has changed since it was computed —
-    /// version-keyed invalidation, exactly the per-shard anchor caches' discipline.
+    /// response whose own pairing ([`ServeResponse::pool_version`],
+    /// [`ServeStats::model_version`]) still equals this one holds the current snapshot
+    /// and model: a cross-window estimate cache reads the per-query
+    /// [`PoolSnapshot::from_version`]s off that response's snapshot instead of taking a
+    /// new one.
     pub fn serving_versions(&self) -> (u64, u64) {
         (self.pool.snapshot().version(), self.model_version())
     }

@@ -18,9 +18,15 @@
 //!   per-entry estimates) are order-insensitive, which makes sharded serving bit-identical
 //!   to the sequential path — the parity tests in [`crate::service`] pin this at
 //!   `N = 1, 2, 8`.
-//! * **Shard versions** (monotonic per pool, bumped on every copy-on-write replacement) let
-//!   the serving layer cache per-shard anchor state and invalidate exactly the shards a
-//!   write touched.
+//! * **Versions.**  Every FROM bucket of every shard carries a version from one
+//!   process-wide counter, drawn afresh whenever a write changes that bucket's entry list;
+//!   a FROM key's version in a snapshot ([`PoolSnapshot::from_version`]) is the maximum
+//!   over its shards.  The serving caches key on it — prepared anchors per
+//!   `(shard, FROM key)`, whole estimates per query — so a write invalidates exactly the
+//!   FROM clause it touched.  Shard versions (monotonic per pool, bumped on every
+//!   copy-on-write replacement that changes entries) sum to the snapshot-wide
+//!   [`PoolSnapshot::version`], which tells a reader whether it still holds the current
+//!   snapshot.
 
 use crate::pool::{feature_signature, query_hash, rank_order, PoolEntry, PoolShard, QueriesPool};
 use crn_query::ast::Query;
@@ -35,12 +41,24 @@ use std::sync::Arc;
 ///
 /// Snapshots are cheap to hold (a vector of `Arc`s) and never change after construction;
 /// concurrent maintenance on the owning [`ShardedPool`] produces *new* snapshots.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PoolSnapshot {
     shards: Vec<Arc<PoolShard>>,
-    /// Per-shard versions: monotonic within the owning pool, bumped whenever the shard is
-    /// replaced by a write.  Serving caches key their per-shard state by this.
+    /// Per-shard versions: monotonic within the owning pool, bumped whenever a write
+    /// replaces the shard with one holding different entries.
     versions: Vec<u64>,
+}
+
+impl std::fmt::Debug for PoolSnapshot {
+    /// Shape and version only: a snapshot rides on every serve response, and its entries
+    /// are no business of a response's `Debug`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoolSnapshot")
+            .field("shards", &self.shards.len())
+            .field("entries", &self.len())
+            .field("version", &self.version())
+            .finish()
+    }
 }
 
 impl PoolSnapshot {
@@ -64,21 +82,44 @@ impl PoolSnapshot {
         self.versions[index]
     }
 
-    /// Every shard's version, in canonical shard order.
-    pub fn shard_versions(&self) -> &[u64] {
-        &self.versions
-    }
-
     /// The snapshot-wide pool version: the sum of the per-shard versions.
     ///
-    /// Every copy-on-write maintenance swap bumps exactly one shard's version to a fresh
-    /// strictly-larger value, so this sum is **strictly monotonic** across successor
-    /// snapshots of one pool: two snapshots share a pool version only if they are the
-    /// same pool state.  A query's estimate reads matching anchors from *every* shard,
-    /// so this — not the query's own shard version — is the invalidation granularity a
-    /// whole-estimate cache needs: any upsert anywhere invalidates, exactly.
+    /// Every copy-on-write swap that changes entries bumps the replaced shards' versions
+    /// to fresh strictly-larger values, so this sum is **strictly monotonic** across
+    /// successor snapshots of one pool, and two snapshots share a pool version only if
+    /// they hold the same entries.  (A retention-weight update publishes under the
+    /// versions it found: weights never change an estimate.)  It answers "is this still
+    /// the current snapshot?"; what one query's estimate read is
+    /// [`from_version`](PoolSnapshot::from_version).
     pub fn version(&self) -> u64 {
         self.versions.iter().sum()
+    }
+
+    /// The version of the query's FROM clause in this snapshot: the maximum over the
+    /// shards of their bucket version for that key (0 when no shard ever held it).
+    ///
+    /// Bucket versions come from one process-wide counter, so any change to the key's
+    /// bucket on any shard draws a new global maximum: the value rises exactly when the
+    /// key's matching entries change, and is untouched by writes to other FROM clauses
+    /// and by retention-weight updates.  A query's estimate reads nothing else of the
+    /// pool (§5.3: only same-FROM anchors participate), so this, with the model version,
+    /// keys a cached estimate exactly.
+    pub fn from_version(&self, query: &Query) -> u64 {
+        let key = crate::pool::from_key(query);
+        self.shards
+            .iter()
+            .map(|shard| shard.bucket_version(&key))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// This snapshot with shard `index` replaced by `shard` at `version`.
+    fn with_shard(&self, index: usize, shard: PoolShard, version: u64) -> PoolSnapshot {
+        let mut shards = self.shards.clone();
+        let mut versions = self.versions.clone();
+        shards[index] = Arc::new(shard);
+        versions[index] = version;
+        PoolSnapshot { shards, versions }
     }
 
     /// Total number of entries across all shards.
@@ -345,8 +386,10 @@ impl ShardedPool {
     /// (see [`PoolShard::record_feedback`]); returns whether the anchor was resident.
     ///
     /// Weights steer eviction and compaction only — they are invisible to `matching` and
-    /// to estimates — but the update still publishes through the regular copy-on-write
-    /// swap so readers and the weight state can never tear.
+    /// to estimates — so the update publishes through the regular copy-on-write swap (so
+    /// readers and the weight state can never tear) but under the shard's existing
+    /// version, and leaves every bucket version alone: no cached estimate or prepared
+    /// anchor state goes stale over a weight.
     pub fn record_feedback(&self, query: &Query, q_error: f64) -> bool {
         let _writer = self.writer.lock();
         let current = self.snapshot();
@@ -363,7 +406,7 @@ impl ShardedPool {
         if !shard.record_feedback(query, q_error) {
             return false;
         }
-        let next = Arc::new(self.replaced(&current, index, shard));
+        let next = Arc::new(current.with_shard(index, shard, current.versions[index]));
         *self.snapshot.write() = next;
         true
     }
@@ -445,11 +488,8 @@ impl ShardedPool {
 
     /// A successor snapshot with shard `index` replaced (and re-versioned).
     fn replaced(&self, current: &PoolSnapshot, index: usize, shard: PoolShard) -> PoolSnapshot {
-        let mut shards = current.shards.clone();
-        let mut versions = current.versions.clone();
-        shards[index] = Arc::new(shard);
-        versions[index] = self.next_version.fetch_add(1, Ordering::Relaxed);
-        PoolSnapshot { shards, versions }
+        let version = self.next_version.fetch_add(1, Ordering::Relaxed);
+        current.with_shard(index, shard, version)
     }
 }
 
@@ -471,6 +511,7 @@ impl Clone for ShardedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::DEFAULT_RETENTION_WEIGHT;
     use crn_db::imdb::{generate_imdb, tables, ImdbConfig};
 
     #[test]
@@ -697,6 +738,41 @@ mod tests {
         assert_eq!(bounded.snapshot().version(), before);
     }
 
+    /// A retention update is invisible to estimates, so it must not look like a write to
+    /// the version-keyed caches: the pool version, every shard version and the anchor's
+    /// bucket version stay put — and the new weight still decides the next eviction.
+    #[test]
+    fn retention_feedback_keeps_every_version_and_still_steers_eviction() {
+        let db = generate_imdb(&ImdbConfig::tiny(97));
+        let pool = QueriesPool::generate(&db, 40, 1, 97);
+        let sharded = ShardedPool::from_pool(&pool, 3);
+        let fresh = Query::scan("a_table_surely_not_in_the_pool");
+        let target = sharded.shard_of(&fresh);
+        let target_len = sharded.snapshot().shards()[target].len();
+        let bounded = sharded.with_capacity(target_len * 3);
+        let before = bounded.snapshot();
+        let sunk = before.shards()[target].entries()[target_len / 2]
+            .query
+            .clone();
+
+        assert!(bounded.record_feedback(&sunk, 1_000.0));
+        let after = bounded.snapshot();
+        assert!(!Arc::ptr_eq(&before, &after), "the new weight is published");
+        assert_eq!(after.version(), before.version());
+        for shard in 0..after.num_shards() {
+            assert_eq!(after.shard_version(shard), before.shard_version(shard));
+        }
+        assert_eq!(after.from_version(&sunk), before.from_version(&sunk));
+        assert!(after.shards()[target].retention_weight(&sunk) < DEFAULT_RETENTION_WEIGHT);
+
+        // The target shard is at its quota: the next insert there evicts the sunk anchor.
+        assert!(bounded.insert(fresh.clone(), 7));
+        let evicted = bounded.snapshot();
+        assert_eq!(bounded.evictions(), 1);
+        assert!(!evicted.matching(&sunk).any(|e| e.query == sunk));
+        assert!(evicted.from_version(&sunk) > after.from_version(&sunk));
+    }
+
     #[test]
     fn compaction_publishes_one_snapshot_and_leaves_old_readers_intact() {
         let db = generate_imdb(&ImdbConfig::tiny(96));
@@ -873,6 +949,91 @@ mod routing_proptests {
                     }
                 }
                 assert_sharded_agrees(&sharded, &oracle)?;
+            }
+        }
+
+        /// Bucket versions track exactly what an estimate reads.  Under random insert /
+        /// remove / upsert / compact / retention-feedback / reload interleavings at random
+        /// shard counts, a FROM key's `from_version` rises whenever its matching list
+        /// (queries, cardinalities or order) changes, and stays put under retention
+        /// feedback, writes to other keys, no-op compactions and rejected duplicate
+        /// inserts.  (An upsert may restamp its own key without moving anything, and a
+        /// reload restamps every key.)
+        #[test]
+        fn from_versions_rise_exactly_when_a_matching_list_changes(seed in 0u64..10_000) {
+            let universe = query_universe();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sharded = ShardedPool::new(rng.gen_range(1usize..=8));
+            let mut probes: BTreeMap<String, &Query> = BTreeMap::new();
+            for query in universe {
+                probes.entry(crate::pool::from_key(query)).or_insert(query);
+            }
+            let observe = |snapshot: &PoolSnapshot| -> Vec<(Vec<(Query, u64)>, u64)> {
+                probes
+                    .values()
+                    .map(|probe| {
+                        let list = snapshot
+                            .matching(probe)
+                            .map(|e| (e.query.clone(), e.cardinality))
+                            .collect();
+                        (list, snapshot.from_version(probe))
+                    })
+                    .collect()
+            };
+            let mut before = observe(&sharded.snapshot());
+            for op in 0..40 {
+                let query = universe[rng.gen_range(0..universe.len())].clone();
+                let mut restamped: Option<String> = None;
+                let mut reloaded = false;
+                match rng.gen_range(0..12u32) {
+                    0..=4 => {
+                        sharded.insert(query, rng.gen_range(0..1000u64));
+                    }
+                    5..=6 => {
+                        sharded.remove(&query);
+                    }
+                    7..=8 => {
+                        restamped = Some(crate::pool::from_key(&query));
+                        sharded.upsert(query, rng.gen_range(0..1000u64));
+                    }
+                    9 => {
+                        sharded.compact();
+                    }
+                    10 => {
+                        sharded.record_feedback(&query, rng.gen_range(1.0..100.0f64));
+                    }
+                    _ => {
+                        let json = serde_json::to_string(&sharded.to_pool())
+                            .map_err(|e| format!("serialize: {e}"))?;
+                        let reloaded_pool: QueriesPool = serde_json::from_str(&json)
+                            .map_err(|e| format!("deserialize: {e}"))?;
+                        sharded = ShardedPool::from_pool(&reloaded_pool, rng.gen_range(1usize..=8));
+                        reloaded = true;
+                    }
+                }
+                let after = observe(&sharded.snapshot());
+                for (key, ((list_before, version_before), (list_after, version_after))) in
+                    probes.keys().zip(before.iter().zip(&after))
+                {
+                    prop_assert!(
+                        list_after.is_empty() || *version_after > 0,
+                        "op {op}: non-empty bucket {key} at version 0"
+                    );
+                    if list_before != list_after {
+                        prop_assert!(
+                            version_after > version_before,
+                            "op {op}: {key}'s list changed but its version went \
+                             {version_before} -> {version_after}"
+                        );
+                    } else if !reloaded && restamped.as_deref() != Some(key.as_str()) {
+                        prop_assert!(
+                            version_after == version_before,
+                            "op {op}: {key}'s list is unchanged but its version went \
+                             {version_before} -> {version_after}"
+                        );
+                    }
+                }
+                before = after;
             }
         }
 

@@ -60,9 +60,11 @@ pub enum Event {
         /// Entries re-anchored or merged by the compaction.
         merged: usize,
     },
-    /// The estimate cache purged stale entries after a version movement.
+    /// An estimate-cache probe found entries filed under older versions than their
+    /// queries' current `(FROM bucket, model)` pairing, and dropped them (one event per
+    /// probe that dropped any).
     CachePurge {
-        /// Entries purged.
+        /// Entries dropped by the probe.
         purged: u64,
     },
     /// A cluster coordinator lost contact with a worker process (dead connection or

@@ -38,7 +38,10 @@ pub trait ComputeBackend: Send + Sync + 'static {
     fn fallback_estimate(&self, query: &Query) -> f64;
 
     /// The `(pool version, model version)` pairing a `serve` issued right now would
-    /// compute under — the estimate cache's probe key.
+    /// compute under.  The estimate cache's probe compares it with the latest
+    /// response's `(ServeResponse::pool_version, ServeStats::model_version)`: equal means
+    /// that response's snapshot is still current, so the probe may key each query by
+    /// its FROM-bucket version there.  It is no longer the cache key itself.
     fn serving_versions(&self) -> (u64, u64);
 
     /// Applies one observed `(query, true cardinality)` feedback record to the backing

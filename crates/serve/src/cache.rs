@@ -8,22 +8,23 @@
 //!
 //! # Invalidation (version keys, never scans)
 //!
-//! Entries are keyed on `(canonical query hash, pool version, model version)` — the
-//! discipline the per-shard anchor caches in `crn_core::service` already prove.  A
-//! query's estimate reads matching anchors from *every* pool shard, so the pool half of
-//! the key is the snapshot-wide [`PoolSnapshot::version`] (the strictly-monotonic sum of
-//! the per-shard versions), not the query's own shard version: any maintenance upsert
-//! anywhere bumps it, and a model hot-swap bumps the model version.  Fills use the
-//! versions the serve response itself reports
-//! ([`ServeResponse::pool_version`](crn_core::ServeResponse), `ServeStats::model_version`)
-//! — the exact pairing the estimate was computed under — and probes use the versions a
-//! serve issued now would take, so a hit is **bit-identical to recomputation** by
-//! construction and stale entries can never match again; they simply age out of the LRU.
+//! One entry per query (by canonical query hash), tagged with the versions of exactly
+//! what its estimate read: its FROM bucket's
+//! [`PoolSnapshot::from_version`] and the model version.  §5.3 compares a query only
+//! with same-FROM anchors, so a maintenance upsert invalidates the entries of its own
+//! FROM clause and nothing else, while a model hot-swap invalidates every entry.  Fills
+//! use the versions of the serve response that computed the estimate
+//! ([`ServeResponse::snapshot`](crn_core::ServeResponse), `ServeStats::model_version`)
+//! and overwrite the query's older entry.  Probes use the current versions — the
+//! runtime reads them off the latest response's snapshot once `serving_versions()`
+//! confirms that snapshot is still current — so a hit is **bit-identical to
+//! recomputation** by construction.  A probe that finds its query's entry under older
+//! versions drops it: versions only grow, so it could never hit again.
 //!
 //! Hash collisions cannot break parity either: every entry stores its query and a probe
 //! must match it by equality, exactly like the scheduler's in-window coalescing.
 //!
-//! [`PoolSnapshot::version`]: crn_core::PoolSnapshot::version
+//! [`PoolSnapshot::from_version`]: crn_core::PoolSnapshot::from_version
 
 use crn_query::ast::Query;
 use std::collections::HashMap;
@@ -35,26 +36,20 @@ use crn_nn::parallel::lock_ignoring_poison;
 /// submit-side contention the same way the pool's storage shards do.
 const CACHE_SHARDS: usize = 8;
 
-/// One entry's full key: the canonical query hash plus the `(pool, model)` version
-/// pairing the estimate was computed under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    query_hash: u64,
-    pool_version: u64,
-    model_version: u64,
-}
-
 struct CacheEntry {
     /// The full query, equality-checked on every probe (canonical hashes can collide;
     /// a collision is a miss, never a wrong answer).
     query: Query,
+    /// `(FROM-bucket version, model version)` the estimate was computed under.
+    versions: (u64, u64),
     estimate: f64,
     /// LRU clock value of the last hit or fill (shard-local logical time).
     last_used: u64,
 }
 
 struct CacheShard {
-    entries: HashMap<CacheKey, CacheEntry>,
+    /// Keyed by canonical query hash.
+    entries: HashMap<u64, CacheEntry>,
     capacity: usize,
     /// Shard-local logical clock, bumped on every touch.
     clock: u64,
@@ -80,8 +75,20 @@ impl CacheShard {
     }
 }
 
-/// A bounded, sharded LRU map from `(canonical query hash, pool version, model version)`
-/// to a computed estimate — see the [module docs](self) for the invalidation contract.
+/// What one probe found.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Lookup {
+    /// The query's entry, under exactly the probed versions.
+    Hit(f64),
+    /// The query's entry under older versions: dropped by the probe.
+    Stale,
+    /// No entry for the query (absent, or a colliding query's).
+    Miss,
+}
+
+/// A bounded, sharded LRU map from canonical query hash to the query's latest computed
+/// estimate and the `(FROM-bucket version, model version)` it was computed under — see
+/// the [module docs](self) for the invalidation contract.
 ///
 /// All methods take `&self`: probes and fills lock only the one shard the query hash
 /// routes to.
@@ -125,92 +132,64 @@ impl EstimateCache {
         &self.shards[(query_hash % self.shards.len() as u64) as usize]
     }
 
-    /// Probes for `query`'s estimate under the given version pairing, refreshing its LRU
-    /// position on a hit.  `None` on absence, version mismatch, or a hash collision
-    /// (the stored query must equal the probed one).
+    /// Probes for `query`'s estimate under its current `(FROM-bucket, model)` versions,
+    /// refreshing its LRU position on a hit.  The query's entry under any other versions
+    /// is [`Stale`](Lookup::Stale) and dropped; the caller guarantees the versions are
+    /// current, and versions only grow.
     pub fn lookup(
         &self,
         query: &Query,
         query_hash: u64,
-        pool_version: u64,
+        bucket_version: u64,
         model_version: u64,
-    ) -> Option<f64> {
-        let key = CacheKey {
-            query_hash,
-            pool_version,
-            model_version,
-        };
+    ) -> Lookup {
         let mut shard = lock_ignoring_poison(self.shard_of(query_hash));
         let tick = shard.touch();
-        let entry = shard.entries.get_mut(&key)?;
+        let Some(entry) = shard.entries.get_mut(&query_hash) else {
+            return Lookup::Miss;
+        };
         if entry.query != *query {
-            return None;
+            return Lookup::Miss;
+        }
+        if entry.versions != (bucket_version, model_version) {
+            shard.entries.remove(&query_hash);
+            return Lookup::Stale;
         }
         entry.last_used = tick;
-        Some(entry.estimate)
+        Lookup::Hit(entry.estimate)
     }
 
-    /// Files a computed estimate under the version pairing its serve response reported,
-    /// evicting the least-recently-used entry of the target shard when full.  Returns
-    /// whether an eviction happened.  Re-filling an existing key (same query, same
-    /// versions — bit-identical by the parity contract) just refreshes its LRU position.
+    /// Files a computed estimate under the versions its serve response read, replacing
+    /// whatever the query's hash held (its own older entry, or a colliding query's —
+    /// lookups equality-check, so either is safe to displace) and evicting the
+    /// least-recently-used entry of the target shard only when a new hash joins a full
+    /// shard.  Returns whether an eviction happened.
     pub fn insert(
         &self,
         query: &Query,
         query_hash: u64,
-        pool_version: u64,
+        bucket_version: u64,
         model_version: u64,
         estimate: f64,
     ) -> bool {
-        let key = CacheKey {
-            query_hash,
-            pool_version,
-            model_version,
-        };
         let mut shard = lock_ignoring_poison(self.shard_of(query_hash));
         let tick = shard.touch();
-        if let Some(entry) = shard.entries.get_mut(&key) {
-            // Same key: either the same query (refresh) or a hash collision (newest
-            // wins — lookups equality-check, so either resident entry is safe).
-            entry.query = query.clone();
-            entry.estimate = estimate;
-            entry.last_used = tick;
+        let entry = CacheEntry {
+            query: query.clone(),
+            versions: (bucket_version, model_version),
+            estimate,
+            last_used: tick,
+        };
+        if let Some(resident) = shard.entries.get_mut(&query_hash) {
+            *resident = entry;
             return false;
         }
         let evict = shard.entries.len() >= shard.capacity;
         if evict {
             shard.evict_lru();
         }
-        shard.entries.insert(
-            key,
-            CacheEntry {
-                query: query.clone(),
-                estimate,
-                last_used: tick,
-            },
-        );
+        shard.entries.insert(query_hash, entry);
         evict
-    }
-
-    /// Proactively drops every entry whose version pairing differs from the given
-    /// current one, returning how many were purged.
-    ///
-    /// Stale generations can never *hit* (probes carry the current versions), so this
-    /// changes no answer — but without it they linger until the LRU ages them out,
-    /// wasting capacity that live entries could use.  The scheduler calls this once per
-    /// observed `(pool, model)` version movement, so at million-entry pool scale a
-    /// maintenance burst does not leave the cache full of dead weight.
-    pub fn purge_stale(&self, pool_version: u64, model_version: u64) -> usize {
-        let mut purged = 0usize;
-        for shard in &self.shards {
-            let mut shard = lock_ignoring_poison(shard);
-            let before = shard.entries.len();
-            shard.entries.retain(|key, _| {
-                key.pool_version == pool_version && key.model_version == model_version
-            });
-            purged += before - shard.entries.len();
-        }
-        purged
     }
 
     /// Total entries currently resident (sums the shards; a point-in-time figure).
@@ -239,20 +218,61 @@ mod tests {
     fn lookup_requires_exact_versions_and_query_equality() {
         let cache = EstimateCache::new(16);
         let query = scan("title");
-        assert!(cache.lookup(&query, 1, 10, 2).is_none());
+        assert_eq!(cache.lookup(&query, 1, 10, 2), Lookup::Miss);
         cache.insert(&query, 1, 10, 2, 42.5);
-        assert_eq!(cache.lookup(&query, 1, 10, 2), Some(42.5));
-        // A bumped pool or model version is a miss: upserts and hot-swaps invalidate by
-        // construction.
-        assert!(cache.lookup(&query, 1, 11, 2).is_none());
-        assert!(cache.lookup(&query, 1, 10, 3).is_none());
-        // A hash collision (same key, different query) is a miss, never a wrong answer.
+        assert_eq!(cache.lookup(&query, 1, 10, 2), Lookup::Hit(42.5));
+        // A hash collision (same key, different query) is a miss, never a wrong answer,
+        // and leaves the resident entry alone.
         let other = scan("cast_info");
-        assert!(cache.lookup(&other, 1, 10, 2).is_none());
+        assert_eq!(cache.lookup(&other, 1, 10, 2), Lookup::Miss);
+        assert_eq!(cache.lookup(&query, 1, 10, 2), Lookup::Hit(42.5));
+        // A bumped bucket or model version is stale: upserts to the query's FROM clause
+        // and hot-swaps invalidate by construction.
+        assert_eq!(cache.lookup(&query, 1, 11, 2), Lookup::Stale);
+        cache.insert(&query, 1, 10, 2, 42.5);
+        assert_eq!(cache.lookup(&query, 1, 10, 3), Lookup::Stale);
         // Newest-wins on a colliding fill; the displaced query stops hitting.
+        cache.insert(&query, 1, 10, 2, 42.5);
         cache.insert(&other, 1, 10, 2, 7.0);
-        assert_eq!(cache.lookup(&other, 1, 10, 2), Some(7.0));
-        assert!(cache.lookup(&query, 1, 10, 2).is_none());
+        assert_eq!(cache.lookup(&other, 1, 10, 2), Lookup::Hit(7.0));
+        assert_eq!(cache.lookup(&query, 1, 10, 2), Lookup::Miss);
+    }
+
+    #[test]
+    fn a_fill_overwrites_the_querys_older_entry() {
+        let cache = EstimateCache::new(16);
+        let query = scan("title");
+        assert!(!cache.insert(&query, 1, 10, 2, 1.0));
+        // The refill under newer versions replaces the entry in place: one entry per
+        // query, the newest answer.
+        assert!(!cache.insert(&query, 1, 12, 2, 2.0));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup(&query, 1, 12, 2), Lookup::Hit(2.0));
+        // Re-filling the same versions (bit-identical by the parity contract) also keeps
+        // one entry and never evicts.
+        assert!(!cache.insert(&query, 1, 12, 2, 2.0));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_stale_probe_drops_exactly_the_entry_it_found() {
+        let cache = EstimateCache::new(64);
+        let query = scan("title");
+        for hash in 0..6u64 {
+            cache.insert(&query, hash, 1, 1, hash as f64);
+        }
+        assert_eq!(cache.len(), 6);
+        // Two of the six queries' FROM buckets moved on: each probe drops its own entry,
+        // and only that one.
+        let outcomes: Vec<Lookup> = (0..6u64)
+            .map(|hash| cache.lookup(&query, hash, 1 + u64::from(hash % 3 == 0), 1))
+            .collect();
+        let stale = outcomes.iter().filter(|&&o| o == Lookup::Stale).count();
+        assert_eq!(stale, 2);
+        assert_eq!(cache.len(), 4);
+        // A dropped entry is gone (a miss, not stale again); the rest still hit.
+        assert_eq!(cache.lookup(&query, 0, 2, 1), Lookup::Miss);
+        assert_eq!(cache.lookup(&query, 1, 1, 1), Lookup::Hit(1.0));
     }
 
     #[test]
@@ -265,40 +285,19 @@ mod tests {
         assert!(!cache.insert(&query, 2, 1, 1, 2.0));
         assert_eq!(cache.len(), 2);
         // Touch hash 0 so hash 2 is the LRU victim.
-        assert_eq!(cache.lookup(&query, 0, 1, 1), Some(1.0));
+        assert_eq!(cache.lookup(&query, 0, 1, 1), Lookup::Hit(1.0));
         assert!(cache.insert(&query, 4, 1, 1, 3.0), "full shard must evict");
         assert_eq!(cache.len(), 2, "the bound holds");
-        assert_eq!(cache.lookup(&query, 0, 1, 1), Some(1.0), "MRU survives");
-        assert!(cache.lookup(&query, 2, 1, 1).is_none(), "LRU evicted");
-        assert_eq!(cache.lookup(&query, 4, 1, 1), Some(3.0));
+        assert_eq!(
+            cache.lookup(&query, 0, 1, 1),
+            Lookup::Hit(1.0),
+            "MRU survives"
+        );
+        assert_eq!(cache.lookup(&query, 2, 1, 1), Lookup::Miss, "LRU evicted");
+        assert_eq!(cache.lookup(&query, 4, 1, 1), Lookup::Hit(3.0));
         // Re-filling a resident key refreshes, never evicts.
         assert!(!cache.insert(&query, 0, 1, 1, 1.0));
         assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn purge_stale_drops_exactly_the_dead_generations() {
-        let cache = EstimateCache::new(64);
-        let query = scan("title");
-        // Three generations: two dead pairings and the live one.
-        for hash in 0..5u64 {
-            cache.insert(&query, hash, 1, 1, hash as f64);
-        }
-        for hash in 0..3u64 {
-            cache.insert(&query, hash, 2, 1, hash as f64);
-        }
-        for hash in 0..4u64 {
-            cache.insert(&query, hash, 2, 2, hash as f64);
-        }
-        assert_eq!(cache.len(), 12);
-        assert_eq!(cache.purge_stale(2, 2), 8, "both dead generations drop");
-        assert_eq!(cache.len(), 4);
-        // Live entries still hit; purging again is a no-op.
-        for hash in 0..4u64 {
-            assert_eq!(cache.lookup(&query, hash, 2, 2), Some(hash as f64));
-        }
-        assert!(cache.lookup(&query, 0, 1, 1).is_none());
-        assert_eq!(cache.purge_stale(2, 2), 0);
     }
 
     #[test]

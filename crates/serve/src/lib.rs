@@ -28,12 +28,13 @@
 //!   [`upsert`](crn_core::ShardedPool::upsert)s — the paper's §5.2 pool-refresh loop,
 //!   never blocking concurrent readers.
 //! * [`cache`] — [`EstimateCache`]: the bounded, sharded LRU **cross-window estimate
-//!   cache**, keyed `(canonical query hash, pool version, model version)` and consulted
-//!   at batch-build time, so hot repeated queries resolve at memory latency without
-//!   entering the compute path.  Invalidation is by version key: maintenance upserts
-//!   bump the pool version and hot-swaps bump the model version, so a hit is
-//!   bit-identical to recomputation by construction.  `cache_entries: 0` (the default)
-//!   disables it and restores the uncached scheduler path exactly.
+//!   cache**, one entry per canonical query hash tagged `(FROM-bucket version, model
+//!   version)` and consulted at batch-build time, so hot repeated queries resolve at
+//!   memory latency without entering the compute path.  Invalidation is by version key:
+//!   a maintenance upsert bumps the version of its own FROM clause only (§5.3 compares a
+//!   query only with same-FROM anchors) and a hot-swap bumps the model version, so a hit
+//!   is bit-identical to recomputation by construction.  `cache_entries: 0` (the
+//!   default) disables it and restores the uncached scheduler path exactly.
 //!
 //! # Latency SLO classes
 //!
@@ -58,8 +59,8 @@
 //! (forced-CSR featurization, row-count-independent kernels, canonical-order merges —
 //! see `crn_core::service`), so however the scheduler slices the traffic into batches,
 //! every query's answer is the one the sequential path computes — and a cache hit
-//! replays a computed answer under the exact `(pool, model)` version pairing a serve
-//! issued now would use.  The parity tests in `tests/async_parity.rs` pin the full
+//! replays a computed answer under the exact `(FROM bucket, model)` version pairing a
+//! serve issued now would read.  The parity tests in `tests/async_parity.rs` pin the full
 //! window × depth × workers × class × cache matrix.
 //!
 //! # Fault tolerance

@@ -51,14 +51,14 @@
 //! and joins all three threads.
 
 use crate::backend::ComputeBackend;
-use crate::cache::EstimateCache;
+use crate::cache::{EstimateCache, Lookup};
 use crate::fault::{FaultInjector, FaultSite};
 use crate::queue::{QueueState, RejectReason, Request, SloClass, SubmitError};
 use crate::supervisor::{
     Supervisor, SupervisorPolicy, SupervisorVerdict, LANE_MAINTENANCE, LANE_SCHEDULER,
 };
 use crate::ticket::{EstimateSource, Ticket, TicketCell, TicketOutcome};
-use crn_core::{query_hash, ServeStats};
+use crn_core::{query_hash, PoolSnapshot, ServeStats};
 use crn_nn::parallel::{lock_ignoring_poison, wait_ignoring_poison, wait_timeout_ignoring_poison};
 use crn_obs::{Counter, Event, Gauge, HistHandle, Obs, RequestTrace, TraceStart};
 use crn_query::ast::Query;
@@ -416,9 +416,10 @@ pub struct RuntimeStats {
     pub cache_insertions: u64,
     /// Cache fills that displaced a least-recently-used entry (the bound at work).
     pub cache_evictions: u64,
-    /// Stale-generation cache entries proactively purged on observed `(pool, model)`
-    /// version movement (see [`crate::EstimateCache::purge_stale`]) — without this they
-    /// would only age out of the LRU, wasting capacity.
+    /// Cache entries a probe found under older versions than its query's current
+    /// `(FROM bucket, model)` pairing and dropped (see [`crate::cache`]): a write to the
+    /// query's FROM clause, or a hot-swap, since the entry was filed.  Each such probe
+    /// also counts as a miss.
     pub cache_purged: u64,
     /// Requests served synchronously on the submitting thread because the scheduler
     /// lane breached its restart budget (see
@@ -749,11 +750,10 @@ struct Shared<B> {
     /// [`cache_entries`](RuntimeConfig::cache_entries) is 0 — the scheduler then takes
     /// the exact pre-cache path.
     cache: Option<EstimateCache>,
-    /// The `(pool, model)` version pairing the scheduler last probed the cache under —
-    /// movement triggers the proactive stale-generation purge.  Only the scheduler
-    /// thread writes these (0 until the first cache-enabled batch).
-    last_pool_version: AtomicU64,
-    last_model_version: AtomicU64,
+    /// The pool snapshot and model version of the latest response filed into the cache.
+    /// The probe reads each query's FROM-bucket version off this snapshot, after
+    /// checking against [`ComputeBackend::serving_versions`] that it is still current.
+    latest: Mutex<Option<(Arc<PoolSnapshot>, u64)>>,
     supervisor: Arc<Supervisor>,
     injector: Arc<FaultInjector>,
     /// Set (under the queue lock) when the scheduler lane degrades: submissions execute
@@ -845,8 +845,7 @@ impl<B: ComputeBackend> ServeRuntime<B> {
             inflight: Mutex::new(None),
             caller_classes: Mutex::new(HashMap::new()),
             cache,
-            last_pool_version: AtomicU64::new(0),
-            last_model_version: AtomicU64::new(0),
+            latest: Mutex::new(None),
             supervisor,
             injector,
             degraded_sync: AtomicBool::new(false),
@@ -1573,37 +1572,41 @@ fn record_close<B: ComputeBackend>(shared: &Shared<B>, batch: &Batch, reason: Cl
 }
 
 /// Probe stage: one estimate-cache lookup per unique query, under the versions a serve
-/// issued right now would take, so a hit is bit-identical to recomputation.  Hit members
-/// resolve here, before the batch parks in the recovery slot — a scheduler death later
-/// can then never resolve them twice — and the batch keeps only the misses, renumbered
-/// densely.
+/// issued right now would read, so a hit is bit-identical to recomputation.  Those are
+/// the latest filed response's — each query's FROM-bucket version in its snapshot, and
+/// its model version — provided `serving_versions()` shows no write or swap landed
+/// since; otherwise the whole batch misses.  Hit members resolve here, before the batch
+/// parks in the recovery slot — a scheduler death later can then never resolve them
+/// twice — and the batch keeps only the misses, renumbered densely.
 fn probe<B: ComputeBackend>(shared: &Shared<B>, cache: &EstimateCache, batch: &mut Batch) {
     let start_us = shared.hooks.obs.now_us();
-    let (pool_version, model_version) = shared.service.serving_versions();
-    // Proactive purge on version movement: entries filed under older pairings can never
-    // hit again (probes carry the current versions), so drop them now instead of letting
-    // them squat in the LRU.  Only this thread writes the last-seen pair.
-    let last_seen = (
-        shared
-            .last_pool_version
-            .swap(pool_version, Ordering::Relaxed),
-        shared
-            .last_model_version
-            .swap(model_version, Ordering::Relaxed),
-    );
-    if last_seen != (pool_version, model_version) {
-        let purged = cache.purge_stale(pool_version, model_version) as u64;
+    let current = shared.service.serving_versions();
+    let latest = lock_ignoring_poison(&shared.latest)
+        .clone()
+        .filter(|(snapshot, model_version)| (snapshot.version(), *model_version) == current);
+    let mut purged = 0u64;
+    let hits: Vec<Option<f64>> = match &latest {
+        Some((snapshot, model_version)) => batch
+            .unique
+            .iter()
+            .zip(&batch.hashes)
+            .map(|(query, &hash)| {
+                match cache.lookup(query, hash, snapshot.from_version(query), *model_version) {
+                    Lookup::Hit(estimate) => Some(estimate),
+                    Lookup::Stale => {
+                        purged += 1;
+                        None
+                    }
+                    Lookup::Miss => None,
+                }
+            })
+            .collect(),
+        None => vec![None; batch.unique.len()],
+    };
+    if purged > 0 {
         shared.counters.cache_purged.add(purged);
-        if purged > 0 {
-            shared.hooks.obs.record_event(Event::CachePurge { purged });
-        }
+        shared.hooks.obs.record_event(Event::CachePurge { purged });
     }
-    let hits: Vec<Option<f64>> = batch
-        .unique
-        .iter()
-        .zip(&batch.hashes)
-        .map(|(query, &hash)| cache.lookup(query, hash, pool_version, model_version))
-        .collect();
     let hit_count = hits.iter().flatten().count();
     shared.counters.cache_hits.add(hit_count as u64);
     shared
@@ -1650,8 +1653,10 @@ fn probe<B: ComputeBackend>(shared: &Shared<B>, cache: &EstimateCache, batch: &m
 /// exactly one row per query, sends the whole batch to the fallback path.  Rows the
 /// backend answered through its own reduced-fidelity path (`ServeResponse::degraded` —
 /// e.g. a cluster coordinator covering a lost worker) resolve `Degraded`; every other
-/// row is filed into the estimate cache under the versions the response reports, so a
-/// later hit replays it bit-identically.
+/// row is filed into the estimate cache under its query's FROM-bucket version in the
+/// response's snapshot and the response's model version — exactly what it read — so a
+/// later hit replays it bit-identically.  The response then becomes the latest one the
+/// probe reads versions from.
 fn execute<B: ComputeBackend>(shared: &Shared<B>, batch: &Batch) {
     let serve_start_us = shared.hooks.obs.now_us();
     let response = catch_unwind(AssertUnwindSafe(|| {
@@ -1673,6 +1678,7 @@ fn execute<B: ComputeBackend>(shared: &Shared<B>, batch: &Batch) {
     };
     lock_ignoring_poison(&shared.serve_stats).accumulate(&response.stats);
     if let Some(cache) = &shared.cache {
+        let model_version = response.stats.model_version;
         let (mut filed, mut evicted) = (0, 0);
         for (slot, (query, &hash)) in batch.unique.iter().zip(&batch.hashes).enumerate() {
             if source(slot) == EstimateSource::Computed {
@@ -1680,14 +1686,16 @@ fn execute<B: ComputeBackend>(shared: &Shared<B>, batch: &Batch) {
                 evicted += u64::from(cache.insert(
                     query,
                     hash,
-                    response.pool_version,
-                    response.stats.model_version,
+                    response.snapshot.from_version(query),
+                    model_version,
                     response.estimates[slot],
                 ));
             }
         }
         shared.counters.cache_insertions.add(filed);
         shared.counters.cache_evictions.add(evicted);
+        *lock_ignoring_poison(&shared.latest) =
+            Some((Arc::clone(&response.snapshot), model_version));
     }
     let segments = shared.hooks.enabled.then(|| Segments {
         batch_wait_us: serve_start_us.saturating_sub(batch.close_us.saturating_add(batch.probe_us)),

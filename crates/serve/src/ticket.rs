@@ -28,7 +28,7 @@ pub enum EstimateSource {
     /// The estimate was replayed from the runtime's cross-window estimate cache
     /// ([`crate::cache`]): full fidelity at memory latency.  The cached value was
     /// computed by the full serving path and is keyed on the exact
-    /// `(pool version, model version)` pairing it was computed under, so it is
+    /// `(FROM-bucket version, model version)` pairing it was computed under, so it is
     /// **bit-identical** to what recomputing the query right now would return — only
     /// the compute was skipped, never the answer changed.
     Cached,

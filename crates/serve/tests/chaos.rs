@@ -258,6 +258,7 @@ impl ComputeBackend for ShortBackend {
         ServeResponse {
             estimates: vec![1.0; queries.len().saturating_sub(1)],
             stats: ServeStats::default(),
+            snapshot: ShardedPool::new(1).snapshot(),
             pool_version: 0,
             degraded: Vec::new(),
         }
