@@ -11,8 +11,9 @@
 //! Three modules:
 //!
 //! * [`wire`] — hand-rolled length-prefixed frames over `std::net` TCP (no async
-//!   runtime): `[u32 LE length][type byte][serde_json payload]`, bounded by
-//!   [`wire::MAX_FRAME`], lossless for `f64` (pinned by a proptest roundtrip).
+//!   runtime): `[u32 LE length][type byte][tagged binary payload]`, bounded by
+//!   [`wire::MAX_FRAME`], bit-exact for every `f64` including NaN and ±∞ (pinned by a
+//!   proptest roundtrip), and safe to decode from a hostile peer.
 //! * [`worker`] — the shard-owning process: applies assignments, evaluates scattered
 //!   batches shard-locally, mirrors canary probe traffic, stages/swaps models.  All
 //!   policy stays on the coordinator.

@@ -1,27 +1,41 @@
 //! The cluster wire protocol: hand-rolled length-prefixed frames over `std::net` TCP.
 //!
 //! Every message is one frame: a 4-byte little-endian length, one message-type byte,
-//! then a `serde_json` payload (possibly empty for payloadless acks).  JSON inside a
-//! binary frame sounds lossy for a bit-parity system — it is not here: the vendored
-//! `serde_json` round-trips `f64` exactly (shortest `{:?}` formatting parses back to
-//! the identical bits), so estimate lists, pool cardinalities and model parameters all
-//! survive the wire losslessly.  The framing test suite pins this with a proptest
-//! roundtrip over queries, estimate lists and snapshot shard payloads.
+//! then a binary payload (empty for payloadless acks).  The payload is the message's
+//! vendored serde [`Content`] tree in a tag-length encoding, one tag byte per node:
 //!
-//! The length prefix counts the type byte plus the payload, is bounded by
-//! [`MAX_FRAME`] (a malformed or hostile peer cannot make a worker allocate
-//! unboundedly), and is written through the vendored `bytes` [`BytesMut`]/[`BufMut`]
-//! so the frame is assembled once and handed to the socket as one contiguous write.
+//! | tag | node | then |
+//! |-----|------|------|
+//! | 0 / 1 / 2 | null / false / true | — |
+//! | 3 / 4 | `i64` / `u64` | 8 bytes LE |
+//! | 5 | `f64` | its `to_bits()`, 8 bytes LE |
+//! | 6 | string | u32 LE byte count, UTF-8 bytes |
+//! | 7 | seq | u32 LE item count, the items |
+//! | 8 | map | u32 LE entry count, per entry a u32 LE key length, the key, the value |
+//!
+//! Floats travel as raw bits, so every `f64` — NaN with its payload, ±∞, −0.0,
+//! subnormals — and every model parameter arrives bit-identical, which the
+//! distributed bit-parity contract needs.  The framing test suite pins this with a
+//! proptest roundtrip over queries, non-finite estimate lists and shard payloads.
+//!
+//! The decoder trusts nothing: the length prefix is bounded by [`MAX_FRAME`] before
+//! the body is allocated, every count is checked against the bytes left before its
+//! items are, pre-allocation and nesting depth are capped, and trailing bytes are an
+//! error — a hostile frame is a [`WireError::BadPayload`], never a panic, a stack
+//! overflow or an allocation sized by a count the frame cannot back.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use crn_core::{Cnt2CrdConfig, CrnModel, QueriesPool};
 use crn_query::ast::Query;
+use serde::content::Content;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
-/// Upper bound on one frame's `type byte + payload` length.  Large enough for a
-/// serialized pool-shard assignment at demo scale, small enough that a corrupt length
-/// prefix fails fast instead of allocating gigabytes.
+/// Upper bound on one frame's `type byte + payload` length.  An assignment carries the
+/// whole model (four `f32` matrices per parameter: values, gradients and both Adam
+/// moments, 9 bytes per float) plus its shards, which is ≈ 5.7 MB at H = 128; the bound
+/// leaves room for far larger pools while a corrupt length prefix still fails fast
+/// instead of allocating gigabytes.
 pub const MAX_FRAME: usize = 256 << 20;
 
 /// Errors of the framing layer.  IO and decode errors are not distinguished beyond
@@ -275,49 +289,217 @@ impl Message {
             Message::Shutdown => "shutdown",
         }
     }
+
+    /// The payload's content tree, or `None` for a payloadless message.
+    fn payload(&self) -> Option<Content> {
+        Some(match self {
+            Message::Assign(m) => m.to_content(),
+            Message::AssignAck(m) => m.to_content(),
+            Message::Eval(m) => m.to_content(),
+            Message::EvalResult(m) => m.to_content(),
+            Message::Stage(m) => m.to_content(),
+            Message::Probe(m) => m.to_content(),
+            Message::ProbeResult(m) => m.to_content(),
+            Message::Swap(m) => m.to_content(),
+            Message::Upsert(m) => m.to_content(),
+            Message::Error(m) => m.to_content(),
+            Message::StageAck
+            | Message::SwapAck
+            | Message::Discard
+            | Message::DiscardAck
+            | Message::UpsertAck
+            | Message::Shutdown => return None,
+        })
+    }
 }
 
-fn payload_json(message: &Message) -> Result<String, WireError> {
-    let encode =
-        |r: Result<String, serde_json::Error>| r.map_err(|e| WireError::BadPayload(e.to_string()));
-    match message {
-        Message::Assign(m) => encode(serde_json::to_string(m)),
-        Message::AssignAck(m) => encode(serde_json::to_string(m)),
-        Message::Eval(m) => encode(serde_json::to_string(m)),
-        Message::EvalResult(m) => encode(serde_json::to_string(m)),
-        Message::Stage(m) => encode(serde_json::to_string(m)),
-        Message::Probe(m) => encode(serde_json::to_string(m)),
-        Message::ProbeResult(m) => encode(serde_json::to_string(m)),
-        Message::Swap(m) => encode(serde_json::to_string(m)),
-        Message::Upsert(m) => encode(serde_json::to_string(m)),
-        Message::Error(m) => encode(serde_json::to_string(m)),
-        Message::StageAck
-        | Message::SwapAck
-        | Message::Discard
-        | Message::DiscardAck
-        | Message::UpsertAck
-        | Message::Shutdown => Ok(String::new()),
+// The payload's node tags, one per `Content` variant (booleans fold their value in).
+const TAG_NULL: u8 = 0;
+const TAG_FALSE: u8 = 1;
+const TAG_TRUE: u8 = 2;
+const TAG_INT: u8 = 3;
+const TAG_UINT: u8 = 4;
+const TAG_FLOAT: u8 = 5;
+const TAG_STR: u8 = 6;
+const TAG_SEQ: u8 = 7;
+const TAG_MAP: u8 = 8;
+
+/// Deepest seq/map nesting a payload may have.  Every message nests well under 16.
+const MAX_DEPTH: usize = 64;
+/// Most elements a seq or map pre-allocates before its items are read.
+const MAX_PREALLOC: usize = 1 << 16;
+
+/// Appends a count.  A count past `u32::MAX` truncates, but its frame is then past
+/// [`MAX_FRAME`] too, which `encode` rejects.
+fn put_count(out: &mut Vec<u8>, count: usize) {
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_count(out, s.len());
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_content(out: &mut Vec<u8>, content: &Content) {
+    match content {
+        Content::Null => out.push(TAG_NULL),
+        Content::Bool(false) => out.push(TAG_FALSE),
+        Content::Bool(true) => out.push(TAG_TRUE),
+        Content::Int(v) => {
+            out.push(TAG_INT);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        Content::UInt(v) => {
+            out.push(TAG_UINT);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        Content::Float(v) => {
+            out.push(TAG_FLOAT);
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        Content::Str(s) => {
+            out.push(TAG_STR);
+            put_str(out, s);
+        }
+        Content::Seq(items) => {
+            out.push(TAG_SEQ);
+            put_count(out, items.len());
+            for item in items {
+                put_content(out, item);
+            }
+        }
+        Content::Map(entries) => {
+            out.push(TAG_MAP);
+            put_count(out, entries.len());
+            for (key, value) in entries {
+                put_str(out, key);
+                put_content(out, value);
+            }
+        }
     }
 }
 
 /// Encodes one message into a complete frame (length prefix + type byte + payload),
-/// ready for a single socket write.
+/// ready for a single socket write.  The payload is written straight into the frame
+/// and the length prefix is patched in afterwards.
 pub fn encode(message: &Message) -> Result<Bytes, WireError> {
-    let payload = payload_json(message)?;
-    let body_len = 1 + payload.len();
+    let mut frame = vec![0u8; 4];
+    frame.push(message.type_byte());
+    if let Some(payload) = message.payload() {
+        put_content(&mut frame, &payload);
+    }
+    let body_len = frame.len() - 4;
     if body_len > MAX_FRAME {
         return Err(WireError::BadLength(body_len));
     }
-    let mut frame = BytesMut::with_capacity(4 + body_len);
-    frame.put_slice(&(body_len as u32).to_le_bytes());
-    frame.put_u8(message.type_byte());
-    frame.put_slice(payload.as_bytes());
-    Ok(frame.freeze())
+    frame[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    Ok(Bytes::from(frame))
+}
+
+fn bad(reason: impl Into<String>) -> WireError {
+    WireError::BadPayload(reason.into())
+}
+
+/// The depth of a seq's or map's items, or an error past [`MAX_DEPTH`].
+fn nested(depth: usize) -> Result<usize, WireError> {
+    if depth == MAX_DEPTH {
+        return Err(bad(format!("nesting deeper than {MAX_DEPTH}")));
+    }
+    Ok(depth + 1)
+}
+
+/// The payload decoder: a cursor over the unread bytes.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
+        if len > self.rest.len() {
+            return Err(bad(format!(
+                "{len} bytes announced, {} left",
+                self.rest.len()
+            )));
+        }
+        let (head, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn word(&mut self) -> Result<[u8; 8], WireError> {
+        Ok(self.take(8)?.try_into().expect("8 bytes"))
+    }
+
+    /// Reads a count of items that take at least `min_item` bytes each, and rejects it
+    /// unless that many items fit in the unread bytes.
+    fn count(&mut self, min_item: usize) -> Result<usize, WireError> {
+        let count = u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")) as usize;
+        if count.saturating_mul(min_item) > self.rest.len() {
+            return Err(bad(format!(
+                "count {count} overruns the {} bytes left",
+                self.rest.len()
+            )));
+        }
+        Ok(count)
+    }
+
+    fn string(&mut self) -> Result<String, WireError> {
+        let len = self.count(1)?;
+        let bytes = self.take(len)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|e| bad(e.to_string()))
+    }
+
+    fn content(&mut self, depth: usize) -> Result<Content, WireError> {
+        Ok(match self.u8()? {
+            TAG_NULL => Content::Null,
+            TAG_FALSE => Content::Bool(false),
+            TAG_TRUE => Content::Bool(true),
+            TAG_INT => Content::Int(i64::from_le_bytes(self.word()?)),
+            TAG_UINT => Content::UInt(u64::from_le_bytes(self.word()?)),
+            TAG_FLOAT => Content::Float(f64::from_bits(u64::from_le_bytes(self.word()?))),
+            TAG_STR => Content::Str(self.string()?),
+            TAG_SEQ => {
+                let depth = nested(depth)?;
+                // An item is at least its tag byte.
+                let count = self.count(1)?;
+                let mut items = Vec::with_capacity(count.min(MAX_PREALLOC));
+                for _ in 0..count {
+                    items.push(self.content(depth)?);
+                }
+                Content::Seq(items)
+            }
+            TAG_MAP => {
+                let depth = nested(depth)?;
+                // An entry is at least its key's count and its value's tag.
+                let count = self.count(5)?;
+                let mut entries = Vec::with_capacity(count.min(MAX_PREALLOC));
+                for _ in 0..count {
+                    let key = self.string()?;
+                    entries.push((key, self.content(depth)?));
+                }
+                Content::Map(entries)
+            }
+            tag => return Err(bad(format!("unknown node tag {tag}"))),
+        })
+    }
 }
 
 fn parse<T: Deserialize>(payload: &[u8]) -> Result<T, WireError> {
-    let text = std::str::from_utf8(payload).map_err(|e| WireError::BadPayload(e.to_string()))?;
-    serde_json::from_str(text).map_err(|e| WireError::BadPayload(e.to_string()))
+    let mut reader = Reader { rest: payload };
+    let content = reader.content(0)?;
+    if !reader.rest.is_empty() {
+        return Err(bad(format!(
+            "{} trailing bytes after the payload",
+            reader.rest.len()
+        )));
+    }
+    T::from_content(&content).map_err(|e| bad(e.to_string()))
 }
 
 /// Decodes one frame's body (the bytes after the length prefix) into a message.
@@ -325,25 +507,29 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
     let Some((&type_byte, payload)) = body.split_first() else {
         return Err(WireError::BadLength(0));
     };
-    Ok(match type_byte {
-        1 => Message::Assign(parse(payload)?),
-        2 => Message::AssignAck(parse(payload)?),
-        3 => Message::Eval(parse(payload)?),
-        4 => Message::EvalResult(parse(payload)?),
-        5 => Message::Stage(parse(payload)?),
-        6 => Message::StageAck,
-        7 => Message::Probe(parse(payload)?),
-        8 => Message::ProbeResult(parse(payload)?),
-        9 => Message::Swap(parse(payload)?),
-        10 => Message::SwapAck,
-        11 => Message::Discard,
-        12 => Message::DiscardAck,
-        13 => Message::Upsert(parse(payload)?),
-        14 => Message::UpsertAck,
-        15 => Message::Error(parse(payload)?),
-        16 => Message::Shutdown,
-        other => return Err(WireError::BadType(other)),
-    })
+    let payloadless = |message: Message| match payload {
+        [] => Ok(message),
+        _ => Err(bad("payload bytes on a payloadless frame")),
+    };
+    match type_byte {
+        1 => Ok(Message::Assign(parse(payload)?)),
+        2 => Ok(Message::AssignAck(parse(payload)?)),
+        3 => Ok(Message::Eval(parse(payload)?)),
+        4 => Ok(Message::EvalResult(parse(payload)?)),
+        5 => Ok(Message::Stage(parse(payload)?)),
+        6 => payloadless(Message::StageAck),
+        7 => Ok(Message::Probe(parse(payload)?)),
+        8 => Ok(Message::ProbeResult(parse(payload)?)),
+        9 => Ok(Message::Swap(parse(payload)?)),
+        10 => payloadless(Message::SwapAck),
+        11 => payloadless(Message::Discard),
+        12 => payloadless(Message::DiscardAck),
+        13 => Ok(Message::Upsert(parse(payload)?)),
+        14 => payloadless(Message::UpsertAck),
+        15 => Ok(Message::Error(parse(payload)?)),
+        16 => payloadless(Message::Shutdown),
+        other => Err(WireError::BadType(other)),
+    }
 }
 
 /// Writes one message as a single frame.

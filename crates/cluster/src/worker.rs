@@ -214,7 +214,7 @@ fn handle(state: &mut Option<WorkerState>, message: Message, threads: usize) -> 
 }
 
 /// Serves one coordinator connection until it closes, shutdown arrives, or the wire
-/// breaks.  Returns `true` if the worker should exit (explicit shutdown).
+/// breaks.  Returns `Ok(true)` if the worker should exit (explicit shutdown).
 fn serve_connection(
     stream: TcpStream,
     state: &mut Option<WorkerState>,
@@ -223,14 +223,7 @@ fn serve_connection(
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
     loop {
-        let message = match read_message(&mut reader) {
-            Ok(message) => message,
-            // A dead coordinator link is not a worker failure: drop back to accept
-            // and wait for the coordinator to re-dial (it re-ships the assignment).
-            Err(WireError::Io(_)) => return Ok(false),
-            Err(error) => return Err(error),
-        };
-        match handle(state, message, threads) {
+        match handle(state, read_message(&mut reader)?, threads) {
             Some(reply) => write_message(&mut writer, &reply)?,
             None => return Ok(true),
         }
@@ -240,12 +233,17 @@ fn serve_connection(
 /// Runs a worker on `listener` until a [`Message::Shutdown`] arrives.  Accepts one
 /// coordinator connection at a time; a dropped connection returns the worker to
 /// `accept`, where the coordinator's reconnect path re-dials and re-ships state.
+/// Only a failing `accept` is an error.
 pub fn run_worker(listener: TcpListener, threads: usize) -> Result<(), WireError> {
     let mut state: Option<WorkerState> = None;
     loop {
         let (stream, _) = listener.accept().map_err(WireError::Io)?;
         stream.set_nodelay(true).ok();
-        if serve_connection(stream, &mut state, threads)? {
+        // Any wire error ends only this connection, never the worker: a dead link is
+        // the coordinator's to re-dial, and after a frame that fails to decode (bad
+        // length, type or payload) the stream sits at an unknown offset, so the worker
+        // drops it and keeps its state for the next coordinator.
+        if let Ok(true) = serve_connection(stream, &mut state, threads) {
             return Ok(());
         }
     }

@@ -19,7 +19,8 @@ use crn_serve::{
     ComputeBackend, EstimateSource, FaultInjector, FaultPlan, FaultSite, FaultTrigger,
     RuntimeConfig, ServeRuntime,
 };
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 /// A mid-batch frame drop (the deterministic [`FaultSite::ClusterFrameDrop`] fault
@@ -94,6 +95,59 @@ fn frame_drop_mid_batch_resolves_tickets_as_degraded_then_recovers() {
     assert_bit_identical(&response.estimates, &local.estimates, "post-reconnect");
 
     drop(runtime);
+    client.shutdown_workers();
+    for handle in handles {
+        handle.join().expect("worker exits");
+    }
+}
+
+/// A frame that fails to decode costs the sender its connection, not the worker its
+/// life: after a bad payload, an unknown type byte and an oversized length prefix,
+/// each on its own connection, the same worker still accepts a coordinator and serves
+/// bit-identically.
+#[test]
+fn bad_frames_drop_the_connection_not_the_worker() {
+    let fx = fixture(43);
+    let queries = workload(&fx.db, 84, 12);
+    let (addrs, handles) = spawn_fleet(1, 1);
+
+    let mut deep = vec![3u8];
+    for _ in 0..100_000 {
+        deep.push(7);
+        deep.extend_from_slice(&1u32.to_le_bytes());
+    }
+    let bad_payload = [&(deep.len() as u32).to_le_bytes()[..], &deep].concat();
+    let bad_type = [&1u32.to_le_bytes()[..], &[200u8]].concat();
+    let bad_length = u32::MAX.to_le_bytes().to_vec();
+    for garbage in [bad_payload, bad_type, bad_length] {
+        let mut stream = TcpStream::connect(addrs[0]).expect("dial worker");
+        stream.write_all(&garbage).expect("send garbage");
+        // The worker hangs up without a reply.
+        let mut rest = Vec::new();
+        stream
+            .read_to_end(&mut rest)
+            .expect("worker closes the connection");
+        assert!(rest.is_empty(), "no reply to a bad frame");
+    }
+
+    let client = ClusterClient::connect(
+        &addrs,
+        fx.model.clone(),
+        &fx.pool,
+        4,
+        ClusterOptions::default(),
+    )
+    .expect("the worker still accepts a coordinator");
+    let response = client.serve(&queries);
+    assert!(response.degraded.is_empty(), "the worker serves");
+    let service = EstimatorService::new(
+        fx.model.clone(),
+        ShardedPool::from_pool(&fx.pool, 4),
+        WorkerPool::shared(2),
+    );
+    let local = ComputeBackend::serve(&service, &queries);
+    assert_bit_identical(&response.estimates, &local.estimates, "after bad frames");
+
     client.shutdown_workers();
     for handle in handles {
         handle.join().expect("worker exits");

@@ -2,8 +2,12 @@
 //!
 //! The paper reports that the serialized CRN model is roughly 1.5 MB (§3.5.3) and envisions
 //! the queries pool as durable DBMS meta information (§5.2).  This module provides the
-//! corresponding save/load functionality using a self-describing JSON encoding (small models,
-//! readability over compactness).
+//! corresponding save/load functionality using a self-describing JSON encoding, chosen for
+//! readability over compactness.  It is not small: a model serializes every parameter's
+//! value, gradient and both Adam moments (so three of every four floats are training
+//! state), each as a decimal, and at H = 128 that measured 9.9 MB of JSON.  Checkpoints
+//! keep the full training state because a restored lineage resumes training from it; the
+//! cluster wire ships models in its own binary encoding instead (`crn-cluster`'s `wire`).
 
 use crate::model::CrnModel;
 use crate::pool::QueriesPool;
