@@ -24,19 +24,17 @@
 //! [`RETRY_BACKOFF_FLOOR`]/[`RETRY_BACKOFF_CEIL`] envelope) and re-shipped their full
 //! assignment on reconnect.
 //!
-//! # Canary rollout
+//! # One model per client
 //!
-//! [`roll_out`](ClusterClient::roll_out) stages a candidate model on one canary
-//! worker, mirrors held-out probe traffic through the live model *and* the candidate
-//! on that worker's own anchors, and applies the refresh tier's gate rule
-//! ([`crn_online::gate_accepts`]).  Only an accepted candidate is staged + swapped
-//! fleet-wide under a new version.  Rollout and serving share one lock, and every
-//! [`EvalRequest`] carries the version it must be served
-//! under (workers refuse mismatches), so a batch can never blend model generations.
+//! The model shipped at [`connect`](ClusterClient::connect) serves for the client's
+//! whole lifetime, under version 1.  Model refresh is an in-process affair
+//! (`crn-online` swaps the model of an `EstimatorService`); a cluster picks up a new
+//! model by connecting a new client.  Every [`EvalRequest`] still carries the version
+//! it must be served under, and workers refuse mismatches.
 
 use crate::wire::{
-    read_message, write_message, Assignment, EvalRequest, Message, ProbeRequest, ShardPayload,
-    StageModel, SwapModel, UpsertRequest, WireError,
+    read_message, write_message, Assignment, EvalRequest, Message, ShardPayload, UpsertRequest,
+    WireError,
 };
 use crn_core::{
     fold_entry_lists, plan_groups, plan_work_items, Cnt2CrdConfig, CrnModel, QueriesPool,
@@ -63,9 +61,6 @@ pub struct ClusterOptions {
     /// Per-socket read/write timeout; a worker slower than this on one reply is
     /// treated as lost for the batch.
     pub worker_timeout: Duration,
-    /// Canary gate margin (the refresh tier's rule: candidate must beat live by this
-    /// relative margin on probe median q-error).
-    pub gate_margin: f64,
     /// Batches between reconnect attempts to a lost worker.
     pub reconnect_every: u64,
 }
@@ -75,7 +70,6 @@ impl Default for ClusterOptions {
         Self {
             config: Cnt2CrdConfig::default(),
             worker_timeout: Duration::from_secs(2),
-            gate_margin: 0.0,
             reconnect_every: 4,
         }
     }
@@ -96,34 +90,12 @@ pub struct ClusterStats {
     pub worker_losses: u64,
     /// Successful reconnect + re-ship cycles.
     pub reconnects: u64,
-    /// Canary decisions that promoted the candidate fleet-wide.
-    pub canary_promoted: u64,
-    /// Canary decisions that rejected the candidate.
-    pub canary_rejected: u64,
     /// Feedback upserts forwarded to shard owners.
     pub upserts_forwarded: u64,
 }
 
-/// A canary rollout's verdict (medians are the canary worker's probe q-errors).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RolloutOutcome {
-    /// The candidate beat the gate and now serves fleet-wide under `version`.
-    Promoted {
-        /// The new fleet model version.
-        version: u64,
-        /// Live model's probe median at decision time.
-        live_median: f64,
-        /// Candidate's probe median at decision time.
-        candidate_median: f64,
-    },
-    /// The candidate failed the gate; the fleet still serves the prior version.
-    Rejected {
-        /// Live model's probe median at decision time.
-        live_median: f64,
-        /// Candidate's probe median at decision time.
-        candidate_median: f64,
-    },
-}
+/// The model version every batch is served under: the client's model never changes.
+const MODEL_VERSION: u64 = 1;
 
 /// One worker connection.  `stream: None` means lost — awaiting reconnect cadence.
 struct WorkerLink {
@@ -165,22 +137,18 @@ struct Counters {
     degraded_queries: AtomicU64,
     worker_losses: AtomicU64,
     reconnects: AtomicU64,
-    canary_promoted: AtomicU64,
-    canary_rejected: AtomicU64,
     upserts_forwarded: AtomicU64,
 }
 
-/// The coordinator-side scatter/gather backend.  See the module docs for the three
-/// contracts (parity, liveness, canary).
+/// The coordinator-side scatter/gather backend.  See the module docs for its contracts
+/// (parity, liveness, one model).
 pub struct ClusterClient {
     mirror: ShardedPool,
     options: ClusterOptions,
     fallback: Option<Box<dyn CardinalityEstimator + Send + Sync>>,
     links: Mutex<Vec<WorkerLink>>,
-    /// Fleet model version (workers refuse batches under any other).
-    model_version: AtomicU64,
-    /// The live model, kept for re-shipping assignments to reconnecting workers.
-    live_model: Mutex<CrnModel>,
+    /// The model, kept for re-shipping assignments to reconnecting workers.
+    model: CrnModel,
     counters: Counters,
     faults: Arc<FaultInjector>,
     obs: Obs,
@@ -232,15 +200,12 @@ impl ClusterClient {
                     })
                     .collect(),
             ),
-            model_version: AtomicU64::new(1),
-            live_model: Mutex::new(model),
+            model,
             counters: Counters {
                 batches: AtomicU64::new(0),
                 degraded_queries: AtomicU64::new(0),
                 worker_losses: AtomicU64::new(0),
                 reconnects: AtomicU64::new(0),
-                canary_promoted: AtomicU64::new(0),
-                canary_rejected: AtomicU64::new(0),
                 upserts_forwarded: AtomicU64::new(0),
             },
             faults: FaultInjector::none(),
@@ -267,7 +232,7 @@ impl ClusterClient {
     }
 
     /// Attaches an observability handle (per-worker RTT/in-flight gauges,
-    /// scatter/gather timing histograms, worker-loss + canary journal events).
+    /// scatter/gather timing histograms, worker-loss journal events).
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.obs = obs.clone();
         self.handles = ObsHandles::new(obs, self.handles.rtt_us.len());
@@ -291,15 +256,8 @@ impl ClusterClient {
             degraded_queries: self.counters.degraded_queries.load(Ordering::Relaxed),
             worker_losses: self.counters.worker_losses.load(Ordering::Relaxed),
             reconnects: self.counters.reconnects.load(Ordering::Relaxed),
-            canary_promoted: self.counters.canary_promoted.load(Ordering::Relaxed),
-            canary_rejected: self.counters.canary_rejected.load(Ordering::Relaxed),
             upserts_forwarded: self.counters.upserts_forwarded.load(Ordering::Relaxed),
         }
-    }
-
-    /// The fleet model version (what batches are currently served under).
-    pub fn model_version(&self) -> u64 {
-        self.model_version.load(Ordering::Acquire)
     }
 
     fn dial(&self, addr: SocketAddr) -> Result<TcpStream, WireError> {
@@ -314,7 +272,7 @@ impl ClusterClient {
         Ok(stream)
     }
 
-    /// Ships `worker_id`'s full assignment (owned shards + live model + version) over
+    /// Ships `worker_id`'s full assignment (owned shards + model + version) over
     /// its connected link and waits for the ack.
     fn ship_assignment(
         &self,
@@ -331,14 +289,14 @@ impl ClusterClient {
                 pool: snapshot.shard_pool(shard),
             })
             .collect();
-        let assignment = Message::Assign(Assignment {
+        let assignment = Message::Assign(Box::new(Assignment {
             worker_id,
             total_shards: snapshot.num_shards(),
-            model_version: self.model_version.load(Ordering::Acquire),
+            model_version: MODEL_VERSION,
             config: self.options.config,
-            model: lock_ignoring_poison_model(&self.live_model).clone(),
+            model: self.model.clone(),
             shards,
-        });
+        }));
         let stream = link.stream.as_mut().expect("ship over connected link");
         write_message(stream, &assignment)?;
         match read_message(stream)? {
@@ -419,13 +377,12 @@ impl ClusterClient {
         self.reconnect_due(links);
 
         let snapshot = self.mirror.snapshot();
-        let model_version = self.model_version.load(Ordering::Acquire);
         let workers = links.len();
         let mut stats = ServeStats {
             queries: queries.len(),
             shards: snapshot.num_shards(),
             pool_entries: snapshot.len(),
-            model_version,
+            model_version: MODEL_VERSION,
             ..ServeStats::default()
         };
 
@@ -468,7 +425,7 @@ impl ClusterClient {
                 continue;
             };
             let request = Message::Eval(EvalRequest {
-                model_version,
+                model_version: MODEL_VERSION,
                 queries: sent[worker_id]
                     .iter()
                     .map(|&index| queries[index].clone())
@@ -503,7 +460,7 @@ impl ClusterClient {
             };
             self.handles.in_flight[worker_id].set(0.0);
             let response = match reply {
-                Ok(Message::EvalResult(response)) if response.model_version == model_version => {
+                Ok(Message::EvalResult(response)) if response.model_version == MODEL_VERSION => {
                     self.handles.rtt_us[worker_id].set(rtt_start.elapsed().as_micros() as f64);
                     response
                 }
@@ -570,122 +527,6 @@ impl ClusterClient {
         }
     }
 
-    /// Stages `candidate` on a canary worker, mirrors `probe` traffic through live and
-    /// candidate there, and — only if the refresh tier's gate accepts — stages + swaps
-    /// it fleet-wide under a fresh version.  Holds the serve lock throughout, so no
-    /// batch can interleave with a half-rolled-out fleet.
-    pub fn roll_out(
-        &self,
-        candidate: CrnModel,
-        probe_queries: &[Query],
-        probe_truths: &[u64],
-    ) -> Result<RolloutOutcome, WireError> {
-        let mut links = lock_links(&self.links);
-        let workers = links.len();
-        let next_version = self.model_version.load(Ordering::Acquire) + 1;
-        let canary = (0..workers)
-            .find(|&worker| links[worker].stream.is_some())
-            .ok_or_else(|| WireError::BadPayload("no live worker to canary a rollout on".into()))?;
-
-        let exchange = |links: &mut [WorkerLink], worker: usize, message: &Message| {
-            let stream = links[worker].stream.as_mut().expect("live link");
-            write_message(stream, message).and_then(|()| read_message(stream))
-        };
-
-        // Stage on the canary and mirror the probe set through both models.
-        exchange(
-            &mut links,
-            canary,
-            &Message::Stage(StageModel {
-                version: next_version,
-                model: candidate.clone(),
-            }),
-        )?;
-        let probe = exchange(
-            &mut links,
-            canary,
-            &Message::Probe(ProbeRequest {
-                queries: probe_queries.to_vec(),
-                truths: probe_truths.to_vec(),
-            }),
-        )?;
-        let Message::ProbeResult(probe) = probe else {
-            return Err(WireError::BadPayload(format!(
-                "unexpected {} to canary probe",
-                probe.kind()
-            )));
-        };
-
-        if !crn_online::gate_accepts(
-            probe.live_median,
-            probe.candidate_median,
-            self.options.gate_margin,
-        ) {
-            let _ = exchange(&mut links, canary, &Message::Discard);
-            self.counters
-                .canary_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            self.obs.record_event(Event::CanaryDecision {
-                decision: "rejected",
-                live_median: probe.live_median,
-                candidate_median: probe.candidate_median,
-            });
-            return Ok(RolloutOutcome::Rejected {
-                live_median: probe.live_median,
-                candidate_median: probe.candidate_median,
-            });
-        }
-
-        // Accepted: stage on the rest of the fleet, then swap everywhere.  The live
-        // model/version flip first, so a worker lost mid-rollout is re-shipped the NEW
-        // assignment on reconnect; until then its stale version makes every Eval fail
-        // loudly (degraded), never blend.
-        *lock_ignoring_poison_model(&self.live_model) = candidate.clone();
-        self.model_version.store(next_version, Ordering::Release);
-        for worker in 0..workers {
-            if worker != canary && links[worker].stream.is_some() {
-                let staged = exchange(
-                    &mut links,
-                    worker,
-                    &Message::Stage(StageModel {
-                        version: next_version,
-                        model: candidate.clone(),
-                    }),
-                );
-                if !matches!(staged, Ok(Message::StageAck)) {
-                    self.declare_lost(&mut links, worker);
-                }
-            }
-        }
-        for worker in 0..workers {
-            if links[worker].stream.is_some() {
-                let swapped = exchange(
-                    &mut links,
-                    worker,
-                    &Message::Swap(SwapModel {
-                        version: next_version,
-                    }),
-                );
-                if !matches!(swapped, Ok(Message::SwapAck)) {
-                    self.declare_lost(&mut links, worker);
-                }
-            }
-        }
-        self.counters
-            .canary_promoted
-            .fetch_add(1, Ordering::Relaxed);
-        self.obs.record_event(Event::CanaryDecision {
-            decision: "promoted",
-            live_median: probe.live_median,
-            candidate_median: probe.candidate_median,
-        });
-        Ok(RolloutOutcome::Promoted {
-            version: next_version,
-            live_median: probe.live_median,
-            candidate_median: probe.candidate_median,
-        })
-    }
-
     /// Sends every connected worker a shutdown frame (the eval demo's clean teardown;
     /// lost workers are simply left to their own exit).
     pub fn shutdown_workers(&self) {
@@ -697,12 +538,6 @@ impl ClusterClient {
             link.stream = None;
         }
     }
-}
-
-fn lock_ignoring_poison_model(model: &Mutex<CrnModel>) -> MutexGuard<'_, CrnModel> {
-    model
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl ComputeBackend for ClusterClient {
@@ -719,10 +554,7 @@ impl ComputeBackend for ClusterClient {
     }
 
     fn serving_versions(&self) -> (u64, u64) {
-        (
-            self.mirror.snapshot().version(),
-            self.model_version.load(Ordering::Acquire),
-        )
+        (self.mirror.snapshot().version(), MODEL_VERSION)
     }
 
     fn apply_feedback(&self, query: &Query, cardinality: u64) {

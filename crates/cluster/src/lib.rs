@@ -15,16 +15,16 @@
 //!   [`wire::MAX_FRAME`], bit-exact for every `f64` including NaN and ±∞ (pinned by a
 //!   proptest roundtrip), and safe to decode from a hostile peer.
 //! * [`worker`] — the shard-owning process: applies assignments, evaluates scattered
-//!   batches shard-locally, mirrors canary probe traffic, stages/swaps models.  All
-//!   policy stays on the coordinator.
+//!   batches shard-locally, applies forwarded feedback upserts.  All policy stays on
+//!   the coordinator.
 //! * [`client`] — the coordinator-side [`ClusterClient`], a
 //!   [`ComputeBackend`](crn_serve::ComputeBackend) the serving runtime schedules onto
 //!   exactly like the in-process service.  Lost or slow workers degrade their queries
 //!   to the fallback path (`EstimateSource::Degraded` downstream, counted in
 //!   [`ClusterStats`], journaled as `worker_lost`) — never hung, never silently
-//!   wrong — and reconnect with bounded backoff.  Model rollout goes through a canary
-//!   worker gated by the refresh tier's rule ([`crn_online::gate_accepts`]); a batch
-//!   can never mix model versions.
+//!   wrong — and reconnect with bounded backoff.  The client serves the model it
+//!   connected with for its whole lifetime; model refresh stays in process
+//!   (`crn-online`).
 //!
 //! [`fold_entry_lists`]: crn_core::fold_entry_lists
 
@@ -32,6 +32,6 @@ pub mod client;
 pub mod wire;
 pub mod worker;
 
-pub use client::{ClusterClient, ClusterOptions, ClusterStats, RolloutOutcome};
+pub use client::{ClusterClient, ClusterOptions, ClusterStats};
 pub use wire::{Message, WireError, MAX_FRAME};
 pub use worker::{run_worker, spawn_worker};

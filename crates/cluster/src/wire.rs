@@ -152,41 +152,6 @@ pub struct EvalResponse {
     pub shards: Vec<ShardLists>,
 }
 
-/// Coordinator → worker: stage a candidate model (not served yet).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StageModel {
-    /// The version the candidate will serve under if promoted.
-    pub version: u64,
-    /// The candidate model.
-    pub model: CrnModel,
-}
-
-/// Coordinator → canary worker: mirror this probe traffic through the live model AND
-/// the staged candidate, and report both probe medians.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProbeRequest {
-    /// The probe queries.
-    pub queries: Vec<Query>,
-    /// Their observed true cardinalities (the q-error denominators).
-    pub truths: Vec<u64>,
-}
-
-/// Canary worker → coordinator: the mirrored probe medians.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProbeResponse {
-    /// Median q-error of the live model over the probe set (worker-local anchors).
-    pub live_median: f64,
-    /// Median q-error of the staged candidate over the same probe set and anchors.
-    pub candidate_median: f64,
-}
-
-/// Coordinator → worker: promote the staged candidate to live under this version.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SwapModel {
-    /// The fleet version being promoted (must match the staged candidate's).
-    pub version: u64,
-}
-
 /// Coordinator → worker: apply one feedback upsert to the owning shard's anchors.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UpsertRequest {
@@ -211,30 +176,15 @@ pub struct ErrorReply {
 /// below; payloadless variants ship an empty payload.
 #[derive(Debug, Clone)]
 pub enum Message {
-    /// Ship (or re-ship) a worker's shard subset + model.
-    Assign(Assignment),
+    /// Ship (or re-ship) a worker's shard subset + model (boxed: it dwarfs every other
+    /// variant).
+    Assign(Box<Assignment>),
     /// Assignment applied.
     AssignAck(AssignAck),
     /// Evaluate a scattered batch slice.
     Eval(EvalRequest),
     /// The evaluated slice.
     EvalResult(EvalResponse),
-    /// Stage a candidate model.
-    Stage(StageModel),
-    /// Candidate staged.
-    StageAck,
-    /// Mirror probe traffic through live + staged candidate.
-    Probe(ProbeRequest),
-    /// The probe medians.
-    ProbeResult(ProbeResponse),
-    /// Promote the staged candidate.
-    Swap(SwapModel),
-    /// Promotion applied.
-    SwapAck,
-    /// Discard the staged candidate (rejected at canary).
-    Discard,
-    /// Staged candidate discarded.
-    DiscardAck,
     /// Apply a feedback upsert.
     Upsert(UpsertRequest),
     /// Upsert applied.
@@ -253,18 +203,10 @@ impl Message {
             Message::AssignAck(_) => 2,
             Message::Eval(_) => 3,
             Message::EvalResult(_) => 4,
-            Message::Stage(_) => 5,
-            Message::StageAck => 6,
-            Message::Probe(_) => 7,
-            Message::ProbeResult(_) => 8,
-            Message::Swap(_) => 9,
-            Message::SwapAck => 10,
-            Message::Discard => 11,
-            Message::DiscardAck => 12,
-            Message::Upsert(_) => 13,
-            Message::UpsertAck => 14,
-            Message::Error(_) => 15,
-            Message::Shutdown => 16,
+            Message::Upsert(_) => 5,
+            Message::UpsertAck => 6,
+            Message::Error(_) => 7,
+            Message::Shutdown => 8,
         }
     }
 
@@ -275,14 +217,6 @@ impl Message {
             Message::AssignAck(_) => "assign_ack",
             Message::Eval(_) => "eval",
             Message::EvalResult(_) => "eval_result",
-            Message::Stage(_) => "stage",
-            Message::StageAck => "stage_ack",
-            Message::Probe(_) => "probe",
-            Message::ProbeResult(_) => "probe_result",
-            Message::Swap(_) => "swap",
-            Message::SwapAck => "swap_ack",
-            Message::Discard => "discard",
-            Message::DiscardAck => "discard_ack",
             Message::Upsert(_) => "upsert",
             Message::UpsertAck => "upsert_ack",
             Message::Error(_) => "error",
@@ -297,18 +231,9 @@ impl Message {
             Message::AssignAck(m) => m.to_content(),
             Message::Eval(m) => m.to_content(),
             Message::EvalResult(m) => m.to_content(),
-            Message::Stage(m) => m.to_content(),
-            Message::Probe(m) => m.to_content(),
-            Message::ProbeResult(m) => m.to_content(),
-            Message::Swap(m) => m.to_content(),
             Message::Upsert(m) => m.to_content(),
             Message::Error(m) => m.to_content(),
-            Message::StageAck
-            | Message::SwapAck
-            | Message::Discard
-            | Message::DiscardAck
-            | Message::UpsertAck
-            | Message::Shutdown => return None,
+            Message::UpsertAck | Message::Shutdown => return None,
         })
     }
 }
@@ -512,22 +437,14 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
         _ => Err(bad("payload bytes on a payloadless frame")),
     };
     match type_byte {
-        1 => Ok(Message::Assign(parse(payload)?)),
+        1 => Ok(Message::Assign(Box::new(parse(payload)?))),
         2 => Ok(Message::AssignAck(parse(payload)?)),
         3 => Ok(Message::Eval(parse(payload)?)),
         4 => Ok(Message::EvalResult(parse(payload)?)),
-        5 => Ok(Message::Stage(parse(payload)?)),
-        6 => payloadless(Message::StageAck),
-        7 => Ok(Message::Probe(parse(payload)?)),
-        8 => Ok(Message::ProbeResult(parse(payload)?)),
-        9 => Ok(Message::Swap(parse(payload)?)),
-        10 => payloadless(Message::SwapAck),
-        11 => payloadless(Message::Discard),
-        12 => payloadless(Message::DiscardAck),
-        13 => Ok(Message::Upsert(parse(payload)?)),
-        14 => payloadless(Message::UpsertAck),
-        15 => Ok(Message::Error(parse(payload)?)),
-        16 => payloadless(Message::Shutdown),
+        5 => Ok(Message::Upsert(parse(payload)?)),
+        6 => payloadless(Message::UpsertAck),
+        7 => Ok(Message::Error(parse(payload)?)),
+        8 => payloadless(Message::Shutdown),
         other => Err(WireError::BadType(other)),
     }
 }

@@ -6,49 +6,44 @@
 //! decisions, and never folds entry lists into estimates — it applies whatever
 //! [`Assignment`] the coordinator ships, answers
 //! [`EvalRequest`](crate::wire::EvalRequest)s with raw per-shard entry-estimate lists,
-//! and mirrors probe traffic through live + staged models when asked to play canary.
-//! All policy (canonical-order merging, degradation, canary verdicts, reconnect
-//! cadence) lives on the coordinator, so adding a worker never adds a decision point.
+//! and applies the feedback upserts forwarded to its shards.  All policy
+//! (canonical-order merging, degradation, reconnect cadence) lives on the coordinator,
+//! so adding a worker never adds a decision point.
 //!
 //! Bit-parity note: each owned shard is reconstructed as a **one-shard**
 //! [`ShardedPool`] from the shipped shard payload.  One-shard reconstruction
 //! preserves entry order, so the worker's shard scan visits entries in exactly the
 //! order the single-process service would — and Eval runs the same shared core
 //! ([`Cnt2CrdCore`]) the service runs, so the lists it returns are bit-identical to
-//! the corresponding single-process work items.  Probe runs that core too, over all
-//! owned shards, under the live model and the staged candidate by reference.
+//! the corresponding single-process work items.
 //!
 //! Version discipline: an [`EvalRequest`](crate::wire::EvalRequest) carries the fleet
-//! model version it must be served under.  A worker whose live version differs (e.g. a
-//! swap raced a scatter) answers [`ErrorReply`] rather than
-//! serving — a mixed fleet can degrade a batch, but can never silently blend model
-//! generations inside one batch.
+//! model version it must be served under.  A worker whose version differs answers
+//! [`ErrorReply`] rather than serving — a mismatched worker can degrade a batch, but
+//! can never silently serve it under another model.
 
 use crate::wire::{
     read_message, write_message, AssignAck, Assignment, ErrorReply, EvalResponse, Message,
-    ProbeResponse, ShardLists, WireError,
+    ShardLists, WireError,
 };
-use crn_core::{AnchorCache, Cnt2CrdConfig, Cnt2CrdCore, CrnModel, PoolShard, ShardedPool};
+use crn_core::{AnchorCache, Cnt2CrdConfig, Cnt2CrdCore, CrnModel, ShardedPool};
 use crn_nn::WorkerPool;
 use crn_query::ast::Query;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 
 /// Everything a worker holds between messages.  Built wholesale from an
 /// [`Assignment`]; absent until the first one arrives.
 struct WorkerState {
     worker_id: usize,
-    /// Live fleet model version this worker serves under.
+    /// Fleet model version this worker serves under.
     version: u64,
     config: Cnt2CrdConfig,
     workers: WorkerPool,
-    /// The live model: Eval and the live half of Probe read it by reference.
+    /// The model: Eval reads it by reference.
     model: CrnModel,
     /// The owned global shards, ascending by shard index: `(index, one-shard pool,
     /// prepared-anchor cache of that shard)`.
     shards: Vec<(usize, ShardedPool, AnchorCache)>,
-    /// A staged candidate model awaiting a canary verdict: `(version, model)`.
-    staged: Option<(u64, CrnModel)>,
 }
 
 impl WorkerState {
@@ -69,11 +64,10 @@ impl WorkerState {
             workers: WorkerPool::shared(threads.max(1)),
             model: assignment.model,
             shards,
-            staged: None,
         }
     }
 
-    /// Per owned shard, the per-query entry lists of `queries` under the live model.
+    /// Per owned shard, the per-query entry lists of `queries` under the model.
     fn eval(&self, queries: &[Query]) -> Vec<ShardLists> {
         self.shards
             .iter()
@@ -107,7 +101,7 @@ fn handle(state: &mut Option<WorkerState>, message: Message, threads: usize) -> 
         Message::Assign(assignment) => {
             let worker_id = assignment.worker_id;
             let model_version = assignment.model_version;
-            let fresh = WorkerState::from_assignment(assignment, threads);
+            let fresh = WorkerState::from_assignment(*assignment, threads);
             let shards = fresh.shards.len();
             *state = Some(fresh);
             Some(Message::AssignAck(AssignAck {
@@ -130,61 +124,6 @@ fn handle(state: &mut Option<WorkerState>, message: Message, threads: usize) -> 
                 model_version: state.version,
                 shards: state.eval(&request.queries),
             }))
-        }
-        Message::Stage(stage) => {
-            let Some(state) = state.as_mut() else {
-                return Some(error_reply("stage before assignment"));
-            };
-            state.staged = Some((stage.version, stage.model));
-            Some(Message::StageAck)
-        }
-        Message::Probe(request) => {
-            let Some(state) = state.as_ref() else {
-                return Some(error_reply("probe before assignment"));
-            };
-            let Some((_, candidate)) = state.staged.as_ref() else {
-                return Some(error_reply("probe without a staged candidate"));
-            };
-            // Both medians through the shared serving core over every owned shard — the
-            // same machinery for the live model and the staged candidate, so the canary
-            // comparison is apples-to-apples.
-            let owned: Vec<Arc<PoolShard>> = state
-                .shards
-                .iter()
-                .map(|(_, pool, _)| Arc::clone(&pool.snapshot().shards()[0]))
-                .collect();
-            let (config, queries, truths) = (&state.config, &request.queries, &request.truths);
-            let median =
-                |model: &CrnModel| crn_online::probe_median(config, model, &owned, queries, truths);
-            Some(Message::ProbeResult(ProbeResponse {
-                live_median: median(&state.model),
-                candidate_median: median(candidate),
-            }))
-        }
-        Message::Swap(swap) => {
-            let Some(state) = state.as_mut() else {
-                return Some(error_reply("swap before assignment"));
-            };
-            match state.staged.take() {
-                Some((version, model)) if version == swap.version => {
-                    state.model = model;
-                    state.version = version;
-                    Some(Message::SwapAck)
-                }
-                other => {
-                    state.staged = other;
-                    Some(error_reply(format!(
-                        "swap v{} without a matching staged candidate",
-                        swap.version
-                    )))
-                }
-            }
-        }
-        Message::Discard => {
-            if let Some(state) = state.as_mut() {
-                state.staged = None;
-            }
-            Some(Message::DiscardAck)
         }
         Message::Upsert(request) => {
             let Some(state) = state.as_mut() else {

@@ -39,29 +39,6 @@ pub fn untrained_crn(db: &Database) -> CrnModel {
     CrnModel::new(db, train_config())
 }
 
-/// An actively harmful model: trained on **inverted** containment rates (the online
-/// suite's sabotage shape).  Guaranteed to lose a probe comparison against a properly
-/// trained model — the deterministic canary-reject candidate.
-pub fn sabotaged_crn(db: &Database, seed: u64) -> CrnModel {
-    let mut gen = QueryGenerator::new(db, GeneratorConfig::paper(seed));
-    let pairs = gen.generate_pairs(40, 160);
-    let mut samples = label_containment_pairs(db, &pairs, 4);
-    for sample in &mut samples {
-        sample.rate = 0.0;
-    }
-    // Long, patient, high-LR training on the constant-zero labels drives every
-    // predicted rate under the serving epsilon: the sabotaged model turns every
-    // anchor into an epsilon-filtered miss, so every probe falls back to the flat
-    // default estimate -- objectively, decisively worse than any live model.
-    let mut config = train_config();
-    config.epochs = 60;
-    config.patience = None;
-    config.learning_rate = 0.01;
-    let mut crn = CrnModel::new(db, config);
-    crn.fit(&samples);
-    crn
-}
-
 pub fn workload(db: &Database, seed: u64, count: usize) -> Vec<Query> {
     let mut gen = QueryGenerator::new(db, GeneratorConfig::paper(seed));
     let mut queries = gen.generate_queries(count);
@@ -93,65 +70,6 @@ pub fn spawn_fleet(workers: usize, threads: usize) -> (Vec<SocketAddr>, Vec<Join
         handles.push(spawn_worker(listener, threads));
     }
     (addrs, handles)
-}
-
-/// The anchors the canary worker (fleet index 0) owns under `shards` global shards
-/// spread over `workers` workers — the pool its mirrored probe traffic is served from.
-pub fn canary_owned_pool(pool: &QueriesPool, shards: usize, workers: usize) -> QueriesPool {
-    let sharded = crn_core::ShardedPool::from_pool(pool, shards);
-    let snapshot = sharded.snapshot();
-    let mut owned = QueriesPool::new();
-    for shard in (0..shards).filter(|shard| shard % workers == 0) {
-        for entry in snapshot.shard_pool(shard).entries() {
-            owned.upsert(entry.query.clone(), entry.cardinality);
-        }
-    }
-    owned
-}
-
-/// A canary probe set that actually exercises the model: scale-generator queries
-/// (structurally unlike the anchors, so containment rates matter) covered by the
-/// canary worker's own anchors (no fallback noise for a healthy model) with
-/// non-trivial true cardinalities (a fallback-flooded sabotaged model scores the
-/// truth itself as its q-error — decisively bad).
-pub fn covered_probe(
-    db: &Database,
-    owned: &QueriesPool,
-    seed: u64,
-    count: usize,
-) -> (Vec<Query>, Vec<u64>) {
-    use crn_query::generator::{ScaleGenerator, ScaleGeneratorConfig};
-    let truth = crn_exec::Executor::new(db);
-    let mut gen = ScaleGenerator::new(
-        db,
-        ScaleGeneratorConfig {
-            seed,
-            max_joins: 2,
-            eq_bias: 0.7,
-        },
-    );
-    let mut queries = Vec::new();
-    let mut truths = Vec::new();
-    for query in gen.generate(count * 20) {
-        if owned.matching(&query).next().is_none() {
-            continue;
-        }
-        let cardinality = truth.cardinality(&query);
-        if cardinality < 8 {
-            continue;
-        }
-        queries.push(query);
-        truths.push(cardinality);
-        if queries.len() == count {
-            break;
-        }
-    }
-    assert!(
-        queries.len() >= count / 2,
-        "probe generator starved: only {} covered queries",
-        queries.len()
-    );
-    (queries, truths)
 }
 
 /// Bitwise equality over estimate slices with a context label.

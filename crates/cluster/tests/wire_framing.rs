@@ -2,16 +2,17 @@
 //! queries, estimate lists and snapshot shard payloads — every `f64`, NaN and ±∞
 //! included, must survive bit-exactly), zero-length batches, oversized-frame
 //! rejection, mid-frame EOF surfacing as an IO error (the coordinator's lost-worker
-//! signal), a frame-size tripwire for the model, and a decoder that turns hostile
-//! bytes into errors without panicking, overflowing its stack or allocating for a
-//! count the frame cannot hold.
+//! signal), a frame-size tripwire for the model, a type byte for each of the eight
+//! message kinds and no other, and a decoder that turns hostile bytes into errors
+//! without panicking, overflowing its stack or allocating for a count the frame cannot
+//! hold.
 
 mod common;
 
 use common::fixture;
 use crn_cluster::wire::{
-    decode_body, encode, read_message, roundtrip, Assignment, EvalRequest, EvalResponse, Message,
-    ProbeResponse, ShardLists, ShardPayload, WireError, MAX_FRAME,
+    decode_body, encode, read_message, roundtrip, AssignAck, Assignment, ErrorReply, EvalRequest,
+    EvalResponse, Message, ShardLists, ShardPayload, UpsertRequest, WireError, MAX_FRAME,
 };
 use crn_core::{Cnt2CrdConfig, CrnModel, QueriesPool, ShardedPool};
 use crn_db::Database;
@@ -102,7 +103,7 @@ impl Rng {
 fn assign_body(shards: usize) -> Vec<u8> {
     let (_, pool, model, _) = shared();
     let snapshot = ShardedPool::from_pool(pool, shards).snapshot();
-    let message = Message::Assign(Assignment {
+    let message = Message::Assign(Box::new(Assignment {
         worker_id: 0,
         total_shards: shards,
         model_version: 1,
@@ -115,7 +116,7 @@ fn assign_body(shards: usize) -> Vec<u8> {
                 pool: snapshot.shard_pool(shard),
             })
             .collect(),
-    });
+    }));
     encode(&message).expect("encode assignment")[4..].to_vec()
 }
 
@@ -225,7 +226,7 @@ proptest! {
         let shards = 1 + (seed as usize % 4) * 2;
         let sharded = ShardedPool::from_pool(pool, shards);
         let snapshot = sharded.snapshot();
-        let assignment = Message::Assign(Assignment {
+        let assignment = Message::Assign(Box::new(Assignment {
             worker_id: seed as usize % 4,
             total_shards: shards,
             model_version: seed,
@@ -238,7 +239,7 @@ proptest! {
                     pool: snapshot.shard_pool(shard),
                 })
                 .collect(),
-        });
+        }));
         let Message::Assign(back) = roundtrip(&assignment).expect("assign roundtrip") else {
             panic!("wrong message kind back");
         };
@@ -255,21 +256,6 @@ proptest! {
         }
         prop_assert_eq!(entries, pool.len());
     }
-
-    #[test]
-    fn probe_medians_roundtrip_bit_exactly(seed in 0u64..256) {
-        let mut rng = Rng(seed);
-        let message = Message::ProbeResult(ProbeResponse {
-            live_median: rng.any_f64(),
-            candidate_median: rng.any_f64(),
-        });
-        let Message::ProbeResult(back) = roundtrip(&message).expect("probe roundtrip") else {
-            panic!("wrong message kind back");
-        };
-        let Message::ProbeResult(sent) = message else { unreachable!() };
-        prop_assert_eq!(back.live_median.to_bits(), sent.live_median.to_bits());
-        prop_assert_eq!(back.candidate_median.to_bits(), sent.candidate_median.to_bits());
-    }
 }
 
 #[test]
@@ -283,18 +269,85 @@ fn zero_length_batches_and_payloadless_frames_roundtrip() {
     };
     assert!(back.queries.is_empty());
 
-    for message in [Message::StageAck, Message::SwapAck, Message::Shutdown] {
+    for message in [Message::UpsertAck, Message::Shutdown] {
         let kind = message.kind();
         let back = roundtrip(&message).expect("payloadless roundtrip");
         assert_eq!(back.kind(), kind);
     }
     // A payloadless frame carrying bytes anyway is malformed, like any trailing bytes.
-    let mut stage_ack = encode(&Message::StageAck).expect("encode")[4..].to_vec();
-    stage_ack.push(0);
+    let mut upsert_ack = encode(&Message::UpsertAck).expect("encode")[4..].to_vec();
+    upsert_ack.push(0);
     assert!(matches!(
-        decode_body(&stage_ack),
+        decode_body(&upsert_ack),
         Err(WireError::BadPayload(_))
     ));
+}
+
+/// The protocol has eight message kinds on type bytes 1..=8, one kind each; every other
+/// byte is an unknown type, whatever payload follows it.
+#[test]
+fn every_type_byte_is_one_message_kind_or_bad_type() {
+    let (_, _, _, queries) = shared();
+    let messages = [
+        Message::AssignAck(AssignAck {
+            worker_id: 0,
+            shards: 1,
+            model_version: 1,
+        }),
+        Message::Eval(EvalRequest {
+            model_version: 1,
+            queries: queries[..2].to_vec(),
+        }),
+        Message::EvalResult(EvalResponse {
+            model_version: 1,
+            shards: Vec::new(),
+        }),
+        Message::Upsert(UpsertRequest {
+            shard: 0,
+            query: queries[0].clone(),
+            cardinality: 7,
+        }),
+        Message::UpsertAck,
+        Message::Error(ErrorReply {
+            reason: "no".to_string(),
+        }),
+        Message::Shutdown,
+    ];
+    let mut bodies = vec![assign_body(1)];
+    bodies.extend(
+        messages
+            .iter()
+            .map(|m| encode(m).expect("encode")[4..].to_vec()),
+    );
+    let kinds = [
+        "assign",
+        "assign_ack",
+        "eval",
+        "eval_result",
+        "upsert",
+        "upsert_ack",
+        "error",
+        "shutdown",
+    ];
+    for (body, (type_byte, kind)) in bodies.iter().zip((1u8..).zip(kinds)) {
+        assert_eq!(
+            body[0], type_byte,
+            "{kind} travels on type byte {type_byte}"
+        );
+        let decoded = decode_body(body).unwrap_or_else(|e| panic!("byte {type_byte}: {e}"));
+        assert_eq!(decoded.kind(), kind, "type byte {type_byte}");
+    }
+    for type_byte in std::iter::once(0u8).chain(9..=255) {
+        for body in [
+            vec![type_byte],
+            [&[type_byte][..], &bodies[2][1..]].concat(),
+        ] {
+            assert!(
+                matches!(decode_body(&body), Err(WireError::BadType(b)) if b == type_byte),
+                "type byte {type_byte} must be unknown"
+            );
+        }
+    }
 }
 
 #[test]

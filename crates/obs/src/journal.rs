@@ -1,6 +1,6 @@
 //! The bounded structured event journal: a ring buffer of timestamped serving events
-//! (batch closes, supervisor restarts, gate decisions, checkpoint commits, pool
-//! maintenance). Overflow drops the *oldest* entries and counts them, so a wedged
+//! (batch closes, supervisor restarts, gate decisions, pool maintenance, worker
+//! losses). Overflow drops the *oldest* entries and counts them, so a wedged
 //! exporter can never grow the journal without bound.
 
 use std::collections::VecDeque;
@@ -43,11 +43,6 @@ pub enum Event {
         /// Training pairs in the cycle's corpus.
         pairs: usize,
     },
-    /// A checkpoint was committed by the maintenance lane.
-    CheckpointCommit {
-        /// Total checkpoints written so far.
-        written: u64,
-    },
     /// The pool evicted entries under retention pressure.
     PoolEviction {
         /// Entries evicted since the previous journal entry.
@@ -73,16 +68,6 @@ pub enum Event {
         /// Zero-based worker index in the fleet.
         worker: usize,
     },
-    /// The cluster canary gate decided a staged candidate model's fate after mirrored
-    /// probe traffic on the canary worker.
-    CanaryDecision {
-        /// Outcome: `"promoted"` or `"rejected"`.
-        decision: &'static str,
-        /// Live model's probe median q-error on the canary worker.
-        live_median: f64,
-        /// Candidate model's probe median q-error on the canary worker.
-        candidate_median: f64,
-    },
 }
 
 impl Event {
@@ -94,12 +79,10 @@ impl Event {
             Event::LaneDegraded { .. } => "lane_degraded",
             Event::GateDecision { .. } => "gate_decision",
             Event::FineTune { .. } => "fine_tune",
-            Event::CheckpointCommit { .. } => "checkpoint_commit",
             Event::PoolEviction { .. } => "pool_eviction",
             Event::PoolCompaction { .. } => "pool_compaction",
             Event::CachePurge { .. } => "cache_purge",
             Event::WorkerLost { .. } => "worker_lost",
-            Event::CanaryDecision { .. } => "canary_decision",
         }
     }
 
@@ -130,9 +113,6 @@ impl Event {
             Event::FineTune { duration_us, pairs } => {
                 let _ = write!(out, "\"duration_us\":{duration_us},\"pairs\":{pairs}");
             }
-            Event::CheckpointCommit { written } => {
-                let _ = write!(out, "\"written\":{written}");
-            }
             Event::PoolEviction { evicted } => {
                 let _ = write!(out, "\"evicted\":{evicted}");
             }
@@ -144,18 +124,6 @@ impl Event {
             }
             Event::WorkerLost { worker } => {
                 let _ = write!(out, "\"worker\":{worker}");
-            }
-            Event::CanaryDecision {
-                decision,
-                live_median,
-                candidate_median,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"decision\":\"{decision}\",\"live_median\":{},\"candidate_median\":{}",
-                    crate::export::json_f64(*live_median),
-                    crate::export::json_f64(*candidate_median)
-                );
             }
         }
     }

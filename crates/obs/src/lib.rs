@@ -251,7 +251,7 @@ mod tests {
         counter.add(3);
         obs.gauge("online.median").set(1.5);
         obs.hist("serve.latency_us").record(100);
-        obs.record_event(Event::CheckpointCommit { written: 1 });
+        obs.record_event(Event::PoolEviction { evicted: 1 });
         let snapshot = obs.snapshot();
         assert_eq!(snapshot.at_us, 42);
         assert_eq!(snapshot.counters, vec![("serve.batches".to_string(), 3)]);
@@ -261,7 +261,7 @@ mod tests {
         let events = obs.events_since(0);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].at_us, 42);
-        assert_eq!(events[0].event.kind(), "checkpoint_commit");
+        assert_eq!(events[0].event.kind(), "pool_eviction");
     }
 
     #[test]

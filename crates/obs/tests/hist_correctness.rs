@@ -152,8 +152,8 @@ fn quantile_error_bounded_by_bucket_width() {
 #[test]
 fn journal_ring_drops_oldest_and_keeps_seq() {
     let obs = Obs::new(ObsConfig::enabled().with_journal_capacity(4));
-    for written in 0..10u64 {
-        obs.record_event(Event::CheckpointCommit { written });
+    for evicted in 0..10u64 {
+        obs.record_event(Event::PoolEviction { evicted });
     }
     let entries = obs.events_since(0);
     assert_eq!(entries.len(), 4);

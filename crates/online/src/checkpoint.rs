@@ -13,25 +13,27 @@
 //! `std::fs` (the rename is the commit point on every POSIX filesystem):
 //!
 //! 1. the versioned payload (`checkpoint-<seq>.json`) is written to a temp file in the
-//!    same directory, then renamed into place;
+//!    same directory, synced, then renamed into place;
 //! 2. the [`Manifest`] (`MANIFEST.json`) — naming the payload, its FNV-1a checksum and
 //!    sequence number — is written the same way, *after* the payload rename.
 //!
-//! A crash at any point leaves either the old manifest pointing at the old (intact)
-//! payload, or the new manifest pointing at the new (fully renamed) payload — never a
-//! manifest naming a half-written file.  A torn or bit-rotted payload is caught at load
-//! time by the checksum ([`CheckpointError::Corrupt`]) instead of deserializing garbage
-//! into a live pool.
+//! Each rename is followed by a sync of the directory (on Unix), so a power loss after
+//! [`Checkpoint::write_atomic`] returns cannot un-commit the manifest — older payloads
+//! are deleted only after that point.  A crash at any point leaves either the old
+//! manifest pointing at the old (intact) payload, or the new manifest pointing at the
+//! new (fully written) payload — never a manifest naming a half-written file.  A torn
+//! or bit-rotted payload is caught at load time by the checksum
+//! ([`CheckpointError::Corrupt`]) instead of deserializing garbage into a live pool.
 //!
-//! The serving integration is [`CheckpointSink`], the `crn-serve`
-//! [`CheckpointWriter`](crn_serve::CheckpointWriter) implementation the maintenance
-//! lane invokes on its configured cadence.
+//! Nothing here runs on a timer: a process that wants periodic checkpoints calls
+//! [`Checkpoint::capture`] and [`Checkpoint::write_atomic`] itself — for example from
+//! its [`FeedbackObserver`](crn_serve::FeedbackObserver) every N records.
 
 use crate::controller::{ControllerCheckpoint, RefreshController};
 use crn_core::{CrnModel, EstimatorService, QueriesPool};
 use serde::{Deserialize, Serialize};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// The on-disk format version (bumped on incompatible layout changes; loads of a
 /// different version fail with [`CheckpointError::FormatVersion`] instead of
@@ -143,14 +145,29 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Writes `bytes` to `path` atomically: temp file in the same directory (same
-/// filesystem, so the rename cannot degrade to copy+delete), then rename.
+/// Writes `bytes` to `path` atomically and durably: temp file in the same directory
+/// (same filesystem, so the rename cannot degrade to copy+delete), synced to disk, then
+/// renamed; the directory is synced after the rename so the new name itself survives a
+/// power loss.
 fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
+    sync_dir(path.parent().unwrap_or(Path::new(".")))
+}
+
+/// Syncs a directory's entries (the rename) to disk.  Unix only: other platforms cannot
+/// open a directory as a file, and their renames are as durable as they get.
+fn sync_dir(dir: &Path) -> Result<(), CheckpointError> {
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
     Ok(())
 }
 
@@ -158,8 +175,9 @@ impl Checkpoint {
     /// Captures the current serving state: the flattened pool and live model from the
     /// service, plus the controller's durable state when one is attached.  The capture
     /// is *not* a single atomic cut across pool and model — each is individually
-    /// consistent (snapshot semantics) and a maintenance-lane caller (the cadence hook)
-    /// runs between upserts, which is the consistency point that matters.
+    /// consistent (snapshot semantics); a caller on the maintenance lane (a
+    /// [`FeedbackObserver`](crn_serve::FeedbackObserver)) runs between upserts, which is
+    /// the consistency point that matters.
     pub fn capture(
         service: &EstimatorService<CrnModel>,
         controller: Option<&RefreshController>,
@@ -250,55 +268,4 @@ fn load_manifest(dir: &Path) -> Result<Manifest, CheckpointError> {
         Err(e) => return Err(CheckpointError::Io(e)),
     };
     Ok(serde_json::from_str(&text)?)
-}
-
-/// The serving-side persistence hook: captures and writes a [`Checkpoint`] whenever the
-/// maintenance lane's cadence fires (`crn-serve`'s
-/// [`CheckpointWriter`](crn_serve::CheckpointWriter)).
-pub struct CheckpointSink {
-    service: Arc<EstimatorService<CrnModel>>,
-    controller: Option<Arc<RefreshController>>,
-    dir: PathBuf,
-}
-
-impl CheckpointSink {
-    /// A sink capturing the service's pool + model into `dir`.
-    pub fn new(service: Arc<EstimatorService<CrnModel>>, dir: impl Into<PathBuf>) -> Self {
-        CheckpointSink {
-            service,
-            controller: None,
-            dir: dir.into(),
-        }
-    }
-
-    /// Also captures the refresh controller's durable state.
-    pub fn with_controller(mut self, controller: Arc<RefreshController>) -> Self {
-        self.controller = Some(controller);
-        self
-    }
-
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// One capture-and-commit, returning the committed manifest.
-    pub fn write(&self) -> Result<Manifest, CheckpointError> {
-        Checkpoint::capture(&self.service, self.controller.as_deref()).write_atomic(&self.dir)
-    }
-}
-
-impl crn_serve::CheckpointWriter for CheckpointSink {
-    fn write_checkpoint(&self) -> Result<(), String> {
-        self.write().map(|_| ()).map_err(|e| e.to_string())
-    }
-}
-
-impl std::fmt::Debug for CheckpointSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointSink")
-            .field("dir", &self.dir)
-            .field("with_controller", &self.controller.is_some())
-            .finish()
-    }
 }

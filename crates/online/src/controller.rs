@@ -93,18 +93,17 @@ impl Default for OnlineConfig {
     }
 }
 
-/// The validation-gate rule, shared by the refresh controller's probe gate and the
-/// cluster canary rollout: a candidate is accepted only when its probe median q-error
-/// beats the live model's by at least the relative `gate_margin` fraction
-/// (`candidate < live * (1 - margin)`; margin is clamped to `[0, 1]`, and 0 keeps the
-/// strictly-better rule).
+/// The refresh controller's validation-gate rule: a candidate is accepted only when its
+/// probe median q-error beats the live model's by at least the relative `gate_margin`
+/// fraction (`candidate < live * (1 - margin)`; margin is clamped to `[0, 1]`, and 0
+/// keeps the strictly-better rule).
 pub fn gate_accepts(live_median: f64, candidate_median: f64, gate_margin: f64) -> bool {
     candidate_median < live_median * (1.0 - gate_margin.clamp(0.0, 1.0))
 }
 
-/// Median q-error of `model` over a probe set — the number both validation gates (the
-/// refresh controller's and the cluster canary's) compare.  The estimates come from the
-/// shared serving core over `shards` without a fallback estimator, so they are
+/// Median q-error of `model` over a probe set — the number the refresh controller's
+/// validation gate compares for the live model and a candidate.  The estimates come from
+/// the shared serving core over `shards` without a fallback estimator, so they are
 /// bit-identical to what [`EstimatorService::serve`] answers for these queries under that
 /// model over that pool: the gate measures exactly the serving behaviour, for the live
 /// model and a candidate alike.

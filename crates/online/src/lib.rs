@@ -45,9 +45,7 @@ pub mod checkpoint;
 pub mod controller;
 pub mod feedback;
 
-pub use checkpoint::{
-    Checkpoint, CheckpointError, CheckpointSink, Manifest, CHECKPOINT_FORMAT_VERSION,
-};
+pub use checkpoint::{Checkpoint, CheckpointError, Manifest, CHECKPOINT_FORMAT_VERSION};
 pub use controller::{
     gate_accepts, probe_median, ControllerCheckpoint, ExecLabeler, FeedbackLabeler, OnlineConfig,
     OnlineStats, RefreshController, RefreshDecision, RefreshOutcome, RefreshWorker,

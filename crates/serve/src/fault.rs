@@ -1,4 +1,4 @@
-//! Deterministic fault injection: scripted panics and write failures at named sites.
+//! Deterministic fault injection: scripted panics and dropped connections at named sites.
 //!
 //! Chaos testing a concurrent runtime is only useful when the chaos is *reproducible*:
 //! a fault that fires "sometimes, under load" cannot pin an invariant in CI.  Every
@@ -18,8 +18,6 @@
 //!   [`Supervisor`](crate::Supervisor) restart path is exercised;
 //! * [`FaultSite::MaintenanceUpsert`] panics inside the upsert containment — the lane
 //!   counts the failure and keeps draining;
-//! * [`FaultSite::CheckpointWrite`] fails the write without a panic — the cadence
-//!   counts it and retries later;
 //! * [`FaultSite::RefreshCycle`] panics the background refresh worker
 //!   (`crn-online`) — its supervised loop restarts it.
 
@@ -29,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use crn_nn::parallel::lock_ignoring_poison;
 
 /// Number of distinct [`FaultSite`]s (sizes the per-site arrival counters).
-const SITE_COUNT: usize = 7;
+const SITE_COUNT: usize = 6;
 
 /// Where in the serving stack a scripted fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +46,6 @@ pub enum FaultSite {
     /// In the maintenance loop, outside containment, mid-record (after the pop, before
     /// the upsert): the lane thread dies and the supervisor restarts it.
     MaintenanceLoop,
-    /// Fails a checkpoint write (no panic — an I/O-error stand-in): counted in
-    /// [`RuntimeStats::checkpoints_failed`](crate::RuntimeStats::checkpoints_failed),
-    /// the cadence retries after the next interval.
-    CheckpointWrite,
     /// Panics the background refresh worker's cycle (`crn-online`): its supervised loop
     /// restarts the worker.
     RefreshCycle,
@@ -69,9 +63,8 @@ impl FaultSite {
             FaultSite::SchedulerLoop => 1,
             FaultSite::MaintenanceUpsert => 2,
             FaultSite::MaintenanceLoop => 3,
-            FaultSite::CheckpointWrite => 4,
-            FaultSite::RefreshCycle => 5,
-            FaultSite::ClusterFrameDrop => 6,
+            FaultSite::RefreshCycle => 4,
+            FaultSite::ClusterFrameDrop => 5,
         }
     }
 
@@ -82,7 +75,6 @@ impl FaultSite {
             FaultSite::SchedulerLoop => "scheduler-kill",
             FaultSite::MaintenanceUpsert => "maint-panic",
             FaultSite::MaintenanceLoop => "maint-kill",
-            FaultSite::CheckpointWrite => "checkpoint-fail",
             FaultSite::RefreshCycle => "refresh-panic",
             FaultSite::ClusterFrameDrop => "cluster-frame-drop",
         }
@@ -206,7 +198,6 @@ const ALL_SITES: [FaultSite; SITE_COUNT] = [
     FaultSite::SchedulerLoop,
     FaultSite::MaintenanceUpsert,
     FaultSite::MaintenanceLoop,
-    FaultSite::CheckpointWrite,
     FaultSite::RefreshCycle,
     FaultSite::ClusterFrameDrop,
 ];
@@ -270,7 +261,7 @@ impl FaultInjector {
 
     /// Counts one arrival at `site` and reports whether a scripted fault fires on it
     /// (recording it in the fired log if so).  Non-panicking — the caller decides what
-    /// "firing" means at its site (panic, failed write, ...).
+    /// "firing" means at its site (panic, dropped frame, ...).
     pub fn should_fire(&self, site: FaultSite) -> bool {
         let arrival = self.arrivals[site.index()].fetch_add(1, Ordering::Relaxed) + 1;
         if self.plan.is_empty() {
@@ -333,7 +324,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_shipped_plan_shapes() {
-        let plan = FaultPlan::parse("batch-panic:2, maint-kill, checkpoint-fail:every3").unwrap();
+        let plan = FaultPlan::parse("batch-panic:2, maint-kill, refresh-panic:every3").unwrap();
         assert_eq!(
             plan.specs,
             vec![
@@ -346,7 +337,7 @@ mod tests {
                     trigger: FaultTrigger::Once(1),
                 },
                 FaultSpec {
-                    site: FaultSite::CheckpointWrite,
+                    site: FaultSite::RefreshCycle,
                     trigger: FaultTrigger::Every(3),
                 },
             ]

@@ -62,9 +62,6 @@
 //! * [`supervisor`] — bounded panic-restart budgets: a panic that escapes per-batch /
 //!   per-upsert containment restarts the lane *with its queues intact*; past the budget
 //!   the runtime degrades to synchronous serving instead of crash-looping.
-//! * [`runtime::CheckpointWriter`] — the crash-safe persistence hook the maintenance
-//!   lane invokes on a configurable cadence (`crn-online` implements it with atomic
-//!   temp-file + rename checkpoints).
 //! * [`fault`] — the deterministic, occurrence-counted [`FaultInjector`] that scripts
 //!   exactly these failures for the chaos suite.
 //!
@@ -91,8 +88,8 @@ pub use fault::{
 };
 pub use queue::{RejectReason, SubmitError};
 pub use runtime::{
-    CheckpointWriter, FeedbackObserver, RuntimeConfig, RuntimeStats, ServeRuntime,
-    RETRY_BACKOFF_CEIL, RETRY_BACKOFF_FLOOR,
+    FeedbackObserver, RuntimeConfig, RuntimeStats, ServeRuntime, RETRY_BACKOFF_CEIL,
+    RETRY_BACKOFF_FLOOR,
 };
 pub use supervisor::{
     Supervisor, SupervisorPolicy, SupervisorVerdict, LANE_MAINTENANCE, LANE_REFRESH, LANE_SCHEDULER,

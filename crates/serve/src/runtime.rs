@@ -1,7 +1,7 @@
 //! The serving runtime: batch-forming scheduler, admission front door, maintenance lane —
-//! supervised, deadline-aware and checkpoint-capable.
+//! supervised and deadline-aware.
 //!
-//! One [`ServeRuntime`] owns three background threads:
+//! One [`ServeRuntime`] owns two background threads:
 //!
 //! * the **scheduler** runs each batch through a fixed sequence of stage functions that
 //!   hand one owned batch record along:
@@ -28,12 +28,9 @@
 //! * the **maintenance lane** drains the feedback queue of `(query, true cardinality)`
 //!   records and applies each one to the pool as a single-swap copy-on-write
 //!   [`upsert`](crn_core::ShardedPool::upsert) — the paper's §5.2 pool-refresh loop,
-//!   running concurrently with serving and never blocking snapshot readers;
-//! * the **checkpoint helper** runs the installed [`CheckpointWriter`] (the crash-safe
-//!   persistence hook `crn-online` implements) whenever the maintenance lane's cadence
-//!   ([`RuntimeConfig::checkpoint_every`]) requests one, off the lane's critical path.
+//!   running concurrently with serving and never blocking snapshot readers.
 //!
-//! The scheduler and maintenance lane run under the [`Supervisor`]: a panic that escapes
+//! Both run under the [`Supervisor`]: a panic that escapes
 //! the per-batch / per-upsert containment restarts the thread **with its queues intact**
 //! (all lane state lives in the shared block; a batch killed mid-flight resolves through
 //! the fallback path), up to the restart budget; past the budget the scheduler degrades
@@ -48,7 +45,7 @@
 //!
 //! Shutdown is graceful: [`ServeRuntime::shutdown`] (or drop) stops admission, drains
 //! both queues — every admitted ticket resolves, every accepted feedback record applies —
-//! and joins all three threads.
+//! and joins both threads.
 
 use crate::backend::ComputeBackend;
 use crate::cache::{EstimateCache, Lookup};
@@ -83,21 +80,6 @@ pub trait FeedbackObserver: Send + Sync {
     /// One applied feedback record: the executed query, its true cardinality, and the
     /// estimate the runtime served for it (what the drift detector compares).
     fn observe(&self, query: &Query, true_cardinality: u64, estimate: f64);
-}
-
-/// The crash-safe persistence hook the maintenance lane invokes on its checkpoint
-/// cadence ([`RuntimeConfig::checkpoint_every`]).
-///
-/// Defined here (not in `crn-online`, which implements it over the service + refresh
-/// controller) so the runtime stays model-refresh-agnostic.  Implementations must write
-/// **atomically** (temp-file + rename with a manifest — `crn_online::Checkpoint` is the
-/// canonical one): the lane treats any `Err` or panic as a failed write, counts it in
-/// [`RuntimeStats::checkpoints_failed`] and simply retries after the next interval —
-/// a checkpoint failure must never take serving down with it.
-pub trait CheckpointWriter: Send + Sync {
-    /// Captures and durably writes one checkpoint; `Err(reason)` marks the attempt
-    /// failed.
-    fn write_checkpoint(&self) -> Result<(), String>;
 }
 
 /// Configuration of one [`ServeRuntime`].
@@ -140,9 +122,6 @@ pub struct RuntimeConfig {
     /// Restart budget of the supervised lanes (scheduler, maintenance — and the refresh
     /// worker, when `crn-online` shares this runtime's supervisor).
     pub restart_policy: SupervisorPolicy,
-    /// Checkpoint cadence: invoke the installed [`CheckpointWriter`] after every this
-    /// many *applied* maintenance records.  0 (the default) disables checkpointing.
-    pub checkpoint_every: u64,
     /// Background pool-compaction cadence: run [`ComputeBackend::compact`] on the
     /// maintenance lane after every this many *applied* feedback records — structural
     /// dedup keeping the highest-retention anchor per shape, not only post-model-swap.
@@ -167,7 +146,7 @@ impl Default for RuntimeConfig {
     /// Defaults: depth 64, no per-caller cap beyond the depth,
     /// batches of at most 32 closing as soon as the scheduler is free (zero window),
     /// maintenance lane of 1024, no request deadline, 3 restarts / 60 s supervision
-    /// budget, checkpointing and compaction off, estimate cache off.
+    /// budget, compaction off, estimate cache off.
     fn default() -> Self {
         RuntimeConfig {
             queue_depth: 64,
@@ -177,7 +156,6 @@ impl Default for RuntimeConfig {
             maintenance_depth: 1024,
             default_deadline: None,
             restart_policy: SupervisorPolicy::default(),
-            checkpoint_every: 0,
             compact_every: 0,
             cache_entries: 0,
             obs: Obs::disabled(),
@@ -221,12 +199,6 @@ impl RuntimeConfig {
     /// Sets the supervision restart budget.
     pub fn with_restart_policy(mut self, policy: SupervisorPolicy) -> Self {
         self.restart_policy = policy;
-        self
-    }
-
-    /// Sets the checkpoint cadence in applied maintenance records (0 disables).
-    pub fn with_checkpoint_every(mut self, records: u64) -> Self {
-        self.checkpoint_every = records;
         self
     }
 
@@ -395,13 +367,6 @@ runtime_stats! {
         /// Background pool compactions the maintenance lane ran (see
         /// [`RuntimeConfig::compact_every`]; 0 when periodic compaction is disabled).
         compactions,
-        /// Checkpoints the maintenance lane wrote successfully through the installed
-        /// [`CheckpointWriter`].
-        checkpoints_written,
-        /// Checkpoint attempts that failed (writer error, writer panic, or an injected
-        /// [`CheckpointWrite`](crate::FaultSite::CheckpointWrite) fault) — retried after
-        /// the next interval.
-        checkpoints_failed,
     }
     snapshot {
         /// Always 0: the runtime has one submission lane and no class shares to shed
@@ -557,19 +522,6 @@ struct Segments {
     merge_us: u64,
 }
 
-/// Handoff cell between the maintenance lane and the checkpoint helper thread.  The
-/// lane only flips `requested` (cheap, never blocks on IO); the helper does the actual
-/// [`CheckpointWriter`] call off the critical path.  Requests coalesce: a cadence hit
-/// while a write is already pending or in flight folds into that write's successor.
-struct CkptState {
-    /// A checkpoint is due and not yet picked up by the helper.
-    requested: bool,
-    /// The helper is inside a writer call right now.
-    writing: bool,
-    /// Shutdown: the helper drains any pending request, then exits.
-    closed: bool,
-}
-
 /// Everything the background threads and the handle share.
 struct Shared<B> {
     service: Arc<B>,
@@ -590,19 +542,9 @@ struct Shared<B> {
     maint_idle: Condvar,
     /// The downstream feedback consumer (the online refresh controller), if any.
     feedback_observer: Mutex<Option<Arc<dyn FeedbackObserver>>>,
-    /// The crash-safe persistence hook, if any (see [`CheckpointWriter`]).
-    checkpoint_writer: Mutex<Option<Arc<dyn CheckpointWriter>>>,
-    /// Applied maintenance records since the last checkpoint attempt.
-    since_checkpoint: AtomicU64,
     /// Applied maintenance records since the last background compaction (see
     /// [`RuntimeConfig::compact_every`]).
     since_compaction: AtomicU64,
-    /// Maintenance → checkpoint-helper handoff (see [`CkptState`]).
-    ckpt: Mutex<CkptState>,
-    /// Maintenance lane → checkpoint helper: a request (or shutdown) arrived.
-    ckpt_ready: Condvar,
-    /// Checkpoint helper → [`flush`](ServeRuntime::flush) waiters: the writer went idle.
-    ckpt_idle: Condvar,
     /// The batch the scheduler is executing, parked so the supervisor's recovery hook can
     /// resolve it if the scheduler thread dies mid-batch (nothing admitted may hang).
     inflight: Mutex<Option<Arc<Batch>>>,
@@ -645,11 +587,10 @@ pub struct ServeRuntime<B: ComputeBackend> {
     shared: Arc<Shared<B>>,
     scheduler: Option<std::thread::JoinHandle<()>>,
     maintenance: Option<std::thread::JoinHandle<()>>,
-    checkpoint: Option<std::thread::JoinHandle<()>>,
 }
 
 impl<B: ComputeBackend> ServeRuntime<B> {
-    /// Spawns the runtime (scheduler, maintenance and checkpoint threads) over a shared
+    /// Spawns the runtime (scheduler and maintenance threads) over a shared
     /// service, with no faults scripted.
     pub fn new(service: Arc<B>, config: RuntimeConfig) -> Self {
         Self::with_faults(service, config, FaultInjector::none())
@@ -692,16 +633,7 @@ impl<B: ComputeBackend> ServeRuntime<B> {
             maint_ready: Condvar::new(),
             maint_idle: Condvar::new(),
             feedback_observer: Mutex::new(None),
-            checkpoint_writer: Mutex::new(None),
-            since_checkpoint: AtomicU64::new(0),
             since_compaction: AtomicU64::new(0),
-            ckpt: Mutex::new(CkptState {
-                requested: false,
-                writing: false,
-                closed: false,
-            }),
-            ckpt_ready: Condvar::new(),
-            ckpt_idle: Condvar::new(),
             inflight: Mutex::new(None),
             cache,
             latest: Mutex::new(None),
@@ -726,18 +658,10 @@ impl<B: ComputeBackend> ServeRuntime<B> {
                 .spawn(move || maintenance_thread(&shared))
                 .expect("spawn maintenance thread")
         };
-        let checkpoint = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("crn-serve-checkpoint".into())
-                .spawn(move || checkpoint_thread(&shared))
-                .expect("spawn checkpoint thread")
-        };
         ServeRuntime {
             shared,
             scheduler: Some(scheduler),
             maintenance: Some(maintenance),
-            checkpoint: Some(checkpoint),
         }
     }
 
@@ -971,13 +895,6 @@ impl<B: ComputeBackend> ServeRuntime<B> {
         *lock_ignoring_poison(&self.shared.feedback_observer) = Some(observer);
     }
 
-    /// Installs (or replaces) the crash-safe persistence hook the maintenance lane
-    /// invokes every [`checkpoint_every`](RuntimeConfig::checkpoint_every) applied
-    /// records.
-    pub fn set_checkpoint_writer(&self, writer: Arc<dyn CheckpointWriter>) {
-        *lock_ignoring_poison(&self.shared.checkpoint_writer) = Some(writer);
-    }
-
     /// The shared admission step of both feedback shapes.
     fn enqueue_maintenance(
         &self,
@@ -1016,19 +933,9 @@ impl<B: ComputeBackend> ServeRuntime<B> {
                 state = wait_ignoring_poison(&self.shared.queue_idle, state);
             }
         }
-        {
-            let mut state = lock_ignoring_poison(&self.shared.maint);
-            while !state.pending.is_empty() || state.applying {
-                state = wait_ignoring_poison(&self.shared.maint_idle, state);
-            }
-        }
-        {
-            // The checkpoint helper runs off the maintenance lane's critical path, so a
-            // quiesce must also wait out any write the drained records requested.
-            let mut state = lock_ignoring_poison(&self.shared.ckpt);
-            while state.requested || state.writing {
-                state = wait_ignoring_poison(&self.shared.ckpt_idle, state);
-            }
+        let mut state = lock_ignoring_poison(&self.shared.maint);
+        while !state.pending.is_empty() || state.applying {
+            state = wait_ignoring_poison(&self.shared.maint_idle, state);
         }
     }
 
@@ -1085,16 +992,6 @@ impl<B: ComputeBackend> ServeRuntime<B> {
         }
         if let Some(handle) = self.maintenance.take() {
             handle.join().expect("maintenance thread exits cleanly");
-        }
-        // Only after the maintenance lane drained: its last records may still have
-        // requested a checkpoint, which the helper must write before exiting.
-        {
-            let mut state = lock_ignoring_poison(&self.shared.ckpt);
-            state.closed = true;
-        }
-        self.shared.ckpt_ready.notify_all();
-        if let Some(handle) = self.checkpoint.take() {
-            handle.join().expect("checkpoint thread exits cleanly");
         }
     }
 }
@@ -1637,60 +1534,6 @@ fn degrade_maintenance<B: ComputeBackend>(shared: &Shared<B>) {
     shared.maint_idle.notify_all();
 }
 
-/// One checkpoint attempt through the installed [`CheckpointWriter`] (if any): failures
-/// — writer errors, writer panics, injected write faults — are counted and contained;
-/// the lane keeps draining and retries after the next interval.
-fn run_checkpoint<B: ComputeBackend>(shared: &Shared<B>) {
-    let writer = lock_ignoring_poison(&shared.checkpoint_writer).clone();
-    let Some(writer) = writer else { return };
-    if shared.injector.should_fire(FaultSite::CheckpointWrite) {
-        shared.counters.checkpoints_failed.inc();
-        return;
-    }
-    match catch_unwind(AssertUnwindSafe(|| writer.write_checkpoint())) {
-        Ok(Ok(())) => {
-            let written = shared.counters.checkpoints_written.add(1) + 1;
-            shared
-                .hooks
-                .obs
-                .record_event(Event::CheckpointCommit { written });
-        }
-        Ok(Err(_)) | Err(_) => {
-            shared.counters.checkpoints_failed.inc();
-        }
-    }
-}
-
-/// The checkpoint helper thread: waits for the maintenance lane to request a write,
-/// runs [`run_checkpoint`] off the lane's critical path, and goes back to sleep.  The
-/// writer itself snapshots the pool/model Arcs, so the lane keeps applying upserts
-/// concurrently with the (possibly slow) serialization + two-phase rename.  Exits when
-/// the runtime closes the cell, after draining a final pending request.
-fn checkpoint_thread<B: ComputeBackend>(shared: &Arc<Shared<B>>) {
-    loop {
-        {
-            let mut state = lock_ignoring_poison(&shared.ckpt);
-            loop {
-                if state.requested {
-                    state.requested = false;
-                    state.writing = true;
-                    break;
-                }
-                if state.closed {
-                    return;
-                }
-                state = wait_ignoring_poison(&shared.ckpt_ready, state);
-            }
-        }
-        // Lock released: the lane can keep requesting (coalesced into the next pass)
-        // while the writer serializes and commits.
-        run_checkpoint(shared);
-        let mut state = lock_ignoring_poison(&shared.ckpt);
-        state.writing = false;
-        shared.ckpt_idle.notify_all();
-    }
-}
-
 /// The maintenance lane: applies feedback records to the pool, one single-swap upsert at
 /// a time, concurrently with serving.  Panics escape to [`maintenance_thread`]'s
 /// supervision.
@@ -1742,7 +1585,7 @@ fn maintenance_loop<B: ComputeBackend>(shared: &Shared<B>) {
 /// observer reacting to the record, e.g. by reading the pool, must see the refreshed
 /// entry) and each contained separately, since a panic there must neither kill the lane
 /// nor mislabel the successful upsert as a maintenance failure — then the pool-eviction
-/// journal and the checkpoint and compaction cadences.
+/// journal and the compaction cadence.
 fn after_upsert<B: ComputeBackend>(shared: &Shared<B>, record: &MaintRecord) {
     if let Some(estimate) = record.estimate {
         // Fold the served estimate's q-error into the (just-refreshed) anchor's
@@ -1781,18 +1624,6 @@ fn after_upsert<B: ComputeBackend>(shared: &Shared<B>, record: &MaintRecord) {
             shared.hooks.obs.record_event(Event::PoolEviction {
                 evicted: evictions - seen,
             });
-        }
-    }
-    // Checkpoint cadence: every `checkpoint_every` applied records, hand the
-    // write to the checkpoint helper thread — the lane only flips a flag, so a
-    // slow writer (fsync stall, big pool) never blocks upsert application.
-    // Requests coalesce while a write is pending or in flight.
-    if shared.config.checkpoint_every > 0 {
-        let due = shared.since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
-        if due >= shared.config.checkpoint_every {
-            shared.since_checkpoint.store(0, Ordering::Relaxed);
-            lock_ignoring_poison(&shared.ckpt).requested = true;
-            shared.ckpt_ready.notify_all();
         }
     }
     // Background compaction cadence: every `compact_every` applied records,

@@ -5,7 +5,7 @@
 //! and pins the resilience layer's headline invariant: **every admitted ticket
 //! resolves** — completed, degraded, expired or failed — under every plan, plus the
 //! plan-specific behaviour (restart with queues intact, budget breach degrades to
-//! sync serving, checkpoint failures counted and retried).
+//! sync serving, maintenance failures counted while the lane keeps draining).
 
 use crn_core::{EstimatorService, ServeResponse, ServeStats, ShardedPool};
 use crn_estimators::ContainmentEstimator;
@@ -15,7 +15,6 @@ use crn_serve::{
     ComputeBackend, EstimateSource, FaultInjector, FaultPlan, FaultSite, FaultTrigger,
     RuntimeConfig, ServeRuntime, SupervisorPolicy, TicketError, LANE_MAINTENANCE, LANE_SCHEDULER,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -449,77 +448,18 @@ fn maintenance_budget_breach_takes_the_lane_down_and_sheds_loudly() {
 }
 
 #[test]
-fn checkpoint_cadence_counts_injected_write_failures_and_retries() {
-    struct CountingWriter(AtomicU64);
-    impl crn_serve::CheckpointWriter for CountingWriter {
-        fn write_checkpoint(&self) -> Result<(), String> {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-    }
-
-    // Cadence every 2 applied records; the 1st checkpoint attempt fails by injection
-    // (before the writer is even invoked — an I/O-failure stand-in), later ones write.
-    let plan = FaultPlan::none().with(FaultSite::CheckpointWrite, FaultTrigger::Once(1));
-    let runtime = chaos_runtime(plan, RuntimeConfig::default().with_checkpoint_every(2));
-    let writer = Arc::new(CountingWriter(AtomicU64::new(0)));
-    runtime.set_checkpoint_writer(Arc::clone(&writer) as Arc<dyn crn_serve::CheckpointWriter>);
-    let tables = [
-        "cast_info",
-        "movie_companies",
-        "movie_keyword",
-        "movie_info",
-        "movie_info_idx",
-        "company_name",
-    ];
-    for (index, table) in tables.iter().enumerate() {
-        runtime
-            .record_feedback(Query::scan(table), 5)
-            .expect("maintenance admits");
-        // Checkpoints write on a helper thread off the maintenance lane, and
-        // back-to-back cadence hits coalesce into one write — flushing at each cadence
-        // boundary pins exactly one attempt per cadence for this accounting test.
-        if index % 2 == 1 {
-            runtime.flush();
-        }
-    }
-    runtime.flush();
-    let stats = runtime.stats();
-    assert_eq!(stats.maintenance_applied, 6);
-    assert_eq!(stats.checkpoints_failed, 1, "the injected failure");
-    assert_eq!(
-        stats.checkpoints_written, 2,
-        "the 4th and 6th records' cadences"
-    );
-    assert_eq!(writer.0.load(Ordering::Relaxed), 2);
-    assert_eq!(stats.faults_injected, 1);
-    runtime.shutdown();
-}
-
-#[test]
 fn a_combined_plan_upholds_the_headline_invariant() {
-    // Everything at once: a batch panic, a scheduler kill, a maintenance kill and a
-    // failing checkpoint in one run.  The single invariant that must survive arbitrary
-    // composition: every admitted ticket resolves, and the runtime shuts down cleanly.
+    // Everything at once: a batch panic, a scheduler kill and a maintenance kill in one
+    // run.  The single invariant that must survive arbitrary composition: every
+    // admitted ticket resolves, and the runtime shuts down cleanly.
     let plan = FaultPlan::none()
         .with(FaultSite::BatchExecute, FaultTrigger::Once(3))
         .with(FaultSite::SchedulerLoop, FaultTrigger::Once(5))
-        .with(FaultSite::MaintenanceLoop, FaultTrigger::Once(2))
-        .with(FaultSite::CheckpointWrite, FaultTrigger::Every(1));
+        .with(FaultSite::MaintenanceLoop, FaultTrigger::Once(2));
     let runtime = chaos_runtime(
         plan,
-        RuntimeConfig::default()
-            .with_batch_max(1)
-            .with_window_us(0)
-            .with_checkpoint_every(1),
+        RuntimeConfig::default().with_batch_max(1).with_window_us(0),
     );
-    struct NeverCalled;
-    impl crn_serve::CheckpointWriter for NeverCalled {
-        fn write_checkpoint(&self) -> Result<(), String> {
-            panic!("the injected CheckpointWrite fault must pre-empt the writer");
-        }
-    }
-    runtime.set_checkpoint_writer(Arc::new(NeverCalled));
     let query = Query::scan("title");
     for index in 0..10u64 {
         let ticket = runtime.submit(index, query.clone()).expect("admitted");
@@ -538,8 +478,6 @@ fn a_combined_plan_upholds_the_headline_invariant() {
     assert!(stats.faults_injected >= 3, "{stats:?}");
     assert_eq!(stats.scheduler_restarts, 1);
     assert_eq!(stats.maintenance_restarts, 1);
-    assert!(stats.checkpoints_failed >= 1);
-    assert_eq!(stats.checkpoints_written, 0);
     assert!(!stats.degraded_sync_mode);
     // The supervisor's lane view matches the stats snapshot.
     assert_eq!(supervisor.restarts(LANE_SCHEDULER), 1);

@@ -548,95 +548,6 @@ fn feedback_observer_receives_applied_triples_in_order() {
 }
 
 #[test]
-fn a_slow_checkpoint_write_does_not_stall_the_maintenance_lane() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Condvar, Mutex};
-
-    // A writer that parks until the test releases it: while it is parked, the
-    // maintenance lane must keep applying upserts — the write happens on the checkpoint
-    // helper thread, off the lane's critical path.
-    struct GatedWriter {
-        gate: Mutex<bool>,
-        open: Condvar,
-        writes: AtomicU64,
-    }
-    impl crn_serve::CheckpointWriter for GatedWriter {
-        fn write_checkpoint(&self) -> Result<(), String> {
-            let mut open = self.gate.lock().unwrap();
-            while !*open {
-                open = self.open.wait(open).unwrap();
-            }
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-    }
-
-    let runtime = instant_runtime(RuntimeConfig::default().with_checkpoint_every(1));
-    let writer = Arc::new(GatedWriter {
-        gate: Mutex::new(false),
-        open: Condvar::new(),
-        writes: AtomicU64::new(0),
-    });
-    runtime.set_checkpoint_writer(Arc::clone(&writer) as Arc<dyn crn_serve::CheckpointWriter>);
-
-    // First record: its cadence hands a write to the helper, which blocks in the gate.
-    runtime
-        .record_feedback(Query::scan("title"), 5)
-        .expect("maintenance admits");
-    let parked_at = std::time::Instant::now();
-    while writer.writes.load(Ordering::Relaxed) == 0
-        && runtime.stats().maintenance_applied < 1
-        && parked_at.elapsed() < Duration::from_secs(5)
-    {
-        std::thread::yield_now();
-    }
-
-    // The writer is still parked (gate closed) — and the lane keeps applying.
-    let tables = [
-        "cast_info",
-        "movie_companies",
-        "movie_keyword",
-        "movie_info",
-    ];
-    for table in tables {
-        runtime
-            .record_feedback(Query::scan(table), 7)
-            .expect("maintenance admits");
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while runtime.stats().maintenance_applied < 5 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "upserts stalled behind a slow checkpoint write: \
-             applied = {} after 5s with the writer parked",
-            runtime.stats().maintenance_applied
-        );
-        std::thread::yield_now();
-    }
-    assert_eq!(
-        writer.writes.load(Ordering::Relaxed),
-        0,
-        "the write is still parked while the lane advanced"
-    );
-
-    // Release the gate: the parked write (plus the coalesced later cadences) completes
-    // and `flush` observes a quiescent checkpoint helper.
-    {
-        let mut open = writer.gate.lock().unwrap();
-        *open = true;
-    }
-    writer.open.notify_all();
-    runtime.flush();
-    let stats = runtime.stats();
-    assert!(
-        stats.checkpoints_written >= 1,
-        "the released write committed (then coalesced successors may add more)"
-    );
-    assert_eq!(stats.maintenance_applied, 5);
-    runtime.shutdown();
-}
-
-#[test]
 fn periodic_compaction_runs_on_the_maintenance_lane() {
     // Five inserts of structurally-identical scans (same shape, different literals would
     // share a structure key; identical queries upsert in place, so use distinct tables
