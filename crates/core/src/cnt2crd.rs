@@ -26,7 +26,7 @@
 //!
 //! [`EstimatorService`]: crate::service::EstimatorService
 
-use crate::pool::{PoolEntry, PoolShard, QueriesPool};
+use crate::pool::{PoolEntry, QueriesPool};
 use crate::service::{plan_groups, ServeStats};
 use crate::sharded::matching_top_k;
 use crn_estimators::{CardinalityEstimator, ContainmentEstimator};
@@ -243,7 +243,7 @@ impl AnchorCache {
 /// sorted by `(group index, shard index)` — THE plan of the full-scan technique.  `groups`
 /// is [`plan_groups`]' output; the in-process core evaluates these items, a distributed
 /// coordinator scatters each to the worker owning its shard.
-pub fn plan_work_items<S: Borrow<PoolShard>>(
+pub fn plan_work_items<S: Borrow<QueriesPool>>(
     shards: &[S],
     groups: &[(String, Vec<usize>)],
 ) -> Vec<(usize, usize)> {
@@ -278,7 +278,7 @@ pub struct Cnt2CrdCore<'a, M: ?Sized, S> {
     pub cache: Option<(&'a AnchorCache, u64)>,
 }
 
-impl<M: ContainmentEstimator + Sync + ?Sized, S: Borrow<PoolShard> + Sync> Cnt2CrdCore<'_, M, S> {
+impl<M: ContainmentEstimator + Sync + ?Sized, S: Borrow<QueriesPool> + Sync> Cnt2CrdCore<'_, M, S> {
     /// Figure 8's loop for one FROM group of queries over one anchor list: both containment
     /// rates of every `(anchor, query)` pairing in one fused model call, each folded through
     /// [`Cnt2CrdConfig::entry_estimate`] — one ε-filtered per-entry list per query, in
@@ -465,7 +465,7 @@ impl<M: ContainmentEstimator + Sync> Cnt2Crd<M> {
         let core = Cnt2CrdCore {
             config: &self.config,
             model: &self.model,
-            shards: &[self.pool.as_shard()],
+            shards: &[&self.pool],
             cache: Some((&self.prepared, 0)),
         };
         let (mut per_query, _) = core.entry_lists(&self.workers, std::slice::from_ref(query));
@@ -669,7 +669,6 @@ mod tests {
 
         // Bare batched entry points.
         assert!(model.predict_batch(&[], &query).is_empty());
-        assert!(ContainmentEstimator::predict_batch_forward(&model, &[], &query).is_empty());
         assert!(model.prepare_anchors(&[]).is_none());
         // The group entry point with an empty anchor list and a (stale) non-empty serving
         // state — must not be fed to the head GEMMs.

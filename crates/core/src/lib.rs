@@ -5,11 +5,10 @@
 //! * [`model`] — the CRN model: per-query set encoders, average pooling, the `Expand`
 //!   combination and the containment head, trained on the q-error objective (§3.2–3.3);
 //! * [`crd2cnt`] — `Crd2Cnt(M)`: any cardinality estimator as a containment estimator (§4.1);
-//! * [`pool`] — the queries pool of previously executed queries with true cardinalities
-//!   (§5.2), layered as [`pool::PoolShard`] storage units behind the classic
-//!   [`QueriesPool`] facade;
-//! * [`sharded`] — the sharded pool: N canonical-hash shards behind an immutable-snapshot
-//!   API, the storage layer of the concurrent serving subsystem;
+//! * [`pool`] — [`QueriesPool`], the queries pool of previously executed queries with true
+//!   cardinalities (§5.2), indexed by FROM clause; the one pool storage type;
+//! * [`sharded`] — the sharded pool: N canonical-hash [`QueriesPool`] shards behind an
+//!   immutable-snapshot API, the storage layer of the concurrent serving subsystem;
 //! * [`cnt2crd`] — `Cnt2Crd(M)`: the queries-pool cardinality estimation technique with its
 //!   Median/Mean/TrimmedMean final functions (§5.1, §5.3, Figure 8).  Its anchors → rates →
 //!   per-entry-estimates loop exists once, as [`Cnt2CrdCore`] (one FROM group of queries ×
@@ -49,12 +48,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cnt2crd;
-pub mod compound;
 pub mod crd2cnt;
 pub mod featurize;
 pub mod improved;
 pub mod model;
-pub mod persist;
 pub mod pool;
 pub mod service;
 pub mod sharded;
@@ -62,14 +59,12 @@ pub mod sharded;
 pub use cnt2crd::{
     plan_work_items, AnchorCache, Cnt2Crd, Cnt2CrdConfig, Cnt2CrdCore, FinalFunction,
 };
-pub use compound::CompoundQuery;
 pub use crd2cnt::Crd2Cnt;
 pub use featurize::CrnFeaturizer;
 pub use improved::ImprovedEstimator;
 pub use model::{CrnModel, CrnOptions, ExpandMode, Pooling, RATE_FLOOR};
-pub use persist::PersistError;
 pub use pool::{
-    anchor_score, feature_signature, from_key, query_hash, PoolEntry, PoolShard, QueriesPool,
+    anchor_score, feature_signature, from_key, query_hash, PoolEntry, QueriesPool,
     DEFAULT_RETENTION_WEIGHT,
 };
 pub use service::{

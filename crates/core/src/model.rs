@@ -19,8 +19,8 @@ use crate::featurize::CrnFeaturizer;
 use crn_db::database::Database;
 use crn_exec::ContainmentSample;
 use crn_nn::batch::{
-    broadcast_rows, expand_concat, expand_concat_backward, expand_full, expand_full_backward,
-    expand_full_tail, segment_pool, segment_pool_backward, RaggedBatch, SegmentPool, SparseRows,
+    expand_concat, expand_concat_backward, expand_full, expand_full_backward, expand_full_tail,
+    segment_pool, segment_pool_backward, RaggedBatch, SegmentPool, SparseRows,
 };
 use crn_nn::gemm::{gemm_packed, Epilogue, PackedWeights};
 use crn_nn::layers::{
@@ -671,29 +671,6 @@ impl ContainmentEstimator for CrnModel {
         }
     }
 
-    /// Forward direction only: encodes the anchors under `MLP1` and the query under `MLP2`
-    /// once, then runs the containment head a single time over the whole batch — half the
-    /// work of the bidirectional [`predict_group`](ContainmentEstimator::predict_group).
-    fn predict_batch_forward(&self, anchors: &[&Query], query: &Query) -> Vec<f64> {
-        if anchors.is_empty() {
-            return Vec::new();
-        }
-        let anchor_sets: Vec<Matrix> = anchors
-            .iter()
-            .map(|anchor| self.featurizer.featurize(anchor))
-            .collect();
-        let anchor_batch = RaggedBatch::from_sets(anchor_sets.iter());
-        let anchors_under_mlp1 = self.encode_sets(&self.mlp1, &anchor_batch);
-
-        let query_set = self.featurizer.featurize(query);
-        let query_batch = RaggedBatch::from_sets([&query_set]);
-        let query_under_mlp2 = self.encode_sets(&self.mlp2, &query_batch);
-        let query_rows = broadcast_rows(&query_under_mlp2, anchors.len());
-
-        let rates = self.head_inference(&self.expand_pairs(&anchors_under_mlp1, &query_rows));
-        (0..anchors.len()).map(|i| rates.get(i, 0) as f64).collect()
-    }
-
     /// The CRN serving state for a fixed anchor set is its encoded form: the pooled `(B×H)`
     /// representations under both set encoders.  With it cached, an incoming query pays only
     /// for its own featurization + encoding and the two batched head passes.
@@ -1239,13 +1216,6 @@ mod tests {
             assert!((backward - model.predict(query, anchor)).abs() < 1e-5);
         }
         assert!(model.predict_batch(&[], query).is_empty());
-        // The forward-only batch agrees with the forward half of the bidirectional one.
-        let forward_only = ContainmentEstimator::predict_batch_forward(&model, &anchors, query);
-        assert_eq!(forward_only.len(), anchors.len());
-        for ((forward, _), single) in batched.iter().zip(&forward_only) {
-            assert!((forward - single).abs() < 1e-9);
-        }
-        assert!(ContainmentEstimator::predict_batch_forward(&model, &[], query).is_empty());
     }
 
     /// The batched and reference training loops see identical losses on the first epoch and

@@ -6,15 +6,10 @@
 //! estimation technique matches a new query against every pool entry with the same FROM
 //! clause, so the pool is indexed by FROM-clause table set.
 //!
-//! Storage is layered (the serving subsystem's storage layer):
-//!
-//! * [`PoolShard`] — the actual storage unit: entries plus the FROM-clause and
-//!   canonical-hash indexes over them.  One shard is exactly the former monolithic pool.
-//! * [`QueriesPool`] — the classic single-owner API, now a thin facade over **one** shard;
-//!   `generate`/`truncated`/persist round-trips are unchanged.
-//! * [`crate::sharded::ShardedPool`] — N shards keyed by canonical query hash behind an
-//!   immutable-snapshot API, the storage the concurrent
-//!   [`crate::service::EstimatorService`] reads.
+//! [`QueriesPool`] is the one storage type: entries plus the FROM-clause and canonical-hash
+//! indexes over them.  [`crate::sharded::ShardedPool`] holds N of them as shards keyed by
+//! canonical query hash behind an immutable-snapshot API, the storage the concurrent
+//! [`crate::service::EstimatorService`] reads.
 
 use crn_db::database::Database;
 use crn_exec::Executor;
@@ -26,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-/// Process-wide source of FROM-bucket versions (see [`PoolShard::bucket_version`]): every
+/// Process-wide source of FROM-bucket versions (see [`QueriesPool::bucket_version`]): every
 /// change to any bucket of any shard draws the next value, so a fresh version is larger
 /// than every version handed out before it.
 static NEXT_BUCKET_VERSION: AtomicU64 = AtomicU64::new(1);
@@ -54,53 +49,53 @@ pub struct PoolEntry {
     pub cardinality: u64,
 }
 
-/// One shard of queries-pool storage: a slice of the entries with the FROM-clause index and
-/// the duplicate (canonical-hash) index over exactly those entries.
+/// A pool of previously executed queries, indexed by FROM clause and by canonical hash.
 ///
-/// A shard is the unit the serving layer evaluates in parallel: every shard's `matching`
-/// list is a disjoint subset of the pool-wide matching list, and concatenating the per-shard
-/// lists in canonical shard order reproduces a full scan.  [`QueriesPool`] is one shard
-/// behind the classic API; [`crate::sharded::ShardedPool`] distributes entries over many
-/// shards by canonical query hash.
+/// It is also the shard of a [`crate::sharded::ShardedPool`], the unit the serving layer
+/// evaluates in parallel: every shard's `matching` list is a disjoint subset of the
+/// pool-wide matching list, and concatenating the per-shard lists in canonical shard order
+/// reproduces a full scan.  Only `entries` is serialized; every index and side-car is
+/// derived from them.
 #[derive(Debug, Clone, Default, Serialize)]
-pub struct PoolShard {
+pub struct QueriesPool {
     entries: Vec<PoolEntry>,
-    /// Index from FROM-clause key (tables joined by `,`) to entry positions.  String keys keep
-    /// the pool JSON-serializable (§5.2 envisions it as durable DBMS meta information).
+    /// Index from FROM-clause key (tables joined by `,`) to entry positions.  Never
+    /// persisted: a deserialized pool rebuilds it from `entries`, so a document cannot
+    /// point it past the entries or under the wrong key.
+    #[serde(skip)]
     by_from: BTreeMap<String, Vec<usize>>,
-    /// Per-FROM-key bucket versions (see [`PoolShard::bucket_version`]), restamped from the
+    /// Per-FROM-key bucket versions (see [`QueriesPool::bucket_version`]), restamped from the
     /// process-wide counter whenever a bucket's entry list changes.  A bucket that empties
     /// keeps its last version here, so a key's version never moves backwards.  Never
-    /// persisted, like [`query_hash`]: a deserialized shard stamps every bucket afresh.
+    /// persisted, like [`query_hash`]: a deserialized pool stamps every bucket afresh.
     #[serde(skip)]
     bucket_versions: BTreeMap<String, u64>,
     /// Index from canonical query hash to entry positions: duplicate detection on insert is
-    /// O(1) expected instead of a linear scan over the whole shard, so bulk construction of a
-    /// shard of `n` entries is O(n) expected rather than O(n²).  Hash collisions are resolved
+    /// O(1) expected instead of a linear scan over the whole pool, so bulk construction of a
+    /// pool of `n` entries is O(n) expected rather than O(n²).  Hash collisions are resolved
     /// by comparing the (few) colliding entries for real equality.
     ///
     /// Never serialized: `DefaultHasher`'s algorithm is not guaranteed stable across Rust
     /// releases, so a persisted index could silently disagree with the hashes a newer binary
-    /// computes.  It is rebuilt after loading ([`PoolShard::rebuild_hash_index`]) and
-    /// lazily on the first mutation of a deserialized shard.
+    /// computes.  It is rebuilt lazily on the first mutation of a deserialized pool.
     #[serde(skip)]
     by_hash: HashMap<u64, Vec<usize>>,
     /// Per-entry similarity signatures ([`feature_signature`]), aligned with `entries` and
     /// maintained incrementally on every insert/remove, so the top-K scoring pass never
     /// re-featurizes resident anchors.  Unserialized for the same hash-stability reason as
-    /// `by_hash`; rebuilt lazily on the first mutation of a deserialized shard (reads fall
+    /// `by_hash`; rebuilt lazily on the first mutation of a deserialized pool (reads fall
     /// back to on-the-fly signatures while the side-car is out of sync).
     #[serde(skip)]
     signatures: Vec<Vec<u64>>,
     /// Per-entry retention weights, aligned with `entries` (see
-    /// [`PoolShard::record_feedback`]).  Soft serving state: never persisted — a reloaded
+    /// [`QueriesPool::record_feedback`]).  Soft serving state: never persisted — a reloaded
     /// pool starts every anchor back at [`DEFAULT_RETENTION_WEIGHT`].
     #[serde(skip)]
     weights: Vec<f64>,
 }
 
-impl PartialEq for PoolShard {
-    /// Shards are equal when their entries are (both indexes are deterministic functions
+impl PartialEq for QueriesPool {
+    /// Pools are equal when their entries are (both indexes are deterministic functions
     /// of the entry sequence; the signature/weight/version side-cars are unserialized soft
     /// state).
     fn eq(&self, other: &Self) -> bool {
@@ -108,22 +103,23 @@ impl PartialEq for PoolShard {
     }
 }
 
-impl Deserialize for PoolShard {
-    /// Reads the persisted `entries` and `by_from`; the unpersisted side-cars start empty
-    /// (and rebuild lazily), except the bucket versions, which are stamped here so a
-    /// loaded shard never serves a non-empty bucket at version 0.
+impl Deserialize for QueriesPool {
+    /// Reads the persisted `entries` only (a `by_from` in older documents is ignored).  The
+    /// FROM-clause index is rebuilt from them and every bucket is stamped here, so a loaded
+    /// pool never serves a non-empty bucket at version 0; the other side-cars start empty
+    /// and rebuild lazily.
     fn from_content(content: &serde::content::Content) -> Result<Self, serde::de::Error> {
-        let mut shard = PoolShard {
+        let mut pool = QueriesPool {
             entries: Deserialize::from_content(content.field("entries")?)?,
-            by_from: Deserialize::from_content(content.field("by_from")?)?,
-            ..PoolShard::default()
+            ..QueriesPool::default()
         };
-        shard.bucket_versions = shard
+        pool.rebuild_from_index();
+        pool.bucket_versions = pool
             .by_from
             .keys()
             .map(|key| (key.clone(), fresh_bucket_version()))
             .collect();
-        Ok(shard)
+        Ok(pool)
     }
 }
 
@@ -197,7 +193,7 @@ pub(crate) fn rank_order(a: &(u64, &PoolEntry), b: &(u64, &PoolEntry)) -> Orderi
 
 /// The structural shape of a query: FROM clause, join clauses, and the predicate
 /// `(column, op)` pairs with the compared constants stripped.  Two anchors with equal
-/// structure keys are "near duplicates" — the unit [`PoolShard::compact`] merges.
+/// structure keys are "near duplicates" — the unit [`QueriesPool::compact`] merges.
 pub(crate) fn structure_key(query: &Query) -> String {
     let shape: Vec<_> = query
         .predicates()
@@ -207,14 +203,25 @@ pub(crate) fn structure_key(query: &Query) -> String {
     format!("{:?}|{:?}|{:?}", query.tables(), query.joins(), shape)
 }
 
-impl PoolShard {
-    /// Creates an empty shard.
+impl QueriesPool {
+    /// Creates an empty pool.
     pub fn new() -> Self {
-        PoolShard::default()
+        QueriesPool::default()
+    }
+
+    /// Rebuilds the FROM-clause index from the entries.
+    fn rebuild_from_index(&mut self) {
+        self.by_from.clear();
+        for (index, entry) in self.entries.iter().enumerate() {
+            self.by_from
+                .entry(from_key(&entry.query))
+                .or_default()
+                .push(index);
+        }
     }
 
     /// Rebuilds the (unserialized) duplicate-detection index from the entries.
-    pub(crate) fn rebuild_hash_index(&mut self) {
+    fn rebuild_hash_index(&mut self) {
         self.by_hash.clear();
         for (index, entry) in self.entries.iter().enumerate() {
             self.by_hash
@@ -224,7 +231,7 @@ impl PoolShard {
         }
     }
 
-    /// Restores the hash index of a deserialized shard before the first mutation (the index
+    /// Restores the hash index of a deserialized pool before the first mutation (the index
     /// is never persisted).
     fn ensure_hash_index(&mut self) {
         if self.by_hash.is_empty() && !self.entries.is_empty() {
@@ -232,7 +239,7 @@ impl PoolShard {
         }
     }
 
-    /// Restores the (unserialized) signature/weight side-cars of a deserialized shard: the
+    /// Restores the (unserialized) signature/weight side-cars of a deserialized pool: the
     /// per-entry alignment makes staleness unambiguous — a length mismatch with `entries`
     /// means the side-car was dropped by serialization and is rebuilt wholesale.
     fn ensure_sidecars(&mut self) {
@@ -250,7 +257,7 @@ impl PoolShard {
 
     /// Adds an executed query with its actual cardinality; returns whether the entry was new.
     ///
-    /// Duplicate queries are ignored (the shard keeps the first recorded cardinality).
+    /// Duplicate queries are ignored (the pool keeps the first recorded cardinality).
     pub fn insert(&mut self, query: Query, cardinality: u64) -> bool {
         self.ensure_hash_index();
         self.ensure_sidecars();
@@ -272,12 +279,12 @@ impl PoolShard {
     }
 
     /// Removes a previously inserted query, returning its recorded cardinality (`None` when
-    /// the query is not in the shard).
+    /// the query is not in the pool).
     ///
     /// Removal keeps both indexes exact: the entry positions above the removed one shift
     /// down by one, so every stored index is rewritten and FROM-clause / hash buckets that
-    /// become empty are dropped (so [`PoolShard::num_from_clauses`] and
-    /// [`PoolShard::matching`] never see ghosts).  The duplicate index stays consistent
+    /// become empty are dropped (so [`QueriesPool::num_from_clauses`] and
+    /// [`QueriesPool::matching`] never see ghosts).  The duplicate index stays consistent
     /// with a linear-scan oracle under arbitrary insert/remove/reload interleavings — the
     /// property tests below pin this.
     pub fn remove(&mut self, query: &Query) -> Option<u64> {
@@ -312,7 +319,7 @@ impl PoolShard {
     /// cardinality (`None` when the query was new).
     ///
     /// Observable semantics are **exactly** remove-then-insert: a refreshed entry moves to
-    /// the end of the shard's insertion order (the proptests pin this against the
+    /// the end of the pool's insertion order (the proptests pin this against the
     /// remove+insert oracle).  A refreshed entry keeps its accumulated retention weight —
     /// fresh truth does not absolve an anchor the feedback stream has marked bad.  The
     /// point of the dedicated entry point is one level up —
@@ -336,7 +343,7 @@ impl PoolShard {
         self.entries.len()
     }
 
-    /// Returns true when the shard is empty.
+    /// Returns true when the pool is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -356,7 +363,7 @@ impl PoolShard {
         self.matching_key(&from_key(query))
     }
 
-    /// [`PoolShard::matching`] by pre-computed FROM-clause key (the serving layer groups
+    /// [`QueriesPool::matching`] by pre-computed FROM-clause key (the serving layer groups
     /// concurrent queries by this key and resolves it once per group, not once per query).
     pub fn matching_key<'a>(&'a self, key: &str) -> impl Iterator<Item = &'a PoolEntry> {
         self.by_from
@@ -369,13 +376,13 @@ impl PoolShard {
     /// The version of one FROM bucket: a value from the process-wide counter, drawn afresh
     /// by every insert, remove, upsert, eviction or compaction that changes the bucket's
     /// entry list, and left alone by everything else (retention weights included).  Equal
-    /// versions therefore mean an equal entry list.  0 only for a key this shard has never
+    /// versions therefore mean an equal entry list.  0 only for a key this pool has never
     /// held.  [`crate::sharded::PoolSnapshot::from_version`] is the one public reader.
     pub(crate) fn bucket_version(&self, key: &str) -> u64 {
         self.bucket_versions.get(key).copied().unwrap_or(0)
     }
 
-    /// Draws a fresh version for `key`'s bucket (see [`PoolShard::bucket_version`]).
+    /// Draws a fresh version for `key`'s bucket (see [`QueriesPool::bucket_version`]).
     fn stamp_bucket(&mut self, key: &str) {
         let version = fresh_bucket_version();
         match self.bucket_versions.get_mut(key) {
@@ -386,12 +393,12 @@ impl PoolShard {
         }
     }
 
-    /// Number of distinct FROM clauses covered by the shard.
+    /// Number of distinct FROM clauses covered by the pool.
     pub fn num_from_clauses(&self) -> usize {
         self.by_from.len()
     }
 
-    /// The distinct FROM-clause keys of this shard (used by snapshots to form the union
+    /// The distinct FROM-clause keys of this pool (used by snapshots to form the union
     /// across shards).
     pub fn from_keys(&self) -> impl Iterator<Item = &str> {
         self.by_from.keys().map(|k| k.as_str())
@@ -440,7 +447,7 @@ impl PoolShard {
     }
 
     /// Removes and returns the anchor with the lowest retention weight (ties broken by the
-    /// query's `Ord`, so eviction is deterministic).  `None` on an empty shard.
+    /// query's `Ord`, so eviction is deterministic).  `None` on an empty pool.
     pub fn evict_lowest_weight(&mut self) -> Option<Query> {
         self.ensure_sidecars();
         let victim = self
@@ -515,7 +522,7 @@ impl PoolShard {
     }
 
     /// Drops every entry for which `keep` returns false, preserving insertion order of the
-    /// survivors.  Returns the number removed.  One O(n) rebuild like [`PoolShard::compact`]
+    /// survivors.  Returns the number removed.  One O(n) rebuild like [`QueriesPool::compact`]
     /// — this is the per-shard apply step of the pool-wide compaction in [`crate::sharded`],
     /// where the winner set is chosen across *all* shards.
     pub(crate) fn retain_queries(&mut self, mut keep: impl FnMut(&Query) -> bool) -> usize {
@@ -554,30 +561,24 @@ impl PoolShard {
         for key in &shrunk {
             self.stamp_bucket(key);
         }
-        self.by_from.clear();
-        for (index, entry) in self.entries.iter().enumerate() {
-            self.by_from
-                .entry(from_key(&entry.query))
-                .or_default()
-                .push(index);
-        }
+        self.rebuild_from_index();
         self.rebuild_hash_index();
     }
 
     /// The `k` same-FROM anchors most similar to the query, ranked by `rank_order`
     /// (score descending, ties by anchor `Ord`).  With fewer than `k` matching anchors this
-    /// is a ranked permutation of [`PoolShard::matching`]; `k == 0` selects nothing.
+    /// is a ranked permutation of [`QueriesPool::matching`]; `k == 0` selects nothing.
     pub fn matching_top_k<'a>(&'a self, query: &Query, k: usize) -> Vec<(u64, &'a PoolEntry)> {
         self.matching_top_k_scored(&from_key(query), &feature_signature(query), k)
     }
 
-    /// [`PoolShard::matching_top_k`] by pre-computed FROM-clause key and query signature
+    /// [`QueriesPool::matching_top_k`] by pre-computed FROM-clause key and query signature
     /// (the serving layer featurizes each incoming query exactly once, then probes every
     /// shard).  Scoring reads the incremental signature side-car when it is aligned and
     /// falls back to on-the-fly featurization right after a deserialization.
     ///
     /// Cost is O(bucket) scoring + O(bucket) selection + O(k log k) ranking — independent
-    /// of total shard size and, for the selection, of the bucket's sort order.
+    /// of total pool size and, for the selection, of the bucket's sort order.
     pub fn matching_top_k_scored<'a>(
         &'a self,
         key: &str,
@@ -610,102 +611,6 @@ impl PoolShard {
         scored.sort_unstable_by(rank_order);
         scored
     }
-}
-
-/// A pool of previously executed queries, indexed by FROM clause.
-///
-/// This is the classic single-owner API: a thin facade over exactly one [`PoolShard`] (the
-/// one-shard mode of the layered storage).  Its serialized form is the shard itself, so
-/// pools persisted before the storage split load unchanged.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueriesPool {
-    shard: PoolShard,
-}
-
-impl Serialize for QueriesPool {
-    fn to_content(&self) -> serde::content::Content {
-        // The facade serializes as its single shard — the exact pre-split JSON shape.
-        self.shard.to_content()
-    }
-}
-
-impl Deserialize for QueriesPool {
-    fn from_content(content: &serde::content::Content) -> Result<Self, serde::de::Error> {
-        PoolShard::from_content(content).map(|shard| QueriesPool { shard })
-    }
-}
-
-impl QueriesPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        QueriesPool::default()
-    }
-
-    /// Rebuilds the (unserialized) duplicate-detection index from the entries.
-    pub(crate) fn rebuild_hash_index(&mut self) {
-        self.shard.rebuild_hash_index();
-    }
-
-    /// The single storage shard behind this facade.
-    pub fn as_shard(&self) -> &PoolShard {
-        &self.shard
-    }
-
-    /// Consumes the facade, returning its storage shard.
-    pub fn into_shard(self) -> PoolShard {
-        self.shard
-    }
-
-    /// Wraps an existing shard in the single-owner API.
-    pub fn from_shard(shard: PoolShard) -> Self {
-        QueriesPool { shard }
-    }
-
-    /// Adds an executed query with its actual cardinality.
-    ///
-    /// Duplicate queries are ignored (the pool keeps the first recorded cardinality).
-    pub fn insert(&mut self, query: Query, cardinality: u64) {
-        self.shard.insert(query, cardinality);
-    }
-
-    /// Removes a previously inserted query, returning its recorded cardinality (`None` when
-    /// the query is not in the pool).  See [`PoolShard::remove`] for the index-consistency
-    /// contract.
-    pub fn remove(&mut self, query: &Query) -> Option<u64> {
-        self.shard.remove(query)
-    }
-
-    /// Inserts the query or refreshes its recorded cardinality (remove-then-insert
-    /// semantics, see [`PoolShard::upsert`]), returning the replaced cardinality.
-    pub fn upsert(&mut self, query: Query, cardinality: u64) -> Option<u64> {
-        self.shard.upsert(query, cardinality)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.shard.len()
-    }
-
-    /// Returns true when the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shard.is_empty()
-    }
-
-    /// All entries.
-    pub fn entries(&self) -> &[PoolEntry] {
-        self.shard.entries()
-    }
-
-    /// Entries whose FROM clause matches the given query's FROM clause (§5.3: only those can
-    /// participate in the Cnt2Crd estimation), in insertion order, without allocating.
-    pub fn matching<'a>(&'a self, query: &Query) -> impl Iterator<Item = &'a PoolEntry> {
-        self.shard.matching(query)
-    }
-
-    /// Number of distinct FROM clauses covered by the pool.
-    pub fn num_from_clauses(&self) -> usize {
-        self.shard.num_from_clauses()
-    }
 
     /// Restricts the pool to at most `limit` entries, keeping the distribution across FROM
     /// clauses as even as possible (used by the pool-size sweep of Table 14).
@@ -716,12 +621,12 @@ impl QueriesPool {
         }
         // Round-robin over FROM clauses so every clause keeps coverage.
         let mut cursors: Vec<(usize, &Vec<usize>)> =
-            self.shard.by_from.values().map(|v| (0usize, v)).collect();
+            self.by_from.values().map(|v| (0usize, v)).collect();
         'outer: loop {
             let mut progressed = false;
             for (cursor, indices) in cursors.iter_mut() {
                 if *cursor < indices.len() {
-                    let entry = &self.shard.entries[indices[*cursor]];
+                    let entry = &self.entries[indices[*cursor]];
                     result.insert(entry.query.clone(), entry.cardinality);
                     *cursor += 1;
                     progressed = true;
@@ -758,7 +663,7 @@ impl QueriesPool {
                     break;
                 }
                 let cardinality = executor.cardinality(&query);
-                if pool.shard.insert(query, cardinality) {
+                if pool.insert(query, cardinality) {
                     taken += 1;
                 }
             }
@@ -908,14 +813,11 @@ mod tests {
     fn duplicate_detection_survives_serialization() {
         let db = generate_imdb(&ImdbConfig::tiny(48));
         let pool = QueriesPool::generate(&db, 20, 1, 48);
-        let dir = std::env::temp_dir().join("crn_pool_dedup_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pool.json");
-        pool.save(&path).expect("save succeeds");
-        let mut loaded = QueriesPool::load(&path).expect("load succeeds");
-        std::fs::remove_file(&path).ok();
+        let json = serde_json::to_string(&pool).expect("serializes");
+        let mut loaded: QueriesPool = serde_json::from_str(&json).expect("deserializes");
         let before = loaded.len();
-        // The hash index round-trips, so re-inserting existing queries is still a no-op.
+        // The hash index rebuilds after a load, so re-inserting existing queries is still a
+        // no-op.
         for entry in pool.entries().to_vec() {
             loaded.insert(entry.query, entry.cardinality + 1);
         }
@@ -933,12 +835,33 @@ mod tests {
             "versions are never persisted"
         );
         let loaded: QueriesPool = serde_json::from_str(&json).expect("deserializes");
-        let (before, after) = (pool.as_shard(), loaded.as_shard());
-        for key in after.from_keys() {
-            assert_ne!(after.bucket_version(key), 0, "non-empty bucket {key}");
-            assert!(after.bucket_version(key) > before.bucket_version(key));
+        for key in loaded.from_keys() {
+            assert_ne!(loaded.bucket_version(key), 0, "non-empty bucket {key}");
+            assert!(loaded.bucket_version(key) > pool.bucket_version(key));
         }
-        assert_eq!(after.bucket_version("no_such_table"), 0);
+        assert_eq!(loaded.bucket_version("no_such_table"), 0);
+    }
+
+    /// A document's own FROM-clause index is never trusted: a position past the entries
+    /// (or under another key) would panic or misroute anchors the first time the pool
+    /// serves.  The index is rebuilt from the entries instead.
+    #[test]
+    fn a_deserialized_pool_rebuilds_its_from_index_from_the_entries() {
+        let title_scan = Query::scan(tables::TITLE);
+        let entry = PoolEntry {
+            query: title_scan.clone(),
+            cardinality: 7,
+        };
+        let entry_json = serde_json::to_string(&entry).expect("serializes");
+        // `by_from` in the map encoding older documents carry: `[[key, positions], ...]`.
+        let json = format!(r#"{{"entries":[{entry_json}],"by_from":[["title",[5]]]}}"#);
+        let loaded: QueriesPool = serde_json::from_str(&json).expect("deserializes");
+        let matches: Vec<&PoolEntry> = loaded.matching(&title_scan).collect();
+        assert_eq!(matches, vec![&entry]);
+        assert!(
+            !serde_json::to_string(&loaded).unwrap().contains("by_from"),
+            "the index is never persisted"
+        );
     }
 
     #[test]
@@ -995,16 +918,6 @@ mod tests {
         assert_eq!(pool.truncated(usize::MAX).len(), pool.len());
     }
 
-    #[test]
-    fn facade_exposes_its_single_shard() {
-        let mut pool = QueriesPool::new();
-        pool.insert(Query::scan(tables::TITLE), 9);
-        assert_eq!(pool.as_shard().len(), 1);
-        assert_eq!(pool.as_shard().from_keys().count(), 1);
-        let rebuilt = QueriesPool::from_shard(pool.clone().into_shard());
-        assert_eq!(rebuilt, pool);
-    }
-
     fn title_pred(column: &str, op: crn_db::value::CompareOp, value: i64) -> Query {
         Query::new(
             [tables::TITLE.to_string()],
@@ -1020,7 +933,7 @@ mod tests {
     #[test]
     fn top_k_ranks_by_shared_features_with_query_order_tie_break() {
         use crn_db::value::CompareOp;
-        let mut shard = PoolShard::new();
+        let mut shard = QueriesPool::new();
         let probe = title_pred("production_year", CompareOp::Eq, 1990);
         // Exact predicate match (joins the column match): the strongest anchor.
         let exact = title_pred("production_year", CompareOp::Eq, 1990);
@@ -1050,7 +963,7 @@ mod tests {
         // pool queries are distinct.
         let tie_a = title_pred("kind_id", CompareOp::Le, 1);
         let tie_b = title_pred("kind_id", CompareOp::Le, 2);
-        let mut tie_shard = PoolShard::new();
+        let mut tie_shard = QueriesPool::new();
         tie_shard.insert(tie_b.clone(), 1);
         tie_shard.insert(tie_a.clone(), 1);
         let ranked = tie_shard.matching_top_k(&probe, 2);
@@ -1066,7 +979,7 @@ mod tests {
         use crn_db::value::CompareOp;
         let good = title_pred("production_year", CompareOp::Eq, 1990);
         let bad = title_pred("production_year", CompareOp::Eq, 1991);
-        let mut shard = PoolShard::new();
+        let mut shard = QueriesPool::new();
         shard.insert(good.clone(), 10);
         shard.insert(bad.clone(), 20);
         assert_eq!(shard.retention_weight(&good), DEFAULT_RETENTION_WEIGHT);
@@ -1086,7 +999,7 @@ mod tests {
         assert_eq!(shard.len(), 1);
         assert_eq!(shard.matching(&good).count(), 1, "indexes survive eviction");
         // All-default weights: the tie breaks on ascending query order.
-        let mut ties = PoolShard::new();
+        let mut ties = QueriesPool::new();
         let a = title_pred("kind_id", CompareOp::Le, 1);
         let b = title_pred("kind_id", CompareOp::Le, 2);
         ties.insert(b.clone(), 1);
@@ -1097,7 +1010,7 @@ mod tests {
     #[test]
     fn compaction_merges_structural_near_duplicates_keeping_the_best_retained() {
         use crn_db::value::CompareOp;
-        let mut shard = PoolShard::new();
+        let mut shard = QueriesPool::new();
         // Three literal-only variants of one structure, plus one distinct structure.
         let v1 = title_pred("production_year", CompareOp::Eq, 1990);
         let v2 = title_pred("production_year", CompareOp::Eq, 1991);
@@ -1123,7 +1036,7 @@ mod tests {
         shard.insert(v1.clone(), 99);
         assert_eq!(shard.len(), 3);
         // Equal weights inside a group: the smallest query survives.
-        let mut ties = PoolShard::new();
+        let mut ties = QueriesPool::new();
         ties.insert(v2.clone(), 2);
         ties.insert(v1.clone(), 1);
         assert_eq!(ties.compact(), 1);
@@ -1212,6 +1125,44 @@ pub(crate) mod index_proptests {
         Ok(())
     }
 
+    /// A real generated pool document (pure ASCII, so any byte XOR-ed with a mask below
+    /// 128 keeps it valid UTF-8 and every damaged copy reaches the JSON parser).
+    fn generated_pool_json() -> &'static str {
+        static JSON: OnceLock<String> = OnceLock::new();
+        JSON.get_or_init(|| {
+            let db = generate_imdb(&ImdbConfig::tiny(61));
+            let json =
+                serde_json::to_string(&QueriesPool::generate(&db, 30, 2, 61)).expect("serializes");
+            assert!(json.is_ascii());
+            json
+        })
+    }
+
+    /// A damaged document must load as an error or as a pool whose every FROM bucket holds
+    /// only entries of that FROM key, and which serves and mutates without panicking.
+    fn check_damaged_document(text: &str) -> Result<(), String> {
+        let Ok(mut pool) = serde_json::from_str::<QueriesPool>(text) else {
+            return Ok(());
+        };
+        let keys: Vec<String> = pool.from_keys().map(str::to_string).collect();
+        for key in &keys {
+            for entry in pool.matching_key(key) {
+                prop_assert_eq!(&from_key(&entry.query), key);
+            }
+        }
+        for entry in pool.entries().to_vec() {
+            prop_assert!(pool.matching(&entry.query).any(|e| e.query == entry.query));
+            prop_assert!(!pool.matching_top_k(&entry.query, 4).is_empty());
+        }
+        if let Some(first) = pool.entries().first().map(|e| e.query.clone()) {
+            pool.record_feedback(&first, 3.0);
+            pool.compact();
+            pool.remove(&first);
+            pool.insert(first, 1);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1250,6 +1201,21 @@ pub(crate) mod index_proptests {
                 }
                 assert_pools_agree(&pool, &oracle)?;
             }
+        }
+
+        /// A real pool document truncated at any byte, or with any one byte flipped, loads
+        /// as an error or as a pool that keeps every bucket to its own FROM key.
+        #[test]
+        fn truncated_or_flipped_pool_documents_never_misroute(
+            cut in 0usize..1 << 20,
+            at in 0usize..1 << 20,
+            mask in 1u8..128,
+        ) {
+            let json = generated_pool_json();
+            check_damaged_document(&json[..cut % (json.len() + 1)])?;
+            let mut flipped = json.as_bytes().to_vec();
+            flipped[at % json.len()] ^= mask;
+            check_damaged_document(std::str::from_utf8(&flipped).expect("ASCII stays ASCII"))?;
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Sharded queries-pool storage behind an immutable-snapshot API — the storage layer of the
 //! concurrent serving subsystem.
 //!
-//! A [`ShardedPool`] distributes pool entries over `N` [`PoolShard`]s by **canonical query
-//! hash** (the same unkeyed hash the duplicate index uses), so each shard owns a disjoint
-//! slice of the entries together with its own FROM-clause and duplicate indexes.  The live
-//! state is a [`PoolSnapshot`]: an `Arc`'d, fully immutable view swapped under a
+//! A [`ShardedPool`] distributes pool entries over `N` [`QueriesPool`] shards by **canonical
+//! query hash** (the same unkeyed hash the duplicate index uses), so each shard owns a
+//! disjoint slice of the entries together with its own FROM-clause and duplicate indexes.
+//! The live state is a [`PoolSnapshot`]: an `Arc`'d, fully immutable view swapped under a
 //! `parking_lot::RwLock`.
 //!
 //! * **Readers never block on writers** beyond the pointer swap: [`ShardedPool::snapshot`]
@@ -28,7 +28,7 @@
 //!   [`PoolSnapshot::version`], which tells a reader whether it still holds the current
 //!   snapshot.
 
-use crate::pool::{feature_signature, query_hash, rank_order, PoolEntry, PoolShard, QueriesPool};
+use crate::pool::{feature_signature, query_hash, rank_order, PoolEntry, QueriesPool};
 use crn_query::ast::Query;
 use parking_lot::RwLock;
 use std::borrow::Borrow;
@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// concurrent maintenance on the owning [`ShardedPool`] produces *new* snapshots.
 #[derive(Clone)]
 pub struct PoolSnapshot {
-    shards: Vec<Arc<PoolShard>>,
+    shards: Vec<Arc<QueriesPool>>,
     /// Per-shard versions: monotonic within the owning pool, bumped whenever a write
     /// replaces the shard with one holding different entries.
     versions: Vec<u64>,
@@ -68,12 +68,12 @@ impl PoolSnapshot {
     }
 
     /// The frozen shards, in canonical shard order.
-    pub fn shards(&self) -> &[Arc<PoolShard>] {
+    pub fn shards(&self) -> &[Arc<QueriesPool>] {
         &self.shards
     }
 
     /// One shard.
-    pub fn shard(&self, index: usize) -> &PoolShard {
+    pub fn shard(&self, index: usize) -> &QueriesPool {
         &self.shards[index]
     }
 
@@ -114,7 +114,7 @@ impl PoolSnapshot {
     }
 
     /// This snapshot with shard `index` replaced by `shard` at `version`.
-    fn with_shard(&self, index: usize, shard: PoolShard, version: u64) -> PoolSnapshot {
+    fn with_shard(&self, index: usize, shard: QueriesPool, version: u64) -> PoolSnapshot {
         let mut shards = self.shards.clone();
         let mut versions = self.versions.clone();
         shards[index] = Arc::new(shard);
@@ -156,9 +156,10 @@ impl PoolSnapshot {
             .len()
     }
 
-    /// Flattens the snapshot into a single-shard pool, in canonical shard order (used by
-    /// persistence and the parity tests; the result is `matching`-equivalent, not
-    /// entry-order-identical, to the pool the snapshot was built from).
+    /// Flattens the snapshot into a single-shard pool, in canonical shard order (the
+    /// durable form a checkpoint serializes, and the parity tests' flat view; the result is
+    /// `matching`-equivalent, not entry-order-identical, to the pool the snapshot was built
+    /// from).
     pub fn to_pool(&self) -> QueriesPool {
         let mut pool = QueriesPool::new();
         for shard in &self.shards {
@@ -192,7 +193,7 @@ impl PoolSnapshot {
 /// per-shard top-`k` selections and re-selecting globally yields **exactly** the top-`k` of
 /// the flat pool-wide ranking at any shard count — the determinism the top-K proptests pin.
 /// The query is featurized once; per-shard work is O(bucket + k log k).
-pub fn matching_top_k<'a, S: Borrow<PoolShard>>(
+pub fn matching_top_k<'a, S: Borrow<QueriesPool>>(
     shards: &'a [S],
     query: &Query,
     k: usize,
@@ -239,7 +240,7 @@ impl ShardedPool {
     pub fn new(num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
         let shards = (0..num_shards)
-            .map(|_| Arc::new(PoolShard::new()))
+            .map(|_| Arc::new(QueriesPool::new()))
             .collect();
         let versions = (1..=num_shards as u64).collect();
         ShardedPool {
@@ -255,12 +256,12 @@ impl ShardedPool {
     /// canonical-hash shard (bulk construction: each shard is built once, no copy-on-write).
     pub fn from_pool(pool: &QueriesPool, num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
-        let mut shards: Vec<PoolShard> = (0..num_shards).map(|_| PoolShard::new()).collect();
+        let mut shards: Vec<QueriesPool> = (0..num_shards).map(|_| QueriesPool::new()).collect();
         for entry in pool.entries() {
             let shard = (query_hash(&entry.query) % num_shards as u64) as usize;
             shards[shard].insert(entry.query.clone(), entry.cardinality);
         }
-        let shards: Vec<Arc<PoolShard>> = shards.into_iter().map(Arc::new).collect();
+        let shards: Vec<Arc<QueriesPool>> = shards.into_iter().map(Arc::new).collect();
         let versions = (1..=num_shards as u64).collect();
         ShardedPool {
             snapshot: RwLock::new(Arc::new(PoolSnapshot { shards, versions })),
@@ -370,7 +371,7 @@ impl ShardedPool {
     /// Evicts lowest-retention-weight anchors until the shard is back under its quota
     /// (no-op in unbounded mode).  Runs on the writer's private clone, so the eviction and
     /// the triggering insert publish as one snapshot.
-    fn enforce_quota(&self, shard: &mut PoolShard) {
+    fn enforce_quota(&self, shard: &mut QueriesPool) {
         let Some(quota) = self.shard_capacity else {
             return;
         };
@@ -383,7 +384,7 @@ impl ShardedPool {
     }
 
     /// Folds an observed estimation q-error into the resident anchor's retention weight
-    /// (see [`PoolShard::record_feedback`]); returns whether the anchor was resident.
+    /// (see [`QueriesPool::record_feedback`]); returns whether the anchor was resident.
     ///
     /// Weights steer eviction and compaction only — they are invisible to `matching` and
     /// to estimates — so the update publishes through the regular copy-on-write swap (so
@@ -421,7 +422,7 @@ impl ShardedPool {
     /// unrelated, and shard-local compaction would leave every cross-shard duplicate
     /// group resident forever.  The scan reads the shared snapshot without cloning;
     /// only shards that actually lose an entry are cloned, filtered
-    /// (`PoolShard::retain_queries`) and re-versioned, and all of them publish as a
+    /// (`QueriesPool::retain_queries`) and re-versioned, and all of them publish as a
     /// **single** successor snapshot.
     pub fn compact(&self) -> usize {
         let _writer = self.writer.lock();
@@ -487,7 +488,7 @@ impl ShardedPool {
     }
 
     /// A successor snapshot with shard `index` replaced (and re-versioned).
-    fn replaced(&self, current: &PoolSnapshot, index: usize, shard: PoolShard) -> PoolSnapshot {
+    fn replaced(&self, current: &PoolSnapshot, index: usize, shard: QueriesPool) -> PoolSnapshot {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed);
         current.with_shard(index, shard, version)
     }
@@ -839,11 +840,36 @@ mod tests {
             a.sort();
             b.sort();
             assert_eq!(a, b);
-            // One-shard mode reproduces the facade's entry order exactly.
+            // One-shard mode reproduces the source pool's entry order exactly.
             if num_shards == 1 {
                 assert_eq!(flattened.entries(), pool.entries());
             }
         }
+    }
+
+    /// The serialized form of a sharded pool is its flattened [`PoolSnapshot::to_pool`]:
+    /// shard-count-agnostic, so a pool written at one shard count loads at any other
+    /// (sharding is a runtime serving decision, not a storage property).
+    #[test]
+    fn sharded_pool_round_trips_across_shard_counts() {
+        let db = generate_imdb(&ImdbConfig::tiny(73));
+        let pool = QueriesPool::generate(&db, 30, 1, 73);
+        let sharded = ShardedPool::from_pool(&pool, 4);
+        let json = serde_json::to_string(&sharded.to_pool()).expect("serializes");
+        let loaded: QueriesPool = serde_json::from_str(&json).expect("deserializes");
+        let reloaded = ShardedPool::from_pool(&loaded, 2);
+        assert_eq!(reloaded.num_shards(), 2);
+        assert_eq!(reloaded.len(), pool.len());
+        let mut original: Vec<String> = pool.entries().iter().map(|e| format!("{e:?}")).collect();
+        let mut roundtrip: Vec<String> = reloaded
+            .to_pool()
+            .entries()
+            .iter()
+            .map(|e| format!("{e:?}"))
+            .collect();
+        original.sort();
+        roundtrip.sort();
+        assert_eq!(original, roundtrip);
     }
 }
 

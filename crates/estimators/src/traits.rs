@@ -70,18 +70,6 @@ pub trait ContainmentEstimator {
             .collect()
     }
 
-    /// Forward-direction-only batched containment: `anchors[i] ⊂% query` for every anchor.
-    ///
-    /// Used where only one direction is needed (the compound-query identities of §9) —
-    /// half the work of [`predict_group`](ContainmentEstimator::predict_group) for neural
-    /// models, which override this with a single batched head pass.
-    fn predict_batch_forward(&self, anchors: &[&Query], query: &Query) -> Vec<f64> {
-        anchors
-            .iter()
-            .map(|anchor| self.estimate_containment(anchor, query))
-            .collect()
-    }
-
     /// Precomputes model-specific serving state for a *fixed* anchor set, reusable across
     /// queries (e.g. the CRN model returns the encoded form of all anchors, so a
     /// queries-pool serving path encodes each pool entry once per pool instead of once per
@@ -132,10 +120,6 @@ impl<T: ContainmentEstimator + ?Sized> ContainmentEstimator for &T {
         (**self).predict_group(anchors, queries, prepared)
     }
 
-    fn predict_batch_forward(&self, anchors: &[&Query], query: &Query) -> Vec<f64> {
-        (**self).predict_batch_forward(anchors, query)
-    }
-
     fn prepare_anchors(&self, anchors: &[&Query]) -> Option<Box<dyn Any + Send + Sync>> {
         (**self).prepare_anchors(anchors)
     }
@@ -157,10 +141,6 @@ impl<T: ContainmentEstimator + ?Sized> ContainmentEstimator for Box<T> {
         prepared: Option<&(dyn Any + Send + Sync)>,
     ) -> Vec<Vec<(f64, f64)>> {
         (**self).predict_group(anchors, queries, prepared)
-    }
-
-    fn predict_batch_forward(&self, anchors: &[&Query], query: &Query) -> Vec<f64> {
-        (**self).predict_batch_forward(anchors, query)
     }
 
     fn prepare_anchors(&self, anchors: &[&Query]) -> Option<Box<dyn Any + Send + Sync>> {

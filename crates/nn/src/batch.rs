@@ -560,17 +560,6 @@ pub fn expand_concat_backward(grad: &Matrix) -> (Matrix, Matrix) {
     (grad1, grad2)
 }
 
-/// Broadcasts a single row to `copies` identical rows: `(1×d) -> (copies×d)` (used by the
-/// serving path to pair one query encoding against a whole anchor batch).
-pub fn broadcast_rows(row: &Matrix, copies: usize) -> Matrix {
-    assert_eq!(row.rows(), 1, "broadcast source must be a single row");
-    let mut data = Vec::with_capacity(copies * row.cols());
-    for _ in 0..copies {
-        data.extend_from_slice(row.data());
-    }
-    Matrix::from_vec(copies, row.cols(), data)
-}
-
 /// Horizontal concatenation of equal-height blocks: `[(B×d₁), (B×d₂), ...] -> (B×Σdⱼ)`
 /// (used by MSCN to join its three pooled set representations).
 pub fn concat_columns(blocks: &[&Matrix]) -> Matrix {

@@ -58,9 +58,9 @@ pub mod parallel;
 pub mod train;
 
 pub use batch::{
-    broadcast_rows, concat_columns, expand_concat, expand_concat_backward, expand_full,
-    expand_full_backward, expand_full_tail, segment_pool, segment_pool_backward, shard_ranges,
-    split_columns, RaggedBatch, SegmentPool, SparseRows,
+    concat_columns, expand_concat, expand_concat_backward, expand_full, expand_full_backward,
+    expand_full_tail, segment_pool, segment_pool_backward, shard_ranges, split_columns,
+    RaggedBatch, SegmentPool, SparseRows,
 };
 pub use gemm::{gemm_packed, gemm_transpose_a_into, Epilogue, PackedWeights};
 pub use layers::{

@@ -53,9 +53,9 @@ pub struct Checkpoint {
     /// The live model — parameters *including* Adam moments (they live inside
     /// [`crn_nn::Param`]), so restored fine-tunes continue the optimizer trajectory.
     pub model: CrnModel,
-    /// The flattened queries pool (shard-count-agnostic, like
-    /// [`ShardedPool::save`](crn_core::ShardedPool::save): sharding is a runtime
-    /// serving decision, not a storage property).
+    /// The flattened queries pool, from
+    /// [`PoolSnapshot::to_pool`](crn_core::PoolSnapshot::to_pool) (shard-count-agnostic:
+    /// sharding is a runtime serving decision, not a storage property).
     pub pool: QueriesPool,
     /// The refresh controller's durable state, when the process runs one.
     pub online: Option<ControllerCheckpoint>,

@@ -10,7 +10,7 @@
 use crate::feedback::{floored_q_error, DriftDetector, FeedbackRecord};
 use crn_core::{
     fold_entry_lists, Cnt2CrdConfig, Cnt2CrdCore, CrnModel, EstimatorService, FinalFunction,
-    PoolShard, QueriesPool,
+    QueriesPool,
 };
 use crn_db::Database;
 use crn_exec::{label_containment_pairs, ContainmentSample};
@@ -107,7 +107,7 @@ pub fn gate_accepts(live_median: f64, candidate_median: f64, gate_margin: f64) -
 /// bit-identical to what [`EstimatorService::serve`] answers for these queries under that
 /// model over that pool: the gate measures exactly the serving behaviour, for the live
 /// model and a candidate alike.
-pub fn probe_median<S: std::borrow::Borrow<PoolShard> + Sync>(
+pub fn probe_median<S: std::borrow::Borrow<QueriesPool> + Sync>(
     config: &Cnt2CrdConfig,
     model: &CrnModel,
     shards: &[S],
@@ -613,7 +613,7 @@ impl RefreshController {
             .iter()
             .map(|record| (record.query.clone(), record.true_cardinality))
             .unzip();
-        let (config, shards) = (self.service.config(), [pool.as_shard()]);
+        let (config, shards) = (self.service.config(), [&pool]);
         let median_under =
             |model: &CrnModel| probe_median(config, model, &shards, &queries, &truths);
         let live_probe_median = median_under(&live);
