@@ -14,7 +14,7 @@ use crn_db::imdb::{generate_imdb, ImdbConfig};
 use crn_estimators::{ContainmentEstimator, DatabaseStats, MscnModel, StatsConfig};
 use crn_exec::{Executor, TableSamples};
 use crn_nn::{
-    gemm_packed, Adam, Dense, Epilogue, Matrix, PackedWeights, Param, ThreadPoolConfig, TrainConfig,
+    gemm_packed, Adam, Dense, Epilogue, Matrix, PackedWeights, ThreadPoolConfig, TrainConfig,
 };
 use crn_query::ast::Query;
 use crn_query::generator::{GeneratorConfig, QueryGenerator};
@@ -93,11 +93,12 @@ fn bench_nn_kernels(c: &mut Criterion) {
     let a = Matrix::xavier_seeded(64, 128, 3);
     let bm = Matrix::xavier_seeded(128, 64, 4);
     group.bench_function("matmul_64x128x64", |b| b.iter(|| black_box(a.matmul(&bm))));
-    let mut trainable = Dense::new(128, 64, 5);
+    let trainable = Dense::new(128, 64, 5);
     let grad = Matrix::xavier_seeded(8, 64, 6);
     let x = Matrix::xavier_seeded(8, 128, 7);
+    let (mut grad_w, mut grad_b) = (Matrix::zeros(128, 64), Matrix::zeros(1, 64));
     group.bench_function("dense_backward_8x128x64", |b| {
-        b.iter(|| black_box(trainable.backward(&x, &grad)))
+        b.iter(|| black_box(trainable.backward(&x, &grad, &mut grad_w, &mut grad_b)))
     });
 
     // Dense vs sparsity-aware kernel on the three left-operand regimes the models produce —
@@ -169,14 +170,22 @@ fn bench_training_step(c: &mut Criterion) {
     // with every first moment parked on the smallest subnormal under zero gradients — where
     // an optimizer that stores what it computes stays forever.
     let gradient = Matrix::xavier_seeded(512, 256, 21);
-    let mut live = Param::new(Matrix::xavier_seeded(512, 256, 22));
+    let mut live = Matrix::xavier_seeded(512, 256, 22);
     let mut adam = Adam::default();
     group.bench_function("adam_step_131k_normal", |b| {
         b.iter(|| adam.step_with(vec![&mut live], std::slice::from_ref(&gradient)))
     });
     let zero_gradient = Matrix::zeros(512, 256);
-    let mut stuck = Param::new(Matrix::xavier_seeded(512, 256, 23));
-    stuck.m = Matrix::from_vec(512, 256, vec![f32::from_bits(1); 512 * 256]);
+    let mut stuck = Matrix::xavier_seeded(512, 256, 23);
+    let mut adam = Adam {
+        m: vec![Matrix::from_vec(
+            512,
+            256,
+            vec![f32::from_bits(1); 512 * 256],
+        )],
+        v: vec![Matrix::zeros(512, 256)],
+        ..Adam::default()
+    };
     group.bench_function("adam_step_131k_stuck_subnormal_moments", |b| {
         b.iter(|| adam.step_with(vec![&mut stuck], std::slice::from_ref(&zero_gradient)))
     });
@@ -187,7 +196,7 @@ fn bench_training_step(c: &mut Criterion) {
     let layer = Dense::new(512, 256, 24);
     let x = Matrix::xavier_seeded(16, 512, 25);
     let grad_y = Matrix::xavier_seeded(16, 256, 26);
-    let mut transposed = PackedWeights::pack_transposed(&layer.w.value);
+    let mut transposed = PackedWeights::pack_transposed(&layer.w);
     let (mut grad_w, mut grad_b) = (Matrix::zeros(512, 256), Matrix::zeros(1, 256));
     group.bench_function("dense_backward_16x512x256", |b| {
         b.iter(|| {
@@ -203,7 +212,7 @@ fn bench_training_step(c: &mut Criterion) {
         })
     });
     group.bench_function("dense_panels_512x256", |b| {
-        b.iter(|| transposed.repack_transposed(black_box(&layer.w.value)))
+        b.iter(|| transposed.repack_transposed(black_box(&layer.w)))
     });
 
     let mut model = CrnModel::new(

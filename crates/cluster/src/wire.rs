@@ -32,10 +32,9 @@ use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
 /// Upper bound on one frame's `type byte + payload` length.  An assignment carries the
-/// whole model (four `f32` matrices per parameter: values, gradients and both Adam
-/// moments, 9 bytes per float) plus its shards, which is ≈ 5.7 MB at H = 128; the bound
-/// leaves room for far larger pools while a corrupt length prefix still fails fast
-/// instead of allocating gigabytes.
+/// whole model (its weights, one `f32` per parameter at 9 bytes per float: ≈ 1.4 MB at
+/// H = 128) plus its shards; the bound leaves room for far larger models and pools while
+/// a corrupt length prefix still fails fast instead of allocating gigabytes.
 pub const MAX_FRAME: usize = 256 << 20;
 
 /// Errors of the framing layer.  IO and decode errors are not distinguished beyond

@@ -476,16 +476,16 @@ fn a_count_past_the_frame_is_refused_before_allocating() {
 }
 
 /// Deterministic size tripwire: a model float costs 9 bytes on the wire (its tag and
-/// its bits), and each parameter carries four of them (value, gradient, two Adam
-/// moments).  Any float that regresses to a text encoding blows the bound without a
-/// wall clock in sight: the fixture's assignment is ≈ 228 KB against a ≈ 252 KB
-/// bound, and was ≈ 285 KB as JSON.
+/// its bits), and each parameter is one float — its weight; no optimizer state travels.
+/// Any float that regresses to a text encoding, or any per-parameter state that creeps
+/// back into the model, blows the bound without a wall clock in sight: the fixture's
+/// assignment is ≈ 87 KB against a ≈ 130 KB bound.
 #[test]
 fn assignment_frame_costs_nine_bytes_per_model_float() {
     let (_, pool, model, _) = shared();
     // The featurizer, the config and the field names, then each anchor's query.
     let allowance = (8 << 10) + (1 << 10) * pool.len();
-    let floats = 4 * model.num_params();
+    let floats = model.num_params();
     for shards in [1, 4] {
         let body = assign_body(shards);
         assert!(

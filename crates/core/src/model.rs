@@ -24,7 +24,7 @@ use crn_nn::batch::{
 };
 use crn_nn::gemm::{gemm_packed, Epilogue, PackedWeights};
 use crn_nn::layers::{
-    relu_backward_in_place, relu_in_place, sigmoid_backward, sigmoid_in_place, Dense, Param,
+    relu_backward_in_place, relu_in_place, sigmoid_backward, sigmoid_in_place, Dense,
 };
 use crn_nn::loss::loss_and_grad;
 use crn_nn::matrix::Matrix;
@@ -123,7 +123,7 @@ pub struct CrnModel {
 
 /// The inference-side copy of `out1`'s weights ([`PackedWeights`]), built by the first
 /// inference call that needs it ([`CrnModel::packed_out1`], the only writer) and dropped by
-/// [`CrnModel::params_vec_mut`] — the only path that hands out `&mut` weight values — so a
+/// [`CrnModel::params_vec_mut`] — the only path that hands out `&mut` weights — so a
 /// cell never holds panels of weights its model no longer has.  A clone shares the panels
 /// (its weights are the same values); training the clone empties only the clone's cell.
 #[derive(Debug, Clone, Default)]
@@ -253,7 +253,7 @@ impl CrnModel {
     fn packed_out1(&self) -> &PackedWeights {
         self.packed_out1
             .0
-            .get_or_init(|| Arc::new(PackedWeights::pack(&self.out1.w.value)))
+            .get_or_init(|| Arc::new(PackedWeights::pack(&self.out1.w)))
     }
 
     /// The containment head over expanded pair representations, forward only:
@@ -279,7 +279,7 @@ impl CrnModel {
             self.packed_out1(),
             first_column..first_column + operand.cols(),
             chain,
-            Epilogue::BiasRelu(self.out1.b.value.row(0)),
+            Epilogue::BiasRelu(self.out1.b.row(0)),
         );
         let mut sigmoid_out = self.out2.forward(&a_out1);
         sigmoid_in_place(&mut sigmoid_out);
@@ -339,19 +339,17 @@ impl CrnModel {
 
     /// Batched backward pass: `grad_output` holds `dL/d sigmoid_out` per pair (`B×1`).
     ///
-    /// Accumulates exactly the gradient sums the per-sample loop produced — `Dense::backward`
+    /// Returns exactly the gradient sums the per-sample loop produced — `Dense::backward`
     /// over the flattened rows computes the same `Σᵢ xᵢᵀ·gᵢ` in one product.  Kept for the
     /// parity tests; training goes through [`CrnModel::backward_batch_into`] so shards can
     /// accumulate privately.
     #[cfg(test)]
-    fn backward_batch(&mut self, cache: &BatchCache, grad_output: &Matrix) {
+    fn backward_batch(&self, cache: &BatchCache, grad_output: &Matrix) -> GradientSet {
         let weights = self.backward_weights().into_iter();
         let panels: Vec<PackedWeights> = weights.map(PackedWeights::pack_transposed).collect();
         let mut grads = GradientSet::zeros(&self.gradient_shapes());
         self.backward_batch_into(&panels, cache, grad_output, &mut grads);
-        for (param, grad) in self.params_vec_mut().into_iter().zip(grads.parts()) {
-            param.grad.add_assign(grad);
-        }
+        grads
     }
 
     /// [`CrnModel::backward_batch`] into a caller-provided [`GradientSet`] (indexed by
@@ -431,24 +429,8 @@ impl CrnModel {
         train::fit(self, samples)
     }
 
-    /// Zeroes the Adam moment estimates carried inside every parameter.
-    ///
-    /// The moments a `fit` leaves behind belong to an optimizer whose step count was
-    /// discarded with it — resuming them against a *fresh* [`Adam`] (step count 0)
-    /// amplifies the first bias-corrected updates by `1 / (1 − β)` (10× for the first
-    /// moment) and reliably wrecks the warm-started weights.  A continual-learning
-    /// controller therefore resets the moments once, when it adopts a model trained
-    /// elsewhere; from then on it keeps its own `Adam` paired with the moments its
-    /// refreshes produce.
-    pub fn reset_optimizer_state(&mut self) {
-        for param in self.params_vec_mut() {
-            param.m.fill_zero();
-            param.v.fill_zero();
-        }
-    }
-
     /// Warm-start incremental fit: fine-tunes the (already trained) model in place on a
-    /// fresh corpus for a fixed number of epochs, **resuming** the caller's Adam state.
+    /// fresh corpus for a fixed number of epochs, **resuming** the caller's [`Adam`].
     ///
     /// This is the continual-learning primitive of the online refresh subsystem
     /// (`crn-online`): the refresh controller clones the live model, fine-tunes the clone
@@ -456,10 +438,11 @@ impl CrnModel {
     /// hot-swaps it in only if it passes the validation gate.  Division of labour with
     /// [`CrnModel::fit`]:
     ///
-    /// * **Adam state resumes.**  The first and second moments live inside each
-    ///   [`Param`] and travel with the model clone; the caller's
-    ///   [`Adam`] carries the step count, so bias correction continues where the previous
-    ///   (initial or incremental) fit left off instead of re-warming from step 0.
+    /// * **Adam state resumes.**  The caller's [`Adam`] holds the first and second moments
+    ///   and the step count, so a fine-tune continues the optimizer trajectory of the
+    ///   earlier fine-tunes that `Adam` ran, instead of re-warming from step 0.  The model
+    ///   carries only its weights: a fresh `Adam` starts from zero moments, whatever
+    ///   trained the model before.
     /// * **No validation split, early stopping or best-epoch restore** — the online
     ///   controller owns model selection through its held-out probe gate, so the
     ///   fine-tune runs exactly `epochs` epochs over the whole corpus.  The recorded
@@ -739,7 +722,7 @@ impl Trainable for CrnModel {
 
     /// `MLPout`'s: the set encoders are input layers and propagate nothing.
     fn backward_weights(&self) -> Vec<&Matrix> {
-        vec![&self.out1.w.value, &self.out2.w.value]
+        vec![&self.out1.w, &self.out2.w]
     }
 
     fn gradient_shapes(&self) -> Vec<(usize, usize)> {
@@ -749,7 +732,7 @@ impl Trainable for CrnModel {
 
     /// All trainable parameters in `grad_index` order.  Whoever holds them may change
     /// `out1`'s weights, so the packed copy goes first.
-    fn params_vec_mut(&mut self) -> Vec<&mut Param> {
+    fn params_vec_mut(&mut self) -> Vec<&mut Matrix> {
         self.packed_out1 = PackedHead::default();
         let layers = [
             &mut self.mlp1,
@@ -829,13 +812,16 @@ impl CrnModel {
         }
     }
 
-    /// Seed-faithful single-pair backward pass (see [`CrnModel::forward_pair_reference`]).
-    fn backward_pair_reference(&mut self, cache: &PairCache, grad_output: f32) {
-        let grad_out = Matrix::from_vec(1, 1, vec![grad_output]);
-        let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, &grad_out);
-        let grad_a_out1 = self.out2.backward(&cache.a_out1, &grad_z_out2);
+    /// Seed-faithful single-pair backward pass (see [`CrnModel::forward_pair_reference`]) of
+    /// `g = dL/d sigmoid_out`, accumulating into `grads` (layout: [`grad_index`]).
+    fn backward_pair_reference(&self, cache: &PairCache, g: f32, grads: &mut GradientSet) {
+        use grad_index::*;
+        let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, &Matrix::from_vec(1, 1, vec![g]));
+        let (w, b) = grads.pair_mut(OUT2_W, OUT2_B);
+        let grad_a_out1 = self.out2.backward(&cache.a_out1, &grad_z_out2, w, b);
         let grad_z_out1 = relu_backward(&cache.z_out1, &grad_a_out1);
-        let grad_expanded = self.out1.backward(&cache.expanded, &grad_z_out1);
+        let (w, b) = grads.pair_mut(OUT1_W, OUT1_B);
+        let grad_expanded = self.out1.backward(&cache.expanded, &grad_z_out1, w, b);
         let (grad_qvec1, grad_qvec2) = match self.options.expand {
             ExpandMode::Full => expand_full_backward(&cache.qvec1, &cache.qvec2, &grad_expanded),
             ExpandMode::Concat => expand_concat_backward(&grad_expanded),
@@ -854,22 +840,12 @@ impl CrnModel {
         };
         let grad_a1 = pool_backward(cache.a1.rows(), &grad_qvec1);
         let grad_z1 = relu_backward(&cache.z1, &grad_a1);
-        let _ = self.mlp1.backward(&cache.v1, &grad_z1);
+        let (w, b) = grads.pair_mut(MLP1_W, MLP1_B);
+        let _ = self.mlp1.backward(&cache.v1, &grad_z1, w, b);
         let grad_a2 = pool_backward(cache.a2.rows(), &grad_qvec2);
         let grad_z2 = relu_backward(&cache.z2, &grad_a2);
-        let _ = self.mlp2.backward(&cache.v2, &grad_z2);
-    }
-
-    fn zero_grad(&mut self) {
-        self.mlp1.zero_grad();
-        self.mlp2.zero_grad();
-        self.out1.zero_grad();
-        self.out2.zero_grad();
-    }
-
-    fn adam_step(&mut self, adam: &mut Adam) {
-        let params = self.params_vec_mut();
-        adam.step(params);
+        let (w, b) = grads.pair_mut(MLP2_W, MLP2_B);
+        let _ = self.mlp2.backward(&cache.v2, &grad_z2, w, b);
     }
 
     /// Reference per-sample training loop: the pre-batching implementation, issuing one
@@ -898,7 +874,7 @@ impl CrnModel {
             let mut epoch_loss = 0.0f64;
             let mut epoch_samples = 0usize;
             for batch in shuffled_batches(&train_idx, self.config.batch_size, &mut rng) {
-                self.zero_grad();
+                let mut grads = GradientSet::zeros(&self.gradient_shapes());
                 for &index in &batch {
                     let (v1, v2) = &features[index];
                     let cache = self.forward_pair_reference(v1, v2);
@@ -907,9 +883,10 @@ impl CrnModel {
                         loss_and_grad(self.config.loss, prediction, targets[index], RATE_FLOOR);
                     epoch_loss += loss.loss as f64;
                     epoch_samples += 1;
-                    self.backward_pair_reference(&cache, loss.grad / batch.len() as f32);
+                    let grad = loss.grad / batch.len() as f32;
+                    self.backward_pair_reference(&cache, grad, &mut grads);
                 }
-                self.adam_step(&mut adam);
+                adam.step_with(self.params_vec_mut(), grads.parts());
             }
 
             let validation_q_error = if valid_idx.is_empty() {
@@ -1117,32 +1094,30 @@ mod tests {
                 expand: ExpandMode::Concat,
             },
         ] {
-            let mut batched_model = CrnModel::with_options(&db, TrainConfig::fast_test(), options);
-            let mut reference_model = batched_model.clone();
+            let model = CrnModel::with_options(&db, TrainConfig::fast_test(), options);
             let features: Vec<(Matrix, Matrix)> = samples
                 .iter()
-                .map(|s| batched_model.featurizer.featurize_pair(&s.q1, &s.q2))
+                .map(|s| model.featurizer.featurize_pair(&s.q1, &s.q2))
                 .collect();
             let scale = 1.0 / samples.len() as f32;
 
             // Per-sample accumulation (the seed-faithful reference path).
-            reference_model.zero_grad();
+            let mut reference = GradientSet::zeros(&model.gradient_shapes());
             for (sample, (v1, v2)) in samples.iter().zip(&features) {
-                let cache = reference_model.forward_pair_reference(v1, v2);
+                let cache = model.forward_pair_reference(v1, v2);
                 let loss = loss_and_grad(
                     crn_nn::LossKind::QError,
                     cache.sigmoid_out.get(0, 0),
                     sample.rate as f32,
                     RATE_FLOOR,
                 );
-                reference_model.backward_pair_reference(&cache, loss.grad * scale);
+                model.backward_pair_reference(&cache, loss.grad * scale, &mut reference);
             }
 
             // One batched backward.
-            batched_model.zero_grad();
             let batch1 = RaggedBatch::from_sets(features.iter().map(|(v1, _)| v1));
             let batch2 = RaggedBatch::from_sets(features.iter().map(|(_, v2)| v2));
-            let cache = batched_model.forward_batch(batch1, batch2);
+            let cache = model.forward_batch(batch1, batch2);
             let mut grad = Matrix::zeros(samples.len(), 1);
             for (index, sample) in samples.iter().enumerate() {
                 let loss = loss_and_grad(
@@ -1153,40 +1128,17 @@ mod tests {
                 );
                 grad.set(index, 0, loss.grad * scale);
             }
-            batched_model.backward_batch(&cache, &grad);
+            let batched = model.backward_batch(&cache, &grad);
 
-            for (name, batched, reference) in [
-                (
-                    "mlp1.w",
-                    &batched_model.mlp1.w.grad,
-                    &reference_model.mlp1.w.grad,
-                ),
-                (
-                    "mlp1.b",
-                    &batched_model.mlp1.b.grad,
-                    &reference_model.mlp1.b.grad,
-                ),
-                (
-                    "mlp2.w",
-                    &batched_model.mlp2.w.grad,
-                    &reference_model.mlp2.w.grad,
-                ),
-                (
-                    "out1.w",
-                    &batched_model.out1.w.grad,
-                    &reference_model.out1.w.grad,
-                ),
-                (
-                    "out2.w",
-                    &batched_model.out2.w.grad,
-                    &reference_model.out2.w.grad,
-                ),
-                (
-                    "out2.b",
-                    &batched_model.out2.b.grad,
-                    &reference_model.out2.b.grad,
-                ),
+            for (name, index) in [
+                ("mlp1.w", grad_index::MLP1_W),
+                ("mlp1.b", grad_index::MLP1_B),
+                ("mlp2.w", grad_index::MLP2_W),
+                ("out1.w", grad_index::OUT1_W),
+                ("out2.w", grad_index::OUT2_W),
+                ("out2.b", grad_index::OUT2_B),
             ] {
+                let (batched, reference) = (&batched.parts()[index], &reference.parts()[index]);
                 for (index, (a, b)) in batched.data().iter().zip(reference.data()).enumerate() {
                     // 1e-5 relative tolerance: the batched path re-associates the same f32
                     // sums, so tiny rounding differences scale with the gradient magnitude.
@@ -1318,7 +1270,7 @@ mod tests {
                 );
             }
             assert_eq!(
-                model.mlp1.w.value, baseline.mlp1.w.value,
+                model.mlp1.w, baseline.mlp1.w,
                 "threads = {threads}: trained weights must be identical"
             );
         }
@@ -1378,7 +1330,7 @@ mod tests {
     fn sharded_gradients_match_per_sample_accumulation() {
         let db = generate_imdb(&ImdbConfig::tiny(24));
         let samples = training_pairs(&db, 24, 24);
-        let mut reference_model = CrnModel::new(&db, TrainConfig::fast_test());
+        let reference_model = CrnModel::new(&db, TrainConfig::fast_test());
         let features: Vec<(Matrix, Matrix)> = samples
             .iter()
             .map(|s| reference_model.featurizer.featurize_pair(&s.q1, &s.q2))
@@ -1386,7 +1338,7 @@ mod tests {
         let scale = 1.0 / samples.len() as f32;
 
         // Per-sample accumulation (the seed-faithful reference path).
-        reference_model.zero_grad();
+        let mut reference = GradientSet::zeros(&reference_model.gradient_shapes());
         for (sample, (v1, v2)) in samples.iter().zip(&features) {
             let cache = reference_model.forward_pair_reference(v1, v2);
             let loss = loss_and_grad(
@@ -1395,7 +1347,7 @@ mod tests {
                 sample.rate as f32,
                 RATE_FLOOR,
             );
-            reference_model.backward_pair_reference(&cache, loss.grad * scale);
+            reference_model.backward_pair_reference(&cache, loss.grad * scale, &mut reference);
         }
 
         for (threads, deterministic) in [(1, false), (2, false), (4, false), (4, true), (3, true)] {
@@ -1411,23 +1363,15 @@ mod tests {
             let model = CrnModel::new(&db, config);
             let (losses, grads) = train::batch_gradients(&model, &samples);
             assert_eq!(losses.len(), samples.len());
-            for ((name, index), reference) in [
+            for (name, index) in [
                 ("mlp1.w", grad_index::MLP1_W),
                 ("mlp1.b", grad_index::MLP1_B),
                 ("mlp2.w", grad_index::MLP2_W),
                 ("out1.w", grad_index::OUT1_W),
                 ("out2.w", grad_index::OUT2_W),
                 ("out2.b", grad_index::OUT2_B),
-            ]
-            .into_iter()
-            .zip([
-                &reference_model.mlp1.w.grad,
-                &reference_model.mlp1.b.grad,
-                &reference_model.mlp2.w.grad,
-                &reference_model.out1.w.grad,
-                &reference_model.out2.w.grad,
-                &reference_model.out2.b.grad,
-            ]) {
+            ] {
+                let reference = &reference.parts()[index];
                 for (position, (a, b)) in grads.parts()[index]
                     .data()
                     .iter()
@@ -1462,8 +1406,8 @@ mod tests {
         let cache = model.forward_pair_reference(&v1, &v2);
         let prediction = cache.sigmoid_out.get(0, 0);
         let loss = loss_and_grad(crn_nn::LossKind::QError, prediction, target, RATE_FLOOR);
-        model.zero_grad();
-        model.backward_pair_reference(&cache, loss.grad);
+        let mut grads = GradientSet::zeros(&model.gradient_shapes());
+        model.backward_pair_reference(&cache, loss.grad, &mut grads);
 
         let loss_value = |model: &CrnModel| {
             let p = model.forward_pair_reference(&v1, &v2).sigmoid_out.get(0, 0);
@@ -1471,13 +1415,13 @@ mod tests {
         };
         let eps = 1e-2f32;
         for (row, col) in [(0usize, 0usize), (3, 2), (7, 5)] {
-            let analytic = model.mlp1.w.grad.get(row, col);
-            let original = model.mlp1.w.value.get(row, col);
-            model.mlp1.w.value.set(row, col, original + eps);
+            let analytic = grads.parts()[grad_index::MLP1_W].get(row, col);
+            let original = model.mlp1.w.get(row, col);
+            model.mlp1.w.set(row, col, original + eps);
             let plus = loss_value(&model);
-            model.mlp1.w.value.set(row, col, original - eps);
+            model.mlp1.w.set(row, col, original - eps);
             let minus = loss_value(&model);
-            model.mlp1.w.value.set(row, col, original);
+            model.mlp1.w.set(row, col, original);
             let numeric = (plus - minus) / (2.0 * eps);
             assert!(
                 (numeric - analytic).abs() < 0.05,
@@ -1485,13 +1429,13 @@ mod tests {
             );
         }
         for (row, col) in [(0usize, 0usize), (5, 3)] {
-            let analytic = model.out1.w.grad.get(row, col);
-            let original = model.out1.w.value.get(row, col);
-            model.out1.w.value.set(row, col, original + eps);
+            let analytic = grads.parts()[grad_index::OUT1_W].get(row, col);
+            let original = model.out1.w.get(row, col);
+            model.out1.w.set(row, col, original + eps);
             let plus = loss_value(&model);
-            model.out1.w.value.set(row, col, original - eps);
+            model.out1.w.set(row, col, original - eps);
             let minus = loss_value(&model);
-            model.out1.w.value.set(row, col, original);
+            model.out1.w.set(row, col, original);
             let numeric = (plus - minus) / (2.0 * eps);
             assert!(
                 (numeric - analytic).abs() < 0.05,
@@ -1530,8 +1474,8 @@ mod tests {
         let mut tuned_again = model.clone();
         let history_again = tuned_again.fit_incremental(&fresh, &mut adam_again, 4);
         assert_eq!(history.epochs, history_again.epochs);
-        assert_eq!(tuned.mlp1.w.value, tuned_again.mlp1.w.value);
-        assert_eq!(tuned.out2.w.value, tuned_again.out2.w.value);
+        assert_eq!(tuned.mlp1.w, tuned_again.mlp1.w);
+        assert_eq!(tuned.out2.w, tuned_again.out2.w);
         assert_eq!(adam.step_count, adam_again.step_count);
 
         // Resuming the same Adam for a second refresh keeps advancing (and reshuffles:
@@ -1545,7 +1489,7 @@ mod tests {
         let mut untouched = model.clone();
         assert!(untouched.fit_incremental(&[], &mut adam, 3).is_empty());
         assert!(untouched.fit_incremental(&fresh, &mut adam, 0).is_empty());
-        assert_eq!(untouched.mlp1.w.value, model.mlp1.w.value);
+        assert_eq!(untouched.mlp1.w, model.mlp1.w);
     }
 
     /// Deterministic mode carries over to the incremental fit: at `threads = 1, 2, 4`
@@ -1568,11 +1512,11 @@ mod tests {
                 None => baseline = Some(model),
                 Some(reference) => {
                     assert_eq!(
-                        model.mlp1.w.value, reference.mlp1.w.value,
+                        model.mlp1.w, reference.mlp1.w,
                         "threads = {threads}: deterministic incremental weights must match"
                     );
-                    assert_eq!(model.out1.w.value, reference.out1.w.value);
-                    assert_eq!(model.out2.w.value, reference.out2.w.value);
+                    assert_eq!(model.out1.w, reference.out1.w);
+                    assert_eq!(model.out2.w, reference.out2.w);
                     for sample in fresh.iter().take(8) {
                         assert_eq!(
                             model.predict(&sample.q1, &sample.q2),
@@ -1590,13 +1534,35 @@ mod tests {
     /// features scanned back out of dense one-hot rows, every dense backward product as an
     /// explicit `transpose()` + `matmul` + `add_assign` into a freshly zeroed set per shard,
     /// `reduce_gradients` in canonical order, and an Adam loop that stores what it computes,
-    /// subnormal or not.
+    /// subnormal or not, into moments of its own (`adam` keeps only the hyperparameters and
+    /// the step count).
     struct ParentTrainer {
         model: CrnModel,
         adam: Adam,
+        m: Vec<Matrix>,
+        v: Vec<Matrix>,
     }
 
     impl ParentTrainer {
+        /// A fresh optimizer: step 0, zero moments.
+        fn new(model: CrnModel) -> Self {
+            let mut parent = ParentTrainer {
+                model,
+                adam: Adam::default(),
+                m: Vec::new(),
+                v: Vec::new(),
+            };
+            parent.reset_optimizer();
+            parent
+        }
+
+        fn reset_optimizer(&mut self) {
+            self.adam = Adam::new(self.model.config.learning_rate);
+            let zeros = |&(rows, cols): &(usize, usize)| Matrix::zeros(rows, cols);
+            self.m = self.model.gradient_shapes().iter().map(zeros).collect();
+            self.v = self.m.clone();
+        }
+
         fn featurize(&self, samples: &[ContainmentSample]) -> Vec<(SparseRows, SparseRows)> {
             samples
                 .iter()
@@ -1612,7 +1578,7 @@ mod tests {
             (
                 x.transpose().matmul(grad_y),
                 Matrix::row_vector(&grad_y.column_sums()),
-                grad_y.matmul(&layer.w.value.transpose()),
+                grad_y.matmul(&layer.w.transpose()),
             )
         }
 
@@ -1711,12 +1677,10 @@ mod tests {
             adam.step_count += 1;
             let t = adam.step_count as f32;
             let (bias1, bias2) = (1.0 - adam.beta1.powf(t), 1.0 - adam.beta2.powf(t));
-            for (param, grad) in self.model.params_vec_mut().into_iter().zip(merged.parts()) {
-                let (value, m, v) = (
-                    param.value.data_mut(),
-                    param.m.data_mut(),
-                    param.v.data_mut(),
-                );
+            let params = self.model.params_vec_mut().into_iter();
+            let moments = self.m.iter_mut().zip(&mut self.v);
+            for ((param, grad), (m, v)) in params.zip(merged.parts()).zip(moments) {
+                let (value, m, v) = (param.data_mut(), m.data_mut(), v.data_mut());
                 for (i, &g) in grad.data().iter().enumerate() {
                     m[i] = adam.beta1 * m[i] + (1.0 - adam.beta1) * g;
                     v[i] = adam.beta2 * v[i] + (1.0 - adam.beta2) * g * g;
@@ -1736,7 +1700,7 @@ mod tests {
             let targets: Vec<f32> = samples.iter().map(|s| s.rate as f32).collect();
             let (train_idx, valid_idx) =
                 train_validation_split(samples.len(), config.validation_fraction, config.seed);
-            self.adam = Adam::new(config.learning_rate);
+            self.reset_optimizer();
             let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(7));
             let mut history = TrainingHistory::default();
             let mut best = None;
@@ -1792,21 +1756,35 @@ mod tests {
         }
     }
 
-    fn subnormal_moments(model: &mut CrnModel) -> usize {
-        model
-            .params_vec_mut()
-            .into_iter()
-            .flat_map(|param| param.m.data().iter().chain(param.v.data()))
-            .filter(|moment| moment.is_subnormal())
-            .count()
+    fn subnormal_moments<'a>(moments: impl IntoIterator<Item = &'a Matrix>) -> usize {
+        let values = moments.into_iter().flat_map(Matrix::data);
+        values.filter(|moment| moment.is_subnormal()).count()
     }
 
-    /// THE training bit-identity tripwire: `fit` and then `steps` single-batch
-    /// `fit_incremental` steps end, at every thread count, on exactly the weights and biases
-    /// [`ParentTrainer`] ends on, with no subnormal moment left.  With `expect_plateau` their
-    /// moments must have parted ways: the parent sits on its plateau of subnormal first
-    /// moments (the dead cost this step no longer pays).
-    fn assert_training_matches_the_parent_formulation(steps: usize, expect_plateau: bool) {
+    /// Asserts that `actual`'s weights and biases are `expected`'s, bit for bit.
+    fn assert_same_weights(actual: &CrnModel, expected: &CrnModel, what: &str) {
+        let layers = [
+            ("mlp1", &actual.mlp1, &expected.mlp1),
+            ("mlp2", &actual.mlp2, &expected.mlp2),
+            ("out1", &actual.out1, &expected.out1),
+            ("out2", &actual.out2, &expected.out2),
+        ];
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, actual, expected) in layers {
+            assert_eq!(bits(&actual.w), bits(&expected.w), "{what}: {name}.w");
+            assert_eq!(bits(&actual.b), bits(&expected.b), "{what}: {name}.b");
+        }
+    }
+
+    /// THE training bit-identity tripwire.  With `after_fit`, `fit` ends at every thread
+    /// count on exactly the weights [`ParentTrainer::fit`] ends on; then — from there, or
+    /// from the fresh model without `after_fit` — both take `steps` single-batch
+    /// `fit_incremental` steps from a fresh optimizer (the parent's zero moments at step 0,
+    /// the engine's `Adam::new`) and must end on the same weights again, with no subnormal
+    /// moment in the engine's `Adam`.  Without `after_fit` their moments must have parted
+    /// ways: the parent sits on its plateau of subnormal moments (the dead cost the engine's
+    /// step no longer pays).
+    fn assert_training_matches_the_parent_formulation(steps: usize, after_fit: bool) {
         const PAIRS_PER_STEP: usize = 128;
         let db = generate_imdb(&ImdbConfig::tiny(41));
         let samples = training_pairs(&db, 640, 41);
@@ -1823,14 +1801,15 @@ mod tests {
             &samples[from..from + PAIRS_PER_STEP]
         };
 
-        let mut parent = ParentTrainer {
-            model: CrnModel::new(&db, config(1)),
-            adam: Adam::default(),
-        };
-        parent.fit(&samples);
+        let mut parent = ParentTrainer::new(CrnModel::new(&db, config(1)));
+        let fitted = after_fit.then(|| {
+            parent.fit(&samples);
+            parent.model.clone()
+        });
+        parent.reset_optimizer();
         (0..steps).for_each(|step| parent.fit_incremental(draw(step)));
-        if expect_plateau {
-            let stuck = subnormal_moments(&mut parent.model);
+        if !after_fit {
+            let stuck = subnormal_moments(parent.m.iter().chain(&parent.v));
             assert!(
                 stuck > 10_000,
                 "the parent formulation should be on its subnormal plateau, has {stuck}"
@@ -1839,46 +1818,58 @@ mod tests {
 
         for threads in [1usize, 2, 4] {
             let mut model = CrnModel::new(&db, config(threads));
-            model.fit(&samples);
+            if let Some(fitted) = &fitted {
+                model.fit(&samples);
+                assert_same_weights(&model, fitted, &format!("threads = {threads}, fit"));
+            }
             let mut adam = Adam::new(model.config.learning_rate);
-            adam.step_count = parent.adam.step_count - steps as u64;
             for step in 0..steps {
                 model.fit_incremental(draw(step), &mut adam, 1);
             }
             assert_eq!(adam.step_count, parent.adam.step_count);
-            let layers = [
-                ("mlp1", &model.mlp1, &parent.model.mlp1),
-                ("mlp2", &model.mlp2, &parent.model.mlp2),
-                ("out1", &model.out1, &parent.model.out1),
-                ("out2", &model.out2, &parent.model.out2),
-            ];
-            for (name, actual, expected) in layers {
-                for (what, a, e) in [
-                    ("w", &actual.w.value, &expected.w.value),
-                    ("b", &actual.b.value, &expected.b.value),
-                ] {
-                    let bits =
-                        |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(a), bits(e), "threads = {threads}: {name}.{what}");
-                }
-            }
-            assert_eq!(subnormal_moments(&mut model), 0, "threads = {threads}");
+            let what = format!("threads = {threads}, {steps} steps");
+            assert_same_weights(&model, &parent.model, &what);
+            assert_eq!(subnormal_moments(adam.m.iter().chain(&adam.v)), 0, "{what}");
         }
     }
 
-    /// The tripwire over `fit` + 24 steps (72 in all): what an unoptimized `cargo test`
-    /// affords at 70 ms per step.
+    /// The tripwire over `fit` (48 steps) and then 24 steps from a fresh optimizer: what an
+    /// unoptimized `cargo test` affords at 70 ms per step.
     #[test]
     fn training_is_bit_identical_to_the_parent_formulation() {
-        assert_training_matches_the_parent_formulation(24, false);
+        assert_training_matches_the_parent_formulation(24, true);
     }
 
-    /// The whole tripwire: 1,000 steps after `fit`, past the point where the parent's first
-    /// moments go subnormal and stay.  Four minutes unoptimized, 5 s with `--release`.
+    /// The whole tripwire: 1,000 continuous steps from a fresh model and optimizer, past the
+    /// point where the parent's moments go subnormal and stay.  (A `fit` in front would
+    /// leave the plateau far from reached at 1,000 steps.)  Minutes unoptimized, seconds
+    /// with `--release`.
     #[test]
     #[ignore = "1,000 steps; CI runs it with --release -- --include-ignored"]
     fn training_is_bit_identical_to_the_parent_formulation_down_to_the_subnormal_plateau() {
-        assert_training_matches_the_parent_formulation(1_000, true);
+        assert_training_matches_the_parent_formulation(1_000, false);
+    }
+
+    /// A matrix whose stated shape its data cannot fill is refused when its document loads —
+    /// alone, or as one layer of a model — instead of panicking later, when serving or a
+    /// fine-tune first indexes past its data.
+    #[test]
+    fn mis_shaped_matrices_are_rejected_at_load() {
+        let literal = r#"{"rows":2,"cols":2,"data":[1.0]}"#;
+        assert!(serde_json::from_str::<Matrix>(literal).is_err());
+
+        let db = generate_imdb(&ImdbConfig::tiny(34));
+        let model = CrnModel::new(&db, TrainConfig::fast_test());
+        let text = serde_json::to_string(&model).unwrap();
+        assert_eq!(serde_json::from_str::<CrnModel>(&text).unwrap(), model);
+        // `out2`'s weights are `2H × 1`: claim one row more than the data holds.
+        let at = text.find(r#""out2""#).unwrap();
+        let at = at + text[at..].find(r#""rows":"#).unwrap() + r#""rows":"#.len();
+        let digits = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let rows: usize = text[at..at + digits].parse().unwrap();
+        assert_eq!(rows, 2 * model.config().hidden_size);
+        let edited = format!("{}{}{}", &text[..at], rows + 1, &text[at + digits..]);
+        assert!(serde_json::from_str::<CrnModel>(&edited).is_err());
     }
 
     /// Both containment rates of every (query, anchor) pair, as `predict_group` returns them.
@@ -1940,10 +1931,7 @@ mod tests {
         let original = model.clone();
         let mut adam = Adam::new(model.config().learning_rate);
         model.fit_incremental(&fresh, &mut adam, 2);
-        assert_ne!(
-            model.out1.w.value, original.out1.w.value,
-            "the weights moved"
-        );
+        assert_ne!(model.out1.w, original.out1.w, "the weights moved");
         let after = serving_answers(&model, &anchors, &queries);
         assert_ne!(after, before, "the answers follow them");
         assert_eq!(

@@ -18,7 +18,7 @@ use crn_nn::batch::{
 };
 use crn_nn::gemm::PackedWeights;
 use crn_nn::layers::{
-    relu_backward_in_place, relu_in_place, sigmoid_backward, sigmoid_in_place, Dense, Param,
+    relu_backward_in_place, relu_in_place, sigmoid_backward, sigmoid_in_place, Dense,
 };
 use crn_nn::loss::loss_and_grad;
 use crn_nn::matrix::Matrix;
@@ -267,18 +267,16 @@ impl MscnModel {
         sigmoid_out
     }
 
-    /// Backpropagates per-query `d loss / d sigmoid_out` (`B×1`) through the whole network,
-    /// accumulating into the parameter gradients.  Kept for the parity tests; training goes
+    /// Backpropagates per-query `d loss / d sigmoid_out` (`B×1`) through the whole network
+    /// and returns the parameter gradients.  Kept for the parity tests; training goes
     /// through [`MscnModel::backward_batch_into`] so shards can accumulate privately.
     #[cfg(test)]
-    fn backward_batch(&mut self, cache: &BatchForwardCache, grad_sigmoid_out: &Matrix) {
+    fn backward_batch(&self, cache: &BatchForwardCache, grad_sigmoid_out: &Matrix) -> GradientSet {
         let weights = self.backward_weights().into_iter();
         let panels: Vec<PackedWeights> = weights.map(PackedWeights::pack_transposed).collect();
         let mut grads = GradientSet::zeros(&self.gradient_shapes());
         self.backward_batch_into(&panels, cache, grad_sigmoid_out, &mut grads);
-        for (param, grad) in self.params_vec_mut().into_iter().zip(grads.parts()) {
-            param.grad.add_assign(grad);
-        }
+        grads
     }
 
     /// [`MscnModel::backward_batch`] into a caller-provided [`GradientSet`] (layout:
@@ -490,7 +488,7 @@ impl Trainable for MscnModel {
             &self.out1,
             &self.out2,
         ];
-        layers.map(|layer| &layer.w.value).into()
+        layers.map(|layer| &layer.w).into()
     }
 
     fn gradient_shapes(&self) -> Vec<(usize, usize)> {
@@ -507,7 +505,7 @@ impl Trainable for MscnModel {
     }
 
     /// All trainable parameters in `grad_index` order.
-    fn params_vec_mut(&mut self) -> Vec<&mut Param> {
+    fn params_vec_mut(&mut self) -> Vec<&mut Matrix> {
         let modules = [
             &mut self.table_module,
             &mut self.join_module,
@@ -564,21 +562,20 @@ impl SetModule {
         }
     }
 
-    /// Seed-faithful per-query backward pass (see [`SetModule::forward_reference`]).
-    fn backward_reference(&mut self, cache: &SetCache, grad_pooled: &Matrix) {
+    /// Seed-faithful per-query backward pass (see [`SetModule::forward_reference`]) into the
+    /// module's four gradient tensors (`l1.w, l1.b, l2.w, l2.b`).
+    fn backward_reference(&self, cache: &SetCache, grad_pooled: &Matrix, grads: &mut [Matrix]) {
         if cache.input.rows() == 0 {
             return;
         }
+        let [grad_w1, grad_b1, grad_w2, grad_b2] = grads else {
+            panic!("a set module has four gradient tensors");
+        };
         let grad_a2 = crn_nn::layers::mean_pool_backward(cache.a2.rows(), grad_pooled);
         let grad_z2 = relu_backward(&cache.z2, &grad_a2);
-        let grad_a1 = self.l2.backward(&cache.a1, &grad_z2);
+        let grad_a1 = self.l2.backward(&cache.a1, &grad_z2, grad_w2, grad_b2);
         let grad_z1 = relu_backward(&cache.z1, &grad_a1);
-        let _ = self.l1.backward(&cache.input, &grad_z1);
-    }
-
-    fn zero_grad(&mut self) {
-        self.l1.zero_grad();
-        self.l2.zero_grad();
+        let _ = self.l1.backward(&cache.input, &grad_z1, grad_w1, grad_b1);
     }
 }
 
@@ -626,35 +623,27 @@ impl MscnModel {
         }
     }
 
-    /// Seed-faithful single-query backward pass (see [`MscnModel::forward_reference`]).
-    fn backward_reference(&mut self, cache: &ReferenceForwardCache, grad_sigmoid_out: f32) {
-        let grad_out = Matrix::from_vec(1, 1, vec![grad_sigmoid_out]);
-        let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, &grad_out);
-        let grad_a_out1 = self.out2.backward(&cache.a_out1, &grad_z_out2);
+    /// Seed-faithful single-query backward pass (see [`MscnModel::forward_reference`]) of
+    /// `g = dL/d sigmoid_out`, accumulating into `grads` (layout: [`grad_index`]).
+    fn backward_reference(&self, cache: &ReferenceForwardCache, g: f32, grads: &mut GradientSet) {
+        use grad_index::*;
+        let grad_z_out2 = sigmoid_backward(&cache.sigmoid_out, &Matrix::from_vec(1, 1, vec![g]));
+        let (w, b) = grads.pair_mut(OUT2_W, OUT2_B);
+        let grad_a_out1 = self.out2.backward(&cache.a_out1, &grad_z_out2, w, b);
         let grad_z_out1 = relu_backward(&cache.z_out1, &grad_a_out1);
-        let grad_concat = self.out1.backward(&cache.concat, &grad_z_out1);
+        let (w, b) = grads.pair_mut(OUT1_W, OUT1_B);
+        let grad_concat = self.out1.backward(&cache.concat, &grad_z_out1, w, b);
         let hidden = self.table_module.hidden();
-        let split =
-            |lo: usize, hi: usize| Matrix::from_vec(1, hidden, grad_concat.row(0)[lo..hi].to_vec());
-        self.table_module
-            .backward_reference(&cache.tables, &split(0, hidden));
-        self.join_module
-            .backward_reference(&cache.joins, &split(hidden, 2 * hidden));
-        self.predicate_module
-            .backward_reference(&cache.predicates, &split(2 * hidden, 3 * hidden));
-    }
-
-    fn zero_grad(&mut self) {
-        self.table_module.zero_grad();
-        self.join_module.zero_grad();
-        self.predicate_module.zero_grad();
-        self.out1.zero_grad();
-        self.out2.zero_grad();
-    }
-
-    fn adam_step(&mut self, adam: &mut Adam) {
-        let all = self.params_vec_mut();
-        adam.step(all);
+        let sets = [
+            (&self.table_module, &cache.tables),
+            (&self.join_module, &cache.joins),
+            (&self.predicate_module, &cache.predicates),
+        ];
+        let module_grads = grads.parts_mut().chunks_mut(PER_MODULE);
+        for (set, ((module, cache), grads)) in sets.into_iter().zip(module_grads).enumerate() {
+            let grad_pooled = Matrix::row_vector(&grad_concat.row(0)[set * hidden..][..hidden]);
+            module.backward_reference(cache, &grad_pooled, grads);
+        }
     }
 
     /// Reference per-sample training loop: the pre-batching implementation, issuing one
@@ -685,7 +674,7 @@ impl MscnModel {
             let mut epoch_loss = 0.0f64;
             let mut epoch_samples = 0usize;
             for batch in shuffled_batches(&train_idx, self.config.batch_size, &mut rng) {
-                self.zero_grad();
+                let mut grads = GradientSet::zeros(&self.gradient_shapes());
                 for &index in &batch {
                     let cache = self.forward_reference(&features[index]);
                     let sigmoid_out = cache.sigmoid_out.get(0, 0);
@@ -700,9 +689,9 @@ impl MscnModel {
                     epoch_samples += 1;
                     let grad_sigmoid =
                         loss.grad * self.unnormalize_grad(sigmoid_out) / batch.len() as f32;
-                    self.backward_reference(&cache, grad_sigmoid);
+                    self.backward_reference(&cache, grad_sigmoid, &mut grads);
                 }
-                self.adam_step(&mut adam);
+                adam.step_with(self.params_vec_mut(), grads.parts());
             }
 
             let validation_q_error = if valid_idx.is_empty() {
@@ -847,39 +836,37 @@ mod tests {
     fn batched_gradients_match_per_sample_accumulation() {
         let db = generate_imdb(&ImdbConfig::tiny(7));
         let samples = training_data(&db, 24, 7);
-        let mut batched_model = MscnModel::new(&db, TrainConfig::fast_test());
-        let mut reference_model = batched_model.clone();
+        let model = MscnModel::new(&db, TrainConfig::fast_test());
         let features: Vec<_> = samples
             .iter()
-            .map(|s| batched_model.featurizer.featurize(&s.query))
+            .map(|s| model.featurizer.featurize(&s.query))
             .collect();
         let scale = 1.0 / samples.len() as f32;
 
-        reference_model.zero_grad();
+        let mut reference = GradientSet::zeros(&model.gradient_shapes());
         for (sample, feature) in samples.iter().zip(&features) {
-            let cache = reference_model.forward_reference(feature);
+            let cache = model.forward_reference(feature);
             let sigmoid_out = cache.sigmoid_out.get(0, 0);
-            let prediction = reference_model.unnormalize(sigmoid_out);
+            let prediction = model.unnormalize(sigmoid_out);
             let loss = loss_and_grad(
-                reference_model.config.loss,
+                model.config.loss,
                 prediction.max(CARD_FLOOR),
                 (sample.cardinality as f32).max(CARD_FLOOR),
                 CARD_FLOOR,
             );
-            let grad = loss.grad * reference_model.unnormalize_grad(sigmoid_out) * scale;
-            reference_model.backward_reference(&cache, grad);
+            let grad = loss.grad * model.unnormalize_grad(sigmoid_out) * scale;
+            model.backward_reference(&cache, grad, &mut reference);
         }
 
-        batched_model.zero_grad();
         let indices: Vec<usize> = (0..features.len()).collect();
         let (tables, joins, predicates) = MscnModel::pack_batch(&features, &indices);
-        let cache = batched_model.forward_batch(tables, joins, predicates);
+        let cache = model.forward_batch(tables, joins, predicates);
         let mut grad = Matrix::zeros(samples.len(), 1);
         for (index, sample) in samples.iter().enumerate() {
             let sigmoid_out = cache.sigmoid_out.get(index, 0);
-            let prediction = batched_model.unnormalize(sigmoid_out);
+            let prediction = model.unnormalize(sigmoid_out);
             let loss = loss_and_grad(
-                batched_model.config.loss,
+                model.config.loss,
                 prediction.max(CARD_FLOOR),
                 (sample.cardinality as f32).max(CARD_FLOOR),
                 CARD_FLOOR,
@@ -887,48 +874,21 @@ mod tests {
             grad.set(
                 index,
                 0,
-                loss.grad * batched_model.unnormalize_grad(sigmoid_out) * scale,
+                loss.grad * model.unnormalize_grad(sigmoid_out) * scale,
             );
         }
-        batched_model.backward_batch(&cache, &grad);
+        let batched = model.backward_batch(&cache, &grad);
 
-        for (name, a, b) in [
-            (
-                "tables.l1.w",
-                &batched_model.table_module.l1.w.grad,
-                &reference_model.table_module.l1.w.grad,
-            ),
-            (
-                "tables.l2.w",
-                &batched_model.table_module.l2.w.grad,
-                &reference_model.table_module.l2.w.grad,
-            ),
-            (
-                "joins.l1.w",
-                &batched_model.join_module.l1.w.grad,
-                &reference_model.join_module.l1.w.grad,
-            ),
-            (
-                "predicates.l1.w",
-                &batched_model.predicate_module.l1.w.grad,
-                &reference_model.predicate_module.l1.w.grad,
-            ),
-            (
-                "out1.w",
-                &batched_model.out1.w.grad,
-                &reference_model.out1.w.grad,
-            ),
-            (
-                "out2.w",
-                &batched_model.out2.w.grad,
-                &reference_model.out2.w.grad,
-            ),
-            (
-                "out2.b",
-                &batched_model.out2.b.grad,
-                &reference_model.out2.b.grad,
-            ),
+        for (name, index) in [
+            ("tables.l1.w", 0usize),
+            ("tables.l2.w", 2),
+            ("joins.l1.w", grad_index::JOINS),
+            ("predicates.l1.w", 2 * grad_index::PER_MODULE),
+            ("out1.w", grad_index::OUT1_W),
+            ("out2.w", grad_index::OUT2_W),
+            ("out2.b", grad_index::OUT2_B),
         ] {
+            let (a, b) = (&batched.parts()[index], &reference.parts()[index]);
             for (index, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
                 assert!(
                     (x - y).abs() < 1e-5 * y.abs().max(1.0),
@@ -1031,7 +991,7 @@ mod tests {
                 );
             }
             assert_eq!(
-                model.out1.w.value, baseline.out1.w.value,
+                model.out1.w, baseline.out1.w,
                 "threads = {threads}: trained weights must be identical"
             );
         }
@@ -1091,14 +1051,14 @@ mod tests {
     fn sharded_gradients_match_per_sample_accumulation() {
         let db = generate_imdb(&ImdbConfig::tiny(11));
         let samples = training_data(&db, 24, 11);
-        let mut reference_model = MscnModel::new(&db, TrainConfig::fast_test());
+        let reference_model = MscnModel::new(&db, TrainConfig::fast_test());
         let features: Vec<_> = samples
             .iter()
             .map(|s| reference_model.featurizer.featurize(&s.query))
             .collect();
         let scale = 1.0 / samples.len() as f32;
 
-        reference_model.zero_grad();
+        let mut reference = GradientSet::zeros(&reference_model.gradient_shapes());
         for (sample, feature) in samples.iter().zip(&features) {
             let cache = reference_model.forward_reference(feature);
             let sigmoid_out = cache.sigmoid_out.get(0, 0);
@@ -1110,7 +1070,7 @@ mod tests {
                 CARD_FLOOR,
             );
             let grad = loss.grad * reference_model.unnormalize_grad(sigmoid_out) * scale;
-            reference_model.backward_reference(&cache, grad);
+            reference_model.backward_reference(&cache, grad, &mut reference);
         }
 
         for (threads, deterministic) in [(1, false), (2, false), (4, false), (4, true), (3, true)] {
@@ -1126,23 +1086,15 @@ mod tests {
             let model = MscnModel::new(&db, config);
             let (losses, grads) = train::batch_gradients(&model, &samples);
             assert_eq!(losses.len(), samples.len());
-            for ((name, index), reference) in [
+            for (name, index) in [
                 ("tables.l1.w", 0usize),
                 ("tables.l2.w", 2),
                 ("joins.l1.w", grad_index::JOINS),
                 ("out1.w", grad_index::OUT1_W),
                 ("out2.w", grad_index::OUT2_W),
                 ("out2.b", grad_index::OUT2_B),
-            ]
-            .into_iter()
-            .zip([
-                &reference_model.table_module.l1.w.grad,
-                &reference_model.table_module.l2.w.grad,
-                &reference_model.join_module.l1.w.grad,
-                &reference_model.out1.w.grad,
-                &reference_model.out2.w.grad,
-                &reference_model.out2.b.grad,
-            ]) {
+            ] {
+                let reference = &reference.parts()[index];
                 for (position, (a, b)) in grads.parts()[index]
                     .data()
                     .iter()
@@ -1162,10 +1114,13 @@ mod tests {
     /// reference `crn-core` pins `CrnModel` to): every dense backward product as an explicit
     /// `transpose()` + `matmul` + `add_assign` into a freshly zeroed set per shard, strided
     /// forward products, `reduce_gradients` in canonical order, and an Adam loop that stores
-    /// what it computes.
+    /// what it computes into moments of its own (`adam` keeps the hyperparameters and the
+    /// step count).
     struct ParentTrainer {
         model: MscnModel,
         adam: Adam,
+        m: Vec<Matrix>,
+        v: Vec<Matrix>,
     }
 
     /// One set module's activations over a ragged batch.
@@ -1182,7 +1137,7 @@ mod tests {
             (
                 x.transpose().matmul(grad_y),
                 Matrix::row_vector(&grad_y.column_sums()),
-                grad_y.matmul(&layer.w.value.transpose()),
+                grad_y.matmul(&layer.w.transpose()),
             )
         }
 
@@ -1324,12 +1279,10 @@ mod tests {
             adam.step_count += 1;
             let t = adam.step_count as f32;
             let (bias1, bias2) = (1.0 - adam.beta1.powf(t), 1.0 - adam.beta2.powf(t));
-            for (param, grad) in self.model.params_vec_mut().into_iter().zip(merged.parts()) {
-                let (value, m, v) = (
-                    param.value.data_mut(),
-                    param.m.data_mut(),
-                    param.v.data_mut(),
-                );
+            let params = self.model.params_vec_mut().into_iter();
+            let moments = self.m.iter_mut().zip(&mut self.v);
+            for ((param, grad), (m, v)) in params.zip(merged.parts()).zip(moments) {
+                let (value, m, v) = (param.data_mut(), m.data_mut(), v.data_mut());
                 for (i, &g) in grad.data().iter().enumerate() {
                     m[i] = adam.beta1 * m[i] + (1.0 - adam.beta1) * g;
                     v[i] = adam.beta2 * v[i] + (1.0 - adam.beta2) * g * g;
@@ -1361,6 +1314,9 @@ mod tests {
             let (train_idx, valid_idx) =
                 train_validation_split(samples.len(), config.validation_fraction, config.seed);
             self.adam = Adam::new(config.learning_rate);
+            let zeros = |&(rows, cols): &(usize, usize)| Matrix::zeros(rows, cols);
+            self.m = self.model.gradient_shapes().iter().map(zeros).collect();
+            self.v = self.m.clone();
             let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
             let mut history = TrainingHistory::default();
             let mut best = None;
@@ -1414,6 +1370,8 @@ mod tests {
         let mut parent = ParentTrainer {
             model: MscnModel::new(&db, config(1)),
             adam: Adam::default(),
+            m: Vec::new(),
+            v: Vec::new(),
         };
         parent.fit(&samples);
         assert_eq!(
@@ -1430,11 +1388,10 @@ mod tests {
             {
                 let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
-                    bits(&actual.value),
-                    bits(&expected.value),
+                    bits(actual),
+                    bits(expected),
                     "threads = {threads}: parameter {index}"
                 );
-                assert!(actual.m.data().iter().all(|moment| !moment.is_subnormal()));
             }
         }
     }

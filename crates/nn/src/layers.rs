@@ -1,4 +1,4 @@
-//! Trainable parameters, dense layers and activations with hand-written backpropagation.
+//! Dense layers and activations with hand-written backpropagation.
 //!
 //! The two networks in the paper (the CRN set encoders + `MLPout`, and the MSCN set modules +
 //! output MLP) are compositions of the exact same primitives: fully-connected layers, ReLU,
@@ -11,47 +11,6 @@ use crate::gemm::{gemm_packed, gemm_transpose_a_into, Epilogue, PackedWeights};
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
-/// A trainable parameter tensor together with its gradient accumulator and Adam moments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Param {
-    /// Current parameter values.
-    pub value: Matrix,
-    /// Accumulated gradient of the current mini-batch.
-    pub grad: Matrix,
-    /// Adam first-moment estimate.
-    pub m: Matrix,
-    /// Adam second-moment estimate.
-    pub v: Matrix,
-}
-
-impl Param {
-    /// Creates a parameter from initial values, with zeroed gradient and moments.
-    pub fn new(value: Matrix) -> Self {
-        let shape = (value.rows(), value.cols());
-        Param {
-            value,
-            grad: Matrix::zeros(shape.0, shape.1),
-            m: Matrix::zeros(shape.0, shape.1),
-            v: Matrix::zeros(shape.0, shape.1),
-        }
-    }
-
-    /// Clears the accumulated gradient.
-    pub fn zero_grad(&mut self) {
-        self.grad.fill_zero();
-    }
-
-    /// Number of scalar parameters.
-    pub fn len(&self) -> usize {
-        self.value.len()
-    }
-
-    /// Returns true when the parameter is empty.
-    pub fn is_empty(&self) -> bool {
-        self.value.is_empty()
-    }
-}
-
 /// A fully-connected layer `y = x W + b`.
 ///
 /// `W` has shape `(input_dim, output_dim)` and `b` has shape `(1, output_dim)`; inputs are
@@ -59,34 +18,34 @@ impl Param {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dense {
     /// Weight matrix.
-    pub w: Param,
+    pub w: Matrix,
     /// Bias row vector.
-    pub b: Param,
+    pub b: Matrix,
 }
 
 impl Dense {
     /// Creates a dense layer with Xavier-initialized weights and zero bias.
     pub fn new(input_dim: usize, output_dim: usize, seed: u64) -> Self {
         Dense {
-            w: Param::new(Matrix::xavier_seeded(input_dim, output_dim, seed)),
-            b: Param::new(Matrix::zeros(1, output_dim)),
+            w: Matrix::xavier_seeded(input_dim, output_dim, seed),
+            b: Matrix::zeros(1, output_dim),
         }
     }
 
     /// Input dimension.
     pub fn input_dim(&self) -> usize {
-        self.w.value.rows()
+        self.w.rows()
     }
 
     /// Output dimension.
     pub fn output_dim(&self) -> usize {
-        self.w.value.cols()
+        self.w.cols()
     }
 
     /// Forward pass: `x (batch×in) -> (batch×out)`, for dense inputs.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.value);
-        y.add_row_broadcast(self.b.value.row(0));
+        let mut y = x.matmul(&self.w);
+        y.add_row_broadcast(self.b.row(0));
         y
     }
 
@@ -94,21 +53,24 @@ impl Dense {
     /// post-ReLU activations) — same result as [`Dense::forward`] through the zero-skipping
     /// kernel ([`Matrix::matmul_sparse`]).
     pub fn forward_sparse(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul_sparse(&self.w.value);
-        y.add_row_broadcast(self.b.value.row(0));
+        let mut y = x.matmul_sparse(&self.w);
+        y.add_row_broadcast(self.b.row(0));
         y
     }
 
-    /// Backward pass.
-    ///
-    /// Accumulates `dL/dW = x^T · grad_y` and `dL/db = Σ_batch grad_y` into the parameter
-    /// gradients and returns `dL/dx = grad_y · W^T`.
-    pub fn backward(&mut self, x: &Matrix, grad_y: &Matrix) -> Matrix {
-        let grad_w = x.transpose_matmul(grad_y);
-        self.w.grad.add_assign(&grad_w);
-        let bias_grad = Matrix::row_vector(&grad_y.column_sums());
-        self.b.grad.add_assign(&bias_grad);
-        grad_y.matmul_transpose(&self.w.value)
+    /// Backward pass: accumulates `dL/dW = x^T · grad_y` into `grad_w` and
+    /// `dL/db = Σ_batch grad_y` into `grad_b`, and returns `dL/dx = grad_y · W^T` — the
+    /// naive products, kept as the independent path the per-sample references run.
+    pub fn backward(
+        &self,
+        x: &Matrix,
+        grad_y: &Matrix,
+        grad_w: &mut Matrix,
+        grad_b: &mut Matrix,
+    ) -> Matrix {
+        grad_w.add_assign(&x.transpose_matmul(grad_y));
+        grad_b.add_assign(&Matrix::row_vector(&grad_y.column_sums()));
+        grad_y.matmul_transpose(&self.w)
     }
 
     /// Backward pass for dense operands of batched shapes, into caller-provided gradient
@@ -137,18 +99,6 @@ impl Dense {
         )
     }
 
-    /// Backward pass for an *input* layer fed with sparse rows (one-hot featurized query
-    /// vectors): accumulates `dL/dW` (through the zero-skipping kernel) and `dL/db`, and
-    /// skips the `dL/dx = grad_y · W^T` product entirely — there is nothing upstream of an
-    /// input layer to propagate to, and that discarded product is the single largest term of
-    /// the set encoders' backward cost.
-    pub fn backward_weights_only_sparse(&mut self, x: &Matrix, grad_y: &Matrix) {
-        let grad_w = x.transpose_matmul(grad_y);
-        self.w.grad.add_assign(&grad_w);
-        let bias_grad = Matrix::row_vector(&grad_y.column_sums());
-        self.b.grad.add_assign(&bias_grad);
-    }
-
     /// Forward pass over a ragged batch of featurized set rows: iterates the CSR non-zeros
     /// directly when the batch carries them (each row becomes `b + Σ val·W[col]`, a handful
     /// of vector AXPYs instead of a full dense-row scan), falling back to the zero-skipping
@@ -157,13 +107,13 @@ impl Dense {
         match batch.sparse() {
             Some(sparse) => {
                 let out_dim = self.output_dim();
-                let bias = self.b.value.row(0);
+                let bias = self.b.row(0);
                 let mut y = Matrix::zeros(batch.num_rows(), out_dim);
                 for r in 0..batch.num_rows() {
                     let y_row = y.row_mut(r);
                     y_row.copy_from_slice(bias);
                     for (col, val) in sparse.row(r) {
-                        for (o, &w) in y_row.iter_mut().zip(self.w.value.row(col)) {
+                        for (o, &w) in y_row.iter_mut().zip(self.w.row(col)) {
                             *o += val * w;
                         }
                     }
@@ -176,16 +126,12 @@ impl Dense {
         }
     }
 
-    /// [`Dense::backward_weights_only_sparse`] over a ragged batch: accumulates `dL/dW` by
-    /// scattering each non-zero input against its gradient row (CSR when available).
-    pub fn backward_ragged_weights_only(&mut self, batch: &RaggedBatch, grad_y: &Matrix) {
-        Dense::accumulate_ragged_weights_only(batch, grad_y, &mut self.w.grad, &mut self.b.grad);
-    }
-
-    /// [`Dense::backward_ragged_weights_only`] into caller-provided gradient buffers (which
-    /// need not belong to any layer): the form the data-parallel engine uses to scatter an
-    /// input layer's weight gradient directly into a shard's private
-    /// [`crate::parallel::GradientSet`], with no intermediate allocation on the CSR path.
+    /// The weight half of an *input* layer's backward pass over a ragged batch (one-hot
+    /// featurized query vectors): accumulates `dL/dW` by scattering each non-zero input
+    /// against its gradient row (CSR when available) into `grad_w`, and `dL/db` into
+    /// `grad_b` — typically a shard's private [`crate::parallel::GradientSet`].  The
+    /// `dL/dx` product is skipped: nothing is upstream of an input layer, and that
+    /// discarded product is the single largest term of the set encoders' backward cost.
     pub fn accumulate_ragged_weights_only(
         batch: &RaggedBatch,
         grad_y: &Matrix,
@@ -219,19 +165,13 @@ impl Dense {
     /// block models use to size their [`crate::parallel::GradientSet`]s.
     pub fn grad_shapes(&self) -> [(usize, usize); 2] {
         [
-            (self.w.value.rows(), self.w.value.cols()),
-            (self.b.value.rows(), self.b.value.cols()),
+            (self.w.rows(), self.w.cols()),
+            (self.b.rows(), self.b.cols()),
         ]
     }
 
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.w.zero_grad();
-        self.b.zero_grad();
-    }
-
-    /// All parameters of the layer (for the optimizer).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    /// The layer's weights and bias, in `[W, b]` order (for the optimizer).
+    pub fn params_mut(&mut self) -> Vec<&mut Matrix> {
         vec![&mut self.w, &mut self.b]
     }
 
@@ -335,8 +275,8 @@ mod tests {
     #[test]
     fn dense_forward_matches_manual_computation() {
         let mut layer = Dense::new(2, 2, 1);
-        layer.w.value = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        layer.b.value = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
+        layer.w = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        layer.b = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let y = layer.forward(&x);
         assert_eq!(y.data(), &[4.5, 5.5]);
@@ -348,19 +288,22 @@ mod tests {
     #[test]
     fn dense_backward_accumulates_gradients() {
         let mut layer = Dense::new(2, 1, 3);
-        layer.w.value = Matrix::from_vec(2, 1, vec![1.0, -1.0]);
-        layer.b.value = Matrix::zeros(1, 1);
+        layer.w = Matrix::from_vec(2, 1, vec![1.0, -1.0]);
+        layer.b = Matrix::zeros(1, 1);
         let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let grad_y = Matrix::from_vec(2, 1, vec![1.0, 1.0]);
-        let grad_x = layer.backward(&x, &grad_y);
+        let (mut grad_w, mut grad_b) = (Matrix::zeros(2, 1), Matrix::zeros(1, 1));
+        let grad_x = layer.backward(&x, &grad_y, &mut grad_w, &mut grad_b);
         // dL/dW = x^T grad_y = [[4], [6]]
-        assert_eq!(layer.w.grad.data(), &[4.0, 6.0]);
+        assert_eq!(grad_w.data(), &[4.0, 6.0]);
         // dL/db = sum of grad_y = 2
-        assert_eq!(layer.b.grad.data(), &[2.0]);
+        assert_eq!(grad_b.data(), &[2.0]);
         // dL/dx = grad_y W^T = [[1, -1], [1, -1]]
         assert_eq!(grad_x.data(), &[1.0, -1.0, 1.0, -1.0]);
-        layer.zero_grad();
-        assert_eq!(layer.w.grad.data(), &[0.0, 0.0]);
+        // A second pass adds to the buffers.
+        layer.backward(&x, &grad_y, &mut grad_w, &mut grad_b);
+        assert_eq!(grad_w.data(), &[8.0, 12.0]);
+        assert_eq!(grad_b.data(), &[4.0]);
     }
 
     #[test]
@@ -402,6 +345,8 @@ mod tests {
     fn gradient_check_dense_relu_dense_sigmoid() {
         let mut l1 = Dense::new(3, 4, 11);
         let mut l2 = Dense::new(4, 1, 12);
+        let [mut grad_w1, mut grad_b1, mut grad_w2, mut grad_b2] =
+            [(3, 4), (1, 4), (4, 1), (1, 1)].map(|(rows, cols)| Matrix::zeros(rows, cols));
         let x = Matrix::from_vec(2, 3, vec![0.3, -0.2, 0.7, 0.1, 0.5, -0.4]);
         let target = [0.3f32, 0.8];
 
@@ -431,9 +376,9 @@ mod tests {
             grad_y.set(i, 0, 2.0 * (y.get(i, 0) - target[i]) / y.rows() as f32);
         }
         let grad_z2 = sigmoid_backward(&y, &grad_y);
-        let grad_a1 = l2.backward(&a1, &grad_z2);
+        let grad_a1 = l2.backward(&a1, &grad_z2, &mut grad_w2, &mut grad_b2);
         let grad_z1 = relu_backward(&z1, &grad_a1);
-        let _ = l1.backward(&x, &grad_z1);
+        let _ = l1.backward(&x, &grad_z1, &mut grad_w1, &mut grad_b1);
 
         // Numerically check a handful of weights from both layers.
         let epsilon = 1e-2f32;
@@ -449,8 +394,8 @@ mod tests {
             };
             let bump = |l1: &mut Dense, l2: &mut Dense, delta: f32| {
                 let target = if layer_sel == 0 { &mut l1.w } else { &mut l2.w };
-                let old = target.value.get(row, col);
-                target.value.set(row, col, old + delta);
+                let old = target.get(row, col);
+                target.set(row, col, old + delta);
             };
             bump(l1, l2, epsilon);
             let plus = read(l1, l2);
@@ -465,11 +410,11 @@ mod tests {
         };
 
         for (row, col) in [(0usize, 0usize), (1, 2), (2, 3)] {
-            let analytic = l1.w.grad.get(row, col);
+            let analytic = grad_w1.get(row, col);
             check(0, row, col, analytic, &mut l1, &mut l2);
         }
         for (row, col) in [(0usize, 0usize), (3, 0)] {
-            let analytic = l2.w.grad.get(row, col);
+            let analytic = grad_w2.get(row, col);
             check(1, row, col, analytic, &mut l1, &mut l2);
         }
     }

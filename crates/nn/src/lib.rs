@@ -15,8 +15,8 @@
 //!   after `s` steps, resume from it later) all bit-neutral; the serving path of `crn-core`
 //!   leans on exactly that, and it is why training through the packed and strided-`A` entry
 //!   points ends on the same weights as explicit transposes did;
-//! * [`layers`] — trainable parameters, fully-connected layers, ReLU / sigmoid activations and
-//!   set average-pooling, each with an explicit hand-written backward pass (verified against
+//! * [`layers`] — fully-connected layers (plain weight and bias matrices), ReLU / sigmoid
+//!   activations and set average-pooling, each with an explicit hand-written backward pass (verified against
 //!   finite differences in tests);
 //! * [`batch`] — the ragged-batch execution engine: variable-sized sets of a whole mini-batch
 //!   flattened into one matrix with segment offsets, so dense layers run as one GEMM per
@@ -25,9 +25,9 @@
 //! * [`parallel`] — data-parallel execution: a persistent spawn-once worker pool (plus the
 //!   original scoped shard pool), detached per-shard gradient sets and fixed-order
 //!   (optionally fully deterministic) gradient reduction;
-//! * [`optim`] — the Adam optimizer: one update kernel behind three gradient sources (a
-//!   parameter's accumulator, a merged set, per-shard sets summed on the fly on the worker
-//!   pool), storing subnormal moments as zero;
+//! * [`optim`] — the Adam optimizer, the only owner of optimizer state (its moments and
+//!   step count): one update kernel behind two gradient sources (a merged set, per-shard
+//!   sets summed on the fly on the worker pool), storing subnormal moments as zero;
 //! * [`loss`] — the q-error objective (plus MSE / MAE, which §3.2.4 considers and rejects);
 //! * [`train`] — the one training loop of both models ([`train::fit`] and
 //!   [`train::fit_incremental`], generic over [`Trainable`]), with its train/validation
@@ -65,7 +65,7 @@ pub use batch::{
 pub use gemm::{gemm_packed, gemm_transpose_a_into, Epilogue, PackedWeights};
 pub use layers::{
     mean_pool, mean_pool_backward, relu, relu_backward, relu_backward_in_place, relu_in_place,
-    sigmoid, sigmoid_backward, sigmoid_in_place, Dense, Param,
+    sigmoid, sigmoid_backward, sigmoid_in_place, Dense,
 };
 pub use loss::{loss_and_grad, mean_q_error, q_error, LossKind, LossValue};
 pub use matrix::Matrix;

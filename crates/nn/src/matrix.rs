@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -319,6 +319,23 @@ impl Matrix {
     }
 }
 
+impl Deserialize for Matrix {
+    /// Loads a matrix only if its document's `rows × cols` is exactly its data length, so a
+    /// mis-shaped matrix in a checkpoint or frame fails at load instead of panicking later.
+    fn from_content(content: &serde::content::Content) -> Result<Self, serde::de::Error> {
+        let rows = usize::from_content(content.field("rows")?)?;
+        let cols = usize::from_content(content.field("cols")?)?;
+        let data = Vec::<f32>::from_content(content.field("data")?)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::de::Error::custom(format!(
+                "a {rows}×{cols} matrix cannot hold {} values",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,6 +538,24 @@ mod tests {
                 let hi = col_values.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                 prop_assert!(mean.get(0, c) >= lo - 1e-6 && mean.get(0, c) <= hi + 1e-6);
             }
+        }
+    }
+
+    #[test]
+    fn deserialize_rejects_a_shape_its_data_cannot_fill() {
+        use serde::content::Content;
+        let matrix = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(Matrix::from_content(&matrix.to_content()).unwrap(), matrix);
+        let document = |rows: u64, cols: u64, len: usize| {
+            Content::Map(vec![
+                ("rows".into(), Content::UInt(rows)),
+                ("cols".into(), Content::UInt(cols)),
+                ("data".into(), Content::Seq(vec![Content::Float(1.0); len])),
+            ])
+        };
+        for (rows, cols, len) in [(2, 2, 1), (0, 3, 1), (1 << 32, 1 << 32, 0)] {
+            let result = Matrix::from_content(&document(rows, cols, len));
+            assert!(result.is_err(), "{rows}×{cols} with {len} values");
         }
     }
 }

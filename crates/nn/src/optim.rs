@@ -21,18 +21,19 @@
 //!
 //! # The update kernel
 //!
-//! [`Adam::step`], [`Adam::step_with`] and [`Adam::step_sharded`] differ in where the
-//! gradient of an element comes from — the parameter's own accumulator, a merged
-//! [`GradientSet`]'s tensor, or the per-shard sets summed on the fly — and all apply it
-//! through the same per-element kernel.
+//! [`Adam::step_with`] and [`Adam::step_sharded`] differ only in where the gradient of an
+//! element comes from — a merged [`GradientSet`]'s tensor, or the per-shard sets summed on
+//! the fly — and both apply it through the same per-element kernel.  Both take the weights
+//! to update; the moments are the optimizer's own ([`Adam::m`], [`Adam::v`]), sized from
+//! those weights on the first step.  A model carries its weights and nothing else.
 
-use crate::layers::Param;
 use crate::matrix::Matrix;
 use crate::parallel::{lock_ignoring_poison, GradientSet, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
-/// Adam optimizer state and hyperparameters.
+/// Adam optimizer state and hyperparameters: everything an optimizer step reads besides
+/// the weights and their gradients.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Adam {
     /// Learning rate (the paper's default is `0.001`, §3.5).
@@ -45,6 +46,11 @@ pub struct Adam {
     pub epsilon: f32,
     /// Number of optimizer steps taken so far (used for bias correction).
     pub step_count: u64,
+    /// First-moment estimates, one per weight tensor in the order the steps receive them.
+    /// Empty until the first step sizes them (zeroed) from the weights.
+    pub m: Vec<Matrix>,
+    /// Second-moment estimates, laid out like [`Adam::m`].
+    pub v: Vec<Matrix>,
 }
 
 /// Elements of one [`Adam::step_sharded`] work item: large enough that handing it out costs
@@ -75,15 +81,22 @@ impl Adam {
             beta2: 0.999,
             epsilon: 1e-8,
             step_count: 0,
+            m: Vec::new(),
+            v: Vec::new(),
         }
     }
 
-    /// Performs one update step over the given parameters, consuming their accumulated
-    /// gradients (which are cleared afterwards).
-    pub fn step(&mut self, params: Vec<&mut Param>) {
+    /// Performs one update step of `params` against `grads` (one matrix per parameter, in
+    /// the same order).
+    ///
+    /// # Panics
+    /// Panics if `grads` does not match the parameters in arity or element counts, or the
+    /// moments of earlier steps do not match the parameters' shapes.
+    pub fn step_with(&mut self, params: Vec<&mut Matrix>, grads: &[Matrix]) {
+        assert_eq!(params.len(), grads.len(), "one gradient per parameter");
+        let (mut ms, mut vs) = self.take_moments(&params);
         let (bias1, bias2) = self.advance();
-        for param in params {
-            let Param { value, grad, m, v } = param;
+        for (((value, grad), m), v) in params.into_iter().zip(grads).zip(&mut ms).zip(&mut vs) {
             self.update(
                 value.data_mut(),
                 m.data_mut(),
@@ -92,30 +105,8 @@ impl Adam {
                 bias1,
                 bias2,
             );
-            grad.fill_zero();
         }
-    }
-
-    /// Performs one update step reading the gradients from `grads` (one matrix per
-    /// parameter, in the same order) instead of the parameters' own accumulators, which are
-    /// left unchanged.  The update arithmetic is identical to [`Adam::step`] — only the
-    /// gradient source differs.
-    ///
-    /// # Panics
-    /// Panics if `grads` does not match the parameters in arity or element counts.
-    pub fn step_with(&mut self, params: Vec<&mut Param>, grads: &[Matrix]) {
-        assert_eq!(params.len(), grads.len(), "one gradient per parameter");
-        let (bias1, bias2) = self.advance();
-        for (param, grad) in params.into_iter().zip(grads) {
-            self.update(
-                param.value.data_mut(),
-                param.m.data_mut(),
-                param.v.data_mut(),
-                grad.data(),
-                bias1,
-                bias2,
-            );
-        }
+        (self.m, self.v) = (ms, vs);
     }
 
     /// The tail of a data-parallel mini-batch in one pass: per element, the shards'
@@ -128,11 +119,11 @@ impl Adam {
     /// depend on which range it falls in, so the result is the same for every thread count.
     ///
     /// # Panics
-    /// Panics if `shards` is empty or a shard does not match the parameters in arity or
-    /// element counts.
+    /// Panics if `shards` is empty, a shard does not match the parameters in arity or
+    /// element counts, or the moments of earlier steps do not match the parameters' shapes.
     pub fn step_sharded(
         &mut self,
-        params: Vec<&mut Param>,
+        params: Vec<&mut Matrix>,
         shards: &[&GradientSet],
         deterministic: bool,
         workers: &WorkerPool,
@@ -141,17 +132,17 @@ impl Adam {
         for shard in shards {
             assert_eq!(shard.len(), params.len(), "one gradient per parameter");
         }
+        let (mut ms, mut vs) = self.take_moments(&params);
         let (bias1, bias2) = self.advance();
         let mut ranges = Vec::new();
-        for (part, param) in params.into_iter().enumerate() {
+        for (part, ((value, m), v)) in params.into_iter().zip(&mut ms).zip(&mut vs).enumerate() {
             for shard in shards {
                 assert_eq!(
                     shard.parts()[part].len(),
-                    param.value.len(),
+                    value.len(),
                     "gradient shape mismatch"
                 );
             }
-            let Param { value, m, v, .. } = param;
             let chunks = value
                 .data_mut()
                 .chunks_mut(RANGE)
@@ -194,6 +185,29 @@ impl Adam {
                 );
             }
         });
+        drop(ranges);
+        (self.m, self.v) = (ms, vs);
+    }
+
+    /// Takes the moments out of the optimizer for one step over `params`: zeroed to the
+    /// parameters' shapes on the first step, checked against them on every later one.
+    fn take_moments(&mut self, params: &[&mut Matrix]) -> (Vec<Matrix>, Vec<Matrix>) {
+        if self.m.is_empty() && self.v.is_empty() {
+            let zeros = |param: &&mut Matrix| Matrix::zeros(param.rows(), param.cols());
+            self.m = params.iter().map(zeros).collect();
+            self.v = params.iter().map(zeros).collect();
+        }
+        let fits = |moments: &[Matrix]| {
+            moments.len() == params.len()
+                && moments.iter().zip(params).all(|(moment, param)| {
+                    (moment.rows(), moment.cols()) == (param.rows(), param.cols())
+                })
+        };
+        assert!(
+            fits(&self.m) && fits(&self.v),
+            "optimizer moments do not match the parameters"
+        );
+        (std::mem::take(&mut self.m), std::mem::take(&mut self.v))
     }
 
     /// Advances the step counter and returns the bias-correction denominators of the new
@@ -306,59 +320,78 @@ mod tests {
 
     #[test]
     fn adam_moves_parameters_against_the_gradient() {
-        let mut param = Param::new(Matrix::from_vec(1, 2, vec![1.0, -1.0]));
-        param.grad = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
+        let mut param = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
+        let grad = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
         let mut adam = Adam::new(0.1);
-        adam.step(vec![&mut param]);
+        assert!(
+            adam.m.is_empty() && adam.v.is_empty(),
+            "no moments before a step"
+        );
+        adam.step_with(vec![&mut param], std::slice::from_ref(&grad));
         // A positive gradient decreases the value, a negative gradient increases it.
-        assert!(param.value.get(0, 0) < 1.0);
-        assert!(param.value.get(0, 1) > -1.0);
-        // Gradients are cleared after the step.
-        assert_eq!(param.grad.data(), &[0.0, 0.0]);
+        assert!(param.get(0, 0) < 1.0);
+        assert!(param.get(0, 1) > -1.0);
+        // The first step sized the optimizer's moments from the weights.
+        assert_eq!((adam.m.len(), adam.v.len()), (1, 1));
+        assert_eq!((adam.m[0].rows(), adam.m[0].cols()), (1, 2));
         assert_eq!(adam.step_count, 1);
     }
 
     #[test]
     fn adam_converges_on_a_quadratic() {
         // Minimize f(x) = (x - 3)^2 starting from 0.
-        let mut param = Param::new(Matrix::from_vec(1, 1, vec![0.0]));
+        let mut param = Matrix::from_vec(1, 1, vec![0.0]);
         let mut adam = Adam::new(0.05);
         for _ in 0..2000 {
-            let x = param.value.get(0, 0);
-            param.grad = Matrix::from_vec(1, 1, vec![2.0 * (x - 3.0)]);
-            adam.step(vec![&mut param]);
+            let x = param.get(0, 0);
+            let grad = Matrix::from_vec(1, 1, vec![2.0 * (x - 3.0)]);
+            adam.step_with(vec![&mut param], &[grad]);
         }
-        assert!((param.value.get(0, 0) - 3.0).abs() < 1e-2);
+        assert!((param.get(0, 0) - 3.0).abs() < 1e-2);
     }
 
-    /// `step_with` over external gradients must produce bit-identical parameters, moments
-    /// and step count as `step` over accumulated gradients — it is the same update, the
-    /// data-parallel engine only changes where the gradients live.
+    /// `step_with` is the textbook Adam step (bias-corrected moments, away from the
+    /// subnormal range), bit for bit: weights, moments and step count over several steps.
     #[test]
     fn step_with_matches_step_exactly() {
-        let mut via_grad = Param::new(Matrix::from_vec(1, 3, vec![0.4, -0.8, 1.5]));
-        let mut via_set = via_grad.clone();
-        let mut adam_a = Adam::new(0.01);
-        let mut adam_b = Adam::new(0.01);
+        let mut param = Matrix::from_vec(1, 3, vec![0.4, -0.8, 1.5]);
+        let mut expected = param.data().to_vec();
+        let (mut m, mut v) = ([0.0f32; 3], [0.0f32; 3]);
+        let mut adam = Adam::new(0.01);
         for step in 0..5 {
             let grads = Matrix::from_vec(1, 3, vec![0.3 * step as f32, -0.2, 0.05]);
-            via_grad.grad = grads.clone();
-            adam_a.step(vec![&mut via_grad]);
-            adam_b.step_with(vec![&mut via_set], std::slice::from_ref(&grads));
+            adam.step_with(vec![&mut param], std::slice::from_ref(&grads));
+            let t = (step + 1) as f32;
+            let (bias1, bias2) = (1.0 - 0.9f32.powf(t), 1.0 - 0.999f32.powf(t));
+            for (i, &g) in grads.data().iter().enumerate() {
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g;
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g;
+                expected[i] -= 0.01 * (m[i] / bias1) / ((v[i] / bias2).sqrt() + 1e-8);
+            }
         }
-        assert_eq!(via_grad.value, via_set.value);
-        assert_eq!(via_grad.m, via_set.m);
-        assert_eq!(via_grad.v, via_set.v);
-        assert_eq!(adam_a.step_count, adam_b.step_count);
-        // step_with leaves the accumulator untouched.
-        assert_eq!(via_set.grad.data(), &[0.0, 0.0, 0.0]);
+        assert_eq!(param.data(), expected.as_slice());
+        assert_eq!(adam.m[0].data(), m.as_slice());
+        assert_eq!(adam.v[0].data(), v.as_slice());
+        assert_eq!(adam.step_count, 5);
     }
 
     #[test]
     #[should_panic(expected = "one gradient per parameter")]
     fn step_with_rejects_arity_mismatch() {
-        let mut param = Param::new(Matrix::zeros(1, 2));
+        let mut param = Matrix::zeros(1, 2);
         Adam::default().step_with(vec![&mut param], &[]);
+    }
+
+    /// Moments belong to the weights their first step sized them from: stepping other
+    /// shapes with them is refused, not silently mixed.
+    #[test]
+    #[should_panic(expected = "optimizer moments do not match the parameters")]
+    fn step_with_rejects_moments_of_other_weights() {
+        let mut adam = Adam::default();
+        let mut param = Matrix::zeros(1, 2);
+        adam.step_with(vec![&mut param], &[Matrix::zeros(1, 2)]);
+        let mut other = Matrix::zeros(2, 1);
+        adam.step_with(vec![&mut other], &[Matrix::zeros(2, 1)]);
     }
 
     /// The moment contract: a first moment stuck at the smallest subnormal (where `0.9 · m`
@@ -368,16 +401,18 @@ mod tests {
     fn subnormal_moments_are_stored_as_zero_and_move_nothing() {
         let stuck = f32::from_bits(1);
         assert_eq!(0.9 * stuck, stuck, "the plateau the contract removes");
-        let mut param = Param::new(Matrix::from_vec(1, 3, vec![0.5, -0.25, 1.0e-20]));
-        param.m = Matrix::from_vec(1, 3, vec![stuck, -stuck, stuck]);
-        param.v = Matrix::from_vec(1, 3, vec![0.0, stuck, 1.0e-3]);
-        let before = param.value.clone();
-        let mut adam = Adam::default();
+        let mut param = Matrix::from_vec(1, 3, vec![0.5, -0.25, 1.0e-20]);
+        let mut adam = Adam {
+            m: vec![Matrix::from_vec(1, 3, vec![stuck, -stuck, stuck])],
+            v: vec![Matrix::from_vec(1, 3, vec![0.0, stuck, 1.0e-3])],
+            ..Adam::default()
+        };
+        let before = param.clone();
         adam.step_with(vec![&mut param], &[Matrix::zeros(1, 3)]);
-        assert_eq!(param.m.data(), &[0.0, 0.0, 0.0]);
-        assert_eq!(param.v.data()[..2], [0.0, 0.0]);
-        assert!(param.v.data()[2] > 9.0e-4, "normal moments just decay");
-        assert_eq!(param.value, before);
+        assert_eq!(adam.m[0].data(), &[0.0, 0.0, 0.0]);
+        assert_eq!(adam.v[0].data()[..2], [0.0, 0.0]);
+        assert!(adam.v[0].data()[2] > 9.0e-4, "normal moments just decay");
+        assert_eq!(param, before);
     }
 
     /// The fused pass is `reduce_gradients` followed by `step_with`, bit for bit — in both
@@ -387,12 +422,13 @@ mod tests {
     fn step_sharded_is_reduce_then_step_with() {
         use crate::parallel::reduce_gradients;
         let shapes = [(3, RANGE), (1, BLOCK + 7), (5, 1), (1, 1)];
+        let bits = |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
         for shard_count in [1usize, 3, 8] {
             for deterministic in [true, false] {
                 for threads in [1usize, 2, 4] {
-                    let mut fused: Vec<Param> = shapes
+                    let mut fused: Vec<Matrix> = shapes
                         .iter()
-                        .map(|&(rows, cols)| Param::new(Matrix::xavier_seeded(rows, cols, 5)))
+                        .map(|&(rows, cols)| Matrix::xavier_seeded(rows, cols, 5))
                         .collect();
                     let mut reference = fused.clone();
                     let (mut adam_fused, mut adam_reference) = (Adam::new(0.01), Adam::new(0.01));
@@ -417,17 +453,22 @@ mod tests {
                         let merged = reduce_gradients(shards, deterministic).expect("non-empty");
                         adam_reference.step_with(reference.iter_mut().collect(), merged.parts());
                     }
-                    assert_eq!(adam_fused, adam_reference);
-                    for (a, b) in fused.iter().zip(&reference) {
-                        let what =
-                            format!("{shard_count} shards, det {deterministic}, {threads} threads");
-                        for (x, y) in [(&a.value, &b.value), (&a.m, &b.m), (&a.v, &b.v)] {
-                            let bits = |m: &Matrix| -> Vec<u32> {
-                                m.data().iter().map(|v| v.to_bits()).collect()
-                            };
-                            assert_eq!(bits(x), bits(y), "{what}");
-                        }
-                    }
+                    let what =
+                        format!("{shard_count} shards, det {deterministic}, {threads} threads");
+                    assert_eq!(adam_fused, adam_reference, "{what}");
+                    let tensors = |weights: &[Matrix], adam: &Adam| -> Vec<Vec<u32>> {
+                        weights
+                            .iter()
+                            .chain(&adam.m)
+                            .chain(&adam.v)
+                            .map(bits)
+                            .collect()
+                    };
+                    assert_eq!(
+                        tensors(&fused, &adam_fused),
+                        tensors(&reference, &adam_reference),
+                        "{what}"
+                    );
                 }
             }
         }
@@ -435,11 +476,11 @@ mod tests {
 
     #[test]
     fn zero_gradient_leaves_parameters_nearly_unchanged() {
-        let mut param = Param::new(Matrix::from_vec(1, 2, vec![0.5, 0.25]));
-        let before = param.value.clone();
+        let mut param = Matrix::from_vec(1, 2, vec![0.5, 0.25]);
+        let before = param.clone();
         let mut adam = Adam::default();
-        adam.step(vec![&mut param]);
-        for (a, b) in before.data().iter().zip(param.value.data()) {
+        adam.step_with(vec![&mut param], &[Matrix::zeros(1, 2)]);
+        for (a, b) in before.data().iter().zip(param.data()) {
             assert!((a - b).abs() < 1e-6);
         }
     }

@@ -30,7 +30,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::batch::shard_ranges;
 use crate::gemm::PackedWeights;
-use crate::layers::Param;
 use crate::loss::{mean_q_error, LossKind};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
@@ -359,8 +358,8 @@ pub trait Trainable: Clone + Sync {
     /// The `(rows, cols)` of every parameter, in [`params_vec_mut`](Trainable::params_vec_mut)
     /// order.
     fn gradient_shapes(&self) -> Vec<(usize, usize)>;
-    /// Every trainable parameter, in the order of the gradient sets.
-    fn params_vec_mut(&mut self) -> Vec<&mut Param>;
+    /// Every trainable weight tensor, in the order of the gradient sets.
+    fn params_vec_mut(&mut self) -> Vec<&mut Matrix>;
 }
 
 /// Trains `model` on `samples`: a fresh [`Adam`] over [`TrainConfig::epochs`] epochs of the
@@ -377,7 +376,8 @@ pub fn fit<M: Trainable>(model: &mut M, samples: &[M::Sample]) -> TrainingHistor
 }
 
 /// Fine-tunes `model` on `samples` for exactly `epochs` epochs of the whole corpus,
-/// resuming `adam` (its step count continues the bias correction of earlier fits).  No
+/// resuming `adam` (its moments and step count continue where its earlier fine-tunes of
+/// this model left them; a fresh `Adam` starts from zero moments).  No
 /// validation split, early stopping or best-epoch restore: the recorded
 /// `validation_q_error` is the epoch's mean training loss.  The shuffling is seeded from
 /// the config seed and `adam`'s step count, so every refresh reshuffles differently and the

@@ -31,14 +31,16 @@
 
 use crate::controller::{ControllerCheckpoint, RefreshController};
 use crn_core::{CrnModel, EstimatorService, QueriesPool};
+use crn_nn::{Matrix, Trainable};
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The on-disk format version (bumped on incompatible layout changes; loads of a
 /// different version fail with [`CheckpointError::FormatVersion`] instead of
-/// misinterpreting the payload).
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
+/// misinterpreting the payload).  Version 2 keeps the Adam moments in the controller's
+/// optimizer; a version-1 model carried them inside its parameters.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
 
 /// One full serving-state checkpoint: everything a restore needs for bit-identical
 /// serving and training continuation.
@@ -50,8 +52,8 @@ pub struct Checkpoint {
     /// counter from here in spirit; the service itself restarts at 1 and the manifest
     /// records the provenance).
     pub model_version: u64,
-    /// The live model — parameters *including* Adam moments (they live inside
-    /// [`crn_nn::Param`]), so restored fine-tunes continue the optimizer trajectory.
+    /// The live model: its weights, one float per parameter.  The optimizer state that
+    /// continues its fine-tunes is the controller's ([`ControllerCheckpoint::adam`]).
     pub model: CrnModel,
     /// The flattened queries pool, from
     /// [`PoolSnapshot::to_pool`](crn_core::PoolSnapshot::to_pool) (shard-count-agnostic:
@@ -97,6 +99,9 @@ pub enum CheckpointError {
     },
     /// The directory's checkpoint was written by an incompatible format version.
     FormatVersion(u32),
+    /// The controller's optimizer moments are not shaped like the model's weights: the
+    /// next fine-tune could not resume them.
+    OptimizerShape,
     /// The directory holds no committed checkpoint (no manifest).
     Missing,
 }
@@ -113,6 +118,10 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::FormatVersion(version) => write!(
                 f,
                 "checkpoint format version {version} is not the supported {CHECKPOINT_FORMAT_VERSION}"
+            ),
+            CheckpointError::OptimizerShape => write!(
+                f,
+                "checkpoint optimizer moments do not match the checkpointed model's weights"
             ),
             CheckpointError::Missing => write!(f, "no committed checkpoint (missing manifest)"),
         }
@@ -234,7 +243,8 @@ impl Checkpoint {
     }
 
     /// Loads the committed checkpoint from `dir`, verifying the manifest's checksum
-    /// against the payload bytes before deserializing anything into a live process.
+    /// against the payload bytes before deserializing anything into a live process, and
+    /// the controller's optimizer moments (when it has any) against the model's weights.
     pub fn load(dir: impl AsRef<Path>) -> Result<(Checkpoint, Manifest), CheckpointError> {
         let dir = dir.as_ref();
         let manifest = load_manifest(dir)?;
@@ -255,6 +265,17 @@ impl Checkpoint {
         let checkpoint: Checkpoint = serde_json::from_str(&text)?;
         if checkpoint.format_version != CHECKPOINT_FORMAT_VERSION {
             return Err(CheckpointError::FormatVersion(checkpoint.format_version));
+        }
+        if let Some(online) = &checkpoint.online {
+            let shapes = |tensors: &[Matrix]| -> Vec<(usize, usize)> {
+                tensors.iter().map(|t| (t.rows(), t.cols())).collect()
+            };
+            let (m, v) = (shapes(&online.adam.m), shapes(&online.adam.v));
+            let weights = checkpoint.model.gradient_shapes();
+            let fresh = m.is_empty() && v.is_empty();
+            if !fresh && (m != weights || v != weights) {
+                return Err(CheckpointError::OptimizerShape);
+            }
         }
         Ok((checkpoint, manifest))
     }

@@ -316,8 +316,8 @@ struct ControllerState {
     probe: Vec<FeedbackRecord>,
     /// Reservoir-sampled training history (labelled pairs of past refreshes).
     replay: ReplayBuffer<ContainmentSample>,
-    /// The optimizer state resumed across refreshes (moments travel inside the live
-    /// model's parameters; this carries the step count for bias correction).
+    /// The optimizer of the live model's lineage: its moments and step count, resumed by
+    /// every refresh and adopted together with the candidate it fine-tuned.
     adam: Adam,
     /// Deterministic probe routing: every record where `route_count * fraction` crosses
     /// an integer boundary goes to the probe set.
@@ -586,15 +586,10 @@ impl RefreshController {
         let mut corpus = labeled.clone();
         corpus.extend(replayed.iter().cloned());
 
-        // Warm-start fine-tune of a clone, off the serving path.  On the very first
-        // cycle the clone's Adam moments belong to the initial fit's (discarded)
-        // optimizer — reset them once so the fresh step count and the moments agree;
-        // later cycles resume the moments their own refreshes produced.
+        // Warm-start fine-tune of a clone, off the serving path, resuming a clone of the
+        // lineage's optimizer (zero moments on the first cycle).
         let live = self.service.model();
         let mut candidate = (*live).clone();
-        if adam.step_count == 0 {
-            candidate.reset_optimizer_state();
-        }
         let fine_tune_started = std::time::Instant::now();
         candidate.fit_incremental(&corpus, &mut adam, self.config.fine_tune_epochs);
         if self.obs.obs.enabled() {
@@ -620,7 +615,7 @@ impl RefreshController {
         let candidate_probe_median = median_under(&candidate);
         if gate_accepts(live_probe_median, candidate_probe_median, gate_margin) {
             let model_version = self.service.swap_model(candidate);
-            // The candidate's Adam moments are now live; resume its step count too.
+            // The candidate is live: its optimizer is the lineage's from now on.
             self.state.lock().expect("controller state lock").adam = adam;
             // The anchor population churns most around an applied refresh — the
             // maintenance lane has been upserting drifted traffic the whole window —
@@ -642,9 +637,8 @@ impl RefreshController {
                 pool_compacted,
             }
         } else {
-            // Discard the candidate (and its advanced Adam state — the moments live in
-            // the discarded parameters; the retained step count must keep matching the
-            // live model's moments).
+            // Discard the candidate and the optimizer clone that fine-tuned it: the
+            // lineage keeps the optimizer that produced the live model.
             RefreshOutcome {
                 decision: RefreshDecision::RejectedByGate,
                 live_probe_median,
@@ -661,11 +655,12 @@ impl RefreshController {
     }
 
     /// Captures the controller state a [`Checkpoint`](crate::Checkpoint) carries: the
-    /// lifetime counters plus the optimizer step count and probe-routing position.  The
+    /// lifetime counters plus the optimizer (moments and step count) and probe-routing
+    /// position.  The
     /// transient windows (drift detector, fresh/probe/replay buffers) are deliberately
     /// *not* persisted — they describe recent traffic, which a restored process no
     /// longer has; refilling them from live feedback is both correct and cheap, while a
-    /// wrong optimizer step count would silently mis-scale every future fine-tune.
+    /// wrong optimizer state would silently mis-scale every future fine-tune.
     pub fn checkpoint_state(&self) -> ControllerCheckpoint {
         let state = self.state.lock().expect("controller state lock");
         ControllerCheckpoint {
@@ -678,10 +673,9 @@ impl RefreshController {
 
     /// Restores the durable state captured by
     /// [`checkpoint_state`](RefreshController::checkpoint_state) into this (freshly
-    /// constructed) controller.  The restored Adam step count must accompany the
-    /// restored model's parameters (whose moments travel inside the model itself) —
-    /// together they make a restored run's future fine-tunes bit-identical to an
-    /// uninterrupted one's.
+    /// constructed) controller.  The restored optimizer — moments and step count — must
+    /// accompany the restored model's weights: together they make a restored run's future
+    /// fine-tunes bit-identical to an uninterrupted one's.
     pub fn restore_state(&self, checkpoint: ControllerCheckpoint) {
         let mut state = self.state.lock().expect("controller state lock");
         state.stats = checkpoint.stats;
@@ -719,14 +713,16 @@ impl RefreshController {
 }
 
 /// The controller's durable state, as carried inside a [`Checkpoint`](crate::Checkpoint):
-/// lifetime counters, optimizer step count (the moments live inside the checkpointed
-/// model's parameters) and the deterministic probe-routing position.
+/// lifetime counters, the optimizer (its moments and step count) and the deterministic
+/// probe-routing position.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerCheckpoint {
     /// The lifetime counters at capture time.
     pub stats: OnlineStats,
-    /// The resumed optimizer (its step count drives Adam's bias correction; restoring
-    /// it keeps post-restore fine-tunes bit-identical to an uninterrupted run's).
+    /// The resumed optimizer: its moments, shaped like the checkpointed model's weights
+    /// (empty before the first fine-tune), and its step count, which drives Adam's bias
+    /// correction.  Restoring both keeps post-restore fine-tunes bit-identical to an
+    /// uninterrupted run's.
     pub adam: Adam,
     /// Feedback records routed so far (the probe-routing stride position).
     pub route_count: u64,

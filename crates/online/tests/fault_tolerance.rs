@@ -305,6 +305,69 @@ fn checkpoint_detects_corruption_and_advances_sequences() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A directory written in format version 1 (whose models carried their Adam moments inside
+/// every parameter) is refused with `FormatVersion`, not resumed from zero moments.
+#[test]
+fn checkpoint_of_format_version_1_is_refused() {
+    let dir = test_dir("v1");
+    let fx = fixture(185);
+    let mut checkpoint = Checkpoint::capture(&fx.service, None);
+    checkpoint.format_version = 1;
+    let mut manifest = checkpoint.write_atomic(&dir).expect("commit");
+    manifest.format_version = 1;
+    let text = serde_json::to_string(&manifest).expect("manifest serializes");
+    std::fs::write(dir.join(crn_online::checkpoint::MANIFEST_NAME), text)
+        .expect("rewrite manifest");
+    match Checkpoint::load(&dir) {
+        Err(CheckpointError::FormatVersion(1)) => {}
+        other => panic!("a version-1 checkpoint must be refused, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The controller's optimizer moments must be shaped like the checkpointed model's
+/// weights (or absent, before the first fine-tune): anything else is refused at load with
+/// `OptimizerShape`, so the next fine-tune cannot panic on the refresh worker.
+#[test]
+fn checkpoint_refuses_optimizer_moments_of_another_shape() {
+    use crn_nn::{Matrix, Trainable};
+    let dir = test_dir("moments");
+    let fx = fixture(190);
+    let controller = RefreshController::new(
+        Arc::clone(&fx.service),
+        Box::new(ExecLabeler::new(Arc::new(fx.db.clone()), 2)),
+        margin_config(0.0),
+    );
+    let fresh = Checkpoint::capture(&fx.service, Some(&controller));
+    let zeros = |shapes: &[(usize, usize)]| -> Vec<Matrix> {
+        shapes
+            .iter()
+            .map(|&(rows, cols)| Matrix::zeros(rows, cols))
+            .collect()
+    };
+    let weights = fresh.model.gradient_shapes();
+    let mut short = weights.clone();
+    short[0].0 -= 1;
+    for (m, v, loads) in [
+        (Vec::new(), Vec::new(), true),
+        (zeros(&weights), zeros(&weights), true),
+        (zeros(&short), zeros(&short), false),
+        (zeros(&weights), Vec::new(), false),
+        (zeros(&weights[1..]), zeros(&weights[1..]), false),
+    ] {
+        let mut checkpoint = fresh.clone();
+        let adam = &mut checkpoint.online.as_mut().expect("controller state").adam;
+        (adam.m, adam.v) = (m, v);
+        checkpoint.write_atomic(&dir).expect("commit");
+        match Checkpoint::load(&dir) {
+            Ok(_) if loads => {}
+            Err(CheckpointError::OptimizerShape) if !loads => {}
+            other => panic!("expected the moments to load: {loads}, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Supervised refresh-worker recovery: a worker whose every cycle panics (injected
 /// `refresh-panic:every1`) is restarted by the supervisor up to its budget, then the
 /// lane degrades — the thread exits cleanly, the controller is left unpoisoned, and no

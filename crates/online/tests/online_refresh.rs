@@ -100,7 +100,6 @@ fn gates_measure_the_serving_path_bit_for_bit() {
     let mut candidate = (*live).clone();
     let mut gen = QueryGenerator::new(&fx.db, GeneratorConfig::paper(162));
     let corpus = label_containment_pairs(&fx.db, &gen.generate_pairs(20, 60), 4);
-    candidate.reset_optimizer_state();
     candidate.fit_incremental(&corpus, &mut crn_nn::Adam::new(0.01), 2);
     assert_ne!(*live, candidate, "fine-tuning moved the weights");
 
