@@ -306,7 +306,8 @@ fn bench_cnt2crd_serving(c: &mut Criterion) {
         b.iter(|| black_box(estimator.per_entry_estimates_sequential(&probe)))
     });
     // The model call under `batched`, alone: one query against the prepared anchors — its
-    // own encoding plus two head passes resumed from the stored prefixes.
+    // own encoding plus two head passes resumed from the stored prefixes, the second over
+    // the anchors that pass the estimator's ε.
     let anchors: Vec<&Query> = estimator
         .pool()
         .matching(&probe)
@@ -315,10 +316,12 @@ fn bench_cnt2crd_serving(c: &mut Criterion) {
     let prepared = ctx.crn.prepare_anchors(&anchors).expect("anchors prepare");
     group.bench_function(BenchmarkId::new("prepared_group", anchor_count), |b| {
         b.iter(|| {
-            black_box(
-                ctx.crn
-                    .predict_group(&anchors, &[&probe], Some(prepared.as_ref())),
-            )
+            black_box(ctx.crn.predict_group(
+                &anchors,
+                &[&probe],
+                Some(prepared.as_ref()),
+                estimator.config().epsilon,
+            ))
         })
     });
     group.finish();

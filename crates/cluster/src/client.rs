@@ -15,7 +15,8 @@
 //! # Never hung, never silently wrong
 //!
 //! Every socket carries a read/write timeout.  A worker that dies, stalls past its
-//! timeout, or answers the wrong model version is treated as **lost**: its queries in
+//! timeout, answers the wrong model version, or answers with anything but one list set of
+//! finite estimates per owned shard is treated as **lost**: its queries in
 //! the current batch degrade to the coordinator-local fallback path, are reported in
 //! [`ServeResponse::degraded`] (the runtime tags those tickets
 //! `EstimateSource::Degraded` and keeps them out of the estimate cache), counted in
@@ -33,8 +34,8 @@
 //! it must be served under, and workers refuse mismatches.
 
 use crate::wire::{
-    read_message, write_message, Assignment, EvalRequest, Message, ShardPayload, UpsertRequest,
-    WireError,
+    read_message, write_message, Assignment, EvalRequest, EvalResponse, Message, ShardPayload,
+    UpsertRequest, WireError,
 };
 use crn_core::{
     fold_entry_lists, plan_groups, plan_work_items, Cnt2CrdConfig, CrnModel, QueriesPool,
@@ -86,7 +87,8 @@ pub struct ClusterStats {
     pub batches: u64,
     /// Queries answered by the degraded (coordinator-local fallback) path.
     pub degraded_queries: u64,
-    /// Times a worker was declared lost (dead socket, timeout, wrong version).
+    /// Times a worker was declared lost (dead socket, timeout, wrong version, malformed
+    /// reply).
     pub worker_losses: u64,
     /// Successful reconnect + re-ship cycles.
     pub reconnects: u64,
@@ -160,6 +162,27 @@ fn lock_links(links: &Mutex<Vec<WorkerLink>>) -> MutexGuard<'_, Vec<WorkerLink>>
     links
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Whether `response` answers a `queries`-query slice whole: one list set per shard of
+/// `owned`, in that (ascending) order, each holding one list per query of finite
+/// estimates only — the shape of a worker's `Cnt2CrdCore` output.  A missing or foreign
+/// shard, a wrong list count or a non-finite estimate (which the fold's sort cannot
+/// order) is a faulty worker, not a partial answer.
+fn is_whole_reply(
+    response: &EvalResponse,
+    mut owned: impl Iterator<Item = usize>,
+    queries: usize,
+) -> bool {
+    response.shards.iter().all(|lists| {
+        owned.next() == Some(lists.index)
+            && lists.lists.len() == queries
+            && lists
+                .lists
+                .iter()
+                .flatten()
+                .all(|estimate| estimate.is_finite())
+    }) && owned.next().is_none()
 }
 
 impl ClusterClient {
@@ -459,13 +482,18 @@ impl ClusterClient {
                 read_message(stream)
             };
             self.handles.in_flight[worker_id].set(0.0);
+            let owned = (worker_id..snapshot.num_shards()).step_by(workers);
             let response = match reply {
-                Ok(Message::EvalResult(response)) if response.model_version == MODEL_VERSION => {
+                Ok(Message::EvalResult(response))
+                    if response.model_version == MODEL_VERSION
+                        && is_whole_reply(&response, owned, sent[worker_id].len()) =>
+                {
                     self.handles.rtt_us[worker_id].set(rtt_start.elapsed().as_micros() as f64);
                     response
                 }
-                // Wrong version, an Error reply, a timeout, or a dead socket: the
-                // worker cannot serve THIS batch — degrade its slice loudly.
+                // Wrong version, a reply that is not the whole slice, an Error reply, a
+                // timeout, or a dead socket: the worker cannot serve THIS batch — degrade
+                // its slice loudly.
                 _ => {
                     self.declare_lost(links, worker_id);
                     for &query in &sent[worker_id] {
@@ -475,9 +503,7 @@ impl ClusterClient {
                 }
             };
             for lists in response.shards {
-                if lists.index < per_shard.len() && lists.lists.len() == sent[worker_id].len() {
-                    per_shard[lists.index] = Some(lists.lists);
-                }
+                per_shard[lists.index] = Some(lists.lists);
             }
         }
 

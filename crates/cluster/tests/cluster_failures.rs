@@ -1,12 +1,13 @@
 //! Node-failure behaviour: a lost worker degrades its shards **loudly** (every admitted
 //! ticket still resolves, tagged `Degraded`, counted in [`ClusterStats`] and
 //! journaled) and recovers to bit-parity on reconnect; a bad frame drops the
-//! connection, not the worker.
+//! connection, not the worker; a malformed reply is a lost worker, never a panic or a
+//! partial fold.
 
 mod common;
 
 use common::{assert_bit_identical, fixture, spawn_fleet, workload};
-use crn_cluster::wire::{read_message, write_message, Message};
+use crn_cluster::wire::{read_message, write_message, EvalResponse, Message};
 use crn_cluster::{ClusterClient, ClusterOptions};
 use crn_core::{EstimatorService, ShardedPool};
 use crn_nn::parallel::WorkerPool;
@@ -16,8 +17,9 @@ use crn_serve::{
     RuntimeConfig, ServeRuntime,
 };
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// A mid-batch frame drop (the deterministic [`FaultSite::ClusterFrameDrop`] fault
 /// site — occurrence-counted, no wall clock) degrades exactly the affected batch:
@@ -232,4 +234,110 @@ fn dead_worker_degrades_its_shards_and_never_hangs_a_batch() {
     client.shutdown_workers();
     handles.remove(1).join().expect("stub exits");
     handles.remove(0).join().expect("worker exits");
+}
+
+/// An edit a [`tampering_proxy`] makes to each worker reply.
+type Tamper = fn(&mut EvalResponse);
+
+/// A man in the middle between the coordinator and a real worker: forwards every frame
+/// both ways, passing each `EvalResult` through `tamper` on its way back.  Its thread ends
+/// when the coordinator hangs up or shuts the fleet down, and takes the worker down with it.
+fn tampering_proxy(worker: SocketAddr, tamper: Tamper) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().expect("proxy addr");
+    let handle = std::thread::spawn(move || {
+        let (mut coordinator, _) = listener.accept().expect("coordinator connects");
+        let mut worker = TcpStream::connect(worker).expect("dial worker");
+        while let Ok(message) = read_message(&mut coordinator) {
+            if matches!(message, Message::Shutdown) {
+                break;
+            }
+            write_message(&mut worker, &message).expect("forward to the worker");
+            let mut reply = read_message(&mut worker).expect("the worker replies");
+            if let Message::EvalResult(response) = &mut reply {
+                tamper(response);
+            }
+            if write_message(&mut coordinator, &reply).is_err() {
+                break;
+            }
+        }
+        write_message(&mut worker, &Message::Shutdown).expect("shut the worker down");
+    });
+    (addr, handle)
+}
+
+/// One worker reply that is not one finite list set per owned shard — a NaN estimate
+/// (which used to panic the coordinator's fold), an owned shard left out, or a list too
+/// many (both used to fold a partial list silently) — costs that worker its connection
+/// and degrades its whole slice loudly, while an untouched reply through the same proxy
+/// serves bit-identically.
+#[test]
+fn a_malformed_worker_reply_degrades_its_slice_loudly() {
+    let fx = fixture(49);
+    let queries = workload(&fx.db, 86, 16);
+    let service = EstimatorService::new(
+        fx.model.clone(),
+        ShardedPool::from_pool(&fx.pool, 4),
+        WorkerPool::shared(2),
+    );
+    let local = ComputeBackend::serve(&service, &queries);
+    // The lone worker owns every shard, so it is sent every query with a matching anchor.
+    let covered: Vec<usize> = (0..queries.len())
+        .filter(|&index| fx.pool.matching(&queries[index]).next().is_some())
+        .collect();
+    assert!(!covered.is_empty(), "the pool covers some queries");
+    let fallback_only = EstimatorService::new(
+        fx.model.clone(),
+        ShardedPool::from_pool(&crn_core::QueriesPool::new(), 4),
+        WorkerPool::shared(1),
+    );
+    let fallbacks = ComputeBackend::serve(&fallback_only, &queries).estimates;
+
+    let tampers: [(&str, Tamper); 4] = [
+        ("untouched", |_| {}),
+        ("a NaN estimate", |response| {
+            response.shards[0].lists[0].extend([f64::NAN, 1.0, f64::NAN]);
+        }),
+        ("an owned shard left out", |response| {
+            response.shards.pop();
+        }),
+        ("a list too many", |response| {
+            response.shards[1].lists.push(vec![1.0]);
+        }),
+    ];
+    for (tamper_name, tamper) in tampers {
+        let (worker, handles) = spawn_fleet(1, 1);
+        let (proxy, proxy_thread) = tampering_proxy(worker[0], tamper);
+        let client = ClusterClient::connect(
+            &[proxy],
+            fx.model.clone(),
+            &fx.pool,
+            4,
+            ClusterOptions::default(),
+        )
+        .expect("connect through the proxy");
+        let response = client.serve(&queries);
+        let stats = client.stats();
+        if tamper_name == "untouched" {
+            assert!(response.degraded.is_empty(), "{tamper_name}");
+            assert_bit_identical(&response.estimates, &local.estimates, tamper_name);
+            assert_eq!(stats.worker_losses, 0, "{tamper_name}");
+            client.shutdown_workers();
+        } else {
+            assert_eq!(response.degraded, covered, "{tamper_name}");
+            assert_bit_identical(&response.estimates, &fallbacks, tamper_name);
+            assert_eq!(stats.worker_losses, 1, "{tamper_name}");
+            assert_eq!(
+                stats.degraded_queries,
+                covered.len() as u64,
+                "{tamper_name}"
+            );
+            // Dropping the client hangs up on the proxy, which shuts the worker down.
+            drop(client);
+        }
+        proxy_thread.join().expect("the proxy exits");
+        for handle in handles {
+            handle.join().expect("the worker exits");
+        }
+    }
 }

@@ -44,7 +44,7 @@ use crn_nn::{
 #[cfg(test)]
 use rand::{rngs::StdRng, SeedableRng};
 
-use crn_estimators::ContainmentEstimator;
+use crn_estimators::{passes_epsilon, ContainmentEstimator};
 
 /// Containment rates below this floor are clamped before the q-error is formed (the paper's
 /// q-error is undefined at exactly zero).
@@ -477,16 +477,18 @@ impl CrnModel {
 
     /// Batched containment prediction against one shared query: for every anchor `aᵢ`
     /// returns `(aᵢ ⊂% query, query ⊂% aᵢ)` — [`ContainmentEstimator::predict_group`] for a
-    /// group of one, without prepared anchor state.
+    /// group of one, without prepared anchor state, with no ε screen (`f64::NEG_INFINITY`:
+    /// a sigmoid rate is never `−∞`, so every anchor is kept).
     ///
     /// Every anchor and the query are featurized exactly once, then the whole batch runs
-    /// through **two** batched forward passes (one per containment direction) — this is the
-    /// serving path of the Cnt2Crd technique (§5.3, Figure 8), which previously issued `2·N`
-    /// single-pair forwards per incoming query.
+    /// through **two** batched head passes, one per containment direction.
     pub fn predict_batch(&self, anchors: &[&Query], query: &Query) -> Vec<(f64, f64)> {
-        self.predict_group(anchors, &[query], None)
+        let rates = self
+            .predict_group(anchors, &[query], None, f64::NEG_INFINITY)
             .pop()
-            .expect("one rate vector per query")
+            .expect("one rate vector per query");
+        debug_assert_eq!(rates.len(), anchors.len(), "no anchor is screened out");
+        rates.into_iter().map(|(_, x, y)| (x, y)).collect()
     }
 
     /// Runs an anchor set through both set encoders once — the per-anchor `(B×H)` query
@@ -512,17 +514,21 @@ impl CrnModel {
         }
     }
 
-    /// The serving core: both containment directions of pre-encoded anchors against a
-    /// *group* of queries (the concurrent front-end's unit of work; a single query is a
-    /// group of one), with the two containment-head passes fused over the group — one
-    /// `(M·B)`-row head batch per direction instead of `M` separate `B`-row ones.
+    /// The serving core: pre-encoded anchors against a *group* of queries (the concurrent
+    /// front-end's unit of work; a single query is a group of one), ε first.  The
+    /// `query ⊂% anchor` head pass runs over all `M·B` pairs in one batch; the
+    /// `anchor ⊂% query` pass then runs, in a second batch, only over the pairs whose rate
+    /// passed [`passes_epsilon`] — Figure 8 never reads `x` for the others, and at ε = 0.1
+    /// they are most of them.
     ///
     /// Each query is featurized and encoded on its own, once under each set encoder: the
     /// ragged-batch CSR-vs-dense routing decision depends on batch density, so packing the
     /// (tiny) per-query encodings together could re-associate their f32 sums.  The head GEMM
-    /// computes every output row independently of the row count, which is what makes a fused
-    /// group of `M` bit-identical to `M` groups of one — the `EstimatorService` parity tests
-    /// pin this.
+    /// computes every output row independently of which rows share its call (the
+    /// chain-order contract of [`crn_nn::gemm`]), which is what makes a fused group of `M`
+    /// bit-identical to `M` groups of one, and the screened second batch bit-identical to
+    /// the unscreened one on every row it keeps — the `EstimatorService` parity tests pin
+    /// this.
     ///
     /// No pair ever runs the first `H` columns of `Expand(v1, v2) = [v1, …]` through the
     /// head: they only depend on `v1`, so their chain state ([`CrnModel::head_prefix`]) is
@@ -534,7 +540,8 @@ impl CrnModel {
         &self,
         encodings: &AnchorEncodings,
         queries: &[&Query],
-    ) -> Vec<Vec<(f64, f64)>> {
+        epsilon: f64,
+    ) -> Vec<Vec<(usize, f64, f64)>> {
         let num_anchors = encodings.under_mlp1.rows();
         if num_anchors == 0 || queries.is_empty() {
             // Must short-circuit: there is no head batch to form (see the regression tests
@@ -542,14 +549,8 @@ impl CrnModel {
             return queries.iter().map(|_| Vec::new()).collect();
         }
         let hidden = self.hidden_size();
-        let (expand_dim, head_dim) = (self.out1.input_dim(), self.out1.output_dim());
+        let (tail_dim, head_dim) = (self.out1.input_dim() - hidden, self.out1.output_dim());
         let rows = queries.len() * num_anchors;
-        // Per direction: the pairs' remaining expanded columns and the chain states they
-        // resume from, one row per (query, anchor) pair in query-major order.
-        let mut forward_tails = Matrix::zeros(rows, expand_dim - hidden);
-        let mut backward_tails = Matrix::zeros(rows, expand_dim - hidden);
-        let mut forward_chains = Vec::with_capacity(rows * head_dim);
-        let mut backward_chains = Vec::with_capacity(rows * head_dim);
         // Each query's encodings under one set encoder, stacked `M×H`.
         let query_batches: Vec<RaggedBatch> = queries
             .iter()
@@ -565,41 +566,64 @@ impl CrnModel {
         let queries_under_mlp1 = encode_queries(&self.mlp1);
         let queries_under_mlp2 = encode_queries(&self.mlp2);
         let query_prefixes = self.head_prefix(&queries_under_mlp1);
+
+        // `y = query ⊂% anchor` for every pair, one row per (query, anchor) in query-major
+        // order: the pairs' expanded columns after the query's `v1` block, resumed from the
+        // query's chain state.
+        let mut y_tails = Matrix::zeros(rows, tail_dim);
+        let mut y_chains = Vec::with_capacity(rows * head_dim);
         for q in 0..queries.len() {
             for i in 0..num_anchors {
-                let row = q * num_anchors + i;
-                // Direction 1: anchor ⊂% query (anchor feeds MLP1, query feeds MLP2).
-                self.expand_tail(
-                    encodings.under_mlp1.row(i),
-                    queries_under_mlp2.row(q),
-                    forward_tails.row_mut(row),
-                );
-                // Direction 2: query ⊂% anchor.
                 self.expand_tail(
                     queries_under_mlp1.row(q),
                     encodings.under_mlp2.row(i),
-                    backward_tails.row_mut(row),
+                    y_tails.row_mut(q * num_anchors + i),
                 );
-                backward_chains.extend_from_slice(query_prefixes.row(q));
+                y_chains.extend_from_slice(query_prefixes.row(q));
             }
-            forward_chains.extend_from_slice(encodings.head_prefix.data());
         }
-        let chains = |data: Vec<f32>| Some(Matrix::from_vec(rows, head_dim, data));
-        let forward_rates = self.head_rates(&forward_tails, hidden, chains(forward_chains));
-        let backward_rates = self.head_rates(&backward_tails, hidden, chains(backward_chains));
-        (0..queries.len())
-            .map(|q| {
-                (0..num_anchors)
-                    .map(|i| {
-                        let row = q * num_anchors + i;
-                        (
-                            forward_rates.get(row, 0) as f64,
-                            backward_rates.get(row, 0) as f64,
-                        )
-                    })
-                    .collect()
+        let y_rates = self.head_rates(
+            &y_tails,
+            hidden,
+            Some(Matrix::from_vec(rows, head_dim, y_chains)),
+        );
+        // The pairs that pass ε, as (query, anchor, y) in the same order.
+        let kept: Vec<(usize, usize, f64)> = (0..rows)
+            .map(|row| {
+                (
+                    row / num_anchors,
+                    row % num_anchors,
+                    y_rates.get(row, 0) as f64,
+                )
             })
-            .collect()
+            .filter(|&(_, _, y_rate)| passes_epsilon(y_rate, epsilon))
+            .collect();
+
+        let mut survivors = vec![Vec::new(); queries.len()];
+        if kept.is_empty() {
+            return survivors;
+        }
+        // `x = anchor ⊂% query` for the kept pairs only (the anchor feeds MLP1, the query
+        // MLP2), resumed from the anchor's stored chain state.
+        let mut x_tails = Matrix::zeros(kept.len(), tail_dim);
+        let mut x_chains = Vec::with_capacity(kept.len() * head_dim);
+        for (row, &(q, i, _)) in kept.iter().enumerate() {
+            self.expand_tail(
+                encodings.under_mlp1.row(i),
+                queries_under_mlp2.row(q),
+                x_tails.row_mut(row),
+            );
+            x_chains.extend_from_slice(encodings.head_prefix.row(i));
+        }
+        let x_rates = self.head_rates(
+            &x_tails,
+            hidden,
+            Some(Matrix::from_vec(kept.len(), head_dim, x_chains)),
+        );
+        for (row, (q, i, y_rate)) in kept.into_iter().enumerate() {
+            survivors[q].push((i, x_rates.get(row, 0) as f64, y_rate));
+        }
+        survivors
     }
 
     /// Writes the columns of `Expand(v1, v2)` after the leading `v1` block into `out`:
@@ -633,24 +657,29 @@ impl ContainmentEstimator for CrnModel {
         self.predict(q1, q2)
     }
 
-    /// Fused group serving (see `CrnModel::serve_group_against_encodings`) against the
-    /// prepared anchor encodings — or, without usable prepared state, against encodings
-    /// built here by the same function, so both ways are bit-identical.
+    /// Fused, ε-first group serving (see `CrnModel::serve_group_against_encodings`)
+    /// against the prepared anchor encodings — or, without usable prepared state, against
+    /// encodings built here by the same function, so both ways are bit-identical.
     fn predict_group(
         &self,
         anchors: &[&Query],
         queries: &[&Query],
         prepared: Option<&(dyn std::any::Any + Send + Sync)>,
-    ) -> Vec<Vec<(f64, f64)>> {
+        epsilon: f64,
+    ) -> Vec<Vec<(usize, f64, f64)>> {
         if anchors.is_empty() {
             // Never reaches the GEMM path, whatever serving state the caller cached.
             return queries.iter().map(|_| Vec::new()).collect();
         }
         match prepared.and_then(|state| state.downcast_ref::<AnchorEncodings>()) {
             Some(encodings) if encodings.under_mlp1.rows() == anchors.len() => {
-                self.serve_group_against_encodings(encodings, queries)
+                self.serve_group_against_encodings(encodings, queries, epsilon)
             }
-            _ => self.serve_group_against_encodings(&self.encode_anchor_queries(anchors), queries),
+            _ => self.serve_group_against_encodings(
+                &self.encode_anchor_queries(anchors),
+                queries,
+                epsilon,
+            ),
         }
     }
 
@@ -1872,11 +1901,26 @@ mod tests {
         assert!(serde_json::from_str::<CrnModel>(&edited).is_err());
     }
 
-    /// Both containment rates of every (query, anchor) pair, as `predict_group` returns them.
-    type GroupRates = Vec<Vec<(f64, f64)>>;
+    /// Both containment rates of every (query, anchor) pair, as `predict_group` returns them
+    /// without an ε screen: `(anchor index, anchor ⊂% query, query ⊂% anchor)`.
+    type GroupRates = Vec<Vec<(usize, f64, f64)>>;
+
+    /// The rates as bit patterns, so that equality is bit-identity.
+    fn rate_bits(rates: &GroupRates) -> Vec<Vec<(usize, u64, u64)>> {
+        rates
+            .iter()
+            .map(|pairs| {
+                pairs
+                    .iter()
+                    .map(|&(i, x, y)| (i, x.to_bits(), y.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
 
     /// Every serving answer of `model` over the fixture: `predict` per (anchor, query) pair
-    /// in both directions, and the fused `predict_group` with freshly prepared anchors.
+    /// in both directions, and the fused, unscreened `predict_group` with freshly prepared
+    /// anchors.
     fn serving_answers(
         model: &CrnModel,
         anchors: &[&Query],
@@ -1887,12 +1931,20 @@ mod tests {
             .map(|query| {
                 anchors
                     .iter()
-                    .map(|anchor| (model.predict(anchor, query), model.predict(query, anchor)))
+                    .enumerate()
+                    .map(|(i, anchor)| {
+                        (
+                            i,
+                            model.predict(anchor, query),
+                            model.predict(query, anchor),
+                        )
+                    })
                     .collect()
             })
             .collect();
         let prepared = model.prepare_anchors(anchors).expect("anchors prepare");
-        let grouped = model.predict_group(anchors, queries, Some(prepared.as_ref()));
+        let grouped =
+            model.predict_group(anchors, queries, Some(prepared.as_ref()), f64::NEG_INFINITY);
         (per_pair, grouped)
     }
 
@@ -1944,6 +1996,10 @@ mod tests {
     /// Resuming the head from stored prefixes never changes a bit: `predict_group` — with
     /// prepared anchor encodings, with none, and with stale ones it must rebuild — equals the
     /// full-reduction `predict` of every pair, in both directions, for every architecture.
+    /// Screened by ε it is exactly the pairs of that answer whose `query ⊂% anchor` rate
+    /// passes ε, with the same bits: the `anchor ⊂% query` pass over the kept rows alone
+    /// computes each of them as the pass over all rows does.  The serving default 0.1 keeps
+    /// every pair of this small fixture, so the fixture's median `y` screens too.
     #[test]
     fn predict_group_is_predict_per_pair_bit_for_bit() {
         let db = generate_imdb(&ImdbConfig::tiny(33));
@@ -1956,22 +2012,52 @@ mod tests {
                 let mut model = CrnModel::with_options(&db, TrainConfig::fast_test(), options);
                 model.fit(&samples);
                 let (per_pair, grouped) = serving_answers(&model, &anchors, &queries);
-                assert_eq!(grouped, per_pair, "{options:?}: prepared");
+                assert_eq!(
+                    rate_bits(&grouped),
+                    rate_bits(&per_pair),
+                    "{options:?}: prepared"
+                );
+                let mut ys: Vec<f64> = per_pair.iter().flatten().map(|&(_, _, y)| y).collect();
+                ys.sort_by(f64::total_cmp);
+                let median_y = ys[ys.len() / 2];
+                let prepared = model.prepare_anchors(&anchors).expect("anchors prepare");
                 let stale = model
                     .prepare_anchors(&anchors[..4])
                     .expect("anchors prepare");
-                for state in [None, Some(stale.as_ref())] {
+                for (label, state) in [
+                    ("prepared", Some(prepared.as_ref())),
+                    ("unprepared", None),
+                    ("stale", Some(stale.as_ref())),
+                ] {
+                    let answer = |epsilon| model.predict_group(&anchors, &queries, state, epsilon);
                     assert_eq!(
-                        model.predict_group(&anchors, &queries, state),
-                        per_pair,
-                        "{options:?}: {}",
-                        if state.is_some() {
-                            "stale"
-                        } else {
-                            "unprepared"
-                        }
+                        rate_bits(&answer(f64::NEG_INFINITY)),
+                        rate_bits(&per_pair),
+                        "{options:?}: {label}"
                     );
+                    for epsilon in [0.1, median_y] {
+                        let survivors: GroupRates = per_pair
+                            .iter()
+                            .map(|pairs| {
+                                pairs
+                                    .iter()
+                                    .copied()
+                                    .filter(|&(_, _, y)| passes_epsilon(y, epsilon))
+                                    .collect()
+                            })
+                            .collect();
+                        assert_eq!(
+                            rate_bits(&answer(epsilon)),
+                            rate_bits(&survivors),
+                            "{options:?}: {label}, ε = {epsilon}"
+                        );
+                    }
                 }
+                let kept_at_median = ys.iter().filter(|&&y| passes_epsilon(y, median_y)).count();
+                assert!(
+                    0 < kept_at_median && kept_at_median < ys.len(),
+                    "{options:?}: the median screens out some pairs and keeps others"
+                );
             }
         }
     }

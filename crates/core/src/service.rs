@@ -16,7 +16,10 @@
 //!    ([`ContainmentEstimator::predict_group`]) with the per-shard
 //!    [`prepare_anchors`](ContainmentEstimator::prepare_anchors) state cached in the
 //!    service's [`AnchorCache`], keyed by the shard's version of the group's FROM bucket
-//!    and the model version; per-shard lists concatenate in canonical shard order.
+//!    and the model version.  The batch is ε first: `query ⊂% anchor` for every pairing,
+//!    then `anchor ⊂% query` only for the pairings that pass ε
+//!    ([`ServeStats::anchors_kept`] of [`ServeStats::anchors_scored`]).  Per-shard lists
+//!    concatenate in canonical shard order.
 //! 3. **Fold** — the final function (median by default) folds each query's list
 //!    ([`fold_entry_lists`]), and queries without any surviving anchor fall back exactly
 //!    like [`Cnt2Crd`](crate::cnt2crd::Cnt2Crd).
@@ -145,6 +148,11 @@ pub struct ServeStats {
     /// item calls it: a query's whole FROM bucket, or with `top_k > 0` its ranked anchors.
     /// (0 from a distributed coordinator: its workers score.)
     pub anchors_scored: usize,
+    /// Of those, the pairings whose `query ⊂% anchor` rate passed ε: the rows of the
+    /// model's second containment-head pass, and an upper bound on the per-entry estimates
+    /// (equal unless some `x / y · |anchor|` is not finite).  (0 from a distributed
+    /// coordinator, like `anchors_scored`.)
+    pub anchors_kept: usize,
     /// Queries answered from the pool (at least one per-entry estimate survived ε).
     pub pool_hits: usize,
     /// Queries answered by the fallback estimator (or the configured default).
@@ -181,6 +189,7 @@ impl ServeStats {
         self.groups += other.groups;
         self.work_items += other.work_items;
         self.anchors_scored += other.anchors_scored;
+        self.anchors_kept += other.anchors_kept;
         self.pool_hits += other.pool_hits;
         self.fallbacks += other.fallbacks;
         self.snapshot_time += other.snapshot_time;
@@ -621,26 +630,28 @@ mod tests {
         let prepared = crn.prepare_anchors(&anchors).expect("anchors prepare");
         // Prepared for a different anchor list: wrong row count, must not be used.
         let stale = crn.prepare_anchors(&anchors[..1]).expect("anchors prepare");
-        let fused = crn.predict_group(&anchors, &group, Some(prepared.as_ref()));
-        assert_eq!(fused.len(), group.len());
-        for state in [Some(prepared.as_ref()), None, Some(stale.as_ref())] {
-            assert_eq!(crn.predict_group(&anchors, &group, state), fused);
-            for (query, rates) in group.iter().zip(&fused) {
-                assert_eq!(
-                    crn.predict_group(&anchors, &[query], state),
-                    vec![rates.clone()],
-                    "fused group rates must match a group of one"
-                );
+        for epsilon in [f64::NEG_INFINITY, Cnt2CrdConfig::default().epsilon] {
+            let fused = crn.predict_group(&anchors, &group, Some(prepared.as_ref()), epsilon);
+            assert_eq!(fused.len(), group.len());
+            for state in [Some(prepared.as_ref()), None, Some(stale.as_ref())] {
+                assert_eq!(crn.predict_group(&anchors, &group, state, epsilon), fused);
+                for (query, rates) in group.iter().zip(&fused) {
+                    assert_eq!(
+                        crn.predict_group(&anchors, &[query], state, epsilon),
+                        vec![rates.clone()],
+                        "fused group rates must match a group of one"
+                    );
+                }
             }
+            // Empty cases short-circuit, whatever state is passed.
+            assert!(crn
+                .predict_group(&[], &group, Some(prepared.as_ref()), epsilon)
+                .iter()
+                .all(|rates| rates.is_empty()));
+            assert!(crn
+                .predict_group(&anchors, &[], Some(prepared.as_ref()), epsilon)
+                .is_empty());
         }
-        // Empty cases short-circuit, whatever state is passed.
-        assert!(crn
-            .predict_group(&[], &group, Some(prepared.as_ref()))
-            .iter()
-            .all(|rates| rates.is_empty()));
-        assert!(crn
-            .predict_group(&anchors, &[], Some(prepared.as_ref()))
-            .is_empty());
     }
 
     /// `serve` is `fold_entry_lists` over `serve_entry_lists`, bit-for-bit, in the full-scan
@@ -682,6 +693,14 @@ mod tests {
                 );
                 assert_eq!(served.estimates, folded, "shards={shards} top_k={top_k}");
                 assert_eq!(stats.pool_hits, served.stats.pool_hits);
+                // Every `x / y · |anchor|` of a sigmoid model over finite cardinalities is
+                // finite, so each pairing that passed ε is exactly one per-entry estimate.
+                let entries: usize = lists.per_query.iter().map(Vec::len).sum();
+                assert_eq!(
+                    lists.stats.anchors_kept, entries,
+                    "shards={shards} top_k={top_k}"
+                );
+                assert_eq!(served.stats.anchors_kept, entries);
                 // The core counts what it ran through the model: whole buckets, or ≤ k each.
                 let buckets: usize = queries.iter().map(|q| pool.matching(q).count()).sum();
                 if top_k == 0 {

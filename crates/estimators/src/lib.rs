@@ -31,4 +31,4 @@ pub mod traits;
 pub use mscn::{MaterializedSamples, MscnFeaturizer, MscnModel};
 pub use postgres::PostgresEstimator;
 pub use stats::{ColumnStats, DatabaseStats, StatsConfig};
-pub use traits::{CardinalityEstimator, ContainmentEstimator, TrueCardinality};
+pub use traits::{passes_epsilon, CardinalityEstimator, ContainmentEstimator, TrueCardinality};

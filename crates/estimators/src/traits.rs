@@ -20,6 +20,14 @@ pub trait CardinalityEstimator {
     fn estimate(&self, query: &Query) -> f64;
 }
 
+/// Figure 8's ε screen: whether a pair whose `query ⊂% anchor` rate is `y_rate` goes on to
+/// contribute `x_rate / y_rate · |anchor|` — exactly when `y_rate <= epsilon` fails, so a NaN
+/// rate passes (and its NaN estimate is dropped downstream as non-finite).
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // the complement of `<=` is what lets NaN pass
+pub fn passes_epsilon(y_rate: f64, epsilon: f64) -> bool {
+    !(y_rate <= epsilon)
+}
+
 /// Anything that can estimate the containment rate `Q1 ⊂% Q2` of two queries with identical
 /// FROM clauses.
 pub trait ContainmentEstimator {
@@ -33,22 +41,27 @@ pub trait ContainmentEstimator {
     fn estimate_containment(&self, q1: &Query, q2: &Query) -> f64;
 
     /// THE batched two-direction entry point: for every query of a *group* sharing one anchor
-    /// list, and every anchor `aᵢ` of that list, the pair `(aᵢ ⊂% query, query ⊂% aᵢ)` — one
-    /// rate vector per query, in query order.
+    /// list, the anchors `aᵢ` of that list whose `y = query ⊂% aᵢ` passes Figure 8's ε screen
+    /// ([`passes_epsilon`]), each as `(i, x, y)` with `x = aᵢ ⊂% query` — one list per query,
+    /// in query order, each in anchor order.
     ///
     /// This is the shape the Cnt2Crd cardinality technique consumes (paper §5.3, Figure 8):
-    /// both containment directions for every matching pool anchor of an incoming query.  A
-    /// single query is a group of one; the concurrent serving front-end groups incoming
-    /// queries by FROM clause and evaluates each group against a pool shard in one call.
+    /// both containment directions of every matching pool anchor of an incoming query that
+    /// can contribute an estimate.  `x` is only read when `y > ε`, so it is only computed
+    /// for the pairs that survive; `epsilon = f64::NEG_INFINITY` keeps every pair whose `y`
+    /// is not `−∞`.  A single query is a group of one; the concurrent serving front-end
+    /// groups incoming queries by FROM clause and evaluates each group against a pool shard
+    /// in one call.
     ///
     /// `prepared` is the state [`prepare_anchors`](ContainmentEstimator::prepare_anchors)
     /// built for the *same* anchor list, or `None`.  Implementations must ignore state that
     /// is not theirs (wrong type, wrong anchor count) and compute from the anchors instead;
     /// an empty anchor list yields one empty vector per query whatever state is passed.
     ///
-    /// The default implementation loops over [`estimate_containment`]; neural models
-    /// override it to featurize each query once and pack the whole group into fused head
-    /// batches, with per-row results bit-identical to a group of one.
+    /// The default implementation loops over [`estimate_containment`], asking for `y` first
+    /// and for `x` only when `y` survives; neural models override it to featurize each query
+    /// once and pack the whole group into fused head batches, with per-row results
+    /// bit-identical to a group of one.
     ///
     /// [`estimate_containment`]: ContainmentEstimator::estimate_containment
     fn predict_group(
@@ -56,17 +69,22 @@ pub trait ContainmentEstimator {
         anchors: &[&Query],
         queries: &[&Query],
         prepared: Option<&(dyn Any + Send + Sync)>,
-    ) -> Vec<Vec<(f64, f64)>> {
+        epsilon: f64,
+    ) -> Vec<Vec<(usize, f64, f64)>> {
         let _ = prepared;
-        let both_directions = |anchor: &Query, query: &Query| {
-            (
-                self.estimate_containment(anchor, query),
-                self.estimate_containment(query, anchor),
-            )
-        };
         queries
             .iter()
-            .map(|query| anchors.iter().map(|a| both_directions(a, query)).collect())
+            .map(|query| {
+                anchors
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, anchor)| {
+                        let y_rate = self.estimate_containment(query, anchor);
+                        passes_epsilon(y_rate, epsilon)
+                            .then(|| (i, self.estimate_containment(anchor, query), y_rate))
+                    })
+                    .collect()
+            })
             .collect()
     }
 
@@ -116,8 +134,9 @@ impl<T: ContainmentEstimator + ?Sized> ContainmentEstimator for &T {
         anchors: &[&Query],
         queries: &[&Query],
         prepared: Option<&(dyn Any + Send + Sync)>,
-    ) -> Vec<Vec<(f64, f64)>> {
-        (**self).predict_group(anchors, queries, prepared)
+        epsilon: f64,
+    ) -> Vec<Vec<(usize, f64, f64)>> {
+        (**self).predict_group(anchors, queries, prepared, epsilon)
     }
 
     fn prepare_anchors(&self, anchors: &[&Query]) -> Option<Box<dyn Any + Send + Sync>> {
@@ -139,8 +158,9 @@ impl<T: ContainmentEstimator + ?Sized> ContainmentEstimator for Box<T> {
         anchors: &[&Query],
         queries: &[&Query],
         prepared: Option<&(dyn Any + Send + Sync)>,
-    ) -> Vec<Vec<(f64, f64)>> {
-        (**self).predict_group(anchors, queries, prepared)
+        epsilon: f64,
+    ) -> Vec<Vec<(usize, f64, f64)>> {
+        (**self).predict_group(anchors, queries, prepared, epsilon)
     }
 
     fn prepare_anchors(&self, anchors: &[&Query]) -> Option<Box<dyn Any + Send + Sync>> {

@@ -10,8 +10,10 @@
 //!    `repro cluster-worker` processes, so the check spans process boundaries.
 //!
 //! The first mismatched, degraded or unresolved estimate is an `Err` naming the backend and
-//! the query index, which the `repro` binary turns into exit 1.  Nothing here is timed:
-//! `benchmark/` drives and times serving load.
+//! the query index, which the `repro` binary turns into exit 1.  The service's line also
+//! gives its anchors scored per query and the share of them that passed ε (the rows of the
+//! second containment-head pass).  Nothing here is timed: `benchmark/` drives and times
+//! serving load.
 
 use crate::harness::ExperimentContext;
 use crn_cluster::{ClusterClient, ClusterOptions};
@@ -69,8 +71,18 @@ pub fn check_serving_parity(
         )
         .with_fallback(fallback()),
     );
-    let direct = service.serve(&workload).estimates.into_iter().map(Ok);
-    let mut lines = vec![compare("service", &expected, direct.collect())?];
+    let direct = service.serve(&workload);
+    let (scored, kept) = (direct.stats.anchors_scored, direct.stats.anchors_kept);
+    let parity = compare(
+        "service",
+        &expected,
+        direct.estimates.into_iter().map(Ok).collect(),
+    )?;
+    let mut lines = vec![format!(
+        "{parity}; {:.1} anchors scored per query, {:.1} % of them kept by ε",
+        scored as f64 / workload.len() as f64,
+        100.0 * kept as f64 / scored.max(1) as f64
+    )];
     lines.push(compare(
         "runtime",
         &expected,
@@ -255,6 +267,7 @@ mod tests {
         let lines = check_serving_parity(tiny_context(), &config).expect("parity holds");
         assert_eq!(lines.len(), 2, "no cluster check without --cluster");
         assert!(lines[0].starts_with("[serve] parity (service): 24 estimates"));
+        assert!(lines[0].contains(" % of them kept by ε"), "{}", lines[0]);
         assert!(lines[1].starts_with("[serve] parity (runtime): 24 estimates"));
     }
 
