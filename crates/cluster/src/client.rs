@@ -42,7 +42,7 @@ use crn_core::{
     ServeResponse, ServeStats, ShardedPool,
 };
 use crn_estimators::CardinalityEstimator;
-use crn_obs::{Event, Gauge, HistHandle, Obs};
+use crn_obs::{Event, HistHandle, Obs};
 use crn_query::ast::Query;
 use crn_serve::{
     ComputeBackend, FaultInjector, FaultSite, RETRY_BACKOFF_CEIL, RETRY_BACKOFF_FLOOR,
@@ -107,29 +107,17 @@ struct WorkerLink {
 }
 
 /// The client's metric handles, registered once per installed [`Obs`] (no-ops when it
-/// is disabled), so the serve path never formats a metric name or takes the registry
-/// lock.
+/// is disabled), so the serve path never takes the registry lock.
 struct ObsHandles {
     scatter_us: HistHandle,
     gather_us: HistHandle,
-    /// Per worker: the last round-trip time of an answered batch, µs.
-    rtt_us: Vec<Gauge>,
-    /// Per worker: 1 while a batch is written and its reply not yet read, else 0.
-    in_flight: Vec<Gauge>,
 }
 
 impl ObsHandles {
-    fn new(obs: &Obs, workers: usize) -> Self {
-        let per_worker = |metric: &str| -> Vec<Gauge> {
-            (0..workers)
-                .map(|worker| obs.gauge(&format!("cluster.worker.{worker}.{metric}")))
-                .collect()
-        };
+    fn new(obs: &Obs) -> Self {
         ObsHandles {
             scatter_us: obs.hist("cluster.scatter_us"),
             gather_us: obs.hist("cluster.gather_us"),
-            rtt_us: per_worker("rtt_us"),
-            in_flight: per_worker("in_flight"),
         }
     }
 }
@@ -233,7 +221,7 @@ impl ClusterClient {
             },
             faults: FaultInjector::none(),
             obs: Obs::disabled(),
-            handles: ObsHandles::new(&Obs::disabled(), addrs.len()),
+            handles: ObsHandles::new(&Obs::disabled()),
         };
         {
             let mut links = lock_links(&client.links);
@@ -254,11 +242,11 @@ impl ClusterClient {
         self
     }
 
-    /// Attaches an observability handle (per-worker RTT/in-flight gauges,
-    /// scatter/gather timing histograms, worker-loss journal events).
+    /// Attaches an observability handle (the `cluster.{scatter,gather}_us` timing
+    /// histograms and worker-loss journal events).
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.obs = obs.clone();
-        self.handles = ObsHandles::new(obs, self.handles.rtt_us.len());
+        self.handles = ObsHandles::new(obs);
         self
     }
 
@@ -454,9 +442,7 @@ impl ClusterClient {
                     .map(|&index| queries[index].clone())
                     .collect(),
             });
-            self.handles.in_flight[worker_id].set(1.0);
             if write_message(stream, &request).is_err() {
-                self.handles.in_flight[worker_id].set(0.0);
                 self.declare_lost(links, worker_id);
                 for &query in &sent[worker_id] {
                     degraded[query] = true;
@@ -476,19 +462,16 @@ impl ClusterClient {
             if !in_flight[worker_id] {
                 continue;
             }
-            let rtt_start = Instant::now();
             let reply = {
                 let stream = links[worker_id].stream.as_mut().expect("in-flight link");
                 read_message(stream)
             };
-            self.handles.in_flight[worker_id].set(0.0);
             let owned = (worker_id..snapshot.num_shards()).step_by(workers);
             let response = match reply {
                 Ok(Message::EvalResult(response))
                     if response.model_version == MODEL_VERSION
                         && is_whole_reply(&response, owned, sent[worker_id].len()) =>
                 {
-                    self.handles.rtt_us[worker_id].set(rtt_start.elapsed().as_micros() as f64);
                     response
                 }
                 // Wrong version, a reply that is not the whole slice, an Error reply, a

@@ -133,11 +133,10 @@ fn parity_survives_feedback_upserts_on_both_sides() {
     }
 }
 
-/// The client registers its metric handles once, in `with_obs`; the serve path only sets
-/// them.  After one batch an enabled `Obs` exports the worker's round-trip gauge, an
-/// in-flight gauge back at 0 and one scatter sample.
+/// The client registers its metric handles once, in `with_obs`; the serve path only
+/// records into them.  After one batch an enabled `Obs` holds one scatter sample.
 #[test]
-fn an_obs_enabled_client_exports_worker_gauges_after_one_serve() {
+fn an_obs_enabled_client_records_one_scatter_sample_per_serve() {
     let fx = fixture(5);
     let queries = workload(&fx.db, 31, 6);
     let obs = Obs::new(ObsConfig::enabled());
@@ -154,14 +153,6 @@ fn an_obs_enabled_client_exports_worker_gauges_after_one_serve() {
 
     let response = client.serve(&queries);
     assert!(response.degraded.is_empty());
-    let gauges = obs.snapshot().gauges;
-    let gauge = |name: &str| {
-        let found = gauges.iter().find(|(gauge, _)| gauge == name);
-        found.map(|(_, value)| *value)
-    };
-    let rtt = gauge("cluster.worker.0.rtt_us");
-    assert!(rtt.is_some_and(|us| us > 0.0), "rtt {rtt:?} in {gauges:?}");
-    assert_eq!(gauge("cluster.worker.0.in_flight"), Some(0.0));
     assert_eq!(obs.hist("cluster.scatter_us").count(), 1);
 
     client.shutdown_workers();

@@ -49,6 +49,11 @@ pub enum FinalFunction {
     Mean,
     /// The trimmed mean: drop the given fraction of smallest and largest estimates
     /// (the paper trims 25% of the outliers) before averaging.
+    ///
+    /// `⌊len · f / 2⌋` estimates go from each end, clamped to `len / 2`, so any `f ≥ 1`
+    /// trims as `f = 1` does: an odd-length list keeps its middle estimate, and an
+    /// even-length one, trimmed to nothing, falls back to the mean of all.  A NaN or
+    /// non-positive `f` trims nothing.
     TrimmedMean(f64),
 }
 
@@ -79,8 +84,9 @@ impl FinalFunction {
             }
             FinalFunction::Mean => Some(sorted.iter().sum::<f64>() / sorted.len() as f64),
             FinalFunction::TrimmedMean(fraction) => {
-                let trim = ((sorted.len() as f64) * fraction / 2.0).floor() as usize;
-                let kept = &sorted[trim..sorted.len() - trim.min(sorted.len() - trim)];
+                let trim = (((sorted.len() as f64) * fraction / 2.0).floor() as usize)
+                    .min(sorted.len() / 2);
+                let kept = &sorted[trim..sorted.len() - trim];
                 if kept.is_empty() {
                     Some(sorted.iter().sum::<f64>() / sorted.len() as f64)
                 } else {
@@ -546,6 +552,31 @@ mod tests {
         assert_eq!(FinalFunction::Median.apply(&[]), None);
         assert_eq!(FinalFunction::Median.apply(&[5.0, 7.0]), Some(6.0));
         assert_eq!(FinalFunction::Median.label(), "median");
+        // Any fraction, however large, negative or NaN, stays inside the estimates' range;
+        // from 1 up the trim is clamped to what `f = 1` trims.
+        for fraction in [1.0, 1.5, 3.0, 1e9, f64::INFINITY, f64::NAN, -0.5] {
+            for len in 1..=5 {
+                let estimates = &values[..len];
+                let folded = FinalFunction::TrimmedMean(fraction)
+                    .apply(estimates)
+                    .unwrap();
+                let (min, max) = estimates
+                    .iter()
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                        (lo.min(v), hi.max(v))
+                    });
+                assert!(
+                    (min..=max).contains(&folded),
+                    "trimmed_mean({fraction}) of {estimates:?} = {folded}"
+                );
+                if fraction >= 1.0 {
+                    assert_eq!(
+                        Some(folded),
+                        FinalFunction::TrimmedMean(1.0).apply(estimates)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -538,11 +538,31 @@ mod tests {
         gen.generate_queries(count)
     }
 
+    /// An ε that screens out part of the fixture: the median `y = query ⊂% anchor` over
+    /// every (query, matching anchor) pair.  The fast-trained fixtures rate every pair
+    /// above the default ε, so the default alone never exercises a dropped row.
+    fn median_y(crn: &CrnModel, pool: &QueriesPool, queries: &[Query]) -> f64 {
+        use crn_estimators::ContainmentEstimator;
+        let mut ys: Vec<f64> = queries
+            .iter()
+            .flat_map(|query| {
+                let anchors: Vec<&Query> = pool.matching(query).map(|e| &e.query).collect();
+                crn.predict_group(&anchors, &[query], None, f64::NEG_INFINITY)
+                    .remove(0)
+                    .into_iter()
+                    .map(|(_, _, y)| y)
+            })
+            .collect();
+        ys.sort_by(f64::total_cmp);
+        ys[ys.len() / 2]
+    }
+
     /// The acceptance-criterion parity pin: at shards = 1/2/8 (and several thread counts)
     /// the service's estimate for every query is **bit-identical** to the sequential
     /// single-query `Cnt2Crd::per_entry_estimates` path over the same (flattened) pool —
-    /// for the trained CRN model (fused batched GEMM serving) and for the oracle pipeline
-    /// (default trait serving).
+    /// for the trained CRN model (fused batched GEMM serving) at the default ε and at an ε
+    /// that screens out part of the pairs, and for the oracle pipeline (default trait
+    /// serving).
     #[test]
     fn service_is_bit_identical_to_sequential_cnt2crd() {
         let db = generate_imdb(&ImdbConfig::tiny(80));
@@ -550,45 +570,65 @@ mod tests {
         let queries = workload(&db, 81, 30);
         let crn = trained_crn(&db, 81);
 
-        let sequential_crn = Cnt2Crd::new(crn.clone(), pool.clone())
-            .with_fallback(Box::new(PostgresEstimator::analyze(&db)));
         let sequential_oracle = Cnt2Crd::new(Crd2Cnt::new(TrueCardinality::new(&db)), pool.clone());
-        let expected_crn: Vec<f64> = queries.iter().map(|q| sequential_crn.estimate(q)).collect();
         let expected_oracle: Vec<f64> = queries
             .iter()
             .map(|q| sequential_oracle.estimate(q))
             .collect();
+        let screening = median_y(&crn, &pool, &queries);
         let mut covered = 0usize;
+        for epsilon in [Cnt2CrdConfig::default().epsilon, screening] {
+            let config = Cnt2CrdConfig {
+                epsilon,
+                ..Cnt2CrdConfig::default()
+            };
+            let sequential_crn = Cnt2Crd::new(crn.clone(), pool.clone())
+                .with_config(config)
+                .with_fallback(Box::new(PostgresEstimator::analyze(&db)));
+            let expected_crn: Vec<f64> =
+                queries.iter().map(|q| sequential_crn.estimate(q)).collect();
+            for shards in [1usize, 2, 8] {
+                for threads in [1usize, 4] {
+                    let service = EstimatorService::new(
+                        crn.clone(),
+                        ShardedPool::from_pool(&pool, shards),
+                        WorkerPool::shared(threads),
+                    )
+                    .with_config(config)
+                    .with_fallback(Box::new(PostgresEstimator::analyze(&db)));
+                    let response = service.serve(&queries);
+                    assert_eq!(response.estimates.len(), queries.len());
+                    for (index, (actual, expected)) in
+                        response.estimates.iter().zip(&expected_crn).enumerate()
+                    {
+                        assert!(
+                            actual == expected,
+                            "CRN ε={epsilon} shards={shards} threads={threads} query {index}: \
+                             service {actual} vs sequential {expected}"
+                        );
+                    }
+                    covered += response.stats.pool_hits;
+                    assert_eq!(
+                        response.stats.pool_hits + response.stats.fallbacks,
+                        queries.len()
+                    );
+                    let (kept, scored) =
+                        (response.stats.anchors_kept, response.stats.anchors_scored);
+                    if epsilon == screening {
+                        assert!(
+                            0 < kept && kept < scored,
+                            "ε={epsilon}: kept {kept} of {scored}"
+                        );
+                    }
+                }
+            }
+        }
         for shards in [1usize, 2, 8] {
             for threads in [1usize, 4] {
-                let workers = WorkerPool::shared(threads);
-                let service = EstimatorService::new(
-                    crn.clone(),
-                    ShardedPool::from_pool(&pool, shards),
-                    workers.clone(),
-                )
-                .with_fallback(Box::new(PostgresEstimator::analyze(&db)));
-                let response = service.serve(&queries);
-                assert_eq!(response.estimates.len(), queries.len());
-                for (index, (actual, expected)) in
-                    response.estimates.iter().zip(&expected_crn).enumerate()
-                {
-                    assert!(
-                        actual == expected,
-                        "CRN shards={shards} threads={threads} query {index}: \
-                         service {actual} vs sequential {expected}"
-                    );
-                }
-                covered += response.stats.pool_hits;
-                assert_eq!(
-                    response.stats.pool_hits + response.stats.fallbacks,
-                    queries.len()
-                );
-
                 let oracle_service = EstimatorService::new(
                     Crd2Cnt::new(TrueCardinality::new(&db)),
                     ShardedPool::from_pool(&pool, shards),
-                    workers,
+                    WorkerPool::shared(threads),
                 );
                 let oracle_response = oracle_service.serve(&queries);
                 for (index, (actual, expected)) in oracle_response
@@ -662,12 +702,19 @@ mod tests {
         let pool = QueriesPool::generate(&db, 120, 1, 92);
         let queries = workload(&db, 93, 30);
         let crn = trained_crn(&db, 92);
+        let screening = median_y(&crn, &pool, &queries);
         let mut top_k_changes_an_estimate = false;
-        for shards in [1usize, 4] {
+        for (shards, epsilon) in [1usize, 4].into_iter().flat_map(|shards| {
+            [
+                (shards, Cnt2CrdConfig::default().epsilon),
+                (shards, screening),
+            ]
+        }) {
             let mut full_scan = Vec::new();
             for top_k in [0usize, 4] {
                 let config = Cnt2CrdConfig {
                     top_k,
+                    epsilon,
                     ..Cnt2CrdConfig::default()
                 };
                 let service = EstimatorService::new(
@@ -691,16 +738,21 @@ mod tests {
                     &queries,
                     &mut stats,
                 );
-                assert_eq!(served.estimates, folded, "shards={shards} top_k={top_k}");
+                let case = format!("shards={shards} ε={epsilon} top_k={top_k}");
+                assert_eq!(served.estimates, folded, "{case}");
                 assert_eq!(stats.pool_hits, served.stats.pool_hits);
                 // Every `x / y · |anchor|` of a sigmoid model over finite cardinalities is
                 // finite, so each pairing that passed ε is exactly one per-entry estimate.
                 let entries: usize = lists.per_query.iter().map(Vec::len).sum();
-                assert_eq!(
-                    lists.stats.anchors_kept, entries,
-                    "shards={shards} top_k={top_k}"
-                );
+                assert_eq!(lists.stats.anchors_kept, entries, "{case}");
                 assert_eq!(served.stats.anchors_kept, entries);
+                if epsilon == screening {
+                    let scored = served.stats.anchors_scored;
+                    assert!(
+                        0 < entries && entries < scored,
+                        "{case}: kept {entries} of {scored}"
+                    );
+                }
                 // The core counts what it ran through the model: whole buckets, or ≤ k each.
                 let buckets: usize = queries.iter().map(|q| pool.matching(q).count()).sum();
                 if top_k == 0 {

@@ -22,9 +22,9 @@
 //!   flattened into one matrix with segment offsets, so dense layers run as one GEMM per
 //!   batch, pooling becomes a segment reduction, and the CRN `Expand` combination is
 //!   vectorized over all pairs (see the module docs for the design);
-//! * [`parallel`] — data-parallel execution: a persistent spawn-once worker pool (plus the
-//!   original scoped shard pool), detached per-shard gradient sets and fixed-order
-//!   (optionally fully deterministic) gradient reduction;
+//! * [`parallel`] — data-parallel execution: a persistent spawn-once worker pool, detached
+//!   per-shard gradient sets and fixed-order (optionally fully deterministic) gradient
+//!   reduction;
 //! * [`optim`] — the Adam optimizer, the only owner of optimizer state (its moments and
 //!   step count): one update kernel behind two gradient sources (a merged set, per-shard
 //!   sets summed on the fly on the worker pool), storing subnormal moments as zero;
@@ -71,8 +71,8 @@ pub use loss::{loss_and_grad, mean_q_error, q_error, LossKind, LossValue};
 pub use matrix::Matrix;
 pub use optim::Adam;
 pub use parallel::{
-    reduce_gradients, run_over_ranges, run_sharded, GradientSet, ShardGradients, ThreadPoolConfig,
-    WorkerPool, DETERMINISTIC_SHARDS,
+    reduce_gradients, GradientSet, ShardGradients, ThreadPoolConfig, WorkerPool,
+    DETERMINISTIC_SHARDS,
 };
 pub use train::{
     shuffled_batches, train_validation_split, EarlyStopping, EpochStats, ReplayBuffer, TrainConfig,

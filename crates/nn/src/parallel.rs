@@ -1,5 +1,5 @@
-//! Data-parallel epoch execution: a `std::thread`-scoped shard pool with deterministic
-//! gradient reduction.
+//! Data-parallel epoch execution: a persistent shard pool with deterministic gradient
+//! reduction.
 //!
 //! Mini-batch training is data-parallel up to the optimizer step: the per-sample losses and
 //! gradients of one mini-batch are independent, only their *sum* feeds Adam.  This module
@@ -7,14 +7,11 @@
 //!
 //! * [`ThreadPoolConfig`] — how many worker threads to use and whether to run in
 //!   *deterministic* mode;
-//! * [`run_sharded`] — a scoped shard pool: `num_shards` independent work items executed by
-//!   at most `threads` `std::thread::scope` workers (the vendored-deps policy rules out
-//!   rayon), results returned **in canonical shard order** regardless of which worker ran
-//!   which shard;
-//! * [`WorkerPool`] — the persistent (spawn-once) form of the same shard pool, shared
-//!   process-wide per thread count: training loops and the Cnt2Crd serving layer submit
-//!   every mini-batch / per-query job to the same long-lived workers instead of re-spawning
-//!   scoped threads per call;
+//! * [`WorkerPool`] — the shard pool: `num_shards` independent work items executed by
+//!   `threads` spawn-once workers (the vendored-deps policy rules out rayon), results
+//!   returned **in canonical shard order** regardless of which worker ran which shard.  It
+//!   is shared process-wide per thread count: training loops and the Cnt2Crd serving layer
+//!   submit every mini-batch / per-query job to the same long-lived workers;
 //! * [`GradientSet`] — a model's gradient tensors as plain matrices, detached from the
 //!   parameters so every shard can accumulate privately ([`ShardGradients`]: one set per
 //!   shard, kept for the whole training run);
@@ -148,98 +145,21 @@ impl Default for ThreadPoolConfig {
     }
 }
 
-/// Executes `num_shards` independent work items on at most `threads` scoped workers and
-/// returns the results **in shard order**.
-///
-/// Shards are handed out dynamically (an atomic cursor), so uneven shard costs balance
-/// across workers; results are written into per-shard slots, so the returned order — and
-/// any reduction the caller performs over it — is independent of scheduling.  The calling
-/// thread participates as a worker (only `threads - 1` threads are spawned), so with
-/// `threads <= 1` (or a single shard) the work runs inline, spawning nothing.
-///
-/// # Panics
-/// Propagates a panic from any worker.
-pub fn run_sharded<T, F>(threads: usize, num_shards: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if num_shards == 0 {
-        return Vec::new();
-    }
-    let workers = threads.max(1).min(num_shards);
-    if workers <= 1 {
-        return (0..num_shards).map(work).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let work = &work;
-    let drain = |produced: &mut Vec<(usize, T)>| loop {
-        let shard = cursor.fetch_add(1, Ordering::Relaxed);
-        if shard >= num_shards {
-            break;
-        }
-        produced.push((shard, work(shard)));
-    };
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut produced = Vec::new();
-                    drain(&mut produced);
-                    produced
-                })
-            })
-            .collect();
-        // The calling thread is worker 0: it drains the queue alongside the spawned
-        // workers instead of blocking idle on the joins.
-        let mut own = Vec::new();
-        drain(&mut own);
-        let mut all = vec![own];
-        all.extend(
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("shard worker panicked")),
-        );
-        all
-    });
-    let mut slots: Vec<Option<T>> = (0..num_shards).map(|_| None).collect();
-    for (shard, value) in per_worker.into_iter().flatten() {
-        debug_assert!(slots[shard].is_none(), "shard {shard} produced twice");
-        slots[shard] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every shard produced exactly once"))
-        .collect()
-}
-
-/// Convenience form of [`run_sharded`] for range-partitioned work: runs `work` once per
-/// range of `ranges` and returns the results in range order.
-pub fn run_over_ranges<T, F>(threads: usize, ranges: &[Range<usize>], work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    run_sharded(threads, ranges.len(), |shard| work(ranges[shard].clone()))
-}
-
 /// A persistent data-parallel worker pool: `threads - 1` workers spawned **once** and reused
-/// across jobs, with the same contract as [`run_sharded`] (dynamic shard hand-out via an
-/// atomic cursor, results in canonical shard order, the calling thread draining the queue
-/// alongside the workers, panics propagated).
+/// across jobs (see [`run_sharded`](WorkerPool::run_sharded) for a job's contract).
 ///
-/// [`run_sharded`] spawns fresh `std::thread::scope` workers per call, which is fine for a
-/// handful of epoch-level calls but measurably not for per-mini-batch or per-query work: at
-/// PR 2's scale the spawn/join overhead was +24% of a small-batch training epoch.  Training
-/// (the one loop of [`crate::train`]) and the Cnt2Crd serving layer therefore take a
-/// `WorkerPool` handle — obtained once via [`WorkerPool::shared`] — and submit every
-/// mini-batch and every per-shard serving job to the same long-lived workers.
+/// Spawning threads per call is fine for a handful of epoch-level calls but measurably not
+/// for per-mini-batch or per-query work: the spawn/join overhead once cost +24% of a
+/// small-batch training epoch.  Training (the one loop of [`crate::train`]) and the
+/// Cnt2Crd serving layer therefore take a `WorkerPool` handle — obtained once via
+/// [`WorkerPool::shared`] — and submit every mini-batch and every per-shard serving job to
+/// the same long-lived workers.
 ///
 /// Handles are cheap clones of one shared pool (`Arc` internally); the spawned threads exit
 /// when the last handle drops.  Jobs from concurrent submitters are serialized in submission
-/// order — the pool runs one job at a time, so per-job determinism is exactly that of
-/// [`run_sharded`].  Jobs must not submit nested jobs to the same pool (the nested submit
-/// would wait on its own job's completion); shard bodies are expected to be pure compute.
+/// order — the pool runs one job at a time, so per-job determinism is unaffected by other
+/// submitters.  Jobs must not submit nested jobs to the same pool (the nested submit would
+/// wait on its own job's completion); shard bodies are expected to be pure compute.
 #[derive(Clone)]
 pub struct WorkerPool {
     core: Arc<PoolCore>,
@@ -297,13 +217,17 @@ impl WorkerPool {
         self.core.threads
     }
 
-    /// Executes `num_shards` work items on the pool and returns the results **in shard
-    /// order** — the persistent-pool form of [`run_sharded`], with the identical contract:
-    /// shards are handed out dynamically, every result lands in its own slot, and the
-    /// returned order is independent of scheduling.
+    /// Executes `num_shards` independent work items on the pool and returns the results
+    /// **in shard order**.
+    ///
+    /// Shards are handed out dynamically (an atomic cursor), so uneven shard costs balance
+    /// across workers; every result lands in its own slot, so the returned order — and any
+    /// reduction the caller performs over it — is independent of scheduling.  The calling
+    /// thread drains the queue alongside the workers, and with `threads <= 1` (or a single
+    /// shard) the work runs inline on it.
     ///
     /// # Panics
-    /// Propagates a panic from any shard's work.
+    /// Propagates a panic from any shard's work; the pool survives and serves the next job.
     pub fn run_sharded<T, F>(&self, num_shards: usize, work: F) -> Vec<T>
     where
         T: Send,
@@ -339,8 +263,8 @@ impl WorkerPool {
             .collect()
     }
 
-    /// [`run_over_ranges`] on the persistent pool: runs `work` once per range, results in
-    /// range order.
+    /// Range-partitioned form of [`run_sharded`](WorkerPool::run_sharded): runs `work` once
+    /// per range of `ranges` and returns the results in range order.
     pub fn run_over_ranges<T, F>(&self, ranges: &[Range<usize>], work: F) -> Vec<T>
     where
         T: Send,
@@ -764,35 +688,6 @@ mod tests {
         assert_eq!(ThreadPoolConfig::single_threaded().shard_count(128), 1);
     }
 
-    #[test]
-    fn run_sharded_returns_results_in_shard_order() {
-        for threads in [1, 2, 4, 7] {
-            let results = run_sharded(threads, 23, |shard| shard * shard);
-            assert_eq!(results, (0..23).map(|s| s * s).collect::<Vec<_>>());
-        }
-        assert!(run_sharded::<usize, _>(4, 0, |_| unreachable!()).is_empty());
-    }
-
-    #[test]
-    fn run_sharded_balances_uneven_work() {
-        // Shard 0 is slow; the dynamic queue must still hand every other shard out and the
-        // results must come back in order.
-        let results = run_sharded(4, 8, |shard| {
-            if shard == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            shard
-        });
-        assert_eq!(results, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_over_ranges_passes_each_range() {
-        let ranges = vec![0..3, 3..5, 5..9];
-        let lens = run_over_ranges(2, &ranges, |range| range.len());
-        assert_eq!(lens, vec![3, 2, 4]);
-    }
-
     fn set_of(values: &[f32]) -> GradientSet {
         let mut set = GradientSet::zeros(&[(1, values.len())]);
         set.part_mut(0).data_mut().copy_from_slice(values);
@@ -825,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_matches_scoped_run_sharded() {
+    fn worker_pool_returns_results_in_shard_order() {
         for threads in [1, 2, 4, 7] {
             let pool = WorkerPool::new(threads);
             assert_eq!(pool.threads(), threads);

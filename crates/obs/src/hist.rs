@@ -122,13 +122,6 @@ impl Hist {
         }
         bucket_bounds(BUCKETS - 1).1
     }
-
-    /// The inclusive `[lower, upper]` bounds of the bucket the `fraction` quantile rank
-    /// falls in — the exact sorted-oracle value is guaranteed to lie inside.
-    pub fn quantile_bounds(&self, fraction: f64) -> (u64, u64) {
-        let upper = self.quantile(fraction);
-        bucket_bounds(bucket_index(upper))
-    }
 }
 
 impl std::fmt::Debug for Hist {
@@ -140,7 +133,7 @@ impl std::fmt::Debug for Hist {
     }
 }
 
-/// A point-in-time read of a histogram, carried by snapshots and exporters.
+/// A point-in-time read of a histogram, carried by snapshots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistSnapshot {
     /// Total observations.

@@ -1,34 +1,33 @@
 //! # crn-obs — zero-overhead-when-off observability for the serving stack
 //!
 //! A dependency-free metrics + tracing layer threaded through `crn-core`, `crn-serve`,
-//! `crn-online` and `crn-eval`:
+//! `crn-online` and `crn-cluster`:
 //!
-//! - **Metrics registry** — named counters, gauges and fixed-bucket log-linear
-//!   latency histograms ([`hist`]); histogram recording is one relaxed atomic add on a
-//!   per-thread shard, merged only at snapshot time.
+//! - **Metrics registry** — named counters and fixed-bucket log-linear latency
+//!   histograms ([`hist`]); histogram recording is one relaxed atomic add on a
+//!   per-thread shard, merged only when read.
 //! - **Per-request spans** ([`span`]) — a trace ID minted at `submit`, carried through
 //!   the ticket, with queue-wait / batch-wait / cache-probe / shard-compute / merge
 //!   segments filled in by the scheduler. An injectable [`Clock`] keeps deterministic
 //!   tests exact.
-//! - **Event journal** ([`journal`]) — a bounded ring buffer of structured serving
-//!   events (batch closes, supervisor restarts, gate decisions, checkpoint commits,
-//!   pool maintenance).
-//! - **Exporters** ([`export`]) — a periodic JSONL emitter, a one-shot Prometheus-text
-//!   dump and an end-of-run plain-text table.
+//! - **Event journal** ([`journal`]) — a bounded ring buffer of batch closes and of
+//!   serving failures (supervisor restarts, degraded lanes, lost workers).
+//!
+//! Callers read all three in process: [`Obs::snapshot`], [`HistHandle::quantile`],
+//! [`Obs::events_since`] and the [`RequestTrace`] each resolved ticket carries.
 //!
 //! The load-bearing contract is [`Obs::disabled`]: a disabled handle is a `None` inside
 //! a `Clone`-able wrapper. **Counters are always live** — [`Obs::counter`] hands out a
 //! private cell instead of a registry cell, so a component's counters can *be* its
-//! obs counters, one relaxed add per event either way — but nothing is registered or
-//! exported. Everything else (gauges, histograms, traces, the journal, the clock)
-//! short-circuits on that single branch, and the instrumented crates take **no clock
-//! reads and no allocations** per request on the disabled path — serving behaviour is
-//! bit-identical to the pre-observability code.
+//! obs counters, one relaxed add per event either way — but nothing is registered.
+//! Everything else (histograms, traces, the journal, the clock) short-circuits on that
+//! single branch, and the instrumented crates take **no clock reads and no
+//! allocations** per request on the disabled path — serving behaviour is bit-identical
+//! to the pre-observability code.
 
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod export;
 pub mod hist;
 pub mod journal;
 pub mod metrics;
@@ -38,57 +37,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use export::{render_prometheus, render_snapshot_json, render_table, JsonlEmitter};
 pub use hist::{bucket_bounds, bucket_index, Hist, HistSnapshot, BUCKETS};
 pub use journal::{Event, Journal, JournalEntry};
-pub use metrics::{Counter, Gauge, HistHandle, Snapshot};
+pub use metrics::{Counter, HistHandle, Snapshot};
 pub use span::{RequestTrace, TraceStart};
 
-/// Construction-time knobs for an [`Obs`] instance. The default is **disabled**.
-#[derive(Debug, Clone, PartialEq)]
+/// Ring-buffer capacity of an enabled handle's event journal.
+const JOURNAL_CAPACITY: usize = 1024;
+
+/// Construction-time configuration of an [`Obs`] instance. The default is **disabled**.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsConfig {
     /// When false (the default), [`Obs::new`] returns the no-op handle.
     pub enabled: bool,
-    /// Ring-buffer capacity of the event journal.
-    pub journal_capacity: usize,
-    /// Per-thread shard count for every histogram.
-    pub hist_shards: usize,
 }
 
 impl ObsConfig {
     /// The no-op configuration (the default): observability off, prior code path.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            journal_capacity: 1024,
-            hist_shards: 8,
-        }
+        Self { enabled: false }
     }
 
-    /// Observability on with default journal capacity (1024) and shard count (8).
+    /// Observability on.
     pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::disabled()
-        }
-    }
-
-    /// Sets the journal ring-buffer capacity.
-    pub fn with_journal_capacity(mut self, capacity: usize) -> Self {
-        self.journal_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets the per-histogram shard count.
-    pub fn with_hist_shards(mut self, shards: usize) -> Self {
-        self.hist_shards = shards.max(1);
-        self
-    }
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self::disabled()
+        Self { enabled: true }
     }
 }
 
@@ -129,8 +101,8 @@ impl Obs {
         Self {
             inner: Some(Arc::new(ObsInner {
                 clock,
-                registry: metrics::Registry::new(config.hist_shards),
-                journal: Journal::new(config.journal_capacity),
+                registry: metrics::Registry::default(),
+                journal: Journal::new(JOURNAL_CAPACITY),
                 trace_seq: AtomicU64::new(0),
             })),
         }
@@ -159,17 +131,12 @@ impl Obs {
     }
 
     /// Registers (or looks up) a counter by name. Disabled, the counter is a private cell
-    /// that still counts but is never registered or exported.
+    /// that still counts but is never registered.
     pub fn counter(&self, name: &str) -> Counter {
         Counter(match &self.inner {
             Some(inner) => inner.registry.counter(name),
             None => Arc::default(),
         })
-    }
-
-    /// Registers (or looks up) a gauge by name.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|inner| inner.registry.gauge(name)))
     }
 
     /// Registers (or looks up) a histogram by name.
@@ -196,17 +163,13 @@ impl Obs {
     pub fn snapshot(&self) -> Snapshot {
         match &self.inner {
             None => Snapshot::default(),
-            Some(inner) => {
-                let (counters, gauges, hists) = inner.registry.snapshot();
-                Snapshot {
-                    at_us: inner.clock.now_us(),
-                    counters,
-                    gauges,
-                    hists,
-                    journal_recorded: inner.journal.recorded(),
-                    journal_dropped: inner.journal.dropped(),
-                }
-            }
+            Some(inner) => Snapshot {
+                at_us: inner.clock.now_us(),
+                counters: inner.registry.counter_values(),
+                hists: inner.registry.hist_summaries(),
+                journal_recorded: inner.journal.recorded(),
+                journal_dropped: inner.journal.dropped(),
+            },
         }
     }
 }
@@ -233,7 +196,6 @@ mod tests {
         counter.inc();
         assert_eq!(counter.get(), 1, "counters stay live when disabled");
         assert_eq!(obs.counter("c").get(), 0, "never shared");
-        obs.gauge("g").set(1.0);
         obs.hist("h").record(10);
         obs.record_event(Event::LaneDegraded { lane: "scheduler" });
         let snapshot = obs.snapshot();
@@ -249,19 +211,17 @@ mod tests {
         clock.set(42);
         let counter = obs.counter("serve.batches");
         counter.add(3);
-        obs.gauge("online.median").set(1.5);
         obs.hist("serve.latency_us").record(100);
-        obs.record_event(Event::PoolEviction { evicted: 1 });
+        obs.record_event(Event::WorkerLost { worker: 1 });
         let snapshot = obs.snapshot();
         assert_eq!(snapshot.at_us, 42);
         assert_eq!(snapshot.counters, vec![("serve.batches".to_string(), 3)]);
-        assert_eq!(snapshot.gauges, vec![("online.median".to_string(), 1.5)]);
         assert_eq!(snapshot.hists.len(), 1);
         assert_eq!(snapshot.hists[0].1.count, 1);
         let events = obs.events_since(0);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].at_us, 42);
-        assert_eq!(events[0].event.kind(), "pool_eviction");
+        assert_eq!(events[0].event, Event::WorkerLost { worker: 1 });
     }
 
     #[test]

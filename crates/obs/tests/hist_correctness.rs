@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use crn_obs::{
-    bucket_bounds, bucket_index, render_prometheus, render_snapshot_json, render_table, Event,
-    Hist, ManualClock, Obs, ObsConfig, BUCKETS,
+    bucket_bounds, bucket_index, Event, Hist, Journal, ManualClock, Obs, ObsConfig, BUCKETS,
 };
 
 /// The eval driver's sorted nearest-rank percentile rule, duplicated as the oracle.
@@ -73,7 +72,7 @@ fn exact_counts_under_manual_clock() {
     // the injected clock.
     use crn_obs::Clock as _;
     let clock = Arc::new(ManualClock::new());
-    let obs = Obs::with_clock(ObsConfig::enabled().with_hist_shards(1), clock.clone());
+    let obs = Obs::with_clock(ObsConfig::enabled(), clock.clone());
     let hist = obs.hist("test.duration_us");
     for step in [0u64, 1, 1, 3, 100, 103, 4096] {
         clock.set(0);
@@ -151,98 +150,19 @@ fn quantile_error_bounded_by_bucket_width() {
 
 #[test]
 fn journal_ring_drops_oldest_and_keeps_seq() {
-    let obs = Obs::new(ObsConfig::enabled().with_journal_capacity(4));
-    for evicted in 0..10u64 {
-        obs.record_event(Event::PoolEviction { evicted });
+    let journal = Journal::new(4);
+    for worker in 0..10usize {
+        journal.record(worker as u64, Event::WorkerLost { worker });
     }
-    let entries = obs.events_since(0);
+    let entries = journal.entries_since(0);
     assert_eq!(entries.len(), 4);
     assert_eq!(
         entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
         vec![6, 7, 8, 9]
     );
-    let snapshot = obs.snapshot();
-    assert_eq!(snapshot.journal_recorded, 10);
-    assert_eq!(snapshot.journal_dropped, 6);
+    assert_eq!(entries[0].event, Event::WorkerLost { worker: 6 });
+    assert_eq!(journal.recorded(), 10);
+    assert_eq!(journal.dropped(), 6);
     // Incremental drain: nothing new after the last seen seq.
-    assert!(obs.events_since(10).is_empty());
-}
-
-#[test]
-fn exporters_render_wellformed_output() {
-    let clock = Arc::new(ManualClock::new());
-    let obs = Obs::with_clock(ObsConfig::enabled(), clock.clone());
-    clock.set(1000);
-    obs.counter("serve.batches").add(2);
-    obs.gauge("online.drift_window_median").set(2.25);
-    let hist = obs.hist("serve.latency_us.interactive");
-    hist.record(100);
-    hist.record(300);
-    obs.record_event(Event::BatchClosed {
-        reason: "size",
-        size: 8,
-    });
-
-    let snapshot = obs.snapshot();
-    let json = render_snapshot_json(&snapshot);
-    assert!(json.starts_with("{\"type\":\"snapshot\",\"at_us\":1000,"));
-    assert!(json.contains("\"serve.batches\":2"));
-    assert!(json.contains("\"online.drift_window_median\":2.25"));
-    assert!(json.contains("\"serve.latency_us.interactive\":{\"count\":2,"));
-    assert!(json.ends_with("}"));
-
-    let event_json = obs.events_since(0)[0].to_json();
-    assert_eq!(
-        event_json,
-        "{\"type\":\"event\",\"seq\":0,\"at_us\":1000,\"kind\":\"batch_closed\",\
-         \"reason\":\"size\",\"size\":8}"
-    );
-
-    let prom = render_prometheus(&snapshot);
-    assert!(prom.contains("# TYPE serve_batches counter\nserve_batches 2\n"));
-    assert!(prom.contains("serve_latency_us_interactive_count 2"));
-
-    let table = render_table(&snapshot);
-    assert!(table.contains("serve.batches"));
-    assert!(table.contains("journal: 1 events recorded, 0 dropped"));
-}
-
-#[test]
-fn jsonl_emitter_writes_snapshot_and_events() {
-    let dir = std::env::temp_dir().join(format!("crn-obs-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("metrics.jsonl");
-    let obs = Obs::new(ObsConfig::enabled());
-    obs.counter("serve.completed").add(5);
-    obs.record_event(Event::SupervisorRestart {
-        lane: "scheduler",
-        restarts: 1,
-    });
-    let emitter =
-        crn_obs::JsonlEmitter::spawn(obs.clone(), &path, std::time::Duration::from_millis(5))
-            .expect("spawn emitter");
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    obs.record_event(Event::LaneDegraded {
-        lane: "maintenance",
-    });
-    emitter.stop();
-
-    let contents = std::fs::read_to_string(&path).expect("jsonl written");
-    let lines: Vec<&str> = contents.lines().collect();
-    assert!(lines.len() >= 2, "expected snapshot + event lines");
-    assert!(lines.iter().any(|l| l.contains("\"type\":\"snapshot\"")));
-    assert!(lines
-        .iter()
-        .any(|l| l.contains("\"kind\":\"supervisor_restart\"")
-            && l.contains("\"lane\":\"scheduler\"")));
-    assert!(lines
-        .iter()
-        .any(|l| l.contains("\"kind\":\"lane_degraded\"")));
-    // Every event seq appears exactly once: the emitter drains incrementally.
-    let restart_lines = lines
-        .iter()
-        .filter(|l| l.contains("\"kind\":\"supervisor_restart\""))
-        .count();
-    assert_eq!(restart_lines, 1);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(journal.entries_since(10).is_empty());
 }

@@ -328,26 +328,6 @@ struct ControllerState {
     stats: OnlineStats,
 }
 
-/// The controller's pre-registered observability handles
-/// ([`RefreshController::with_obs`]): a live drift-window-median gauge, a fine-tune
-/// duration histogram, and the journal for gate / compaction / fine-tune events.
-/// Every handle is inert against the default disabled [`crn_obs::Obs`].
-struct OnlineObs {
-    obs: crn_obs::Obs,
-    window_median: crn_obs::Gauge,
-    fine_tune_us: crn_obs::HistHandle,
-}
-
-impl OnlineObs {
-    fn from_obs(obs: crn_obs::Obs) -> Self {
-        OnlineObs {
-            window_median: obs.gauge("online.drift_window_median"),
-            fine_tune_us: obs.hist("online.fine_tune_us"),
-            obs,
-        }
-    }
-}
-
 /// The refresh controller — see the [module docs](self).
 pub struct RefreshController {
     service: Arc<EstimatorService<CrnModel>>,
@@ -356,9 +336,9 @@ pub struct RefreshController {
     state: Mutex<ControllerState>,
     /// Signalled when intake makes a refresh possible (wakes the [`RefreshWorker`]).
     trigger: Condvar,
-    /// Observability handles (inert unless wired via
-    /// [`with_obs`](RefreshController::with_obs)).
-    obs: OnlineObs,
+    /// The journal the refresh worker's supervisor records restarts and degradation
+    /// into (inert unless wired via [`with_obs`](RefreshController::with_obs)).
+    obs: crn_obs::Obs,
 }
 
 impl RefreshController {
@@ -395,7 +375,7 @@ impl RefreshController {
             labeler,
             config,
             trigger: Condvar::new(),
-            obs: OnlineObs::from_obs(crn_obs::Obs::disabled()),
+            obs: crn_obs::Obs::disabled(),
         }
     }
 
@@ -418,12 +398,11 @@ impl RefreshController {
         take
     }
 
-    /// Wires the controller's refresh telemetry into `obs`: the live
-    /// `online.drift_window_median` gauge, the `online.fine_tune_us` duration
-    /// histogram, and journal events for gate decisions, fine-tunes and post-swap pool
-    /// compactions.  A disabled `obs` keeps the exact pre-observability behavior.
+    /// Wires the refresh worker's supervision into `obs`: its journal records each
+    /// restart and degradation of the refresh lane.  A disabled `obs` keeps the exact
+    /// pre-observability behavior.
     pub fn with_obs(mut self, obs: &crn_obs::Obs) -> Self {
-        self.obs = OnlineObs::from_obs(obs.clone());
+        self.obs = obs.clone();
         self
     }
 
@@ -445,7 +424,6 @@ impl RefreshController {
         state.detector.observe(record.q_error());
         state.stats.feedback_seen += 1;
         state.stats.window_median = state.detector.median().unwrap_or(0.0);
-        self.obs.window_median.set(state.stats.window_median);
         // Deterministic stride routing: accumulate the fraction and peel a probe record
         // whenever it crosses an integer (e.g. fraction 0.25 -> every 4th record).
         state.route_count += 1;
@@ -490,7 +468,7 @@ impl RefreshController {
     /// `Arc` pointer swap.
     pub fn refresh_if_needed(&self) -> Option<RefreshOutcome> {
         // Phase 0 — claim the cycle and take its inputs under the intake lock.
-        let (fresh, probe, window_median) = {
+        let (fresh, probe) = {
             let mut state = self.state.lock().expect("controller state lock");
             if !self.refresh_possible(&state) {
                 return None;
@@ -499,10 +477,7 @@ impl RefreshController {
             state.stats.refreshes_attempted += 1;
             let fresh = std::mem::take(&mut state.fresh);
             let probe = state.probe.clone();
-            // The median that tripped the cycle — journaled with the gate decision
-            // below (the re-arm clears it from the stats before the cycle concludes).
-            let window_median = state.stats.window_median;
-            (fresh, probe, window_median)
+            (fresh, probe)
         };
         let outcome = self.run_cycle(&fresh, &probe);
         // Phase 4 — publish the outcome and re-arm.
@@ -521,21 +496,6 @@ impl RefreshController {
         state.stats.last_live_probe_median = outcome.live_probe_median;
         state.stats.last_candidate_probe_median = outcome.candidate_probe_median;
         state.stats.pool_compacted += outcome.pool_compacted as u64;
-        drop(state);
-        self.obs.window_median.set(0.0);
-        self.obs.obs.record_event(crn_obs::Event::GateDecision {
-            decision: match outcome.decision {
-                RefreshDecision::Applied => "applied",
-                RefreshDecision::RejectedByGate => "rejected_by_gate",
-                RefreshDecision::NoTrainingPairs => "no_training_pairs",
-            },
-            window_median,
-        });
-        if outcome.pool_compacted > 0 {
-            self.obs.obs.record_event(crn_obs::Event::PoolCompaction {
-                merged: outcome.pool_compacted,
-            });
-        }
         Some(outcome)
     }
 
@@ -590,16 +550,7 @@ impl RefreshController {
         // lineage's optimizer (zero moments on the first cycle).
         let live = self.service.model();
         let mut candidate = (*live).clone();
-        let fine_tune_started = std::time::Instant::now();
         candidate.fit_incremental(&corpus, &mut adam, self.config.fine_tune_epochs);
-        if self.obs.obs.enabled() {
-            let duration_us = fine_tune_started.elapsed().as_micros() as u64;
-            self.obs.fine_tune_us.record(duration_us);
-            self.obs.obs.record_event(crn_obs::Event::FineTune {
-                duration_us,
-                pairs: corpus.len(),
-            });
-        }
 
         // The validation gate: both models on the same probe set over the same pool and
         // serving configuration, through the serving core.  Better by at least the relative
@@ -821,7 +772,7 @@ impl RefreshWorker {
                             controller.recover_after_panic();
                             match supervisor.on_panic(crn_serve::LANE_REFRESH) {
                                 SupervisorVerdict::Restart => {
-                                    controller.obs.obs.record_event(
+                                    controller.obs.record_event(
                                         crn_obs::Event::SupervisorRestart {
                                             lane: crn_serve::LANE_REFRESH,
                                             restarts: supervisor.restarts(crn_serve::LANE_REFRESH),
@@ -830,12 +781,9 @@ impl RefreshWorker {
                                     continue;
                                 }
                                 SupervisorVerdict::Degrade => {
-                                    controller
-                                        .obs
-                                        .obs
-                                        .record_event(crn_obs::Event::LaneDegraded {
-                                            lane: crn_serve::LANE_REFRESH,
-                                        });
+                                    controller.obs.record_event(crn_obs::Event::LaneDegraded {
+                                        lane: crn_serve::LANE_REFRESH,
+                                    });
                                     return;
                                 }
                             }

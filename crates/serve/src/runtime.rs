@@ -57,7 +57,7 @@ use crate::supervisor::{
 use crate::ticket::{EstimateSource, Ticket, TicketCell, TicketOutcome};
 use crn_core::{query_hash, PoolSnapshot, ServeStats};
 use crn_nn::parallel::{lock_ignoring_poison, wait_ignoring_poison, wait_timeout_ignoring_poison};
-use crn_obs::{Counter, Event, Gauge, HistHandle, Obs, RequestTrace, TraceStart};
+use crn_obs::{Counter, Event, HistHandle, Obs, RequestTrace, TraceStart};
 use crn_query::ast::Query;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -265,7 +265,7 @@ macro_rules! runtime_stats {
         }
 
         /// The runtime's counters, each registered in the configured [`Obs`] as
-        /// `serve.<field>` (a private cell when obs is disabled): the exporter and
+        /// `serve.<field>` (a private cell when obs is disabled): [`Obs::snapshot`] and
         /// [`ServeRuntime::stats`] read the same atomics, one relaxed add per event.
         struct Counters {
             $($counter: Counter,)*
@@ -429,25 +429,17 @@ impl RuntimeStats {
     }
 }
 
-/// The runtime's pre-registered histograms and gauges: one registry lookup each at
-/// construction, so the scheduler's hot path never touches the registry mutex.  Every
-/// handle is a no-op when the configured [`Obs`] is disabled; `enabled` is hoisted so
-/// the scheduler can skip whole instrumentation blocks (clock reads, spans) with a
-/// single branch — the disabled path is the exact pre-observability path.
+/// The runtime's pre-registered latency histogram: one registry lookup at construction,
+/// so the scheduler's hot path never touches the registry mutex.  The handle is a no-op
+/// when the configured [`Obs`] is disabled; `enabled` is hoisted so the scheduler can
+/// skip whole instrumentation blocks (clock reads, spans, the batch-close journal write)
+/// with a single branch — the disabled path is the exact pre-observability path.
 struct ObsHooks {
     obs: Obs,
     enabled: bool,
     /// End-to-end served latency (submit → resolution, µs).  Registered under its
-    /// long-standing exported name, `serve.latency_us.interactive`.
+    /// long-standing name, `serve.latency_us.interactive`.
     latency_us: HistHandle,
-    /// Queue residency per request (submit → batch close, µs).
-    queue_wait_us: HistHandle,
-    /// Closed-batch sizes.
-    batch_size: HistHandle,
-    /// Live queue-depth gauge (`serve.queued.interactive`), sampled at batch close.
-    queued_gauge: Gauge,
-    /// Pool evictions already journaled (delta detection; only touched when enabled).
-    journaled_pool_evictions: AtomicU64,
 }
 
 impl ObsHooks {
@@ -455,10 +447,6 @@ impl ObsHooks {
         ObsHooks {
             enabled: obs.enabled(),
             latency_us: obs.hist("serve.latency_us.interactive"),
-            queue_wait_us: obs.hist("serve.queue_wait_us"),
-            batch_size: obs.hist("serve.batch_size"),
-            queued_gauge: obs.gauge("serve.queued.interactive"),
-            journaled_pool_evictions: AtomicU64::new(0),
             obs,
         }
     }
@@ -563,7 +551,7 @@ struct Shared<B> {
     degraded_sync: AtomicBool,
     counters: Counters,
     serve_stats: Mutex<ServeStats>,
-    /// Pre-registered histograms and gauges (no-ops when [`RuntimeConfig::obs`] is
+    /// The pre-registered latency histogram (a no-op when [`RuntimeConfig::obs`] is
     /// disabled).
     hooks: ObsHooks,
 }
@@ -688,8 +676,8 @@ impl<B: ComputeBackend> ServeRuntime<B> {
     }
 
     /// The runtime's observability handle (the disabled no-op handle unless an enabled
-    /// [`Obs`] was installed via [`RuntimeConfig::with_obs`]) — what exporters and the
-    /// eval driver snapshot metrics and drain journal events from.
+    /// [`Obs`] was installed via [`RuntimeConfig::with_obs`]) — what callers snapshot
+    /// metrics and read journal events from.
     pub fn obs(&self) -> &Obs {
         &self.shared.hooks.obs
     }
@@ -1178,8 +1166,6 @@ fn pop<B: ComputeBackend>(
 ) -> Vec<Request> {
     let expired = state.shed_expired(Instant::now());
     let requests = state.pop_batch(shared.config.batch_max);
-    // Post-pop queue depth: the live gauge the JSONL export samples (a no-op disabled).
-    shared.hooks.queued_gauge.set(state.pending.len() as f64);
     drop(state);
     // The pop freed queue depth and caller quotas: wake parked blocking submitters.
     shared.queue_space.notify_all();
@@ -1241,15 +1227,8 @@ fn record_close<B: ComputeBackend>(shared: &Shared<B>, batch: &Batch, reason: Cl
     counters
         .coalesced
         .add((batch.size - batch.unique.len()) as u64);
-    let hooks = &shared.hooks;
-    if hooks.enabled {
-        hooks.batch_size.record(batch.size as u64);
-        for member in &batch.members {
-            hooks
-                .queue_wait_us
-                .record(member.queue_wait.as_micros() as u64);
-        }
-        hooks.obs.record_event(Event::BatchClosed {
+    if shared.hooks.enabled {
+        shared.hooks.obs.record_event(Event::BatchClosed {
             reason: reason.label(),
             size: batch.size,
         });
@@ -1290,7 +1269,6 @@ fn probe<B: ComputeBackend>(shared: &Shared<B>, cache: &EstimateCache, batch: &m
     };
     if purged > 0 {
         shared.counters.cache_purged.add(purged);
-        shared.hooks.obs.record_event(Event::CachePurge { purged });
     }
     let hit_count = hits.iter().flatten().count();
     shared.counters.cache_hits.add(hit_count as u64);
@@ -1584,8 +1562,8 @@ fn maintenance_loop<B: ComputeBackend>(shared: &Shared<B>) {
 /// forward of the applied triple to the online feedback channel — after the upsert (an
 /// observer reacting to the record, e.g. by reading the pool, must see the refreshed
 /// entry) and each contained separately, since a panic there must neither kill the lane
-/// nor mislabel the successful upsert as a maintenance failure — then the pool-eviction
-/// journal and the compaction cadence.
+/// nor mislabel the successful upsert as a maintenance failure — then the compaction
+/// cadence.
 fn after_upsert<B: ComputeBackend>(shared: &Shared<B>, record: &MaintRecord) {
     if let Some(estimate) = record.estimate {
         // Fold the served estimate's q-error into the (just-refreshed) anchor's
@@ -1611,36 +1589,14 @@ fn after_upsert<B: ComputeBackend>(shared: &Shared<B>, record: &MaintRecord) {
             }
         }
     }
-    // Journal pool evictions as a delta against the pool's own counter: the
-    // maintenance lane is the only serving-side writer, so this races with at
-    // most the refresh worker's compactions — the swap keeps the delta exact.
-    if shared.hooks.enabled {
-        let evictions = shared.service.pool_evictions();
-        let seen = shared
-            .hooks
-            .journaled_pool_evictions
-            .swap(evictions, Ordering::Relaxed);
-        if evictions > seen {
-            shared.hooks.obs.record_event(Event::PoolEviction {
-                evicted: evictions - seen,
-            });
-        }
-    }
     // Background compaction cadence: every `compact_every` applied records,
     // structurally dedup the pool on this lane — not only after model swaps.
     if shared.config.compact_every > 0 {
         let due = shared.since_compaction.fetch_add(1, Ordering::Relaxed) + 1;
         if due >= shared.config.compact_every {
             shared.since_compaction.store(0, Ordering::Relaxed);
-            let merged = catch_unwind(AssertUnwindSafe(|| shared.service.compact()));
-            if let Ok(merged) = merged {
+            if catch_unwind(AssertUnwindSafe(|| shared.service.compact())).is_ok() {
                 shared.counters.compactions.inc();
-                if merged > 0 {
-                    shared
-                        .hooks
-                        .obs
-                        .record_event(Event::PoolCompaction { merged });
-                }
             }
         }
     }
