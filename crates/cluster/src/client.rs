@@ -28,10 +28,10 @@
 //! # One model per client
 //!
 //! The model shipped at [`connect`](ClusterClient::connect) serves for the client's
-//! whole lifetime, under version 1.  Model refresh is an in-process affair
-//! (`crn-online` swaps the model of an `EstimatorService`); a cluster picks up a new
-//! model by connecting a new client.  Every [`EvalRequest`] still carries the version
-//! it must be served under, and workers refuse mismatches.
+//! whole lifetime, under version 1.  A model swap is an in-process affair
+//! (`EstimatorService::swap_model`); a cluster picks up a new model by connecting a new
+//! client.  Every [`EvalRequest`] still carries the version it must be served under, and
+//! workers refuse mismatches.
 
 use crate::wire::{
     read_message, write_message, Assignment, EvalRequest, EvalResponse, Message, ShardPayload,

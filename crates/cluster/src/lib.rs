@@ -23,8 +23,8 @@
 //!   to the fallback path (`EstimateSource::Degraded` downstream, counted in
 //!   [`ClusterStats`], journaled as `worker_lost`) — never hung, never silently
 //!   wrong — and reconnect with bounded backoff.  The client serves the model it
-//!   connected with for its whole lifetime; model refresh stays in process
-//!   (`crn-online`).
+//!   connected with for its whole lifetime; a model swap stays in process
+//!   (`EstimatorService::swap_model`).
 //!
 //! [`fold_entry_lists`]: crn_core::fold_entry_lists
 

@@ -20,9 +20,8 @@
 //! anchor ([`Cnt2Crd::per_entry_estimates_sequential`] — the oracle the parity tests compare
 //! against), and batched ([`Cnt2CrdCore`]: a FROM group of queries × one pool shard's
 //! anchors per fused model call, planned by [`plan_work_items`]).  Every serving tier — the
-//! [`Cnt2Crd`] estimator below, the concurrent [`EstimatorService`], the online refresh
-//! gate, the cluster workers — is a caller of the batched core over its own model and pool
-//! shards.
+//! [`Cnt2Crd`] estimator below, the concurrent [`EstimatorService`], the cluster workers —
+//! is a caller of the batched core over its own model and pool shards.
 //!
 //! [`EstimatorService`]: crate::service::EstimatorService
 
@@ -278,9 +277,8 @@ pub fn plan_work_items<S: Borrow<QueriesPool>>(
 
 /// The Cnt2Crd core: the frozen inputs of one evaluation — ONE model and ONE set of pool
 /// shards for every estimate it produces — and the anchors → rates → per-entry-estimates
-/// loop of Figure 8 over them.  [`Cnt2Crd`], [`EstimatorService`], the refresh gate and the
-/// cluster workers are all thin callers: they differ only in where the model and the shards
-/// come from.
+/// loop of Figure 8 over them.  [`Cnt2Crd`], [`EstimatorService`] and the cluster workers
+/// are all thin callers: they differ only in where the model and the shards come from.
 ///
 /// [`EstimatorService`]: crate::service::EstimatorService
 pub struct Cnt2CrdCore<'a, M: ?Sized, S> {

@@ -13,7 +13,7 @@
 //!   Median/Mean/TrimmedMean final functions (§5.1, §5.3, Figure 8).  Its anchors → rates →
 //!   per-entry-estimates loop exists once, as [`Cnt2CrdCore`] (one FROM group of queries ×
 //!   one shard's matching — or top-K-ranked — anchors, planned by [`plan_work_items`]);
-//!   `Cnt2Crd`, the service, the online refresh gate and the cluster tier all call it, and
+//!   `Cnt2Crd`, the service and the cluster tier all call it, and
 //!   only the literal sequential loop (`per_entry_estimates_sequential`) stands beside it as
 //!   the oracle the parity tests compare against;
 //! * [`service`] — the concurrent serving front-end: the core over one frozen (pool

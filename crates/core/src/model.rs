@@ -39,7 +39,7 @@ use std::sync::{Arc, OnceLock};
 use crn_nn::{
     layers::{relu, relu_backward, sigmoid},
     loss::mean_q_error,
-    train::{shuffled_batches, train_validation_split, EarlyStopping, EpochStats},
+    train::{shuffled_batches, train_validation_split, EpochStats},
 };
 #[cfg(test)]
 use rand::{rngs::StdRng, SeedableRng};
@@ -432,30 +432,27 @@ impl CrnModel {
     /// Warm-start incremental fit: fine-tunes the (already trained) model in place on a
     /// fresh corpus for a fixed number of epochs, **resuming** the caller's [`Adam`].
     ///
-    /// This is the continual-learning primitive of the online refresh subsystem
-    /// (`crn-online`): the refresh controller clones the live model, fine-tunes the clone
-    /// on a replay-buffer mix of fresh feedback and reservoir-sampled history, and
-    /// hot-swaps it in only if it passes the validation gate.  Division of labour with
-    /// [`CrnModel::fit`]:
+    /// A caller that fine-tunes a clone of a serving model can publish it with
+    /// [`EstimatorService::swap_model`](crate::EstimatorService::swap_model).  Division of
+    /// labour with [`CrnModel::fit`]:
     ///
     /// * **Adam state resumes.**  The caller's [`Adam`] holds the first and second moments
     ///   and the step count, so a fine-tune continues the optimizer trajectory of the
     ///   earlier fine-tunes that `Adam` ran, instead of re-warming from step 0.  The model
     ///   carries only its weights: a fresh `Adam` starts from zero moments, whatever
     ///   trained the model before.
-    /// * **No validation split, early stopping or best-epoch restore** — the online
-    ///   controller owns model selection through its held-out probe gate, so the
-    ///   fine-tune runs exactly `epochs` epochs over the whole corpus.  The recorded
-    ///   `validation_q_error` is the epoch's mean training loss.
+    /// * **No validation split, early stopping or best-epoch restore** — model selection
+    ///   is the caller's, so the fine-tune runs exactly `epochs` epochs over the whole
+    ///   corpus.  The recorded `validation_q_error` is the epoch's mean training loss.
     /// * **Same loop.**  This is [`train::fit_incremental`], the second schedule of the loop
     ///   behind `fit`: every mini-batch shards through the persistent
     ///   [`WorkerPool`](crn_nn::WorkerPool) exactly like `fit` (same forced-CSR
     ///   featurization, same fixed-order gradient reduction), so deterministic mode keeps the
     ///   incremental fit bit-identical across thread counts.
     ///
-    /// Shuffling is deterministic per refresh: the RNG is seeded from the config seed and
-    /// the optimizer's step count, which advances monotonically across refreshes — each
-    /// refresh reshuffles differently, the whole online trajectory stays reproducible.
+    /// Shuffling is deterministic per call: the RNG is seeded from the config seed and the
+    /// optimizer's step count, which advances monotonically across calls — each fine-tune
+    /// reshuffles differently, and a sequence of them stays reproducible.
     pub fn fit_incremental(
         &mut self,
         samples: &[ContainmentSample],
@@ -895,7 +892,6 @@ impl CrnModel {
         );
         let mut adam = Adam::new(self.config.learning_rate);
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(7));
-        let mut early_stopping = EarlyStopping::new(self.config.patience);
         let mut history = TrainingHistory::default();
         let mut best: Option<CrnModel> = None;
 
@@ -940,7 +936,11 @@ impl CrnModel {
             if improved {
                 best = Some(self.clone());
             }
-            if early_stopping.should_stop(!improved) {
+            if self
+                .config
+                .patience
+                .is_some_and(|p| epoch - history.best_epoch >= p)
+            {
                 break;
             }
         }
@@ -1257,6 +1257,44 @@ mod tests {
         assert_ne!(restored, history.epochs.last().unwrap().validation_q_error);
     }
 
+    /// Early stopping counts the epochs since the best one: a flat run (learning rate 0, so
+    /// no epoch after the first improves) stops after exactly `1 + patience` epochs, a
+    /// `fast_test` run either runs every epoch or stops `patience` epochs after its best,
+    /// and a run that overshoots (learning rate 0.01) stops there, before its last epoch.
+    #[test]
+    fn fit_stops_patience_epochs_after_its_best_epoch() {
+        let db = generate_imdb(&ImdbConfig::tiny(27));
+        let samples = training_pairs(&db, 60, 27);
+        let config = TrainConfig {
+            parallel: ThreadPoolConfig::deterministic(2),
+            ..TrainConfig::fast_test()
+        };
+        let patience = config.patience.expect("fast_test stops early");
+        let run = |learning_rate: f32, epochs: usize| {
+            let config = TrainConfig {
+                learning_rate,
+                epochs,
+                ..config.clone()
+            };
+            CrnModel::new(&db, config).fit(&samples)
+        };
+
+        let flat = run(0.0, config.epochs);
+        assert_eq!((flat.len(), flat.best_epoch), (1 + patience, 0));
+
+        let fast = run(config.learning_rate, config.epochs);
+        assert!(
+            fast.len() == config.epochs || fast.len() == fast.best_epoch + 1 + patience,
+            "{} epochs run, best {}",
+            fast.len(),
+            fast.best_epoch
+        );
+
+        let overshoot = run(0.01, 30);
+        assert!(overshoot.len() < 30, "the fixture must stop early");
+        assert_eq!(overshoot.len(), overshoot.best_epoch + 1 + patience);
+    }
+
     /// Deterministic mode must be **bit-identical** across thread counts: the shard
     /// partition and the gradient-reduction order are canonical, so `threads = 1, 2, 4`
     /// must produce the same per-epoch losses, the same validation trace and the same
@@ -1523,7 +1561,7 @@ mod tests {
 
     /// Deterministic mode carries over to the incremental fit: at `threads = 1, 2, 4`
     /// the fine-tuned models are bit-identical (same canonical shards, same reduction
-    /// order — the online refresh keeps the repository's reproducibility story).
+    /// order).
     #[test]
     fn fit_incremental_is_bit_identical_across_thread_counts_in_deterministic_mode() {
         let db = generate_imdb(&ImdbConfig::tiny(28));

@@ -1175,8 +1175,8 @@ mod swap_proptests {
                                     .collect::<Vec<_>>()
                             })
                         };
-                        // The refresher: alternate B/A swaps with random pauses, exactly
-                        // what the online controller's hot-swap does under live traffic.
+                        // The swapper: alternate B/A swaps with random pauses under live
+                        // traffic.
                         for (index, pause) in swap_pauses.iter().enumerate() {
                             std::thread::sleep(std::time::Duration::from_micros(*pause));
                             let (model, expected) = if index % 2 == 0 {

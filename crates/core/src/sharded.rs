@@ -157,7 +157,7 @@ impl PoolSnapshot {
     }
 
     /// Flattens the snapshot into a single-shard pool, in canonical shard order (the
-    /// durable form a checkpoint serializes, and the parity tests' flat view; the result is
+    /// durable form the pool serializes to, and the parity tests' flat view; the result is
     /// `matching`-equivalent, not entry-order-identical, to the pool the snapshot was built
     /// from).
     pub fn to_pool(&self) -> QueriesPool {

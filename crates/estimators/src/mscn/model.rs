@@ -32,7 +32,7 @@ use crn_nn::{
     layers::{relu, relu_backward, sigmoid},
     loss::mean_q_error,
     optim::Adam,
-    train::{shuffled_batches, train_validation_split, EarlyStopping, EpochStats},
+    train::{shuffled_batches, train_validation_split, EpochStats},
 };
 #[cfg(test)]
 use rand::{rngs::StdRng, SeedableRng};
@@ -666,7 +666,6 @@ impl MscnModel {
         );
         let mut adam = Adam::new(self.config.learning_rate);
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1));
-        let mut early_stopping = EarlyStopping::new(self.config.patience);
         let mut history = TrainingHistory::default();
         let mut best: Option<MscnModel> = None;
 
@@ -716,7 +715,11 @@ impl MscnModel {
             if improved {
                 best = Some(self.clone());
             }
-            if early_stopping.should_stop(!improved) {
+            if self
+                .config
+                .patience
+                .is_some_and(|p| epoch - history.best_epoch >= p)
+            {
                 break;
             }
         }

@@ -75,6 +75,5 @@ pub use parallel::{
     DETERMINISTIC_SHARDS,
 };
 pub use train::{
-    shuffled_batches, train_validation_split, EarlyStopping, EpochStats, ReplayBuffer, TrainConfig,
-    Trainable, TrainingHistory,
+    shuffled_batches, train_validation_split, EpochStats, TrainConfig, Trainable, TrainingHistory,
 };

@@ -321,7 +321,7 @@ impl Matrix {
 
 impl Deserialize for Matrix {
     /// Loads a matrix only if its document's `rows × cols` is exactly its data length, so a
-    /// mis-shaped matrix in a checkpoint or frame fails at load instead of panicking later.
+    /// mis-shaped matrix in a saved model or frame fails at load instead of panicking later.
     fn from_content(content: &serde::content::Content) -> Result<Self, serde::de::Error> {
         let rows = usize::from_content(content.field("rows")?)?;
         let cols = usize::from_content(content.field("cols")?)?;

@@ -14,8 +14,8 @@
 //! moment decay by `β₁` per step until it is subnormal, and there it stays: `0.9 × 2⁻¹⁴⁹`
 //! rounds back to `2⁻¹⁴⁹`.  Every operation on a subnormal costs a microcode assist, so ≈ 650
 //! steps after the gradients died the optimizer step ran 30× slower, for the rest of the
-//! model's life (a long-lived `crn-online` controller resumes its moments across
-//! refreshes).  Such a moment cannot move a weight: `lr · m / (1 − β₁ᵗ) / ε ≤ 1.2e-32` per
+//! model's life (a caller that resumes its `Adam` across `fit_incremental` calls carries
+//! them along).  Such a moment cannot move a weight: `lr · m / (1 − β₁ᵗ) / ε ≤ 1.2e-32` per
 //! step, far below half an ulp of any weight it is subtracted from, and a subnormal second
 //! moment adds `√v̂ ≤ 3.5e-18` to an `ε` of `1e-8`.
 //!
@@ -29,12 +29,11 @@
 
 use crate::matrix::Matrix;
 use crate::parallel::{lock_ignoring_poison, GradientSet, WorkerPool};
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// Adam optimizer state and hyperparameters: everything an optimizer step reads besides
 /// the weights and their gradients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     /// Learning rate (the paper's default is `0.001`, §3.5).
     pub learning_rate: f32,

@@ -15,13 +15,12 @@
 //!
 //! * [`fit`] — a fresh [`Adam`] over [`TrainConfig::epochs`] epochs of the training split,
 //!   early stopping on the validation split and restoring the best epoch's model;
-//! * [`fit_incremental`] — the warm-start fine-tune of the online refresh: the caller's
-//!   [`Adam`] over a fixed number of epochs of the whole corpus, with neither validation nor
-//!   model selection.
+//! * [`fit_incremental`] — the warm-start fine-tune: the caller's [`Adam`] over a fixed
+//!   number of epochs of the whole corpus, with neither validation nor model selection.
 //!
 //! In deterministic mode ([`ThreadPoolConfig::deterministic`]) both are bit-identical across
-//! thread counts.  Also here: hyperparameters, training history, splitting, mini-batching
-//! and the replay buffer of the continual-learning refresh.
+//! thread counts.  Also here: hyperparameters, training history, splitting and
+//! mini-batching.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -162,123 +161,6 @@ impl TrainingHistory {
     /// Returns true when no epoch has been recorded.
     pub fn is_empty(&self) -> bool {
         self.epochs.is_empty()
-    }
-}
-
-/// Early-stopping controller.
-#[derive(Debug, Clone)]
-pub struct EarlyStopping {
-    patience: Option<usize>,
-    epochs_without_improvement: usize,
-}
-
-impl EarlyStopping {
-    /// Creates a controller with the given patience (`None` disables early stopping).
-    pub fn new(patience: Option<usize>) -> Self {
-        EarlyStopping {
-            patience,
-            epochs_without_improvement: 0,
-        }
-    }
-
-    /// Reports whether training should stop after observing an epoch that either improved the
-    /// validation metric or not.
-    pub fn should_stop(&mut self, improved: bool) -> bool {
-        if improved {
-            self.epochs_without_improvement = 0;
-            return false;
-        }
-        self.epochs_without_improvement += 1;
-        match self.patience {
-            Some(patience) => self.epochs_without_improvement > patience,
-            None => false,
-        }
-    }
-}
-
-/// A bounded reservoir of training history for incremental (continual-learning) fits.
-///
-/// Online fine-tuning on fresh feedback alone forgets the original training distribution
-/// (catastrophic forgetting); the standard mitigation is a *replay buffer* mixing a
-/// sample of history into every fine-tune corpus.  This implementation is Vitter's
-/// Algorithm R: every item ever [`push`](ReplayBuffer::push)ed has equal probability
-/// `capacity / seen` of sitting in the reservoir, and the whole process is deterministic
-/// for a given seed and push/sample sequence (the continual-learning refresh loop keeps
-/// the repository's reproducibility story).
-#[derive(Debug, Clone)]
-pub struct ReplayBuffer<T> {
-    capacity: usize,
-    items: Vec<T>,
-    seen: u64,
-    rng: StdRng,
-}
-
-impl<T> ReplayBuffer<T> {
-    /// Creates an empty reservoir holding at most `capacity` items (at least one).
-    pub fn new(capacity: usize, seed: u64) -> Self {
-        ReplayBuffer {
-            capacity: capacity.max(1),
-            items: Vec::new(),
-            seen: 0,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Offers one item to the reservoir (Algorithm R: kept outright while the buffer has
-    /// room, otherwise it replaces a uniformly random resident with probability
-    /// `capacity / seen`).
-    pub fn push(&mut self, item: T) {
-        self.seen += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-            return;
-        }
-        use rand::Rng;
-        let slot = self.rng.gen_range(0..self.seen as usize);
-        if slot < self.capacity {
-            self.items[slot] = item;
-        }
-    }
-
-    /// Items currently in the reservoir (unspecified order).
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Number of items currently held.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Returns true when the reservoir holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Total number of items ever offered.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The reservoir's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Draws (up to) `n` items without replacement — the history half of a fine-tune
-    /// corpus.  Returns fewer when the reservoir holds fewer.
-    pub fn sample(&mut self, n: usize) -> Vec<T>
-    where
-        T: Clone,
-    {
-        use rand::seq::SliceRandom;
-        let mut indices: Vec<usize> = (0..self.items.len()).collect();
-        indices.shuffle(&mut self.rng);
-        indices
-            .into_iter()
-            .take(n)
-            .map(|index| self.items[index].clone())
-            .collect()
     }
 }
 
@@ -439,7 +321,7 @@ fn run<M: Trainable>(
     let corpus = Corpus::new(&*model, samples);
     let mut scratch = Scratch::new(&*model);
     let mut rng = StdRng::seed_from_u64(shuffle_seed);
-    let mut early_stopping = EarlyStopping::new(config.patience.filter(|_| select_best));
+    let patience = config.patience.filter(|_| select_best);
     let mut history = TrainingHistory::default();
     let mut best: Option<M> = None;
 
@@ -473,7 +355,7 @@ fn run<M: Trainable>(
         if improved && select_best {
             best = Some(model.clone());
         }
-        if early_stopping.should_stop(!improved) {
+        if patience.is_some_and(|p| epoch - history.best_epoch >= p) {
             break;
         }
     }
@@ -625,26 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_respects_patience() {
-        let mut es = EarlyStopping::new(Some(2));
-        assert!(!es.should_stop(true));
-        assert!(!es.should_stop(false));
-        assert!(!es.should_stop(false));
-        assert!(es.should_stop(false));
-        // Improvement resets the counter.
-        let mut es = EarlyStopping::new(Some(1));
-        assert!(!es.should_stop(false));
-        assert!(!es.should_stop(true));
-        assert!(!es.should_stop(false));
-        assert!(es.should_stop(false));
-        // Disabled early stopping never stops.
-        let mut es = EarlyStopping::new(None);
-        for _ in 0..100 {
-            assert!(!es.should_stop(false));
-        }
-    }
-
-    #[test]
     fn history_tracks_best_epoch() {
         let mut history = TrainingHistory::default();
         assert!(history.is_empty());
@@ -666,73 +528,6 @@ mod tests {
         assert_eq!(history.best_epoch, 2);
         assert_eq!(history.best_validation, 3.5);
         assert_eq!(history.len(), 3);
-    }
-
-    #[test]
-    fn replay_buffer_reservoir_is_bounded_uniform_and_deterministic() {
-        // Bounded: never exceeds capacity, and below capacity keeps everything.
-        let mut buffer = ReplayBuffer::new(8, 7);
-        for item in 0..5 {
-            buffer.push(item);
-        }
-        assert_eq!(buffer.len(), 5);
-        assert_eq!(buffer.seen(), 5);
-        assert_eq!(buffer.items(), &[0, 1, 2, 3, 4]);
-        for item in 5..100 {
-            buffer.push(item);
-        }
-        assert_eq!(buffer.len(), 8);
-        assert_eq!(buffer.capacity(), 8);
-        assert_eq!(buffer.seen(), 100);
-
-        // Deterministic: the same seed and push sequence yields the same reservoir.
-        let run = |seed: u64| -> Vec<u32> {
-            let mut buffer = ReplayBuffer::new(8, seed);
-            for item in 0..100u32 {
-                buffer.push(item);
-            }
-            buffer.items().to_vec()
-        };
-        assert_eq!(run(3), run(3));
-        assert_ne!(
-            run(3),
-            run(4),
-            "different seeds should differ on 100 pushes"
-        );
-
-        // Roughly uniform inclusion: over many seeds, early items survive about as often
-        // as late ones (Algorithm R's defining property).  Count item 0 vs item 99.
-        let mut first = 0usize;
-        let mut last = 0usize;
-        for seed in 0..200 {
-            let items = run(seed);
-            first += items.contains(&0) as usize;
-            last += items.contains(&99) as usize;
-        }
-        // Expected inclusion is 8/100 = 16 of 200; allow a generous band.
-        assert!((4..=40).contains(&first), "item 0 survived {first}/200");
-        assert!((4..=40).contains(&last), "item 99 survived {last}/200");
-    }
-
-    #[test]
-    fn replay_buffer_sampling_is_without_replacement() {
-        let mut buffer = ReplayBuffer::new(16, 5);
-        for item in 0..10 {
-            buffer.push(item);
-        }
-        let sample = buffer.sample(6);
-        assert_eq!(sample.len(), 6);
-        let mut unique = sample.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), 6, "no repeats within one draw");
-        // Asking for more than the reservoir holds returns everything once.
-        let all = buffer.sample(100);
-        assert_eq!(all.len(), 10);
-        // An empty reservoir yields an empty draw.
-        let mut empty: ReplayBuffer<u8> = ReplayBuffer::new(4, 1);
-        assert!(empty.is_empty());
-        assert!(empty.sample(3).is_empty());
     }
 
     #[test]

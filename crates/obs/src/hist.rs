@@ -2,7 +2,7 @@
 //!
 //! The hot path is a single relaxed `fetch_add` on a shard picked by a thread-local
 //! slot, so concurrent recorders never contend on a cache line. Shards are merged only
-//! at snapshot time. Buckets are log-linear: each value below 16 has a bucket of its
+//! when read. Buckets are log-linear: each value below 16 has a bucket of its
 //! own, and above that every power-of-two octave `[2^k, 2^(k+1))` is cut into 16 equal
 //! linear sub-buckets, so a bucket is at most 1/16 as wide as its lower bound and a
 //! quantile read off the histogram is within 6.25 % of the exact sorted-oracle value.
@@ -130,39 +130,5 @@ impl std::fmt::Debug for Hist {
             .field("shards", &self.shards.len())
             .field("count", &self.count())
             .finish()
-    }
-}
-
-/// A point-in-time read of a histogram, carried by snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistSnapshot {
-    /// Total observations.
-    pub count: u64,
-    /// Median (bucket upper bound, nearest-rank rule).
-    pub p50: u64,
-    /// 99th percentile (bucket upper bound, nearest-rank rule).
-    pub p99: u64,
-    /// Upper bound of the highest non-empty bucket.
-    pub max: u64,
-}
-
-impl HistSnapshot {
-    /// Reads the histogram's current merged state.
-    pub fn of(hist: &Hist) -> Self {
-        let merged = hist.merged();
-        let count = merged.iter().sum();
-        let max = merged
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, c)| **c > 0)
-            .map(|(bucket, _)| bucket_bounds(bucket).1)
-            .unwrap_or(0);
-        Self {
-            count,
-            p50: hist.quantile(0.50),
-            p99: hist.quantile(0.99),
-            max,
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! # crn-obs — zero-overhead-when-off observability for the serving stack
 //!
-//! A dependency-free metrics + tracing layer threaded through `crn-core`, `crn-serve`,
-//! `crn-online` and `crn-cluster`:
+//! A dependency-free metrics + tracing layer threaded through `crn-core`, `crn-serve` and
+//! `crn-cluster`:
 //!
 //! - **Metrics registry** — named counters and fixed-bucket log-linear latency
 //!   histograms ([`hist`]); histogram recording is one relaxed atomic add on a
@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use hist::{bucket_bounds, bucket_index, Hist, HistSnapshot, BUCKETS};
+pub use hist::{bucket_bounds, bucket_index, Hist, BUCKETS};
 pub use journal::{Event, Journal, JournalEntry};
 pub use metrics::{Counter, HistHandle, Snapshot};
 pub use span::{RequestTrace, TraceStart};
@@ -159,14 +159,13 @@ impl Obs {
             .unwrap_or_default()
     }
 
-    /// A point-in-time read of every registered metric plus journal health.
+    /// A point-in-time read of every registered counter plus journal health.
     pub fn snapshot(&self) -> Snapshot {
         match &self.inner {
             None => Snapshot::default(),
             Some(inner) => Snapshot {
                 at_us: inner.clock.now_us(),
                 counters: inner.registry.counter_values(),
-                hists: inner.registry.hist_summaries(),
                 journal_recorded: inner.journal.recorded(),
                 journal_dropped: inner.journal.dropped(),
             },
@@ -196,11 +195,12 @@ mod tests {
         counter.inc();
         assert_eq!(counter.get(), 1, "counters stay live when disabled");
         assert_eq!(obs.counter("c").get(), 0, "never shared");
-        obs.hist("h").record(10);
+        let hist = obs.hist("h");
+        hist.record(10);
+        assert_eq!((hist.count(), hist.quantile(0.5)), (0, 0));
         obs.record_event(Event::LaneDegraded { lane: "scheduler" });
         let snapshot = obs.snapshot();
         assert!(snapshot.counters.is_empty());
-        assert!(snapshot.hists.is_empty());
         assert!(obs.events_since(0).is_empty());
     }
 
@@ -216,8 +216,10 @@ mod tests {
         let snapshot = obs.snapshot();
         assert_eq!(snapshot.at_us, 42);
         assert_eq!(snapshot.counters, vec![("serve.batches".to_string(), 3)]);
-        assert_eq!(snapshot.hists.len(), 1);
-        assert_eq!(snapshot.hists[0].1.count, 1);
+        // A second handle of the same name reads the one registered histogram.
+        let latency = obs.hist("serve.latency_us");
+        assert_eq!(latency.count(), 1);
+        assert_eq!(latency.quantile(0.5), bucket_bounds(bucket_index(100)).1);
         let events = obs.events_since(0);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].at_us, 42);

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::hist::{Hist, HistSnapshot};
+use crate::hist::Hist;
 
 /// Per-thread shard count of every registered histogram.
 const HIST_SHARDS: usize = 8;
@@ -104,15 +104,13 @@ impl Registry {
     }
 }
 
-/// A point-in-time read of every registered metric, sorted by name.
+/// A point-in-time read of every registered counter, sorted by name, and of the journal.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Clock microseconds at snapshot time.
     pub at_us: u64,
     /// `(name, value)` for every counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, summary)` for every histogram.
-    pub hists: Vec<(String, HistSnapshot)>,
     /// Journal events recorded / dropped by ring overflow so far.
     pub journal_recorded: u64,
     /// See [`Snapshot::journal_recorded`].
@@ -126,15 +124,6 @@ impl Registry {
         counters
             .iter()
             .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// `(name, summary)` for every histogram, sorted by name.
-    pub(crate) fn hist_summaries(&self) -> Vec<(String, HistSnapshot)> {
-        let hists = self.hists.lock().expect("hist registry");
-        hists
-            .iter()
-            .map(|(name, hist)| (name.clone(), HistSnapshot::of(hist)))
             .collect()
     }
 }

@@ -18,8 +18,8 @@
 //!   [`Supervisor`](crate::Supervisor) restart path is exercised;
 //! * [`FaultSite::MaintenanceUpsert`] panics inside the upsert containment — the lane
 //!   counts the failure and keeps draining;
-//! * [`FaultSite::RefreshCycle`] panics the background refresh worker
-//!   (`crn-online`) — its supervised loop restarts it.
+//! * [`FaultSite::ClusterFrameDrop`] tears a cluster connection mid-frame — the
+//!   coordinator degrades that worker's queries.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use crn_nn::parallel::lock_ignoring_poison;
 
 /// Number of distinct [`FaultSite`]s (sizes the per-site arrival counters).
-const SITE_COUNT: usize = 6;
+const SITE_COUNT: usize = 5;
 
 /// Where in the serving stack a scripted fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +46,6 @@ pub enum FaultSite {
     /// In the maintenance loop, outside containment, mid-record (after the pop, before
     /// the upsert): the lane thread dies and the supervisor restarts it.
     MaintenanceLoop,
-    /// Panics the background refresh worker's cycle (`crn-online`): its supervised loop
-    /// restarts the worker.
-    RefreshCycle,
     /// Drops a cluster connection **mid-frame** (`crn-cluster`): the coordinator writes
     /// a truncated frame and shuts the socket, so the worker sees a torn stream and the
     /// coordinator must degrade that worker's queries — deterministically, no wall
@@ -63,8 +60,7 @@ impl FaultSite {
             FaultSite::SchedulerLoop => 1,
             FaultSite::MaintenanceUpsert => 2,
             FaultSite::MaintenanceLoop => 3,
-            FaultSite::RefreshCycle => 4,
-            FaultSite::ClusterFrameDrop => 5,
+            FaultSite::ClusterFrameDrop => 4,
         }
     }
 
@@ -75,7 +71,6 @@ impl FaultSite {
             FaultSite::SchedulerLoop => "scheduler-kill",
             FaultSite::MaintenanceUpsert => "maint-panic",
             FaultSite::MaintenanceLoop => "maint-kill",
-            FaultSite::RefreshCycle => "refresh-panic",
             FaultSite::ClusterFrameDrop => "cluster-frame-drop",
         }
     }
@@ -198,7 +193,6 @@ const ALL_SITES: [FaultSite; SITE_COUNT] = [
     FaultSite::SchedulerLoop,
     FaultSite::MaintenanceUpsert,
     FaultSite::MaintenanceLoop,
-    FaultSite::RefreshCycle,
     FaultSite::ClusterFrameDrop,
 ];
 
@@ -324,7 +318,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_shipped_plan_shapes() {
-        let plan = FaultPlan::parse("batch-panic:2, maint-kill, refresh-panic:every3").unwrap();
+        let plan = FaultPlan::parse("batch-panic:2, maint-kill, maint-panic:every3").unwrap();
         assert_eq!(
             plan.specs,
             vec![
@@ -337,13 +331,18 @@ mod tests {
                     trigger: FaultTrigger::Once(1),
                 },
                 FaultSpec {
-                    site: FaultSite::RefreshCycle,
+                    site: FaultSite::MaintenanceUpsert,
                     trigger: FaultTrigger::Every(3),
                 },
             ]
         );
         assert!(FaultPlan::parse("").unwrap().is_empty());
-        for bad in ["nonsense:1", "batch-panic:0", "batch-panic:soon"] {
+        for bad in [
+            "nonsense:1",
+            "refresh-panic",
+            "batch-panic:0",
+            "batch-panic:soon",
+        ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad} must not parse");
         }
     }

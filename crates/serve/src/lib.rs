@@ -88,10 +88,9 @@ pub use fault::{
 };
 pub use queue::{RejectReason, SubmitError};
 pub use runtime::{
-    FeedbackObserver, RuntimeConfig, RuntimeStats, ServeRuntime, RETRY_BACKOFF_CEIL,
-    RETRY_BACKOFF_FLOOR,
+    RuntimeConfig, RuntimeStats, ServeRuntime, RETRY_BACKOFF_CEIL, RETRY_BACKOFF_FLOOR,
 };
 pub use supervisor::{
-    Supervisor, SupervisorPolicy, SupervisorVerdict, LANE_MAINTENANCE, LANE_REFRESH, LANE_SCHEDULER,
+    Supervisor, SupervisorPolicy, SupervisorVerdict, LANE_MAINTENANCE, LANE_SCHEDULER,
 };
 pub use ticket::{EstimateSource, Ticket, TicketError, TicketOutcome};

@@ -65,23 +65,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Downstream consumer of the maintenance lane's observed feedback — the channel the
-/// online model-refresh subsystem (`crn-online`) listens on.
-///
-/// The maintenance thread calls [`observe`](FeedbackObserver::observe) for every record
-/// submitted through [`ServeRuntime::record_observed`] *after* its pool upsert applied,
-/// so an observer sees exactly the `(query, true cardinality, estimate)` triples that
-/// reached the pool, in application order.  Observers run on the maintenance thread:
-/// keep `observe` cheap (enqueue-and-return) — a slow observer stalls pool refreshes,
-/// never serving.  A panicking observer is contained separately from the (already
-/// applied) upsert: counted in [`RuntimeStats::observer_failed`], the lane keeps
-/// draining.
-pub trait FeedbackObserver: Send + Sync {
-    /// One applied feedback record: the executed query, its true cardinality, and the
-    /// estimate the runtime served for it (what the drift detector compares).
-    fn observe(&self, query: &Query, true_cardinality: u64, estimate: f64);
-}
-
 /// Configuration of one [`ServeRuntime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -119,8 +102,7 @@ pub struct RuntimeConfig {
     /// and its ticket resolves [`Expired`](crate::TicketError::Expired).  `None` (the
     /// default) = requests wait as long as the queue holds them.
     pub default_deadline: Option<Duration>,
-    /// Restart budget of the supervised lanes (scheduler, maintenance — and the refresh
-    /// worker, when `crn-online` shares this runtime's supervisor).
+    /// Restart budget of the supervised lanes (scheduler, maintenance).
     pub restart_policy: SupervisorPolicy,
     /// Background pool-compaction cadence: run [`ComputeBackend::compact`] on the
     /// maintenance lane after every this many *applied* feedback records — structural
@@ -356,9 +338,6 @@ runtime_stats! {
         /// draining), or that were lost to a maintenance-thread kill / budget-breach
         /// drain.
         maintenance_failed,
-        /// Applied records whose [`FeedbackObserver`] panicked (contained separately:
-        /// the upsert itself succeeded and stays counted in `maintenance_applied`).
-        observer_failed,
         /// Applied observed-feedback records whose served-estimate q-error was folded
         /// into the pool anchor's retention weight
         /// ([`record_feedback`](crn_core::ShardedPool::record_feedback)) — the signal
@@ -454,7 +433,7 @@ impl ObsHooks {
 
 /// One queued maintenance record: the query, its observed true cardinality, and — when
 /// submitted through [`ServeRuntime::record_observed`] — the estimate the runtime served
-/// for it (forwarded to the [`FeedbackObserver`] after the upsert applies).
+/// for it (folded into the anchor's retention weight after the upsert applies).
 struct MaintRecord {
     query: Query,
     cardinality: u64,
@@ -528,8 +507,6 @@ struct Shared<B> {
     maint_ready: Condvar,
     /// Maintenance thread → `flush` waiters.
     maint_idle: Condvar,
-    /// The downstream feedback consumer (the online refresh controller), if any.
-    feedback_observer: Mutex<Option<Arc<dyn FeedbackObserver>>>,
     /// Applied maintenance records since the last background compaction (see
     /// [`RuntimeConfig::compact_every`]).
     since_compaction: AtomicU64,
@@ -620,7 +597,6 @@ impl<B: ComputeBackend> ServeRuntime<B> {
             }),
             maint_ready: Condvar::new(),
             maint_idle: Condvar::new(),
-            feedback_observer: Mutex::new(None),
             since_compaction: AtomicU64::new(0),
             inflight: Mutex::new(None),
             cache,
@@ -663,8 +639,8 @@ impl<B: ComputeBackend> ServeRuntime<B> {
         &self.shared.config
     }
 
-    /// The lanes' supervisor — share it with a `crn-online` `RefreshWorker` so all
-    /// three supervised threads budget under one policy and report in one place.
+    /// The lanes' supervisor: restart counts and degraded flags of the scheduler and
+    /// maintenance threads.
     pub fn supervisor(&self) -> &Arc<Supervisor> {
         &self.shared.supervisor
     }
@@ -863,10 +839,10 @@ impl<B: ComputeBackend> ServeRuntime<B> {
     }
 
     /// [`record_feedback`](ServeRuntime::record_feedback) carrying the estimate the
-    /// runtime served for the query: after the pool upsert applies, the full
-    /// `(query, true cardinality, estimate)` triple is forwarded to the configured
-    /// [`FeedbackObserver`] — the feedback channel of the online model-refresh
-    /// subsystem.  Without an observer this behaves exactly like `record_feedback`.
+    /// runtime served for the query: after the pool upsert applies, the estimate's
+    /// q-error is folded into the anchor's retention weight (counted in
+    /// [`RuntimeStats::retention_updates`]), the signal the bounded-capacity pool's
+    /// eviction ranks by.
     pub fn record_observed(
         &self,
         query: Query,
@@ -874,13 +850,6 @@ impl<B: ComputeBackend> ServeRuntime<B> {
         estimate: f64,
     ) -> Result<(), SubmitError> {
         self.enqueue_maintenance(query, cardinality, Some(estimate))
-    }
-
-    /// Installs (or replaces) the downstream feedback consumer.  Applies to records
-    /// enqueued from now on; records already in the lane keep the observer that is
-    /// current when they apply.
-    pub fn set_feedback_observer(&self, observer: Arc<dyn FeedbackObserver>) {
-        *lock_ignoring_poison(&self.shared.feedback_observer) = Some(observer);
     }
 
     /// The shared admission step of both feedback shapes.
@@ -1558,19 +1527,14 @@ fn maintenance_loop<B: ComputeBackend>(shared: &Shared<B>) {
     }
 }
 
-/// What follows an applied upsert on the maintenance lane: the retention fold and the
-/// forward of the applied triple to the online feedback channel — after the upsert (an
-/// observer reacting to the record, e.g. by reading the pool, must see the refreshed
-/// entry) and each contained separately, since a panic there must neither kill the lane
-/// nor mislabel the successful upsert as a maintenance failure — then the compaction
-/// cadence.
+/// What follows an applied upsert on the maintenance lane: the retention fold — contained
+/// separately, since a panic there must neither kill the lane nor mislabel the successful
+/// upsert as a maintenance failure — then the compaction cadence.
 fn after_upsert<B: ComputeBackend>(shared: &Shared<B>, record: &MaintRecord) {
     if let Some(estimate) = record.estimate {
         // Fold the served estimate's q-error into the (just-refreshed) anchor's
         // retention weight: anchors that keep producing bad estimates sink in
-        // the bounded-capacity pool's eviction order.  Same containment rules
-        // as the observer below — a panic here must not kill the lane or
-        // mislabel the applied upsert.
+        // the bounded-capacity pool's eviction order.
         let retained = catch_unwind(AssertUnwindSafe(|| {
             let q_error =
                 crn_nn::q_error(estimate.max(1.0), (record.cardinality.max(1)) as f64, 1.0);
@@ -1578,15 +1542,6 @@ fn after_upsert<B: ComputeBackend>(shared: &Shared<B>, record: &MaintRecord) {
         }));
         if matches!(retained, Ok(true)) {
             shared.counters.retention_updates.inc();
-        }
-        let observer = lock_ignoring_poison(&shared.feedback_observer).clone();
-        if let Some(observer) = observer {
-            let observed = catch_unwind(AssertUnwindSafe(|| {
-                observer.observe(&record.query, record.cardinality, estimate);
-            }));
-            if observed.is_err() {
-                shared.counters.observer_failed.inc();
-            }
         }
     }
     // Background compaction cadence: every `compact_every` applied records,

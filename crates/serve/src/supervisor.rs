@@ -30,8 +30,6 @@ use std::sync::Mutex;
 pub const LANE_SCHEDULER: &str = "scheduler";
 /// The maintenance lane's supervision key.
 pub const LANE_MAINTENANCE: &str = "maintenance";
-/// The background refresh worker's supervision key (`crn-online`).
-pub const LANE_REFRESH: &str = "refresh";
 
 /// Restart budget of one supervised lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,17 +209,17 @@ mod tests {
             restart_window: Duration::from_millis(10),
         });
         assert_eq!(
-            supervisor.on_panic(LANE_REFRESH),
+            supervisor.on_panic(LANE_MAINTENANCE),
             SupervisorVerdict::Restart
         );
         std::thread::sleep(Duration::from_millis(25));
         // The earlier panic fell out of the window: the budget is fresh again.
         assert_eq!(
-            supervisor.on_panic(LANE_REFRESH),
+            supervisor.on_panic(LANE_MAINTENANCE),
             SupervisorVerdict::Restart
         );
-        assert_eq!(supervisor.restarts(LANE_REFRESH), 2);
-        assert!(!supervisor.degraded(LANE_REFRESH));
+        assert_eq!(supervisor.restarts(LANE_MAINTENANCE), 2);
+        assert!(!supervisor.degraded(LANE_MAINTENANCE));
     }
 
     #[test]

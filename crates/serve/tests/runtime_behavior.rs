@@ -3,7 +3,7 @@
 //! every query to the configured default estimate, so serving is near-instant and the
 //! tests exercise pure queue/scheduler behaviour).
 
-use crn_core::{EstimatorService, ShardedPool};
+use crn_core::{EstimatorService, ShardedPool, DEFAULT_RETENTION_WEIGHT};
 use crn_estimators::ContainmentEstimator;
 use crn_nn::parallel::WorkerPool;
 use crn_query::Query;
@@ -468,82 +468,41 @@ fn maintenance_lane_sheds_at_depth() {
     runtime.shutdown();
 }
 
-/// The feedback channel: `record_observed` triples reach the configured observer in
-/// application order and only after their upsert applied; plain `record_feedback`
-/// records (no estimate) never reach it; a panicking observer is contained exactly like
-/// a panicking upsert.
+/// `record_observed` folds the served estimate's q-error into the upserted anchor's
+/// retention weight (the signal the bounded pool's eviction ranks by) and counts it in
+/// `retention_updates`; a plain `record_feedback` refreshes the pool but does neither.
 #[test]
-fn feedback_observer_receives_applied_triples_in_order() {
-    struct Collector(std::sync::Mutex<Vec<(String, u64, f64)>>);
-    impl crn_serve::FeedbackObserver for Collector {
-        fn observe(&self, query: &Query, true_cardinality: u64, estimate: f64) {
-            self.0
-                .lock()
-                .unwrap()
-                .push((format!("{query}"), true_cardinality, estimate));
-        }
-    }
-
+fn record_observed_folds_the_served_q_error_into_retention() {
     let runtime = instant_runtime(RuntimeConfig::default());
-    let collector = Arc::new(Collector(std::sync::Mutex::new(Vec::new())));
-    runtime.set_feedback_observer(Arc::clone(&collector) as Arc<dyn crn_serve::FeedbackObserver>);
+    let pool = runtime.service().pool();
+    let weight =
+        |query: &Query| pool.snapshot().shards()[pool.shard_of(query)].retention_weight(query);
 
-    let scans = ["title", "cast_info", "movie_companies"];
-    for (index, table) in scans.iter().enumerate() {
+    // Served 10, executed 100: q-error 10, so the weight moves 0.3 of the way to 1/10.
+    let observed = Query::scan("title");
+    runtime
+        .record_observed(observed.clone(), 100, 10.0)
+        .expect("maintenance admits");
+    runtime.flush();
+    let sunk = 0.7 * DEFAULT_RETENTION_WEIGHT + (1.0 - 0.7) * 0.1;
+    assert_eq!(weight(&observed), sunk);
+    assert_eq!(runtime.stats().retention_updates, 1);
+
+    // Without an estimate: a new anchor joins at the default weight, and a refreshed
+    // resident anchor keeps the weight it had.
+    let plain = Query::scan("movie_info");
+    for (query, cardinality) in [(&plain, 7), (&observed, 90)] {
         runtime
-            .record_observed(Query::scan(table), 100 + index as u64, 50.0 + index as f64)
+            .record_feedback(query.clone(), cardinality)
             .expect("maintenance admits");
     }
-    // A record without an estimate refreshes the pool but is not part of the channel.
-    runtime
-        .record_feedback(Query::scan("movie_info"), 7)
-        .expect("maintenance admits");
-    runtime.flush();
-
-    let stats = runtime.stats();
-    assert_eq!(stats.maintenance_applied, 4, "all four records applied");
-    assert_eq!(runtime.service().pool().len(), 4);
-    let observed = collector.0.lock().unwrap().clone();
-    assert_eq!(observed.len(), 3, "only observed records reach the channel");
-    for (index, (query, cardinality, estimate)) in observed.iter().enumerate() {
-        assert!(query.contains(scans[index]), "application order preserved");
-        assert_eq!(*cardinality, 100 + index as u64);
-        assert_eq!(*estimate, 50.0 + index as f64);
-    }
-
-    // A panicking observer is contained separately from the upsert: the upsert itself
-    // applied (and stays counted as applied), the panic lands in observer_failed, and
-    // the lane survives.
-    struct PanickyObserver;
-    impl crn_serve::FeedbackObserver for PanickyObserver {
-        fn observe(&self, _query: &Query, _true_cardinality: u64, _estimate: f64) {
-            panic!("injected observer panic");
-        }
-    }
-    runtime.set_feedback_observer(Arc::new(PanickyObserver));
-    runtime
-        .record_observed(Query::scan("movie_keyword"), 9, 3.0)
-        .expect("maintenance admits");
     runtime.flush();
     let stats = runtime.stats();
-    assert_eq!(stats.observer_failed, 1, "observer panic contained");
-    assert_eq!(stats.maintenance_failed, 0, "the upsert itself succeeded");
-    assert_eq!(
-        stats.maintenance_applied, 5,
-        "the applied counter tracks the pool"
-    );
-    assert_eq!(runtime.service().pool().len(), 5);
-    // The lane keeps draining afterwards.
-    runtime.set_feedback_observer(collector);
-    runtime
-        .record_observed(Query::scan("movie_info_idx"), 11, 4.0)
-        .expect("maintenance admits");
-    runtime.flush();
-    let stats = runtime.stats();
-    assert_eq!(
-        stats.maintenance_applied, 6,
-        "4 initial + panicky-observer + 1 more"
-    );
+    assert_eq!(stats.maintenance_applied, 3);
+    assert_eq!(stats.retention_updates, 1, "plain feedback folds nothing");
+    assert_eq!(weight(&plain), DEFAULT_RETENTION_WEIGHT);
+    assert_eq!(weight(&observed), sunk);
+    assert_eq!(runtime.service().pool().len(), 2);
     runtime.shutdown();
 }
 

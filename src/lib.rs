@@ -12,10 +12,8 @@
 //! * [`core`] — the CRN model, the `Crd2Cnt`/`Cnt2Crd` transformations, the queries pool and
 //!   the improved-estimator wrapper ([`crn_core`]);
 //! * [`serve`] — the async request-queue serving runtime: admission control, cross-call
-//!   batching windows and the online pool-maintenance lane ([`crn_serve`]);
-//! * [`online`] — the continual-learning model-refresh subsystem: drift detection on the
-//!   feedback stream, warm-start fine-tuning and validated hot-swap into the live
-//!   serving path ([`crn_online`]);
+//!   batching windows and the pool-maintenance lane that feeds executed queries' true
+//!   cardinalities back into the pool ([`crn_serve`]);
 //! * [`eval`] — workloads, metrics and the per-table/figure experiment harness ([`crn_eval`]).
 //!
 //! # Quick start
@@ -46,7 +44,6 @@ pub use crn_estimators as estimators;
 pub use crn_eval as eval;
 pub use crn_exec as exec;
 pub use crn_nn as nn;
-pub use crn_online as online;
 pub use crn_query as query;
 pub use crn_serve as serve;
 
@@ -67,7 +64,6 @@ pub mod prelude {
         Executor, TableSamples,
     };
     pub use crn_nn::{q_error, LossKind, TrainConfig};
-    pub use crn_online::{ExecLabeler, OnlineConfig, RefreshController, RefreshWorker};
     pub use crn_query::generator::{
         GeneratorConfig, QueryGenerator, ScaleGenerator, ScaleGeneratorConfig,
     };
