@@ -177,15 +177,13 @@ fn bench_training_step(c: &mut Criterion) {
     });
     let zero_gradient = Matrix::zeros(512, 256);
     let mut stuck = Matrix::xavier_seeded(512, 256, 23);
-    let mut adam = Adam {
-        m: vec![Matrix::from_vec(
-            512,
-            256,
-            vec![f32::from_bits(1); 512 * 256],
-        )],
-        v: vec![Matrix::zeros(512, 256)],
-        ..Adam::default()
-    };
+    let mut adam = Adam::default();
+    adam.m = vec![Matrix::from_vec(
+        512,
+        256,
+        vec![f32::from_bits(1); 512 * 256],
+    )];
+    adam.v = vec![Matrix::zeros(512, 256)];
     group.bench_function("adam_step_131k_stuck_subnormal_moments", |b| {
         b.iter(|| adam.step_with(vec![&mut stuck], std::slice::from_ref(&zero_gradient)))
     });

@@ -99,7 +99,7 @@ impl std::fmt::Debug for PackedWeights {
 
 impl PackedWeights {
     /// Zeroed panels for a `rows×cols` matrix.
-    fn zeroed(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeroed(rows: usize, cols: usize) -> Self {
         let lines = cols.div_ceil(PANEL) * rows * (PANEL / LINE);
         PackedWeights {
             rows,

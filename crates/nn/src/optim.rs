@@ -29,10 +29,17 @@
 
 use crate::matrix::Matrix;
 use crate::parallel::{lock_ignoring_poison, GradientSet, WorkerPool};
+use crate::train::KeptScratch;
 use std::sync::Mutex;
 
 /// Adam optimizer state and hyperparameters: everything an optimizer step reads besides
 /// the weights and their gradients.
+///
+/// An `Adam` also keeps the training loop's scratch (its shard gradient sets and backward
+/// panels, [`crate::train`]) from one run of the loop on it to the next, so a
+/// `fit_incremental` step on a resumed optimizer allocates none of them.  The scratch is
+/// not state — no run reads what an earlier one left in it — so a clone starts without it,
+/// and equality and `Debug` ignore it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     /// Learning rate (the paper's default is `0.001`, §3.5).
@@ -50,6 +57,8 @@ pub struct Adam {
     pub m: Vec<Matrix>,
     /// Second-moment estimates, laid out like [`Adam::m`].
     pub v: Vec<Matrix>,
+    /// The training loop's scratch between its runs on this optimizer.
+    pub(crate) scratch: KeptScratch,
 }
 
 /// Elements of one [`Adam::step_sharded`] work item: large enough that handing it out costs
@@ -82,6 +91,7 @@ impl Adam {
             step_count: 0,
             m: Vec::new(),
             v: Vec::new(),
+            scratch: KeptScratch::default(),
         }
     }
 

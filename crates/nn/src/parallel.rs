@@ -14,7 +14,7 @@
 //!   submit every mini-batch / per-query job to the same long-lived workers;
 //! * [`GradientSet`] — a model's gradient tensors as plain matrices, detached from the
 //!   parameters so every shard can accumulate privately ([`ShardGradients`]: one set per
-//!   shard, kept for the whole training run);
+//!   shard, kept by the caller's optimizer from one training run to the next);
 //! * [`reduce_gradients`] — merges per-shard gradient sets in a **fixed shard order**
 //!   (tree reduction by default, strictly sequential in deterministic mode).  Training
 //!   applies the same sums element by element inside the optimizer pass
@@ -570,10 +570,11 @@ impl GradientSet {
     }
 }
 
-/// The gradient sets the shards of a mini-batch accumulate into, one per shard, allocated
-/// once per training run and zeroed by the shard that starts on them — not allocated (and
-/// page-faulted in) once per shard per step.  [`Adam::step_sharded`](crate::optim::Adam::step_sharded)
-/// sums them in shard order.
+/// The gradient sets the shards of a mini-batch accumulate into, one per shard: part of the
+/// training loop's scratch, which the caller's [`Adam`](crate::optim::Adam) keeps between
+/// runs, and zeroed by the shard that starts on them — not allocated (and page-faulted in)
+/// once per shard per step.  [`Adam::step_sharded`](crate::optim::Adam::step_sharded) sums
+/// them in shard order.
 #[derive(Debug)]
 pub struct ShardGradients {
     /// A mutex per set: the pool hands every shard index to exactly one worker, and this is
@@ -589,6 +590,17 @@ impl ShardGradients {
                 .map(|_| Mutex::new(GradientSet::zeros(shapes)))
                 .collect(),
         }
+    }
+
+    /// Whether these are the sets [`ShardGradients::new`] makes of `shapes` for `config`.
+    pub(crate) fn fits(&mut self, shapes: &[(usize, usize)], config: &ThreadPoolConfig) -> bool {
+        let count = self.sets.len();
+        let shape = |part: &Matrix| (part.rows(), part.cols());
+        count == config.shard_count(usize::MAX)
+            && self
+                .sets(count)
+                .into_iter()
+                .all(|set| set.parts().iter().map(shape).eq(shapes.iter().copied()))
     }
 
     /// Shard `shard`'s set, zeroed, for the worker that runs the shard.

@@ -11,7 +11,10 @@
 //! The loop owns everything else: featurization on the worker pool, the train/validation
 //! split and seeded shuffling, sharding each mini-batch over [`ShardGradients`] and applying
 //! the shards with [`Adam::step_sharded`], validation chunks on the pool, early stopping and
-//! the best-epoch restore.  It runs on two schedules:
+//! the best-epoch restore.  Its scratch — the shard gradient sets and the backward panels —
+//! is kept by the caller's [`Adam`] between runs and reused while the model's shapes and
+//! shard count stay the same, so a one-batch [`fit_incremental`] allocates none of it.  It
+//! runs on two schedules:
 //!
 //! * [`fit`] — a fresh [`Adam`] over [`TrainConfig::epochs`] epochs of the training split,
 //!   early stopping on the validation split and restoring the best epoch's model;
@@ -247,7 +250,7 @@ pub trait Trainable: Clone + Sync {
 /// Trains `model` on `samples`: a fresh [`Adam`] over [`TrainConfig::epochs`] epochs of the
 /// training split, early stopping on the validation split (`validation_fraction`,
 /// `patience`), and the model of the best validation epoch restored at the end.  Returns the
-/// per-epoch history (Figures 3 and 4).
+/// per-epoch history (Figures 3 and 4).  The loop's scratch goes with the optimizer.
 pub fn fit<M: Trainable>(model: &mut M, samples: &[M::Sample]) -> TrainingHistory {
     let config = model.config();
     let split = train_validation_split(samples.len(), config.validation_fraction, config.seed);
@@ -263,7 +266,8 @@ pub fn fit<M: Trainable>(model: &mut M, samples: &[M::Sample]) -> TrainingHistor
 /// validation split, early stopping or best-epoch restore: the recorded
 /// `validation_q_error` is the epoch's mean training loss.  The shuffling is seeded from
 /// the config seed and `adam`'s step count, so every refresh reshuffles differently and the
-/// whole trajectory stays reproducible.  Empty `samples` or `epochs == 0` are a no-op.
+/// whole trajectory stays reproducible.  The loop's scratch stays in `adam` for the next
+/// call.  Empty `samples` or `epochs == 0` are a no-op.
 pub fn fit_incremental<M: Trainable>(
     model: &mut M,
     samples: &[M::Sample],
@@ -319,7 +323,7 @@ fn run<M: Trainable>(
     let (train, validation) = split.unwrap_or_else(|| ((0..samples.len()).collect(), Vec::new()));
     let config = model.config().clone();
     let corpus = Corpus::new(&*model, samples);
-    let mut scratch = Scratch::new(&*model);
+    let mut scratch = Scratch::reuse_or_new(adam.scratch.0.take(), &*model);
     let mut rng = StdRng::seed_from_u64(shuffle_seed);
     let patience = config.patience.filter(|_| select_best);
     let mut history = TrainingHistory::default();
@@ -359,6 +363,7 @@ fn run<M: Trainable>(
             break;
         }
     }
+    adam.scratch.0 = Some(scratch);
     if let Some(best) = best {
         *model = best;
     }
@@ -416,25 +421,72 @@ impl<M: Trainable> Corpus<M> {
 }
 
 /// What the loop keeps from one mini-batch to the next: the backward pass's weight panels
-/// and one gradient set per shard, allocated once per run.
-struct Scratch {
+/// and one gradient set per shard, kept by the caller's [`Adam`] from one run to the next.
+/// No batch reads what an earlier one left in it: the panels are packed anew before every
+/// batch, and each set is zeroed by the shard that starts on it.
+pub(crate) struct Scratch {
     panels: Vec<PackedWeights>,
     shards: ShardGradients,
 }
 
+/// The [`Scratch`] an [`Adam`] keeps between runs of the loop.  It carries no state, so a
+/// clone starts without it, and equality and `Debug` ignore it.
+#[derive(Default)]
+pub(crate) struct KeptScratch(Option<Scratch>);
+
+impl Clone for KeptScratch {
+    fn clone(&self) -> Self {
+        KeptScratch(None)
+    }
+}
+
+impl PartialEq for KeptScratch {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for KeptScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("..")
+    }
+}
+
 impl Scratch {
+    /// Zeroed panels and shard sets for `model`: [`Scratch::run_shards`] packs the panels.
     fn new<M: Trainable>(model: &M) -> Self {
         Scratch {
             panels: model
                 .backward_weights()
                 .into_iter()
-                .map(PackedWeights::pack_transposed)
+                .map(|weights| PackedWeights::zeroed(weights.cols(), weights.rows()))
                 .collect(),
             shards: ShardGradients::new(&model.gradient_shapes(), &model.config().parallel),
         }
     }
 
-    /// The data-parallel part of the mini-batch `batch`: repacks the panels from the model's
+    /// `kept` if its panels and shard sets have the shapes and the shard count [`Scratch::new`]
+    /// would give `model`, else a new scratch.
+    fn reuse_or_new<M: Trainable>(kept: Option<Scratch>, model: &M) -> Self {
+        let Some(mut scratch) = kept else {
+            return Scratch::new(model);
+        };
+        let panels = scratch
+            .panels
+            .iter()
+            .map(|panels| (panels.cols(), panels.rows()));
+        let weights = model.backward_weights().into_iter();
+        let parallel = &model.config().parallel;
+        if panels.eq(weights.map(|weights| (weights.rows(), weights.cols())))
+            && scratch.shards.fits(&model.gradient_shapes(), parallel)
+        {
+            scratch
+        } else {
+            Scratch::new(model)
+        }
+    }
+
+    /// The data-parallel part of the mini-batch `batch`: packs the panels from the model's
     /// current weights once, cuts the batch at sample boundaries into the config's shards,
     /// and runs [`Trainable::train_shard`] per shard on the pool, each into its own gradient
     /// set.  Returns the per-sample losses in batch order and how many shards ran (their sets
@@ -469,6 +521,190 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{relu, relu_backward, Dense};
+    use crate::loss::loss_and_grad;
+
+    const TOY_INPUTS: usize = 6;
+
+    /// A two-layer regression MLP: the smallest [`Trainable`] whose backward pass reads its
+    /// panels.
+    #[derive(Clone)]
+    struct Toy {
+        config: TrainConfig,
+        hidden: Dense,
+        out: Dense,
+    }
+
+    impl Toy {
+        fn new(parallel: ThreadPoolConfig) -> Self {
+            Toy {
+                config: TrainConfig {
+                    batch_size: 16,
+                    loss: LossKind::Mse,
+                    parallel,
+                    ..TrainConfig::fast_test()
+                },
+                hidden: Dense::new(TOY_INPUTS, 8, 1),
+                out: Dense::new(8, 1, 2),
+            }
+        }
+
+        /// `count` samples of `y = 1 + Σ x / 4` over seeded inputs in `[-1, 1)`.
+        fn samples(count: usize) -> Vec<(Vec<f32>, f32)> {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(9);
+            (0..count)
+                .map(|_| {
+                    let x: Vec<f32> = (0..TOY_INPUTS)
+                        .map(|_| rng.gen_range(-1.0f64..1.0) as f32)
+                        .collect();
+                    let y = 1.0 + x.iter().sum::<f32>() / 4.0;
+                    (x, y)
+                })
+                .collect()
+        }
+
+        /// The input rows, hidden pre-activations, hidden activations and outputs of `rows`.
+        fn forward(&self, features: &[Vec<f32>], rows: &[usize]) -> [Matrix; 4] {
+            let data = rows.iter().flat_map(|&row| features[row].iter().copied());
+            let x = Matrix::from_vec(rows.len(), TOY_INPUTS, data.collect());
+            let z = self.hidden.forward(&x);
+            let a = relu(&z);
+            let y = self.out.forward(&a);
+            [x, z, a, y]
+        }
+    }
+
+    impl Trainable for Toy {
+        type Sample = (Vec<f32>, f32);
+        type Features = Vec<f32>;
+
+        const SHUFFLE_SEED_OFFSET: u64 = 1;
+        const FLOOR: f32 = 1e-3;
+
+        fn config(&self) -> &TrainConfig {
+            &self.config
+        }
+
+        fn featurize(&self, sample: &Self::Sample) -> Vec<f32> {
+            sample.0.clone()
+        }
+
+        fn target(sample: &Self::Sample) -> f32 {
+            sample.1
+        }
+
+        fn train_shard(
+            &self,
+            panels: &[PackedWeights],
+            features: &[Vec<f32>],
+            targets: &[f32],
+            shard: &[usize],
+            batch_scale: f32,
+            grads: &mut GradientSet,
+        ) -> Vec<f32> {
+            let [x, z, a, y] = self.forward(features, shard);
+            let mut grad_y = Matrix::zeros(shard.len(), 1);
+            let mut losses = Vec::with_capacity(shard.len());
+            for (row, &index) in shard.iter().enumerate() {
+                let loss = loss_and_grad(LossKind::Mse, y.get(row, 0), targets[index], 0.0);
+                losses.push(loss.loss);
+                grad_y.set(row, 0, loss.grad * batch_scale);
+            }
+            let (grad_w, grad_b) = grads.pair_mut(2, 3);
+            let grad_a = Dense::backward_into(&panels[0], &a, &grad_y, grad_w, grad_b);
+            let (grad_w, grad_b) = grads.pair_mut(0, 1);
+            self.hidden
+                .backward(&x, &relu_backward(&z, &grad_a), grad_w, grad_b);
+            losses
+        }
+
+        fn predict_chunk(&self, features: &[Vec<f32>], chunk: &[usize]) -> Vec<f64> {
+            let [.., y] = self.forward(features, chunk);
+            y.data().iter().map(|&value| value as f64).collect()
+        }
+
+        fn backward_weights(&self) -> Vec<&Matrix> {
+            vec![&self.out.w]
+        }
+
+        fn gradient_shapes(&self) -> Vec<(usize, usize)> {
+            let layers = [&self.hidden, &self.out];
+            layers.into_iter().flat_map(Dense::grad_shapes).collect()
+        }
+
+        fn params_vec_mut(&mut self) -> Vec<&mut Matrix> {
+            let layers = [&mut self.hidden, &mut self.out];
+            layers.into_iter().flat_map(Dense::params_mut).collect()
+        }
+    }
+
+    /// The bits of the toy's weights and of `adam`'s moments, then `adam`'s step count.
+    fn trajectory_bits(model: &Toy, adam: &Adam) -> Vec<Vec<u64>> {
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits() as u64).collect();
+        let weights = [&model.hidden.w, &model.hidden.b, &model.out.w, &model.out.b];
+        let tensors = weights.into_iter().chain(&adam.m).chain(&adam.v);
+        tensors.map(bits).chain([vec![adam.step_count]]).collect()
+    }
+
+    /// Where the data of every tensor of every shard set `adam` keeps lives (all of them: an
+    /// allocator may hand a freed block straight back to the next allocation of its size).
+    fn kept_shard_data(adam: &mut Adam, parallel: &ThreadPoolConfig) -> Vec<*const f32> {
+        let scratch = adam
+            .scratch
+            .0
+            .as_mut()
+            .expect("the run left its scratch in adam");
+        let sets = scratch.shards.sets(parallel.shard_count(usize::MAX));
+        let parts = sets.into_iter().flat_map(GradientSet::parts);
+        parts.map(|part| part.data().as_ptr()).collect()
+    }
+
+    /// The caller's `Adam` keeps the loop's scratch: its second `fit_incremental` allocates
+    /// no shard set and ends on the bits of the same call on a clone, whose scratch is empty
+    /// (so it builds a fresh one).  Moved to a model with another pool shape, the same `Adam`
+    /// rebuilds its scratch and still matches its clone.  A clone equals its original.
+    #[test]
+    fn training_is_bit_identical_when_the_adam_keeps_its_scratch() {
+        let samples = Toy::samples(96);
+        let deterministic = ThreadPoolConfig::deterministic(2);
+        let mut model = Toy::new(deterministic);
+        let mut adam = Adam::default();
+        fit_incremental(&mut model, &samples, &mut adam, 1);
+        assert_eq!(adam.clone(), adam);
+        assert_eq!(format!("{:?}", adam.clone()), format!("{adam:?}"));
+        let kept = kept_shard_data(&mut adam, &deterministic);
+
+        let (mut twin, mut twin_adam) = (model.clone(), adam.clone());
+        assert!(
+            twin_adam.scratch.0.is_none(),
+            "a clone starts without scratch"
+        );
+        fit_incremental(&mut twin, &samples, &mut twin_adam, 1);
+        fit_incremental(&mut model, &samples, &mut adam, 1);
+        assert_eq!(kept_shard_data(&mut adam, &deterministic), kept);
+        assert_eq!(
+            trajectory_bits(&model, &adam),
+            trajectory_bits(&twin, &twin_adam)
+        );
+
+        let threads = ThreadPoolConfig {
+            threads: 3,
+            deterministic: false,
+        };
+        model.config.parallel = threads;
+        let (mut twin, mut twin_adam) = (model.clone(), adam.clone());
+        fit_incremental(&mut twin, &samples, &mut twin_adam, 2);
+        fit_incremental(&mut model, &samples, &mut adam, 2);
+        let shapes = model.gradient_shapes();
+        let shards = &mut adam.scratch.0.as_mut().expect("kept").shards;
+        assert!(shards.fits(&shapes, &threads) && !shards.fits(&shapes, &deterministic));
+        assert_eq!(
+            trajectory_bits(&model, &adam),
+            trajectory_bits(&twin, &twin_adam)
+        );
+        assert_eq!(adam.step_count, (1 + 1 + 2) * 96 / 16, "epochs × batches");
+    }
 
     #[test]
     fn split_is_deterministic_and_disjoint() {
